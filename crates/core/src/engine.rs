@@ -9,9 +9,11 @@
 //! ([`SamplingProblem::fingerprint`]), so repeat queries never re-scan the
 //! base table.
 //!
-//! * [`Engine::register`] — add a table to the catalog from any
-//!   [`TableSource`] (a local table, local shards, or a remote shard set);
-//!   SQL `FROM` names resolve against it (case-insensitive).
+//! * [`Engine::register`] — add a table to the catalog: a [`Table`], a
+//!   [`ShardedTable`] layout, or a [`ShardSet`] of readers (local, remote,
+//!   or mixed). Each becomes the same thing — a [`CatalogTable`] holding a
+//!   `ShardSet` — and SQL `FROM` names resolve against it
+//!   (case-insensitive).
 //! * [`Engine::prepare`] — plan + draw a CVOPT sample for a problem, or
 //!   return the cached one; yields a [`SampleHandle`]. Explicitly prepared
 //!   samples become **reuse candidates**: later queries whose derived
@@ -57,87 +59,110 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use cvopt_table::exec::{partition_rows, ExecOptions};
 use cvopt_table::groupby::{choose_strategy, estimate_keys};
 use cvopt_table::{
-    hash_join, hash_join_sharded, sql, AggKind, GroupByQuery, GroupIndex, GroupStrategy,
-    QueryResult, ScalarExpr, ShardSet, ShardedTable, Table,
+    hash_join, sql, AggKind, GroupByQuery, GroupStrategy, QueryResult, ScalarExpr, ShardSet,
+    ShardedTable, Table,
 };
 
 use crate::confidence::{estimate_avg_with_error, AvgEstimate};
 use crate::error::CvError;
 use crate::estimate::estimate_with;
 use crate::framework::{budget_for_rows, note_draw_avoided, CvOptOutcome, CvOptPlan, CvOptSampler};
-use crate::maintain::{LocalCatalog, MaintainedSample};
+use crate::maintain::MaintainedSample;
 use crate::sample::MaterializedSample;
 use crate::spec::{AggColumn, Fingerprinter, QuerySpec, SamplingProblem};
 use crate::Result;
 
-/// A catalog entry: one contiguous table, a locally sharded one, or a set
-/// of shards answering over the shard-pass surface (local, remote, or
-/// mixed). All kinds answer every query identically — scatter-gather passes
-/// are byte-identical to their single-table counterparts — so the choice is
-/// purely a deployment concern (ingest layout, which box owns the rows).
+/// A catalog entry. Every table is a [`ShardSet`] — a plain [`Table`] is a
+/// set of one in-process shard — and every pass runs over it the same way,
+/// with byte-identical answers for any layout and any mix of local and
+/// remote readers. The entry adds the single reporting fact execution
+/// cannot derive: whether the caller *declared* a shard layout. A plain
+/// table reports no shards and folds no layout into fingerprints; a
+/// [`ShardedTable`] or a directly registered [`ShardSet`] reports its shard
+/// count — a 1-shard layout included.
 #[derive(Debug, Clone)]
-pub enum CatalogTable {
-    /// One contiguous in-memory table.
-    Single(Table),
-    /// A table split across independently-owned shards, served by
-    /// scatter-gather passes.
-    Sharded(ShardedTable),
-    /// A table whose shards answer through [`ShardReader`]s — possibly in
-    /// another process, over the wire.
-    ///
-    /// [`ShardReader`]: cvopt_table::ShardReader
-    Remote(ShardSet),
+pub struct CatalogTable {
+    set: ShardSet,
+    declared_layout: bool,
+}
+
+/// A plain table: one in-process shard, no declared layout (the table moves
+/// into its reader).
+impl From<Table> for CatalogTable {
+    fn from(table: Table) -> Self {
+        CatalogTable { set: table.into(), declared_layout: false }
+    }
+}
+
+/// A declared layout of in-process shards (each moves into its reader).
+impl From<ShardedTable> for CatalogTable {
+    fn from(table: ShardedTable) -> Self {
+        CatalogTable { set: table.into(), declared_layout: true }
+    }
+}
+
+/// A declared layout of arbitrary readers — local, remote, or mixed.
+impl From<ShardSet> for CatalogTable {
+    fn from(set: ShardSet) -> Self {
+        CatalogTable { set, declared_layout: true }
+    }
 }
 
 impl CatalogTable {
+    /// The shard set every pass over this table runs on.
+    pub fn set(&self) -> &ShardSet {
+        &self.set
+    }
+
     /// Total logical rows.
     pub fn num_rows(&self) -> usize {
-        match self {
-            CatalogTable::Single(t) => t.num_rows(),
-            CatalogTable::Sharded(t) => t.num_rows(),
-            CatalogTable::Remote(s) => s.num_rows(),
-        }
+        self.set.num_rows()
     }
 
-    /// Shard count for sharded and remote entries, `None` for single
-    /// tables.
+    /// Shard count of a declared layout, `None` for a plain table.
     pub fn num_shards(&self) -> Option<usize> {
-        match self {
-            CatalogTable::Single(_) => None,
-            CatalogTable::Sharded(t) => Some(t.num_shards()),
-            CatalogTable::Remote(s) => Some(s.num_shards()),
-        }
+        self.declared_layout.then(|| self.set.num_shards())
     }
 
-    /// Shard count for remote entries only (`None` for single and locally
-    /// sharded tables) — the `/explain` topology marker.
+    /// How many shards answer from outside this process (`None` when every
+    /// shard's rows live here) — the `/explain` topology marker.
     pub fn remote_shards(&self) -> Option<usize> {
-        match self {
-            CatalogTable::Remote(s) => Some(s.num_shards()),
-            _ => None,
-        }
+        self.set.remote_shards()
     }
 
-    /// Fold the shard layout into `base` so cache keys distinguish a table
-    /// from a re-sharded version of itself: byte-identical results make
-    /// that distinction unnecessary for correctness of *answers*, but plan
-    /// reports (shard counts, per-shard partitions) hang off the cache key
-    /// and must never describe a stale layout.
+    /// Per-shard partition counts of a declared layout (shard-local passes
+    /// partition each shard by its own row count); `None` for a plain table.
+    fn shard_partitions(&self) -> Option<Vec<usize>> {
+        self.declared_layout
+            .then(|| self.set.shard_rows().iter().map(|&rows| partition_rows(rows).len()).collect())
+    }
+
+    /// The same entry over a mutated set (ingest, rotation): what the
+    /// caller declared at registration is kept.
+    fn with_set(&self, set: ShardSet) -> CatalogTable {
+        CatalogTable { set, declared_layout: self.declared_layout }
+    }
+
+    /// Fold the declared shard layout into `base` so cache keys distinguish
+    /// a table from a re-sharded version of itself: byte-identical results
+    /// make that distinction unnecessary for correctness of *answers*, but
+    /// plan reports (shard counts, per-shard partitions) hang off the cache
+    /// key and must never describe a stale layout. A plain table folds to
+    /// `base` itself.
     ///
-    /// Remote sets fold **identically** to local sharded tables: where the
-    /// shards live never changes the answer bytes, so it must not change
-    /// the cache key either — a sample prepared locally is exactly the
-    /// sample a remote layout of the same shape would prepare.
+    /// Where the shards live never enters the fold: it never changes the
+    /// answer bytes, so it must not change the cache key either — a sample
+    /// prepared over in-process shards is exactly the sample a remote
+    /// layout of the same shape would prepare.
     ///
     /// Public so reuse tests can pin the converse: two catalog entries
     /// with different shard layouts fold the same problem to different
     /// keys, so the reuse planner can never match across layouts.
     pub fn layout_fingerprint(&self, base: u64) -> u64 {
-        let shard_rows = match self {
-            CatalogTable::Single(_) => return base,
-            CatalogTable::Sharded(t) => t.shard_rows(),
-            CatalogTable::Remote(s) => s.shard_rows(),
-        };
+        if !self.declared_layout {
+            return base;
+        }
+        let shard_rows = self.set.shard_rows();
         let mut fp = Fingerprinter::new();
         fp.write_tag(b'S');
         fp.write_u64(base);
@@ -146,39 +171,6 @@ impl CatalogTable {
             fp.write_u64(rows as u64);
         }
         fp.finish()
-    }
-}
-
-/// What [`Engine::register`] registers: a builder-style source for one
-/// catalog entry. The three variants correspond one-to-one with
-/// [`CatalogTable`] kinds; `From` impls let callers pass a bare [`Table`],
-/// [`ShardedTable`], or [`ShardSet`] and have the kind inferred.
-#[derive(Debug, Clone)]
-pub enum TableSource {
-    /// One contiguous in-memory table.
-    Local(Table),
-    /// A table split across local shards (scatter-gather passes).
-    Sharded(ShardedTable),
-    /// A table whose shards answer through shard readers, possibly over
-    /// the wire.
-    Remote(ShardSet),
-}
-
-impl From<Table> for TableSource {
-    fn from(table: Table) -> Self {
-        TableSource::Local(table)
-    }
-}
-
-impl From<ShardedTable> for TableSource {
-    fn from(table: ShardedTable) -> Self {
-        TableSource::Sharded(table)
-    }
-}
-
-impl From<ShardSet> for TableSource {
-    fn from(set: ShardSet) -> Self {
-        TableSource::Remote(set)
     }
 }
 
@@ -315,7 +307,7 @@ pub struct ExplainReport {
     /// this reports the planner's performance choice.
     pub group_by_strategy: &'static str,
     /// Why that strategy was chosen (metadata key estimate vs row count,
-    /// `CVOPT_GROUP_STRATEGY` override, remote layout, …).
+    /// `CVOPT_GROUP_STRATEGY` override, shards behind remote readers, …).
     pub group_by_reason: String,
     /// How the answer relates to the prepared-sample cache. `Derived`
     /// means the sampling algebra answered from a subsuming cached sample;
@@ -340,15 +332,16 @@ pub struct ExplainReport {
     pub partitions: usize,
     /// Worker threads of the session-level execution options.
     pub threads: usize,
-    /// Shard count when the `FROM` table is sharded; `None` otherwise.
+    /// Shard count when the `FROM` table declared a shard layout; `None`
+    /// for a plain table.
     pub shards: Option<usize>,
     /// Per-shard partition counts (shard-local passes such as the index
     /// build and the draw's scatter partition each shard by its own row
     /// count). Same availability as `shards`.
     pub shard_partitions: Option<Vec<usize>>,
-    /// Shard count when the `FROM` table's shards answer over the wire
-    /// (a [`CatalogTable::Remote`] entry); `None` for single and locally
-    /// sharded tables. The **only** report field that distinguishes a
+    /// How many of the `FROM` table's shards answer from outside this
+    /// process (`remote_shards` of its [`CatalogTable`]); `None` when every
+    /// shard is in-process. The **only** report field that distinguishes a
     /// remote layout from the identical local one.
     pub remote_shards: Option<usize>,
 }
@@ -861,105 +854,19 @@ impl Engine {
         self.windows.get(&name.to_ascii_lowercase()).map(String::as_str)
     }
 
-    /// Register (or replace) a catalog table from any [`TableSource`].
-    /// SQL `FROM` names resolve to it case-insensitively.
+    /// Register (or replace) a catalog table. SQL `FROM` names resolve to
+    /// it case-insensitively.
     ///
-    /// A bare [`Table`], [`ShardedTable`], or [`ShardSet`] converts
-    /// implicitly; `TableSource::{Local, Sharded, Remote}` spells the kind
-    /// out. All kinds answer every query byte-identically — the choice is
-    /// purely a deployment concern — and cache keys fold in the shard
-    /// layout, so re-registering under a new layout can never serve a plan
-    /// report describing the old one.
+    /// A [`Table`], a [`ShardedTable`], or a [`ShardSet`] converts
+    /// implicitly (tables move into their readers — nothing is copied).
+    /// All of them answer every query byte-identically — the choice is
+    /// purely a deployment concern — and cache keys fold in a declared
+    /// shard layout, so re-registering under a new layout can never serve a
+    /// plan report describing the old one.
     pub fn register(
         &mut self,
         name: impl Into<String>,
-        source: impl Into<TableSource>,
-    ) -> &mut Self {
-        let table = match source.into() {
-            TableSource::Local(t) => CatalogTable::Single(t),
-            TableSource::Sharded(t) => CatalogTable::Sharded(t),
-            TableSource::Remote(s) => CatalogTable::Remote(s),
-        };
-        self.register_catalog_table(name, table)
-    }
-
-    /// Register (or replace) a catalog table that **ingests**: `window`
-    /// names a time-ordered `INT64`/`TIMESTAMP` column the table is
-    /// retained by. A windowed table additionally supports
-    /// [`Engine::rotate`] (drop rows older than a cutoff), and its durable
-    /// prepared samples are **incrementally maintained** under
-    /// [`Engine::ingest`] instead of being invalidated — each append folds
-    /// into the maintained index and statistics, and the refreshed sample
-    /// is byte-identical to re-preparing from scratch.
-    ///
-    /// Remote shard sets cannot be windowed here: their rows live at the
-    /// shard servers, which own append and retention (the `cvopt-net`
-    /// append/rotate passes).
-    pub fn register_windowed(
-        &mut self,
-        name: impl Into<String>,
-        source: impl Into<TableSource>,
-        window: &str,
-    ) -> Result<&mut Self> {
-        let source = source.into();
-        let schema = match &source {
-            TableSource::Local(t) => t.schema(),
-            TableSource::Sharded(t) => t.schema(),
-            TableSource::Remote(_) => {
-                return Err(CvError::invalid(
-                    "remote shard sets cannot declare a window column; retention runs at the \
-                     shard servers",
-                ))
-            }
-        };
-        let dtype = schema.type_of(window)?;
-        if !matches!(dtype, cvopt_table::DataType::Int64 | cvopt_table::DataType::Timestamp) {
-            return Err(CvError::invalid(format!(
-                "window column '{window}' must be INT64 or TIMESTAMP, found {dtype:?}"
-            )));
-        }
-        let name = name.into();
-        let key = name.to_ascii_lowercase();
-        self.register(name, source);
-        self.windows.insert(key, window.to_string());
-        Ok(self)
-    }
-
-    /// Register (or replace) a catalog table.
-    #[deprecated(
-        note = "use `Engine::register(name, table)`; a `Table` converts into a `TableSource` implicitly"
-    )]
-    pub fn register_table(&mut self, name: impl Into<String>, table: Table) -> &mut Self {
-        self.register(name, table)
-    }
-
-    /// Register (or replace) a sharded catalog table.
-    #[deprecated(
-        note = "use `Engine::register(name, table)`; a `ShardedTable` converts into a `TableSource` implicitly"
-    )]
-    pub fn register_sharded_table(
-        &mut self,
-        name: impl Into<String>,
-        table: ShardedTable,
-    ) -> &mut Self {
-        self.register(name, table)
-    }
-
-    /// Register (or replace) a table whose shards answer through
-    /// [`ShardReader`]s.
-    ///
-    /// [`ShardReader`]: cvopt_table::ShardReader
-    #[deprecated(
-        note = "use `Engine::register(name, set)`; a `ShardSet` converts into a `TableSource` implicitly"
-    )]
-    pub fn register_remote_table(&mut self, name: impl Into<String>, set: ShardSet) -> &mut Self {
-        self.register(name, set)
-    }
-
-    fn register_catalog_table(
-        &mut self,
-        name: impl Into<String>,
-        table: CatalogTable,
+        table: impl Into<CatalogTable>,
     ) -> &mut Self {
         let name = name.into();
         let key = name.to_ascii_lowercase();
@@ -971,8 +878,46 @@ impl Engine {
         self.query_log.get_mut().unwrap_or_else(|e| e.into_inner()).remove(&key);
         self.windows.remove(&key);
         self.maintained.get_mut().unwrap_or_else(|e| e.into_inner()).remove(&key);
-        self.tables.insert(key, (name, table));
+        self.tables.insert(key, (name, table.into()));
         self
+    }
+
+    /// Register (or replace) a catalog table that **ingests**: `window`
+    /// names a time-ordered `INT64`/`TIMESTAMP` column the table is
+    /// retained by. A windowed table additionally supports
+    /// [`Engine::rotate`] (drop rows older than a cutoff), and its durable
+    /// prepared samples are **incrementally maintained** under
+    /// [`Engine::ingest`] instead of being invalidated — each append folds
+    /// into the maintained index and statistics, and the refreshed sample
+    /// is byte-identical to re-preparing from scratch.
+    ///
+    /// A set with remote shards cannot be windowed here: those rows live at
+    /// the shard servers, which own append and retention (the `cvopt-net`
+    /// append/rotate passes).
+    pub fn register_windowed(
+        &mut self,
+        name: impl Into<String>,
+        table: impl Into<CatalogTable>,
+        window: &str,
+    ) -> Result<&mut Self> {
+        let table = table.into();
+        if table.remote_shards().is_some() {
+            return Err(CvError::invalid(
+                "remote shard sets cannot declare a window column; retention runs at the \
+                 shard servers",
+            ));
+        }
+        let dtype = table.set.schema().type_of(window)?;
+        if !matches!(dtype, cvopt_table::DataType::Int64 | cvopt_table::DataType::Timestamp) {
+            return Err(CvError::invalid(format!(
+                "window column '{window}' must be INT64 or TIMESTAMP, found {dtype:?}"
+            )));
+        }
+        let name = name.into();
+        let key = name.to_ascii_lowercase();
+        self.register(name, table);
+        self.windows.insert(key, window.to_string());
+        Ok(self)
     }
 
     /// Remove a table, every sample prepared from it, and its query log.
@@ -986,7 +931,8 @@ impl Engine {
     }
 
     /// Append a batch of rows to a registered **local** table (sharded
-    /// layouts append into their live — last — shard).
+    /// layouts append into their live — last — shard; earlier shards are
+    /// shared with the previous layout, not copied).
     ///
     /// Sample upkeep is the point of the pass: cached samples of the table
     /// are *never left stale*. Non-maintained entries are invalidated
@@ -1002,18 +948,13 @@ impl Engine {
         let key = name.to_ascii_lowercase();
         let (display, extended) = {
             let (display, table) = self.resolve(name)?;
-            let display = display.to_string();
-            let extended = match table {
-                CatalogTable::Single(t) => CatalogTable::Single(t.extended(batch)?),
-                CatalogTable::Sharded(t) => CatalogTable::Sharded(t.extended(batch)?),
-                CatalogTable::Remote(_) => {
-                    return Err(CvError::invalid(format!(
-                        "table '{display}' answers from remote shards; append through the shard \
-                         servers and re-register"
-                    )))
-                }
-            };
-            (display, extended)
+            if table.remote_shards().is_some() {
+                return Err(CvError::invalid(format!(
+                    "table '{display}' answers from remote shards; append through the shard \
+                     servers and re-register"
+                )));
+            }
+            (display.to_string(), table.with_set(table.set.extended(batch)?))
         };
         self.tables.insert(key.clone(), (display.clone(), extended));
         self.forget_table_samples(&key);
@@ -1040,29 +981,18 @@ impl Engine {
         })?;
         let (display, rotated, before) = {
             let (display, table) = self.resolve(name)?;
-            let display = display.to_string();
-            let before = table.num_rows();
-            let rotated = match table {
-                CatalogTable::Single(t) => {
-                    let keep = keep_mask(t, &window, cutoff)?;
-                    let kept: Vec<usize> = (0..t.num_rows()).filter(|&i| keep[i]).collect();
-                    CatalogTable::Single(t.take(&kept))
-                }
-                CatalogTable::Sharded(t) => {
-                    let mut keep = Vec::with_capacity(t.num_rows());
-                    for shard in t.shards() {
-                        keep.extend(keep_mask(shard, &window, cutoff)?);
-                    }
-                    CatalogTable::Sharded(t.retained(|i| keep[i]))
-                }
-                CatalogTable::Remote(_) => {
-                    return Err(CvError::invalid(format!(
-                        "table '{display}' answers from remote shards; rotate at the shard \
-                         servers and re-register"
-                    )))
-                }
+            let Some(shards) = table.set.rows().local_tables() else {
+                return Err(CvError::invalid(format!(
+                    "table '{display}' answers from remote shards; rotate at the shard \
+                     servers and re-register"
+                )));
             };
-            (display, rotated, before)
+            let mut keep = Vec::with_capacity(table.num_rows());
+            for shard in shards {
+                keep.extend(keep_mask(shard, &window, cutoff)?);
+            }
+            let rotated = table.with_set(table.set.retained(|i| keep[i])?);
+            (display.to_string(), rotated, table.num_rows())
         };
         let remaining = rotated.num_rows();
         let retired = before - remaining;
@@ -1083,22 +1013,18 @@ impl Engine {
     /// stale. Returns how many maintained samples survive.
     fn update_maintained(&mut self, key: &str, batch: Option<&Table>) -> usize {
         let Some((_, base)) = self.tables.get(key) else { return 0 };
-        let catalog = match base {
-            CatalogTable::Single(t) => LocalCatalog::Single(t),
-            CatalogTable::Sharded(t) => LocalCatalog::Sharded(t),
-            CatalogTable::Remote(_) => return 0,
-        };
+        let rows = base.set.rows();
         let seed = self.seed;
         let exec = self.exec;
         let maintained_map = self.maintained.get_mut().unwrap_or_else(|e| e.into_inner());
         let Some(entries) = maintained_map.get_mut(key) else { return 0 };
         let mut rebuilds = 0u64;
         entries.retain_mut(|m| match batch {
-            Some(b) => m.apply_append(catalog, b, seed, &exec).is_ok(),
+            Some(b) => m.apply_append(&rows, b, seed, &exec).is_ok(),
             // A rebuild re-scans the retained rows — a full statistics
             // pass, and the engine's gauge must say so.
             None => {
-                let ok = m.rebuild(catalog, seed, &exec).is_ok();
+                let ok = m.rebuild(&rows, seed, &exec).is_ok();
                 rebuilds += ok as u64;
                 ok
             }
@@ -1225,27 +1151,17 @@ impl Engine {
         names
     }
 
-    /// Look up a catalog entry (case-insensitive), whatever its kind.
+    /// Look up a catalog entry (case-insensitive).
     pub fn catalog_table(&self, name: &str) -> Option<&CatalogTable> {
         self.tables.get(&name.to_ascii_lowercase()).map(|(_, t)| t)
     }
 
-    /// Look up a *single-table* catalog entry (case-insensitive). Sharded
-    /// entries return `None`; use [`Engine::sharded_table`] or
-    /// [`Engine::catalog_table`] for those.
+    /// The table behind a *plain* registration (case-insensitive). Entries
+    /// that declared a shard layout return `None`; reach their shards
+    /// through [`Engine::catalog_table`].
     pub fn table(&self, name: &str) -> Option<&Table> {
-        match self.catalog_table(name) {
-            Some(CatalogTable::Single(t)) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// Look up a *sharded* catalog entry (case-insensitive).
-    pub fn sharded_table(&self, name: &str) -> Option<&ShardedTable> {
-        match self.catalog_table(name) {
-            Some(CatalogTable::Sharded(t)) => Some(t),
-            _ => None,
-        }
+        let entry = self.catalog_table(name).filter(|t| !t.declared_layout)?;
+        entry.set.reader(0).local_table()
     }
 
     fn resolve(&self, name: &str) -> Result<(&str, &CatalogTable)> {
@@ -1480,7 +1396,7 @@ impl Engine {
     }
 
     /// [`Engine::sample_uncached`], plus the maintenance hook: a *durable*
-    /// preparation over a windowed local table is built through
+    /// preparation over a windowed table is built through
     /// [`MaintainedSample::build`] — byte-identical to the plain two-pass
     /// path, but capturing the index and statistics partials so later
     /// [`Engine::ingest`] calls can fold batches in without a rescan.
@@ -1492,24 +1408,18 @@ impl Engine {
         durable: bool,
     ) -> Result<Arc<CvOptOutcome>> {
         if durable && self.windows.contains_key(table_key) {
-            let catalog = match base {
-                CatalogTable::Single(t) => Some(LocalCatalog::Single(t)),
-                CatalogTable::Sharded(t) => Some(LocalCatalog::Sharded(t)),
-                CatalogTable::Remote(_) => None,
-            };
-            if let Some(catalog) = catalog {
-                let m = MaintainedSample::build(problem.clone(), catalog, self.seed, &self.exec)?;
-                self.stats_passes.fetch_add(1, Ordering::Relaxed);
-                let outcome = Arc::clone(m.outcome());
-                let mut maintained = self.maintained.write().unwrap_or_else(|e| e.into_inner());
-                let entries = maintained.entry(table_key.to_string()).or_default();
-                entries.retain(|e| e.problem() != problem);
-                entries.push(m);
-                if entries.len() > MAINTAINED_CAP {
-                    entries.remove(0);
-                }
-                return Ok(outcome);
+            let rows = base.set.rows();
+            let m = MaintainedSample::build(problem.clone(), &rows, self.seed, &self.exec)?;
+            self.stats_passes.fetch_add(1, Ordering::Relaxed);
+            let outcome = Arc::clone(m.outcome());
+            let mut maintained = self.maintained.write().unwrap_or_else(|e| e.into_inner());
+            let entries = maintained.entry(table_key.to_string()).or_default();
+            entries.retain(|e| e.problem() != problem);
+            entries.push(m);
+            if entries.len() > MAINTAINED_CAP {
+                entries.remove(0);
             }
+            return Ok(outcome);
         }
         self.sample_uncached(base, problem)
     }
@@ -1521,11 +1431,7 @@ impl Engine {
         problem: &SamplingProblem,
     ) -> Result<Arc<CvOptOutcome>> {
         let sampler = CvOptSampler::new(problem.clone()).with_seed(self.seed).with_exec(self.exec);
-        let outcome = match base {
-            CatalogTable::Single(t) => sampler.sample(t)?,
-            CatalogTable::Sharded(t) => sampler.sample_sharded(t)?,
-            CatalogTable::Remote(s) => sampler.sample_set(s)?,
-        };
+        let outcome = sampler.sample(&base.set)?;
         self.stats_passes.fetch_add(1, Ordering::Relaxed);
         Ok(Arc::new(outcome))
     }
@@ -1568,11 +1474,7 @@ impl Engine {
         let (catalog_name, base) = self.resolve(&report.table)?;
         match report.mode {
             QueryMode::Exact => {
-                let results = match base {
-                    CatalogTable::Single(t) => query.execute_with(t, &self.exec)?,
-                    CatalogTable::Sharded(t) => query.execute_sharded(t, &self.exec)?,
-                    CatalogTable::Remote(s) => query.execute_set(s, &self.exec)?,
-                };
+                let results = query.execute_with(&base.set, &self.exec)?;
                 Ok(QueryAnswer { results, report, confidence: Vec::new() })
             }
             _ => {
@@ -1806,15 +1708,6 @@ impl Engine {
                 }
             }
         };
-        let shard_partitions = match base {
-            CatalogTable::Single(_) => None,
-            CatalogTable::Sharded(t) => {
-                Some(t.shards().iter().map(|s| partition_rows(s.num_rows()).len()).collect())
-            }
-            CatalogTable::Remote(s) => {
-                Some(s.shard_rows().iter().map(|&rows| partition_rows(rows).len()).collect())
-            }
-        };
         let (strategy, group_by_reason) = Self::plan_group_strategy(base, &query.group_by);
         let mut report = ExplainReport {
             table: catalog_name.to_string(),
@@ -1833,7 +1726,7 @@ impl Engine {
             partitions: partition_rows(table_rows).len(),
             threads: self.exec.threads(),
             shards: base.num_shards(),
-            shard_partitions,
+            shard_partitions: base.shard_partitions(),
             remote_shards: base.remote_shards(),
         };
         let mut problem = None;
@@ -1891,9 +1784,10 @@ impl Engine {
 
     /// The group-index interning strategy the execution layer will choose
     /// for `group_by` over `base`, with its reason — reported by `EXPLAIN`.
-    /// Sharded tables build shard-locally, so the report summarizes at
-    /// table scale with the widest per-shard key estimate; remote shards
-    /// choose on their side of the wire.
+    /// Shards build their indexes independently, so the report summarizes
+    /// at table scale with the widest per-shard key estimate (for a plain
+    /// table, its own); shards behind a remote reader choose on their side
+    /// of the wire.
     fn plan_group_strategy(
         base: &CatalogTable,
         group_by: &[ScalarExpr],
@@ -1901,33 +1795,23 @@ impl Engine {
         if group_by.is_empty() {
             return (GroupStrategy::Hash, "no grouping dimensions".into());
         }
-        match base {
-            CatalogTable::Single(t) => GroupIndex::strategy_for(t, group_by),
-            CatalogTable::Sharded(t) => {
-                let mut estimate = Some(0u64);
-                for shard in t.shards() {
-                    estimate = match (estimate, estimate_keys(shard, group_by)) {
-                        (Some(acc), Some(e)) => Some(acc.max(e)),
-                        _ => None,
-                    };
-                    if estimate.is_none() {
-                        break;
-                    }
-                }
-                choose_strategy(t.num_rows(), estimate)
-            }
-            CatalogTable::Remote(_) => {
-                let (strategy, _) = choose_strategy(base.num_rows(), None);
-                (
-                    strategy,
-                    "remote shards intern on the serving side; hash build unless forced".into(),
-                )
+        let Some(shards) = base.set.rows().local_tables() else {
+            let (strategy, _) = choose_strategy(base.num_rows(), None);
+            let reason = "remote shards intern on the serving side; hash build unless forced";
+            return (strategy, reason.into());
+        };
+        let mut estimate = Some(0u64);
+        for shard in shards {
+            estimate = estimate.zip(estimate_keys(shard, group_by)).map(|(acc, e)| acc.max(e));
+            if estimate.is_none() {
+                break;
             }
         }
+        choose_strategy(base.num_rows(), estimate)
     }
 
     /// Plan a `JOIN` statement: always exact (the sampling algebra has no
-    /// join rule), never cached, local tables only. The joined table is
+    /// join rule), never cached, in-process shards only. The joined table is
     /// materialized at execution time; the key estimate for the group
     /// strategy is therefore unavailable at plan time and the heuristic
     /// falls back to the hash build (`CVOPT_GROUP_STRATEGY` still forces).
@@ -1940,7 +1824,7 @@ impl Engine {
     ) -> Result<PlannedStatement> {
         let (fact_name, fact) = self.resolve(from)?;
         let (dim_name, dim) = self.resolve(&join.table)?;
-        if matches!(fact, CatalogTable::Remote(_)) || matches!(dim, CatalogTable::Remote(_)) {
+        if fact.remote_shards().is_some() || dim.remote_shards().is_some() {
             return Err(CvError::invalid(format!(
                 "JOIN needs local rows on both sides; a remote table cannot be joined \
                  (fact {fact_name}, dim {dim_name})"
@@ -1961,12 +1845,6 @@ impl Engine {
             choose_strategy(fact.num_rows(), None)
         };
         let table_rows = fact.num_rows();
-        let shard_partitions = match fact {
-            CatalogTable::Single(_) | CatalogTable::Remote(_) => None,
-            CatalogTable::Sharded(t) => {
-                Some(t.shards().iter().map(|s| partition_rows(s.num_rows()).len()).collect())
-            }
-        };
         let report = ExplainReport {
             table: fact_name.to_string(),
             table_rows,
@@ -1987,7 +1865,7 @@ impl Engine {
             partitions: partition_rows(table_rows).len(),
             threads: self.exec.threads(),
             shards: fact.num_shards(),
-            shard_partitions,
+            shard_partitions: fact.shard_partitions(),
             remote_shards: None,
         };
         Ok(PlannedStatement {
@@ -2003,7 +1881,8 @@ impl Engine {
     /// Materialize the join and answer `query` over its output. The fact
     /// side joins per shard in shard order (global row order), so the
     /// output — and therefore the answer bytes — is identical for any
-    /// shard layout and any thread count.
+    /// shard layout and any thread count. A dimension table spread over
+    /// several shards is first concatenated into one.
     fn execute_join(
         &self,
         fact_name: &str,
@@ -2011,33 +1890,9 @@ impl Engine {
         query: &GroupByQuery,
     ) -> Result<Vec<QueryResult>> {
         let (_, fact) = self.resolve(fact_name)?;
-        let (dim_name, dim) = self.resolve(&join.table)?;
-        let dim_owned;
-        let dim_table: &Table = match dim {
-            CatalogTable::Single(t) => t,
-            CatalogTable::Sharded(t) => {
-                dim_owned = t.to_table();
-                &dim_owned
-            }
-            CatalogTable::Remote(_) => {
-                return Err(CvError::invalid(format!(
-                    "dimension table {dim_name} answers over the wire; JOIN needs local rows"
-                )))
-            }
-        };
-        let joined = match fact {
-            CatalogTable::Single(t) => {
-                hash_join(t, dim_table, &join.fact_key, &join.dim_key, &self.exec)?
-            }
-            CatalogTable::Sharded(t) => {
-                hash_join_sharded(t, dim_table, &join.fact_key, &join.dim_key, &self.exec)?
-            }
-            CatalogTable::Remote(_) => {
-                return Err(CvError::invalid(format!(
-                    "fact table {fact_name} answers over the wire; JOIN needs local rows"
-                )))
-            }
-        };
+        let (_, dim) = self.resolve(&join.table)?;
+        let dim = dim.set.rows().to_table()?;
+        let joined = hash_join(&fact.set, &dim, &join.fact_key, &join.dim_key, &self.exec)?;
         Ok(query.execute_with(&joined, &self.exec)?)
     }
 
@@ -2419,11 +2274,15 @@ mod tests {
         e.register("shard", ShardedTable::split(&t, 2).unwrap());
         assert!(e.table("plain").is_some());
         assert!(e.table("shard").is_none(), "sharded entries are not single tables");
-        assert!(e.sharded_table("shard").is_some());
-        assert!(e.sharded_table("plain").is_none());
-        assert!(matches!(e.catalog_table("shard"), Some(CatalogTable::Sharded(_))));
+        assert_eq!(e.catalog_table("plain").unwrap().num_shards(), None);
+        assert_eq!(e.catalog_table("plain").unwrap().set().num_shards(), 1);
         assert_eq!(e.catalog_table("shard").unwrap().num_shards(), Some(2));
+        assert_eq!(e.catalog_table("shard").unwrap().remote_shards(), None);
         assert_eq!(e.table_names(), vec!["plain", "shard"]);
+        // A declared one-shard layout is still a layout.
+        e.register("one", ShardedTable::split(&t, 1).unwrap());
+        assert!(e.table("one").is_none());
+        assert_eq!(e.catalog_table("one").unwrap().num_shards(), Some(1));
     }
 
     #[test]
@@ -2973,7 +2832,7 @@ mod tests {
         assert_eq!((e.rotations(), e.rows_retired()), (1, 1000));
         assert_eq!(report.maintained, 1, "maintained sample rebuilt over survivors");
         // The oldest shard aged out entirely: 3000/3 = 1000 rows per shard.
-        assert_eq!(e.sharded_table("t").unwrap().num_shards(), 2);
+        assert_eq!(e.catalog_table("t").unwrap().num_shards(), Some(2));
 
         let ans = e.query("SELECT COUNT(*) AS n FROM t", QueryMode::Exact).unwrap();
         assert_eq!(format!("{:?}", ans.results[0].values[0][0]), format!("{:?}", 2000.0_f64));
@@ -2997,15 +2856,20 @@ mod tests {
         assert_eq!(e.window_column("t"), None);
     }
 
+    /// Ingest rebuilds only the live (last) shard: the readers of earlier
+    /// shards are the very same ones the previous layout held.
     #[test]
-    fn deprecated_registration_shims_still_work() {
-        #![allow(deprecated)]
-        let t = table(500);
-        let mut e = Engine::new();
-        e.register_table("a", t.clone());
-        e.register_sharded_table("b", ShardedTable::split(&t, 2).unwrap());
-        assert_eq!(e.table_names(), vec!["a", "b"]);
-        assert!(e.table("a").is_some());
-        assert!(e.sharded_table("b").is_some());
+    fn ingest_shares_untouched_shard_readers() {
+        let mut e = Engine::new().with_seed(3);
+        let sharded = ShardedTable::split(&ts_table(0, 3000), 3).unwrap();
+        e.register_windowed("t", sharded, "ts").unwrap();
+        let before = e.catalog_table("t").unwrap().set().readers().to_vec();
+        e.ingest("t", &ts_table(3000, 500)).unwrap();
+        let after = e.catalog_table("t").unwrap().set();
+        assert_eq!(after.shard_rows(), vec![1000, 1000, 1500]);
+        assert!(Arc::ptr_eq(after.reader(0), &before[0]));
+        assert!(Arc::ptr_eq(after.reader(1), &before[1]));
+        assert!(!Arc::ptr_eq(after.reader(2), &before[2]));
+        assert_eq!(e.catalog_table("t").unwrap().num_shards(), Some(3), "still a declared layout");
     }
 }

@@ -22,7 +22,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cvopt_table::exec::ExecOptions;
-use cvopt_table::{GroupIndex, KeyAtom, ScalarExpr, ShardSet, ShardedTable, Table};
+use cvopt_table::{GroupIndex, KeyAtom, RowSpace, ScalarExpr, Table};
 
 use crate::alloc::{compute_betas, linf_allocation, lp_allocation, sqrt_allocation, Allocation};
 use crate::error::CvError;
@@ -59,8 +59,8 @@ pub(crate) fn note_draw_avoided() {
     DRAWS_AVOIDED.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Record one stratified draw (called by the incremental-maintenance path,
-/// whose draws run outside [`CvOptSampler::sample`]).
+/// Record one stratified draw ([`CvOptSampler::sample`] and the
+/// incremental-maintenance path, whose draws run outside it).
 pub(crate) fn note_draw() {
     TOTAL_DRAWS.fetch_add(1, Ordering::Relaxed);
 }
@@ -150,102 +150,39 @@ impl CvOptSampler {
         &self.problem
     }
 
-    /// Pass 1 only: statistics and allocation.
-    pub fn plan(&self, table: &Table) -> Result<CvOptPlan> {
-        let (_, plan) = self.plan_with_index(table)?;
+    /// Pass 1 only: statistics and allocation, over `rows` — a `&Table` or
+    /// a [`ShardSet`](cvopt_table::ShardSet) (shards local, remote, or
+    /// mixed). The plan is bit-identical for any layout of the same rows.
+    pub fn plan<'a>(&self, rows: impl Into<RowSpace<'a>>) -> Result<CvOptPlan> {
+        let (_, plan) = self.plan_with_index(&rows.into())?;
         Ok(plan)
     }
 
-    /// Passes 1 and 2: plan, then draw and materialize the sample.
-    pub fn sample(&self, table: &Table) -> Result<CvOptOutcome> {
-        let (index, plan) = self.plan_with_index(table)?;
-        TOTAL_DRAWS.fetch_add(1, Ordering::Relaxed);
-        let drawn = StratifiedSample::draw(&index, &plan.allocation.sizes, self.seed, &self.exec);
-        let sample = drawn.materialize(table);
-        Ok(CvOptOutcome { sample, plan })
-    }
-
-    /// [`CvOptSampler::plan`] over a [`ShardedTable`]: the group index and
-    /// the statistics pass run shard-parallel; the plan is bit-identical to
-    /// planning over the concatenated table.
-    pub fn plan_sharded(&self, table: &ShardedTable) -> Result<CvOptPlan> {
-        let (_, plan) = self.plan_with_index_sharded(table)?;
-        Ok(plan)
-    }
-
-    /// [`CvOptSampler::sample`] over a [`ShardedTable`]: every pass —
-    /// index build, statistics, the stratified draw, materialization — is
-    /// scatter-gather across the shards, and the outcome (plan, sampled
+    /// Passes 1 and 2: plan, then draw and materialize the sample. Every
+    /// pass — index build, statistics, the stratified draw, the gather —
+    /// runs over the row space's shards, and the outcome (plan, sampled
     /// rows, weights) is **byte-identical to sampling the concatenated
     /// table with the same seed**, for any shard layout and thread count.
-    pub fn sample_sharded(&self, table: &ShardedTable) -> Result<CvOptOutcome> {
-        let (index, plan) = self.plan_with_index_sharded(table)?;
-        TOTAL_DRAWS.fetch_add(1, Ordering::Relaxed);
-        let drawn = StratifiedSample::draw_sharded(
-            &index,
-            table,
-            &plan.allocation.sizes,
-            self.seed,
-            &self.exec,
-        );
-        let sample = drawn.materialize_sharded(table);
+    pub fn sample<'a>(&self, rows: impl Into<RowSpace<'a>>) -> Result<CvOptOutcome> {
+        let rows = rows.into();
+        let (index, plan) = self.plan_with_index(&rows)?;
+        note_draw();
+        let drawn = StratifiedSample::draw(&index, &plan.allocation.sizes, self.seed, &self.exec);
+        let sample = drawn.materialize_from(&rows)?;
         Ok(CvOptOutcome { sample, plan })
     }
 
-    /// [`CvOptSampler::plan_sharded`] over a [`ShardSet`] (shards local or
-    /// remote): the plan is bit-identical to planning over a local sharded
-    /// table with the same layout.
-    pub fn plan_set(&self, set: &ShardSet) -> Result<CvOptPlan> {
-        let (_, plan) = self.plan_with_index_set(set)?;
-        Ok(plan)
-    }
-
-    /// [`CvOptSampler::sample_sharded`] over a [`ShardSet`]: the scatter
-    /// passes go through the shard-pass surface ([`cvopt_table::reader`]),
-    /// so shards may answer from another process over the wire — and the
-    /// outcome (plan, sampled rows, weights) stays **byte-identical to
-    /// sampling the concatenated table with the same seed**, for any shard
-    /// layout and thread count.
-    pub fn sample_set(&self, set: &ShardSet) -> Result<CvOptOutcome> {
-        let (index, plan) = self.plan_with_index_set(set)?;
-        TOTAL_DRAWS.fetch_add(1, Ordering::Relaxed);
-        let drawn =
-            StratifiedSample::draw_set(&index, set, &plan.allocation.sizes, self.seed, &self.exec);
-        let sample = drawn.materialize_set(set)?;
-        Ok(CvOptOutcome { sample, plan })
-    }
-
-    fn plan_with_index(&self, table: &Table) -> Result<(GroupIndex, CvOptPlan)> {
+    fn plan_with_index(&self, rows: &RowSpace<'_>) -> Result<(GroupIndex, CvOptPlan)> {
         self.problem.validate()?;
         let strata_exprs = self.problem.finest_stratification();
-        let index = GroupIndex::build_with(table, &strata_exprs, &self.exec)?;
+        let index = rows.group_index(&strata_exprs, &self.exec)?;
         let columns = self.problem.aggregate_columns();
-        let stats = StratumStatistics::collect_with(table, &index, &columns, &self.exec)?;
+        let stats = StratumStatistics::collect_with(rows, &index, &columns, &self.exec)?;
         let plan = self.allocate(strata_exprs, &index, stats)?;
         Ok((index, plan))
     }
 
-    fn plan_with_index_sharded(&self, table: &ShardedTable) -> Result<(GroupIndex, CvOptPlan)> {
-        self.problem.validate()?;
-        let strata_exprs = self.problem.finest_stratification();
-        let index = GroupIndex::build_sharded(table, &strata_exprs, &self.exec)?;
-        let columns = self.problem.aggregate_columns();
-        let stats = StratumStatistics::collect_sharded(table, &index, &columns, &self.exec)?;
-        let plan = self.allocate(strata_exprs, &index, stats)?;
-        Ok((index, plan))
-    }
-
-    fn plan_with_index_set(&self, set: &ShardSet) -> Result<(GroupIndex, CvOptPlan)> {
-        self.problem.validate()?;
-        let strata_exprs = self.problem.finest_stratification();
-        let index = set.build_group_index(&strata_exprs, &self.exec)?;
-        let columns = self.problem.aggregate_columns();
-        let stats = StratumStatistics::collect_set(set, &index, &columns, &self.exec)?;
-        let plan = self.allocate(strata_exprs, &index, stats)?;
-        Ok((index, plan))
-    }
-
-    /// The shared allocation back half of both planning paths: solve the
+    /// The allocation back half of planning: solve the
     /// problem's norm for the collected statistics. Crate-visible so the
     /// incremental-maintenance path can re-run the identical allocation
     /// over incrementally merged statistics.

@@ -81,11 +81,10 @@ pub use alloc::{
 };
 pub use confidence::{estimate_avg_with_error, AvgEstimate};
 pub use cvopt_table::exec::ExecOptions;
-pub use cvopt_table::{LocalShard, ShardReader, ShardSet, ShardedTable};
+pub use cvopt_table::{LocalShard, RowSpace, ShardReader, ShardSet, ShardedTable};
 pub use engine::{
     problem_for_query, AggConfidence, CatalogTable, Engine, ExplainReport, IngestReport,
     QueryAnswer, QueryLogEntry, QueryMode, ReoptimizeReport, ReuseInfo, RotateReport, SampleHandle,
-    TableSource,
 };
 pub use error::CvError;
 pub use framework::{

@@ -49,80 +49,27 @@ use std::sync::Arc;
 
 use cvopt_table::agg::AggState;
 use cvopt_table::exec::{ExecOptions, CHUNK_ROWS};
-use cvopt_table::{GroupIndex, ScalarExpr, ShardedTable, Table};
+use cvopt_table::{GroupIndex, RowSpace, ScalarExpr, Table};
 
 use crate::error::CvError;
 use crate::framework::{note_draw, CvOptOutcome, CvOptSampler};
-use crate::sample::StratifiedSample;
+use crate::sample::{MaterializedSample, StratifiedSample};
 use crate::spec::SamplingProblem;
 use crate::stats::{self, StratumStatistics};
 use crate::stream::{StreamingConfig, StreamingSampler};
 use crate::Result;
 
-/// A borrowed view of a local catalog table (single or sharded) — the
-/// layouts whose rows live in this process and can therefore be maintained
-/// incrementally. Remote catalogs append at their shard server and are
-/// invalidation-only.
-#[derive(Clone, Copy)]
-pub(crate) enum LocalCatalog<'a> {
-    /// One local table.
-    Single(&'a Table),
-    /// A local sharded layout.
-    Sharded(&'a ShardedTable),
-}
-
-impl LocalCatalog<'_> {
-    fn num_rows(&self) -> usize {
-        match self {
-            LocalCatalog::Single(t) => t.num_rows(),
-            LocalCatalog::Sharded(t) => t.num_rows(),
-        }
-    }
-
-    fn build_index(&self, exprs: &[ScalarExpr], exec: &ExecOptions) -> Result<GroupIndex> {
-        Ok(match self {
-            LocalCatalog::Single(t) => GroupIndex::build_with(t, exprs, exec)?,
-            LocalCatalog::Sharded(t) => GroupIndex::build_sharded(t, exprs, exec)?,
-        })
-    }
-
-    fn tail_partials(
-        &self,
-        index: &GroupIndex,
-        columns: &[ScalarExpr],
-        exec: &ExecOptions,
-        from_partition: usize,
-    ) -> Result<Vec<Vec<Vec<AggState>>>> {
-        match self {
-            LocalCatalog::Single(t) => {
-                stats::tail_partials(t, index, columns, exec, from_partition)
-            }
-            LocalCatalog::Sharded(t) => {
-                stats::tail_partials_sharded(t, index, columns, exec, from_partition)
-            }
-        }
-    }
-
-    /// Draw + materialize through the exact pass a fresh
-    /// [`CvOptSampler::sample`]/[`CvOptSampler::sample_sharded`] runs.
-    fn draw(
-        &self,
-        index: &GroupIndex,
-        allocation: &[u64],
-        seed: u64,
-        exec: &ExecOptions,
-    ) -> crate::sample::MaterializedSample {
-        note_draw();
-        match self {
-            LocalCatalog::Single(t) => {
-                StratifiedSample::draw(index, allocation, seed, exec).materialize(t)
-            }
-            LocalCatalog::Sharded(t) => {
-                StratifiedSample::draw_sharded(index, t, allocation, seed, exec)
-                    .materialize_sharded(t)
-            }
-        }
-    }
+/// Draw + materialize through the exact passes a fresh
+/// [`CvOptSampler::sample`] runs.
+fn draw(
+    rows: &RowSpace<'_>,
+    index: &GroupIndex,
+    allocation: &[u64],
+    seed: u64,
+    exec: &ExecOptions,
+) -> Result<MaterializedSample> {
+    note_draw();
+    StratifiedSample::draw(index, allocation, seed, exec).materialize_from(rows)
 }
 
 /// One durable prepared sample kept incrementally up to date under append
@@ -147,33 +94,33 @@ pub(crate) struct MaintainedSample {
 }
 
 impl MaintainedSample {
-    /// Prepare `problem` over `catalog` and capture the maintenance state.
-    /// The outcome is bit-identical to [`CvOptSampler::sample`] (or
-    /// `sample_sharded`) with the same seed and options; this counts as one
-    /// statistics pass and one draw, exactly like the fresh path.
+    /// Prepare `problem` over `rows` and capture the maintenance state.
+    /// The outcome is bit-identical to [`CvOptSampler::sample`] with the
+    /// same seed and options; this counts as one statistics pass and one
+    /// draw, exactly like the fresh path.
     pub(crate) fn build(
         problem: SamplingProblem,
-        catalog: LocalCatalog<'_>,
+        rows: &RowSpace<'_>,
         seed: u64,
         exec: &ExecOptions,
     ) -> Result<MaintainedSample> {
         problem.validate()?;
         let strata_exprs = problem.finest_stratification();
-        let index = catalog.build_index(&strata_exprs, exec)?;
+        let index = rows.group_index(&strata_exprs, exec)?;
         let columns = problem.aggregate_columns();
-        let partials = catalog.tail_partials(&index, &columns, exec, 0)?;
+        let partials = stats::tail_partials(rows, &index, &columns, exec, 0)?;
         stats::record_pass();
         let stats = StratumStatistics::from_partials(&index, &columns, &partials);
         let sampler = CvOptSampler::new(problem.clone()).with_seed(seed).with_exec(*exec);
         let plan = sampler.allocate(strata_exprs.clone(), &index, stats)?;
-        let sample = catalog.draw(&index, &plan.allocation.sizes, seed, exec);
+        let sample = draw(rows, &index, &plan.allocation.sizes, seed, exec)?;
         let sketch = StreamingSampler::new(
             columns.len().max(1),
             StreamingConfig { budget: problem.budget.max(1), seed, ..Default::default() },
         );
         Ok(MaintainedSample {
             base_budget: problem.budget,
-            base_rows: catalog.num_rows(),
+            base_rows: rows.num_rows(),
             problem,
             strata_exprs,
             index,
@@ -210,20 +157,20 @@ impl MaintainedSample {
         (scaled.round() as usize).max(1)
     }
 
-    /// Fold an appended batch into the maintained state. `catalog` is the
+    /// Fold an appended batch into the maintained state. `rows` is the
     /// **already-extended** table whose last `batch.num_rows()` rows are
     /// the batch. Only the dirty partition tail is rescanned; no
     /// statistics pass is recorded. Afterwards [`Self::outcome`] equals a
-    /// fresh preparation over `catalog`.
+    /// fresh preparation over `rows`.
     pub(crate) fn apply_append(
         &mut self,
-        catalog: LocalCatalog<'_>,
+        rows: &RowSpace<'_>,
         batch: &Table,
         seed: u64,
         exec: &ExecOptions,
     ) -> Result<()> {
         let old_rows = self.index.num_rows();
-        let new_rows = catalog.num_rows();
+        let new_rows = rows.num_rows();
         if old_rows + batch.num_rows() != new_rows {
             return Err(CvError::invalid(format!(
                 "maintained sample covers {old_rows} rows + batch of {} != table of {new_rows}",
@@ -249,7 +196,7 @@ impl MaintainedSample {
         let columns = self.problem.aggregate_columns();
         let ncols = columns.len();
         let first_dirty = old_rows / CHUNK_ROWS;
-        let tail = catalog.tail_partials(&merged, &columns, exec, first_dirty)?;
+        let tail = stats::tail_partials(rows, &merged, &columns, exec, first_dirty)?;
         self.partials.truncate(first_dirty);
         for partial in &mut self.partials {
             partial.resize(merged.num_groups(), vec![AggState::default(); ncols]);
@@ -260,24 +207,24 @@ impl MaintainedSample {
         self.problem.budget = self.scaled_budget(new_rows);
         let sampler = CvOptSampler::new(self.problem.clone()).with_seed(seed).with_exec(*exec);
         let plan = sampler.allocate(self.strata_exprs.clone(), &merged, stats)?;
-        let sample = catalog.draw(&merged, &plan.allocation.sizes, seed, exec);
+        let sample = draw(rows, &merged, &plan.allocation.sizes, seed, exec)?;
         self.outcome = Arc::new(CvOptOutcome { sample, plan });
         self.index = merged;
         Ok(())
     }
 
-    /// Rebuild from scratch over `catalog` (after a retention rotation,
+    /// Rebuild from scratch over `rows` (after a retention rotation,
     /// whose row drops invalidate cached partials wholesale). Costs a full
     /// statistics pass; the budget rescales to the surviving row count.
     pub(crate) fn rebuild(
         &mut self,
-        catalog: LocalCatalog<'_>,
+        rows: &RowSpace<'_>,
         seed: u64,
         exec: &ExecOptions,
     ) -> Result<()> {
         let mut problem = self.problem.clone();
-        problem.budget = self.scaled_budget(catalog.num_rows());
-        let mut fresh = MaintainedSample::build(problem, catalog, seed, exec)?;
+        problem.budget = self.scaled_budget(rows.num_rows());
+        let mut fresh = MaintainedSample::build(problem, rows, seed, exec)?;
         fresh.base_budget = self.base_budget;
         fresh.base_rows = self.base_rows;
         std::mem::swap(self, &mut fresh);
@@ -316,7 +263,7 @@ impl MaintainedSample {
 mod tests {
     use super::*;
     use crate::spec::QuerySpec;
-    use cvopt_table::{DataType, TableBuilder, Value};
+    use cvopt_table::{DataType, ShardSet, ShardedTable, TableBuilder, Value};
 
     fn row_stream(n: usize) -> Vec<Vec<Value>> {
         (0..n)
@@ -370,14 +317,12 @@ mod tests {
         let exec = ExecOptions::new(2);
         let base = table_of(&rows[..1000]);
         for splits in [vec![1000, 3000], vec![1000, 1500, 2200, 3000], vec![1000, 1001, 3000]] {
-            let mut m =
-                MaintainedSample::build(problem(50), LocalCatalog::Single(&base), seed, &exec)
-                    .unwrap();
+            let mut m = MaintainedSample::build(problem(50), &(&base).into(), seed, &exec).unwrap();
             let mut current = base.clone();
             for window in splits.windows(2) {
                 let batch = table_of(&rows[window[0]..window[1]]);
                 current = current.extended(&batch).unwrap();
-                m.apply_append(LocalCatalog::Single(&current), &batch, seed, &exec).unwrap();
+                m.apply_append(&(&current).into(), &batch, seed, &exec).unwrap();
             }
             let fresh = CvOptSampler::new(m.problem().clone())
                 .with_seed(seed)
@@ -396,19 +341,18 @@ mod tests {
         let rows = row_stream(2400);
         let seed = 4;
         let exec = ExecOptions::new(3);
-        let base = ShardedTable::split(&table_of(&rows[..1800]), 3).unwrap();
-        let mut m = MaintainedSample::build(problem(90), LocalCatalog::Sharded(&base), seed, &exec)
-            .unwrap();
+        let base = ShardSet::from(ShardedTable::split(&table_of(&rows[..1800]), 3).unwrap());
+        let mut m = MaintainedSample::build(problem(90), &base.rows(), seed, &exec).unwrap();
         let mut current = base;
         for bounds in [(1800, 2000), (2000, 2400)] {
             let batch = table_of(&rows[bounds.0..bounds.1]);
             current = current.extended(&batch).unwrap();
-            m.apply_append(LocalCatalog::Sharded(&current), &batch, seed, &exec).unwrap();
+            m.apply_append(&current.rows(), &batch, seed, &exec).unwrap();
         }
         let fresh = CvOptSampler::new(m.problem().clone())
             .with_seed(seed)
             .with_exec(exec)
-            .sample_sharded(&current)
+            .sample(&current)
             .unwrap();
         assert_outcomes_equal(m.outcome(), &fresh, "sharded append");
         assert!(m.sketch_held() > 0, "sketch saw the appended rows");
@@ -422,8 +366,7 @@ mod tests {
         let seed = 7;
         let exec = ExecOptions::sequential();
         let base = table_of(&base_rows);
-        let mut m =
-            MaintainedSample::build(problem(40), LocalCatalog::Single(&base), seed, &exec).unwrap();
+        let mut m = MaintainedSample::build(problem(40), &(&base).into(), seed, &exec).unwrap();
         // A batch whose group key was never seen before.
         let mut b = TableBuilder::new(&schema());
         for i in 0..200usize {
@@ -436,7 +379,7 @@ mod tests {
         }
         let batch = b.finish();
         let current = base.extended(&batch).unwrap();
-        m.apply_append(LocalCatalog::Single(&current), &batch, seed, &exec).unwrap();
+        m.apply_append(&(&current).into(), &batch, seed, &exec).unwrap();
         let fresh = CvOptSampler::new(m.problem().clone())
             .with_seed(seed)
             .with_exec(exec)
@@ -467,7 +410,7 @@ mod tests {
             bounds.dedup();
             let mut m = MaintainedSample::build(
                 problem(30),
-                LocalCatalog::Single(&base),
+                &(&base).into(),
                 seed,
                 &exec,
             )
@@ -476,7 +419,7 @@ mod tests {
             for window in bounds.windows(2) {
                 let batch = table_of(&rows[window[0]..window[1]]);
                 current = current.extended(&batch).unwrap();
-                m.apply_append(LocalCatalog::Single(&current), &batch, seed, &exec).unwrap();
+                m.apply_append(&(&current).into(), &batch, seed, &exec).unwrap();
             }
             let fresh = CvOptSampler::new(m.problem().clone())
                 .with_seed(seed)
@@ -502,10 +445,9 @@ mod tests {
         let seed = 1;
         let exec = ExecOptions::sequential();
         let base = table_of(&rows);
-        let mut m = MaintainedSample::build(problem(100), LocalCatalog::Single(&base), seed, &exec)
-            .unwrap();
+        let mut m = MaintainedSample::build(problem(100), &(&base).into(), seed, &exec).unwrap();
         let kept = table_of(&rows[600..]);
-        m.rebuild(LocalCatalog::Single(&kept), seed, &exec).unwrap();
+        m.rebuild(&(&kept).into(), seed, &exec).unwrap();
         assert_eq!(m.problem().budget, 40, "10% of the surviving 400 rows");
         let fresh = CvOptSampler::new(m.problem().clone())
             .with_seed(seed)

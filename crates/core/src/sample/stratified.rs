@@ -10,10 +10,12 @@
 //! reservoir with its own RNG substream derived from the caller's seed and
 //! the stratum id. A stratum's sample therefore depends only on
 //! `(seed, stratum)`, making the drawn sample byte-identical for any
-//! thread count.
+//! thread count — and, because the draw sees only the group index (whose
+//! per-row ids are already concatenated in global row order), for any shard
+//! layout of the rows behind it.
 
-use cvopt_table::exec::{self, BucketedRows, ExecOptions};
-use cvopt_table::{GroupIndex, KeyAtom, ShardSet, ShardedTable, Table};
+use cvopt_table::exec::{self, ExecOptions};
+use cvopt_table::{GroupIndex, KeyAtom, RowSpace, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -79,67 +81,9 @@ impl StratifiedSample {
         // (per-partition histograms → exclusive prefix → scatter); the
         // output is byte-identical to a sequential stable counting sort,
         // so each bucket holds its rows in ascending row order.
-        let bucketed = exec::bucket_rows(index.row_groups(), index.num_groups(), options);
-        Self::draw_bucketed(index, &bucketed, allocation, seed, options)
-    }
-
-    /// [`StratifiedSample::draw`] over a [`ShardedTable`]'s group index
-    /// (built with [`GroupIndex::build_sharded`]): rows are bucketed by the
-    /// sharded two-phase scatter ([`cvopt_table::exec::bucket_rows_sharded`]
-    /// — a per-shard histogram level above the per-partition one), which is
-    /// byte-identical to bucketing the concatenated ids. The reservoirs
-    /// then depend only on `(seed, stratum)`, so the drawn sample is
-    /// **byte-identical to the unsharded draw** for any shard layout and
-    /// thread count.
-    pub fn draw_sharded(
-        index: &GroupIndex,
-        table: &ShardedTable,
-        allocation: &[u64],
-        seed: u64,
-        options: &ExecOptions,
-    ) -> StratifiedSample {
-        assert_eq!(index.num_rows(), table.num_rows(), "index must cover the sharded rows");
-        let gids = index.row_groups();
-        let offsets = table.offsets();
-        let shard_slices: Vec<&[u32]> =
-            (0..table.num_shards()).map(|s| &gids[offsets[s]..offsets[s + 1]]).collect();
-        let bucketed = exec::bucket_rows_sharded(&shard_slices, index.num_groups(), options);
-        Self::draw_bucketed(index, &bucketed, allocation, seed, options)
-    }
-
-    /// [`StratifiedSample::draw_sharded`] over a [`ShardSet`] (shards local
-    /// or remote): identical slicing of the group ids by the set's offsets,
-    /// identical sharded two-phase scatter, identical substream reservoirs
-    /// — so the drawn sample is **byte-identical to the unsharded draw**
-    /// for any shard layout and thread count.
-    pub fn draw_set(
-        index: &GroupIndex,
-        set: &ShardSet,
-        allocation: &[u64],
-        seed: u64,
-        options: &ExecOptions,
-    ) -> StratifiedSample {
-        assert_eq!(index.num_rows(), set.num_rows(), "index must cover the shard set's rows");
-        let gids = index.row_groups();
-        let offsets = set.offsets();
-        let shard_slices: Vec<&[u32]> =
-            (0..set.num_shards()).map(|s| &gids[offsets[s]..offsets[s + 1]]).collect();
-        let bucketed = exec::bucket_rows_sharded(&shard_slices, index.num_groups(), options);
-        Self::draw_bucketed(index, &bucketed, allocation, seed, options)
-    }
-
-    /// The shared reservoir pass behind [`StratifiedSample::draw`] and
-    /// [`StratifiedSample::draw_sharded`]: one reservoir per stratum over
-    /// its (row-ascending) bucket, each on its own seed-derived substream.
-    fn draw_bucketed(
-        index: &GroupIndex,
-        bucketed: &BucketedRows,
-        allocation: &[u64],
-        seed: u64,
-        options: &ExecOptions,
-    ) -> StratifiedSample {
         assert_eq!(allocation.len(), index.num_groups(), "allocation must cover every stratum");
         let num_groups = index.num_groups();
+        let bucketed = exec::bucket_rows(index.row_groups(), num_groups, options);
         let rows_per_stratum = exec::run_indexed(num_groups, options, |c| {
             let rows = bucketed.bucket(c);
             let capacity = allocation[c].min(index.size(c as u32)) as usize;
@@ -171,54 +115,35 @@ impl StratifiedSample {
     }
 
     /// Copy the sampled rows out of `table` into a self-contained
-    /// [`MaterializedSample`] with per-row expansion weights.
+    /// [`MaterializedSample`] with per-row expansion weights
+    /// ([`StratifiedSample::materialize_from`] over a one-shard row space,
+    /// whose in-process gather cannot fail).
     pub fn materialize(&self, table: &Table) -> MaterializedSample {
-        self.materialize_rows(|rows| table.take(rows))
+        self.materialize_from(&table.into()).expect("in-process rows gather infallibly")
     }
 
-    /// [`StratifiedSample::materialize`] against a [`ShardedTable`]: each
-    /// sampled (global) row is copied out of the shard that owns it. The
-    /// resulting sample is a standalone single [`Table`], identical to
-    /// materializing from the concatenated table, so every estimator
-    /// downstream is oblivious to the sharding.
-    pub fn materialize_sharded(&self, table: &ShardedTable) -> MaterializedSample {
-        self.materialize_rows(|rows| table.gather(rows))
-    }
-
-    /// [`StratifiedSample::materialize_sharded`] over a [`ShardSet`]:
-    /// sampled rows are gathered from whichever shard owns them — one
-    /// batched request per remote shard — and reassembled in the same
-    /// stratum-major order, so the sample table is byte-identical to the
-    /// local gather. Fallible because a remote gather can fail.
-    pub fn materialize_set(&self, set: &ShardSet) -> crate::Result<MaterializedSample> {
-        self.try_materialize_rows(|rows| set.gather(rows).map_err(crate::error::CvError::from))
-    }
-
-    fn materialize_rows(&self, take: impl FnOnce(&[usize]) -> Table) -> MaterializedSample {
-        self.try_materialize_rows(|rows| Ok::<Table, crate::error::CvError>(take(rows)))
-            .expect("infallible take")
-    }
-
-    fn try_materialize_rows<E>(
-        &self,
-        take: impl FnOnce(&[usize]) -> std::result::Result<Table, E>,
-    ) -> std::result::Result<MaterializedSample, E> {
+    /// Gather the sampled (global) rows out of `rows`, stratum-major, into
+    /// a self-contained [`MaterializedSample`]: each row is copied from the
+    /// shard that owns it (one batched request per non-local shard). The
+    /// sample is a standalone single [`Table`], identical for any layout of
+    /// the same rows, so every estimator downstream is oblivious to
+    /// sharding. Fallible because a remote gather can fail.
+    pub fn materialize_from(&self, rows: &RowSpace<'_>) -> crate::Result<MaterializedSample> {
         let total = self.total_sampled() as usize;
         let mut origin = Vec::with_capacity(total);
         let mut weights = Vec::with_capacity(total);
         let mut row_stratum = Vec::with_capacity(total);
-        for (c, rows) in self.rows_per_stratum.iter().enumerate() {
+        for (c, sampled) in self.rows_per_stratum.iter().enumerate() {
             let w = self.strata[c].weight();
-            for &r in rows {
+            for &r in sampled {
                 origin.push(r);
                 weights.push(w);
                 row_stratum.push(c as u32);
             }
         }
         let rows_usize: Vec<usize> = origin.iter().map(|&r| r as usize).collect();
-        let sample_table = take(&rows_usize)?;
         Ok(MaterializedSample {
-            table: sample_table,
+            table: rows.gather(&rows_usize)?,
             weights,
             origin,
             strata: self.strata.clone(),
@@ -314,28 +239,22 @@ mod tests {
 
     #[test]
     fn sharded_draw_is_byte_identical_to_unsharded() {
+        use cvopt_table::{ShardSet, ShardedTable};
         let (t, idx) = table_and_index();
         let reference = StratifiedSample::draw(&idx, &[25, 5], 9, &ExecOptions::sequential());
+        let m_ref = reference.materialize(&t);
         for num_shards in [1usize, 2, 4] {
-            let st = ShardedTable::split(&t, num_shards).unwrap();
+            let st = ShardSet::from(ShardedTable::split(&t, num_shards).unwrap());
             let sidx =
-                GroupIndex::build_sharded(&st, &[ScalarExpr::col("g")], &ExecOptions::sequential())
-                    .unwrap();
+                st.rows().group_index(&[ScalarExpr::col("g")], &ExecOptions::sequential()).unwrap();
             for threads in [1usize, 4] {
-                let got = StratifiedSample::draw_sharded(
-                    &sidx,
-                    &st,
-                    &[25, 5],
-                    9,
-                    &ExecOptions::new(threads),
-                );
+                let got = StratifiedSample::draw(&sidx, &[25, 5], 9, &ExecOptions::new(threads));
                 assert_eq!(
                     got.rows_per_stratum, reference.rows_per_stratum,
                     "shards {num_shards}, threads {threads}"
                 );
                 // Materializing from the shards reproduces the same rows.
-                let m = got.materialize_sharded(&st);
-                let m_ref = reference.materialize(&t);
+                let m = got.materialize_from(&st.rows()).unwrap();
                 assert_eq!(m.origin, m_ref.origin);
                 for row in 0..m.table.num_rows() {
                     assert_eq!(m.table.row(row), m_ref.table.row(row));

@@ -15,8 +15,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cvopt_table::agg::AggState;
 use cvopt_table::exec::{self, ExecOptions};
+use cvopt_table::expr::BoundExpr;
 use cvopt_table::groupby::GroupProjection;
-use cvopt_table::{ColumnValues, GroupIndex, ScalarExpr, ShardSet, ShardedTable, Table};
+use cvopt_table::{GroupIndex, RowSpace, ScalarExpr, Table};
 
 use crate::spec::VarianceKind;
 use crate::Result;
@@ -43,20 +44,36 @@ pub(crate) fn record_pass() {
     TOTAL_PASSES.fetch_add(1, Ordering::Relaxed);
 }
 
-/// The single-table per-partition statistics kernel shared by
+/// Bind the aggregation columns against every shard of `rows`
+/// (`bound[shard][column]`): in place for in-process shards, through one
+/// `expr_values` request for any other.
+fn bind_columns<'a>(
+    rows: &RowSpace<'a>,
+    columns: &[ScalarExpr],
+    options: &ExecOptions,
+) -> Result<Vec<Vec<BoundExpr<'a>>>> {
+    let exprs: Vec<Option<ScalarExpr>> = columns.iter().cloned().map(Some).collect();
+    let bound = rows.bind(&exprs, options)?;
+    Ok(bound.into_iter().map(|shard| shard.into_iter().flatten().collect()).collect())
+}
+
+/// The per-partition statistics kernel behind
 /// [`StratumStatistics::collect_with`] and the incremental-maintenance
-/// partial computation: counting-sort the partition's rows by stratum,
-/// gather each stratum's value run densely, and push it through the
-/// lane-merge slice kernel. A pure function of (bound columns, group ids,
-/// range) — which is what lets maintenance cache a partition's result and
-/// replay it bit-identically instead of rescanning.
+/// partial computation: counting-sort the (global) partition's rows by
+/// stratum, gather each stratum's value run densely, and push it through
+/// the lane-merge slice kernel. A pure function of (bound columns, group
+/// ids, range) — which is what lets maintenance cache a partition's result
+/// and replay it bit-identically instead of rescanning — and of the
+/// partition's values in row order only, never of where shard boundaries
+/// fall.
 fn partition_states(
-    bound: &[cvopt_table::expr::BoundExpr<'_>],
+    rows: &RowSpace<'_>,
+    bound: &[Vec<BoundExpr<'_>>],
     gids: &[u32],
     num_groups: usize,
-    ncols: usize,
     range: exec::RowRange,
 ) -> Vec<Vec<AggState>> {
+    let ncols = bound[0].len();
     let mut states = vec![vec![AggState::default(); ncols]; num_groups];
     if range.is_empty() {
         return states;
@@ -66,94 +83,43 @@ fn partition_states(
     // the scalar pass would feed each stratum's accumulator.
     let local = exec::bucket_rows_sequential(&gids[range.start..range.end], num_groups);
 
-    // Gather each run's values densely and push them through the lane
-    // kernel; `Float64` identity columns gather straight from the column
-    // slice.
-    let dense: Vec<Option<&[f64]>> = bound.iter().map(|e| e.f64_slice()).collect();
-    let mut buf: Vec<f64> = Vec::new();
-    for g in 0..num_groups {
-        let run = local.bucket(g);
-        if run.is_empty() {
-            continue;
-        }
-        for ((slot, expr), values) in states[g].iter_mut().zip(bound).zip(&dense) {
-            buf.clear();
-            match values {
-                Some(values) => {
-                    buf.extend(run.iter().map(|&r| values[range.start + r as usize]));
-                }
-                None => {
-                    buf.extend(run.iter().filter_map(|&r| expr.f64_at(range.start + r as usize)));
-                }
-            }
-            slot.update_slice(&buf);
-        }
-    }
-    states
-}
-
-/// One column's partition values in global row order: a plain `f64` buffer
-/// when every shard backs the column densely, `Option` per row otherwise.
-enum Gathered {
-    Dense(Vec<f64>),
-    Sparse(Vec<Option<f64>>),
-}
-
-/// The sharded per-partition kernel shared by
-/// [`StratumStatistics::collect_sharded`] and the incremental-maintenance
-/// partial computation: identical to [`partition_states`] except values
-/// gather through the shard segments covering the (global) partition.
-fn partition_states_sharded(
-    table: &ShardedTable,
-    bound: &[Vec<cvopt_table::expr::BoundExpr<'_>>],
-    dense_col: &[bool],
-    gids: &[u32],
-    num_groups: usize,
-    ncols: usize,
-    range: exec::RowRange,
-) -> Vec<Vec<AggState>> {
-    let mut states = vec![vec![AggState::default(); ncols]; num_groups];
-    if range.is_empty() {
-        return states;
-    }
-    let segments = table.segments(range);
-    // Gather each column's values for the whole partition, one contiguous
-    // copy per shard segment.
-    let gathered: Vec<Gathered> = (0..ncols)
-        .map(|c| {
-            if dense_col[c] {
-                let mut col: Vec<f64> = Vec::with_capacity(range.len());
-                for seg in &segments {
-                    let values = bound[seg.shard][c].f64_slice().expect("dense column");
-                    col.extend_from_slice(&values[seg.local.start..seg.local.end]);
-                }
-                Gathered::Dense(col)
-            } else {
-                let mut col: Vec<Option<f64>> = Vec::with_capacity(range.len());
-                for seg in &segments {
+    // A partition inside one shard — every partition of a plain table —
+    // reads that shard's storage in place (`Float64` identity columns
+    // straight from the column slice). One that straddles a shard boundary
+    // first lays its values out in row order across the segments.
+    let segments = rows.segments(range);
+    let first = segments[0];
+    let exprs = &bound[first.shard];
+    let dense: Vec<Option<&[f64]>> = exprs.iter().map(|e| e.f64_slice()).collect();
+    let straddling: Vec<Vec<Option<f64>>> = match segments.len() {
+        1 => Vec::new(),
+        _ => (0..ncols)
+            .map(|c| {
+                let values = segments.iter().flat_map(|seg| {
                     let expr = &bound[seg.shard][c];
-                    col.extend(seg.local.rows().map(|r| expr.f64_at(r)));
-                }
-                Gathered::Sparse(col)
-            }
-        })
-        .collect();
+                    seg.local.rows().map(move |r| expr.f64_at(r))
+                });
+                values.collect()
+            })
+            .collect(),
+    };
 
-    let local = exec::bucket_rows_sequential(&gids[range.start..range.end], num_groups);
+    let base = first.local.start;
     let mut buf: Vec<f64> = Vec::new();
     for g in 0..num_groups {
         let run = local.bucket(g);
         if run.is_empty() {
             continue;
         }
-        for (slot, col) in states[g].iter_mut().zip(&gathered) {
+        for (c, slot) in states[g].iter_mut().enumerate() {
             buf.clear();
-            match col {
-                Gathered::Dense(values) => {
-                    buf.extend(run.iter().map(|&r| values[r as usize]));
+            match (straddling.get(c), dense[c]) {
+                (Some(values), _) => buf.extend(run.iter().filter_map(|&r| values[r as usize])),
+                (None, Some(values)) => {
+                    buf.extend(run.iter().map(|&r| values[base + r as usize]));
                 }
-                Gathered::Sparse(values) => {
-                    buf.extend(run.iter().filter_map(|&r| values[r as usize]));
+                (None, None) => {
+                    buf.extend(run.iter().filter_map(|&r| exprs[c].f64_at(base + r as usize)));
                 }
             }
             slot.update_slice(&buf);
@@ -163,7 +129,7 @@ fn partition_states_sharded(
 }
 
 /// Per-partition state tables (`partials[partition][group][column]`) for
-/// the global partitions `from_partition..` of `table`, computed with the
+/// the global partitions `from_partition..` of `rows`, computed with the
 /// exact [`collect_with`](StratumStatistics::collect_with) kernel. The
 /// incremental-maintenance path calls this with `from_partition = 0` at
 /// build time (one full scan) and with the first *dirty* partition on
@@ -171,49 +137,17 @@ fn partition_states_sharded(
 /// returned partial is bit-identical to the one a fresh full collect would
 /// compute for that partition. Does not count a statistics pass.
 pub(crate) fn tail_partials(
-    table: &Table,
+    rows: &RowSpace<'_>,
     index: &GroupIndex,
     columns: &[ScalarExpr],
     options: &ExecOptions,
     from_partition: usize,
 ) -> Result<Vec<Vec<Vec<AggState>>>> {
-    let bound: Vec<_> =
-        columns.iter().map(|c| c.bind(table)).collect::<std::result::Result<_, _>>()?;
-    let ncols = columns.len();
-    let num_groups = index.num_groups();
-    let gids = index.row_groups();
-    let partitions = exec::partition_rows(table.num_rows());
+    let bound = bind_columns(rows, columns, options)?;
+    let partitions = exec::partition_rows(rows.num_rows());
     let tail: Vec<exec::RowRange> = partitions.into_iter().skip(from_partition).collect();
     Ok(exec::run_indexed(tail.len(), options, |i| {
-        partition_states(&bound, gids, num_groups, ncols, tail[i])
-    }))
-}
-
-/// [`tail_partials`] over a [`ShardedTable`] — the same global-partition
-/// kernel as [`collect_sharded`](StratumStatistics::collect_sharded), so a
-/// partial never depends on where shard boundaries fall.
-pub(crate) fn tail_partials_sharded(
-    table: &ShardedTable,
-    index: &GroupIndex,
-    columns: &[ScalarExpr],
-    options: &ExecOptions,
-    from_partition: usize,
-) -> Result<Vec<Vec<Vec<AggState>>>> {
-    let bound: Vec<Vec<_>> = table
-        .shards()
-        .iter()
-        .map(|shard| columns.iter().map(|c| c.bind(shard)).collect::<std::result::Result<_, _>>())
-        .collect::<std::result::Result<_, _>>()?;
-    let ncols = columns.len();
-    let num_groups = index.num_groups();
-    let gids = index.row_groups();
-    let dense_col: Vec<bool> = (0..ncols)
-        .map(|c| bound.iter().all(|shard_bound: &Vec<_>| shard_bound[c].f64_slice().is_some()))
-        .collect();
-    let partitions = exec::partition_rows(table.num_rows());
-    let tail: Vec<exec::RowRange> = partitions.into_iter().skip(from_partition).collect();
-    Ok(exec::run_indexed(tail.len(), options, |i| {
-        partition_states_sharded(table, &bound, &dense_col, gids, num_groups, ncols, tail[i])
+        partition_states(rows, &bound, index.row_groups(), index.num_groups(), tail[i])
     }))
 }
 
@@ -258,178 +192,37 @@ impl StratumStatistics {
         Self::collect_with(table, index, columns, &ExecOptions::new(threads))
     }
 
-    /// Collect statistics on the shared chunk-parallel driver with the
-    /// vectorized per-partition kernel: each partition counting-sorts its
-    /// rows by stratum (partition-local histogram + stable scatter), then
-    /// feeds every stratum's contiguous value run to the lane-merge slice
-    /// kernel ([`AggState::update_slice`]). Partition boundaries are fixed
-    /// by the row count, the lane schedule is fixed by the run contents,
-    /// and partial accumulators merge in partition order, so the result is
-    /// **bit-identical for any thread count**. It may differ from the
-    /// purely scalar [`StratumStatistics::collect`] in the last ulps of
-    /// mean/M2 (lane-merged vs. single-chain Welford rounding); both are
+    /// Collect statistics over `rows` — a `&Table` or a
+    /// [`ShardSet`](cvopt_table::ShardSet), shards local or remote — given
+    /// the group index ([`RowSpace::group_index`]) over the same logical
+    /// rows, on the shared chunk-parallel driver with the vectorized
+    /// per-partition kernel: each partition counting-sorts its rows by
+    /// stratum (partition-local histogram + stable scatter), then feeds
+    /// every stratum's contiguous value run to the lane-merge slice kernel
+    /// ([`AggState::update_slice`]).
+    ///
+    /// Partials are whole **global** partitions: boundaries are fixed by
+    /// the row count alone (shard boundaries never move them), the lane
+    /// schedule is fixed by the run contents, and partial accumulators
+    /// merge in partition order, so the result is **bit-identical for any
+    /// shard layout and any thread count**. It may differ from the purely
+    /// scalar [`StratumStatistics::collect`] in the last ulps of mean/M2
+    /// (lane-merged vs. single-chain Welford rounding); both are
     /// deterministic.
-    pub fn collect_with(
-        table: &Table,
+    pub fn collect_with<'a>(
+        rows: impl Into<RowSpace<'a>>,
         index: &GroupIndex,
         columns: &[ScalarExpr],
         options: &ExecOptions,
     ) -> Result<Self> {
-        let bound: Vec<_> =
-            columns.iter().map(|c| c.bind(table)).collect::<std::result::Result<_, _>>()?;
+        let rows = rows.into();
+        let bound = bind_columns(&rows, columns, options)?;
         record_pass();
-        let ncols = columns.len();
-        let num_groups = index.num_groups();
-        let gids = index.row_groups();
-
         let states = exec::fold_partitioned(
-            table.num_rows(),
-            options,
-            |_, range| partition_states(&bound, gids, num_groups, ncols, range),
-            |acc, partial| exec::merge_state_tables(acc, partial, |a, b| a.merge(b)),
-        );
-        Ok(Self::from_states(index, columns, states))
-    }
-
-    /// Collect statistics over a [`ShardedTable`], given the sharded group
-    /// index ([`GroupIndex::build_sharded`]) over the same logical rows.
-    ///
-    /// Partials are whole **global** partitions, exactly as in
-    /// [`StratumStatistics::collect_with`]: each partition gathers its
-    /// values from the shard segments that cover it (dense segment copies
-    /// when every shard exposes a `f64` slice for the column, per-row
-    /// evaluation otherwise), counting-sorts its rows by stratum, and feeds
-    /// each run to the lane kernel. Because the per-partition inputs and
-    /// the partition-order fold are identical to the single-table pass, the
-    /// result is **bit-identical to `collect_with` on the concatenated
-    /// table** — for any shard layout (shard boundaries never move
-    /// partition boundaries) and any thread count.
-    pub fn collect_sharded(
-        table: &ShardedTable,
-        index: &GroupIndex,
-        columns: &[ScalarExpr],
-        options: &ExecOptions,
-    ) -> Result<Self> {
-        let bound: Vec<Vec<_>> = table
-            .shards()
-            .iter()
-            .map(|shard| {
-                columns.iter().map(|c| c.bind(shard)).collect::<std::result::Result<_, _>>()
-            })
-            .collect::<std::result::Result<_, _>>()?;
-        record_pass();
-        let ncols = columns.len();
-        let num_groups = index.num_groups();
-        let gids = index.row_groups();
-        // A column gathers densely only when *every* shard backs it with a
-        // dense slice; the choice depends on the schema alone, so it is the
-        // same choice the single-table pass makes.
-        let dense_col: Vec<bool> = (0..ncols)
-            .map(|c| bound.iter().all(|shard_bound: &Vec<_>| shard_bound[c].f64_slice().is_some()))
-            .collect();
-
-        let states = exec::fold_partitioned(
-            table.num_rows(),
+            rows.num_rows(),
             options,
             |_, range| {
-                partition_states_sharded(table, &bound, &dense_col, gids, num_groups, ncols, range)
-            },
-            |acc, partial| exec::merge_state_tables(acc, partial, |a, b| a.merge(b)),
-        );
-        Ok(Self::from_states(index, columns, states))
-    }
-
-    /// Collect statistics over a [`ShardSet`] — [`collect_sharded`] over
-    /// the shard-pass surface, so shards may be local or remote.
-    ///
-    /// One `expr_values` request per shard fetches every column's per-row
-    /// values (dense `f64` buffers exactly when the shard-side expression
-    /// exposes a slice — a schema-only property, so every shard agrees with
-    /// the single-table pass); the partition kernel then gathers from the
-    /// fetched buffers instead of bound expressions, with the identical
-    /// segment walk, counting sort, lane kernel, and partition-order fold.
-    /// The result is **bit-identical to `collect_sharded` on a local table
-    /// with the same layout**, for any thread count.
-    ///
-    /// [`collect_sharded`]: StratumStatistics::collect_sharded
-    pub fn collect_set(
-        set: &ShardSet,
-        index: &GroupIndex,
-        columns: &[ScalarExpr],
-        options: &ExecOptions,
-    ) -> Result<Self> {
-        let exprs: Vec<Option<ScalarExpr>> = columns.iter().map(|c| Some(c.clone())).collect();
-        let fetched = set.fetch_values(&exprs, options)?;
-        let values: Vec<Vec<ColumnValues>> = fetched
-            .into_iter()
-            .map(|cols| cols.into_iter().map(|c| c.expect("Some expression")).collect())
-            .collect();
-        record_pass();
-        let ncols = columns.len();
-        let num_groups = index.num_groups();
-        let gids = index.row_groups();
-        let dense_col: Vec<bool> = (0..ncols)
-            .map(|c| values.iter().all(|shard_values| shard_values[c].is_dense()))
-            .collect();
-
-        let states = exec::fold_partitioned(
-            set.num_rows(),
-            options,
-            |_, range| {
-                let mut states = vec![vec![AggState::default(); ncols]; num_groups];
-                if range.is_empty() {
-                    return states;
-                }
-                enum Gathered {
-                    Dense(Vec<f64>),
-                    Sparse(Vec<Option<f64>>),
-                }
-
-                let segments = set.segments(range);
-                let gathered: Vec<Gathered> = (0..ncols)
-                    .map(|c| {
-                        if dense_col[c] {
-                            let mut col: Vec<f64> = Vec::with_capacity(range.len());
-                            for seg in &segments {
-                                let shard_values =
-                                    values[seg.shard][c].dense().expect("dense column");
-                                col.extend_from_slice(
-                                    &shard_values[seg.local.start..seg.local.end],
-                                );
-                            }
-                            Gathered::Dense(col)
-                        } else {
-                            let mut col: Vec<Option<f64>> = Vec::with_capacity(range.len());
-                            for seg in &segments {
-                                let shard_values = &values[seg.shard][c];
-                                col.extend(seg.local.rows().map(|r| shard_values.get(r)));
-                            }
-                            Gathered::Sparse(col)
-                        }
-                    })
-                    .collect();
-
-                let local = exec::bucket_rows_sequential(&gids[range.start..range.end], num_groups);
-                let mut buf: Vec<f64> = Vec::new();
-                for g in 0..num_groups {
-                    let run = local.bucket(g);
-                    if run.is_empty() {
-                        continue;
-                    }
-                    for (slot, col) in states[g].iter_mut().zip(&gathered) {
-                        buf.clear();
-                        match col {
-                            Gathered::Dense(values) => {
-                                buf.extend(run.iter().map(|&r| values[r as usize]));
-                            }
-                            Gathered::Sparse(values) => {
-                                buf.extend(run.iter().filter_map(|&r| values[r as usize]));
-                            }
-                        }
-                        slot.update_slice(&buf);
-                    }
-                }
-                states
+                partition_states(&rows, &bound, index.row_groups(), index.num_groups(), range)
             },
             |acc, partial| exec::merge_state_tables(acc, partial, |a, b| a.merge(b)),
         );
@@ -540,7 +333,7 @@ impl StratumStatistics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cvopt_table::{DataType, TableBuilder, Value};
+    use cvopt_table::{DataType, ShardSet, ShardedTable, TableBuilder, Value};
 
     fn table() -> Table {
         let mut b = TableBuilder::new(&[
@@ -725,14 +518,14 @@ mod tests {
             ])
             .unwrap(),
         ];
-        for (layout, sharded) in layouts.iter().enumerate() {
+        for (layout, sharded) in layouts.into_iter().enumerate() {
+            let sharded = ShardSet::from(sharded);
             let sidx =
-                GroupIndex::build_sharded(sharded, &[ScalarExpr::col("g")], &ExecOptions::new(2))
-                    .unwrap();
+                sharded.rows().group_index(&[ScalarExpr::col("g")], &ExecOptions::new(2)).unwrap();
             assert_eq!(sidx.row_groups(), idx.row_groups(), "layout {layout}");
             for threads in [1usize, 4] {
-                let got = StratumStatistics::collect_sharded(
-                    sharded,
+                let got = StratumStatistics::collect_with(
+                    &sharded,
                     &sidx,
                     &cols,
                     &ExecOptions::new(threads),

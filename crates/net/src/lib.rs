@@ -20,7 +20,8 @@
 //! # Determinism contract
 //!
 //! A query over remote shards returns bytes identical to the same query over
-//! a local [`cvopt_table::ShardedTable`] with the same layout. The server
+//! a [`cvopt_table::ShardSet`] of in-process shards with the same layout
+//! (every pass has one kernel, over [`cvopt_table::RowSpace`]). The server
 //! answers every pass through [`cvopt_table::LocalShard`] — the reference
 //! implementation — and the wire format round-trips values exactly
 //! (`f64::to_bits`, dictionary rebuild in row order), so nothing drifts in

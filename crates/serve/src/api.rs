@@ -293,12 +293,12 @@ fn tables(state: &ApiState, req: &Request) -> Response {
             return Response::ok(body.to_string());
         }
         None => {
-            let source = match shards {
+            let source: cvopt_core::CatalogTable = match shards {
                 Some(n) => match ShardedTable::split(&table, n) {
-                    Ok(sharded) => cvopt_core::TableSource::Sharded(sharded),
+                    Ok(sharded) => sharded.into(),
                     Err(e) => return Response::error(400, &e.to_string()),
                 },
-                None => cvopt_core::TableSource::Local(table),
+                None => table.into(),
             };
             match &window {
                 Some(col) => {
@@ -335,13 +335,9 @@ fn ingest(state: &ApiState, req: &Request) -> Response {
     let Some(rows) = body.get("rows").and_then(Json::as_array) else {
         return Response::error(400, "'rows' must be an array of row arrays");
     };
-    let Some(schema) = state.engine.with_engine(|e| {
-        e.catalog_table(name).map(|t| match t {
-            cvopt_core::CatalogTable::Single(t) => t.schema().clone(),
-            cvopt_core::CatalogTable::Sharded(t) => t.schema().clone(),
-            cvopt_core::CatalogTable::Remote(s) => s.schema().clone(),
-        })
-    }) else {
+    let Some(schema) =
+        state.engine.with_engine(|e| e.catalog_table(name).map(|t| t.set().schema().clone()))
+    else {
         return Response::error(400, &format!("table '{name}' is not registered"));
     };
     let batch = match build_batch(&schema, rows) {
@@ -488,7 +484,7 @@ fn register_remote(
             cvopt_net::Peer::connect(*addr).map_err(|e| format!("shard server {addr}: {e}"))?;
         peers.push(Arc::new(peer));
     }
-    let mut readers: Vec<Arc<dyn ShardReader>> = Vec::with_capacity(sharded.num_shards());
+    let mut readers: Vec<Arc<dyn ShardReader>> = Vec::with_capacity(sharded.shards().len());
     for (s, shard) in sharded.shards().iter().enumerate() {
         let peer = Arc::clone(&peers[s % peers.len()]);
         let remote = cvopt_net::RemoteShard::register(peer, format!("{name}/{s}"), shard)

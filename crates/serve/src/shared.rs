@@ -12,10 +12,10 @@
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 use cvopt_core::{
-    Engine, ExplainReport, IngestReport, QueryAnswer, QueryMode, ReoptimizeReport, RotateReport,
-    TableSource,
+    CatalogTable, Engine, ExplainReport, IngestReport, QueryAnswer, QueryMode, ReoptimizeReport,
+    RotateReport,
 };
-use cvopt_table::{ShardSet, ShardedTable, Table};
+use cvopt_table::Table;
 
 /// A thread-safe handle to one long-lived [`Engine`].
 ///
@@ -86,28 +86,10 @@ impl SharedEngine {
         self.read().explain_mode(statement, mode)
     }
 
-    /// Register (or replace) a catalog table from any [`TableSource`]
-    /// (write lock). Mirrors [`Engine::register`].
-    pub fn register(&self, name: &str, source: impl Into<TableSource>) {
-        self.write().register(name, source);
-    }
-
-    /// Register (or replace) a plain table (write lock).
-    #[deprecated(note = "use `SharedEngine::register(name, table)`")]
-    pub fn register_table(&self, name: &str, table: Table) {
-        self.register(name, table);
-    }
-
-    /// Register (or replace) a sharded table (write lock).
-    #[deprecated(note = "use `SharedEngine::register(name, table)`")]
-    pub fn register_sharded_table(&self, name: &str, table: ShardedTable) {
-        self.register(name, table);
-    }
-
-    /// Register (or replace) a table served by remote shards (write lock).
-    #[deprecated(note = "use `SharedEngine::register(name, set)`")]
-    pub fn register_remote_table(&self, name: &str, set: ShardSet) {
-        self.register(name, set);
+    /// Register (or replace) a catalog table — a `Table`, a `ShardedTable`,
+    /// or a `ShardSet` (write lock). Mirrors [`Engine::register`].
+    pub fn register(&self, name: &str, table: impl Into<CatalogTable>) {
+        self.write().register(name, table);
     }
 
     /// Register (or replace) a windowed table — a retention window column
@@ -116,10 +98,10 @@ impl SharedEngine {
     pub fn register_windowed(
         &self,
         name: &str,
-        source: impl Into<TableSource>,
+        table: impl Into<CatalogTable>,
         window: &str,
     ) -> cvopt_core::Result<()> {
-        self.write().register_windowed(name, source, window).map(|_| ())
+        self.write().register_windowed(name, table, window).map(|_| ())
     }
 
     /// Append a row batch to a registered local table (write lock; see

@@ -406,113 +406,6 @@ pub fn bucket_rows(bucket_of: &[u32], num_buckets: usize, options: &ExecOptions)
     BucketedRows { offsets, rows }
 }
 
-/// [`bucket_rows`] lifted one level: bucket rows that live in per-shard
-/// slices (shard 0's bucket ids, then shard 1's, …) into **global** row ids
-/// (shard base + local row), without materializing the concatenated id
-/// vector.
-///
-/// The scatter gains a per-shard histogram level above the per-partition
-/// one: phase 1 computes a histogram per (shard, partition) work item —
-/// shard-major, partition-minor, each shard partitioned by its own row
-/// count — phase 2 takes the exclusive prefix over
-/// `(bucket, shard, partition)`, and phase 3 scatters every work item into
-/// its disjoint window. Because the prefix order within a bucket is shard
-/// order then partition order — i.e. global row order — the output is
-/// **byte-identical to [`bucket_rows_sequential`] over the concatenation**
-/// for any shard layout (uneven and empty shards included) and any thread
-/// count. A future remote shard only ships its histograms and its scatter
-/// window; nothing here needs shared row storage.
-pub fn bucket_rows_sharded(
-    shards: &[&[u32]],
-    num_buckets: usize,
-    options: &ExecOptions,
-) -> BucketedRows {
-    let mut bases = Vec::with_capacity(shards.len());
-    let mut total = 0usize;
-    for shard in shards {
-        bases.push(total);
-        total += shard.len();
-    }
-
-    // Work items in (shard, partition) order; empty shards contribute none.
-    let items: Vec<(usize, RowRange)> = shards
-        .iter()
-        .enumerate()
-        .filter(|(_, shard)| !shard.is_empty())
-        .flat_map(|(s, shard)| partition_rows(shard.len()).into_iter().map(move |r| (s, r)))
-        .collect();
-
-    // Same planning-cost cutoff as `bucket_rows`: input shape only, so the
-    // path choice never depends on the thread count.
-    let oversized_prefix = items.len().saturating_mul(num_buckets) > total;
-    if options.threads() <= 1 || items.len() <= 1 || oversized_prefix {
-        // Sequential stable counting sort over the logical concatenation.
-        let mut offsets = vec![0usize; num_buckets + 1];
-        for shard in shards {
-            for &b in *shard {
-                offsets[b as usize + 1] += 1;
-            }
-        }
-        for b in 0..num_buckets {
-            offsets[b + 1] += offsets[b];
-        }
-        let mut rows = vec![0u32; total];
-        let mut cursor = offsets.clone();
-        for (s, shard) in shards.iter().enumerate() {
-            for (local, &b) in shard.iter().enumerate() {
-                rows[cursor[b as usize]] = (bases[s] + local) as u32;
-                cursor[b as usize] += 1;
-            }
-        }
-        return BucketedRows { offsets, rows };
-    }
-
-    // Phase 1: one histogram per (shard, partition) item.
-    let histograms: Vec<Vec<u32>> = run_queue(items.len(), options, |i| {
-        let (s, range) = items[i];
-        let mut hist = vec![0u32; num_buckets];
-        for &b in &shards[s][range.start..range.end] {
-            hist[b as usize] += 1;
-        }
-        hist
-    });
-
-    // Phase 2: exclusive prefix over (bucket, shard, partition).
-    let mut offsets = vec![0usize; num_buckets + 1];
-    for hist in &histograms {
-        for (b, &count) in hist.iter().enumerate() {
-            offsets[b + 1] += count as usize;
-        }
-    }
-    for b in 0..num_buckets {
-        offsets[b + 1] += offsets[b];
-    }
-    let mut starts = vec![0u32; histograms.len() * num_buckets];
-    let mut cursor: Vec<u32> = offsets[..num_buckets].iter().map(|&o| o as u32).collect();
-    for (i, hist) in histograms.iter().enumerate() {
-        for (b, &count) in hist.iter().enumerate() {
-            starts[i * num_buckets + b] = cursor[b];
-            cursor[b] += count;
-        }
-    }
-
-    // Phase 3: parallel scatter of global row ids into disjoint windows.
-    let mut rows = vec![0u32; total];
-    let out = ScatterBuffer::new(&mut rows);
-    run_queue(items.len(), options, |i| {
-        let (s, range) = items[i];
-        let mut cursor = starts[i * num_buckets..(i + 1) * num_buckets].to_vec();
-        for local in range.rows() {
-            let b = shards[s][local] as usize;
-            // SAFETY: `cursor[b]` walks item `i`'s disjoint window for
-            // bucket `b`; no other item writes it.
-            unsafe { out.write(cursor[b] as usize, (bases[s] + local) as u32) };
-            cursor[b] += 1;
-        }
-    });
-    BucketedRows { offsets, rows }
-}
-
 /// Run `work` for every index in `0..n_items` with dynamic scheduling and
 /// return the results in index order. This is the driver for *item*-grained
 /// parallelism (one stratum, one dimension, one query) where per-item cost
@@ -681,70 +574,6 @@ mod tests {
             for threads in [2usize, 8] {
                 let par = bucket_rows(&buckets, num_buckets, &ExecOptions::new(threads));
                 prop_assert_eq!(&par, &reference, "threads = {}", threads);
-            }
-        }
-    }
-
-    /// Slice `assignment` output into shard slices of the given sizes.
-    fn shard_slices<'a>(all: &'a [u32], sizes: &[usize]) -> Vec<&'a [u32]> {
-        let mut out = Vec::new();
-        let mut start = 0;
-        for &len in sizes {
-            out.push(&all[start..start + len]);
-            start += len;
-        }
-        assert_eq!(start, all.len(), "shard sizes must cover the input");
-        out
-    }
-
-    #[test]
-    fn sharded_bucket_rows_matches_concatenated_sequential() {
-        let n = 2 * CHUNK_ROWS + 777;
-        let buckets = assignment(n, 9, 0xBEEF);
-        let reference = bucket_rows_sequential(&buckets, 9);
-        // Uneven shards, empty shards (leading, middle, trailing), a
-        // single shard, and shard boundaries that are not partition
-        // multiples.
-        let layouts: Vec<Vec<usize>> = vec![
-            vec![n],
-            vec![0, n, 0],
-            vec![CHUNK_ROWS, CHUNK_ROWS, 777],
-            vec![123, 0, CHUNK_ROWS + 1, n - CHUNK_ROWS - 124],
-        ];
-        for sizes in layouts {
-            let shards = shard_slices(&buckets, &sizes);
-            for threads in [1usize, 2, 8] {
-                let got = bucket_rows_sharded(&shards, 9, &ExecOptions::new(threads));
-                assert_eq!(got, reference, "sizes = {sizes:?}, threads = {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_bucket_rows_empty_input() {
-        let got = bucket_rows_sharded(&[&[][..], &[][..]], 4, &ExecOptions::new(4));
-        assert_eq!(got.offsets, vec![0; 5]);
-        assert!(got.rows.is_empty());
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// The sharded scatter equals the concatenated counting sort for
-        /// random shard layouts (including empty shards) and bucket counts.
-        #[test]
-        fn sharded_bucket_rows_matches_sequential_on_random_layouts(
-            seed in any::<u64>(),
-            num_buckets in 1usize..20,
-            sizes in proptest::collection::vec(0usize..(CHUNK_ROWS / 8), 1..6),
-        ) {
-            let n: usize = sizes.iter().sum();
-            let buckets = assignment(n, num_buckets, seed);
-            let reference = bucket_rows_sequential(&buckets, num_buckets);
-            let shards = shard_slices(&buckets, &sizes);
-            for threads in [1usize, 4] {
-                let got = bucket_rows_sharded(&shards, num_buckets, &ExecOptions::new(threads));
-                prop_assert_eq!(&got, &reference, "threads = {}", threads);
             }
         }
     }

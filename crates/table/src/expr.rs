@@ -6,6 +6,7 @@ use std::fmt;
 use crate::column::Column;
 use crate::error::TableError;
 use crate::predicate::CmpOp;
+use crate::reader::ColumnValues;
 use crate::table::Table;
 use crate::time;
 use crate::types::{DataType, Value};
@@ -324,9 +325,13 @@ enum BoundKind<'t> {
     Literal(f64),
     Binary { op: ArithOp, left: Box<BoundExpr<'t>>, right: Box<BoundExpr<'t>> },
     Case { whens: Vec<BoundWhen<'t>>, otherwise: Option<Box<BoundExpr<'t>>> },
+    Shipped(ColumnValues),
 }
 
-/// A [`ScalarExpr`] bound to a concrete table.
+/// A [`ScalarExpr`] bound to a concrete table — or, for a shard whose rows
+/// live in another process, to the per-row values that shard shipped
+/// (see [`RowSpace::bind`](crate::reader::RowSpace::bind)); either way the
+/// numeric accessors read the same bits.
 ///
 /// Evaluation is total and never panics: division by zero, integer
 /// overflow, and a `CASE` with no matching arm all evaluate to "no value"
@@ -337,6 +342,13 @@ pub struct BoundExpr<'t> {
 }
 
 impl BoundExpr<'_> {
+    /// The values a non-local shard answered an `expr_values` request
+    /// with, readable through [`BoundExpr::f64_at`] and
+    /// [`BoundExpr::f64_slice`] exactly like an expression bound in place.
+    pub(crate) fn shipped(values: ColumnValues) -> BoundExpr<'static> {
+        BoundExpr { kind: BoundKind::Shipped(values) }
+    }
+
     /// Evaluate at `row` as a dynamic [`Value`]. Computed expressions
     /// (arithmetic, `CASE`) evaluate as floats; a row where they have no
     /// value yields `Float64(NaN)`.
@@ -395,6 +407,7 @@ impl BoundExpr<'_> {
                 }
                 otherwise.as_ref().and_then(|e| e.f64_at(row))
             }
+            BoundKind::Shipped(values) => values.get(row),
         }
     }
 
@@ -440,6 +453,7 @@ impl BoundExpr<'_> {
                 }
                 otherwise.as_ref().and_then(|e| e.i64_at(row))
             }
+            BoundKind::Shipped(_) => None,
         }
     }
 
@@ -459,6 +473,7 @@ impl BoundExpr<'_> {
     pub fn f64_slice(&self) -> Option<&[f64]> {
         match &self.kind {
             BoundKind::Leaf { column, func: TimeFunc::Identity } => column.f64_slice(),
+            BoundKind::Shipped(values) => values.dense(),
             _ => None,
         }
     }

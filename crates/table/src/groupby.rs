@@ -11,7 +11,6 @@ use std::sync::Arc;
 use crate::exec::{self, ExecOptions, RowRange, CHUNK_ROWS};
 use crate::expr::ScalarExpr;
 use crate::fxhash::FxHashMap;
-use crate::shard::ShardedTable;
 use crate::table::Table;
 use crate::types::Value;
 use crate::Result;
@@ -350,59 +349,12 @@ impl GroupIndex {
         Ok(GroupIndex { dim_names, row_groups, group_keys, group_sizes })
     }
 
-    /// Build the index over a [`ShardedTable`]'s logical row space.
-    ///
-    /// Each shard is indexed independently with [`GroupIndex::build_with`]
-    /// (a shard never sees its siblings' dictionaries or interning state);
-    /// the per-shard indexes are then merged **in shard order**, which is
-    /// global row order, so a group's global id is assigned at its earliest
-    /// occurrence across the concatenation. The result — per-row group ids,
-    /// first-occurrence key order, group sizes — is **identical to building
-    /// over the concatenated single table**, for any shard layout and any
-    /// thread count. (Every merge here is integral, so this holds exactly,
-    /// not just up to rounding.)
-    pub fn build_sharded(
-        table: &ShardedTable,
-        exprs: &[ScalarExpr],
-        options: &ExecOptions,
-    ) -> Result<GroupIndex> {
-        let dim_names: Vec<String> = exprs.iter().map(|e| e.display_name()).collect();
-        let n = table.num_rows();
-        if exprs.is_empty() {
-            return Ok(GroupIndex {
-                dim_names,
-                row_groups: vec![0; n],
-                group_keys: vec![Vec::new()],
-                group_sizes: vec![n as u64],
-            });
-        }
-        // Index each shard independently. Parallelism can live at the
-        // shard level (many small shards: one worker per shard, builds
-        // sequential inside) or inside each build (few big shards: shards
-        // in order, partitions parallel); both levels are thread-count
-        // invariant, so the choice affects scheduling only, never results.
-        let locals: Vec<GroupIndex> = if table.num_shards() >= options.threads() {
-            exec::run_indexed(table.num_shards(), options, |s| {
-                Self::build_with(table.shard(s), exprs, &ExecOptions::sequential())
-            })
-            .into_iter()
-            .collect::<Result<_>>()?
-        } else {
-            table
-                .shards()
-                .iter()
-                .map(|shard| Self::build_with(shard, exprs, options))
-                .collect::<Result<_>>()?
-        };
-
-        Ok(Self::merge_shard_locals(dim_names, &locals, n))
-    }
-
     /// Merge shard-local indexes **in shard order** into one index over the
     /// concatenated row space. Shard-local first-seen order concatenated
     /// over shards equals global first-seen order, so the result is
-    /// identical to building over the concatenated single table. Shared by
-    /// [`GroupIndex::build_sharded`] and the remote scatter-window merge.
+    /// identical to building over the concatenated single table. The merge
+    /// behind [`RowSpace::group_index`](crate::reader::RowSpace::group_index)
+    /// and [`GroupIndex::merge_locals`].
     pub(crate) fn merge_shard_locals(
         dim_names: Vec<String>,
         locals: &[GroupIndex],
@@ -443,8 +395,8 @@ impl GroupIndex {
 
     /// Merge independently-built indexes over consecutive row blocks into
     /// one index over their concatenation — the public face of the ordered
-    /// merge behind [`GroupIndex::build_sharded`], used by incremental
-    /// ingestion to fold a batch-local index into a table's maintained
+    /// merge behind [`RowSpace::group_index`](crate::reader::RowSpace::group_index),
+    /// used by incremental ingestion to fold a batch-local index into a table's maintained
     /// index without rescanning old rows.
     ///
     /// `locals` are indexes over consecutive blocks of the combined row
@@ -958,6 +910,8 @@ mod tests {
 
     #[test]
     fn sharded_build_matches_unsharded() {
+        use crate::reader::ShardSet;
+        use crate::shard::ShardedTable;
         // Mixed dimension kinds, shard boundaries that split dictionary
         // value runs, and an empty shard in the middle.
         let n = 5000;
@@ -978,28 +932,26 @@ mod tests {
         let reference = GroupIndex::build_with(&t, &exprs, &ExecOptions::sequential()).unwrap();
 
         let empty = TableBuilder::from_schema(t.schema().clone()).finish();
-        let sharded = ShardedTable::from_tables(vec![
-            t.take(&(0..1234).collect::<Vec<_>>()),
-            empty,
-            t.take(&(1234..5000).collect::<Vec<_>>()),
-        ])
-        .unwrap();
+        let sharded = ShardSet::from(
+            ShardedTable::from_tables(vec![
+                t.take(&(0..1234).collect::<Vec<_>>()),
+                empty,
+                t.take(&(1234..5000).collect::<Vec<_>>()),
+            ])
+            .unwrap(),
+        );
         for threads in [1usize, 4] {
-            let got =
-                GroupIndex::build_sharded(&sharded, &exprs, &ExecOptions::new(threads)).unwrap();
+            let got = sharded.rows().group_index(&exprs, &ExecOptions::new(threads)).unwrap();
             assert_eq!(got.row_groups(), reference.row_groups(), "threads {threads}");
             assert_eq!(got.sizes(), reference.sizes());
             for g in 0..reference.num_groups() as u32 {
                 assert_eq!(got.key(g), reference.key(g));
             }
         }
-    }
 
-    #[test]
-    fn sharded_build_empty_exprs_and_empty_table() {
-        let t = table();
-        let sharded = ShardedTable::split(&t, 3).unwrap();
-        let gi = GroupIndex::build_sharded(&sharded, &[], &ExecOptions::sequential()).unwrap();
+        // Empty expression list over a sharded layout: one group.
+        let small = ShardSet::from(ShardedTable::split(&table(), 3).unwrap());
+        let gi = small.rows().group_index(&[], &ExecOptions::sequential()).unwrap();
         assert_eq!(gi.num_groups(), 1);
         assert_eq!(gi.size(0), 6);
         assert!(gi.row_groups().iter().all(|&g| g == 0));

@@ -1,12 +1,11 @@
 //! A deterministic build-side hash join.
 //!
 //! [`hash_join`] materializes the inner equi-join of a fact table against a
-//! (small) dimension table: the dimension side is hashed once, the fact
-//! side is probed per fixed-size partition, and the per-partition match
-//! lists are concatenated **in partition order** — so the output rows are
-//! in global fact-row order for any thread count. [`hash_join_sharded`]
-//! joins each fact shard in shard order, which is global row order, so its
-//! output is identical to joining the concatenated fact table.
+//! (small) dimension table: the dimension side is hashed once per fact
+//! shard, each shard is probed per fixed-size partition, and the match
+//! lists are appended **in shard order, then partition order** — global
+//! fact-row order — into one output table. The output is therefore
+//! identical for any shard layout of the fact side and any thread count.
 //!
 //! The output is an ordinary [`Table`]: downstream grouping, sampling, and
 //! their determinism contracts apply to it unchanged.
@@ -14,7 +13,8 @@
 use crate::error::TableError;
 use crate::exec::{self, ExecOptions, RowRange, CHUNK_ROWS};
 use crate::fxhash::FxHashMap;
-use crate::shard::ShardedTable;
+use crate::reader::RowSpace;
+use crate::schema::Schema;
 use crate::table::{Table, TableBuilder};
 use crate::types::DataType;
 use crate::Result;
@@ -94,8 +94,8 @@ impl BuildSide {
 /// The joined output schema: every fact column, then every dimension
 /// column except the join key. A name present on both sides is an error —
 /// the output would be ambiguous.
-fn joined_schema(fact: &Table, dim: &Table, dim_key: &str) -> Result<crate::schema::Schema> {
-    let mut fields = fact.schema().fields().to_vec();
+fn joined_schema(fact: &Schema, dim: &Table, dim_key: &str) -> Result<Schema> {
+    let mut fields = fact.fields().to_vec();
     for field in dim.schema().fields() {
         if field.name == dim_key {
             continue;
@@ -108,7 +108,7 @@ fn joined_schema(fact: &Table, dim: &Table, dim_key: &str) -> Result<crate::sche
         }
         fields.push(field.clone());
     }
-    Ok(crate::schema::Schema::from_fields(fields))
+    Ok(Schema::from_fields(fields))
 }
 
 /// Matched `(fact_row, dim_row)` pairs in global fact-row order: partitions
@@ -146,73 +146,59 @@ fn probe(fact: &Table, fact_key: &str, side: &BuildSide, options: &ExecOptions) 
 
 /// Materialize the inner equi-join `fact JOIN dim ON fact_key = dim_key`.
 ///
-/// The dimension side is the build side (hashed once); the fact side is
-/// probed per partition. Output rows appear in fact-row order, and a fact
-/// row matching several dimension rows yields one output row per match, in
-/// dimension row order — byte-identical output for any thread count.
-/// String keys match by text (the tables' dictionaries are independent);
-/// rows whose key is missing or unmatched are dropped (inner join).
-pub fn hash_join(
-    fact: &Table,
+/// The fact side is a `&Table` or a [`ShardSet`](crate::reader::ShardSet)
+/// whose shards are all in-process (a join reads whole rows, which only
+/// local shards can lend). The dimension side is the build side; each fact
+/// shard is probed per partition and its matches are appended, in shard
+/// order, to one output table. Output rows appear in fact-row order, and a
+/// fact row matching several dimension rows yields one output row per
+/// match, in dimension row order — byte-identical output for any fact-side
+/// shard layout and any thread count. String keys match by text (every
+/// table's dictionary is independent); rows whose key is missing or
+/// unmatched are dropped (inner join).
+pub fn hash_join<'a>(
+    fact: impl Into<RowSpace<'a>>,
     dim: &Table,
     fact_key: &str,
     dim_key: &str,
     options: &ExecOptions,
 ) -> Result<Table> {
-    let schema = joined_schema(fact, dim, dim_key)?;
-    let side = build_side(fact, dim, fact_key, dim_key)?;
-    let pairs = probe(fact, fact_key, &side, options);
-
+    let fact = fact.into();
+    let Some(shards) = fact.local_tables() else {
+        return Err(TableError::invalid(
+            "JOIN needs local rows; a fact-side shard is behind a non-local reader",
+        ));
+    };
+    let schema = joined_schema(fact.schema(), dim, dim_key)?;
     let dim_key_idx = dim.schema().index_of(dim_key)?;
     let mut builder = TableBuilder::from_schema(schema);
-    builder.reserve(pairs.len());
-    let mut values = Vec::with_capacity(fact.num_columns() + dim.num_columns() - 1);
-    for (fact_row, dim_row) in pairs {
-        values.clear();
-        values.extend(fact.row(fact_row as usize));
-        for (idx, column) in dim.columns().iter().enumerate() {
-            if idx != dim_key_idx {
-                values.push(column.value(dim_row as usize));
+    let mut values = Vec::with_capacity(fact.schema().len() + dim.num_columns() - 1);
+    for shard in shards {
+        // String keys translate through the shard's own dictionary, so the
+        // build side is per shard.
+        let side = build_side(shard, dim, fact_key, dim_key)?;
+        let pairs = probe(shard, fact_key, &side, options);
+        builder.reserve(pairs.len());
+        for (fact_row, dim_row) in pairs {
+            values.clear();
+            values.extend(shard.row(fact_row as usize));
+            for (idx, column) in dim.columns().iter().enumerate() {
+                if idx != dim_key_idx {
+                    values.push(column.value(dim_row as usize));
+                }
             }
+            builder.push_row(&values)?;
         }
-        builder.push_row(&values)?;
     }
     Ok(builder.finish())
-}
-
-/// [`hash_join`] with a sharded fact side: each shard is joined in shard
-/// order — which is global row order — and the shard outputs are
-/// concatenated, so the result is **identical to joining the concatenated
-/// fact table**, for any shard layout and any thread count.
-pub fn hash_join_sharded(
-    fact: &ShardedTable,
-    dim: &Table,
-    fact_key: &str,
-    dim_key: &str,
-    options: &ExecOptions,
-) -> Result<Table> {
-    let mut joined: Option<Table> = None;
-    for shard in fact.shards() {
-        let part = hash_join(shard, dim, fact_key, dim_key, options)?;
-        joined = Some(match joined {
-            None => part,
-            Some(acc) => acc.extended(&part)?,
-        });
-    }
-    match joined {
-        Some(table) => Ok(table),
-        // A sharded table always has at least one shard, but be total.
-        None => {
-            let empty = TableBuilder::from_schema(fact.schema().clone()).finish();
-            hash_join(&empty, dim, fact_key, dim_key, options)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::ScalarExpr;
+    use crate::reader::ShardSet;
+    use crate::shard::ShardedTable;
     use crate::types::Value;
 
     fn fact() -> Table {
@@ -350,11 +336,23 @@ mod tests {
         }
         // Sharded fact side: identical to the single-table join.
         for shards in [1usize, 3] {
-            let sharded = ShardedTable::split(&f, shards).unwrap();
-            let got = hash_join_sharded(&sharded, &d, "k", "dk", &ExecOptions::new(2)).unwrap();
+            let sharded = ShardSet::from(ShardedTable::split(&f, shards).unwrap());
+            let got = hash_join(&sharded, &d, "k", "dk", &ExecOptions::new(2)).unwrap();
             assert_eq!(got.num_rows(), reference.num_rows(), "shards {shards}");
             for r in (0..reference.num_rows()).step_by(991) {
                 assert_eq!(got.row(r), reference.row(r));
+            }
+        }
+    }
+
+    #[test]
+    fn fact_shards_behind_a_reader_cannot_join() {
+        let sharded = ShardedTable::split(&fact(), 2).unwrap();
+        for (kind, set) in crate::reader::tests::layouts_of(&sharded) {
+            let joined = hash_join(&set, &dim(), "k", "dk", &ExecOptions::sequential());
+            match kind {
+                "local" => assert_eq!(joined.unwrap().num_rows(), 4),
+                _ => assert!(joined.unwrap_err().to_string().contains("local rows"), "{kind}"),
             }
         }
     }

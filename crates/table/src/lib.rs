@@ -7,9 +7,10 @@
 //! needs from a database engine, without pulling in a full query engine:
 //!
 //! * typed columns ([`Column`]) with dictionary-encoded strings,
-//! * a [`Table`] built via [`TableBuilder`], and a sharded counterpart
-//!   ([`ShardedTable`]) whose scatter-gather passes produce byte-identical
-//!   results to the single-table path for any shard layout,
+//! * a [`Table`] built via [`TableBuilder`], and one row space
+//!   ([`RowSpace`]) over any [`ShardSet`] — a plain table, a
+//!   [`ShardedTable`] layout, or remote readers — whose passes produce
+//!   byte-identical results for any shard layout,
 //! * predicate evaluation ([`Predicate`]) into [`Bitmap`]s,
 //! * scalar expressions ([`ScalarExpr`]) including calendar functions
 //!   (`YEAR`/`MONTH`/`HOUR`) over epoch-second timestamps,
@@ -68,10 +69,10 @@ pub use error::TableError;
 pub use exec::{ExecOptions, RowRange};
 pub use expr::{ArithOp, CaseWhen, ScalarExpr};
 pub use groupby::{GroupIndex, GroupStrategy, KeyAtom};
-pub use join::{hash_join, hash_join_sharded};
+pub use join::hash_join;
 pub use predicate::{CmpOp, Predicate};
 pub use query::{GroupByQuery, QueryResult};
-pub use reader::{ColumnValues, LocalShard, ShardReader, ShardSet};
+pub use reader::{ColumnValues, LocalShard, RowSpace, ShardReader, ShardSet};
 pub use schema::{Field, Schema};
 pub use shard::{ShardSegment, ShardedTable};
 pub use table::{Table, TableBuilder};

@@ -141,40 +141,6 @@ impl Predicate {
         Ok(BoundPredicate { node })
     }
 
-    /// Evaluate into one bitmap **per shard** of a
-    /// [`ShardedTable`](crate::shard::ShardedTable) (each
-    /// bitmap indexed by shard-local row). Binding happens per shard, so
-    /// string literals resolve against each shard's own dictionary; bit
-    /// `r` of shard `s`'s bitmap equals bit `offsets[s] + r` of the bitmap
-    /// the concatenated table would produce, for any layout and thread
-    /// count (predicate evaluation is row-local, so this holds exactly).
-    pub fn eval_sharded(
-        &self,
-        table: &crate::shard::ShardedTable,
-        options: &crate::exec::ExecOptions,
-    ) -> Result<Vec<Bitmap>> {
-        // Same scheduling choice as `GroupIndex::build_sharded`: one worker
-        // per shard when shards outnumber workers, chunk-parallel inside
-        // each shard otherwise. Evaluation is row-local, so both levels
-        // produce identical bitmaps.
-        if table.num_shards() >= options.threads() {
-            crate::exec::run_indexed(table.num_shards(), options, |s| {
-                let shard = table.shard(s);
-                let bound = self.bind(shard)?;
-                Ok(bound
-                    .eval_bitmap_with(shard.num_rows(), &crate::exec::ExecOptions::sequential()))
-            })
-            .into_iter()
-            .collect()
-        } else {
-            table
-                .shards()
-                .iter()
-                .map(|shard| Ok(self.bind(shard)?.eval_bitmap_with(shard.num_rows(), options)))
-                .collect()
-        }
-    }
-
     fn bind_node<'t>(&self, table: &'t Table) -> Result<Node<'t>> {
         Ok(match self {
             Predicate::True => Node::True,
@@ -416,14 +382,17 @@ mod tests {
         // binding must still evaluate string predicates correctly.
         let st = crate::shard::ShardedTable::from_tables(vec![t.take(&[0, 1]), t.take(&[2, 3])])
             .unwrap();
+        let st = crate::reader::ShardSet::from(st);
         for pred in [
             Predicate::cmp("country", CmpOp::Eq, "US"),
             Predicate::cmp("value", CmpOp::Gt, 0.5),
             Predicate::cmp("country", CmpOp::Ne, "ZZ"),
         ] {
             let global = pred.bind(&t).unwrap().eval_bitmap(t.num_rows());
-            let per_shard =
-                pred.eval_sharded(&st, &crate::exec::ExecOptions::sequential()).unwrap();
+            let per_shard = st
+                .rows()
+                .predicate_bitmaps(&pred, &crate::exec::ExecOptions::sequential())
+                .unwrap();
             assert_eq!(per_shard.len(), 2);
             let mut ones = Vec::new();
             for (s, bm) in per_shard.iter().enumerate() {

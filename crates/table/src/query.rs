@@ -8,14 +8,12 @@
 use crate::agg::{AggExpr, AggKind, AggState};
 use crate::bitmap::Bitmap;
 use crate::cube::grouping_sets;
-use crate::exec::{self, ExecOptions, RowRange};
+use crate::exec::{self, ExecOptions};
 use crate::expr::{BoundExpr, ScalarExpr};
 use crate::fxhash::FxHashMap;
 use crate::groupby::{GroupIndex, KeyAtom};
 use crate::predicate::Predicate;
-use crate::reader::{ColumnValues, ShardSet};
-use crate::shard::ShardedTable;
-use crate::table::Table;
+use crate::reader::RowSpace;
 use crate::Result;
 
 /// A group-by query specification.
@@ -49,72 +47,40 @@ impl GroupByQuery {
         self
     }
 
-    /// Execute exactly against `table`, using one worker per available
-    /// core (see [`GroupByQuery::execute_with`]).
+    /// Execute exactly against `rows` — a `&Table` or a
+    /// [`ShardSet`](crate::reader::ShardSet) — using one worker per
+    /// available core (see [`GroupByQuery::execute_with`]).
     ///
     /// Returns one [`QueryResult`] per grouping set: a single result unless
     /// `cube` is set, in which case the sets follow [`grouping_sets`] order.
-    pub fn execute(&self, table: &Table) -> Result<Vec<QueryResult>> {
-        self.execute_with(table, &ExecOptions::default())
+    pub fn execute<'a>(&self, rows: impl Into<RowSpace<'a>>) -> Result<Vec<QueryResult>> {
+        self.execute_with(rows, &ExecOptions::default())
     }
 
     /// Execute with explicit execution options. The group-index build, the
-    /// predicate scan, and the aggregation pass are all chunk-parallel;
-    /// results are identical for any thread count (partial aggregates merge
-    /// in partition order).
-    pub fn execute_with(&self, table: &Table, options: &ExecOptions) -> Result<Vec<QueryResult>> {
-        let index = GroupIndex::build_with(table, &self.group_by, options)?;
-        let filter = match &self.predicate {
-            Some(p) => Some(p.bind(table)?.eval_bitmap_with(table.num_rows(), options)),
-            None => None,
-        };
-        let fine = accumulate(table, &index, &self.aggregates, filter.as_ref(), options)?;
-        Ok(self.finish(&index, &fine))
-    }
-
-    /// Execute exactly against a [`ShardedTable`]. The group index, the
-    /// predicate bitmaps, and the aggregation pass all run shard-parallel;
-    /// because aggregation partials are whole *global* partitions (each
-    /// assembled from the shard segments covering it) merged in partition
-    /// order, the results are **bit-identical to
-    /// [`GroupByQuery::execute_with`] on the concatenated table** for any
+    /// predicate scan, and the aggregation pass are all chunk-parallel, and
+    /// shards may be local, remote, or mixed. Because aggregation partials
+    /// are whole *global* partitions (each assembled from the shard
+    /// segments covering it) merged in partition order, the results are
+    /// **bit-identical to executing on the concatenated table** for any
     /// shard layout and thread count.
-    pub fn execute_sharded(
+    pub fn execute_with<'a>(
         &self,
-        table: &ShardedTable,
+        rows: impl Into<RowSpace<'a>>,
         options: &ExecOptions,
     ) -> Result<Vec<QueryResult>> {
-        let index = GroupIndex::build_sharded(table, &self.group_by, options)?;
+        let rows = rows.into();
+        let index = rows.group_index(&self.group_by, options)?;
         let filters = match &self.predicate {
-            Some(p) => Some(p.eval_sharded(table, options)?),
+            Some(p) => Some(rows.predicate_bitmaps(p, options)?),
             None => None,
         };
-        let fine =
-            accumulate_sharded(table, &index, &self.aggregates, filters.as_deref(), options)?;
+        let fine = accumulate(&rows, &index, &self.aggregates, filters.as_deref(), options)?;
         Ok(self.finish(&index, &fine))
     }
 
-    /// Execute exactly against a [`ShardSet`] — the scatter-gather form of
-    /// [`GroupByQuery::execute_sharded`] over the [`crate::reader`] pass
-    /// surface, so shards may be local, remote, or mixed. The group index
-    /// merges shard windows in shard order, predicate bitmaps arrive per
-    /// shard, and the aggregation pass reads per-row values through
-    /// [`ColumnValues`] while still accumulating whole **global**
-    /// partitions in partition order — so the results are **bit-identical
-    /// to [`GroupByQuery::execute_sharded`] on a local table with the same
-    /// layout**, for any thread count.
-    pub fn execute_set(&self, set: &ShardSet, options: &ExecOptions) -> Result<Vec<QueryResult>> {
-        let index = set.build_group_index(&self.group_by, options)?;
-        let filters = match &self.predicate {
-            Some(p) => Some(set.eval_predicate(p, options)?),
-            None => None,
-        };
-        let fine = accumulate_set(set, &index, &self.aggregates, filters.as_deref(), options)?;
-        Ok(self.finish(&index, &fine))
-    }
-
-    /// Shared back half of both executors: expand grouping sets and merge
-    /// the finest-group states onto each one.
+    /// The back half of execution: expand grouping sets and merge the
+    /// finest-group states onto each one.
     fn finish(&self, index: &GroupIndex, fine: &[Vec<AggState>]) -> Vec<QueryResult> {
         let sets: Vec<Vec<usize>> = if self.cube {
             grouping_sets(self.group_by.len())
@@ -131,10 +97,8 @@ impl GroupByQuery {
     }
 }
 
-/// Feed one row into a group's aggregate slots. `row` indexes the storage
-/// the expressions in `bound` were bound against (the whole table for the
-/// single-table executor, one shard for the sharded one). Shared by both
-/// executors so their numeric behavior cannot drift apart.
+/// Feed one row into a group's aggregate slots. `row` indexes the shard the
+/// expressions in `bound` were bound against.
 #[inline]
 fn update_group_states(
     group_states: &mut [AggState],
@@ -165,168 +129,34 @@ fn update_group_states(
 }
 
 /// Accumulate one `AggState` per (finest group, aggregate), chunk-parallel
-/// with an in-order merge of the per-partition partials.
+/// with an in-order merge of the per-partition partials. Partials are whole
+/// **global** partitions — each one walks the shard segments that cover it,
+/// reading values through that shard's bound expressions — so every
+/// partial's accumulation chain visits the same rows in the same order
+/// wherever shard boundaries fall, and the partition-order merge makes the
+/// result bit-identical to the single-table pass.
 fn accumulate(
-    table: &Table,
-    index: &GroupIndex,
-    aggregates: &[AggExpr],
-    filter: Option<&Bitmap>,
-    options: &ExecOptions,
-) -> Result<Vec<Vec<AggState>>> {
-    let bound: Vec<Option<BoundExpr<'_>>> = aggregates
-        .iter()
-        .map(|a| a.input.as_ref().map(|e| e.bind(table)).transpose())
-        .collect::<Result<_>>()?;
-
-    let accumulate_range = |range: RowRange| {
-        let mut states = vec![vec![AggState::default(); aggregates.len()]; index.num_groups()];
-        let mut update_row = |row: usize| {
-            let group_states = &mut states[index.group_of(row) as usize];
-            update_group_states(group_states, aggregates, &bound, row);
-        };
-        match filter {
-            Some(bm) => {
-                for row in bm.iter_ones_in(range.start, range.end) {
-                    update_row(row);
-                }
-            }
-            None => {
-                for row in range.rows() {
-                    update_row(row);
-                }
-            }
-        }
-        states
-    };
-
-    Ok(exec::fold_partitioned(
-        table.num_rows(),
-        options,
-        |_, range| accumulate_range(range),
-        |acc, partial| exec::merge_state_tables(acc, partial, |a, b| a.merge(b)),
-    ))
-}
-
-/// [`accumulate`] over a sharded table. Partials are still whole **global**
-/// partitions — each one walks the shard segments that cover it, reading
-/// values through that shard's bound expressions — so every partial's
-/// accumulation chain visits the same rows in the same order as the
-/// single-table pass, and the partition-order merge makes the result
-/// bit-identical to it regardless of where shard boundaries fall.
-fn accumulate_sharded(
-    table: &ShardedTable,
+    rows: &RowSpace<'_>,
     index: &GroupIndex,
     aggregates: &[AggExpr],
     filters: Option<&[Bitmap]>,
     options: &ExecOptions,
 ) -> Result<Vec<Vec<AggState>>> {
-    let bound: Vec<Vec<Option<BoundExpr<'_>>>> = table
-        .shards()
-        .iter()
-        .map(|shard| {
-            aggregates
-                .iter()
-                .map(|a| a.input.as_ref().map(|e| e.bind(shard)).transpose())
-                .collect::<Result<_>>()
-        })
-        .collect::<Result<_>>()?;
+    let inputs: Vec<Option<ScalarExpr>> = aggregates.iter().map(|a| a.input.clone()).collect();
+    let bound = rows.bind(&inputs, options)?;
 
     Ok(exec::fold_partitioned(
-        table.num_rows(),
+        rows.num_rows(),
         options,
         |_, range| {
             let mut states = vec![vec![AggState::default(); aggregates.len()]; index.num_groups()];
-            for seg in table.segments(range) {
+            for seg in rows.segments(range) {
                 let shard_bound = &bound[seg.shard];
                 // Global row id of shard-local row `r` is `r + delta`.
                 let delta = seg.global_start - seg.local.start;
                 let mut update_row = |local_row: usize| {
                     let group = index.group_of(local_row + delta) as usize;
                     update_group_states(&mut states[group], aggregates, shard_bound, local_row);
-                };
-                match filters {
-                    Some(bms) => {
-                        for local_row in bms[seg.shard].iter_ones_in(seg.local.start, seg.local.end)
-                        {
-                            update_row(local_row);
-                        }
-                    }
-                    None => {
-                        for local_row in seg.local.rows() {
-                            update_row(local_row);
-                        }
-                    }
-                }
-            }
-            states
-        },
-        |acc, partial| exec::merge_state_tables(acc, partial, |a, b| a.merge(b)),
-    ))
-}
-
-/// [`update_group_states`] reading rows through shipped [`ColumnValues`]
-/// instead of locally-bound expressions. `ColumnValues::get` reproduces the
-/// shard-side `f64_at` bit for bit, so the two update paths feed identical
-/// values into identical [`AggState`] chains.
-#[inline]
-fn update_group_states_values(
-    group_states: &mut [AggState],
-    aggregates: &[AggExpr],
-    values: &[Option<ColumnValues>],
-    row: usize,
-) {
-    for (slot, (agg, column)) in group_states.iter_mut().zip(aggregates.iter().zip(values)) {
-        let value = match (agg.kind, column) {
-            (AggKind::Count, _) => 1.0,
-            (AggKind::CountIf, Some(col)) => {
-                let (op, threshold) = agg.condition.expect("COUNT_IF has a condition");
-                let v = col.get(row).unwrap_or(f64::NAN);
-                if op.evaluate_f64(v, threshold) {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            (_, Some(col)) => match col.get(row) {
-                Some(v) => v,
-                None => continue,
-            },
-            (_, None) => continue,
-        };
-        slot.update(value);
-    }
-}
-
-/// [`accumulate_sharded`] over a [`ShardSet`]: one `expr_values` request
-/// per shard up front, then the identical global-partition walk with
-/// [`update_group_states_values`] in place of bound expressions.
-fn accumulate_set(
-    set: &ShardSet,
-    index: &GroupIndex,
-    aggregates: &[AggExpr],
-    filters: Option<&[Bitmap]>,
-    options: &ExecOptions,
-) -> Result<Vec<Vec<AggState>>> {
-    let exprs: Vec<Option<ScalarExpr>> = aggregates.iter().map(|a| a.input.clone()).collect();
-    let values = set.fetch_values(&exprs, options)?;
-
-    Ok(exec::fold_partitioned(
-        set.num_rows(),
-        options,
-        |_, range| {
-            let mut states = vec![vec![AggState::default(); aggregates.len()]; index.num_groups()];
-            for seg in set.segments(range) {
-                let shard_values = &values[seg.shard];
-                // Global row id of shard-local row `r` is `r + delta`.
-                let delta = seg.global_start - seg.local.start;
-                let mut update_row = |local_row: usize| {
-                    let group = index.group_of(local_row + delta) as usize;
-                    update_group_states_values(
-                        &mut states[group],
-                        aggregates,
-                        shard_values,
-                        local_row,
-                    );
                 };
                 match filters {
                     Some(bms) => {
@@ -510,7 +340,9 @@ pub fn render_text_table(header: &[String], rows: &[Vec<String>]) -> String {
 mod tests {
     use super::*;
     use crate::predicate::CmpOp;
-    use crate::table::TableBuilder;
+    use crate::reader::tests::layouts_of;
+    use crate::shard::ShardedTable;
+    use crate::table::{Table, TableBuilder};
     use crate::types::{DataType, Value};
 
     /// The paper's example Student table (Table 1).
@@ -694,20 +526,19 @@ mod tests {
         for q in &queries {
             let reference = q.execute_with(&t, &ExecOptions::sequential()).unwrap();
             for num_shards in [1usize, 2, 3, 5] {
-                let st = ShardedTable::split(&t, num_shards).unwrap();
-                for threads in [1usize, 4] {
-                    let got = q.execute_sharded(&st, &ExecOptions::new(threads)).unwrap();
-                    assert_eq!(got.len(), reference.len());
-                    for (g, r) in got.iter().zip(&reference) {
-                        assert_eq!(g.keys, r.keys, "shards {num_shards}, threads {threads}");
-                        assert_eq!(g.group_rows, r.group_rows);
-                        for (a, b) in g.values.iter().zip(&r.values) {
-                            for (x, y) in a.iter().zip(b) {
-                                assert_eq!(
-                                    x.to_bits(),
-                                    y.to_bits(),
-                                    "shards {num_shards}, threads {threads}"
-                                );
+                // In-process shards, reader-backed shards, and a mix.
+                for (kind, set) in layouts_of(&ShardedTable::split(&t, num_shards).unwrap()) {
+                    for threads in [1usize, 4] {
+                        let got = q.execute_with(&set, &ExecOptions::new(threads)).unwrap();
+                        assert_eq!(got.len(), reference.len());
+                        let at = format!("{kind} shards {num_shards}, threads {threads}");
+                        for (g, r) in got.iter().zip(&reference) {
+                            assert_eq!(g.keys, r.keys, "{at}");
+                            assert_eq!(g.group_rows, r.group_rows);
+                            for (a, b) in g.values.iter().zip(&r.values) {
+                                for (x, y) in a.iter().zip(b) {
+                                    assert_eq!(x.to_bits(), y.to_bits(), "{at}");
+                                }
                             }
                         }
                     }

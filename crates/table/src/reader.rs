@@ -1,28 +1,37 @@
-//! The shard-pass surface: what a shard must answer for scatter-gather.
+//! The shard-pass surface, and the one row space every pass runs over.
 //!
-//! [`ShardedTable`] (see [`crate::shard`]) proved that only four things
-//! ever cross a shard boundary: a shard-local group index, a shard-local
-//! predicate bitmap, per-row expression values, and gathered rows. This
-//! module extracts that surface into the [`ShardReader`] trait so a shard
-//! can live anywhere — [`LocalShard`] wraps an in-process [`Table`], and a
-//! remote implementation can answer the same four questions over a wire —
-//! and [`ShardSet`] runs the scatter-gather passes over any mix of them.
+//! Only four things ever cross a shard boundary: a shard-local group index,
+//! a shard-local predicate bitmap, per-row expression values, and gathered
+//! rows. [`ShardReader`] is that surface, so a shard can live anywhere —
+//! [`LocalShard`] wraps an in-process [`Table`], and a remote
+//! implementation answers the same four questions over a wire. A
+//! [`ShardSet`] is what every catalog table is: readers in shard order with
+//! one logical row space (a plain table is a set of one [`LocalShard`]).
 //!
-//! The determinism contract is inherited unchanged: every pass over a
-//! `ShardSet` merges shard answers in **fixed shard order** (global row
-//! order) and anchors float accumulation to global partitions, so the
-//! result is byte-identical to the same pass over the concatenated single
-//! table — and therefore to a local [`ShardedTable`] with the same layout —
-//! for any thread count. For that to hold, an implementation must answer
-//! each request exactly as `LocalShard` would: the same first-seen group
-//! interning, the same bitmap bits, bit-equal `f64` values.
+//! *Where a shard's rows live* is known to this module alone. Every pass in
+//! the workspace — group index, predicate bitmaps, statistics, exact
+//! aggregation, gather, join — has one kernel, written against
+//! [`RowSpace`]: a borrowed view that **lends** an in-process shard's
+//! storage (the kernel reads its columns in place, under the caller's
+//! execution options) and asks every other shard through its reader. A bare
+//! `&Table` is a one-shard row space, so the single-table entry points run
+//! the same kernels at the same cost.
+//!
+//! The determinism contract: every pass merges shard answers in **fixed
+//! shard order** (global row order) and anchors float accumulation to
+//! global partitions, so the result is byte-identical to the same pass over
+//! the concatenated single table, for any layout, any mix of local and
+//! remote readers, and any thread count. For that to hold, a reader must
+//! answer each request exactly as `LocalShard` would: the same first-seen
+//! group interning, the same bitmap bits, bit-equal `f64` values.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::bitmap::Bitmap;
 use crate::error::TableError;
 use crate::exec::{self, ExecOptions, RowRange};
-use crate::expr::ScalarExpr;
+use crate::expr::{BoundExpr, ScalarExpr};
 use crate::groupby::GroupIndex;
 use crate::predicate::Predicate;
 use crate::schema::Schema;
@@ -112,6 +121,13 @@ pub trait ShardReader: std::fmt::Debug + Send + Sync {
 
     /// Copy the shard-local `rows`, in the given order, into a table.
     fn take_rows(&self, rows: &[u32]) -> Result<Table>;
+
+    /// The shard's rows, when they live in this process and can be lent to
+    /// a pass in place. `None` (the default) means every pass goes through
+    /// the four requests above.
+    fn local_table(&self) -> Option<&Table> {
+        None
+    }
 }
 
 /// An in-process [`ShardReader`] over an owned [`Table`] — the reference
@@ -184,20 +200,46 @@ impl ShardReader for LocalShard {
         let rows: Vec<usize> = rows.iter().map(|&r| r as usize).collect();
         Ok(self.table.take(&rows))
     }
+
+    fn local_table(&self) -> Option<&Table> {
+        Some(&self.table)
+    }
 }
 
-/// A set of [`ShardReader`]s with one logical row space — the coordinator's
-/// counterpart of [`ShardedTable`], generalized over where shards live.
-///
-/// Offset layout, row location, and segment math are identical to
-/// `ShardedTable`'s, so a pass over a `ShardSet` of [`LocalShard`]s is the
-/// same computation as the corresponding `*_sharded` pass.
+/// `offsets[s]` is the global row id of shard `s`'s first row;
+/// `offsets[num_shards]` is the total row count.
+fn offsets_of(shard_rows: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut offsets = vec![0];
+    let mut total = 0usize;
+    for rows in shard_rows {
+        total += rows;
+        offsets.push(total);
+    }
+    offsets
+}
+
+/// A set of [`ShardReader`]s with one logical row space (shard 0's rows
+/// first, then shard 1's, …) — the one kind of table the catalog holds.
+/// Passes run over its [`RowSpace`] ([`ShardSet::rows`]).
 #[derive(Debug, Clone)]
 pub struct ShardSet {
     readers: Vec<Arc<dyn ShardReader>>,
-    /// `offsets[s]` is the global row id of shard `s`'s first row;
-    /// `offsets[num_shards]` is the total row count.
     offsets: Vec<usize>,
+}
+
+/// A plain table is a set of one in-process shard (the table moves in).
+impl From<Table> for ShardSet {
+    fn from(table: Table) -> ShardSet {
+        ShardSet::new(vec![Arc::new(LocalShard::new(table))]).expect("one shard defines a schema")
+    }
+}
+
+/// Every shard of the layout moves into its own in-process reader.
+impl From<ShardedTable> for ShardSet {
+    fn from(table: ShardedTable) -> ShardSet {
+        let readers = table.into_shards().into_iter().map(|t| Arc::new(LocalShard::new(t)) as _);
+        ShardSet::new(readers.collect()).expect("sharded table shards are schema-identical")
+    }
 }
 
 impl ShardSet {
@@ -216,21 +258,8 @@ impl ShardSet {
                 )));
             }
         }
-        let mut offsets = Vec::with_capacity(readers.len() + 1);
-        let mut total = 0usize;
-        offsets.push(0);
-        for reader in &readers {
-            total += reader.num_rows();
-            offsets.push(total);
-        }
+        let offsets = offsets_of(readers.iter().map(|r| r.num_rows()));
         Ok(ShardSet { readers, offsets })
-    }
-
-    /// Wrap every shard of a [`ShardedTable`] in a [`LocalShard`].
-    pub fn from_sharded(table: &ShardedTable) -> ShardSet {
-        let readers: Vec<Arc<dyn ShardReader>> =
-            table.shards().iter().map(|t| Arc::new(LocalShard::new(t.clone())) as _).collect();
-        ShardSet::new(readers).expect("sharded table shards are schema-identical")
     }
 
     /// The shared schema.
@@ -259,13 +288,13 @@ impl ShardSet {
     }
 
     /// Global row id of shard `s`'s first row (and the total row count at
-    /// index `num_shards`) — same layout as [`ShardedTable::offsets`].
+    /// index `num_shards`).
     pub fn offsets(&self) -> &[usize] {
         &self.offsets
     }
 
     /// Per-shard row counts, in shard order (the shard *layout*; folded
-    /// into engine fingerprints, identically to a local sharded table's).
+    /// into engine fingerprints so a re-layout is a different cache key).
     pub fn shard_rows(&self) -> Vec<usize> {
         self.readers.iter().map(|r| r.num_rows()).collect()
     }
@@ -275,20 +304,163 @@ impl ShardSet {
         self.readers.iter().map(|r| r.location()).collect()
     }
 
-    /// The shard containing global `row`, and the row's shard-local id —
-    /// same math as [`ShardedTable::locate`].
+    /// How many readers are not in-process; `None` when every shard's rows
+    /// live here.
+    pub fn remote_shards(&self) -> Option<usize> {
+        let remote = self.readers.iter().filter(|r| r.local_table().is_none()).count();
+        (remote > 0).then_some(remote)
+    }
+
+    /// The row space passes run over: in-process shards lent in place,
+    /// every other shard behind its reader.
+    pub fn rows(&self) -> RowSpace<'_> {
+        let parts = self.readers.iter().map(|r| match r.local_table() {
+            Some(table) => Part::Local(table),
+            None => Part::Remote(r.as_ref()),
+        });
+        RowSpace { parts: parts.collect(), offsets: self.offsets.clone() }
+    }
+
+    /// Shard `s`'s in-process table, or why a row mutation cannot reach it.
+    fn local_shard(&self, s: usize) -> Result<&Table> {
+        self.readers[s].local_table().ok_or_else(|| {
+            TableError::invalid(format!(
+                "shard {s} ({}) is not in-process; append and rotate at its server",
+                self.readers[s].location()
+            ))
+        })
+    }
+
+    /// A new set with `batch`'s rows appended to the **last** shard (the
+    /// live shard of an ingesting table). Earlier readers are shared, not
+    /// copied; only the last shard is rebuilt via [`Table::extended`], so
+    /// the logical row stream is the old rows followed by the batch —
+    /// identical to appending to the concatenated single table.
+    pub fn extended(&self, batch: &Table) -> Result<ShardSet> {
+        let last = self.num_shards() - 1;
+        let mut readers = self.readers.clone();
+        readers[last] = Arc::new(LocalShard::new(self.local_shard(last)?.extended(batch)?));
+        ShardSet::new(readers)
+    }
+
+    /// A new set keeping only the rows `keep` selects (in global row
+    /// order) — time-windowed retention. Each shard is compacted
+    /// independently: a shard that keeps every row is shared, not copied,
+    /// and shards left with zero rows are **dropped** from the layout (the
+    /// "oldest shard falls off" of a rotation), except that the final
+    /// layout always keeps at least one (possibly empty) shard so the
+    /// schema stays defined.
+    pub fn retained(&self, keep: impl Fn(usize) -> bool) -> Result<ShardSet> {
+        let mut readers: Vec<Arc<dyn ShardReader>> = Vec::new();
+        for (s, reader) in self.readers.iter().enumerate() {
+            let shard = self.local_shard(s)?;
+            let offset = self.offsets[s];
+            let rows: Vec<usize> =
+                (0..shard.num_rows()).filter(|&local| keep(offset + local)).collect();
+            if rows.len() == shard.num_rows() {
+                readers.push(Arc::clone(reader));
+            } else if !rows.is_empty() {
+                readers.push(Arc::new(LocalShard::new(shard.take(&rows))));
+            }
+        }
+        if readers.is_empty() {
+            let empty = TableBuilder::from_schema(self.schema().clone()).finish();
+            readers.push(Arc::new(LocalShard::new(empty)));
+        }
+        ShardSet::new(readers)
+    }
+}
+
+/// Where a pass reads one shard's rows from.
+#[derive(Debug, Clone, Copy)]
+enum Part<'a> {
+    /// In-process storage, lent to the kernel in place.
+    Local(&'a Table),
+    /// A reader answering from elsewhere, through the pass surface.
+    Remote(&'a dyn ShardReader),
+}
+
+impl Part<'_> {
+    fn schema(&self) -> &Schema {
+        match self {
+            Part::Local(table) => table.schema(),
+            Part::Remote(reader) => reader.schema(),
+        }
+    }
+}
+
+/// A borrowed view of one logical row space — a bare [`Table`] (one shard)
+/// or a [`ShardSet`] — that every pass kernel reads through. In-process
+/// shards are read in place; only shards behind a non-local reader cost a
+/// request and a [`ColumnValues`] copy.
+#[derive(Debug, Clone)]
+pub struct RowSpace<'a> {
+    parts: Vec<Part<'a>>,
+    offsets: Vec<usize>,
+}
+
+impl<'a> From<&'a Table> for RowSpace<'a> {
+    fn from(table: &'a Table) -> Self {
+        RowSpace { parts: vec![Part::Local(table)], offsets: vec![0, table.num_rows()] }
+    }
+}
+
+impl<'a> From<&'a ShardSet> for RowSpace<'a> {
+    fn from(set: &'a ShardSet) -> Self {
+        set.rows()
+    }
+}
+
+impl<'a> From<&RowSpace<'a>> for RowSpace<'a> {
+    fn from(rows: &RowSpace<'a>) -> Self {
+        rows.clone()
+    }
+}
+
+impl<'a> RowSpace<'a> {
+    /// The shared schema.
+    pub fn schema(&self) -> &Schema {
+        self.parts[0].schema()
+    }
+
+    /// Total logical rows across all shards.
+    pub fn num_rows(&self) -> usize {
+        *self.offsets.last().expect("offsets never empty")
+    }
+
+    /// Whether any shard is behind a non-local reader.
+    fn has_remote(&self) -> bool {
+        self.parts.iter().any(|part| matches!(part, Part::Remote(_)))
+    }
+
+    /// Every shard's table, in shard order, when all of them are
+    /// in-process; `None` as soon as one is not (passes that need local
+    /// rows — JOIN, ingest, rotation — cannot run then).
+    pub fn local_tables(&self) -> Option<Vec<&'a Table>> {
+        self.parts
+            .iter()
+            .map(|part| match part {
+                Part::Local(table) => Some(*table),
+                Part::Remote(_) => None,
+            })
+            .collect()
+    }
+
+    /// The shard containing global `row`, and the row's shard-local id.
     pub fn locate(&self, row: usize) -> (usize, usize) {
         debug_assert!(row < self.num_rows(), "row {row} out of range");
+        // The last shard *starting* at or before `row`. Empty shards share
+        // their successor's offset, so this is never one of them: the
+        // shard found also ends past `row`.
         let shard = self.offsets.partition_point(|&o| o <= row) - 1;
-        let shard = (0..=shard).rev().find(|&s| self.offsets[s + 1] > row).expect("row in range");
         (shard, row - self.offsets[shard])
     }
 
-    /// The shard segments covering the global row range, in shard order —
-    /// same math as [`ShardedTable::segments`].
+    /// The shard segments covering the global row range `[range.start,
+    /// range.end)`, in shard order. Empty shards contribute no segment.
     pub fn segments(&self, range: RowRange) -> Vec<ShardSegment> {
         let mut out = Vec::new();
-        for s in 0..self.readers.len() {
+        for s in 0..self.parts.len() {
             let shard_start = self.offsets[s];
             let shard_end = self.offsets[s + 1];
             let start = range.start.max(shard_start);
@@ -304,150 +476,202 @@ impl ShardSet {
         out
     }
 
-    /// Build the group index over the set's logical row space: one
-    /// scatter-window request per shard (in parallel), merged **in shard
-    /// order** — the same merge as [`GroupIndex::build_sharded`], so the
-    /// result is identical to building over the concatenated table.
-    pub fn build_group_index(
+    /// Run `work` once per shard and collect the answers in shard order.
+    ///
+    /// Parallelism lives at one level, chosen from what the layout shows:
+    /// when shards outnumber workers — or any shard is behind a non-local
+    /// reader, whose requests should all be in flight at once — one worker
+    /// per shard, each running sequentially inside; otherwise (few big
+    /// in-process shards, a plain table included) shards in order, each
+    /// partition-parallel inside under the caller's options. Both levels
+    /// are thread-count invariant, so the choice never changes a result.
+    fn scatter<T: Send>(
         &self,
-        exprs: &[ScalarExpr],
         options: &ExecOptions,
-    ) -> Result<GroupIndex> {
+        work: impl Fn(usize, Part<'a>, &ExecOptions) -> Result<T> + Sync,
+    ) -> Result<Vec<T>> {
+        let per_shard = self.parts.len() >= options.threads() || self.has_remote();
+        let sequential = ExecOptions::sequential();
+        let (across, within) =
+            if per_shard { (options, &sequential) } else { (&sequential, options) };
+        exec::run_indexed(self.parts.len(), across, |s| work(s, self.parts[s], within))
+            .into_iter()
+            .collect()
+    }
+
+    /// A reader's answer failed validation.
+    fn bad_answer(s: usize, reader: &dyn ShardReader, what: String) -> TableError {
+        TableError::invalid(format!("shard {s} ({}) returned {what}", reader.location()))
+    }
+
+    /// Build the group index over the logical row space. Each shard is
+    /// indexed independently (a shard never sees its siblings' dictionaries
+    /// or interning state); the shard-local indexes are then merged **in
+    /// shard order**, which is global row order, so a group's global id is
+    /// assigned at its earliest occurrence across the concatenation. The
+    /// result — per-row group ids, first-occurrence key order, group sizes
+    /// — is **identical to building over the concatenated single table**,
+    /// for any shard layout and any thread count. (Every merge here is
+    /// integral, so this holds exactly, not just up to rounding.)
+    pub fn group_index(&self, exprs: &[ScalarExpr], options: &ExecOptions) -> Result<GroupIndex> {
         let dim_names: Vec<String> = exprs.iter().map(|e| e.display_name()).collect();
         let n = self.num_rows();
         if exprs.is_empty() {
-            // Same early return as the local builds: one group, no shard
-            // round-trips needed.
+            // One group, no shard round-trips needed.
             return GroupIndex::from_parts(dim_names, vec![0; n], vec![Vec::new()], vec![n as u64]);
         }
-        let locals: Vec<GroupIndex> =
-            exec::run_indexed(self.num_shards(), options, |s| self.readers[s].group_index(exprs))
-                .into_iter()
-                .collect::<Result<_>>()?;
-        for (s, local) in locals.iter().enumerate() {
-            if local.num_rows() != self.readers[s].num_rows() {
-                return Err(TableError::invalid(format!(
-                    "shard {s} ({}) returned a {}-row scatter window for {} rows",
-                    self.readers[s].location(),
-                    local.num_rows(),
-                    self.readers[s].num_rows()
-                )));
+        let mut locals = self.scatter(options, |s, part, within| match part {
+            Part::Local(table) => GroupIndex::build_with(table, exprs, within),
+            Part::Remote(reader) => {
+                let local = reader.group_index(exprs)?;
+                if local.num_rows() != reader.num_rows() {
+                    return Err(Self::bad_answer(
+                        s,
+                        reader,
+                        format!(
+                            "a {}-row scatter window for {} rows",
+                            local.num_rows(),
+                            reader.num_rows()
+                        ),
+                    ));
+                }
+                Ok(local)
             }
+        })?;
+        if locals.len() == 1 {
+            // A one-shard merge is the identity.
+            return Ok(locals.remove(0));
         }
         Ok(GroupIndex::merge_shard_locals(dim_names, &locals, n))
     }
 
-    /// Per-shard predicate bitmaps, in shard order — the counterpart of
-    /// [`Predicate::eval_sharded`].
-    pub fn eval_predicate(
+    /// Evaluate `predicate` into one bitmap **per shard** (each indexed by
+    /// shard-local row). Binding happens per shard, so string literals
+    /// resolve against each shard's own dictionary; bit `r` of shard `s`'s
+    /// bitmap equals bit `offsets[s] + r` of the bitmap the concatenated
+    /// table would produce, for any layout and thread count (predicate
+    /// evaluation is row-local, so this holds exactly).
+    pub fn predicate_bitmaps(
         &self,
         predicate: &Predicate,
         options: &ExecOptions,
     ) -> Result<Vec<Bitmap>> {
-        let bitmaps: Vec<Bitmap> = exec::run_indexed(self.num_shards(), options, |s| {
-            self.readers[s].predicate_bitmap(predicate)
-        })
-        .into_iter()
-        .collect::<Result<_>>()?;
-        for (s, bm) in bitmaps.iter().enumerate() {
-            if bm.len() != self.readers[s].num_rows() {
-                return Err(TableError::invalid(format!(
-                    "shard {s} ({}) returned a {}-row bitmap for {} rows",
-                    self.readers[s].location(),
-                    bm.len(),
-                    self.readers[s].num_rows()
-                )));
+        self.scatter(options, |s, part, within| match part {
+            Part::Local(table) => {
+                Ok(predicate.bind(table)?.eval_bitmap_with(table.num_rows(), within))
             }
-        }
-        Ok(bitmaps)
+            Part::Remote(reader) => {
+                let bitmap = reader.predicate_bitmap(predicate)?;
+                if bitmap.len() != reader.num_rows() {
+                    return Err(Self::bad_answer(
+                        s,
+                        reader,
+                        format!("a {}-row bitmap for {} rows", bitmap.len(), reader.num_rows()),
+                    ));
+                }
+                Ok(bitmap)
+            }
+        })
     }
 
-    /// Per-shard expression values (outer index: shard; inner: expression),
-    /// fetched in parallel.
-    pub fn fetch_values(
+    /// Bind each expression against every shard (outer index: shard;
+    /// inner: expression; `None` entries pass through, for aggregates like
+    /// `COUNT(*)` with no input). An in-process shard binds in place — the
+    /// kernel then reads its columns directly; any other shard answers one
+    /// `expr_values` request and its (validated) values are read through
+    /// the same [`BoundExpr`] accessors, bit for bit.
+    pub fn bind(
         &self,
         exprs: &[Option<ScalarExpr>],
         options: &ExecOptions,
-    ) -> Result<Vec<Vec<Option<ColumnValues>>>> {
-        let per_shard: Vec<Vec<Option<ColumnValues>>> =
-            exec::run_indexed(self.num_shards(), options, |s| self.readers[s].expr_values(exprs))
-                .into_iter()
-                .collect::<Result<_>>()?;
-        for (s, columns) in per_shard.iter().enumerate() {
-            if columns.len() != exprs.len() {
-                return Err(TableError::invalid(format!(
-                    "shard {s} ({}) returned {} value columns for {} expressions",
-                    self.readers[s].location(),
-                    columns.len(),
-                    exprs.len()
-                )));
+    ) -> Result<Vec<Vec<Option<BoundExpr<'a>>>>> {
+        self.scatter(options, |s, part, _| match part {
+            Part::Local(table) => {
+                exprs.iter().map(|e| e.as_ref().map(|e| e.bind(table)).transpose()).collect()
             }
-            let rows = self.readers[s].num_rows();
-            for (c, col) in columns.iter().enumerate() {
-                if let Some(col) = col {
-                    if col.len() != rows {
-                        return Err(TableError::invalid(format!(
-                            "shard {s} ({}) returned {} values for column {c} over {rows} rows",
-                            self.readers[s].location(),
-                            col.len()
-                        )));
+            Part::Remote(reader) => {
+                let columns = reader.expr_values(exprs)?;
+                if columns.len() != exprs.len() {
+                    return Err(Self::bad_answer(
+                        s,
+                        reader,
+                        format!("{} value columns for {} expressions", columns.len(), exprs.len()),
+                    ));
+                }
+                let rows = reader.num_rows();
+                for (c, (column, expr)) in columns.iter().zip(exprs).enumerate() {
+                    // `None` exactly where no expression was asked for.
+                    let got = column.as_ref().map(ColumnValues::len);
+                    if got != expr.as_ref().map(|_| rows) {
+                        let what = format!("{got:?} values for column {c} over {rows} rows");
+                        return Err(Self::bad_answer(s, reader, what));
                     }
                 }
+                Ok(columns.into_iter().map(|c| c.map(BoundExpr::shipped)).collect())
             }
+        })
+    }
+
+    /// Every row as one table, in global row order: the shard itself when
+    /// the row space is a single in-process one, a gathered copy otherwise.
+    pub fn to_table(&self) -> Result<Cow<'a, Table>> {
+        if let [Part::Local(table)] = self.parts.as_slice() {
+            return Ok(Cow::Borrowed(table));
         }
-        Ok(per_shard)
+        self.gather(&(0..self.num_rows()).collect::<Vec<_>>()).map(Cow::Owned)
     }
 
     /// Copy the rows with global ids in `rows` (in the given order) into a
-    /// standalone [`Table`] — byte-identical to [`ShardedTable::gather`]
-    /// over the same layout. Rows are fetched per shard in one batch each,
-    /// then reassembled in request order.
+    /// standalone [`Table`] — identical to [`Table::take`] on the
+    /// concatenated table. In-process rows are read straight from their
+    /// shard; every other shard answers one batched `take_rows` request,
+    /// reassembled in request order.
     pub fn gather(&self, rows: &[usize]) -> Result<Table> {
-        let num_shards = self.num_shards();
-        let mut located = Vec::with_capacity(rows.len());
-        let mut per_shard: Vec<Vec<u32>> = vec![Vec::new(); num_shards];
-        for &row in rows {
-            if row >= self.num_rows() {
-                return Err(TableError::invalid(format!(
-                    "gather row {row} out of range for a {}-row shard set",
-                    self.num_rows()
-                )));
-            }
-            let (shard, local) = self.locate(row);
-            located.push(shard);
-            per_shard[shard].push(local as u32);
+        let n = self.num_rows();
+        if let Some(row) = rows.iter().find(|&&row| row >= n) {
+            return Err(TableError::invalid(format!(
+                "gather row {row} out of range for a {n}-row table"
+            )));
         }
-        let fetched: Vec<Option<Table>> = (0..num_shards)
-            .map(|s| {
-                if per_shard[s].is_empty() {
-                    Ok(None)
-                } else {
-                    self.readers[s].take_rows(&per_shard[s]).map(Some)
+        // One batched request per non-local shard, its rows in request
+        // order; a row space with no such shard skips the batching pass.
+        let mut fetched: Vec<Option<Table>> = vec![None; self.parts.len()];
+        if self.has_remote() {
+            let mut batches: Vec<Vec<u32>> = vec![Vec::new(); self.parts.len()];
+            for &row in rows {
+                let (shard, local) = self.locate(row);
+                if let Part::Remote(_) = self.parts[shard] {
+                    batches[shard].push(local as u32);
                 }
-            })
-            .collect::<Result<_>>()?;
-        for (s, t) in fetched.iter().enumerate() {
-            if let Some(t) = t {
-                if t.num_rows() != per_shard[s].len() || t.schema() != self.schema() {
-                    return Err(TableError::invalid(format!(
-                        "shard {s} ({}) returned a mismatched gather batch",
-                        self.readers[s].location()
-                    )));
+            }
+            for (s, (part, batch)) in self.parts.iter().zip(&batches).enumerate() {
+                let Part::Remote(reader) = part else { continue };
+                if batch.is_empty() {
+                    continue;
                 }
+                let table = reader.take_rows(batch)?;
+                if table.num_rows() != batch.len() || table.schema() != self.schema() {
+                    let what = "a mismatched gather batch".to_string();
+                    return Err(Self::bad_answer(s, *reader, what));
+                }
+                fetched[s] = Some(table);
             }
         }
 
-        // Reassemble in request order: rows were appended to each shard's
-        // batch in request order too, so a per-shard cursor walks each
-        // batch front to back. The push_row sequence is exactly the one
-        // `ShardedTable::gather` performs.
+        // A per-shard cursor walks each fetched batch front to back.
         let mut b = TableBuilder::from_schema(self.schema().clone());
         b.reserve(rows.len());
-        let mut cursors = vec![0usize; num_shards];
-        for &shard in &located {
-            let t = fetched[shard].as_ref().expect("fetched batch for a located shard");
-            let values = t.row(cursors[shard]);
-            cursors[shard] += 1;
+        let mut cursors = vec![0usize; self.parts.len()];
+        for &row in rows {
+            let (shard, local) = self.locate(row);
+            let values = match self.parts[shard] {
+                Part::Local(table) => table.row(local),
+                Part::Remote(_) => {
+                    let batch = fetched[shard].as_ref().expect("fetched batch for a located shard");
+                    cursors[shard] += 1;
+                    batch.row(cursors[shard] - 1)
+                }
+            };
             b.push_row(&values)?;
         }
         Ok(b.finish())
@@ -455,9 +679,11 @@ impl ShardSet {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::exec::CHUNK_ROWS;
     use crate::types::{DataType, Value};
+    use proptest::prelude::*;
 
     fn table(n: usize) -> Table {
         let mut b = TableBuilder::new(&[
@@ -476,63 +702,182 @@ mod tests {
         b.finish()
     }
 
-    fn uneven_set(t: &Table) -> (ShardedTable, ShardSet) {
+    /// A reader that answers only through the four pass requests — what a
+    /// shard in another process looks like to the coordinator, minus the
+    /// wire. Sets of these exercise the non-local half of every kernel.
+    #[derive(Debug)]
+    pub(crate) struct Opaque(pub LocalShard);
+
+    impl ShardReader for Opaque {
+        fn schema(&self) -> &Schema {
+            self.0.schema()
+        }
+        fn num_rows(&self) -> usize {
+            self.0.num_rows()
+        }
+        fn location(&self) -> String {
+            "opaque".to_string()
+        }
+        fn group_index(&self, exprs: &[ScalarExpr]) -> Result<GroupIndex> {
+            self.0.group_index(exprs)
+        }
+        fn predicate_bitmap(&self, predicate: &Predicate) -> Result<Bitmap> {
+            self.0.predicate_bitmap(predicate)
+        }
+        fn expr_values(&self, exprs: &[Option<ScalarExpr>]) -> Result<Vec<Option<ColumnValues>>> {
+            self.0.expr_values(exprs)
+        }
+        fn take_rows(&self, rows: &[u32]) -> Result<Table> {
+            self.0.take_rows(rows)
+        }
+    }
+
+    /// The same layout three ways: in-process shards, opaque readers, and
+    /// a mix of the two.
+    pub(crate) fn layouts_of(sharded: &ShardedTable) -> Vec<(&'static str, ShardSet)> {
+        let readers = |opaque: fn(usize) -> bool| {
+            let readers = sharded.shards().iter().enumerate().map(|(s, t)| {
+                let shard = LocalShard::new(t.clone());
+                if opaque(s) {
+                    Arc::new(Opaque(shard)) as Arc<dyn ShardReader>
+                } else {
+                    Arc::new(shard) as _
+                }
+            });
+            ShardSet::new(readers.collect()).unwrap()
+        };
+        vec![
+            ("local", ShardSet::from(sharded.clone())),
+            ("opaque", readers(|_| true)),
+            ("mixed", readers(|s| s % 2 == 1)),
+        ]
+    }
+
+    /// Uneven shards with an empty one in the middle.
+    fn uneven(t: &Table) -> ShardedTable {
         let empty = TableBuilder::from_schema(t.schema().clone()).finish();
         let n = t.num_rows();
-        let sharded = ShardedTable::from_tables(vec![
+        ShardedTable::from_tables(vec![
             t.take(&(0..n / 5).collect::<Vec<_>>()),
             empty,
             t.take(&(n / 5..n).collect::<Vec<_>>()),
         ])
-        .unwrap();
-        let set = ShardSet::from_sharded(&sharded);
-        (sharded, set)
+        .unwrap()
     }
 
     #[test]
-    fn offsets_locate_segments_match_sharded_table() {
-        let t = table(500);
-        let (sharded, set) = uneven_set(&t);
-        assert_eq!(set.offsets(), sharded.offsets());
-        assert_eq!(set.shard_rows(), sharded.shard_rows());
-        for row in [0usize, 99, 100, 101, 499] {
-            assert_eq!(set.locate(row), sharded.locate(row));
-        }
-        for range in [RowRange { start: 0, end: 500 }, RowRange { start: 50, end: 321 }] {
-            assert_eq!(set.segments(range), sharded.segments(range));
-        }
+    fn a_table_is_a_one_shard_row_space() {
+        let t = table(10);
+        let rows = RowSpace::from(&t);
+        assert_eq!(rows.num_rows(), 10);
+        assert_eq!(rows.schema(), t.schema());
+        assert_eq!(rows.locate(7), (0, 7));
+        let set = ShardSet::from(t.clone());
+        assert_eq!(set.offsets(), &[0, 10]);
+        assert_eq!(set.remote_shards(), None);
+        assert_eq!(set.rows().local_tables().unwrap().len(), 1);
     }
 
     #[test]
-    fn group_index_matches_sharded_build() {
+    fn locate_skips_empty_shards() {
+        let t = table(10);
+        let empty = TableBuilder::from_schema(t.schema().clone()).finish();
+        let set = ShardSet::from(
+            ShardedTable::from_tables(vec![
+                t.take(&[0, 1, 2]),
+                empty.clone(),
+                empty,
+                t.take(&(3..10).collect::<Vec<_>>()),
+            ])
+            .unwrap(),
+        );
+        let rows = set.rows();
+        assert_eq!(rows.num_rows(), 10);
+        assert_eq!(set.offsets(), &[0, 3, 3, 3, 10]);
+        assert_eq!(rows.locate(0), (0, 0));
+        assert_eq!(rows.locate(2), (0, 2));
+        assert_eq!(rows.locate(3), (3, 0));
+        assert_eq!(rows.locate(9), (3, 6));
+        // More shards than rows: trailing empty shards.
+        let set = ShardSet::from(ShardedTable::split(&table(3), 5).unwrap());
+        assert_eq!(set.shard_rows(), vec![1, 1, 1, 0, 0]);
+        assert_eq!(set.rows().locate(2), (2, 0));
+    }
+
+    #[test]
+    fn segments_cover_range_in_shard_order() {
+        let set = ShardSet::from(ShardedTable::split(&table(100), 3).unwrap()); // 34, 33, 33
+        let rows = set.rows();
+        let segs = rows.segments(RowRange { start: 30, end: 70 });
+        assert_eq!(segs.len(), 3);
+        assert_eq!(segs[0].shard, 0);
+        assert_eq!(segs[0].local, RowRange { start: 30, end: 34 });
+        assert_eq!(segs[0].global_start, 30);
+        assert_eq!(segs[1].shard, 1);
+        assert_eq!(segs[1].local, RowRange { start: 0, end: 33 });
+        assert_eq!(segs[1].global_start, 34);
+        assert_eq!(segs[2].shard, 2);
+        assert_eq!(segs[2].local, RowRange { start: 0, end: 3 });
+        assert_eq!(segs[2].global_start, 67);
+        let covered: usize = segs.iter().map(ShardSegment::len).sum();
+        assert_eq!(covered, 40);
+        assert!(rows.segments(RowRange { start: 4, end: 4 }).is_empty());
+        // An empty shard contributes no segment.
+        let set = ShardSet::from(uneven(&table(500)));
+        let segs = set.rows().segments(RowRange { start: 50, end: 321 });
+        assert_eq!(segs.iter().map(|s| s.shard).collect::<Vec<_>>(), vec![0, 2]);
+    }
+
+    #[test]
+    fn segments_at_partition_scale() {
+        // A shard range spanning several execution partitions still maps to
+        // exactly one segment when it lies inside one shard.
+        let t = table(2 * CHUNK_ROWS / 64); // keep the fixture fast
+        let set = ShardSet::from(ShardedTable::split(&t, 2).unwrap());
+        let segs = set.rows().segments(RowRange { start: 0, end: t.num_rows() });
+        assert_eq!(segs.len(), 2);
+        assert_eq!(segs[0].global_start, 0);
+        assert_eq!(segs[1].global_start, t.num_rows() / 2);
+    }
+
+    #[test]
+    fn group_index_matches_single_table_for_every_reader_kind() {
         let t = table(500);
-        let (sharded, set) = uneven_set(&t);
         let exprs = [ScalarExpr::col("g"), ScalarExpr::col("i")];
-        let reference =
-            GroupIndex::build_sharded(&sharded, &exprs, &ExecOptions::sequential()).unwrap();
-        for threads in [1usize, 4] {
-            let got = set.build_group_index(&exprs, &ExecOptions::new(threads)).unwrap();
-            assert_eq!(got.row_groups(), reference.row_groups(), "threads {threads}");
-            assert_eq!(got.sizes(), reference.sizes());
-            for g in 0..reference.num_groups() as u32 {
-                assert_eq!(got.key(g), reference.key(g));
+        let reference = GroupIndex::build_with(&t, &exprs, &ExecOptions::sequential()).unwrap();
+        for (kind, set) in layouts_of(&uneven(&t)) {
+            for threads in [1usize, 4] {
+                let got = set.rows().group_index(&exprs, &ExecOptions::new(threads)).unwrap();
+                assert_eq!(got.row_groups(), reference.row_groups(), "{kind}, threads {threads}");
+                assert_eq!(got.sizes(), reference.sizes());
+                for g in 0..reference.num_groups() as u32 {
+                    assert_eq!(got.key(g), reference.key(g));
+                }
             }
+            // Empty expression list: one group, no shard round trips.
+            let gi = set.rows().group_index(&[], &ExecOptions::sequential()).unwrap();
+            assert_eq!(gi.num_groups(), 1);
+            assert_eq!(gi.size(0), 500);
         }
-        // Empty expression list: one group, no shard round trips.
-        let gi = set.build_group_index(&[], &ExecOptions::sequential()).unwrap();
-        assert_eq!(gi.num_groups(), 1);
-        assert_eq!(gi.size(0), 500);
     }
 
     #[test]
-    fn predicate_bitmaps_match_sharded_eval() {
+    fn predicate_bitmaps_match_single_table_for_every_reader_kind() {
         use crate::predicate::CmpOp;
         let t = table(500);
-        let (sharded, set) = uneven_set(&t);
         let pred = Predicate::cmp("x", CmpOp::Gt, 0.0);
-        let reference = pred.eval_sharded(&sharded, &ExecOptions::sequential()).unwrap();
-        let got = set.eval_predicate(&pred, &ExecOptions::new(4)).unwrap();
-        assert_eq!(got, reference);
+        let reference = pred.bind(&t).unwrap().eval_bitmap(500);
+        for (kind, set) in layouts_of(&uneven(&t)) {
+            let got = set.rows().predicate_bitmaps(&pred, &ExecOptions::new(4)).unwrap();
+            assert_eq!(got.len(), 3);
+            let ones: Vec<usize> = got
+                .iter()
+                .enumerate()
+                .flat_map(|(s, bm)| bm.iter_ones().map(move |r| (s, r)))
+                .map(|(s, r)| set.offsets()[s] + r)
+                .collect();
+            assert_eq!(ones, reference.iter_ones().collect::<Vec<_>>(), "{kind}");
+        }
     }
 
     #[test]
@@ -560,17 +905,88 @@ mod tests {
     }
 
     #[test]
-    fn gather_matches_sharded_gather() {
+    fn bound_values_read_the_same_bits_in_place_and_shipped() {
         let t = table(200);
-        let (sharded, set) = uneven_set(&t);
-        let rows = [199usize, 0, 40, 39, 150, 41];
-        let got = set.gather(&rows).unwrap();
-        let reference = sharded.gather(&rows);
-        assert_eq!(got.num_rows(), reference.num_rows());
-        for i in 0..rows.len() {
-            assert_eq!(got.row(i), reference.row(i));
+        let exprs = [Some(ScalarExpr::col("x")), None, Some(ScalarExpr::col("i"))];
+        let reference = RowSpace::from(&t).bind(&exprs, &ExecOptions::sequential()).unwrap();
+        for (kind, set) in layouts_of(&uneven(&t)) {
+            let rows = set.rows();
+            let bound = rows.bind(&exprs, &ExecOptions::new(2)).unwrap();
+            for row in 0..200 {
+                let (s, local) = rows.locate(row);
+                assert!(bound[s][1].is_none());
+                for c in [0, 2] {
+                    let (got, want) = (bound[s][c].as_ref().unwrap(), reference[0][c].as_ref());
+                    assert_eq!(got.f64_at(local), want.unwrap().f64_at(row), "{kind}, row {row}");
+                }
+            }
+            // A plain Float64 column stays sliceable wherever it lives.
+            assert!(bound.iter().all(|shard| shard[0].as_ref().unwrap().f64_slice().is_some()));
+            assert!(bound.iter().all(|shard| shard[2].as_ref().unwrap().f64_slice().is_none()));
         }
-        assert!(set.gather(&[500]).is_err());
+    }
+
+    #[test]
+    fn gather_matches_take_on_concatenation() {
+        let t = table(200);
+        let request = [199usize, 0, 40, 39, 150, 41];
+        let taken = t.take(&request);
+        for (kind, set) in layouts_of(&uneven(&t)) {
+            let got = set.rows().gather(&request).unwrap();
+            assert_eq!(got.num_rows(), taken.num_rows());
+            for i in 0..request.len() {
+                assert_eq!(got.row(i), taken.row(i), "{kind}");
+            }
+            assert!(set.rows().gather(&[500]).is_err());
+        }
+        let got = RowSpace::from(&t).gather(&request).unwrap();
+        for i in 0..request.len() {
+            assert_eq!(got.row(i), taken.row(i));
+        }
+        // One in-process shard is lent whole; anything else concatenates.
+        assert!(matches!(RowSpace::from(&t).to_table().unwrap(), Cow::Borrowed(_)));
+        let set = ShardSet::from(uneven(&t));
+        let whole = set.rows().to_table().unwrap();
+        assert!(matches!(whole, Cow::Owned(_)));
+        assert_eq!((whole.num_rows(), whole.row(123)), (200, t.row(123)));
+    }
+
+    #[test]
+    fn remote_shards_counts_readers_that_are_not_in_process() {
+        let sharded = ShardedTable::split(&table(90), 3).unwrap();
+        let counts: Vec<(&str, Option<usize>)> =
+            layouts_of(&sharded).iter().map(|(kind, set)| (*kind, set.remote_shards())).collect();
+        assert_eq!(counts, vec![("local", None), ("opaque", Some(3)), ("mixed", Some(1))]);
+        for (kind, set) in layouts_of(&sharded) {
+            assert_eq!(set.rows().local_tables().is_some(), kind == "local");
+        }
+    }
+
+    #[test]
+    fn extended_and_retained_share_untouched_readers() {
+        let set = ShardSet::from(ShardedTable::split(&table(90), 3).unwrap());
+        let grown = set.extended(&table(10)).unwrap();
+        assert_eq!(grown.shard_rows(), vec![30, 30, 40]);
+        assert!(Arc::ptr_eq(grown.reader(0), set.reader(0)));
+        assert!(Arc::ptr_eq(grown.reader(1), set.reader(1)));
+        assert!(!Arc::ptr_eq(grown.reader(2), set.reader(2)));
+        let all = grown.rows().gather(&(0..100).collect::<Vec<_>>()).unwrap();
+        assert_eq!(all.row(95), table(10).row(5));
+
+        // Shard 0 ages out entirely, shard 1 partially, shard 2 not at all.
+        let kept = grown.retained(|row| row >= 45).unwrap();
+        assert_eq!(kept.shard_rows(), vec![15, 40]);
+        assert!(Arc::ptr_eq(kept.reader(1), grown.reader(2)));
+        assert_eq!(kept.rows().gather(&[0]).unwrap().row(0), all.row(45));
+        // Dropping everything leaves one empty shard so the schema survives.
+        let none = grown.retained(|_| false).unwrap();
+        assert_eq!(none.shard_rows(), vec![0]);
+        assert_eq!(none.schema(), set.schema());
+
+        // Rows behind a non-local reader cannot be appended to or rotated.
+        let (_, opaque) = layouts_of(&ShardedTable::split(&table(9), 3).unwrap()).remove(1);
+        assert!(opaque.extended(&table(1)).is_err());
+        assert!(opaque.retained(|_| true).is_err());
     }
 
     #[test]
@@ -589,5 +1005,75 @@ mod tests {
         let shard = LocalShard::new(table(10));
         assert!(shard.take_rows(&[0, 9]).is_ok());
         assert!(shard.take_rows(&[10]).is_err());
+    }
+
+    /// A reader whose answers are the wrong shape is a clean error, never a
+    /// misaligned merge.
+    #[test]
+    fn malformed_answers_are_rejected() {
+        #[derive(Debug)]
+        struct Short(LocalShard);
+        impl ShardReader for Short {
+            fn schema(&self) -> &Schema {
+                self.0.schema()
+            }
+            fn num_rows(&self) -> usize {
+                self.0.num_rows() + 1
+            }
+            fn location(&self) -> String {
+                "short".to_string()
+            }
+            fn group_index(&self, exprs: &[ScalarExpr]) -> Result<GroupIndex> {
+                self.0.group_index(exprs)
+            }
+            fn predicate_bitmap(&self, predicate: &Predicate) -> Result<Bitmap> {
+                self.0.predicate_bitmap(predicate)
+            }
+            fn expr_values(
+                &self,
+                exprs: &[Option<ScalarExpr>],
+            ) -> Result<Vec<Option<ColumnValues>>> {
+                self.0.expr_values(exprs)
+            }
+            fn take_rows(&self, rows: &[u32]) -> Result<Table> {
+                self.0.take_rows(&rows[1..])
+            }
+        }
+        let set = ShardSet::new(vec![Arc::new(Short(LocalShard::new(table(5))))]).unwrap();
+        let rows = set.rows();
+        let exec = ExecOptions::sequential();
+        let err = rows.group_index(&[ScalarExpr::col("g")], &exec).unwrap_err();
+        assert!(err.to_string().contains("scatter window"), "{err}");
+        let err = rows.predicate_bitmaps(&Predicate::True, &exec).unwrap_err();
+        assert!(err.to_string().contains("bitmap"), "{err}");
+        let err = rows.bind(&[Some(ScalarExpr::col("x"))], &exec).unwrap_err();
+        assert!(err.to_string().contains("values for column 0"), "{err}");
+        let err = rows.gather(&[0, 1]).unwrap_err();
+        assert!(err.to_string().contains("gather batch"), "{err}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `locate` inverts the offset layout for arbitrary (possibly
+        /// empty) shard size lists.
+        #[test]
+        fn locate_inverts_offsets(sizes in proptest::collection::vec(0usize..20, 1..6)) {
+            let total: usize = sizes.iter().sum();
+            let t = table(total);
+            let mut shards = Vec::new();
+            let mut start = 0;
+            for &len in &sizes {
+                shards.push(t.take(&(start..start + len).collect::<Vec<_>>()));
+                start += len;
+            }
+            let set = ShardSet::from(ShardedTable::from_tables(shards).unwrap());
+            let rows = set.rows();
+            for row in 0..total {
+                let (s, local) = rows.locate(row);
+                prop_assert_eq!(set.offsets()[s] + local, row);
+                prop_assert!(local < set.reader(s).num_rows());
+            }
+        }
     }
 }

@@ -47,14 +47,13 @@ pub use parser::{parse, parse_statement, JoinClause, SelectItem, SelectStmt, Sta
 
 use crate::exec::ExecOptions;
 use crate::query::{GroupByQuery, QueryResult};
-use crate::shard::ShardedTable;
-use crate::table::Table;
+use crate::reader::RowSpace;
 use crate::Result;
 
 /// Parse `statement` and lower it to a [`GroupByQuery`].
 ///
 /// The table name in `FROM` is not resolved here — execution binds against
-/// whatever [`Table`] you pass to [`run`] or [`GroupByQuery::execute`].
+/// whatever rows you pass to [`run`] or [`GroupByQuery::execute`].
 pub fn compile(statement: &str) -> Result<GroupByQuery> {
     let stmt = parse(statement)?;
     if stmt.join.is_some() {
@@ -108,53 +107,41 @@ impl Session {
         &self.exec
     }
 
-    /// Parse and execute `statement` against `table` under the session's
-    /// execution options.
-    pub fn run(&self, table: &Table, statement: &str) -> Result<Vec<QueryResult>> {
-        compile(statement)?.execute_with(table, &self.exec)
-    }
-
-    /// Parse and execute `statement` against a [`ShardedTable`] under the
-    /// session's execution options. Results are bit-identical to
-    /// [`Session::run`] on the concatenated table (see
-    /// [`GroupByQuery::execute_sharded`]).
-    pub fn run_sharded(&self, table: &ShardedTable, statement: &str) -> Result<Vec<QueryResult>> {
-        compile(statement)?.execute_sharded(table, &self.exec)
+    /// Parse and execute `statement` against `rows` — a `&Table` or a
+    /// [`ShardSet`](crate::reader::ShardSet), with bit-identical results
+    /// for any layout of the same rows — under the session's execution
+    /// options.
+    pub fn run<'a>(
+        &self,
+        rows: impl Into<RowSpace<'a>>,
+        statement: &str,
+    ) -> Result<Vec<QueryResult>> {
+        compile(statement)?.execute_with(rows, &self.exec)
     }
 }
 
-/// Parse and execute `statement` against `table` with explicit execution
+/// Parse and execute `statement` against `rows` with explicit execution
 /// options (a one-statement [`Session`]).
-pub fn run_with(table: &Table, statement: &str, options: &ExecOptions) -> Result<Vec<QueryResult>> {
-    Session::with_exec(*options).run(table, statement)
-}
-
-/// Parse and execute `statement` against `table` (one worker per core).
-pub fn run(table: &Table, statement: &str) -> Result<Vec<QueryResult>> {
-    Session::new().run(table, statement)
-}
-
-/// Parse and execute `statement` against a [`ShardedTable`] with explicit
-/// execution options (a one-statement [`Session`]).
-pub fn run_sharded_with(
-    table: &ShardedTable,
+pub fn run_with<'a>(
+    rows: impl Into<RowSpace<'a>>,
     statement: &str,
     options: &ExecOptions,
 ) -> Result<Vec<QueryResult>> {
-    Session::with_exec(*options).run_sharded(table, statement)
+    Session::with_exec(*options).run(rows, statement)
 }
 
-/// Parse and execute `statement` against a [`ShardedTable`] (one worker
-/// per core).
-pub fn run_sharded(table: &ShardedTable, statement: &str) -> Result<Vec<QueryResult>> {
-    Session::new().run_sharded(table, statement)
+/// Parse and execute `statement` against `rows` (one worker per core).
+pub fn run<'a>(rows: impl Into<RowSpace<'a>>, statement: &str) -> Result<Vec<QueryResult>> {
+    Session::new().run(rows, statement)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::groupby::KeyAtom;
-    use crate::table::TableBuilder;
+    use crate::reader::ShardSet;
+    use crate::shard::ShardedTable;
+    use crate::table::{Table, TableBuilder};
     use crate::types::{DataType, Value};
 
     fn table() -> Table {
@@ -231,12 +218,12 @@ mod tests {
     }
 
     #[test]
-    fn run_sharded_matches_run() {
+    fn run_over_shards_matches_run() {
         let t = table();
-        let st = ShardedTable::split(&t, 3).unwrap();
+        let st = ShardSet::from(ShardedTable::split(&t, 3).unwrap());
         let stmt = "SELECT country, AVG(value), COUNT(*) FROM t WHERE value > 0.4 GROUP BY country";
         let reference = run(&t, stmt).unwrap();
-        let got = run_sharded(&st, stmt).unwrap();
+        let got = run(&st, stmt).unwrap();
         assert_eq!(got[0].keys, reference[0].keys);
         assert_eq!(got[0].values, reference[0].values);
     }
@@ -244,7 +231,7 @@ mod tests {
     #[test]
     fn session_matches_free_functions_for_any_thread_count() {
         let t = table();
-        let st = ShardedTable::split(&t, 2).unwrap();
+        let st = ShardSet::from(ShardedTable::split(&t, 2).unwrap());
         let stmt = "SELECT country, AVG(value), COUNT(*) FROM t WHERE value > 0.4 GROUP BY country";
         let reference = run(&t, stmt).unwrap();
         for threads in [1usize, 3, 8] {
@@ -253,7 +240,7 @@ mod tests {
             let got = session.run(&t, stmt).unwrap();
             assert_eq!(got[0].keys, reference[0].keys);
             assert_eq!(got[0].values, reference[0].values);
-            let sharded = session.run_sharded(&st, stmt).unwrap();
+            let sharded = session.run(&st, stmt).unwrap();
             assert_eq!(sharded[0].keys, reference[0].keys);
             assert_eq!(sharded[0].values, reference[0].values);
         }

@@ -1,8 +1,10 @@
-//! Sharded determinism: every pass over a [`ShardedTable`] — group index,
+//! Sharded determinism: every pass over a [`ShardSet`] — group index,
 //! statistics, allocation, the stratified draw, exact execution, and
 //! estimation — must produce **bit-identical** output to the same pass over
 //! the concatenated single table, for any shard layout (uneven and empty
-//! shards included) and any thread count.
+//! shards included), wherever the shards' rows live (in-process shards,
+//! reader-backed shards in this process, shards behind `cvopt-shardd`), and
+//! any thread count.
 //!
 //! CI runs this suite in a shards × threads matrix (`CVOPT_SHARDS` ×
 //! `CVOPT_THREADS` pinned); both pinned values are folded into every sweep
@@ -10,15 +12,18 @@
 //! at each matrix point while the local sweep still covers the standard
 //! counts.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use cvopt_core::{
-    budget_for_rate, problem_for_query, CvOptSampler, Engine, ExecOptions, Norm, QueryMode,
-    QuerySpec, SamplingProblem, StratifiedSample,
+    budget_for_rate, problem_for_query, CvOptSampler, Engine, ExecOptions, Norm, QueryAnswer,
+    QueryMode, QuerySpec, SamplingProblem, StratifiedSample,
 };
 use cvopt_datagen::{generate_openaq, OpenAqConfig};
 use cvopt_table::{
-    sql, DataType, GroupIndex, ScalarExpr, ShardedTable, Table, TableBuilder, Value,
+    sql, Bitmap, ColumnValues, DataType, GroupIndex, LocalShard, Predicate, ScalarExpr, Schema,
+    ShardReader, ShardSet, ShardedTable, Table, TableBuilder, Value,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -80,14 +85,82 @@ fn layouts(table: &Table) -> Vec<(String, ShardedTable)> {
     out
 }
 
+/// A reader that answers only through the four pass requests: what a shard
+/// in another process looks like to the coordinator, minus the wire.
+#[derive(Debug)]
+struct Opaque(LocalShard);
+
+impl ShardReader for Opaque {
+    fn schema(&self) -> &Schema {
+        self.0.schema()
+    }
+    fn num_rows(&self) -> usize {
+        self.0.num_rows()
+    }
+    fn location(&self) -> String {
+        "opaque".to_string()
+    }
+    fn group_index(&self, exprs: &[ScalarExpr]) -> cvopt_table::Result<GroupIndex> {
+        self.0.group_index(exprs)
+    }
+    fn predicate_bitmap(&self, predicate: &Predicate) -> cvopt_table::Result<Bitmap> {
+        self.0.predicate_bitmap(predicate)
+    }
+    fn expr_values(
+        &self,
+        exprs: &[Option<ScalarExpr>],
+    ) -> cvopt_table::Result<Vec<Option<ColumnValues>>> {
+        self.0.expr_values(exprs)
+    }
+    fn take_rows(&self, rows: &[u32]) -> cvopt_table::Result<Table> {
+        self.0.take_rows(rows)
+    }
+}
+
+/// One layout two ways, both in this process: shards lent in place, and
+/// shards that answer only through the reader surface.
+fn local_and_reader_backed(sharded: &ShardedTable) -> [(&'static str, ShardSet); 2] {
+    let opaque = sharded
+        .shards()
+        .iter()
+        .map(|t| Arc::new(Opaque(LocalShard::new(t.clone()))) as Arc<dyn ShardReader>)
+        .collect();
+    [("local", ShardSet::from(sharded.clone())), ("reader-backed", ShardSet::new(opaque).unwrap())]
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Answers agree on every key, row count, value bit and interval bit.
+fn assert_same_answer(a: &QueryAnswer, b: &QueryAnswer, what: &str) {
+    assert_eq!(a.results.len(), b.results.len(), "{what}");
+    for (x, y) in a.results.iter().zip(&b.results) {
+        assert_eq!(x.keys, y.keys, "{what}");
+        assert_eq!(x.group_rows, y.group_rows, "{what}");
+        for (u, v) in x.values.iter().zip(&y.values) {
+            assert_eq!(bits(u), bits(v), "{what}");
+        }
+    }
+    assert_eq!(a.confidence.len(), b.confidence.len(), "{what}");
+    for (x, y) in a.confidence.iter().zip(&b.confidence) {
+        assert_eq!(x.agg_index, y.agg_index, "{what}");
+        for (u, v) in x.estimates.iter().zip(&y.estimates) {
+            assert_eq!(u.key, v.key, "{what}");
+            assert_eq!(u.estimate.to_bits(), v.estimate.to_bits(), "{what}");
+            assert_eq!(bits(&[u.ci95().0, u.ci95().1]), bits(&[v.ci95().0, v.ci95().1]), "{what}");
+        }
+    }
+}
+
 fn problem(norm: Norm) -> SamplingProblem {
     SamplingProblem::single(QuerySpec::group_by(&["country", "parameter"]).aggregate("value"), 400)
         .with_norm(norm)
 }
 
 /// The headline contract: plans and samples drawn from a sharded table are
-/// bit-identical to the unsharded ones, for every norm, layout, and thread
-/// count.
+/// bit-identical to the unsharded ones, for every norm, layout, reader kind,
+/// and thread count.
 #[test]
 fn sharded_plan_and_sample_identical_to_unsharded() {
     let table = skewed_table();
@@ -97,40 +170,42 @@ fn sharded_plan_and_sample_identical_to_unsharded() {
             .with_exec(ExecOptions::sequential())
             .sample(&table)
             .unwrap();
-        for (name, sharded) in layouts(&table) {
-            for threads in thread_counts() {
-                let outcome = CvOptSampler::new(problem(norm))
-                    .with_seed(7)
-                    .with_threads(threads)
-                    .sample_sharded(&sharded)
-                    .unwrap();
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    outcome.plan.allocation.sizes, reference.plan.allocation.sizes,
-                    "{norm:?}, layout {name}, threads {threads}: allocation differs"
-                );
-                assert_eq!(
-                    bits(&outcome.plan.betas),
-                    bits(&reference.plan.betas),
-                    "{norm:?}, layout {name}, threads {threads}: betas differ"
-                );
-                assert_eq!(outcome.plan.stats.populations, reference.plan.stats.populations);
-                for s in 0..outcome.plan.num_strata() {
+        for (layout, sharded) in layouts(&table) {
+            for (kind, set) in local_and_reader_backed(&sharded) {
+                let name = format!("{layout} ({kind})");
+                for threads in thread_counts() {
+                    let outcome = CvOptSampler::new(problem(norm))
+                        .with_seed(7)
+                        .with_threads(threads)
+                        .sample(&set)
+                        .unwrap();
                     assert_eq!(
-                        outcome.plan.stats.mean(s, 0).to_bits(),
-                        reference.plan.stats.mean(s, 0).to_bits(),
-                        "{norm:?}, layout {name}, threads {threads}: stratum {s} mean differs"
+                        outcome.plan.allocation.sizes, reference.plan.allocation.sizes,
+                        "{norm:?}, layout {name}, threads {threads}: allocation differs"
                     );
-                }
-                assert_eq!(
-                    outcome.sample.origin, reference.sample.origin,
-                    "{norm:?}, layout {name}, threads {threads}: drawn rows differ"
-                );
-                assert_eq!(bits(&outcome.sample.weights), bits(&reference.sample.weights));
-                // The materialized rows themselves (copied shard-by-shard)
-                // match the single-table copies.
-                for row in 0..outcome.sample.table.num_rows().min(50) {
-                    assert_eq!(outcome.sample.table.row(row), reference.sample.table.row(row));
+                    assert_eq!(
+                        bits(&outcome.plan.betas),
+                        bits(&reference.plan.betas),
+                        "{norm:?}, layout {name}, threads {threads}: betas differ"
+                    );
+                    assert_eq!(outcome.plan.stats.populations, reference.plan.stats.populations);
+                    for s in 0..outcome.plan.num_strata() {
+                        assert_eq!(
+                            outcome.plan.stats.mean(s, 0).to_bits(),
+                            reference.plan.stats.mean(s, 0).to_bits(),
+                            "{norm:?}, layout {name}, threads {threads}: stratum {s} mean differs"
+                        );
+                    }
+                    assert_eq!(
+                        outcome.sample.origin, reference.sample.origin,
+                        "{norm:?}, layout {name}, threads {threads}: drawn rows differ"
+                    );
+                    assert_eq!(bits(&outcome.sample.weights), bits(&reference.sample.weights));
+                    // The materialized rows themselves (copied shard-by-shard)
+                    // match the single-table copies.
+                    for row in 0..outcome.sample.table.num_rows().min(50) {
+                        assert_eq!(outcome.sample.table.row(row), reference.sample.table.row(row));
+                    }
                 }
             }
         }
@@ -147,43 +222,35 @@ fn sharded_estimates_and_exact_answers_identical_to_unsharded() {
         "SELECT country, AVG(value), SUM(value) FROM openaq GROUP BY country",
         "SELECT country, AVG(value) FROM openaq WHERE parameter = 'pm25' GROUP BY country",
     ];
-    for (name, sharded) in layouts(&table) {
-        for threads in thread_counts() {
-            let exec = ExecOptions::new(threads);
-            let mut single = Engine::new().with_seed(42).with_exec(exec);
-            single.register("openaq", table.clone());
-            let mut shard_engine = Engine::new().with_seed(42).with_exec(exec);
-            shard_engine.register("openaq", sharded.clone());
-            for stmt in &statements {
-                for mode in [QueryMode::Exact, QueryMode::Approximate] {
-                    let a = single.query(stmt, mode).unwrap();
-                    let b = shard_engine.query(stmt, mode).unwrap();
-                    assert_eq!(
-                        a.results[0].keys, b.results[0].keys,
-                        "layout {name}, threads {threads}, {mode:?}: {stmt}"
-                    );
-                    assert_eq!(a.results[0].group_rows, b.results[0].group_rows);
-                    for (x, y) in a.results[0].values.iter().zip(&b.results[0].values) {
-                        for (u, v) in x.iter().zip(y) {
-                            assert_eq!(
-                                u.to_bits(),
-                                v.to_bits(),
-                                "layout {name}, threads {threads}, {mode:?}: {stmt}"
-                            );
-                        }
+    for (layout, sharded) in layouts(&table) {
+        for (kind, set) in local_and_reader_backed(&sharded) {
+            for threads in thread_counts() {
+                let exec = ExecOptions::new(threads);
+                let mut single = Engine::new().with_seed(42).with_exec(exec);
+                single.register("openaq", table.clone());
+                let mut shard_engine = Engine::new().with_seed(42).with_exec(exec);
+                shard_engine.register("openaq", set.clone());
+                for stmt in &statements {
+                    for mode in [QueryMode::Exact, QueryMode::Approximate] {
+                        let a = single.query(stmt, mode).unwrap();
+                        let b = shard_engine.query(stmt, mode).unwrap();
+                        let what = format!(
+                            "layout {layout} ({kind}), threads {threads}, {mode:?}: {stmt}"
+                        );
+                        assert_same_answer(&a, &b, &what);
                     }
                 }
+                // One statistics pass per engine: the second statement's
+                // derived problem differs only by predicate, so it reuses
+                // the prepared sample on both paths.
+                assert_eq!(single.stats_passes(), shard_engine.stats_passes());
             }
-            // One statistics pass per engine: the second statement's
-            // derived problem differs only by predicate, so it reuses the
-            // prepared sample on both paths.
-            assert_eq!(single.stats_passes(), shard_engine.stats_passes());
         }
     }
 }
 
-/// The sharded draw (per-shard histogram level above the per-partition
-/// scatter) equals the unsharded draw on a real group index.
+/// The draw sees only the group index, and the index built over any layout
+/// equals the single-table one — so the drawn rows do too.
 #[test]
 fn sharded_draw_identical_across_layouts_and_threads() {
     let table = skewed_table();
@@ -191,23 +258,24 @@ fn sharded_draw_identical_across_layouts_and_threads() {
     let index = GroupIndex::build_with(&table, &exprs, &ExecOptions::sequential()).unwrap();
     let allocation: Vec<u64> = index.sizes().iter().map(|&n| (n / 8).max(1)).collect();
     let reference = StratifiedSample::draw(&index, &allocation, 99, &ExecOptions::sequential());
-    for (name, sharded) in layouts(&table) {
-        for threads in thread_counts() {
-            let options = ExecOptions::new(threads);
-            let sindex = GroupIndex::build_sharded(&sharded, &exprs, &options).unwrap();
-            assert_eq!(sindex.row_groups(), index.row_groups(), "layout {name}");
-            let drawn =
-                StratifiedSample::draw_sharded(&sindex, &sharded, &allocation, 99, &options);
-            assert_eq!(
-                drawn.rows_per_stratum, reference.rows_per_stratum,
-                "layout {name}, threads {threads}"
-            );
+    for (layout, sharded) in layouts(&table) {
+        for (kind, set) in local_and_reader_backed(&sharded) {
+            for threads in thread_counts() {
+                let options = ExecOptions::new(threads);
+                let sindex = set.rows().group_index(&exprs, &options).unwrap();
+                assert_eq!(sindex.row_groups(), index.row_groups(), "layout {layout} ({kind})");
+                let drawn = StratifiedSample::draw(&sindex, &allocation, 99, &options);
+                assert_eq!(
+                    drawn.rows_per_stratum, reference.rows_per_stratum,
+                    "layout {layout} ({kind}), threads {threads}"
+                );
+            }
         }
     }
 }
 
-/// Direct SQL over a sharded table (no engine) matches the single-table
-/// result bit for bit, cube queries included.
+/// Direct SQL over a shard set (no engine) matches the single-table result
+/// bit for bit, cube queries included.
 #[test]
 fn sharded_sql_matches_single_table() {
     let table = skewed_table();
@@ -217,20 +285,16 @@ fn sharded_sql_matches_single_table() {
     ];
     for stmt in &statements {
         let reference = sql::run_with(&table, stmt, &ExecOptions::sequential()).unwrap();
-        for (name, sharded) in layouts(&table) {
-            for threads in thread_counts() {
-                let got =
-                    sql::run_sharded_with(&sharded, stmt, &ExecOptions::new(threads)).unwrap();
-                assert_eq!(got.len(), reference.len(), "layout {name}");
-                for (g, r) in got.iter().zip(&reference) {
-                    assert_eq!(g.keys, r.keys, "layout {name}, threads {threads}: {stmt}");
-                    for (x, y) in g.values.iter().zip(&r.values) {
-                        for (u, v) in x.iter().zip(y) {
-                            assert_eq!(
-                                u.to_bits(),
-                                v.to_bits(),
-                                "layout {name}, threads {threads}: {stmt}"
-                            );
+        for (layout, sharded) in layouts(&table) {
+            for (kind, set) in local_and_reader_backed(&sharded) {
+                for threads in thread_counts() {
+                    let got = sql::run_with(&set, stmt, &ExecOptions::new(threads)).unwrap();
+                    assert_eq!(got.len(), reference.len(), "layout {layout}");
+                    for (g, r) in got.iter().zip(&reference) {
+                        let what = format!("layout {layout} ({kind}), threads {threads}: {stmt}");
+                        assert_eq!(g.keys, r.keys, "{what}");
+                        for (x, y) in g.values.iter().zip(&r.values) {
+                            assert_eq!(bits(x), bits(y), "{what}");
                         }
                     }
                 }
@@ -239,13 +303,57 @@ fn sharded_sql_matches_single_table() {
     }
 }
 
+/// The degenerate layout: a plain table, a declared one-shard split, and a
+/// directly registered set of one in-process reader answer with identical
+/// bytes and draw the identical sample. They differ only in what they
+/// report — a plain table has no shards and folds no layout into its
+/// fingerprints; a declared layout of one shard reports it.
+#[test]
+fn one_shard_registrations_differ_only_in_reported_layout() {
+    let table = skewed_table();
+    let stmt =
+        "SELECT country, AVG(value), SUM(value) FROM openaq WHERE value > 5 GROUP BY country";
+    let one_reader: Vec<Arc<dyn ShardReader>> = vec![Arc::new(LocalShard::new(table.clone()))];
+    let mut plain = Engine::new().with_seed(42);
+    plain.register("openaq", table.clone());
+    let mut split = Engine::new().with_seed(42);
+    split.register("openaq", ShardedTable::split(&table, 1).unwrap());
+    let mut set = Engine::new().with_seed(42);
+    set.register("openaq", ShardSet::new(one_reader).unwrap());
+
+    for declared in [&split, &set] {
+        for mode in [QueryMode::Exact, QueryMode::Approximate] {
+            let a = plain.query(stmt, mode).unwrap();
+            let b = declared.query(stmt, mode).unwrap();
+            assert_same_answer(&a, &b, &format!("{mode:?}"));
+        }
+    }
+    let origin =
+        |e: &Engine| e.prepare("openaq", problem(Norm::L2)).unwrap().sample().origin.clone();
+    assert_eq!(origin(&plain), origin(&split));
+    assert_eq!(origin(&plain), origin(&set));
+
+    let [p, s, r] = [&plain, &split, &set].map(|e| e.explain(stmt).unwrap());
+    assert_eq!((p.shards, s.shards, r.shards), (None, Some(1), Some(1)));
+    assert_eq!(p.shard_partitions, None);
+    assert_eq!(s.shard_partitions, Some(vec![1]));
+    assert_eq!(s.shard_partitions, r.shard_partitions);
+    assert_eq!([p.remote_shards, s.remote_shards, r.remote_shards], [None; 3]);
+    assert_eq!(s.fingerprint, r.fingerprint, "same declared layout, same fold");
+    assert_ne!(p.fingerprint, s.fingerprint, "a plain table folds no layout");
+    let unfolded = plain.prepare("openaq", problem(Norm::L2)).unwrap().fingerprint();
+    assert_eq!(unfolded, problem(Norm::L2).fingerprint());
+    assert_eq!((p.table_rows, p.partitions, p.budget), (s.table_rows, s.partitions, s.budget));
+    assert!(plain.table("openaq").is_some());
+    assert!(split.table("openaq").is_none() && set.table("openaq").is_none());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `ShardedTable` round-trips on random tables: splitting into k
-    /// shards (k ∈ 1..=5, shards of size 0 included when k exceeds the
-    /// row count) preserves row order, group ids, and stratum statistics
-    /// exactly.
+    /// Shard layouts round-trip on random tables: splitting into k shards
+    /// (k ∈ 1..=5, shards of size 0 included when k exceeds the row count)
+    /// preserves row order, group ids, and stratum statistics exactly.
     #[test]
     fn sharded_table_round_trips_on_random_tables(
         rows in proptest::collection::vec((any::<u8>(), 0.5f64..1e3), 0..300),
@@ -260,11 +368,11 @@ proptest! {
             b.push_row(&[Value::str(format!("g{}", g % 6)), Value::Float64(*x)]).unwrap();
         }
         let table = b.finish();
-        let sharded = ShardedTable::split(&table, k).unwrap();
+        let sharded = ShardSet::from(ShardedTable::split(&table, k).unwrap());
 
         // Row order round-trips.
-        let round = sharded.to_table();
-        prop_assert_eq!(round.num_rows(), table.num_rows());
+        let round = sharded.rows().gather(&(0..table.num_rows()).collect::<Vec<_>>()).unwrap();
+        prop_assert_eq!(sharded.num_rows(), table.num_rows());
         for row in 0..table.num_rows() {
             prop_assert_eq!(round.row(row), table.row(row));
         }
@@ -273,7 +381,7 @@ proptest! {
         let options = ExecOptions::new(threads);
         let exprs = [ScalarExpr::col("g")];
         let reference = GroupIndex::build_with(&table, &exprs, &ExecOptions::sequential()).unwrap();
-        let sindex = GroupIndex::build_sharded(&sharded, &exprs, &options).unwrap();
+        let sindex = sharded.rows().group_index(&exprs, &options).unwrap();
         prop_assert_eq!(sindex.row_groups(), reference.row_groups());
         prop_assert_eq!(sindex.sizes(), reference.sizes());
         for g in 0..reference.num_groups() as u32 {
@@ -285,7 +393,7 @@ proptest! {
         let ref_stats = cvopt_core::StratumStatistics::collect_with(
             &table, &reference, &cols, &ExecOptions::sequential(),
         ).unwrap();
-        let sharded_stats = cvopt_core::StratumStatistics::collect_sharded(
+        let sharded_stats = cvopt_core::StratumStatistics::collect_with(
             &sharded, &sindex, &cols, &options,
         ).unwrap();
         prop_assert_eq!(&sharded_stats.populations, &ref_stats.populations);
@@ -327,12 +435,12 @@ proptest! {
             .with_threads(1)
             .sample(&table)
             .unwrap();
-        let sharded = ShardedTable::split(&table, k).unwrap();
+        let sharded = ShardSet::from(ShardedTable::split(&table, k).unwrap());
         for threads in [1usize, 4] {
             let outcome = CvOptSampler::new(spec.clone())
                 .with_seed(seed)
                 .with_threads(threads)
-                .sample_sharded(&sharded)
+                .sample(&sharded)
                 .unwrap();
             prop_assert_eq!(&outcome.sample.origin, &reference.sample.origin);
             prop_assert_eq!(&outcome.plan.allocation.sizes, &reference.plan.allocation.sizes);
@@ -346,11 +454,9 @@ mod remote {
     //! must be invisible in the bytes — and failures must be clean errors,
     //! absorbed by the per-peer circuit breaker until the server returns.
 
-    use std::sync::Arc;
     use std::time::Duration;
 
     use cvopt_net::{NetConfig, Peer, RemoteShard, Shardd};
-    use cvopt_table::{ShardReader, ShardSet};
 
     use super::*;
 
@@ -389,14 +495,13 @@ mod remote {
             .with_exec(ExecOptions::sequential())
             .sample(&table)
             .unwrap();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (name, sharded) in layouts(&table) {
             let set = remote_set(&name, &sharded, &peers);
             for threads in thread_counts() {
                 let outcome = CvOptSampler::new(problem(Norm::L2))
                     .with_seed(7)
                     .with_threads(threads)
-                    .sample_set(&set)
+                    .sample(&set)
                     .unwrap();
                 assert_eq!(
                     outcome.plan.allocation.sizes, reference.plan.allocation.sizes,
@@ -443,13 +548,7 @@ mod remote {
         for mode in [QueryMode::Exact, QueryMode::Approximate] {
             let a = local.query(stmt, mode).unwrap();
             let b = remote.query(stmt, mode).unwrap();
-            assert_eq!(a.results[0].keys, b.results[0].keys, "{mode:?}");
-            assert_eq!(a.results[0].group_rows, b.results[0].group_rows, "{mode:?}");
-            for (x, y) in a.results[0].values.iter().zip(&b.results[0].values) {
-                for (u, v) in x.iter().zip(y) {
-                    assert_eq!(u.to_bits(), v.to_bits(), "{mode:?}");
-                }
-            }
+            assert_same_answer(&a, &b, &format!("{mode:?}"));
         }
 
         let a = local.explain(stmt).unwrap();
@@ -479,7 +578,7 @@ mod remote {
         let set = remote_set("t", &sharded, &peers);
 
         let sample = |set: &ShardSet| {
-            CvOptSampler::new(problem(Norm::L2)).with_seed(7).with_threads(2).sample_set(set)
+            CvOptSampler::new(problem(Norm::L2)).with_seed(7).with_threads(2).sample(set)
         };
         let reference = sample(&set).expect("live server answers");
 

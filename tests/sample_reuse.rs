@@ -320,9 +320,9 @@ proptest! {
         }
         let table = b.finish();
 
-        let single = CatalogTable::Single(table.clone());
-        let sharded = CatalogTable::Sharded(ShardedTable::split(&table, k).unwrap());
-        let resharded = CatalogTable::Sharded(ShardedTable::split(&table, k + 1).unwrap());
+        let single: CatalogTable = table.clone().into();
+        let sharded: CatalogTable = ShardedTable::split(&table, k).unwrap().into();
+        let resharded: CatalogTable = ShardedTable::split(&table, k + 1).unwrap().into();
 
         prop_assert_eq!(single.layout_fingerprint(base), base, "single tables fold to identity");
         prop_assert_ne!(sharded.layout_fingerprint(base), base);
