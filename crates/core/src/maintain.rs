@@ -38,12 +38,9 @@
 //! history — which keeps replayed ingest logs byte-identical for any batch
 //! split.
 //!
-//! Each maintained sample additionally feeds appended rows through a
-//! [`StreamingSampler`] — a per-stratum reservoir sketch of the live stream
-//! (`stream_held` / `arrivals` surface as ingest telemetry). The sketch
-//! never enters the served outcome: served bytes come from the maintained
-//! two-pass sample above, which is what makes them provably equal to a
-//! from-scratch preparation.
+//! This is the engine's only incremental path. The one-pass
+//! [`StreamingSampler`](crate::stream::StreamingSampler) is a standalone
+//! sampler for streams that are never stored; nothing here feeds it.
 
 use std::sync::Arc;
 
@@ -56,7 +53,6 @@ use crate::framework::{note_draw, CvOptOutcome, CvOptSampler};
 use crate::sample::{MaterializedSample, StratifiedSample};
 use crate::spec::SamplingProblem;
 use crate::stats::{self, StratumStatistics};
-use crate::stream::{StreamingConfig, StreamingSampler};
 use crate::Result;
 
 /// Draw + materialize through the exact passes a fresh
@@ -89,8 +85,6 @@ pub(crate) struct MaintainedSample {
     partials: Vec<Vec<Vec<AggState>>>,
     /// The maintained outcome — always equal to a fresh preparation.
     outcome: Arc<CvOptOutcome>,
-    /// Live per-stratum reservoir sketch of the appended stream (telemetry).
-    sketch: StreamingSampler,
 }
 
 impl MaintainedSample {
@@ -114,10 +108,6 @@ impl MaintainedSample {
         let sampler = CvOptSampler::new(problem.clone()).with_seed(seed).with_exec(*exec);
         let plan = sampler.allocate(strata_exprs.clone(), &index, stats)?;
         let sample = draw(rows, &index, &plan.allocation.sizes, seed, exec)?;
-        let sketch = StreamingSampler::new(
-            columns.len().max(1),
-            StreamingConfig { budget: problem.budget.max(1), seed, ..Default::default() },
-        );
         Ok(MaintainedSample {
             base_budget: problem.budget,
             base_rows: rows.num_rows(),
@@ -126,7 +116,6 @@ impl MaintainedSample {
             index,
             partials,
             outcome: Arc::new(CvOptOutcome { sample, plan }),
-            sketch,
         })
     }
 
@@ -138,12 +127,6 @@ impl MaintainedSample {
     /// The maintained outcome.
     pub(crate) fn outcome(&self) -> &Arc<CvOptOutcome> {
         &self.outcome
-    }
-
-    /// Rows held by the live stream sketch.
-    #[cfg(test)]
-    pub(crate) fn sketch_held(&self) -> usize {
-        self.sketch.held()
     }
 
     /// The creation-time rate projected onto `rows` table rows: a pure
@@ -184,7 +167,6 @@ impl MaintainedSample {
         // Batch-local index, merged in row order: identical to rebuilding
         // over the extended table.
         let batch_index = GroupIndex::build_with(batch, &self.strata_exprs, exec)?;
-        self.offer_to_sketch(batch, &batch_index, old_rows)?;
         let merged = GroupIndex::merge_locals(&[self.index.clone(), batch_index])?;
 
         // Replay clean partials, rescan the dirty tail. Partition
@@ -227,34 +209,7 @@ impl MaintainedSample {
         let mut fresh = MaintainedSample::build(problem, rows, seed, exec)?;
         fresh.base_budget = self.base_budget;
         fresh.base_rows = self.base_rows;
-        std::mem::swap(self, &mut fresh);
-        self.sketch = std::mem::replace(&mut fresh.sketch, Self::placeholder_sketch(seed));
-        Ok(())
-    }
-
-    fn placeholder_sketch(seed: u64) -> StreamingSampler {
-        StreamingSampler::new(1, StreamingConfig { seed, ..Default::default() })
-    }
-
-    /// Feed the batch rows to the live reservoir sketch (telemetry only;
-    /// deterministic in row order, so batch splits do not change it).
-    fn offer_to_sketch(
-        &mut self,
-        batch: &Table,
-        batch_index: &GroupIndex,
-        global_offset: usize,
-    ) -> Result<()> {
-        let columns = self.problem.aggregate_columns();
-        let bound: Vec<_> =
-            columns.iter().map(|c| c.bind(batch)).collect::<std::result::Result<_, _>>()?;
-        let mut values = vec![0.0f64; columns.len().max(1)];
-        for row in 0..batch.num_rows() {
-            for (slot, expr) in values.iter_mut().zip(&bound) {
-                *slot = expr.f64_at(row).unwrap_or(0.0);
-            }
-            let gid = batch_index.group_of(row);
-            self.sketch.offer(batch_index.key(gid), &values, (global_offset + row) as u32);
-        }
+        *self = fresh;
         Ok(())
     }
 }
@@ -355,7 +310,6 @@ mod tests {
             .sample(&current)
             .unwrap();
         assert_outcomes_equal(m.outcome(), &fresh, "sharded append");
-        assert!(m.sketch_held() > 0, "sketch saw the appended rows");
     }
 
     /// Appends that introduce brand-new strata pad cached partials

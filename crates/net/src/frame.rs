@@ -31,18 +31,8 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<u64> {
 
 /// Read one frame, returning its payload (version byte stripped).
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
-    let mut first = [0u8; 1];
-    r.read_exact(&mut first)?;
-    read_frame_after(r, first[0])
-}
-
-/// Read the rest of a frame whose first length-prefix byte is already in
-/// hand. Lets a server poll for `first` under a short timeout (a timeout
-/// there consumes nothing, so retrying cannot desync the stream) and then
-/// commit to the full frame read.
-pub fn read_frame_after(r: &mut impl Read, first: u8) -> io::Result<Vec<u8>> {
-    let mut prefix = [first, 0, 0, 0];
-    r.read_exact(&mut prefix[1..])?;
+    let mut prefix = [0u8; 4];
+    r.read_exact(&mut prefix)?;
     let body_len = u32::from_le_bytes(prefix) as usize;
     if body_len == 0 {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "empty frame"));

@@ -1,16 +1,19 @@
 //! Distributed shards for CVOPT.
 //!
 //! This crate lets the sampling engine scatter passes over TCP instead of
-//! threads. It has three layers:
+//! threads. It has four layers:
 //!
 //! * [`frame`] + [`wire`] — a length-prefixed, versioned binary protocol.
 //!   Every message is `[u32 LE length][u8 version][payload]`; payloads are
 //!   tagged unions encoded with fixed-width little-endian primitives, so the
 //!   same bytes decode identically on every platform.
-//! * [`server`] — [`server::Shardd`], an embeddable shard server owning one
-//!   or more registered [`cvopt_table::Table`] shards and answering pass
-//!   requests (histogram, scatter window, bitmap, stat partials, gather)
-//!   from a fixed worker pool. The `cvopt-shardd` binary wraps it.
+//! * [`pipeline`] — the one server loop in the workspace: accept → bounded
+//!   queue → worker pool → idle parking → shutdown, behind a two-method
+//!   [`pipeline::Service`]. `cvopt-serve`'s HTTP server runs on it too.
+//! * [`server`] — [`server::Shardd`], the frame service over the pipeline:
+//!   it owns one or more registered [`cvopt_table::Table`] shards and
+//!   answers pass requests (histogram, scatter window, bitmap, stat
+//!   partials, gather). The `cvopt-shardd` binary wraps it.
 //! * [`client`] + [`remote`] — [`client::Peer`], a persistent connection
 //!   with timeouts, one transport retry, and a circuit breaker; and
 //!   [`remote::RemoteShard`], which implements the same
@@ -30,6 +33,7 @@
 pub mod circuit;
 pub mod client;
 pub mod frame;
+pub mod pipeline;
 pub mod remote;
 pub mod server;
 pub mod wire;

@@ -1,221 +1,87 @@
-//! Shardd: an embeddable shard server.
+//! Shardd: an embeddable shard server — the frame service over
+//! [`crate::pipeline`], which owns accepting, queueing, the worker pool,
+//! idle connections and shutdown.
 //!
-//! A [`Shardd`] owns registered [`Table`] shards and answers pass requests
-//! over TCP from a fixed worker pool. Every pass is answered through
-//! [`LocalShard`] — the reference implementation of the shard-pass surface —
-//! so a remote answer is bit-identical to what the same shard would produce
-//! in process.
-//!
+//! A [`Shardd`] owns registered [`Table`] shards and answers one pass
+//! request per frame, every pass through [`LocalShard`] — the reference
+//! implementation of the shard-pass surface — so a remote answer is
+//! bit-identical to what the same shard would produce in process.
 //! Registration replaces any shard already stored under the same key, which
 //! is what lets a coordinator re-register shards after a server restart.
 
 use std::collections::HashMap;
-use std::io::{self, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread;
-use std::time::Duration;
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use cvopt_table::{LocalShard, ShardReader, Table};
 
-use crate::frame::{read_frame_after, write_frame};
+use crate::frame::{read_frame, write_frame};
+use crate::pipeline::{Connection, Next, Pipeline, Service};
 use crate::wire::{Request, Response};
 
-/// How often an idle connection or the accept loop re-checks the stop flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
+/// Connections that may wait for a worker. A connection beyond it is
+/// dropped, which a [`crate::Peer`] answers with its reconnect-and-retry.
+const QUEUE_CAPACITY: usize = 1024;
 
-/// Once a frame has started arriving, the rest must show up within this
-/// window; a stall mid-frame drops the connection (resuming the read later
-/// would desync the stream, since `read_exact` consumes on timeout).
-const FRAME_TIMEOUT: Duration = Duration::from_secs(10);
+type ShardMap = Mutex<HashMap<String, Arc<LocalShard>>>;
 
-type ShardMap = Arc<Mutex<HashMap<String, Arc<LocalShard>>>>;
-type ConnMap = Arc<Mutex<HashMap<u64, TcpStream>>>;
+/// The map is only ever changed by a single `insert` after the fallible
+/// work is done, so a lock poisoned by a panicking pass still guards a
+/// consistent map.
+fn lock(shards: &ShardMap) -> MutexGuard<'_, HashMap<String, Arc<LocalShard>>> {
+    shards.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A running shard server.
 ///
-/// Dropping (or calling [`Shardd::shutdown`]) stops the accept loop, unblocks
+/// Dropping (or calling [`Shardd::shutdown`]) stops the accept loop, closes
 /// every open connection, and joins all threads.
 #[derive(Debug)]
 pub struct Shardd {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    conns: ConnMap,
-    threads: Vec<thread::JoinHandle<()>>,
+    pipeline: Pipeline,
 }
 
 impl Shardd {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start
     /// accepting connections, answering requests on `workers` threads.
     ///
-    /// Connections are multiplexed over the pool: a worker serves one
-    /// request (or one idle poll) and then requeues the connection, so any
-    /// number of keep-alive connections share `workers` threads fairly.
+    /// Any number of keep-alive connections share the workers; a quiet one
+    /// is never expired, so an idle [`crate::Peer`] never meets a stale
+    /// socket.
     pub fn bind(addr: impl ToSocketAddrs, workers: usize) -> io::Result<Shardd> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-
-        let shards: ShardMap = Arc::new(Mutex::new(HashMap::new()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: ConnMap = Arc::new(Mutex::new(HashMap::new()));
-        let (tx, rx) = mpsc::channel::<(u64, TcpStream)>();
-        let rx = Arc::new(Mutex::new(rx));
-
-        let mut threads = Vec::with_capacity(workers.max(1) + 1);
-        for worker in 0..workers.max(1) {
-            let rx = Arc::clone(&rx);
-            let tx = tx.clone();
-            let shards = Arc::clone(&shards);
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            threads.push(
-                thread::Builder::new()
-                    .name(format!("shardd-worker-{worker}"))
-                    .spawn(move || {
-                        while !stop.load(Ordering::Relaxed) {
-                            let (id, mut stream) =
-                                match rx.lock().unwrap().recv_timeout(POLL_INTERVAL) {
-                                    Ok(item) => item,
-                                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                                    Err(mpsc::RecvTimeoutError::Disconnected) => return,
-                                };
-                            if serve_one(&mut stream, &shards, &stop) {
-                                // Back of the queue: other connections get a
-                                // turn before this one's next request.
-                                let _ = tx.send((id, stream));
-                            } else {
-                                conns.lock().unwrap().remove(&id);
-                            }
-                        }
-                    })
-                    .expect("spawn shardd worker"),
-            );
-        }
-
-        {
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            threads.push(
-                thread::Builder::new()
-                    .name("shardd-accept".into())
-                    .spawn(move || {
-                        let mut next_id = 0u64;
-                        while !stop.load(Ordering::Relaxed) {
-                            match listener.accept() {
-                                Ok((stream, _)) => {
-                                    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err()
-                                        || stream.set_write_timeout(Some(FRAME_TIMEOUT)).is_err()
-                                    {
-                                        continue;
-                                    }
-                                    let id = next_id;
-                                    next_id += 1;
-                                    if let Ok(clone) = stream.try_clone() {
-                                        conns.lock().unwrap().insert(id, clone);
-                                    }
-                                    if tx.send((id, stream)).is_err() {
-                                        return;
-                                    }
-                                }
-                                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                    thread::sleep(POLL_INTERVAL);
-                                }
-                                Err(_) => thread::sleep(POLL_INTERVAL),
-                            }
-                        }
-                    })
-                    .expect("spawn shardd accept loop"),
-            );
-        }
-
-        Ok(Shardd { addr: local_addr, stop, conns, threads })
+        let mut pipeline = Pipeline::bind(addr, workers, QUEUE_CAPACITY, None)?;
+        pipeline.serve(FrameService { shards: Mutex::new(HashMap::new()) });
+        Ok(Shardd { pipeline })
     }
 
     /// The bound address (useful after binding port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.pipeline.addr()
     }
 
-    /// Stop accepting, unblock open connections, and join all threads.
+    /// Stop accepting, close open connections, and join all threads.
     /// Idempotent.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for (_, conn) in self.conns.lock().unwrap().drain() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
+        self.pipeline.shutdown();
     }
 }
 
-impl Drop for Shardd {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
+/// One frame in, one frame out, against the registered shards.
+struct FrameService {
+    shards: ShardMap,
 }
 
-/// What one poll of a connection produced.
-enum NextFrame {
-    /// No frame started arriving within the poll window; nothing consumed.
-    Idle,
-    /// A complete frame payload.
-    Frame(Vec<u8>),
-    /// EOF, transport error, or a mid-frame stall: the connection is done.
-    Closed,
-}
-
-/// Poll `stream` for the next frame. The stream's 50ms read timeout may only
-/// fire while waiting for the *first* byte — which consumes nothing, so the
-/// poll can safely repeat. Once a byte arrives the rest of the frame is read
-/// under [`FRAME_TIMEOUT`], and a timeout there closes the connection rather
-/// than desyncing it (std `read_exact` leaves partial reads consumed).
-fn poll_frame(stream: &mut TcpStream) -> NextFrame {
-    let mut first = [0u8; 1];
-    loop {
-        match stream.read(&mut first) {
-            Ok(0) => return NextFrame::Closed,
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return NextFrame::Idle;
-            }
-            Err(_) => return NextFrame::Closed,
-        }
-    }
-    if stream.set_read_timeout(Some(FRAME_TIMEOUT)).is_err() {
-        return NextFrame::Closed;
-    }
-    let result = read_frame_after(stream, first[0]);
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-        return NextFrame::Closed;
-    }
-    match result {
-        Ok(payload) => NextFrame::Frame(payload),
-        Err(_) => NextFrame::Closed,
-    }
-}
-
-/// Serve at most one request on `stream`. Returns whether the connection is
-/// still live and should be requeued for its next turn on the pool.
-fn serve_one(stream: &mut TcpStream, shards: &ShardMap, stop: &AtomicBool) -> bool {
-    if stop.load(Ordering::Relaxed) {
-        return false;
-    }
-    match poll_frame(stream) {
-        NextFrame::Idle => true,
-        NextFrame::Closed => false,
-        NextFrame::Frame(payload) => {
-            let response = match Request::decode(&payload) {
-                Ok(request) => handle_request(shards, request),
-                Err(e) => Response::Error { message: e.to_string() },
-            };
-            write_frame(stream, &response.encode()).is_ok()
+impl Service for FrameService {
+    fn answer(&self, conn: &mut Connection) -> Next {
+        let Ok(payload) = read_frame(&mut conn.reader) else { return Next::Close };
+        let response = match Request::decode(&payload) {
+            Ok(request) => handle_request(&self.shards, request),
+            Err(e) => Response::Error { message: e.to_string() },
+        };
+        match write_frame(&mut conn.writer, &response.encode()) {
+            Ok(_) => Next::Keep,
+            Err(_) => Next::Close,
         }
     }
 }
@@ -226,11 +92,11 @@ fn handle_request(shards: &ShardMap, request: Request) -> Response {
         Request::Register { key, table } => {
             let rows = table.num_rows() as u64;
             let shard = Arc::new(LocalShard::new(table));
-            shards.lock().unwrap().insert(key, shard);
+            lock(shards).insert(key, shard);
             Response::Registered { rows }
         }
         Request::Health => {
-            let mut keys: Vec<String> = shards.lock().unwrap().keys().cloned().collect();
+            let mut keys: Vec<String> = lock(shards).keys().cloned().collect();
             keys.sort();
             Response::Health { keys }
         }
@@ -255,7 +121,7 @@ fn handle_request(shards: &ShardMap, request: Request) -> Response {
         // two racing appenders could both pass the check and one batch
         // would be lost.
         Request::Append { key, expected_rows, table: batch } => {
-            let mut shards = shards.lock().unwrap();
+            let mut shards = lock(shards);
             let Some(shard) = shards.get(&key).cloned() else {
                 return Response::Error {
                     message: format!("no shard registered under key {key:?}"),
@@ -285,7 +151,7 @@ fn handle_request(shards: &ShardMap, request: Request) -> Response {
             }
         }
         Request::Rotate { key, column, cutoff } => {
-            let mut shards = shards.lock().unwrap();
+            let mut shards = lock(shards);
             let Some(shard) = shards.get(&key).cloned() else {
                 return Response::Error {
                     message: format!("no shard registered under key {key:?}"),
@@ -329,7 +195,7 @@ fn with_shard(
     key: &str,
     f: impl FnOnce(&LocalShard) -> cvopt_table::Result<Response>,
 ) -> Response {
-    let shard = shards.lock().unwrap().get(key).cloned();
+    let shard = lock(shards).get(key).cloned();
     match shard {
         Some(shard) => match f(&shard) {
             Ok(response) => response,
@@ -353,7 +219,6 @@ pub fn register_table(addr: &str, key: &str, table: &Table) -> Result<u64, crate
 mod tests {
     use super::*;
     use crate::client::Peer;
-    use crate::frame::read_frame;
     use cvopt_table::{DataType, TableBuilder, Value};
 
     fn tiny_table() -> Table {
@@ -395,15 +260,15 @@ mod tests {
         let mut server = Shardd::bind("127.0.0.1:0", 1).unwrap();
         let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
 
-        // Dribble a Health frame with stalls longer than POLL_INTERVAL both
-        // inside the length prefix and inside the body; the server must wait
-        // the frame out, not restart the read mid-stream.
+        // Dribble a Health frame with stalls far longer than a worker's
+        // linger both inside the length prefix and inside the body; the
+        // server must wait the frame out, not restart the read mid-stream.
         let mut frame = Vec::new();
         write_frame(&mut frame, &Request::Health.encode()).unwrap();
         for chunk in frame.chunks(2) {
             raw.write_all(chunk).unwrap();
             raw.flush().unwrap();
-            thread::sleep(POLL_INTERVAL * 2);
+            std::thread::sleep(std::time::Duration::from_millis(100));
         }
 
         match Response::decode(&read_frame(&mut raw).unwrap()).unwrap() {
@@ -428,24 +293,6 @@ mod tests {
                     other => panic!("unexpected response {other:?}"),
                 }
             }
-        }
-        server.shutdown();
-    }
-
-    #[test]
-    fn closed_connections_are_pruned_from_the_conn_map() {
-        let mut server = Shardd::bind("127.0.0.1:0", 2).unwrap();
-        let addr = server.addr().to_string();
-        for _ in 0..3 {
-            let peer = Peer::connect(&addr).unwrap();
-            peer.call(&Request::Health).unwrap();
-        }
-        // All three peers have hung up; the workers notice EOF on their next
-        // turn and drop the map entries (and with them the cloned sockets).
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !server.conns.lock().unwrap().is_empty() {
-            assert!(std::time::Instant::now() < deadline, "connection map never drained");
-            thread::sleep(Duration::from_millis(10));
         }
         server.shutdown();
     }

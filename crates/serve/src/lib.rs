@@ -7,20 +7,10 @@
 //!
 //! ## Pipeline
 //!
-//! ```text
-//! accept loop ──► bounded work queue ──► worker pool ──► SharedEngine
-//!      │                (503 + Retry-After when full)   │        │
-//!      └── one thread           idle watcher ◄── parked ┘   RwLock: queries
-//!                               (keep-alive conns wait          share the read
-//!                                here, not on a worker)         lock; registration
-//!                                                               takes the write lock
-//! ```
-//!
-//! Connections are persistent (HTTP/1.1 keep-alive): a [`Client`] can
-//! issue many requests over one TCP connect. A connection only occupies
-//! a worker while a request is in flight — between requests it parks
-//! with the idle watcher, which re-queues it when bytes arrive and drops
-//! it at the idle timeout or per-connection request cap.
+//! [`Server`] is the HTTP service over the workspace's one connection
+//! pipeline, [`cvopt_net::pipeline`] (the diagram lives there): a full
+//! queue answers `503` + `Retry-After`, and a keep-alive connection
+//! occupies a worker only while a request is in flight.
 //!
 //! * [`SharedEngine`] shares one engine across the pool: cache **hits**
 //!   take only a read lock, and concurrent cache **misses** for the same

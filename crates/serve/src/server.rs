@@ -1,62 +1,23 @@
-//! The threaded server: a fixed accept-loop → bounded work-queue →
-//! worker-pool pipeline, with persistent (keep-alive) connections.
-//!
-//! * The **accept loop** (one thread) takes connections off the listener
-//!   and `try_send`s them into a bounded queue. When the queue is full it
-//!   answers `503` with a `Retry-After` header right there — backpressure
-//!   costs one write, never a worker.
-//! * The **worker pool** (a fixed number of threads) drains the queue and
-//!   answers requests through [`crate::api::handle`]. A connection stays
-//!   open across requests (HTTP/1.1 keep-alive) until the client closes,
-//!   sends `Connection: close`, exceeds
-//!   [`ServerConfig::keepalive_max_requests`], or idles past
-//!   [`ServerConfig::keepalive_idle`]. After answering, the worker waits
-//!   only a few milliseconds for the next request; an idle connection is
-//!   handed to the **idle watcher** instead of pinning the worker.
-//! * The **idle watcher** (one thread) holds parked connections, polling
-//!   them with non-blocking peeks: a readable connection re-enters the
-//!   work queue (or is 503'd when the queue is full — the same
-//!   backpressure answer the accept side gives), a closed or expired one
-//!   is dropped.
-//! * Each request runs its engine passes with
-//!   [`ServerConfig::request_threads`] workers — the server-wide thread
-//!   budget divided across the pool — so a saturated server never
-//!   oversubscribes the machine.
-//!
-//! Because the engine's answers are deterministic and responses carry no
-//! clock-dependent headers (and no `Connection` header — close is a
-//! socket action), a response is a pure function of the request sequence:
-//! the same bytes come back whether the connection is reused or fresh,
-//! whatever the worker count. Keep-alive and the watcher move *where*
-//! time is spent, never *what* is answered.
+//! The HTTP server: [`http::read_request`] → admission → [`api::handle`]
+//! → write, as a [`Service`] over [`cvopt_net::pipeline`], which owns
+//! accepting, the bounded queue, the worker pool, keep-alive parking and
+//! shutdown. Responses are a pure function of the request sequence (see
+//! [`crate::http`]), whatever the worker count and whether the connection
+//! is reused or fresh.
 
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::io;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 use cvopt_core::{Engine, ExecOptions};
+use cvopt_net::pipeline::{Connection, Next, Pipeline, Service};
 
 use crate::admission::AdmissionControl;
 use crate::api::{self, ApiState};
 use crate::http::{self, ReadOutcome, Response};
 use crate::shared::SharedEngine;
-
-/// How long a worker waits for a slow client before giving up on the
-/// connection (mid-request reads and response writes).
-const IO_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// How long a worker lingers on a just-answered connection waiting for
-/// the next request before parking it with the idle watcher. Long enough
-/// to catch a busy client's immediate follow-up, short enough that an
-/// idle connection never pins a worker.
-const KEEPALIVE_GRACE: Duration = Duration::from_millis(5);
-
-/// How often the idle watcher sweeps its parked connections.
-const WATCHER_SWEEP: Duration = Duration::from_millis(1);
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -114,70 +75,17 @@ impl ServerConfig {
     }
 }
 
-/// The per-connection knobs a worker needs, copied out of
-/// [`ServerConfig`] once at startup.
-#[derive(Debug, Clone, Copy)]
-struct ConnLimits {
-    max_body: usize,
-    max_requests: usize,
-    idle: Duration,
-    retry_after: u64,
-}
-
-/// One live client connection as it moves between the accept loop, the
-/// worker pool, and the idle watcher.
-///
-/// The buffered reader persists for the connection's whole life — a
-/// pipelined next request sits in its buffer, so dropping the reader
-/// between requests would lose bytes. The writer is a `try_clone` of the
-/// same socket (interim `100 Continue` responses are written while the
-/// reader holds a mutable borrow).
-#[derive(Debug)]
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    /// Requests already answered on this connection.
-    served: usize,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> io::Result<Conn> {
-        stream.set_read_timeout(Some(IO_TIMEOUT))?;
-        stream.set_write_timeout(Some(IO_TIMEOUT))?;
-        let writer = stream.try_clone()?;
-        Ok(Conn { reader: BufReader::new(stream), writer, served: 0 })
-    }
-
-    fn socket(&self) -> &TcpStream {
-        self.reader.get_ref()
-    }
-}
-
-/// A connection parked with the idle watcher.
-#[derive(Debug)]
-struct Parked {
-    conn: Conn,
-    /// When the watcher gives up on the connection.
-    deadline: Instant,
-}
-
-/// A running server: the listener thread, the worker pool, the idle
-/// watcher, and the shared engine. Dropping it (or calling
-/// [`Server::shutdown`]) stops the accept loop, drains queued
-/// connections, drops parked ones, and joins every thread.
+/// A running server: the connection pipeline and the shared engine.
+/// Dropping it (or calling [`Server::shutdown`]) stops the accept loop,
+/// drains queued connections, drops parked ones, and joins every thread.
 #[derive(Debug)]
 pub struct Server {
-    addr: SocketAddr,
+    pipeline: Pipeline,
     state: Arc<ApiState>,
-    stop: Arc<AtomicBool>,
-    sender: SyncSender<Option<Conn>>,
-    accept_handle: Option<JoinHandle<()>>,
-    watcher_handle: Option<JoinHandle<()>>,
-    worker_handles: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Bind, spawn the pipeline, and start serving `engine`.
+    /// Bind, start the pipeline, and start serving `engine`.
     ///
     /// The engine's execution options are replaced with the per-request
     /// slice of the server's thread budget
@@ -186,79 +94,38 @@ impl Server {
     /// is preserved.
     pub fn start(engine: Engine, config: ServerConfig) -> io::Result<Server> {
         let engine = engine.with_exec(ExecOptions::new(config.request_threads()));
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
+        let workers = config.workers.max(1);
+        let mut pipeline = Pipeline::bind(
+            &config.addr,
+            workers,
+            config.queue_capacity,
+            Some(config.keepalive_idle),
+        )?;
 
         let admission_rejections = Arc::new(AtomicU64::new(0));
-        let admission = Arc::new(AdmissionControl::new(
+        let admission = AdmissionControl::new(
             config.admission_rate,
             config.admission_burst,
             Arc::clone(&admission_rejections),
-        ));
+        );
         let state = Arc::new(ApiState {
             engine: SharedEngine::new(engine),
-            queue_depth: Arc::new(AtomicUsize::new(0)),
+            queue_depth: pipeline.queue_depth(),
             queue_capacity: config.queue_capacity,
-            workers: config.workers.max(1),
+            workers,
             request_threads: config.request_threads(),
             requests_served: AtomicU64::new(0),
             requests_rejected: Arc::new(AtomicU64::new(0)),
             keepalive_reuses: AtomicU64::new(0),
             admission_rejections,
         });
-        let stop = Arc::new(AtomicBool::new(false));
-        let limits = ConnLimits {
-            max_body: config.max_body_bytes,
-            max_requests: config.keepalive_max_requests.max(1),
-            idle: config.keepalive_idle,
-            retry_after: config.retry_after_seconds,
-        };
-
-        // `None` is the shutdown sentinel: it stops exactly one worker.
-        let (sender, receiver) = mpsc::sync_channel::<Option<Conn>>(config.queue_capacity);
-        let receiver = Arc::new(Mutex::new(receiver));
-        let parked: Arc<Mutex<Vec<Parked>>> = Arc::new(Mutex::new(Vec::new()));
-        let worker_handles: Vec<JoinHandle<()>> = (0..state.workers)
-            .map(|_| {
-                let state = Arc::clone(&state);
-                let receiver = Arc::clone(&receiver);
-                let parked = Arc::clone(&parked);
-                let admission = Arc::clone(&admission);
-                std::thread::spawn(move || {
-                    worker_loop(&state, &receiver, &parked, &admission, limits)
-                })
-            })
-            .collect();
-
-        let watcher_handle = {
-            let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            let parked = Arc::clone(&parked);
-            let sender = sender.clone();
-            std::thread::spawn(move || watcher_loop(&state, &parked, &sender, &stop, limits))
-        };
-
-        let accept_handle = {
-            let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            let sender = sender.clone();
-            std::thread::spawn(move || accept_loop(&listener, sender, &state, &stop, limits))
-        };
-
-        Ok(Server {
-            addr,
-            state,
-            stop,
-            sender,
-            accept_handle: Some(accept_handle),
-            watcher_handle: Some(watcher_handle),
-            worker_handles,
-        })
+        pipeline.serve(HttpService { state: Arc::clone(&state), admission, config });
+        Ok(Server { pipeline, state })
     }
 
     /// The bound address (resolves port 0 to the real ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.pipeline.addr()
     }
 
     /// The shared engine, for in-process registration or inspection.
@@ -273,139 +140,34 @@ impl Server {
 
     /// Stop accepting, drain the queue, and join every thread.
     pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        let Some(accept_handle) = self.accept_handle.take() else {
-            return;
-        };
-        self.stop.store(true, Ordering::SeqCst);
-        // One sentinel per worker stops the pool after the queue drains;
-        // workers never depend on the accept thread exiting.
-        for _ in 0..self.worker_handles.len() {
-            let _ = self.sender.send(None);
-        }
-        for handle in self.worker_handles.drain(..) {
-            let _ = handle.join();
-        }
-        // The watcher notices the stop flag on its next sweep and drops
-        // every parked connection.
-        if let Some(watcher) = self.watcher_handle.take() {
-            let _ = watcher.join();
-        }
-        // Unblock the accept loop with one throwaway connection. When
-        // the bound address is not directly connectable (say 0.0.0.0),
-        // fall back to loopback on the same port; if neither connects,
-        // detach the accept thread instead of hanging the shutdown.
-        let timeout = Duration::from_secs(1);
-        let woke = TcpStream::connect_timeout(&self.addr, timeout).is_ok()
-            || TcpStream::connect_timeout(
-                &SocketAddr::from(([127, 0, 0, 1], self.addr.port())),
-                timeout,
-            )
-            .is_ok();
-        if woke {
-            let _ = accept_handle.join();
-        }
+        self.pipeline.shutdown();
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
+/// One HTTP request in, one response out, against the shared engine.
+struct HttpService {
+    state: Arc<ApiState>,
+    admission: AdmissionControl,
+    config: ServerConfig,
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    sender: SyncSender<Option<Conn>>,
-    state: &ApiState,
-    stop: &AtomicBool,
-    limits: ConnLimits,
-) {
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let Ok(conn) = Conn::new(stream) else { continue };
-        enqueue_or_reject(&sender, conn, state, limits.retry_after);
-    }
-}
-
-/// The backpressure decision: queue the connection, or — when the bounded
-/// queue is full — answer 503 + `Retry-After` immediately, so overload
-/// never costs a worker. Shared by the accept loop (fresh connections)
-/// and the idle watcher (woken keep-alive connections): both sides of
-/// the pipeline give the same answer under the same pressure.
-fn enqueue_or_reject(
-    sender: &SyncSender<Option<Conn>>,
-    conn: Conn,
-    state: &ApiState,
-    retry_after: u64,
-) {
-    state.queue_depth.fetch_add(1, Ordering::Relaxed);
-    match sender.try_send(Some(conn)) {
-        Ok(()) => {}
-        Err(TrySendError::Full(Some(mut conn))) => {
-            state.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            state.requests_rejected.fetch_add(1, Ordering::Relaxed);
-            let _ = Response::overloaded(retry_after).write_to(&mut conn.writer);
-        }
-        Err(TrySendError::Full(None)) => unreachable!("only connections are queued"),
-        Err(TrySendError::Disconnected(_)) => {
-            state.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-}
-
-fn worker_loop(
-    state: &ApiState,
-    receiver: &Mutex<Receiver<Option<Conn>>>,
-    parked: &Mutex<Vec<Parked>>,
-    admission: &AdmissionControl,
-    limits: ConnLimits,
-) {
-    loop {
-        // Hold the lock only for the dequeue itself.
-        let conn = match receiver.lock().unwrap_or_else(|e| e.into_inner()).recv() {
-            Ok(Some(conn)) => conn,
-            // Sentinel or closed channel: server shutting down.
-            Ok(None) | Err(_) => return,
-        };
-        state.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        if let Some(conn) = drive_connection(state, conn, admission, limits) {
-            park(parked, conn, limits.idle);
-        }
-    }
-}
-
-/// Serve requests on one connection until it closes, goes bad, hits the
-/// per-connection cap — or goes idle, in which case the connection comes
-/// back (`Some`) for the idle watcher and the worker returns to the
-/// queue.
-fn drive_connection(
-    state: &ApiState,
-    mut conn: Conn,
-    admission: &AdmissionControl,
-    limits: ConnLimits,
-) -> Option<Conn> {
-    loop {
+impl Service for HttpService {
+    fn answer(&self, conn: &mut Connection) -> Next {
+        let (state, config) = (&*self.state, &self.config);
         let (response, close) =
-            match http::read_request(&mut conn.reader, &conn.writer, limits.max_body) {
+            match http::read_request(&mut conn.reader, &conn.writer, config.max_body_bytes) {
                 // The admission check charges the peer's token bucket per
                 // *request*, not per connection — a client fanning out over
                 // many keep-alive connections drains the same bucket. A
                 // rejected request costs a 503 write but keeps the
                 // connection usable (the client honors Retry-After and
                 // tries again on the same socket).
-                Ok(ReadOutcome::Request(request)) if !admission.admit_socket(conn.socket()) => {
-                    (Response::overloaded(limits.retry_after), request.close)
+                Ok(ReadOutcome::Request(request)) if !self.admission.admit_socket(&conn.writer) => {
+                    (Response::overloaded(config.retry_after_seconds), request.close)
                 }
                 Ok(ReadOutcome::Request(request)) => {
                     state.requests_served.fetch_add(1, Ordering::Relaxed);
-                    if conn.served > 0 {
+                    if conn.served() > 0 {
                         state.keepalive_reuses.fetch_add(1, Ordering::Relaxed);
                     }
                     let close = request.close;
@@ -418,116 +180,20 @@ fn drive_connection(
                     (Response::error(bad.status, &bad.message), true)
                 }
                 // Clean close, or the client went away mid-request.
-                Ok(ReadOutcome::Closed) | Err(_) => return None,
+                Ok(ReadOutcome::Closed) | Err(_) => return Next::Close,
             };
-        if response.write_to(&mut conn.writer).is_err() {
-            return None;
-        }
-        conn.served += 1;
-        if close || conn.served >= limits.max_requests {
-            return None;
-        }
-        // A pipelined next request is already buffered: serve it now.
-        if !conn.reader.buffer().is_empty() {
-            continue;
-        }
-        // Linger briefly for the next request; park the connection with
-        // the watcher instead of pinning this worker on an idle client.
-        match wait_for_data(conn.socket(), KEEPALIVE_GRACE) {
-            Wait::Ready => continue,
-            Wait::Closed => return None,
-            Wait::Idle => return Some(conn),
+        let written = response.write_to(&mut conn.writer).is_ok();
+        if written && !close && conn.served() + 1 < config.keepalive_max_requests {
+            Next::Keep
+        } else {
+            Next::Close
         }
     }
-}
 
-/// What a bounded peek at the socket found.
-enum Wait {
-    /// Bytes are waiting to be read.
-    Ready,
-    /// The peer closed (or the socket errored).
-    Closed,
-    /// Nothing arrived within the bound.
-    Idle,
-}
-
-/// Peek for readable data, blocking at most `grace`. Restores the
-/// regular I/O timeout before returning.
-fn wait_for_data(socket: &TcpStream, grace: Duration) -> Wait {
-    let mut probe = [0u8; 1];
-    let _ = socket.set_read_timeout(Some(grace));
-    let result = socket.peek(&mut probe);
-    let _ = socket.set_read_timeout(Some(IO_TIMEOUT));
-    match result {
-        Ok(0) => Wait::Closed,
-        Ok(_) => Wait::Ready,
-        Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-            Wait::Idle
-        }
-        Err(_) => Wait::Closed,
+    fn refuse(&self, conn: &mut Connection) {
+        self.state.requests_rejected.fetch_add(1, Ordering::Relaxed);
+        let _ = Response::overloaded(self.config.retry_after_seconds).write_to(&mut conn.writer);
     }
-}
-
-/// Hand an idle connection to the watcher (non-blocking from here on, so
-/// the watcher's sweep never stalls behind one socket).
-fn park(parked: &Mutex<Vec<Parked>>, conn: Conn, idle: Duration) {
-    if conn.socket().set_nonblocking(true).is_err() {
-        return; // dying socket: drop it
-    }
-    let deadline = Instant::now() + idle;
-    parked.lock().unwrap_or_else(|e| e.into_inner()).push(Parked { conn, deadline });
-}
-
-/// The idle watcher: sweep parked connections with non-blocking peeks.
-/// Readable connections re-enter the work queue (503 under a full queue,
-/// like any fresh arrival), closed and expired ones are dropped. On
-/// shutdown every parked connection is dropped.
-fn watcher_loop(
-    state: &ApiState,
-    parked: &Mutex<Vec<Parked>>,
-    sender: &SyncSender<Option<Conn>>,
-    stop: &AtomicBool,
-    limits: ConnLimits,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        std::thread::sleep(WATCHER_SWEEP);
-        let mut list = parked.lock().unwrap_or_else(|e| e.into_inner());
-        let now = Instant::now();
-        let mut i = 0;
-        while i < list.len() {
-            let mut probe = [0u8; 1];
-            enum Sweep {
-                Keep,
-                Drop,
-                Wake,
-            }
-            let decision = match list[i].conn.socket().peek(&mut probe) {
-                Ok(0) => Sweep::Drop,
-                Ok(_) => Sweep::Wake,
-                Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock) => {
-                    if now >= list[i].deadline {
-                        Sweep::Drop
-                    } else {
-                        Sweep::Keep
-                    }
-                }
-                Err(_) => Sweep::Drop,
-            };
-            match decision {
-                Sweep::Keep => i += 1,
-                Sweep::Drop => {
-                    list.swap_remove(i);
-                }
-                Sweep::Wake => {
-                    let woken = list.swap_remove(i);
-                    if woken.conn.socket().set_nonblocking(false).is_ok() {
-                        enqueue_or_reject(sender, woken.conn, state, limits.retry_after);
-                    }
-                }
-            }
-        }
-    }
-    parked.lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 
 #[cfg(test)]
@@ -656,39 +322,45 @@ mod tests {
 
     #[test]
     fn backpressure_answers_503_with_retry_after() {
-        // A full queue must be answered from the accept thread. Drive the
-        // decision directly: a capacity-1 channel holding one idle
-        // connection is exactly the saturated state.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let parked = TcpStream::connect(addr).unwrap();
-        let (queued, _) = listener.accept().unwrap();
-        let incoming = TcpStream::connect(addr).unwrap();
-        let (rejected, _) = listener.accept().unwrap();
+        use std::io::{Read as _, Write as _};
+        use std::net::TcpStream;
 
-        let (sender, _receiver) = mpsc::sync_channel::<Option<Conn>>(1);
-        let state = ApiState {
-            engine: SharedEngine::new(Engine::new()),
-            queue_depth: Arc::new(AtomicUsize::new(0)),
-            queue_capacity: 1,
-            workers: 1,
-            request_threads: 1,
-            requests_served: AtomicU64::new(0),
-            requests_rejected: Arc::new(AtomicU64::new(0)),
-            keepalive_reuses: AtomicU64::new(0),
-            admission_rejections: Arc::new(AtomicU64::new(0)),
-        };
-        enqueue_or_reject(&sender, Conn::new(queued).unwrap(), &state, 7);
-        assert_eq!(state.queue_depth.load(Ordering::Relaxed), 1);
-        enqueue_or_reject(&sender, Conn::new(rejected).unwrap(), &state, 7);
-        assert_eq!(state.queue_depth.load(Ordering::Relaxed), 1, "rejected never queued");
-        assert_eq!(state.requests_rejected.load(Ordering::Relaxed), 1);
+        // Saturate a one-worker, one-slot server, then arrive once more:
+        // the answer must come from the accept thread.
+        let mut cfg = config(1);
+        cfg.queue_capacity = 1;
+        cfg.retry_after_seconds = 7;
+        let server = Server::start(engine_with_table(100), cfg).unwrap();
+        let state = server.state();
 
+        // The interim `100 Continue` proves the only worker is inside this
+        // request, waiting for a body that never comes.
+        let mut busy = TcpStream::connect(server.addr()).unwrap();
+        busy.write_all(
+            b"POST /query HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\n",
+        )
+        .unwrap();
+        let mut interim = [0u8; 25];
+        busy.read_exact(&mut interim).unwrap();
+        assert_eq!(&interim, b"HTTP/1.1 100 Continue\r\n\r\n");
+
+        // A second connection fills the queue's one slot.
+        let queued = TcpStream::connect(server.addr()).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while state.queue_depth.load(Ordering::Relaxed) != 1 {
+            assert!(std::time::Instant::now() < deadline, "second connection never queued");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let incoming = TcpStream::connect(server.addr()).unwrap();
         let raw = client::read_response_raw(&incoming).unwrap();
         let text = String::from_utf8(raw).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 "), "{text}");
         assert!(text.contains("Retry-After: 7\r\n"), "{text}");
-        drop(parked);
+        assert_eq!(state.queue_depth.load(Ordering::Relaxed), 1, "rejected never queued");
+        assert_eq!(state.requests_rejected.load(Ordering::Relaxed), 1);
+        drop((busy, queued));
+        server.shutdown();
     }
 
     #[test]
