@@ -140,9 +140,9 @@ struct Shared {
     parked: Mutex<Vec<Connection>>,
 }
 
-/// Every critical section here leaves its data valid at every step, so a
-/// lock poisoned by a panicking thread is safe to keep using.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Lock a mutex whose every critical section leaves its data valid at
+/// every step, so that poisoning by a panicking thread is safe to ignore.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -256,15 +256,6 @@ fn watcher_loop<S: Service>(shared: &Shared, service: &S) {
     }
 }
 
-fn spawn<S: Service>(
-    shared: &Arc<Shared>,
-    service: &Arc<S>,
-    run: impl FnOnce(&Shared, &S) + Send + 'static,
-) -> JoinHandle<()> {
-    let (shared, service) = (Arc::clone(shared), Arc::clone(service));
-    thread::spawn(move || run(&shared, &service))
-}
-
 /// A bound listener and, once [`Pipeline::serve`] is called, the threads
 /// answering its connections. Dropping it shuts it down.
 #[derive(Debug)]
@@ -322,12 +313,15 @@ impl Pipeline {
     /// through `service`. Does nothing when already serving.
     pub fn serve<S: Service>(&mut self, service: S) {
         let Some(listener) = self.listener.take() else { return };
-        let (shared, service) = (&self.shared, Arc::new(service));
-        self.threads = (0..shared.workers).map(|_| spawn(shared, &service, worker_loop)).collect();
-        self.threads.push(spawn(shared, &service, watcher_loop));
-        self.accept = Some(spawn(shared, &service, move |shared, service| {
-            accept_loop(listener, shared, service)
-        }));
+        let service = Arc::new(service);
+        let spawn = |run: fn(&Shared, &S)| {
+            let (shared, service) = (Arc::clone(&self.shared), Arc::clone(&service));
+            thread::spawn(move || run(&shared, &service))
+        };
+        self.threads = (0..self.shared.workers).map(|_| spawn(worker_loop)).collect();
+        self.threads.push(spawn(watcher_loop));
+        let shared = Arc::clone(&self.shared);
+        self.accept = Some(thread::spawn(move || accept_loop(listener, &shared, &*service)));
     }
 
     /// Stop accepting, let in-flight requests finish, close every other

@@ -7,7 +7,7 @@ use cvopt_table::{
     TableError,
 };
 
-use crate::client::{NetError, Peer};
+use crate::client::Peer;
 use crate::wire::{Request, Response};
 
 /// One table shard living on a remote [`crate::Shardd`], addressed by key.
@@ -37,11 +37,10 @@ impl RemoteShard {
             RemoteShard { peer, key, schema: table.schema().clone(), rows: table.num_rows() };
         match shard.call(&request)? {
             Response::Registered { rows } if rows as usize == table.num_rows() => Ok(shard),
-            Response::Registered { rows } => Err(TableError::invalid(format!(
-                "remote shard {}: registered {rows} rows, sent {}",
-                shard.location(),
-                table.num_rows()
-            ))),
+            Response::Registered { rows } => {
+                Err(shard
+                    .invalid(format_args!("registered {rows} rows, sent {}", table.num_rows())))
+            }
             other => Err(shard.unexpected(&other)),
         }
     }
@@ -74,9 +73,8 @@ impl RemoteShard {
             Response::Appended { rows } => {
                 let expected = self.rows + batch.num_rows();
                 if rows as usize != expected {
-                    return Err(TableError::invalid(format!(
-                        "remote shard {}: append acknowledged {rows} rows, expected {expected}",
-                        self.location()
+                    return Err(self.invalid(format_args!(
+                        "append acknowledged {rows} rows, expected {expected}"
                     )));
                 }
                 self.rows = expected;
@@ -100,11 +98,12 @@ impl RemoteShard {
     }
 
     fn call(&self, request: &Request) -> Result<Response> {
-        self.peer.call(request).map_err(|e| self.net_err(e))
+        self.peer.call(request).map_err(|e| self.invalid(e))
     }
 
-    fn net_err(&self, e: NetError) -> TableError {
-        TableError::invalid(format!("remote shard {}: {e}", self.location()))
+    /// An error that names this shard.
+    fn invalid(&self, what: impl std::fmt::Display) -> TableError {
+        TableError::invalid(format!("remote shard {}: {what}", self.location()))
     }
 
     fn unexpected(&self, response: &Response) -> TableError {
@@ -120,7 +119,7 @@ impl RemoteShard {
             Response::Appended { .. } => "Appended",
             Response::Rotated { .. } => "Rotated",
         };
-        TableError::invalid(format!("remote shard {}: unexpected {kind} response", self.location()))
+        self.invalid(format_args!("unexpected {kind} response"))
     }
 }
 
@@ -140,17 +139,12 @@ impl ShardReader for RemoteShard {
     fn group_index(&self, exprs: &[ScalarExpr]) -> Result<GroupIndex> {
         let request = Request::ScatterWindow { key: self.key.clone(), exprs: exprs.to_vec() };
         match self.call(&request)? {
-            Response::Window { index } => {
-                if index.num_rows() != self.rows {
-                    return Err(TableError::invalid(format!(
-                        "remote shard {}: scatter window covers {} rows, shard has {}",
-                        self.location(),
-                        index.num_rows(),
-                        self.rows
-                    )));
-                }
-                Ok(index)
-            }
+            Response::Window { index } if index.num_rows() == self.rows => Ok(index),
+            Response::Window { index } => Err(self.invalid(format_args!(
+                "scatter window covers {} rows, shard has {}",
+                index.num_rows(),
+                self.rows
+            ))),
             other => Err(self.unexpected(&other)),
         }
     }
@@ -158,17 +152,12 @@ impl ShardReader for RemoteShard {
     fn predicate_bitmap(&self, predicate: &Predicate) -> Result<Bitmap> {
         let request = Request::Bitmap { key: self.key.clone(), predicate: predicate.clone() };
         match self.call(&request)? {
-            Response::Bitmap { bitmap } => {
-                if bitmap.len() != self.rows {
-                    return Err(TableError::invalid(format!(
-                        "remote shard {}: bitmap covers {} rows, shard has {}",
-                        self.location(),
-                        bitmap.len(),
-                        self.rows
-                    )));
-                }
-                Ok(bitmap)
-            }
+            Response::Bitmap { bitmap } if bitmap.len() == self.rows => Ok(bitmap),
+            Response::Bitmap { bitmap } => Err(self.invalid(format_args!(
+                "bitmap covers {} rows, shard has {}",
+                bitmap.len(),
+                self.rows
+            ))),
             other => Err(self.unexpected(&other)),
         }
     }
@@ -176,17 +165,12 @@ impl ShardReader for RemoteShard {
     fn expr_values(&self, exprs: &[Option<ScalarExpr>]) -> Result<Vec<Option<ColumnValues>>> {
         let request = Request::StatPartials { key: self.key.clone(), exprs: exprs.to_vec() };
         match self.call(&request)? {
-            Response::Partials { columns } => {
-                if columns.len() != exprs.len() {
-                    return Err(TableError::invalid(format!(
-                        "remote shard {}: {} partial columns for {} expressions",
-                        self.location(),
-                        columns.len(),
-                        exprs.len()
-                    )));
-                }
-                Ok(columns)
-            }
+            Response::Partials { columns } if columns.len() == exprs.len() => Ok(columns),
+            Response::Partials { columns } => Err(self.invalid(format_args!(
+                "{} partial columns for {} expressions",
+                columns.len(),
+                exprs.len()
+            ))),
             other => Err(self.unexpected(&other)),
         }
     }
@@ -194,23 +178,13 @@ impl ShardReader for RemoteShard {
     fn take_rows(&self, rows: &[u32]) -> Result<Table> {
         let request = Request::Gather { key: self.key.clone(), rows: rows.to_vec() };
         match self.call(&request)? {
-            Response::Rows { table } => {
-                if table.num_rows() != rows.len() {
-                    return Err(TableError::invalid(format!(
-                        "remote shard {}: gathered {} rows, requested {}",
-                        self.location(),
-                        table.num_rows(),
-                        rows.len()
-                    )));
-                }
-                if table.schema() != &self.schema {
-                    return Err(TableError::invalid(format!(
-                        "remote shard {}: gathered rows have a different schema",
-                        self.location()
-                    )));
-                }
-                Ok(table)
+            Response::Rows { table } if table.num_rows() != rows.len() => Err(self.invalid(
+                format_args!("gathered {} rows, requested {}", table.num_rows(), rows.len()),
+            )),
+            Response::Rows { table } if table.schema() != &self.schema => {
+                Err(self.invalid("gathered rows have a different schema"))
             }
+            Response::Rows { table } => Ok(table),
             other => Err(self.unexpected(&other)),
         }
     }

@@ -12,26 +12,21 @@
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
-use cvopt_table::{LocalShard, ShardReader, Table};
+use cvopt_table::{LocalShard, Result, ShardReader, Table, TableError};
 
 use crate::frame::{read_frame, write_frame};
-use crate::pipeline::{Connection, Next, Pipeline, Service};
+use crate::pipeline::{lock, Connection, Next, Pipeline, Service};
 use crate::wire::{Request, Response};
 
 /// Connections that may wait for a worker. A connection beyond it is
 /// dropped, which a [`crate::Peer`] answers with its reconnect-and-retry.
 const QUEUE_CAPACITY: usize = 1024;
 
+/// Only ever changed by a single `insert` after the fallible work is done,
+/// so a lock poisoned by a panicking pass still guards a consistent map.
 type ShardMap = Mutex<HashMap<String, Arc<LocalShard>>>;
-
-/// The map is only ever changed by a single `insert` after the fallible
-/// work is done, so a lock poisoned by a panicking pass still guards a
-/// consistent map.
-fn lock(shards: &ShardMap) -> MutexGuard<'_, HashMap<String, Arc<LocalShard>>> {
-    shards.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A running shard server.
 ///
@@ -86,19 +81,23 @@ impl Service for FrameService {
     }
 }
 
-/// Execute one request against the shard map.
+/// Execute one request against the shard map, folding lookup and pass
+/// errors into [`Response::Error`].
 fn handle_request(shards: &ShardMap, request: Request) -> Response {
+    answer(shards, request).unwrap_or_else(|e| Response::Error { message: e.to_string() })
+}
+
+fn answer(shards: &ShardMap, request: Request) -> Result<Response> {
     match request {
         Request::Register { key, table } => {
             let rows = table.num_rows() as u64;
-            let shard = Arc::new(LocalShard::new(table));
-            lock(shards).insert(key, shard);
-            Response::Registered { rows }
+            lock(shards).insert(key, Arc::new(LocalShard::new(table)));
+            Ok(Response::Registered { rows })
         }
         Request::Health => {
             let mut keys: Vec<String> = lock(shards).keys().cloned().collect();
             keys.sort();
-            Response::Health { keys }
+            Ok(Response::Health { keys })
         }
         Request::Histogram { key, exprs } => with_shard(shards, &key, |shard| {
             let index = shard.group_index(&exprs)?;
@@ -122,64 +121,44 @@ fn handle_request(shards: &ShardMap, request: Request) -> Response {
         // would be lost.
         Request::Append { key, expected_rows, table: batch } => {
             let mut shards = lock(shards);
-            let Some(shard) = shards.get(&key).cloned() else {
-                return Response::Error {
-                    message: format!("no shard registered under key {key:?}"),
-                };
-            };
+            let shard = find(&shards, &key)?;
             let current = shard.table().num_rows() as u64;
-            let batch_rows = batch.num_rows() as u64;
-            if current == expected_rows + batch_rows {
+            if current == expected_rows + batch.num_rows() as u64 {
                 // A retry of an append whose response was lost: the batch
                 // is already in, acknowledge without re-applying.
-                return Response::Appended { rows: current };
+                return Ok(Response::Appended { rows: current });
             }
             if current != expected_rows {
-                return Response::Error {
-                    message: format!(
-                        "append to shard {key:?} expected {expected_rows} rows, server has {current}"
-                    ),
-                };
+                return Err(TableError::invalid(format!(
+                    "append to shard {key:?} expected {expected_rows} rows, server has {current}"
+                )));
             }
-            match shard.table().extended(&batch) {
-                Ok(extended) => {
-                    let rows = extended.num_rows() as u64;
-                    shards.insert(key, Arc::new(LocalShard::new(extended)));
-                    Response::Appended { rows }
-                }
-                Err(e) => Response::Error { message: e.to_string() },
-            }
+            let extended = shard.table().extended(&batch)?;
+            let rows = extended.num_rows() as u64;
+            shards.insert(key, Arc::new(LocalShard::new(extended)));
+            Ok(Response::Appended { rows })
         }
         Request::Rotate { key, column, cutoff } => {
             let mut shards = lock(shards);
-            let Some(shard) = shards.get(&key).cloned() else {
-                return Response::Error {
-                    message: format!("no shard registered under key {key:?}"),
-                };
-            };
-            match rotate_table(shard.table(), &column, cutoff) {
-                Ok(kept) => {
-                    let before = shard.table().num_rows() as u64;
-                    let rows = kept.num_rows() as u64;
-                    shards.insert(key, Arc::new(LocalShard::new(kept)));
-                    Response::Rotated { retired: before - rows, rows }
-                }
-                Err(e) => Response::Error { message: e.to_string() },
-            }
+            let shard = find(&shards, &key)?;
+            let kept = rotate_table(shard.table(), &column, cutoff)?;
+            let (before, rows) = (shard.table().num_rows() as u64, kept.num_rows() as u64);
+            shards.insert(key, Arc::new(LocalShard::new(kept)));
+            Ok(Response::Rotated { retired: before - rows, rows })
         }
     }
 }
 
 /// Retention for one shard: keep rows whose window-column value is at or
 /// past `cutoff`.
-fn rotate_table(table: &Table, column: &str, cutoff: i64) -> cvopt_table::Result<Table> {
+fn rotate_table(table: &Table, column: &str, cutoff: i64) -> Result<Table> {
     let idx = table.schema().index_of(column)?;
     let kept: Vec<usize> = match table.column(idx) {
         cvopt_table::Column::Int64(v) | cvopt_table::Column::Timestamp(v) => {
             (0..v.len()).filter(|&i| v[i] >= cutoff).collect()
         }
         other => {
-            return Err(cvopt_table::TableError::TypeMismatch {
+            return Err(TableError::TypeMismatch {
                 expected: cvopt_table::DataType::Int64,
                 found: format!("{:?} window column", other.data_type()),
             })
@@ -188,26 +167,28 @@ fn rotate_table(table: &Table, column: &str, cutoff: i64) -> cvopt_table::Result
     Ok(table.take(&kept))
 }
 
-/// Look up a shard and run `f`, folding lookup and pass errors into
-/// [`Response::Error`].
+fn find(shards: &HashMap<String, Arc<LocalShard>>, key: &str) -> Result<Arc<LocalShard>> {
+    let missing = || TableError::invalid(format!("no shard registered under key {key:?}"));
+    shards.get(key).cloned().ok_or_else(missing)
+}
+
+/// Look up a shard and run `f` on it, outside the map's lock.
 fn with_shard(
     shards: &ShardMap,
     key: &str,
-    f: impl FnOnce(&LocalShard) -> cvopt_table::Result<Response>,
-) -> Response {
-    let shard = lock(shards).get(key).cloned();
-    match shard {
-        Some(shard) => match f(&shard) {
-            Ok(response) => response,
-            Err(e) => Response::Error { message: e.to_string() },
-        },
-        None => Response::Error { message: format!("no shard registered under key {key:?}") },
-    }
+    f: impl FnOnce(&LocalShard) -> Result<Response>,
+) -> Result<Response> {
+    let shard = find(&lock(shards), key)?;
+    f(&shard)
 }
 
 /// Convenience for tests and smoke scripts: register `table` on a running
 /// server via a temporary connection.
-pub fn register_table(addr: &str, key: &str, table: &Table) -> Result<u64, crate::NetError> {
+pub fn register_table(
+    addr: &str,
+    key: &str,
+    table: &Table,
+) -> std::result::Result<u64, crate::NetError> {
     let peer = crate::Peer::connect(addr)?;
     match peer.call(&Request::Register { key: key.to_string(), table: table.clone() })? {
         Response::Registered { rows } => Ok(rows),
