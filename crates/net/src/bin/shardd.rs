@@ -20,12 +20,11 @@ fn main() {
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value =
-            |name: &str| args.next().unwrap_or_else(|| fail(&format!("{name} needs a value")));
+        let mut value = || args.next().unwrap_or_else(|| fail(&format!("{arg} needs a value")));
         match arg.as_str() {
-            "--addr" => addr = value("--addr"),
-            "--port" => port = parse(&value("--port"), "--port"),
-            "--workers" => workers = parse(&value("--workers"), "--workers"),
+            "--addr" => addr = value(),
+            "--port" => port = parse(&value(), &arg),
+            "--workers" => workers = parse(&value(), &arg),
             "--help" | "-h" => {
                 println!(
                     "cvopt-shardd: a CVOPT shard server\n\n\

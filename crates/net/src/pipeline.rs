@@ -270,9 +270,10 @@ pub struct Pipeline {
 impl Pipeline {
     /// Bind `addr` (port 0 for an ephemeral port) for `workers` threads
     /// (at least one) behind a queue of `queue_capacity` connections —
-    /// more are refused — closing a parked connection that stays silent
-    /// for `idle` (`None`: never). Nothing is accepted until
-    /// [`Pipeline::serve`].
+    /// more are refused, and with a capacity of 0 so is every connection
+    /// that finds no worker already waiting — closing a parked connection
+    /// that stays silent for `idle` (`None`: never). Nothing is accepted
+    /// until [`Pipeline::serve`].
     pub fn bind(
         addr: impl ToSocketAddrs,
         workers: usize,

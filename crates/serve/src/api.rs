@@ -75,12 +75,12 @@ pub fn handle(state: &ApiState, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => healthz(state),
         ("GET", "/stats") => stats(state),
-        ("POST", "/query") => query(state, req),
+        ("POST", "/query") => with_body(req, |body| query(state, body)),
         ("GET", "/explain") => explain(state, req),
-        ("POST", "/tables") => tables(state, req),
-        ("POST", "/ingest") => ingest(state, req),
-        ("POST", "/rotate") => rotate(state, req),
-        ("POST", "/reoptimize") => reoptimize(state, req),
+        ("POST", "/tables") => with_body(req, |body| tables(state, body)),
+        ("POST", "/ingest") => with_body(req, |body| ingest(state, body)),
+        ("POST", "/rotate") => with_body(req, |body| rotate(state, body)),
+        ("POST", "/reoptimize") => with_body(req, |body| reoptimize(state, body)),
         (_, "/healthz" | "/stats" | "/explain") => Response::error(405, "use GET"),
         (_, "/query" | "/tables" | "/ingest" | "/rotate" | "/reoptimize") => {
             Response::error(405, "use POST")
@@ -133,11 +133,7 @@ fn stats(state: &ApiState) -> Response {
     Response::ok(body.to_string())
 }
 
-fn query(state: &ApiState, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(b) => b,
-        Err(r) => return r,
-    };
+fn query(state: &ApiState, body: &Json) -> Response {
     let Some(sql) = body.get("sql").and_then(Json::as_str) else {
         return Response::error(400, "body must carry a string field 'sql'");
     };
@@ -165,11 +161,7 @@ fn explain(state: &ApiState, req: &Request) -> Response {
     }
 }
 
-fn tables(state: &ApiState, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(b) => b,
-        Err(r) => return r,
-    };
+fn tables(state: &ApiState, body: &Json) -> Response {
     let Some(name) = body.get("name").and_then(Json::as_str) else {
         return Response::error(400, "body must carry a string field 'name'");
     };
@@ -178,7 +170,7 @@ fn tables(state: &ApiState, req: &Request) -> Response {
             let Some(text) = csv_text.as_str() else {
                 return Response::error(400, "'csv' must be a string of CSV text");
             };
-            let schema = match parse_columns(&body) {
+            let schema = match parse_columns(body) {
                 Ok(s) => s,
                 Err(r) => return r,
             };
@@ -324,11 +316,7 @@ fn tables(state: &ApiState, req: &Request) -> Response {
 /// [[...], ...]}`, each row an array of values in schema order. The
 /// engine keeps every cached sample of the table fresh — maintained
 /// samples fold the batch in, everything else is invalidated.
-fn ingest(state: &ApiState, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(b) => b,
-        Err(r) => return r,
-    };
+fn ingest(state: &ApiState, body: &Json) -> Response {
     let Some(name) = body.get("table").and_then(Json::as_str) else {
         return Response::error(400, "body must carry a string field 'table'");
     };
@@ -361,11 +349,7 @@ fn ingest(state: &ApiState, req: &Request) -> Response {
 /// Retention rotation: drop rows whose window-column value is below
 /// `cutoff` (see [`cvopt_core::Engine::rotate`]). Body: `{"table": "...",
 /// "cutoff": <integer>}`.
-fn rotate(state: &ApiState, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(b) => b,
-        Err(r) => return r,
-    };
+fn rotate(state: &ApiState, body: &Json) -> Response {
     let Some(name) = body.get("table").and_then(Json::as_str) else {
         return Response::error(400, "body must carry a string field 'table'");
     };
@@ -433,11 +417,7 @@ fn build_batch(schema: &Schema, rows: &[Json]) -> Result<cvopt_table::Table, Res
 /// sample (see [`cvopt_core::Engine::reoptimize`]). Meant for a
 /// maintenance loop or an operator; answers `{"reoptimized": false}` when
 /// the table has no logged queries yet.
-fn reoptimize(state: &ApiState, req: &Request) -> Response {
-    let body = match parse_body(req) {
-        Ok(b) => b,
-        Err(r) => return r,
-    };
+fn reoptimize(state: &ApiState, body: &Json) -> Response {
     let Some(table) = body.get("table").and_then(Json::as_str) else {
         return Response::error(400, "body must carry a string field 'table'");
     };
@@ -496,13 +476,13 @@ fn register_remote(
     Ok(())
 }
 
-/// Parse a request body as a JSON object.
-fn parse_body(req: &Request) -> Result<Json, Response> {
-    let text = req.body_utf8().map_err(|e| Response::error(400, &e))?;
-    let value = Json::parse(text).map_err(|e| Response::error(400, &e.to_string()))?;
-    match value {
-        Json::Object(_) => Ok(value),
-        _ => Err(Response::error(400, "request body must be a JSON object")),
+/// Run `f` on the request body, which has to be a JSON object.
+fn with_body(req: &Request, f: impl FnOnce(&Json) -> Response) -> Response {
+    let parsed = req.body_utf8().and_then(|text| Json::parse(text).map_err(|e| e.to_string()));
+    match parsed {
+        Ok(body @ Json::Object(_)) => f(&body),
+        Ok(_) => Response::error(400, "request body must be a JSON object"),
+        Err(e) => Response::error(400, &e),
     }
 }
 

@@ -27,38 +27,24 @@ fn main() {
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value =
-            |name: &str| args.next().unwrap_or_else(|| fail(&format!("{name} needs a value")));
+        let mut value = || args.next().unwrap_or_else(|| fail(&format!("{arg} needs a value")));
         match arg.as_str() {
-            "--addr" => addr = value("--addr"),
-            "--port" => port = parse(&value("--port"), "--port"),
-            "--workers" => config.workers = parse(&value("--workers"), "--workers"),
-            "--queue" => config.queue_capacity = parse(&value("--queue"), "--queue"),
-            "--threads" => config.thread_budget = parse(&value("--threads"), "--threads"),
-            "--seed" => seed = parse(&value("--seed"), "--seed"),
-            "--rate" => rate = parse(&value("--rate"), "--rate"),
-            "--auto-threshold" => {
-                auto_threshold = parse(&value("--auto-threshold"), "--auto-threshold")
-            }
-            "--retry-after" => {
-                config.retry_after_seconds = parse(&value("--retry-after"), "--retry-after")
-            }
-            "--keepalive-max" => {
-                config.keepalive_max_requests = parse(&value("--keepalive-max"), "--keepalive-max")
-            }
+            "--addr" => addr = value(),
+            "--port" => port = parse(&value(), &arg),
+            "--workers" => config.workers = parse(&value(), &arg),
+            "--queue" => config.queue_capacity = parse(&value(), &arg),
+            "--threads" => config.thread_budget = parse(&value(), &arg),
+            "--seed" => seed = parse(&value(), &arg),
+            "--rate" => rate = parse(&value(), &arg),
+            "--auto-threshold" => auto_threshold = parse(&value(), &arg),
+            "--retry-after" => config.retry_after_seconds = parse(&value(), &arg),
+            "--keepalive-max" => config.keepalive_max_requests = parse(&value(), &arg),
             "--idle-timeout" => {
-                config.keepalive_idle = std::time::Duration::from_millis(parse(
-                    &value("--idle-timeout"),
-                    "--idle-timeout",
-                ))
+                config.keepalive_idle = std::time::Duration::from_millis(parse(&value(), &arg))
             }
-            "--cache-bytes" => cache_bytes = Some(parse(&value("--cache-bytes"), "--cache-bytes")),
-            "--admission-rate" => {
-                config.admission_rate = parse(&value("--admission-rate"), "--admission-rate")
-            }
-            "--admission-burst" => {
-                config.admission_burst = parse(&value("--admission-burst"), "--admission-burst")
-            }
+            "--cache-bytes" => cache_bytes = Some(parse(&value(), &arg)),
+            "--admission-rate" => config.admission_rate = parse(&value(), &arg),
+            "--admission-burst" => config.admission_burst = parse(&value(), &arg),
             "--help" | "-h" => {
                 println!(
                     "cvopt-served: the CVOPT sampling service\n\n\
