@@ -22,8 +22,8 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<u64> {
             format!("frame of {body_len} bytes exceeds the {MAX_FRAME} byte limit"),
         ));
     }
-    w.write_all(&(body_len as u32).to_le_bytes())?;
-    w.write_all(&[PROTOCOL_VERSION])?;
+    let len = (body_len as u32).to_le_bytes();
+    w.write_all(&[len[0], len[1], len[2], len[3], PROTOCOL_VERSION])?;
     w.write_all(payload)?;
     w.flush()?;
     Ok(4 + body_len as u64)

@@ -8,9 +8,10 @@
 //! ```
 //!
 //! * The **accept loop** (one thread, blocking `accept`) configures each
-//!   new socket and `try_send`s it into a bounded queue. A full queue is
-//!   answered right there through [`Service::refuse`] — overload costs one
-//!   write on the accept thread, never a worker.
+//!   new socket — stall timeouts, `TCP_NODELAY` — and `try_send`s it into
+//!   a bounded queue. A full queue is answered right there through
+//!   [`Service::refuse`] — overload costs one write on the accept thread,
+//!   never a worker.
 //! * The **worker pool** (a fixed number of threads) drains the queue. A
 //!   worker calls [`Service::answer`] only when the connection has bytes
 //!   waiting, so a message is read whole under one stall timeout and a
@@ -99,6 +100,9 @@ impl Connection {
     fn new(stream: TcpStream) -> io::Result<Connection> {
         stream.set_read_timeout(Some(STALL_TIMEOUT))?;
         stream.set_write_timeout(Some(STALL_TIMEOUT))?;
+        // Every message here is a whole request or response: never hold a
+        // small one back waiting for the peer's delayed ACK.
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Connection { reader: BufReader::new(stream), writer, served: 0, expires: None })
     }

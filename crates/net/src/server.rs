@@ -278,6 +278,27 @@ mod tests {
         server.shutdown();
     }
 
+    /// A small frame must not wait out Nagle plus the peer's delayed ACK:
+    /// before accepted sockets set `TCP_NODELAY`, each warm call took ~40 ms.
+    /// The median is what is bounded, so one scheduling hiccup cannot fail it.
+    #[test]
+    fn small_frames_are_not_held_back() {
+        use std::time::{Duration, Instant};
+        let mut server = Shardd::bind("127.0.0.1:0", 1).unwrap();
+        let peer = Peer::connect(server.addr().to_string()).unwrap();
+        peer.call(&Request::Health).unwrap();
+        let mut calls: Vec<Duration> = (0..20)
+            .map(|_| {
+                let started = Instant::now();
+                peer.call(&Request::Health).unwrap();
+                started.elapsed()
+            })
+            .collect();
+        calls.sort();
+        assert!(calls[10] < Duration::from_millis(20), "median warm call took {:?}", calls[10]);
+        server.shutdown();
+    }
+
     #[test]
     fn gather_round_trips_rows() {
         let mut server = Shardd::bind("127.0.0.1:0", 1).unwrap();

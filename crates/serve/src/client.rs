@@ -109,25 +109,12 @@ impl Client {
         body: Option<&str>,
     ) -> io::Result<Vec<u8>> {
         if self.conn.is_none() {
-            let stream = TcpStream::connect(self.addr)?;
-            stream.set_read_timeout(Some(IO_TIMEOUT))?;
-            stream.set_write_timeout(Some(IO_TIMEOUT))?;
+            self.conn = Some(BufReader::new(connect(self.addr)?));
             self.connects += 1;
-            self.conn = Some(BufReader::new(stream));
         }
-        let result = (|| {
-            let reader = self.conn.as_mut().expect("connection just ensured");
-            let body = body.unwrap_or("");
-            let mut stream = reader.get_ref();
-            write!(
-                stream,
-                "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\n\r\n{body}",
-                self.addr,
-                body.len()
-            )?;
-            stream.flush()?;
-            read_one_response(reader)
-        })();
+        let reader = self.conn.as_mut().expect("connection just ensured");
+        let result = write_request(reader.get_ref(), self.addr, method, path, body, false)
+            .and_then(|()| read_one_response(reader));
         if result.is_err() {
             self.conn = None;
         }
@@ -177,17 +164,37 @@ pub fn request_raw(
     path: &str,
     body: Option<&str>,
 ) -> io::Result<Vec<u8>> {
-    let mut stream = TcpStream::connect(addr)?;
+    let stream = connect(addr)?;
+    write_request(&stream, addr, method, path, body, true)?;
+    read_response_raw(&stream)
+}
+
+/// Connect with the client-side timeouts, and with Nagle off: a request is
+/// one whole message, never worth holding back for the server's ACK.
+fn connect(addr: SocketAddr) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// Write one request, head and body, as one buffer.
+fn write_request(
+    mut stream: &TcpStream,
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+    close: bool,
+) -> io::Result<()> {
     let body = body.unwrap_or("");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+    let connection = if close { "Connection: close\r\n" } else { "" };
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n{connection}\r\n{body}",
         body.len()
-    )?;
-    stream.flush()?;
-    read_response_raw(&stream)
+    );
+    stream.write_all(request.as_bytes())
 }
 
 /// Read a whole to-EOF response off `stream` (the server closes

@@ -296,20 +296,21 @@ impl Response {
         r
     }
 
-    /// Write the response. Header order is fixed, and no clock-dependent
-    /// header is emitted, so equal responses are equal byte streams.
+    /// Write the response as one buffer — head and body leave in a single
+    /// write, the body copied once. Header order is fixed, and no
+    /// clock-dependent header is emitted, so equal responses are equal
+    /// byte streams.
     pub fn write_to(&self, mut w: impl Write) -> io::Result<()> {
-        write!(
-            w,
-            "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
+        let retry_after =
+            self.retry_after.map(|s| format!("Retry-After: {s}\r\n")).unwrap_or_default();
+        let message = format!(
+            "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{retry_after}\r\n{}",
             self.status,
             status_text(self.status),
-            self.body.len()
-        )?;
-        if let Some(seconds) = self.retry_after {
-            write!(w, "Retry-After: {seconds}\r\n")?;
-        }
-        write!(w, "\r\n{}", self.body)?;
+            self.body.len(),
+            self.body
+        );
+        w.write_all(message.as_bytes())?;
         w.flush()
     }
 }

@@ -269,6 +269,28 @@ mod tests {
         server.shutdown();
     }
 
+    /// A small request or response must not wait out Nagle plus the peer's
+    /// delayed ACK: before both ends set `TCP_NODELAY` and wrote each
+    /// message whole, a warm keep-alive request took ~80 ms. The median is
+    /// what is bounded, so one scheduling hiccup cannot fail it.
+    #[test]
+    fn small_messages_are_not_held_back() {
+        let server = Server::start(engine_with_table(100), config(1)).unwrap();
+        let mut client = Client::new(server.addr());
+        client.get("/healthz").unwrap();
+        let mut requests: Vec<Duration> = (0..20)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                assert_eq!(client.get("/healthz").unwrap().0, 200);
+                started.elapsed()
+            })
+            .collect();
+        requests.sort();
+        assert!(requests[10] < Duration::from_millis(20), "median took {:?}", requests[10]);
+        assert_eq!(client.connects(), 1);
+        server.shutdown();
+    }
+
     #[test]
     fn keepalive_max_requests_caps_a_connection() {
         let mut cfg = config(1);
