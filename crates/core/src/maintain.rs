@@ -1,6 +1,6 @@
 //! Incremental sample maintenance for ingesting tables.
 //!
-//! A [`MaintainedSample`] keeps, alongside a prepared sample's outcome, the
+//! A [`Maintenance`] keeps, for one prepared sample in the engine's store, the
 //! two artifacts the two-pass pipeline derives from the raw rows: the
 //! finest-stratification [`GroupIndex`] and the per-partition statistics
 //! partials (`partials[partition][group][column]`). Both are *mergeable
@@ -42,39 +42,23 @@
 //! [`StreamingSampler`](crate::stream::StreamingSampler) is a standalone
 //! sampler for streams that are never stored; nothing here feeds it.
 
-use std::sync::Arc;
-
 use cvopt_table::agg::AggState;
 use cvopt_table::exec::{ExecOptions, CHUNK_ROWS};
 use cvopt_table::{GroupIndex, RowSpace, ScalarExpr, Table};
 
 use crate::error::CvError;
 use crate::framework::{note_draw, CvOptOutcome, CvOptSampler};
-use crate::sample::{MaterializedSample, StratifiedSample};
+use crate::sample::StratifiedSample;
 use crate::spec::SamplingProblem;
 use crate::stats::{self, StratumStatistics};
 use crate::Result;
 
-/// Draw + materialize through the exact passes a fresh
-/// [`CvOptSampler::sample`] runs.
-fn draw(
-    rows: &RowSpace<'_>,
-    index: &GroupIndex,
-    allocation: &[u64],
-    seed: u64,
-    exec: &ExecOptions,
-) -> Result<MaterializedSample> {
-    note_draw();
-    StratifiedSample::draw(index, allocation, seed, exec).materialize_from(rows)
-}
-
-/// One durable prepared sample kept incrementally up to date under append
-/// (see the module docs for the maintenance contract).
+/// The state that keeps one durable prepared sample incrementally up to
+/// date under append (see the module docs for the maintenance contract).
+/// The sample's problem and outcome live on its store entry; every method
+/// here takes the problem and returns the outcome that now answers it.
 #[derive(Debug)]
-pub(crate) struct MaintainedSample {
-    /// The problem the sample currently answers; its budget rescales with
-    /// the table (see [`MaintainedSample::scaled_budget`]).
-    problem: SamplingProblem,
+pub(crate) struct Maintenance {
     /// Budget and row count at creation: the pinned sampling rate.
     base_budget: usize,
     base_rows: usize,
@@ -83,50 +67,55 @@ pub(crate) struct MaintainedSample {
     index: GroupIndex,
     /// Cached per-partition statistics partials over the current rows.
     partials: Vec<Vec<Vec<AggState>>>,
-    /// The maintained outcome — always equal to a fresh preparation.
-    outcome: Arc<CvOptOutcome>,
 }
 
-impl MaintainedSample {
+impl Maintenance {
     /// Prepare `problem` over `rows` and capture the maintenance state.
     /// The outcome is bit-identical to [`CvOptSampler::sample`] with the
     /// same seed and options; this counts as one statistics pass and one
     /// draw, exactly like the fresh path.
     pub(crate) fn build(
-        problem: SamplingProblem,
+        problem: &SamplingProblem,
         rows: &RowSpace<'_>,
         seed: u64,
         exec: &ExecOptions,
-    ) -> Result<MaintainedSample> {
+    ) -> Result<(Maintenance, CvOptOutcome)> {
         problem.validate()?;
         let strata_exprs = problem.finest_stratification();
         let index = rows.group_index(&strata_exprs, exec)?;
-        let columns = problem.aggregate_columns();
-        let partials = stats::tail_partials(rows, &index, &columns, exec, 0)?;
+        let partials = stats::tail_partials(rows, &index, &problem.aggregate_columns(), exec, 0)?;
         stats::record_pass();
-        let stats = StratumStatistics::from_partials(&index, &columns, &partials);
-        let sampler = CvOptSampler::new(problem.clone()).with_seed(seed).with_exec(*exec);
-        let plan = sampler.allocate(strata_exprs.clone(), &index, stats)?;
-        let sample = draw(rows, &index, &plan.allocation.sizes, seed, exec)?;
-        Ok(MaintainedSample {
+        let state = Maintenance {
             base_budget: problem.budget,
             base_rows: rows.num_rows(),
-            problem,
             strata_exprs,
             index,
             partials,
-            outcome: Arc::new(CvOptOutcome { sample, plan }),
-        })
+        };
+        let outcome = state.outcome(problem, rows, seed, exec)?;
+        Ok((state, outcome))
     }
 
-    /// The problem the maintained outcome currently answers.
-    pub(crate) fn problem(&self) -> &SamplingProblem {
-        &self.problem
-    }
-
-    /// The maintained outcome.
-    pub(crate) fn outcome(&self) -> &Arc<CvOptOutcome> {
-        &self.outcome
+    /// Allocate and draw from the maintained index and partials, through
+    /// the exact passes a fresh [`CvOptSampler::sample`] runs.
+    fn outcome(
+        &self,
+        problem: &SamplingProblem,
+        rows: &RowSpace<'_>,
+        seed: u64,
+        exec: &ExecOptions,
+    ) -> Result<CvOptOutcome> {
+        let stats = StratumStatistics::from_partials(
+            &self.index,
+            &problem.aggregate_columns(),
+            &self.partials,
+        );
+        let sampler = CvOptSampler::new(problem.clone()).with_seed(seed).with_exec(*exec);
+        let plan = sampler.allocate(self.strata_exprs.clone(), &self.index, stats)?;
+        note_draw();
+        let sample = StratifiedSample::draw(&self.index, &plan.allocation.sizes, seed, exec)
+            .materialize_from(rows)?;
+        Ok(CvOptOutcome { sample, plan })
     }
 
     /// The creation-time rate projected onto `rows` table rows: a pure
@@ -143,15 +132,17 @@ impl MaintainedSample {
     /// Fold an appended batch into the maintained state. `rows` is the
     /// **already-extended** table whose last `batch.num_rows()` rows are
     /// the batch. Only the dirty partition tail is rescanned; no
-    /// statistics pass is recorded. Afterwards [`Self::outcome`] equals a
-    /// fresh preparation over `rows`.
+    /// statistics pass is recorded. `problem`'s budget rescales to the new
+    /// row count, and the returned outcome equals a fresh preparation of
+    /// it over `rows`.
     pub(crate) fn apply_append(
         &mut self,
+        problem: &mut SamplingProblem,
         rows: &RowSpace<'_>,
         batch: &Table,
         seed: u64,
         exec: &ExecOptions,
-    ) -> Result<()> {
+    ) -> Result<CvOptOutcome> {
         let old_rows = self.index.num_rows();
         let new_rows = rows.num_rows();
         if old_rows + batch.num_rows() != new_rows {
@@ -159,9 +150,6 @@ impl MaintainedSample {
                 "maintained sample covers {old_rows} rows + batch of {} != table of {new_rows}",
                 batch.num_rows()
             )));
-        }
-        if batch.num_rows() == 0 {
-            return Ok(());
         }
 
         // Batch-local index, merged in row order: identical to rebuilding
@@ -175,42 +163,37 @@ impl MaintainedSample {
         // by the append; padding a kept partial to the merged width adds
         // default accumulators for batch-new strata, which is exactly what
         // a fresh kernel computes for a stratum absent from the partition.
-        let columns = self.problem.aggregate_columns();
-        let ncols = columns.len();
+        let columns = problem.aggregate_columns();
         let first_dirty = old_rows / CHUNK_ROWS;
         let tail = stats::tail_partials(rows, &merged, &columns, exec, first_dirty)?;
         self.partials.truncate(first_dirty);
         for partial in &mut self.partials {
-            partial.resize(merged.num_groups(), vec![AggState::default(); ncols]);
+            partial.resize(merged.num_groups(), vec![AggState::default(); columns.len()]);
         }
         self.partials.extend(tail);
-
-        let stats = StratumStatistics::from_partials(&merged, &columns, &self.partials);
-        self.problem.budget = self.scaled_budget(new_rows);
-        let sampler = CvOptSampler::new(self.problem.clone()).with_seed(seed).with_exec(*exec);
-        let plan = sampler.allocate(self.strata_exprs.clone(), &merged, stats)?;
-        let sample = draw(rows, &merged, &plan.allocation.sizes, seed, exec)?;
-        self.outcome = Arc::new(CvOptOutcome { sample, plan });
         self.index = merged;
-        Ok(())
+
+        problem.budget = self.scaled_budget(new_rows);
+        self.outcome(problem, rows, seed, exec)
     }
 
     /// Rebuild from scratch over `rows` (after a retention rotation,
     /// whose row drops invalidate cached partials wholesale). Costs a full
-    /// statistics pass; the budget rescales to the surviving row count.
+    /// statistics pass; `problem`'s budget rescales to the surviving row
+    /// count at the pinned rate.
     pub(crate) fn rebuild(
         &mut self,
+        problem: &mut SamplingProblem,
         rows: &RowSpace<'_>,
         seed: u64,
         exec: &ExecOptions,
-    ) -> Result<()> {
-        let mut problem = self.problem.clone();
+    ) -> Result<CvOptOutcome> {
         problem.budget = self.scaled_budget(rows.num_rows());
-        let mut fresh = MaintainedSample::build(problem, rows, seed, exec)?;
-        fresh.base_budget = self.base_budget;
-        fresh.base_rows = self.base_rows;
-        *self = fresh;
-        Ok(())
+        let (fresh, outcome) = Maintenance::build(problem, rows, seed, exec)?;
+        self.strata_exprs = fresh.strata_exprs;
+        self.index = fresh.index;
+        self.partials = fresh.partials;
+        Ok(outcome)
     }
 }
 
@@ -263,29 +246,62 @@ mod tests {
         }
     }
 
-    /// Appending in any batch split yields the same maintained outcome as
-    /// re-preparing from scratch over the final table.
+    /// A sample under maintenance the way the store holds it: the problem
+    /// and the outcome beside the state.
+    struct Maintained {
+        problem: SamplingProblem,
+        state: Maintenance,
+        outcome: CvOptOutcome,
+        seed: u64,
+        exec: ExecOptions,
+    }
+
+    impl Maintained {
+        fn build(budget: usize, rows: &RowSpace<'_>, seed: u64, exec: ExecOptions) -> Self {
+            let problem = problem(budget);
+            let (state, outcome) = Maintenance::build(&problem, rows, seed, &exec).unwrap();
+            Maintained { problem, state, outcome, seed, exec }
+        }
+
+        fn append(&mut self, rows: &RowSpace<'_>, batch: &Table) {
+            self.outcome = self
+                .state
+                .apply_append(&mut self.problem, rows, batch, self.seed, &self.exec)
+                .unwrap();
+        }
+
+        /// What a from-scratch preparation of the current problem draws.
+        fn fresh<'a>(&self, rows: impl Into<RowSpace<'a>>) -> CvOptOutcome {
+            CvOptSampler::new(self.problem.clone())
+                .with_seed(self.seed)
+                .with_exec(self.exec)
+                .sample(rows)
+                .unwrap()
+        }
+    }
+
+    /// Appending in any batch split — an empty batch included — yields the
+    /// same maintained outcome as re-preparing from scratch over the final
+    /// table.
     #[test]
     fn append_matches_fresh_prepare_for_any_split() {
         let rows = row_stream(3000);
-        let seed = 11;
-        let exec = ExecOptions::new(2);
         let base = table_of(&rows[..1000]);
-        for splits in [vec![1000, 3000], vec![1000, 1500, 2200, 3000], vec![1000, 1001, 3000]] {
-            let mut m = MaintainedSample::build(problem(50), &(&base).into(), seed, &exec).unwrap();
+        for splits in [
+            vec![1000, 3000],
+            vec![1000, 1500, 2200, 3000],
+            vec![1000, 1001, 3000],
+            vec![1000, 1000, 3000, 3000],
+        ] {
+            let mut m = Maintained::build(50, &(&base).into(), 11, ExecOptions::new(2));
             let mut current = base.clone();
             for window in splits.windows(2) {
                 let batch = table_of(&rows[window[0]..window[1]]);
                 current = current.extended(&batch).unwrap();
-                m.apply_append(&(&current).into(), &batch, seed, &exec).unwrap();
+                m.append(&(&current).into(), &batch);
             }
-            let fresh = CvOptSampler::new(m.problem().clone())
-                .with_seed(seed)
-                .with_exec(exec)
-                .sample(&table_of(&rows))
-                .unwrap();
-            assert_outcomes_equal(m.outcome(), &fresh, &format!("split {splits:?}"));
-            assert_eq!(m.problem().budget, 150, "rate 5% of 3000 rows");
+            assert_outcomes_equal(&m.outcome, &m.fresh(&table_of(&rows)), &format!("{splits:?}"));
+            assert_eq!(m.problem.budget, 150, "rate 5% of 3000 rows");
         }
     }
 
@@ -294,33 +310,23 @@ mod tests {
     #[test]
     fn sharded_append_matches_fresh_prepare() {
         let rows = row_stream(2400);
-        let seed = 4;
-        let exec = ExecOptions::new(3);
         let base = ShardSet::from(ShardedTable::split(&table_of(&rows[..1800]), 3).unwrap());
-        let mut m = MaintainedSample::build(problem(90), &base.rows(), seed, &exec).unwrap();
+        let mut m = Maintained::build(90, &base.rows(), 4, ExecOptions::new(3));
         let mut current = base;
         for bounds in [(1800, 2000), (2000, 2400)] {
             let batch = table_of(&rows[bounds.0..bounds.1]);
             current = current.extended(&batch).unwrap();
-            m.apply_append(&current.rows(), &batch, seed, &exec).unwrap();
+            m.append(&current.rows(), &batch);
         }
-        let fresh = CvOptSampler::new(m.problem().clone())
-            .with_seed(seed)
-            .with_exec(exec)
-            .sample(&current)
-            .unwrap();
-        assert_outcomes_equal(m.outcome(), &fresh, "sharded append");
+        assert_outcomes_equal(&m.outcome, &m.fresh(&current), "sharded append");
     }
 
     /// Appends that introduce brand-new strata pad cached partials
     /// correctly: the maintained stats still match a full re-collect.
     #[test]
     fn append_with_new_strata_matches() {
-        let base_rows = row_stream(500);
-        let seed = 7;
-        let exec = ExecOptions::sequential();
-        let base = table_of(&base_rows);
-        let mut m = MaintainedSample::build(problem(40), &(&base).into(), seed, &exec).unwrap();
+        let base = table_of(&row_stream(500));
+        let mut m = Maintained::build(40, &(&base).into(), 7, ExecOptions::sequential());
         // A batch whose group key was never seen before.
         let mut b = TableBuilder::new(&schema());
         for i in 0..200usize {
@@ -333,14 +339,9 @@ mod tests {
         }
         let batch = b.finish();
         let current = base.extended(&batch).unwrap();
-        m.apply_append(&(&current).into(), &batch, seed, &exec).unwrap();
-        let fresh = CvOptSampler::new(m.problem().clone())
-            .with_seed(seed)
-            .with_exec(exec)
-            .sample(&current)
-            .unwrap();
-        assert_outcomes_equal(m.outcome(), &fresh, "new-strata append");
-        assert_eq!(m.outcome().plan.num_strata(), 5);
+        m.append(&(&current).into(), &batch);
+        assert_outcomes_equal(&m.outcome, &m.fresh(&current), "new-strata append");
+        assert_eq!(m.outcome.plan.num_strata(), 5);
     }
 
     proptest::proptest! {
@@ -355,40 +356,29 @@ mod tests {
             seed in 0u64..32,
         ) {
             let rows = row_stream(2000);
-            let exec = ExecOptions::new(2);
             let base = table_of(&rows[..600]);
             let mut bounds: Vec<usize> = cuts.iter().map(|c| 600 + c).collect();
             bounds.push(600);
             bounds.push(2000);
             bounds.sort_unstable();
             bounds.dedup();
-            let mut m = MaintainedSample::build(
-                problem(30),
-                &(&base).into(),
-                seed,
-                &exec,
-            )
-            .unwrap();
+            let mut m = Maintained::build(30, &(&base).into(), seed, ExecOptions::new(2));
             let mut current = base;
             for window in bounds.windows(2) {
                 let batch = table_of(&rows[window[0]..window[1]]);
                 current = current.extended(&batch).unwrap();
-                m.apply_append(&(&current).into(), &batch, seed, &exec).unwrap();
+                m.append(&(&current).into(), &batch);
             }
-            let fresh = CvOptSampler::new(m.problem().clone())
-                .with_seed(seed)
-                .with_exec(exec)
-                .sample(&current)
-                .unwrap();
-            proptest::prop_assert_eq!(&m.outcome().sample.origin, &fresh.sample.origin);
-            let wa: Vec<u64> = m.outcome().sample.weights.iter().map(|w| w.to_bits()).collect();
+            let fresh = m.fresh(&current);
+            proptest::prop_assert_eq!(&m.outcome.sample.origin, &fresh.sample.origin);
+            let wa: Vec<u64> = m.outcome.sample.weights.iter().map(|w| w.to_bits()).collect();
             let wb: Vec<u64> = fresh.sample.weights.iter().map(|w| w.to_bits()).collect();
             proptest::prop_assert_eq!(wa, wb);
             proptest::prop_assert_eq!(
-                &m.outcome().plan.allocation.sizes,
+                &m.outcome.plan.allocation.sizes,
                 &fresh.plan.allocation.sizes
             );
-            proptest::prop_assert_eq!(m.problem().budget, 100, "5% of 2000 rows");
+            proptest::prop_assert_eq!(m.problem.budget, 100, "5% of 2000 rows");
         }
     }
 
@@ -396,18 +386,11 @@ mod tests {
     #[test]
     fn rebuild_rescales_budget() {
         let rows = row_stream(1000);
-        let seed = 1;
-        let exec = ExecOptions::sequential();
-        let base = table_of(&rows);
-        let mut m = MaintainedSample::build(problem(100), &(&base).into(), seed, &exec).unwrap();
+        let mut m =
+            Maintained::build(100, &(&table_of(&rows)).into(), 1, ExecOptions::sequential());
         let kept = table_of(&rows[600..]);
-        m.rebuild(&(&kept).into(), seed, &exec).unwrap();
-        assert_eq!(m.problem().budget, 40, "10% of the surviving 400 rows");
-        let fresh = CvOptSampler::new(m.problem().clone())
-            .with_seed(seed)
-            .with_exec(exec)
-            .sample(&kept)
-            .unwrap();
-        assert_outcomes_equal(m.outcome(), &fresh, "rebuild");
+        m.outcome = m.state.rebuild(&mut m.problem, &(&kept).into(), m.seed, &m.exec).unwrap();
+        assert_eq!(m.problem.budget, 40, "10% of the surviving 400 rows");
+        assert_outcomes_equal(&m.outcome, &m.fresh(&kept), "rebuild");
     }
 }

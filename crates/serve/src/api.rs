@@ -751,16 +751,8 @@ mod tests {
         assert_eq!(state.engine.counters().stats_passes, 0, "explain must not sample");
     }
 
-    /// Tests that read or write `CVOPT_GROUP_STRATEGY` must not interleave:
-    /// the variable is process-global and the planner reads it per query.
-    fn strategy_env_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn explain_select_statement_reports_without_executing() {
-        let _guard = strategy_env_lock();
         let state = state();
         let req = post(
             "/query",
@@ -813,34 +805,6 @@ mod tests {
         assert_eq!(
             groups[1].get("values").unwrap().as_array().unwrap()[0].as_f64(),
             Some(30_000.0)
-        );
-    }
-
-    #[test]
-    fn group_strategy_override_changes_plan_but_not_answers() {
-        let _guard = strategy_env_lock();
-        let state = state();
-        let req =
-            || post("/query", r#"{"sql":"SELECT g, SUM(x) FROM t GROUP BY g","mode":"exact"}"#);
-        let baseline = handle(&state, &req());
-        assert_eq!(baseline.status, 200, "{}", baseline.body);
-        std::env::set_var("CVOPT_GROUP_STRATEGY", "sort");
-        let forced = handle(&state, &req());
-        std::env::remove_var("CVOPT_GROUP_STRATEGY");
-        assert_eq!(forced.status, 200, "{}", forced.body);
-        let base = Json::parse(&baseline.body).unwrap();
-        let sorted = Json::parse(&forced.body).unwrap();
-        assert_eq!(
-            base.get("results").unwrap(),
-            sorted.get("results").unwrap(),
-            "the group-by strategy must never change answer bytes"
-        );
-        let report = sorted.get("report").unwrap();
-        assert_eq!(report.get("group_by_strategy").unwrap().as_str(), Some("sort"));
-        assert!(
-            report.get("group_by_reason").unwrap().as_str().unwrap().contains("forced"),
-            "{}",
-            forced.body
         );
     }
 

@@ -128,17 +128,10 @@ pub fn estimate_keys(table: &Table, exprs: &[ScalarExpr]) -> Option<u64> {
 /// estimate, returning the choice and a human-readable reason — exactly
 /// what `EXPLAIN` reports. Sort wins when keys are dense relative to rows
 /// (more than one key per 8 rows): run-walking then beats per-row hash
-/// inserts that mostly miss cache. Set `CVOPT_GROUP_STRATEGY=hash|sort`
-/// to force a strategy (results are identical either way — the override
-/// exists so CI can pin both paths against each other).
+/// inserts that mostly miss cache. Results are identical either way;
+/// [`GroupIndex::build_with_strategy`] is how tests pin both paths against
+/// each other.
 pub fn choose_strategy(rows: usize, key_estimate: Option<u64>) -> (GroupStrategy, String) {
-    if let Ok(forced) = std::env::var("CVOPT_GROUP_STRATEGY") {
-        match forced.to_ascii_lowercase().as_str() {
-            "hash" => return (GroupStrategy::Hash, "forced by CVOPT_GROUP_STRATEGY".into()),
-            "sort" => return (GroupStrategy::Sort, "forced by CVOPT_GROUP_STRATEGY".into()),
-            _ => {} // Unknown value: fall through to the heuristic.
-        }
-    }
     match key_estimate {
         None => (GroupStrategy::Hash, "key cardinality not known from metadata; hash build".into()),
         Some(keys) => {
@@ -291,17 +284,6 @@ impl GroupIndex {
     /// will use for this table and dimension list — what `EXPLAIN` reports.
     pub fn strategy_for(table: &Table, exprs: &[ScalarExpr]) -> (GroupStrategy, String) {
         choose_strategy(table.num_rows(), estimate_keys(table, exprs))
-    }
-
-    /// Build the index with the sort-based interning strategy. The result
-    /// is byte-identical to the hash build (see [`GroupStrategy`]); this
-    /// entry point exists for the equivalence tests and benchmarks.
-    pub fn build_sorted(
-        table: &Table,
-        exprs: &[ScalarExpr],
-        options: &ExecOptions,
-    ) -> Result<GroupIndex> {
-        Self::build_with_strategy(table, exprs, options, GroupStrategy::Sort)
     }
 
     /// Build the index with an explicit interning strategy (see
@@ -997,7 +979,8 @@ mod tests {
                 let opts = ExecOptions::new(threads);
                 let hash = GroupIndex::build_with_strategy(&t, &exprs, &opts, GroupStrategy::Hash)
                     .unwrap();
-                let sort = GroupIndex::build_sorted(&t, &exprs, &opts).unwrap();
+                let sort = GroupIndex::build_with_strategy(&t, &exprs, &opts, GroupStrategy::Sort)
+                    .unwrap();
                 assert_eq!(sort.row_groups(), hash.row_groups(), "threads = {threads}");
                 assert_eq!(sort.sizes(), hash.sizes());
                 for g in 0..hash.num_groups() as u32 {
@@ -1011,9 +994,17 @@ mod tests {
     fn sorted_build_edge_cases() {
         // Empty table, single row, and an all-equal-keys table.
         let empty = TableBuilder::new(&[("s", DataType::Str)]).finish();
-        let gi =
-            GroupIndex::build_sorted(&empty, &[ScalarExpr::col("s")], &ExecOptions::sequential())
-                .unwrap();
+        let by_sort = |t: &Table, threads| {
+            let options = ExecOptions::new(threads);
+            GroupIndex::build_with_strategy(
+                t,
+                &[ScalarExpr::col("s")],
+                &options,
+                GroupStrategy::Sort,
+            )
+            .unwrap()
+        };
+        let gi = by_sort(&empty, 1);
         assert_eq!(gi.num_groups(), 0);
         assert!(gi.row_groups().is_empty());
 
@@ -1022,8 +1013,7 @@ mod tests {
             b.push_row(&[Value::str("only")]).unwrap();
         }
         let t = b.finish();
-        let gi =
-            GroupIndex::build_sorted(&t, &[ScalarExpr::col("s")], &ExecOptions::new(4)).unwrap();
+        let gi = by_sort(&t, 4);
         assert_eq!(gi.num_groups(), 1);
         assert_eq!(gi.size(0), 100);
     }

@@ -13,7 +13,8 @@ use proptest::prelude::*;
 use cvopt_core::{Engine, ExecOptions, QueryMode};
 use cvopt_datagen::{generate_openaq, OpenAqConfig};
 use cvopt_table::{
-    DataType, GroupIndex, GroupStrategy, ScalarExpr, ShardedTable, TableBuilder, Value,
+    DataType, GroupIndex, GroupStrategy, QueryResult, ScalarExpr, ShardSet, ShardedTable, Table,
+    TableBuilder, Value,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -28,13 +29,6 @@ fn thread_counts() -> Vec<usize> {
         }
     }
     counts
-}
-
-/// `CVOPT_GROUP_STRATEGY` is process-global and read by the planner per
-/// query; tests that set it (or assert on the planner's choice) hold this.
-fn strategy_env_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn assert_identical(sort: &GroupIndex, hash: &GroupIndex, context: &str) {
@@ -71,69 +65,70 @@ fn sort_build_matches_hash_build_on_openaq() {
     }
 }
 
-/// Forcing either strategy through the environment override never changes
-/// a query answer — exact or approximate — only the plan report.
+/// 2400 rows cycling through 200 keys: sparse for the whole table
+/// (200 × 8 ≤ 2400, so the heuristic picks the hash build) but dense for
+/// each shard of a 2- or 3-way split, which still sees all 200 keys over
+/// 1200 or 800 rows (the heuristic picks the sort build).
+fn dense_table() -> Table {
+    let mut b = TableBuilder::new(&[("k", DataType::Str), ("v", DataType::Float64)]);
+    for i in 0..2400usize {
+        let v = ((i as f64) * 0.37).sin() * 40.0 + (i % 11) as f64;
+        b.push_row(&[Value::str(format!("k{:03}", (i * 7) % 200)), Value::Float64(v)]).unwrap();
+    }
+    b.finish()
+}
+
+fn bits(result: &QueryResult) -> Vec<Vec<u64>> {
+    result.values.iter().map(|row| row.iter().map(|v| v.to_bits()).collect()).collect()
+}
+
+/// The heuristic's own choice never changes a query answer — exact or
+/// approximate: a plain registration builds its index by hash, a 3-shard
+/// registration of the same rows builds every shard's index by sort, and
+/// the answers are bit-equal.
 #[test]
-fn forced_strategy_never_changes_answer_bytes() {
-    let _guard = strategy_env_lock();
-    let table = generate_openaq(&OpenAqConfig::with_rows(20_000));
-    let answers: Vec<_> = ["hash", "sort"]
-        .iter()
-        .map(|forced| {
-            std::env::set_var("CVOPT_GROUP_STRATEGY", forced);
-            let mut engine = Engine::new().with_seed(11);
-            engine.register("openaq", table.clone());
-            let exact = engine
-                .query(
-                    "SELECT country, parameter, SUM(value) FROM openaq \
-                     GROUP BY country, parameter",
-                    QueryMode::Exact,
-                )
-                .unwrap();
-            let approx = engine
-                .query(
-                    "SELECT country, AVG(value) FROM openaq GROUP BY country",
-                    QueryMode::Approximate,
-                )
-                .unwrap();
-            std::env::remove_var("CVOPT_GROUP_STRATEGY");
-            assert_eq!(exact.report.group_by_strategy, *forced);
-            assert!(exact.report.group_by_reason.contains("forced"));
-            (exact, approx)
-        })
-        .collect();
-    let bits = |vs: &[Vec<f64>]| -> Vec<Vec<u64>> {
-        vs.iter().map(|row| row.iter().map(|v| v.to_bits()).collect()).collect()
-    };
-    let (a, b) = (&answers[0], &answers[1]);
-    assert_eq!(a.0.results[0].keys, b.0.results[0].keys, "exact keys");
-    assert_eq!(bits(&a.0.results[0].values), bits(&b.0.results[0].values), "exact values");
-    assert_eq!(a.1.results[0].keys, b.1.results[0].keys, "approximate keys");
-    assert_eq!(bits(&a.1.results[0].values), bits(&b.1.results[0].values), "approximate values");
-    assert_eq!(a.1.report.fingerprint, b.1.report.fingerprint, "sample fingerprints");
+fn heuristic_strategy_never_changes_answer_bytes() {
+    let table = dense_table();
+    let sharded = ShardedTable::split(&table, 3).unwrap();
+    let exprs = [ScalarExpr::col("k")];
+    assert_eq!(GroupIndex::strategy_for(&table, &exprs).0, GroupStrategy::Hash);
+    for shard in sharded.shards() {
+        assert_eq!(GroupIndex::strategy_for(shard, &exprs).0, GroupStrategy::Sort);
+    }
+    let mut plain = Engine::new().with_seed(11).with_default_rate(0.5);
+    plain.register("dense", table);
+    let mut split = Engine::new().with_seed(11).with_default_rate(0.5);
+    split.register("dense", sharded);
+    for (sql, mode) in [
+        ("SELECT k, SUM(v), COUNT(*) FROM dense GROUP BY k", QueryMode::Exact),
+        ("SELECT k, AVG(v) FROM dense GROUP BY k", QueryMode::Approximate),
+    ] {
+        let a = plain.query(sql, mode).unwrap();
+        let b = split.query(sql, mode).unwrap();
+        // Reports summarize at table scale, where these keys are sparse.
+        assert_eq!(a.report.group_by_strategy, "hash", "{mode:?}");
+        assert!(a.report.group_by_reason.contains("sparse"), "{}", a.report.group_by_reason);
+        assert_eq!(b.report.group_by_strategy, "hash", "{mode:?}");
+        assert_eq!(a.results[0].keys, b.results[0].keys, "{mode:?} keys");
+        assert_eq!(bits(&a.results[0]), bits(&b.results[0]), "{mode:?} values");
+    }
 }
 
 /// The sharded build composes with the sort strategy: shard group indexes
-/// built sorted merge to the same global index as hash-built ones.
+/// built sorted merge to the same global index the hash build produces
+/// over the whole table.
 #[test]
 fn sorted_build_is_invisible_to_sharded_grouping() {
-    let _guard = strategy_env_lock();
-    let table = generate_openaq(&OpenAqConfig::with_rows(20_000));
-    let sql = "SELECT country, parameter, SUM(value), COUNT(*) FROM openaq \
-               GROUP BY country, parameter";
-    let mut reference = Engine::new().with_seed(11);
-    reference.register("openaq", table.clone());
-    let want = reference.query(sql, QueryMode::Exact).unwrap();
-
-    for shards in [2usize, 3] {
-        for forced in ["hash", "sort"] {
-            std::env::set_var("CVOPT_GROUP_STRATEGY", forced);
-            let mut engine = Engine::new().with_seed(11);
-            engine.register("openaq", ShardedTable::split(&table, shards).unwrap());
-            let got = engine.query(sql, QueryMode::Exact).unwrap();
-            std::env::remove_var("CVOPT_GROUP_STRATEGY");
-            assert_eq!(got.results[0].keys, want.results[0].keys, "{shards} shards, {forced}");
-            assert_eq!(got.results[0].values, want.results[0].values, "{shards} shards, {forced}");
+    let table = dense_table();
+    let exprs = [ScalarExpr::col("k")];
+    for threads in thread_counts() {
+        let options = ExecOptions::new(threads);
+        let hash =
+            GroupIndex::build_with_strategy(&table, &exprs, &options, GroupStrategy::Hash).unwrap();
+        for shards in [2usize, 3] {
+            let set = ShardSet::from(ShardedTable::split(&table, shards).unwrap());
+            let merged = set.rows().group_index(&exprs, &options).unwrap();
+            assert_identical(&merged, &hash, &format!("{shards} shards, threads {threads}"));
         }
     }
 }
