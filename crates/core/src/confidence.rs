@@ -20,11 +20,19 @@
 //! grouping equals the stratification and there is no predicate, this
 //! reduces to the paper's `CV[y_i] = (σ_i/μ_i)·√((n_i−s_i)/(n_i s_i))` with
 //! plug-in sample moments.
+//!
+//! The pass (`SampleScan::confidence`) is the second read-out of a
+//! statement's `SampleScan`: it walks the rows the already-built
+//! predicate bitmap keeps, looks groups up in the already-built index, and
+//! accumulates every `AVG` aggregate of the statement side by side.
 
+use cvopt_table::exec::ExecOptions;
+use cvopt_table::expr::BoundExpr;
 use cvopt_table::fxhash::FxHashMap;
-use cvopt_table::{GroupIndex, KeyAtom, Predicate, ScalarExpr};
+use cvopt_table::{AggExpr, AggKind, GroupByQuery, GroupIndex, KeyAtom, Predicate, ScalarExpr};
 
 use crate::error::CvError;
+use crate::estimate::SampleScan;
 use crate::sample::MaterializedSample;
 use crate::Result;
 
@@ -56,6 +64,23 @@ impl AvgEstimate {
     }
 }
 
+/// Confidence intervals for one `AVG` aggregate of an approximate answer.
+///
+/// The intervals come from the confidence pass, which reads the same group
+/// index and predicate bitmap as the weighted pass but sums in plain row
+/// order: its point estimates agree with the corresponding
+/// [`QueryResult`](cvopt_table::QueryResult) values analytically but may
+/// differ in the last float bits. Treat `estimates[i].estimate` as the
+/// interval center and the `QueryResult` as the canonical point answer.
+#[derive(Debug, Clone)]
+pub struct AggConfidence {
+    /// Index into the query's aggregate list (and into
+    /// [`QueryResult::agg_names`](cvopt_table::QueryResult::agg_names)).
+    pub agg_index: usize,
+    /// Per-group estimates with standard errors, sorted by group key.
+    pub estimates: Vec<AvgEstimate>,
+}
+
 /// Estimate `AVG(value)` per group of `group_by` from a *stratified* sample,
 /// with standard errors. An optional predicate is applied at query time.
 ///
@@ -72,84 +97,138 @@ pub fn estimate_avg_with_error(
             "error estimation requires a stratified sample (per-stratum n and s)",
         ));
     }
-    let table = &sample.table;
-    let index = GroupIndex::build(table, group_by)?;
-    let value_expr = value.bind(table)?;
-    let bound_pred = predicate.map(|p| p.bind(table)).transpose()?;
+    let mut query =
+        GroupByQuery::new(group_by.to_vec(), vec![AggExpr::over(AggKind::Avg, value.clone())]);
+    query.predicate = predicate.cloned();
+    let mut confidence = SampleScan::new(sample, &query, &ExecOptions::default())?.confidence()?;
+    Ok(confidence.pop().expect("one AVG aggregate over a stratified sample").estimates)
+}
 
-    // Accumulate per (stratum, group): matching count, Σy, Σy².
-    #[derive(Default, Clone, Copy)]
-    struct CellAcc {
-        m: u64,
-        sum: f64,
-        sum2: f64,
-    }
-    let mut cells: FxHashMap<(u32, u32), CellAcc> = FxHashMap::default();
+/// Per (stratum, group) moments of one `AVG` input: matching count, Σy, Σy².
+#[derive(Default, Clone, Copy)]
+struct CellAcc {
+    m: u64,
+    sum: f64,
+    sum2: f64,
+}
+
+/// What the confidence pass accumulates for one `AVG` aggregate.
+struct AvgAcc<'a> {
+    agg_index: usize,
+    value: BoundExpr<'a>,
+    /// Iterated when the variance is summed, so the float sums depend on
+    /// its insertion sequence: always the aggregate's contributing rows in
+    /// row order.
+    cells: FxHashMap<(u32, u32), CellAcc>,
     // Per-group totals for the point estimate.
-    let num_groups = index.num_groups();
-    let mut wsum = vec![0.0f64; num_groups];
-    let mut wysum = vec![0.0f64; num_groups];
-    let mut rows = vec![0u64; num_groups];
+    wsum: Vec<f64>,
+    wysum: Vec<f64>,
+    rows: Vec<u64>,
+}
 
-    for row in 0..table.num_rows() {
-        if let Some(p) = &bound_pred {
-            if !p.matches(row) {
+impl AvgAcc<'_> {
+    /// Point estimates and linearized standard errors, sorted by group key.
+    fn finish(self, sample: &MaterializedSample, index: &GroupIndex) -> Vec<AvgEstimate> {
+        let num_groups = index.num_groups();
+        let estimates: Vec<f64> = self
+            .wysum
+            .iter()
+            .zip(&self.wsum)
+            .map(|(&wy, &w)| if w > 0.0 { wy / w } else { f64::NAN })
+            .collect();
+
+        // Variance: Σ_c n_c(n_c−s_c)/s_c · S²_{z,c} / N̂_d².
+        let mut variance = vec![0.0f64; num_groups];
+        for (&(c, g), acc) in &self.cells {
+            let stratum = &sample.strata[c as usize];
+            let n_c = stratum.population as f64;
+            let s_c = stratum.sampled as f64;
+            if s_c < 2.0 || s_c >= n_c {
+                continue; // fully sampled strata contribute no sampling error
+            }
+            let y_d = estimates[g as usize];
+            // Σz and Σz² over all s_c rows (zeros outside the domain).
+            let zsum = acc.sum - acc.m as f64 * y_d;
+            let z2sum = acc.sum2 - 2.0 * y_d * acc.sum + acc.m as f64 * y_d * y_d;
+            let mean_z = zsum / s_c;
+            let s2_z = (z2sum - s_c * mean_z * mean_z).max(0.0) / (s_c - 1.0);
+            variance[g as usize] += n_c * (n_c - s_c) / s_c * s2_z;
+        }
+
+        let mut out = Vec::with_capacity(num_groups);
+        for g in 0..num_groups {
+            if self.rows[g] == 0 {
                 continue;
             }
+            let n_hat = self.wsum[g];
+            let std_error = if n_hat > 0.0 { (variance[g] / (n_hat * n_hat)).sqrt() } else { 0.0 };
+            let estimate = estimates[g];
+            out.push(AvgEstimate {
+                key: index.key(g as u32).to_vec(),
+                estimate,
+                std_error,
+                cv: if estimate != 0.0 { std_error / estimate.abs() } else { f64::INFINITY },
+                sampled_rows: self.rows[g],
+            });
         }
-        let Some(y) = value_expr.f64_at(row) else { continue };
-        let g = index.group_of(row);
-        let c = sample.row_stratum[row];
-        let w = sample.weights[row];
-        wsum[g as usize] += w;
-        wysum[g as usize] += w * y;
-        rows[g as usize] += 1;
-        let acc = cells.entry((c, g)).or_default();
-        acc.m += 1;
-        acc.sum += y;
-        acc.sum2 += y * y;
+        out.sort_by(|a, b| a.key.cmp(&b.key));
+        out
     }
+}
 
-    // Point estimates.
-    let estimates: Vec<f64> =
-        wysum.iter().zip(&wsum).map(|(&wy, &w)| if w > 0.0 { wy / w } else { f64::NAN }).collect();
-
-    // Variance: Σ_c n_c(n_c−s_c)/s_c · S²_{z,c} / N̂_d².
-    let mut variance = vec![0.0f64; num_groups];
-    for (&(c, g), acc) in &cells {
-        let stratum = &sample.strata[c as usize];
-        let n_c = stratum.population as f64;
-        let s_c = stratum.sampled as f64;
-        if s_c < 2.0 || s_c >= n_c {
-            continue; // fully sampled strata contribute no sampling error
+impl SampleScan<'_> {
+    /// The confidence pass: per-group standard errors for every `AVG`
+    /// aggregate of the scanned query, in **one** sequential walk over the
+    /// sample rows the predicate keeps. Cube queries and non-stratified
+    /// samples get none (the stratified domain estimator does not cover
+    /// them); a failure on an eligible aggregate propagates rather than
+    /// silently dropping the intervals.
+    pub(crate) fn confidence(&self) -> Result<Vec<AggConfidence>> {
+        let sample = self.sample;
+        if self.query.cube || !sample.is_stratified() {
+            return Ok(Vec::new());
         }
-        let y_d = estimates[g as usize];
-        // Σz and Σz² over all s_c rows (zeros outside the domain).
-        let zsum = acc.sum - acc.m as f64 * y_d;
-        let z2sum = acc.sum2 - 2.0 * y_d * acc.sum + acc.m as f64 * y_d * y_d;
-        let mean_z = zsum / s_c;
-        let s2_z = (z2sum - s_c * mean_z * mean_z).max(0.0) / (s_c - 1.0);
-        variance[g as usize] += n_c * (n_c - s_c) / s_c * s2_z;
-    }
-
-    let mut out = Vec::with_capacity(num_groups);
-    for g in 0..num_groups {
-        if rows[g] == 0 {
-            continue;
+        let num_groups = self.index.num_groups();
+        let mut avgs = Vec::new();
+        for (agg_index, agg) in self.query.aggregates.iter().enumerate() {
+            if let (AggKind::Avg, Some(input)) = (agg.kind, &agg.input) {
+                avgs.push(AvgAcc {
+                    agg_index,
+                    value: input.bind(&sample.table)?,
+                    cells: FxHashMap::default(),
+                    wsum: vec![0.0; num_groups],
+                    wysum: vec![0.0; num_groups],
+                    rows: vec![0; num_groups],
+                });
+            }
         }
-        let n_hat = wsum[g];
-        let std_error = if n_hat > 0.0 { (variance[g] / (n_hat * n_hat)).sqrt() } else { 0.0 };
-        let estimate = estimates[g];
-        out.push(AvgEstimate {
-            key: index.key(g as u32).to_vec(),
-            estimate,
-            std_error,
-            cv: if estimate != 0.0 { std_error / estimate.abs() } else { f64::INFINITY },
-            sampled_rows: rows[g],
+        if avgs.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut visit = |row: usize| {
+            let (g, c, w) =
+                (self.index.group_of(row), sample.row_stratum[row], sample.weights[row]);
+            for acc in &mut avgs {
+                let Some(y) = acc.value.f64_at(row) else { continue };
+                acc.wsum[g as usize] += w;
+                acc.wysum[g as usize] += w * y;
+                acc.rows[g as usize] += 1;
+                let cell = acc.cells.entry((c, g)).or_default();
+                cell.m += 1;
+                cell.sum += y;
+                cell.sum2 += y * y;
+            }
+        };
+        match &self.filter {
+            Some(bitmaps) => bitmaps[0].iter_ones().for_each(&mut visit),
+            None => (0..sample.len()).for_each(&mut visit),
+        }
+        let confidence = avgs.into_iter().map(|acc| AggConfidence {
+            agg_index: acc.agg_index,
+            estimates: acc.finish(sample, &self.index),
         });
+        Ok(confidence.collect())
     }
-    out.sort_by(|a, b| a.key.cmp(&b.key));
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -222,7 +301,7 @@ mod tests {
             vec![cvopt_table::AggExpr::avg("x")],
         );
         let truth = &truth_query.execute(&t).unwrap()[0];
-        let runs = 40;
+        let runs = 400;
         let mut covered = 0u32;
         let mut total = 0u32;
         for seed in 0..runs {
@@ -243,8 +322,8 @@ mod tests {
             }
         }
         let coverage = covered as f64 / total as f64;
-        // Nominal 95%; allow slack for the normal approximation at small s.
-        assert!(coverage > 0.8, "coverage {coverage} over {total} intervals");
+        // Nominal 95%; the slack is for the normal approximation at small s.
+        assert!(coverage >= 0.90, "coverage {coverage} over {total} intervals");
     }
 
     #[test]

@@ -76,10 +76,11 @@ mod ingest;
 mod plan;
 mod store;
 
+pub use crate::confidence::AggConfidence;
 use catalog::CatalogEntry;
 pub use catalog::{CatalogTable, QueryLogEntry, ReoptimizeReport};
 pub use ingest::{IngestReport, RotateReport};
-pub use plan::{problem_for_query, AggConfidence, ExplainReport, QueryAnswer, ReuseInfo};
+pub use plan::{problem_for_query, ExplainReport, QueryAnswer, ReuseInfo};
 use store::SampleStore;
 pub use store::{eviction_rank, SampleHandle};
 

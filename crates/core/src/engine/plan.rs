@@ -8,33 +8,16 @@ use std::sync::Arc;
 
 use cvopt_table::exec::{partition_rows, ExecOptions};
 use cvopt_table::groupby::{choose_strategy, estimate_keys};
-use cvopt_table::{hash_join, sql, AggKind, GroupByQuery, GroupStrategy, QueryResult, ScalarExpr};
+use cvopt_table::{hash_join, sql, GroupByQuery, GroupStrategy, QueryResult, ScalarExpr};
 
 use super::catalog::CatalogEntry;
 use super::store::Reusable;
-use super::{Engine, QueryMode, SampleHandle};
-use crate::confidence::{estimate_avg_with_error, AvgEstimate};
+use super::{Engine, QueryMode};
+use crate::confidence::AggConfidence;
 use crate::error::CvError;
 use crate::framework::{budget_for_rows, note_draw_avoided};
 use crate::spec::{conjunction_atoms, AggColumn, QuerySpec, SamplingProblem};
 use crate::Result;
-
-/// Confidence intervals for one `AVG` aggregate of an approximate answer.
-///
-/// The intervals come from the stratified domain estimator of
-/// [`crate::confidence`], which runs its own pass over the sample: its
-/// point estimates agree with the corresponding [`QueryResult`] values
-/// analytically but may differ in the last float bits (different
-/// accumulation order). Treat `estimates[i].estimate` as the interval
-/// center and the `QueryResult` as the canonical point answer.
-#[derive(Debug, Clone)]
-pub struct AggConfidence {
-    /// Index into the query's aggregate list (and into
-    /// [`QueryResult::agg_names`]).
-    pub agg_index: usize,
-    /// Per-group estimates with standard errors, sorted by group key.
-    pub estimates: Vec<AvgEstimate>,
-}
 
 /// How an approximate answer relates to the prepared-sample cache: not at
 /// all, an exact fingerprint hit, or a **derived** answer re-aggregated
@@ -316,8 +299,7 @@ impl Engine {
         };
         let reused = matches!(report.reuse, ReuseInfo::Derived { .. });
         from.log_query(&problem, fingerprint, &query, reused);
-        let results = handle.estimate(&query)?;
-        let confidence = confidence_for(&handle, &query)?;
+        let (results, confidence) = handle.answer(&query)?;
         report.strata = Some(handle.plan().num_strata());
         report.sample_rows = Some(handle.sample().len());
         Ok(QueryAnswer { results, report, confidence })
@@ -539,36 +521,12 @@ fn plan_group_strategy(from: &CatalogEntry, group_by: &[ScalarExpr]) -> (GroupSt
     choose_strategy(rows, estimate)
 }
 
-/// Confidence intervals for the query's `AVG` aggregates. Cube queries
-/// and non-stratified samples are skipped (the stratified domain
-/// estimator of [`crate::confidence`] does not cover them); a failure
-/// on an eligible aggregate propagates rather than silently dropping
-/// the intervals.
-fn confidence_for(handle: &SampleHandle, query: &GroupByQuery) -> Result<Vec<AggConfidence>> {
-    if query.cube || !handle.sample().is_stratified() {
-        return Ok(Vec::new());
-    }
-    let mut out = Vec::new();
-    for (agg_index, agg) in query.aggregates.iter().enumerate() {
-        if agg.kind != AggKind::Avg {
-            continue;
-        }
-        let Some(input) = &agg.input else { continue };
-        let estimates = estimate_avg_with_error(
-            handle.sample(),
-            &query.group_by,
-            input,
-            query.predicate.as_ref(),
-        )?;
-        out.push(AggConfidence { agg_index, estimates });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::fixtures::{assert_same_bits, table};
     use super::*;
+    use crate::confidence::estimate_avg_with_error;
+    use crate::estimate::estimate_with;
     use crate::framework::budget_for_rate;
     use cvopt_table::{DataType, ShardedTable, TableBuilder, Value};
 
@@ -715,6 +673,73 @@ mod tests {
             assert!((est.estimate - point).abs() < 1e-9);
             let (lo, hi) = est.ci95();
             assert!(lo <= est.estimate && est.estimate <= hi);
+        }
+    }
+
+    #[test]
+    fn fused_answer_is_bit_identical_to_the_standalone_estimators() {
+        // Two AVG aggregates, a predicate on a non-grouping column, a
+        // string + date-part group-by: the one-scan answer must equal
+        // `estimate_with` plus one standalone confidence pass per aggregate.
+        let mut b = TableBuilder::new(&[
+            ("g", DataType::Str),
+            ("ts", DataType::Timestamp),
+            ("x", DataType::Float64),
+            ("y", DataType::Float64),
+            ("z", DataType::Float64),
+        ]);
+        for i in 0..6000i64 {
+            let g = ["a", "b", "c"][(i % 7 % 3) as usize];
+            let x = ((i as f64) * 0.37).sin() * 40.0 + (i % 11) as f64;
+            let y = ((i as f64) * 0.11).cos() * 5.0 + (i % 5) as f64;
+            b.push_row(&[
+                Value::str(g),
+                Value::Timestamp(1_500_000_000 + i * 7_200),
+                Value::Float64(x),
+                Value::Float64(y),
+                Value::Float64((i % 10) as f64),
+            ])
+            .unwrap();
+        }
+        let t = b.finish();
+        let sql_text =
+            "SELECT g, MONTH(ts), AVG(x), SUM(x), AVG(y) FROM t WHERE z >= 3 GROUP BY g, MONTH(ts)";
+        let query = sql::compile(sql_text).unwrap();
+        for threads in [1usize, 4] {
+            let mut e = Engine::new()
+                .with_seed(6)
+                .with_default_rate(0.1)
+                .with_exec(ExecOptions::new(threads));
+            e.register("t", t.clone());
+            let ans = e.query(sql_text, QueryMode::Approximate).unwrap();
+            let problem = problem_for_query(&query, ans.report.budget.unwrap()).unwrap();
+            let handle = e.prepare("t", problem).unwrap();
+            assert!(handle.is_cache_hit(), "the sample the statement drew");
+
+            let results = estimate_with(handle.sample(), &query, e.exec()).unwrap();
+            assert_same_bits(&ans.results, &results);
+            assert_eq!(ans.results[0].group_rows, results[0].group_rows);
+
+            assert_eq!(ans.confidence.iter().map(|c| c.agg_index).collect::<Vec<_>>(), [0, 2]);
+            for conf in &ans.confidence {
+                let input = query.aggregates[conf.agg_index].input.as_ref().unwrap();
+                let alone = estimate_avg_with_error(
+                    handle.sample(),
+                    &query.group_by,
+                    input,
+                    query.predicate.as_ref(),
+                )
+                .unwrap();
+                assert_eq!(conf.estimates.len(), alone.len());
+                assert!(alone.iter().any(|e| e.std_error > 0.0), "intervals are not vacuous");
+                for (got, want) in conf.estimates.iter().zip(&alone) {
+                    assert_eq!(got.key, want.key);
+                    assert_eq!(got.sampled_rows, want.sampled_rows);
+                    assert_eq!(got.estimate.to_bits(), want.estimate.to_bits());
+                    assert_eq!(got.std_error.to_bits(), want.std_error.to_bits());
+                    assert_eq!(got.cv.to_bits(), want.cv.to_bits());
+                }
+            }
         }
     }
 

@@ -18,7 +18,8 @@ use cvopt_table::exec::ExecOptions;
 use cvopt_table::{GroupByQuery, QueryResult};
 
 use super::catalog::CatalogTable;
-use crate::estimate::estimate_with;
+use crate::confidence::AggConfidence;
+use crate::estimate::{estimate_with, SampleScan};
 use crate::framework::{CvOptOutcome, CvOptPlan};
 use crate::maintain::Maintenance;
 use crate::sample::MaterializedSample;
@@ -64,10 +65,19 @@ impl SampleHandle {
         &self.outcome.plan
     }
 
-    /// Answer `query` from the prepared sample by Horvitz–Thompson
-    /// estimation, under the engine's execution options. The query may
-    /// carry predicates and groupings the sample was never planned for
-    /// (paper §6.3).
+    /// Answer `query` from the prepared sample under the engine's execution
+    /// options: Horvitz–Thompson estimates, plus per-group confidence
+    /// intervals for its `AVG` aggregates (non-cube queries over stratified
+    /// samples; empty otherwise). The sample's group index and predicate
+    /// bitmap are built once and read by both passes. The query may carry
+    /// predicates and groupings the sample was never planned for (paper
+    /// §6.3).
+    pub fn answer(&self, query: &GroupByQuery) -> Result<(Vec<QueryResult>, Vec<AggConfidence>)> {
+        let scan = SampleScan::new(&self.outcome.sample, query, &self.exec)?;
+        Ok((scan.estimate()?, scan.confidence()?))
+    }
+
+    /// The estimates of [`SampleHandle::answer`] alone.
     pub fn estimate(&self, query: &GroupByQuery) -> Result<Vec<QueryResult>> {
         estimate_with(&self.outcome.sample, query, &self.exec)
     }

@@ -1,7 +1,9 @@
 //! Answering group-by queries from a weighted sample.
 //!
-//! The estimator mirrors the exact executor in `cvopt-table` but aggregates
-//! with Horvitz–Thompson weights:
+//! There is no estimator loop here: the estimate is
+//! [`GroupByQuery::aggregate`] — the pass the exact executor runs — folding
+//! [`WeightedAggState`] under the sample's Horvitz–Thompson weights instead
+//! of `AggState` under unit weights:
 //!
 //! * `COUNT`    → `Σ w`
 //! * `SUM`      → `Σ w·v`
@@ -14,12 +16,14 @@
 //!
 //! Because sampled rows carry *all* attributes, the same sample answers
 //! queries with new predicates or new groupings supplied at query time
-//! (paper §6.3), including `WITH CUBE`.
+//! (paper §6.3), including `WITH CUBE`. A statement's estimates and their
+//! error bars ([`crate::confidence`]) are two read-outs over one
+//! `SampleScan`: the sample's group index and predicate bitmap, built
+//! once.
 
-use cvopt_table::agg::AggKind;
-use cvopt_table::exec::{self, ExecOptions, RowRange};
-use cvopt_table::groupby::KeyAtom;
-use cvopt_table::{GroupByQuery, GroupIndex, QueryResult};
+use cvopt_table::agg::{Accumulator, AggKind};
+use cvopt_table::exec::ExecOptions;
+use cvopt_table::{Bitmap, GroupByQuery, GroupIndex, QueryResult, RowSpace};
 
 use crate::sample::MaterializedSample;
 use crate::Result;
@@ -55,10 +59,11 @@ impl Default for WeightedAggState {
     }
 }
 
-impl WeightedAggState {
-    /// Accumulate a value with weight `w`.
+impl Accumulator for WeightedAggState {
+    /// Accumulate a value with weight `w`; rows of non-positive weight are
+    /// ignored.
     #[inline]
-    pub fn update(&mut self, v: f64, w: f64) {
+    fn update(&mut self, v: f64, w: f64) {
         if w <= 0.0 {
             return;
         }
@@ -75,8 +80,7 @@ impl WeightedAggState {
         }
     }
 
-    /// Merge another accumulator.
-    pub fn merge(&mut self, other: &WeightedAggState) {
+    fn merge(&mut self, other: &WeightedAggState) {
         if other.rows == 0 {
             return;
         }
@@ -96,13 +100,11 @@ impl WeightedAggState {
         self.max = self.max.max(other.max);
     }
 
-    /// Weighted sum `Σ w·v`.
-    pub fn weighted_sum(&self) -> f64 {
-        self.mean * self.wsum
+    fn rows(&self) -> u64 {
+        self.rows
     }
 
-    /// Finalize for an aggregate kind.
-    pub fn finalize(&self, kind: AggKind) -> f64 {
+    fn finalize(&self, kind: AggKind) -> f64 {
         match kind {
             AggKind::Count => self.wsum,
             // CountIf inputs are 0/1 indicators, so the weighted sum is the
@@ -121,6 +123,13 @@ impl WeightedAggState {
             AggKind::Std => self.variance().sqrt(),
         }
     }
+}
+
+impl WeightedAggState {
+    /// Weighted sum `Σ w·v`.
+    pub fn weighted_sum(&self) -> f64 {
+        self.mean * self.wsum
+    }
 
     /// Weighted (population-style) variance.
     pub fn variance(&self) -> f64 {
@@ -132,10 +141,54 @@ impl WeightedAggState {
     }
 }
 
+/// What every pass answering `query` from `sample` reads: the sample's rows,
+/// their group index under the query's grouping and the bitmap of its
+/// predicate — built once, under `options`, and shared by the weighted pass
+/// ([`SampleScan::estimate`]) and the confidence pass
+/// (`SampleScan::confidence`, in [`crate::confidence`]).
+pub(crate) struct SampleScan<'a> {
+    pub(crate) sample: &'a MaterializedSample,
+    pub(crate) query: &'a GroupByQuery,
+    pub(crate) index: GroupIndex,
+    /// The predicate's bitmap over the sample's one table (`None` without
+    /// a predicate), in the per-shard form the aggregation pass takes.
+    pub(crate) filter: Option<Vec<Bitmap>>,
+    rows: RowSpace<'a>,
+    options: ExecOptions,
+}
+
+impl<'a> SampleScan<'a> {
+    pub(crate) fn new(
+        sample: &'a MaterializedSample,
+        query: &'a GroupByQuery,
+        options: &ExecOptions,
+    ) -> Result<Self> {
+        let rows = RowSpace::from(&sample.table);
+        let index = rows.group_index(&query.group_by, options)?;
+        let filter = match &query.predicate {
+            Some(p) => Some(rows.predicate_bitmaps(p, options)?),
+            None => None,
+        };
+        Ok(SampleScan { sample, query, index, filter, rows, options: *options })
+    }
+
+    /// The Horvitz–Thompson estimate: one [`QueryResult`] per grouping set.
+    pub(crate) fn estimate(&self) -> Result<Vec<QueryResult>> {
+        let weights = &self.sample.weights;
+        Ok(self.query.aggregate::<WeightedAggState>(
+            &self.rows,
+            &self.index,
+            self.filter.as_deref(),
+            |row| weights[row],
+            &self.options,
+        )?)
+    }
+}
+
 /// Estimate `query` from `sample`, one worker per available core (see
 /// [`estimate_with`]).
 ///
-/// Returns one [`QueryResult`] per grouping set (mirroring
+/// Returns one [`QueryResult`] per grouping set (like
 /// [`GroupByQuery::execute`]); groups with no sampled row are absent — the
 /// evaluation layer scores them as 100% relative error, like the paper.
 pub fn estimate(sample: &MaterializedSample, query: &GroupByQuery) -> Result<Vec<QueryResult>> {
@@ -151,98 +204,7 @@ pub fn estimate_with(
     query: &GroupByQuery,
     options: &ExecOptions,
 ) -> Result<Vec<QueryResult>> {
-    let table = &sample.table;
-    let index = GroupIndex::build_with(table, &query.group_by, options)?;
-    let filter = match &query.predicate {
-        Some(p) => Some(p.bind(table)?.eval_bitmap_with(table.num_rows(), options)),
-        None => None,
-    };
-
-    // Accumulate per finest group, one partial table per partition.
-    let bound: Vec<_> = query
-        .aggregates
-        .iter()
-        .map(|a| a.input.as_ref().map(|e| e.bind(table)).transpose())
-        .collect::<std::result::Result<_, _>>()?;
-    let accumulate_range = |range: RowRange| {
-        let mut fine =
-            vec![vec![WeightedAggState::default(); query.aggregates.len()]; index.num_groups()];
-        let mut update_row = |row: usize| {
-            let w = sample.weights[row];
-            let states = &mut fine[index.group_of(row) as usize];
-            for (slot, (agg, expr)) in states.iter_mut().zip(query.aggregates.iter().zip(&bound)) {
-                let value = match (agg.kind, expr) {
-                    (AggKind::Count, _) => 1.0,
-                    (AggKind::CountIf, Some(e)) => {
-                        let (op, threshold) = agg.condition.expect("COUNT_IF has a condition");
-                        let v = e.f64_at(row).unwrap_or(f64::NAN);
-                        if op.evaluate_f64(v, threshold) {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    }
-                    (_, Some(e)) => match e.f64_at(row) {
-                        Some(v) => v,
-                        None => continue,
-                    },
-                    (_, None) => continue,
-                };
-                slot.update(value, w);
-            }
-        };
-        match &filter {
-            Some(bm) => {
-                for row in bm.iter_ones_in(range.start, range.end) {
-                    update_row(row);
-                }
-            }
-            None => {
-                for row in range.rows() {
-                    update_row(row);
-                }
-            }
-        }
-        fine
-    };
-    let fine = exec::fold_partitioned(
-        table.num_rows(),
-        options,
-        |_, range| accumulate_range(range),
-        |acc, partial| exec::merge_state_tables(acc, partial, |a, b| a.merge(b)),
-    );
-
-    let sets: Vec<Vec<usize>> = if query.cube {
-        cvopt_table::grouping_sets(query.group_by.len())
-    } else {
-        vec![(0..query.group_by.len()).collect()]
-    };
-    let agg_names: Vec<String> = query.aggregates.iter().map(|a| a.alias.clone()).collect();
-
-    let mut results = Vec::with_capacity(sets.len());
-    for dims in &sets {
-        let proj = index.project(dims);
-        let mut merged =
-            vec![vec![WeightedAggState::default(); query.aggregates.len()]; proj.num_groups()];
-        for (fine_gid, states) in fine.iter().enumerate() {
-            let cid = proj.coarse_of(fine_gid as u32) as usize;
-            for (slot, s) in merged[cid].iter_mut().zip(states) {
-                slot.merge(s);
-            }
-        }
-        let mut rows: Vec<(Vec<KeyAtom>, Vec<f64>, u64)> = Vec::new();
-        for (cid, states) in merged.iter().enumerate() {
-            let contributing = states.iter().map(|s| s.rows).max().unwrap_or(0);
-            if contributing == 0 {
-                continue;
-            }
-            let values: Vec<f64> =
-                states.iter().zip(&query.aggregates).map(|(s, a)| s.finalize(a.kind)).collect();
-            rows.push((proj.key(cid as u32).to_vec(), values, contributing));
-        }
-        results.push(QueryResult::from_parts(proj.dim_names().to_vec(), agg_names.clone(), rows));
-    }
-    Ok(results)
+    SampleScan::new(sample, query, options)?.estimate()
 }
 
 /// Convenience: estimate one aggregate of a single-grouping-set query.
@@ -256,7 +218,8 @@ mod tests {
     use super::*;
     use crate::sample::stratified::StratifiedSample;
     use cvopt_table::{
-        AggExpr as TAggExpr, CmpOp, DataType, Predicate, ScalarExpr, Table, TableBuilder, Value,
+        AggExpr as TAggExpr, CmpOp, DataType, KeyAtom, Predicate, ScalarExpr, Table, TableBuilder,
+        Value,
     };
 
     fn base_table() -> Table {
@@ -292,6 +255,57 @@ mod tests {
             for (j, v) in values.iter().enumerate() {
                 let e = est.value(key, j).unwrap();
                 assert!((e - v).abs() < 1e-9, "agg {j} key {key:?}: {e} vs {v}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// With every weight 1.0 over a whole table the weighted kernel *is*
+        /// the exact executor: same keys and group rows, COUNT/MIN/MAX bit
+        /// for bit, and the read-outs of the running mean (COUNT_IF, SUM,
+        /// AVG) up to the rounding of West's recurrence vs Welford's.
+        #[test]
+        fn unit_weights_reproduce_the_exact_executor(
+            rows in proptest::collection::vec((0u8..5, 0u8..3, -1e3f64..1e3), 1..300),
+            threshold in -1e3f64..1e3,
+        ) {
+            let mut b = TableBuilder::new(&[
+                ("g", DataType::Str),
+                ("h", DataType::Int64),
+                ("x", DataType::Float64),
+            ]);
+            for &(g, h, x) in &rows {
+                b.push_row(&[Value::str(format!("g{g}")), Value::Int64(h as i64), Value::Float64(x)])
+                    .unwrap();
+            }
+            let t = b.finish();
+            let s = full_sample(&t);
+            let aggregates = vec![
+                TAggExpr::count(),
+                TAggExpr::min("x"),
+                TAggExpr::max("x"),
+                TAggExpr::count_if("x", CmpOp::Gt, 0.0),
+                TAggExpr::sum("x"),
+                TAggExpr::avg("x"),
+            ];
+            let q = GroupByQuery::new(vec![ScalarExpr::col("g"), ScalarExpr::col("h")], aggregates)
+                .with_predicate(Predicate::cmp("x", CmpOp::Lt, threshold))
+                .with_cube();
+            let est = estimate(&s, &q).unwrap();
+            let exact = q.execute(&t).unwrap();
+            proptest::prop_assert_eq!(est.len(), exact.len());
+            for (e, x) in est.iter().zip(&exact) {
+                proptest::prop_assert_eq!(&e.keys, &x.keys);
+                proptest::prop_assert_eq!(&e.group_rows, &x.group_rows);
+                for (ev, xv) in e.values.iter().zip(&x.values) {
+                    for j in 0..3 {
+                        proptest::prop_assert_eq!(ev[j].to_bits(), xv[j].to_bits(), "agg {}", j);
+                    }
+                    for j in 3..6 {
+                        let tolerance = 1e-9 * xv[j].abs().max(1.0);
+                        proptest::prop_assert!((ev[j] - xv[j]).abs() <= tolerance, "agg {}", j);
+                    }
+                }
             }
         }
     }

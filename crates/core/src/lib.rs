@@ -21,8 +21,12 @@
 //!    solve (or the ℓ∞ binary search of §5).
 //! 4. **Draw** ([`sample`]) — per-stratum reservoir sampling in a second
 //!    pass, materialized with Horvitz–Thompson weights.
-//! 5. **Estimate** ([`estimate`]) — answer (possibly *new*) group-by
-//!    queries, with predicates supplied at query time, from the sample.
+//! 5. **Estimate** ([`estimate`], [`confidence`]) — answer (possibly
+//!    *new*) group-by queries, with predicates supplied at query time,
+//!    from the sample: the exact executor's one aggregation pass
+//!    ([`cvopt_table::GroupByQuery::aggregate`]) run with a weighted
+//!    accumulator, plus one confidence pass for the error bars of every
+//!    `AVG`, both over a group index and predicate bitmap built once.
 //!
 //! For serving workloads, the recommended entry point is the long-lived
 //! [`Engine`] (see [`engine`]): a table catalog, a prepared-sample cache

@@ -17,7 +17,7 @@ use cvopt_table::agg::AggState;
 use cvopt_table::exec::{self, ExecOptions};
 use cvopt_table::expr::BoundExpr;
 use cvopt_table::groupby::GroupProjection;
-use cvopt_table::{GroupIndex, RowSpace, ScalarExpr, Table};
+use cvopt_table::{query, GroupIndex, RowSpace, ScalarExpr, Table};
 
 use crate::spec::VarianceKind;
 use crate::Result;
@@ -309,15 +309,7 @@ impl StratumStatistics {
     /// `[coarse group][column]` accumulators (the statistics of the paper's
     /// groups `a ∈ A_i` derived from the finest strata).
     pub fn coarsen(&self, projection: &GroupProjection) -> Vec<Vec<AggState>> {
-        let mut coarse =
-            vec![vec![AggState::default(); self.num_columns()]; projection.num_groups()];
-        for (fine_gid, states) in self.states.iter().enumerate() {
-            let cid = projection.coarse_of(fine_gid as u32) as usize;
-            for (slot, s) in coarse[cid].iter_mut().zip(states) {
-                slot.merge(s);
-            }
-        }
-        coarse
+        query::coarsen(projection, &self.states, self.num_columns())
     }
 
     /// Coarse populations under a projection.

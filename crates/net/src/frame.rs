@@ -29,11 +29,12 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<u64> {
     Ok(4 + body_len as u64)
 }
 
-/// Read one frame, returning its payload (version byte stripped).
+/// Read one frame, returning its payload. The 5-byte head is checked —
+/// length bounds, then version — before the payload is allocated or read.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
-    let mut prefix = [0u8; 4];
-    r.read_exact(&mut prefix)?;
-    let body_len = u32::from_le_bytes(prefix) as usize;
+    let mut head = [0u8; 5];
+    r.read_exact(&mut head)?;
+    let body_len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
     if body_len == 0 {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "empty frame"));
     }
@@ -43,16 +44,15 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
             format!("frame of {body_len} bytes exceeds the {MAX_FRAME} byte limit"),
         ));
     }
-    let mut body = vec![0u8; body_len];
-    r.read_exact(&mut body)?;
-    if body[0] != PROTOCOL_VERSION {
+    if head[4] != PROTOCOL_VERSION {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("unsupported protocol version {}", body[0]),
+            format!("unsupported protocol version {}", head[4]),
         ));
     }
-    body.remove(0);
-    Ok(body)
+    let mut payload = vec![0u8; body_len - 1];
+    r.read_exact(&mut payload)?;
+    Ok(payload)
 }
 
 /// Total on-wire size of a frame carrying `payload`.
@@ -89,6 +89,18 @@ mod tests {
         buf[4] = 9;
         let err = read_frame(&mut Cursor::new(&buf)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn rejects_wrong_version_before_reading_the_payload() {
+        // A head claiming the largest legal body, wrong version, no payload
+        // bytes at all: the answer is the version, not a short read.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&(MAX_FRAME as u32).to_le_bytes());
+        buf.push(PROTOCOL_VERSION + 1);
+        let err = read_frame(&mut Cursor::new(&buf)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unsupported protocol version"), "{err}");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   [`pipeline::Service`]. `cvopt-serve`'s HTTP server runs on it too.
 //! * [`server`] — [`server::Shardd`], the frame service over the pipeline:
 //!   it owns one or more registered [`cvopt_table::Table`] shards and
-//!   answers pass requests (histogram, scatter window, bitmap, stat
-//!   partials, gather). The `cvopt-shardd` binary wraps it.
+//!   answers pass requests (scatter window, bitmap, stat partials,
+//!   gather). The `cvopt-shardd` binary wraps it.
 //! * [`client`] + [`remote`] — [`client::Peer`], a persistent connection
 //!   with timeouts, one transport retry, and a circuit breaker; and
 //!   [`remote::RemoteShard`], which implements the same

@@ -110,7 +110,6 @@ impl RemoteShard {
         let kind = match response {
             Response::Registered { .. } => "Registered",
             Response::Health { .. } => "Health",
-            Response::Histogram { .. } => "Histogram",
             Response::Window { .. } => "Window",
             Response::Bitmap { .. } => "Bitmap",
             Response::Partials { .. } => "Partials",

@@ -99,10 +99,6 @@ fn answer(shards: &ShardMap, request: Request) -> Result<Response> {
             keys.sort();
             Ok(Response::Health { keys })
         }
-        Request::Histogram { key, exprs } => with_shard(shards, &key, |shard| {
-            let index = shard.group_index(&exprs)?;
-            Ok(Response::Histogram { sizes: index.sizes().to_vec() })
-        }),
         Request::ScatterWindow { key, exprs } => with_shard(shards, &key, |shard| {
             Ok(Response::Window { index: shard.group_index(&exprs)? })
         }),
@@ -112,7 +108,7 @@ fn answer(shards: &ShardMap, request: Request) -> Result<Response> {
         Request::StatPartials { key, exprs } => with_shard(shards, &key, |shard| {
             Ok(Response::Partials { columns: shard.expr_values(&exprs)? })
         }),
-        Request::Draw { key, rows } | Request::Gather { key, rows } => {
+        Request::Gather { key, rows } => {
             with_shard(shards, &key, |shard| Ok(Response::Rows { table: shard.take_rows(&rows)? }))
         }
         // The shard map's mutex is held across the whole check-and-swap:

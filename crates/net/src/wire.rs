@@ -685,13 +685,6 @@ pub enum Request {
     },
     /// Liveness probe; answers with the registered shard keys.
     Health,
-    /// Group-size histogram pass: only per-group sizes come back.
-    Histogram {
-        /// Target shard.
-        key: String,
-        /// Group-by dimension expressions.
-        exprs: Vec<ScalarExpr>,
-    },
     /// Scatter-window pass: the shard-local [`GroupIndex`] comes back whole.
     ScatterWindow {
         /// Target shard.
@@ -713,14 +706,8 @@ pub enum Request {
         /// One optional expression per aggregate (`None` for `COUNT(*)`).
         exprs: Vec<Option<ScalarExpr>>,
     },
-    /// Materialize sampled rows (shard-local indices, in request order).
-    Draw {
-        /// Target shard.
-        key: String,
-        /// Shard-local row indices.
-        rows: Vec<u32>,
-    },
-    /// Gather rows for exact execution (same shape as `Draw`).
+    /// Gather rows (shard-local indices, in request order): sampled rows
+    /// for a draw, or rows for exact execution.
     Gather {
         /// Target shard.
         key: String,
@@ -765,11 +752,6 @@ impl Request {
                 put_table(&mut w, table);
             }
             Request::Health => w.u8(2),
-            Request::Histogram { key, exprs } => {
-                w.u8(3);
-                w.str(key);
-                put_exprs(&mut w, exprs);
-            }
             Request::ScatterWindow { key, exprs } => {
                 w.u8(4);
                 w.str(key);
@@ -793,11 +775,6 @@ impl Request {
                         None => w.u8(0),
                     }
                 }
-            }
-            Request::Draw { key, rows } => {
-                w.u8(7);
-                w.str(key);
-                put_rows(&mut w, rows);
             }
             Request::Gather { key, rows } => {
                 w.u8(8);
@@ -830,11 +807,6 @@ impl Request {
                 Request::Register { key, table }
             }
             2 => Request::Health,
-            3 => {
-                let key = r.str()?;
-                let exprs = get_exprs(&mut r)?;
-                Request::Histogram { key, exprs }
-            }
             4 => {
                 let key = r.str()?;
                 let exprs = get_exprs(&mut r)?;
@@ -852,11 +824,6 @@ impl Request {
                     Ok(if r.bool()? { Some(get_expr(r, 0)?) } else { None })
                 })?;
                 Request::StatPartials { key, exprs }
-            }
-            7 => {
-                let key = r.str()?;
-                let rows = get_rows(&mut r)?;
-                Request::Draw { key, rows }
             }
             8 => {
                 let key = r.str()?;
@@ -895,11 +862,6 @@ pub enum Response {
         /// Sorted shard keys.
         keys: Vec<String>,
     },
-    /// Per-group sizes from a histogram pass.
-    Histogram {
-        /// Group sizes in first-occurrence order.
-        sizes: Vec<u64>,
-    },
     /// Shard-local group index from a scatter-window pass.
     Window {
         /// The shard-local index.
@@ -915,7 +877,7 @@ pub enum Response {
         /// One entry per requested expression (`None` for `COUNT(*)`).
         columns: Vec<Option<ColumnValues>>,
     },
-    /// Materialized rows from a draw or gather pass.
+    /// Materialized rows from a gather pass.
     Rows {
         /// Rows in request order.
         table: Table,
@@ -954,13 +916,6 @@ impl Response {
                 w.len(keys.len());
                 for key in keys {
                     w.str(key);
-                }
-            }
-            Response::Histogram { sizes } => {
-                w.u8(3);
-                w.len(sizes.len());
-                for &size in sizes {
-                    w.u64(size);
                 }
             }
             Response::Window { index } => {
@@ -1014,11 +969,6 @@ impl Response {
                 let n = r.len()?;
                 let keys = get_vec(&mut r, n, |r| r.str())?;
                 Response::Health { keys }
-            }
-            3 => {
-                let n = r.len()?;
-                let sizes = get_vec(&mut r, n, |r| r.u64())?;
-                Response::Histogram { sizes }
             }
             4 => Response::Window { index: get_group_index(&mut r)? },
             5 => Response::Bitmap { bitmap: get_bitmap(&mut r)? },
@@ -1094,13 +1044,9 @@ mod tests {
     fn requests_round_trip() {
         round_trip_request(Request::Register { key: "t/0".into(), table: sample_table() });
         round_trip_request(Request::Health);
-        round_trip_request(Request::Histogram {
-            key: "t/0".into(),
-            exprs: vec![ScalarExpr::col("city"), ScalarExpr::year("ts")],
-        });
         round_trip_request(Request::ScatterWindow {
             key: "t/0".into(),
-            exprs: vec![ScalarExpr::month("ts")],
+            exprs: vec![ScalarExpr::col("city"), ScalarExpr::year("ts"), ScalarExpr::month("ts")],
         });
         round_trip_request(Request::Bitmap {
             key: "t/0".into(),
@@ -1141,11 +1087,11 @@ mod tests {
             }],
             otherwise: None,
         };
-        round_trip_request(Request::Histogram {
+        round_trip_request(Request::ScatterWindow {
             key: "t/0".into(),
             exprs: vec![arith, case_with_else, case_no_else],
         });
-        round_trip_request(Request::Draw { key: "t/0".into(), rows: vec![1, 0, 1] });
+        round_trip_request(Request::Gather { key: "t/0".into(), rows: vec![1, 0, 1] });
         round_trip_request(Request::Gather { key: "t/0".into(), rows: vec![] });
         round_trip_request(Request::Append {
             key: "t/0".into(),
@@ -1160,10 +1106,21 @@ mod tests {
     }
 
     #[test]
+    fn retired_tags_are_invalid_not_misparsed() {
+        // Request tags 3 (Histogram) and 7 (Draw) and response tag 3
+        // (Histogram) were deleted without renumbering the survivors.
+        for tag in [3u8, 7] {
+            let err = Request::decode(&[tag]).unwrap_err();
+            assert!(err.to_string().contains("invalid request tag"), "{err}");
+        }
+        let err = Response::decode(&[3]).unwrap_err();
+        assert!(err.to_string().contains("invalid response tag"), "{err}");
+    }
+
+    #[test]
     fn responses_round_trip() {
         round_trip_response(Response::Registered { rows: 42 });
         round_trip_response(Response::Health { keys: vec!["a/0".into(), "b/1".into()] });
-        round_trip_response(Response::Histogram { sizes: vec![3, 1, 9] });
         let table = sample_table();
         let index = GroupIndex::build(&table, &[ScalarExpr::col("city")]).unwrap();
         round_trip_response(Response::Window { index });

@@ -132,6 +132,23 @@ impl AggExpr {
     }
 }
 
+/// What the one aggregation pass ([`GroupByQuery::aggregate`](crate::GroupByQuery::aggregate))
+/// folds per (group, aggregate). The pass is monomorphised over it:
+/// [`AggState`] fed unit weights is the exact executor, a Horvitz–Thompson
+/// accumulator fed sample weights is the estimator — same walk, same
+/// partition-order merge, same result assembly.
+pub trait Accumulator: Clone + Default + Send {
+    /// Accumulate one row's value; `weight` is how many table rows the row
+    /// stands for (1 for a table row itself).
+    fn update(&mut self, value: f64, weight: f64);
+    /// Merge another accumulator into this one, exactly.
+    fn merge(&mut self, other: &Self);
+    /// Rows accumulated so far (raw, not weighted).
+    fn rows(&self) -> u64;
+    /// Read out the aggregate `kind`.
+    fn finalize(&self, kind: AggKind) -> f64;
+}
+
 /// Independent accumulator chains used by the slice kernels
 /// ([`AggState::update_slice`]): lane `j` consumes elements
 /// `j, j + LANES, j + 2·LANES, …` and the lanes merge in ascending order,
@@ -290,28 +307,6 @@ impl AggState {
         self.max = self.max.max(other.max);
     }
 
-    /// Finalize for the given aggregate kind.
-    ///
-    /// `CountIf` inputs are accumulated as 0/1 indicators, so its result is
-    /// the `sum`.
-    pub fn finalize(&self, kind: AggKind) -> f64 {
-        match kind {
-            AggKind::Count => self.count as f64,
-            AggKind::Sum | AggKind::CountIf => self.sum,
-            AggKind::Avg => {
-                if self.count == 0 {
-                    f64::NAN
-                } else {
-                    self.mean
-                }
-            }
-            AggKind::Min => self.min,
-            AggKind::Max => self.max,
-            AggKind::Var => self.sample_variance(),
-            AggKind::Std => self.sample_variance().sqrt(),
-        }
-    }
-
     /// Sample variance (n−1 denominator); 0 for fewer than 2 values.
     pub fn sample_variance(&self) -> f64 {
         if self.count < 2 {
@@ -327,6 +322,43 @@ impl AggState {
             0.0
         } else {
             self.m2 / self.count as f64
+        }
+    }
+}
+
+impl Accumulator for AggState {
+    #[inline]
+    fn update(&mut self, value: f64, _unit: f64) {
+        AggState::update(self, value);
+    }
+
+    fn merge(&mut self, other: &Self) {
+        AggState::merge(self, other);
+    }
+
+    fn rows(&self) -> u64 {
+        self.count
+    }
+
+    /// Finalize for the given aggregate kind.
+    ///
+    /// `CountIf` inputs are accumulated as 0/1 indicators, so its result is
+    /// the `sum`.
+    fn finalize(&self, kind: AggKind) -> f64 {
+        match kind {
+            AggKind::Count => self.count as f64,
+            AggKind::Sum | AggKind::CountIf => self.sum,
+            AggKind::Avg => {
+                if self.count == 0 {
+                    f64::NAN
+                } else {
+                    self.mean
+                }
+            }
+            AggKind::Min => self.min,
+            AggKind::Max => self.max,
+            AggKind::Var => self.sample_variance(),
+            AggKind::Std => self.sample_variance().sqrt(),
         }
     }
 }

@@ -247,8 +247,8 @@ where
 }
 
 /// Merge one partial `[group][column]` state table into an accumulator of
-/// the same shape, cell by cell. The shared reduce step of every
-/// aggregation pass (exact group-by, statistics, weighted estimation).
+/// the same shape, cell by cell. The shared reduce step of the aggregation
+/// pass (whatever it accumulates) and the statistics pass.
 pub fn merge_state_tables<S>(acc: &mut [Vec<S>], partial: Vec<Vec<S>>, merge: impl Fn(&mut S, &S)) {
     for (group, partial_group) in acc.iter_mut().zip(partial) {
         for (slot, state) in group.iter_mut().zip(partial_group) {

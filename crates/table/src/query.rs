@@ -1,17 +1,20 @@
-//! Exact group-by query execution.
+//! Group-by query execution: one aggregation pass,
+//! [`GroupByQuery::aggregate`], generic over the [`Accumulator`] it folds.
 //!
-//! [`GroupByQuery::execute`] computes exact answers (the experiments' ground
-//! truth). The executor accumulates per-finest-group [`AggState`]s in one
-//! pass and then *merges* them through group projections for cube grouping
-//! sets, so a `WITH CUBE` over k attributes still scans the data once.
+//! [`GroupByQuery::execute`] runs it with [`AggState`] and unit weights and
+//! computes exact answers (the experiments' ground truth); sample-based
+//! estimators run the same pass with a weighted accumulator. The pass
+//! accumulates per finest group and then *merges* the states through group
+//! projections for cube grouping sets, so a `WITH CUBE` over k attributes
+//! still scans the data once.
 
-use crate::agg::{AggExpr, AggKind, AggState};
+use crate::agg::{Accumulator, AggExpr, AggKind, AggState};
 use crate::bitmap::Bitmap;
 use crate::cube::grouping_sets;
 use crate::exec::{self, ExecOptions};
 use crate::expr::{BoundExpr, ScalarExpr};
 use crate::fxhash::FxHashMap;
-use crate::groupby::{GroupIndex, KeyAtom};
+use crate::groupby::{GroupIndex, GroupProjection, KeyAtom};
 use crate::predicate::Predicate;
 use crate::reader::RowSpace;
 use crate::Result;
@@ -75,153 +78,135 @@ impl GroupByQuery {
             Some(p) => Some(rows.predicate_bitmaps(p, options)?),
             None => None,
         };
-        let fine = accumulate(&rows, &index, &self.aggregates, filters.as_deref(), options)?;
-        Ok(self.finish(&index, &fine))
+        self.aggregate::<AggState>(&rows, &index, filters.as_deref(), |_| 1.0, options)
     }
 
-    /// The back half of execution: expand grouping sets and merge the
-    /// finest-group states onto each one.
-    fn finish(&self, index: &GroupIndex, fine: &[Vec<AggState>]) -> Vec<QueryResult> {
+    /// The aggregation pass, the only one there is: walk `rows` under the
+    /// optional per-shard `filters`, fold one accumulator per (finest group
+    /// of `index`, aggregate) per partition, merge the partials in
+    /// partition order, project the merged states onto each grouping set
+    /// and assemble one [`QueryResult`] per set. `index` and `filters` are
+    /// this query's [`RowSpace::group_index`] and
+    /// [`RowSpace::predicate_bitmaps`] over the same `rows`; `weight` maps a
+    /// global row id to the weight its value is accumulated with.
+    ///
+    /// Partials are whole **global** partitions — each one walks the shard
+    /// segments that cover it, reading values through that shard's bound
+    /// expressions — so every partial's accumulation chain visits the same
+    /// rows in the same order wherever shard boundaries fall, and the
+    /// partition-order merge makes the result bit-identical to the
+    /// single-table pass.
+    pub fn aggregate<A: Accumulator>(
+        &self,
+        rows: &RowSpace<'_>,
+        index: &GroupIndex,
+        filters: Option<&[Bitmap]>,
+        weight: impl Fn(usize) -> f64 + Sync,
+        options: &ExecOptions,
+    ) -> Result<Vec<QueryResult>> {
+        let aggregates = &self.aggregates;
+        let inputs: Vec<Option<ScalarExpr>> = aggregates.iter().map(|a| a.input.clone()).collect();
+        let bound = rows.bind(&inputs, options)?;
+
+        let fine = exec::fold_partitioned(
+            rows.num_rows(),
+            options,
+            |_, range| {
+                let mut states = vec![vec![A::default(); aggregates.len()]; index.num_groups()];
+                for seg in rows.segments(range) {
+                    let shard_bound = &bound[seg.shard];
+                    // Global row id of shard-local row `r` is `r + delta`.
+                    let delta = seg.global_start - seg.local.start;
+                    let mut update_row = |local_row: usize| {
+                        let row = local_row + delta;
+                        let w = weight(row);
+                        let group = &mut states[index.group_of(row) as usize];
+                        for (slot, (agg, expr)) in
+                            group.iter_mut().zip(aggregates.iter().zip(shard_bound))
+                        {
+                            if let Some(value) = row_value(agg, expr.as_ref(), local_row) {
+                                slot.update(value, w);
+                            }
+                        }
+                    };
+                    match filters {
+                        Some(bms) => {
+                            for local_row in
+                                bms[seg.shard].iter_ones_in(seg.local.start, seg.local.end)
+                            {
+                                update_row(local_row);
+                            }
+                        }
+                        None => {
+                            for local_row in seg.local.rows() {
+                                update_row(local_row);
+                            }
+                        }
+                    }
+                }
+                states
+            },
+            |acc, partial| exec::merge_state_tables(acc, partial, |a, b| a.merge(b)),
+        );
+
+        // Expand grouping sets and merge the finest-group states onto each.
         let sets: Vec<Vec<usize>> = if self.cube {
             grouping_sets(self.group_by.len())
         } else {
             vec![(0..self.group_by.len()).collect()]
         };
-
-        let agg_names: Vec<String> = self.aggregates.iter().map(|a| a.alias.clone()).collect();
-        let mut results = Vec::with_capacity(sets.len());
-        for dims in &sets {
-            results.push(coarsen(index, fine, dims, &self.aggregates, &agg_names));
-        }
-        results
+        let agg_names: Vec<String> = aggregates.iter().map(|a| a.alias.clone()).collect();
+        let results = sets.iter().map(|dims| {
+            let proj = index.project(dims);
+            // Keep only groups with at least one accumulated row.
+            let mut groups = Vec::new();
+            for (cid, states) in coarsen(&proj, &fine, aggregates.len()).iter().enumerate() {
+                let group_rows = states.iter().map(A::rows).max().unwrap_or(0);
+                if group_rows == 0 {
+                    continue;
+                }
+                let values =
+                    states.iter().zip(aggregates).map(|(s, a)| s.finalize(a.kind)).collect();
+                groups.push((proj.key(cid as u32).to_vec(), values, group_rows));
+            }
+            QueryResult::from_parts(proj.dim_names().to_vec(), agg_names.clone(), groups)
+        });
+        Ok(results.collect())
     }
 }
 
-/// Feed one row into a group's aggregate slots. `row` indexes the shard the
-/// expressions in `bound` were bound against.
+/// The value row `row` feeds aggregate `agg`, read through the aggregate's
+/// input `expr` bound against the shard `row` indexes; `None` when the row
+/// does not contribute (a null input).
 #[inline]
-fn update_group_states(
-    group_states: &mut [AggState],
-    aggregates: &[AggExpr],
-    bound: &[Option<BoundExpr<'_>>],
-    row: usize,
-) {
-    for (slot, (agg, expr)) in group_states.iter_mut().zip(aggregates.iter().zip(bound)) {
-        let value = match (agg.kind, expr) {
-            (AggKind::Count, _) => 1.0,
-            (AggKind::CountIf, Some(e)) => {
-                let (op, threshold) = agg.condition.expect("COUNT_IF has a condition");
-                let v = e.f64_at(row).unwrap_or(f64::NAN);
-                if op.evaluate_f64(v, threshold) {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            (_, Some(e)) => match e.f64_at(row) {
-                Some(v) => v,
-                None => continue,
-            },
-            (_, None) => continue,
-        };
-        slot.update(value);
+fn row_value(agg: &AggExpr, expr: Option<&BoundExpr<'_>>, row: usize) -> Option<f64> {
+    match (agg.kind, expr) {
+        (AggKind::Count, _) => Some(1.0),
+        (AggKind::CountIf, Some(e)) => {
+            let (op, threshold) = agg.condition.expect("COUNT_IF has a condition");
+            let v = e.f64_at(row).unwrap_or(f64::NAN);
+            Some(if op.evaluate_f64(v, threshold) { 1.0 } else { 0.0 })
+        }
+        (_, Some(e)) => e.f64_at(row),
+        (_, None) => None,
     }
 }
 
-/// Accumulate one `AggState` per (finest group, aggregate), chunk-parallel
-/// with an in-order merge of the per-partition partials. Partials are whole
-/// **global** partitions — each one walks the shard segments that cover it,
-/// reading values through that shard's bound expressions — so every
-/// partial's accumulation chain visits the same rows in the same order
-/// wherever shard boundaries fall, and the partition-order merge makes the
-/// result bit-identical to the single-table pass.
-fn accumulate(
-    rows: &RowSpace<'_>,
-    index: &GroupIndex,
-    aggregates: &[AggExpr],
-    filters: Option<&[Bitmap]>,
-    options: &ExecOptions,
-) -> Result<Vec<Vec<AggState>>> {
-    let inputs: Vec<Option<ScalarExpr>> = aggregates.iter().map(|a| a.input.clone()).collect();
-    let bound = rows.bind(&inputs, options)?;
-
-    Ok(exec::fold_partitioned(
-        rows.num_rows(),
-        options,
-        |_, range| {
-            let mut states = vec![vec![AggState::default(); aggregates.len()]; index.num_groups()];
-            for seg in rows.segments(range) {
-                let shard_bound = &bound[seg.shard];
-                // Global row id of shard-local row `r` is `r + delta`.
-                let delta = seg.global_start - seg.local.start;
-                let mut update_row = |local_row: usize| {
-                    let group = index.group_of(local_row + delta) as usize;
-                    update_group_states(&mut states[group], aggregates, shard_bound, local_row);
-                };
-                match filters {
-                    Some(bms) => {
-                        for local_row in bms[seg.shard].iter_ones_in(seg.local.start, seg.local.end)
-                        {
-                            update_row(local_row);
-                        }
-                    }
-                    None => {
-                        for local_row in seg.local.rows() {
-                            update_row(local_row);
-                        }
-                    }
-                }
-            }
-            states
-        },
-        |acc, partial| exec::merge_state_tables(acc, partial, |a, b| a.merge(b)),
-    ))
-}
-
-/// Merge finest-group states onto the grouping set `dims` and finalize.
-fn coarsen(
-    index: &GroupIndex,
-    fine: &[Vec<AggState>],
-    dims: &[usize],
-    aggregates: &[AggExpr],
-    agg_names: &[String],
-) -> QueryResult {
-    let proj = index.project(dims);
-    let mut merged = vec![vec![AggState::default(); aggregates.len()]; proj.num_groups()];
+/// Merge finest-group accumulators (`fine[group][column]`, `width` columns)
+/// onto the coarser grouping `proj`: `[coarse group][column]`.
+pub fn coarsen<A: Accumulator>(
+    proj: &GroupProjection,
+    fine: &[Vec<A>],
+    width: usize,
+) -> Vec<Vec<A>> {
+    let mut merged = vec![vec![A::default(); width]; proj.num_groups()];
     for (fine_gid, states) in fine.iter().enumerate() {
         let cid = proj.coarse_of(fine_gid as u32) as usize;
         for (slot, s) in merged[cid].iter_mut().zip(states) {
             slot.merge(s);
         }
     }
-
-    // Keep only groups with at least one accumulated row, in sorted key order.
-    let mut rows: Vec<(Vec<KeyAtom>, Vec<f64>, u64)> = Vec::new();
-    for (cid, states) in merged.iter().enumerate() {
-        let group_rows = states.iter().map(|s| s.count).max().unwrap_or(0);
-        if group_rows == 0 {
-            continue;
-        }
-        let values = states.iter().zip(aggregates).map(|(s, a)| s.finalize(a.kind)).collect();
-        rows.push((proj.key(cid as u32).to_vec(), values, group_rows));
-    }
-    rows.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut result = QueryResult {
-        grouping: proj.dim_names().to_vec(),
-        agg_names: agg_names.to_vec(),
-        keys: Vec::with_capacity(rows.len()),
-        values: Vec::with_capacity(rows.len()),
-        group_rows: Vec::with_capacity(rows.len()),
-        key_index: FxHashMap::default(),
-    };
-    for (key, values, nrows) in rows {
-        result.key_index.insert(key.clone(), result.keys.len());
-        result.keys.push(key);
-        result.values.push(values);
-        result.group_rows.push(nrows);
-    }
-    result
+    merged
 }
 
 /// The result of one grouping set: a small column-oriented result table.
@@ -241,8 +226,8 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    /// Assemble a result from parts (used by sample-based estimators that
-    /// mirror the exact executor's output shape). Rows are sorted by key.
+    /// Assemble a result from `(key, values, contributing rows)` triples;
+    /// rows are sorted by key.
     pub fn from_parts(
         grouping: Vec<String>,
         agg_names: Vec<String>,
