@@ -7,8 +7,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use cvopt_table::exec::{partition_rows, ExecOptions};
-use cvopt_table::groupby::{choose_strategy, estimate_keys};
-use cvopt_table::{hash_join, sql, GroupByQuery, GroupStrategy, QueryResult, ScalarExpr};
+use cvopt_table::{hash_join, sql, GroupByQuery, QueryResult};
 
 use super::catalog::CatalogEntry;
 use super::store::Reusable;
@@ -69,13 +68,6 @@ pub struct ExplainReport {
     /// For `JOIN` statements: the resolved join, rendered as
     /// `"dim ON fact.key = dim.key"`. `None` for single-table statements.
     pub join: Option<String>,
-    /// How the group index will intern keys: `"hash"` or `"sort"` (see
-    /// [`GroupStrategy`]). The strategies produce byte-identical results;
-    /// this reports the planner's performance choice.
-    pub group_by_strategy: &'static str,
-    /// Why that strategy was chosen (metadata key estimate vs row count,
-    /// shards behind remote readers, …).
-    pub group_by_reason: String,
     /// How the answer relates to the prepared-sample cache. `Derived`
     /// means the sampling algebra answered from a subsuming cached sample;
     /// `cache_hit` stays `Some(false)` in that case (the exact fingerprint
@@ -116,14 +108,12 @@ pub struct ExplainReport {
 
 impl ExplainReport {
     /// The table-shaped half of a report — what the `FROM` table looks
-    /// like under the session's execution options, and how its group
-    /// index will be built — with the sample-shaped half unset. Every plan
-    /// starts here.
+    /// like under the session's execution options — with the sample-shaped
+    /// half unset. Every plan starts here.
     fn for_table(
         from: &CatalogEntry,
         exec: &ExecOptions,
         (mode, reason): (QueryMode, &'static str),
-        (strategy, group_by_reason): (GroupStrategy, String),
     ) -> ExplainReport {
         let table_rows = from.table.num_rows();
         ExplainReport {
@@ -132,8 +122,6 @@ impl ExplainReport {
             mode,
             reason,
             join: None,
-            group_by_strategy: strategy.name(),
-            group_by_reason,
             reuse: ReuseInfo::None,
             cache_hit: None,
             fingerprint: None,
@@ -178,7 +166,6 @@ impl ExplainReport {
         if let Some(join) = &self.join {
             line.push_str(&format!(", join {join}"));
         }
-        line.push_str(&format!(", group-by {}", self.group_by_strategy));
         line.push_str(&format!(" [{}]", self.reason));
         line
     }
@@ -398,8 +385,7 @@ impl Engine {
                 }
             }
         };
-        let strategy = plan_group_strategy(from, &query.group_by);
-        let mut report = ExplainReport::for_table(from, &self.exec, routed, strategy);
+        let mut report = ExplainReport::for_table(from, &self.exec, routed);
         let mut sample = None;
         let mut reuse = None;
         if report.mode == QueryMode::Approximate {
@@ -444,9 +430,7 @@ impl Engine {
 
     /// Plan a `JOIN` statement: always exact (the sampling algebra has no
     /// join rule), never cached, in-process shards only. The joined table is
-    /// materialized at execution time; the key estimate for the group
-    /// strategy is therefore unavailable at plan time and the heuristic
-    /// falls back to the hash build.
+    /// materialized at execution time.
     fn plan_join<'e>(
         &'e self,
         fact: &'e CatalogEntry,
@@ -471,13 +455,7 @@ impl Engine {
             QueryMode::Exact => "mode requested",
             QueryMode::Auto => "join queries answer exactly",
         };
-        let strategy = if query.group_by.is_empty() {
-            (GroupStrategy::Hash, "no grouping dimensions".to_string())
-        } else {
-            choose_strategy(fact.table.num_rows(), None)
-        };
-        let mut report =
-            ExplainReport::for_table(fact, &self.exec, (QueryMode::Exact, reason), strategy);
+        let mut report = ExplainReport::for_table(fact, &self.exec, (QueryMode::Exact, reason));
         report.join = Some(format!(
             "{dim} ON {fact}.{} = {dim}.{}",
             join.fact_key,
@@ -494,31 +472,6 @@ impl Engine {
             reuse: None,
         })
     }
-}
-
-/// The group-index interning strategy the execution layer will choose
-/// for `group_by` over `from`, with its reason — reported by `EXPLAIN`.
-/// Shards build their indexes independently, so the report summarizes
-/// at table scale with the widest per-shard key estimate (for a plain
-/// table, its own); shards behind a remote reader choose on their side
-/// of the wire.
-fn plan_group_strategy(from: &CatalogEntry, group_by: &[ScalarExpr]) -> (GroupStrategy, String) {
-    if group_by.is_empty() {
-        return (GroupStrategy::Hash, "no grouping dimensions".into());
-    }
-    let rows = from.table.num_rows();
-    let Some(shards) = from.table.set.rows().local_tables() else {
-        let (strategy, _) = choose_strategy(rows, None);
-        return (strategy, "remote shards intern on the serving side and choose there".into());
-    };
-    let mut estimate = Some(0u64);
-    for shard in shards {
-        estimate = estimate.zip(estimate_keys(shard, group_by)).map(|(acc, e)| acc.max(e));
-        if estimate.is_none() {
-            break;
-        }
-    }
-    choose_strategy(rows, estimate)
 }
 
 #[cfg(test)]
@@ -553,16 +506,12 @@ mod tests {
         assert!(ans.results.is_empty());
         assert!(ans.confidence.is_empty());
         assert_eq!(ans.report.table, "t");
-        assert_eq!(ans.report.group_by_strategy, "hash");
-        assert!(!ans.report.group_by_reason.is_empty());
         assert_eq!(e.stats_passes(), 0, "EXPLAIN must not sample");
         // explain_mode accepts both spellings and agrees with itself.
         let plain = e.explain_mode("SELECT g, AVG(x) FROM t GROUP BY g", QueryMode::Exact).unwrap();
         let explained =
             e.explain_mode("EXPLAIN SELECT g, AVG(x) FROM t GROUP BY g", QueryMode::Exact).unwrap();
-        assert_eq!(plain.group_by_strategy, explained.group_by_strategy);
         assert_eq!(plain.to_line(), explained.to_line());
-        assert!(plain.to_line().contains("group-by hash"), "{}", plain.to_line());
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! under append* through contracts the codebase already pins:
 //!
 //! - The group index merges by first-occurrence key order
-//!   ([`GroupIndex::merge_locals`]): folding a batch-local index into the
-//!   maintained one yields exactly the index a fresh build over the
-//!   extended table would produce — old strata keep their ids, new strata
-//!   take the next ids.
+//!   ([`GroupIndex::append`], the same ordered merge that joins partitions
+//!   and shards): folding a batch-local index into the maintained one, in
+//!   place, yields exactly the index a fresh build over the extended table
+//!   would produce — old strata keep their ids, new strata take the next
+//!   ids.
 //! - Statistics partials are whole **global** partitions (fixed 64Ki-row
 //!   ranges anchored to the logical row space), so appending rows dirties
 //!   only the partitions at or past `old_rows / CHUNK_ROWS`. Clean
@@ -152,10 +153,9 @@ impl Maintenance {
             )));
         }
 
-        // Batch-local index, merged in row order: identical to rebuilding
-        // over the extended table.
-        let batch_index = GroupIndex::build_with(batch, &self.strata_exprs, exec)?;
-        let merged = GroupIndex::merge_locals(&[self.index.clone(), batch_index])?;
+        // Batch-local index, folded in row order into the maintained one:
+        // identical to rebuilding over the extended table.
+        self.index.append(&GroupIndex::build_with(batch, &self.strata_exprs, exec)?)?;
 
         // Replay clean partials, rescan the dirty tail. Partition
         // boundaries are anchored to the global row space, so every
@@ -165,13 +165,12 @@ impl Maintenance {
         // a fresh kernel computes for a stratum absent from the partition.
         let columns = problem.aggregate_columns();
         let first_dirty = old_rows / CHUNK_ROWS;
-        let tail = stats::tail_partials(rows, &merged, &columns, exec, first_dirty)?;
+        let tail = stats::tail_partials(rows, &self.index, &columns, exec, first_dirty)?;
         self.partials.truncate(first_dirty);
         for partial in &mut self.partials {
-            partial.resize(merged.num_groups(), vec![AggState::default(); columns.len()]);
+            partial.resize(self.index.num_groups(), vec![AggState::default(); columns.len()]);
         }
         self.partials.extend(tail);
-        self.index = merged;
 
         problem.budget = self.scaled_budget(new_rows);
         self.outcome(problem, rows, seed, exec)
@@ -342,6 +341,38 @@ mod tests {
         m.append(&(&current).into(), &batch);
         assert_outcomes_equal(&m.outcome, &m.fresh(&current), "new-strata append");
         assert_eq!(m.outcome.plan.num_strata(), 5);
+    }
+
+    /// The maintained index itself, batch by batch: folding k batches in
+    /// one at a time equals one build over the rows so far — row ids, key
+    /// order, sizes — whether a batch brings new strata or none.
+    #[test]
+    fn folded_index_matches_build_over_concatenation() {
+        let rows = row_stream(900);
+        let mut current = table_of(&rows[..300]);
+        let mut m = Maintained::build(30, &(&current).into(), 3, ExecOptions::new(2));
+        let fresh_strata: Vec<Vec<Value>> = ["e", "a", "f", "e"]
+            .iter()
+            .map(|g| vec![Value::str(g), Value::Float64(1.0), Value::Int64(0)])
+            .collect();
+        for (batch, new_strata) in [
+            (table_of(&rows[300..600]), 0),
+            (table_of(&fresh_strata), 2),
+            (table_of(&rows[600..900]), 0),
+        ] {
+            let before = m.state.index.num_groups();
+            current = current.extended(&batch).unwrap();
+            m.append(&(&current).into(), &batch);
+            let built =
+                GroupIndex::build_with(&current, &m.state.strata_exprs, &ExecOptions::sequential())
+                    .unwrap();
+            assert_eq!(m.state.index.num_groups(), before + new_strata);
+            assert_eq!(m.state.index.row_groups(), built.row_groups());
+            assert_eq!(m.state.index.sizes(), built.sizes());
+            for g in 0..built.num_groups() as u32 {
+                assert_eq!(m.state.index.key(g), built.key(g));
+            }
+        }
     }
 
     proptest::proptest! {

@@ -1142,6 +1142,40 @@ mod tests {
     }
 
     #[test]
+    fn forged_scatter_window_is_rejected() {
+        // A hand-written window frame over one dimension: rows [0, 1, 0],
+        // keys [0] and [1]. One size off by one would bias every
+        // Horvitz–Thompson weight of that stratum; a short key would panic
+        // in a later projection.
+        let frame = |sizes: [u64; 2], short_key: bool| {
+            let mut w = Writer::new();
+            w.u8(4);
+            w.len(1);
+            w.str("g");
+            w.len(3);
+            for gid in [0u32, 1, 0] {
+                w.u32(gid);
+            }
+            w.len(2);
+            for (i, size) in sizes.into_iter().enumerate() {
+                let atoms = usize::from(!(short_key && i == 1));
+                w.len(atoms);
+                for _ in 0..atoms {
+                    w.u8(0);
+                    w.i64(i as i64);
+                }
+                w.u64(size);
+            }
+            w.finish()
+        };
+        assert!(Response::decode(&frame([2, 1], false)).is_ok());
+        let err = Response::decode(&frame([2, 2], false)).unwrap_err();
+        assert!(err.to_string().contains("size group 1 at 2 but 1 rows"), "{err}");
+        let err = Response::decode(&frame([2, 1], true)).unwrap_err();
+        assert!(err.to_string().contains("for 1 dimensions"), "{err}");
+    }
+
+    #[test]
     fn decoded_table_is_byte_identical() {
         // The dictionary rebuild must reproduce the original column bytes,
         // not just equal values: probe via take() on the decoded table.

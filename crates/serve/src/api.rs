@@ -554,8 +554,6 @@ pub fn report_json(report: &ExplainReport) -> Json {
         ("mode", Json::string(mode_name(report.mode))),
         ("reason", Json::string(report.reason)),
         ("join", Json::opt(report.join.clone(), Json::string)),
-        ("group_by_strategy", Json::string(report.group_by_strategy)),
-        ("group_by_reason", Json::string(&report.group_by_reason)),
         ("cache_hit", Json::opt(report.cache_hit, Json::Bool)),
         ("reuse", reuse_json(&report.reuse)),
         // u64 fingerprints overflow JSON's f64 numbers; hex keeps them exact.
@@ -763,12 +761,7 @@ mod tests {
         let body = Json::parse(&resp.body).unwrap();
         assert_eq!(body.get("results").unwrap().as_array().unwrap().len(), 0, "{}", resp.body);
         let report = body.get("report").unwrap();
-        assert_eq!(report.get("group_by_strategy").unwrap().as_str(), Some("hash"));
-        assert!(
-            report.get("group_by_reason").unwrap().as_str().unwrap().contains("hash"),
-            "{}",
-            resp.body
-        );
+        assert_eq!(report.get("table").unwrap().as_str(), Some("t"), "{}", resp.body);
         assert_eq!(report.get("join").unwrap(), &Json::Null);
         assert_eq!(state.engine.counters().stats_passes, 0, "EXPLAIN must not sample");
     }

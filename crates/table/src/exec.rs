@@ -461,25 +461,29 @@ where
 }
 
 /// Mutate `data` in parallel, split into `chunk`-element blocks: `f` is
-/// called with `(block_index, block)` for each disjoint block. Blocks are
-/// distributed round-robin over the workers; because each block is touched
-/// by exactly one closure invocation, no synchronization is needed.
+/// called with `(block_index, block)` for each disjoint block, and what it
+/// returns comes back **in block order**. Blocks are distributed
+/// round-robin over the workers; because each block is touched by exactly
+/// one closure invocation, no synchronization is needed.
 ///
-/// Used for scatter phases — remapping per-row codes, filling bitmap words
-/// — where each output element belongs to exactly one partition.
-pub fn for_each_chunk_mut<T, F>(data: &mut [T], chunk: usize, options: &ExecOptions, f: F)
+/// Used where each output element belongs to exactly one partition:
+/// interning per-row ids in place, remapping them, filling bitmap words.
+pub fn for_each_chunk_mut<T, R, F>(
+    data: &mut [T],
+    chunk: usize,
+    options: &ExecOptions,
+    f: F,
+) -> Vec<R>
 where
     T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> R + Sync,
 {
     assert!(chunk > 0, "chunk size must be positive");
     let n_blocks = data.len().div_ceil(chunk);
     let threads = options.threads().min(n_blocks.max(1));
     if threads <= 1 || n_blocks <= 1 {
-        for (i, block) in data.chunks_mut(chunk).enumerate() {
-            f(i, block);
-        }
-        return;
+        return data.chunks_mut(chunk).enumerate().map(|(i, block)| f(i, block)).collect();
     }
 
     let mut per_worker: Vec<Vec<(usize, &mut [T])>> = Vec::new();
@@ -487,15 +491,24 @@ where
     for (i, block) in data.chunks_mut(chunk).enumerate() {
         per_worker[i % threads].push((i, block));
     }
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(n_blocks);
+    slots.resize_with(n_blocks, || None);
     std::thread::scope(|scope| {
-        for assigned in per_worker {
-            scope.spawn(|| {
-                for (i, block) in assigned {
-                    f(i, block);
-                }
-            });
+        let handles: Vec<_> = per_worker
+            .into_iter()
+            .map(|assigned| {
+                scope.spawn(|| {
+                    assigned.into_iter().map(|(i, block)| (i, f(i, block))).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, value) in handle.join().expect("exec worker panicked") {
+                slots[i] = Some(value);
+            }
         }
     });
+    slots.into_iter().map(|s| s.expect("every block produced a result")).collect()
 }
 
 #[cfg(test)]
@@ -715,12 +728,16 @@ mod tests {
     fn chunked_mut_touches_every_element_once() {
         for threads in [1, 3, 8] {
             let mut data = vec![0u32; 10 * 1000 + 123];
-            for_each_chunk_mut(&mut data, 1000, &ExecOptions::new(threads), |i, block| {
-                for (j, v) in block.iter_mut().enumerate() {
-                    *v += (i * 1000 + j) as u32 + 1;
-                }
-            });
+            let lens =
+                for_each_chunk_mut(&mut data, 1000, &ExecOptions::new(threads), |i, block| {
+                    for (j, v) in block.iter_mut().enumerate() {
+                        *v += (i * 1000 + j) as u32 + 1;
+                    }
+                    (i, block.len())
+                });
             assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
+            let expected: Vec<_> = (0..11).map(|i| (i, if i < 10 { 1000 } else { 123 })).collect();
+            assert_eq!(lens, expected, "results come back in block order");
         }
     }
 

@@ -341,7 +341,7 @@ pub struct BoundExpr<'t> {
     kind: BoundKind<'t>,
 }
 
-impl BoundExpr<'_> {
+impl<'t> BoundExpr<'t> {
     /// The values a non-local shard answered an `expr_values` request
     /// with, readable through [`BoundExpr::f64_at`] and
     /// [`BoundExpr::f64_slice`] exactly like an expression bound in place.
@@ -481,7 +481,7 @@ impl BoundExpr<'_> {
     /// The underlying column. Only meaningful for plain column references
     /// (check [`BoundExpr::is_plain_str`] first); panics on computed
     /// expressions, which have no single underlying column.
-    pub fn column(&self) -> &Column {
+    pub fn column(&self) -> &'t Column {
         match &self.kind {
             BoundKind::Leaf { column, .. } => column,
             _ => panic!("column() on a computed expression"),

@@ -5,10 +5,22 @@
 //! the union of all group-by attribute sets), and can *project* those ids
 //! onto any subset of the dimensions — the paper's `Π(c, A)` mapping from a
 //! finest stratum `c` to the group of query `A` that contains it.
+//!
+//! Two functions do all of it, at different key types. `intern` scans rows
+//! in order and hands each distinct key the next dense id at its first
+//! occurrence: `i64` values when encoding a dimension, mixed-radix packed
+//! `u64` code tuples when grouping. `merge_ordered` joins partial results in
+//! row order through translation tables: the partitions of a parallel scan,
+//! the shards of a row space, an ingest batch behind a maintained index,
+//! and (one partial) the coarse keys of a projection. Group ids are therefore
+//! in **first-occurrence order** however the rows were cut up — the
+//! determinism contract every golden rests on.
 
+use std::borrow::Cow;
+use std::hash::Hash;
 use std::sync::Arc;
 
-use crate::exec::{self, ExecOptions, RowRange, CHUNK_ROWS};
+use crate::exec::{self, ExecOptions, CHUNK_ROWS};
 use crate::expr::ScalarExpr;
 use crate::fxhash::FxHashMap;
 use crate::table::Table;
@@ -62,102 +74,126 @@ pub fn key_display(key: &[KeyAtom]) -> String {
     parts.join("|")
 }
 
-/// How a [`GroupIndex`] interns row key tuples into dense group ids.
-///
-/// Both strategies produce **byte-identical indexes** — per-row group ids,
-/// first-occurrence key order, group sizes — so the choice is purely a
-/// performance decision and never observable in query results. The hash
-/// build interns tuples through a hash map in row order; the sort build
-/// sorts row ids by key tuple and walks runs, which touches memory
-/// sequentially and wins when the key count approaches the row count
-/// (each hash insert would miss cache).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GroupStrategy {
-    /// Intern key tuples through a hash map in row order.
-    Hash,
-    /// Sort row ids by key tuple and walk runs, then renumber runs into
-    /// first-occurrence order.
-    Sort,
+/// What interning yields: a dense id per row, the distinct keys in
+/// first-occurrence order, and each key's row count.
+struct Interned<K> {
+    ids: Vec<u32>,
+    keys: Vec<K>,
+    sizes: Vec<u64>,
 }
 
-impl GroupStrategy {
-    /// Stable lower-case name, used in `EXPLAIN` output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            GroupStrategy::Hash => "hash",
-            GroupStrategy::Sort => "sort",
-        }
+/// **The interning kernel** — the only per-row map insert in this module.
+/// Walks the rows from `first_row` on in row order, one per slot of `ids`,
+/// and writes each row's dense id there: a distinct `key_at(row)` takes the
+/// next id at its first occurrence (ids are local to the walk). Returns the
+/// distinct keys in that order and their row counts.
+fn intern<K: Copy + Eq + Hash>(
+    first_row: usize,
+    ids: &mut [u32],
+    key_at: impl Fn(usize) -> Result<K>,
+) -> Result<(Vec<K>, Vec<u64>)> {
+    let mut map: FxHashMap<K, u32> = FxHashMap::default();
+    let (mut keys, mut sizes) = (Vec::new(), Vec::new());
+    for (slot, row) in ids.iter_mut().zip(first_row..) {
+        let key = key_at(row)?;
+        let next = keys.len() as u32;
+        let id = *map.entry(key).or_insert_with(|| {
+            keys.push(key);
+            sizes.push(0);
+            next
+        });
+        sizes[id as usize] += 1;
+        *slot = id;
     }
+    Ok((keys, sizes))
 }
 
-impl std::fmt::Display for GroupStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
+/// What [`merge_ordered`] yields: per partial, the table translating its
+/// local ids to merged ids; the merged keys in first-occurrence order; and
+/// their summed sizes.
+struct Merged<K> {
+    translations: Vec<Vec<u32>>,
+    keys: Vec<K>,
+    sizes: Vec<u64>,
 }
 
-/// Metadata-only estimate of the number of distinct key tuples for
-/// grouping `table` by `exprs` — no row scan, just dictionary sizes and
-/// the ranges of calendar functions. `None` when any dimension's
-/// cardinality can't be bounded without scanning (plain integer or
-/// computed dimensions).
-pub fn estimate_keys(table: &Table, exprs: &[ScalarExpr]) -> Option<u64> {
-    let mut product: u64 = 1;
-    for expr in exprs {
-        let per_dim = match expr {
-            ScalarExpr::Column(name) => {
-                let column = table.column_by_name(name).ok()?;
-                match column.dictionary() {
-                    Some(dict) => (dict.len() as u64).max(1),
-                    None => return None,
-                }
+/// **The ordered merge** — the only builder of translation tables. Each
+/// partial lists its `(key, size)` pairs in local first-occurrence order;
+/// walking the partials **in row order** assigns a key's merged id at its
+/// earliest partial, so concatenated local first-seen order becomes global
+/// first-seen order: exactly what one [`intern`] over all rows assigns.
+fn merge_ordered<K, P>(partials: impl IntoIterator<Item = P>) -> Merged<K>
+where
+    K: Clone + Eq + Hash,
+    P: IntoIterator<Item = (K, u64)>,
+{
+    let mut map: FxHashMap<K, u32> = FxHashMap::default();
+    let mut keys: Vec<K> = Vec::new();
+    let mut sizes: Vec<u64> = Vec::new();
+    let mut translate = |(key, size): (K, u64)| {
+        let id = match map.get(&key) {
+            Some(&id) => id,
+            None => {
+                let id = keys.len() as u32;
+                map.insert(key.clone(), id);
+                keys.push(key);
+                sizes.push(0);
+                id
             }
-            ScalarExpr::Month(_) => 12,
-            ScalarExpr::Day(_) => 31,
-            ScalarExpr::Hour(_) => 24,
-            ScalarExpr::Indicator { .. } => 2,
-            ScalarExpr::Literal(_) => 1,
-            _ => return None,
         };
-        product = product.saturating_mul(per_dim);
-    }
-    Some(product)
+        sizes[id as usize] += size;
+        id
+    };
+    let translations = partials
+        .into_iter()
+        .map(|partial| partial.into_iter().map(&mut translate).collect())
+        .collect();
+    Merged { translations, keys, sizes }
 }
 
-/// Pick a [`GroupStrategy`] from row count and the (optional) key
-/// estimate, returning the choice and a human-readable reason — exactly
-/// what `EXPLAIN` reports. Sort wins when keys are dense relative to rows
-/// (more than one key per 8 rows): run-walking then beats per-row hash
-/// inserts that mostly miss cache. Results are identical either way;
-/// [`GroupIndex::build_with_strategy`] is how tests pin both paths against
-/// each other.
-pub fn choose_strategy(rows: usize, key_estimate: Option<u64>) -> (GroupStrategy, String) {
-    match key_estimate {
-        None => (GroupStrategy::Hash, "key cardinality not known from metadata; hash build".into()),
-        Some(keys) => {
-            if keys as u128 * 8 > rows as u128 {
-                (GroupStrategy::Sort, format!("≈{keys} keys over {rows} rows (dense); sort build"))
-            } else {
-                (GroupStrategy::Hash, format!("≈{keys} keys over {rows} rows (sparse); hash build"))
-            }
+/// Intern all `n` rows: [`intern`] per 64Ki-row partition, [`merge_ordered`]
+/// over the partitions, and a second parallel pass rewriting per-row ids
+/// through the translation tables — identical to one sequential scan for
+/// any thread count. One partition (or one worker) is that scan. The ids
+/// are written and rewritten in the one buffer that is returned, so a build
+/// allocates per-row memory once however the rows were cut up.
+fn intern_rows<K: Copy + Eq + Hash + Send + Sync>(
+    n: usize,
+    options: &ExecOptions,
+    key_at: impl Fn(usize) -> Result<K> + Sync,
+) -> Result<Interned<K>> {
+    let block = if options.threads() <= 1 { n.max(1) } else { CHUNK_ROWS };
+    let mut ids = vec![0u32; n];
+    let mut partials: Vec<(Vec<K>, Vec<u64>)> =
+        exec::for_each_chunk_mut(&mut ids, block, options, |i, ids| {
+            intern(i * block, ids, &key_at)
+        })
+        .into_iter()
+        .collect::<Result<_>>()?;
+    if partials.len() <= 1 {
+        let (keys, sizes) = partials.pop().unwrap_or_default();
+        return Ok(Interned { ids, keys, sizes });
+    }
+    let merged = merge_ordered(
+        partials.iter().map(|(keys, sizes)| keys.iter().copied().zip(sizes.iter().copied())),
+    );
+    exec::for_each_chunk_mut(&mut ids, block, options, |i, ids| {
+        for id in ids {
+            *id = merged.translations[i][*id as usize];
         }
-    }
+    });
+    Ok(Interned { ids, keys: merged.keys, sizes: merged.sizes })
 }
 
-/// Per-dimension encoding: dense `u32` code per row plus code → atom labels.
-struct DimCodes {
-    codes: Vec<u32>,
-    labels: Vec<KeyAtom>,
+/// One column of a packed key: a dense `u32` code per row and, per code, the
+/// key atoms it stands for — one atom for an encoded dimension, a whole key
+/// prefix after a fold (see [`intern_tuples`]). The label count is the
+/// column's radix. A string dimension lends its dictionary codes; every
+/// other column owns the ids an [`intern_rows`] produced.
+struct CodeColumn<'a> {
+    codes: Cow<'a, [u32]>,
+    labels: Vec<Vec<KeyAtom>>,
 }
-
-/// What an interning kernel produces for a row range: per-row group ids
-/// (local to the range), group code tuples in first-occurrence order, and
-/// group sizes.
-type InternOut = (Vec<u32>, Vec<Vec<u32>>, Vec<u64>);
-
-/// An interning kernel: [`GroupIndex::intern_rows`] or
-/// [`GroupIndex::intern_rows_sorted`], which produce identical output.
-type InternKernel = fn(&[DimCodes], RowRange) -> InternOut;
 
 fn dim_type_error(expr: &ScalarExpr) -> crate::error::TableError {
     crate::error::TableError::invalid(format!(
@@ -165,85 +201,74 @@ fn dim_type_error(expr: &ScalarExpr) -> crate::error::TableError {
     ))
 }
 
-fn encode_dimension(table: &Table, expr: &ScalarExpr, options: &ExecOptions) -> Result<DimCodes> {
+fn encode_dimension<'a>(
+    table: &'a Table,
+    expr: &ScalarExpr,
+    options: &ExecOptions,
+) -> Result<CodeColumn<'a>> {
     let bound = expr.bind(table)?;
-    let n = table.num_rows();
     if bound.is_plain_str() {
         // Dictionary codes are already dense distinct-value codes.
-        let codes = bound.column().str_codes().expect("plain str column").to_vec();
+        let codes = Cow::Borrowed(bound.column().str_codes().expect("plain str column"));
         let dict = bound.column().dictionary().expect("plain str column");
-        let labels = (0..dict.len() as u32).map(|c| KeyAtom::Str(dict.get_arc(c))).collect();
-        return Ok(DimCodes { codes, labels });
+        let labels = (0..dict.len() as u32).map(|c| vec![KeyAtom::Str(dict.get_arc(c))]).collect();
+        return Ok(CodeColumn { codes, labels });
     }
-    if options.threads() <= 1 || n <= CHUNK_ROWS {
-        // Integer-like dimension: intern values to dense codes in
-        // first-seen order.
-        let mut map: FxHashMap<i64, u32> = FxHashMap::default();
-        let mut labels = Vec::new();
-        let mut codes = Vec::with_capacity(n);
-        for row in 0..n {
-            let v = bound.i64_at(row).ok_or_else(|| dim_type_error(expr))?;
-            let next = labels.len() as u32;
-            let code = *map.entry(v).or_insert_with(|| {
-                labels.push(KeyAtom::Int(v));
-                next
-            });
-            codes.push(code);
+    // Integer-like dimension: intern values to dense codes in first-seen
+    // order.
+    let interned = intern_rows(table.num_rows(), options, |row| {
+        bound.i64_at(row).ok_or_else(|| dim_type_error(expr))
+    })?;
+    let labels = interned.keys.into_iter().map(|v| vec![KeyAtom::Int(v)]).collect();
+    Ok(CodeColumn { codes: Cow::Owned(interned.ids), labels })
+}
+
+/// Intern the rows' code tuples: every tuple is packed into one mixed-radix
+/// `u64` (radix = each column's label count, so the radix product is the
+/// exact key-space bound) and handed to [`intern_rows`]. When the product
+/// would overflow, the longest prefix that fits is interned first and its
+/// dense ids — at most `n` < 2³² of them — continue as one column: the same
+/// kernel applied again. Returns the group column (per-row group ids, group
+/// keys) and the group sizes.
+fn intern_tuples<'a>(
+    mut columns: Vec<CodeColumn<'a>>,
+    n: usize,
+    options: &ExecOptions,
+) -> Result<(CodeColumn<'a>, Vec<u64>)> {
+    loop {
+        let mut fit = 0;
+        let mut product = 1u64;
+        while let Some(p) =
+            columns.get(fit).and_then(|c| product.checked_mul(c.labels.len() as u64))
+        {
+            product = p;
+            fit += 1;
         }
-        return Ok(DimCodes { codes, labels });
+        assert!(fit >= 2 || fit == columns.len(), "two u32 code spaces always fit a u64");
+        let head = &columns[..fit];
+        let packed = intern_rows(n, options, |row| {
+            Ok(head.iter().fold(0, |key, c| key * c.labels.len() as u64 + u64::from(c.codes[row])))
+        })?;
+        let labels = packed
+            .keys
+            .iter()
+            .map(|&key| {
+                let mut rest = key;
+                let mut atoms: Vec<&[KeyAtom]> = Vec::with_capacity(fit);
+                for column in head.iter().rev() {
+                    let radix = column.labels.len() as u64;
+                    atoms.push(&column.labels[(rest % radix) as usize]);
+                    rest /= radix;
+                }
+                atoms.into_iter().rev().flatten().cloned().collect()
+            })
+            .collect();
+        let groups = CodeColumn { codes: Cow::Owned(packed.ids), labels };
+        if fit == columns.len() {
+            return Ok((groups, packed.sizes));
+        }
+        columns.splice(..fit, [groups]);
     }
-
-    // Parallel path: per-partition interning, then an ordered merge that
-    // reproduces the sequential first-seen code order exactly (a value's
-    // global code is assigned at its earliest partition, and partitions are
-    // merged in row order).
-    let partials: Result<Vec<(Vec<u32>, Vec<i64>)>> = exec::run_partitioned(
-        n,
-        options,
-        |_, range: RowRange| {
-            let mut map: FxHashMap<i64, u32> = FxHashMap::default();
-            let mut local_labels: Vec<i64> = Vec::new();
-            let mut local_codes = Vec::with_capacity(range.len());
-            for row in range.rows() {
-                let v = bound.i64_at(row).ok_or_else(|| dim_type_error(expr))?;
-                let next = local_labels.len() as u32;
-                let code = *map.entry(v).or_insert_with(|| {
-                    local_labels.push(v);
-                    next
-                });
-                local_codes.push(code);
-            }
-            Ok((local_codes, local_labels))
-        },
-        |parts| parts.into_iter().collect(),
-    );
-    let partials = partials?;
-
-    let mut global: FxHashMap<i64, u32> = FxHashMap::default();
-    let mut labels: Vec<KeyAtom> = Vec::new();
-    let translations: Vec<Vec<u32>> = partials
-        .iter()
-        .map(|(_, local_labels)| {
-            local_labels
-                .iter()
-                .map(|&v| {
-                    let next = labels.len() as u32;
-                    *global.entry(v).or_insert_with(|| {
-                        labels.push(KeyAtom::Int(v));
-                        next
-                    })
-                })
-                .collect()
-        })
-        .collect();
-
-    let mut codes = vec![0u32; n];
-    exec::for_each_chunk_mut(&mut codes, CHUNK_ROWS, options, |i, out| {
-        for (slot, &local) in out.iter_mut().zip(&partials[i].0) {
-            *slot = translations[i][local as usize];
-        }
-    });
-    Ok(DimCodes { codes, labels })
 }
 
 /// Dense per-row group ids for a list of grouping expressions.
@@ -276,25 +301,6 @@ impl GroupIndex {
         exprs: &[ScalarExpr],
         options: &ExecOptions,
     ) -> Result<GroupIndex> {
-        let (strategy, _) = Self::strategy_for(table, exprs);
-        Self::build_with_strategy(table, exprs, options, strategy)
-    }
-
-    /// The [`GroupStrategy`] (and its reason) that [`GroupIndex::build_with`]
-    /// will use for this table and dimension list — what `EXPLAIN` reports.
-    pub fn strategy_for(table: &Table, exprs: &[ScalarExpr]) -> (GroupStrategy, String) {
-        choose_strategy(table.num_rows(), estimate_keys(table, exprs))
-    }
-
-    /// Build the index with an explicit interning strategy (see
-    /// [`GroupIndex::build_with`] for the determinism contract, which holds
-    /// for either strategy).
-    pub fn build_with_strategy(
-        table: &Table,
-        exprs: &[ScalarExpr],
-        options: &ExecOptions,
-        strategy: GroupStrategy,
-    ) -> Result<GroupIndex> {
         let dim_names = exprs.iter().map(|e| e.display_name()).collect();
         let n = table.num_rows();
         if exprs.is_empty() {
@@ -305,311 +311,112 @@ impl GroupIndex {
                 group_sizes: vec![n as u64],
             });
         }
-        let dims: Vec<DimCodes> =
+        let dims =
             exprs.iter().map(|e| encode_dimension(table, e, options)).collect::<Result<_>>()?;
-
-        let intern: InternKernel = match strategy {
-            GroupStrategy::Hash => Self::intern_rows,
-            GroupStrategy::Sort => Self::intern_rows_sorted,
-        };
-        let (row_groups, group_codes, group_sizes) = if options.threads() <= 1 || n <= CHUNK_ROWS {
-            intern(&dims, RowRange { start: 0, end: n })
-        } else {
-            Self::intern_rows_partitioned(&dims, n, options, intern)
-        };
-
-        let group_keys = group_codes
-            .iter()
-            .map(|codes| {
-                codes
-                    .iter()
-                    .zip(&dims)
-                    .map(|(&c, d)| d.labels[c as usize].clone())
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        Ok(GroupIndex { dim_names, row_groups, group_keys, group_sizes })
+        let (groups, group_sizes) = intern_tuples(dims, n, options)?;
+        Ok(GroupIndex {
+            dim_names,
+            row_groups: groups.codes.into_owned(),
+            group_keys: groups.labels,
+            group_sizes,
+        })
     }
 
-    /// Merge shard-local indexes **in shard order** into one index over the
-    /// concatenated row space. Shard-local first-seen order concatenated
-    /// over shards equals global first-seen order, so the result is
-    /// identical to building over the concatenated single table. The merge
-    /// behind [`RowSpace::group_index`](crate::reader::RowSpace::group_index)
-    /// and [`GroupIndex::merge_locals`].
-    pub(crate) fn merge_shard_locals(
-        dim_names: Vec<String>,
-        locals: &[GroupIndex],
-        n: usize,
-    ) -> GroupIndex {
-        let mut intern: FxHashMap<Vec<KeyAtom>, u32> = FxHashMap::default();
-        let mut group_keys: Vec<Vec<KeyAtom>> = Vec::new();
-        let mut group_sizes: Vec<u64> = Vec::new();
-        let translations: Vec<Vec<u32>> = locals
-            .iter()
-            .map(|local| {
-                (0..local.num_groups() as u32)
-                    .map(|g| {
-                        let key = local.key(g);
-                        let gid = match intern.get(key) {
-                            Some(&gid) => gid,
-                            None => {
-                                let gid = group_keys.len() as u32;
-                                intern.insert(key.to_vec(), gid);
-                                group_keys.push(key.to_vec());
-                                group_sizes.push(0);
-                                gid
-                            }
-                        };
-                        group_sizes[gid as usize] += local.size(g);
-                        gid
-                    })
-                    .collect()
-            })
-            .collect();
+    /// This index as a [`merge_ordered`] partial.
+    fn partial(&self) -> impl Iterator<Item = (&[KeyAtom], u64)> {
+        self.group_keys.iter().map(Vec::as_slice).zip(self.group_sizes.iter().copied())
+    }
 
-        let mut row_groups = Vec::with_capacity(n);
-        for (local, translation) in locals.iter().zip(&translations) {
-            row_groups.extend(local.row_groups().iter().map(|&g| translation[g as usize]));
+    /// Fold `batch` — an index over the rows that directly follow this
+    /// one's, stratified by the same dimensions — into this index, in
+    /// O(groups + batch rows): old rows keep their ids, old groups keep
+    /// theirs, groups first seen in the batch take the next ids. The result
+    /// is **identical to building one index over the concatenated rows**.
+    pub fn append(&mut self, batch: &GroupIndex) -> Result<()> {
+        if batch.dim_names != self.dim_names {
+            return Err(crate::error::TableError::invalid(format!(
+                "appended index stratifies by {:?}, this one by {:?}",
+                batch.dim_names, self.dim_names
+            )));
         }
-        GroupIndex { dim_names, row_groups, group_keys, group_sizes }
+        let Merged { translations, keys, sizes } = merge_ordered([self.partial(), batch.partial()]);
+        let new_keys: Vec<Vec<KeyAtom>> =
+            keys[self.group_keys.len()..].iter().map(|key| key.to_vec()).collect();
+        self.group_keys.extend(new_keys);
+        self.group_sizes = sizes;
+        self.row_groups.extend(batch.row_groups.iter().map(|&g| translations[1][g as usize]));
+        Ok(())
     }
 
     /// Merge independently-built indexes over consecutive row blocks into
-    /// one index over their concatenation — the public face of the ordered
-    /// merge behind [`RowSpace::group_index`](crate::reader::RowSpace::group_index),
-    /// used by incremental ingestion to fold a batch-local index into a table's maintained
-    /// index without rescanning old rows.
+    /// one index over their concatenation — the merge behind
+    /// [`RowSpace::group_index`](crate::reader::RowSpace::group_index).
     ///
     /// `locals` are indexes over consecutive blocks of the combined row
     /// space, in row order; every local must stratify by the same
     /// dimensions. Because group ids follow first-occurrence order, the
     /// result is **identical to building one index over the concatenated
-    /// rows**: old groups keep their ids, groups first seen in a later
-    /// block take the next ids.
+    /// rows** (see [`GroupIndex::append`]).
     pub fn merge_locals(locals: &[GroupIndex]) -> Result<GroupIndex> {
-        let Some(first) = locals.first() else {
+        let Some((first, rest)) = locals.split_first() else {
             return Err(crate::error::TableError::invalid(
                 "merge_locals needs at least one local index",
             ));
         };
-        for (i, local) in locals.iter().enumerate().skip(1) {
-            if local.dim_names != first.dim_names {
-                return Err(crate::error::TableError::invalid(format!(
-                    "local index {i} stratifies by {:?}, local 0 by {:?}",
-                    local.dim_names, first.dim_names
-                )));
-            }
+        let mut merged = first.clone();
+        merged.row_groups.reserve(rest.iter().map(GroupIndex::num_rows).sum());
+        for local in rest {
+            merged.append(local)?;
         }
-        let n = locals.iter().map(|l| l.row_groups.len()).sum();
-        Ok(Self::merge_shard_locals(first.dim_names.clone(), locals, n))
+        Ok(merged)
     }
 
     /// Reassemble an index from its parts, validating internal consistency.
     /// This is the decode side of shipping a scatter window over the wire;
-    /// every accessor invariant (`group_of` in range, keys and sizes
-    /// aligned) is checked here so a corrupt frame cannot panic later.
+    /// every accessor invariant (`group_of` in range, sizes equal to the
+    /// per-group row counts, every key as wide as the dimension list) is
+    /// checked here so a corrupt or forged frame can neither panic later
+    /// nor bias a stratum's population.
     pub fn from_parts(
         dim_names: Vec<String>,
         row_groups: Vec<u32>,
         group_keys: Vec<Vec<KeyAtom>>,
         group_sizes: Vec<u64>,
     ) -> Result<GroupIndex> {
+        let invalid = |what: String| Err(crate::error::TableError::invalid(what));
         if group_keys.len() != group_sizes.len() {
-            return Err(crate::error::TableError::invalid(format!(
+            return invalid(format!(
                 "group index parts disagree: {} keys vs {} sizes",
                 group_keys.len(),
                 group_sizes.len()
-            )));
+            ));
         }
-        let num_groups = group_keys.len() as u32;
-        if let Some(&g) = row_groups.iter().find(|&&g| g >= num_groups) {
-            return Err(crate::error::TableError::invalid(format!(
-                "group index parts name group {g} but only {num_groups} groups exist"
-            )));
+        if let Some(key) = group_keys.iter().find(|key| key.len() != dim_names.len()) {
+            return invalid(format!(
+                "group index parts hold key {:?} for {} dimensions",
+                key_display(key),
+                dim_names.len()
+            ));
+        }
+        let mut counted = vec![0u64; group_keys.len()];
+        for &g in &row_groups {
+            match counted.get_mut(g as usize) {
+                Some(count) => *count += 1,
+                None => {
+                    return invalid(format!(
+                        "group index parts name group {g} but only {} groups exist",
+                        group_keys.len()
+                    ))
+                }
+            }
+        }
+        if let Some(g) = (0..counted.len()).find(|&g| counted[g] != group_sizes[g]) {
+            return invalid(format!(
+                "group index parts size group {g} at {} but {} rows name it",
+                group_sizes[g], counted[g]
+            ));
         }
         Ok(GroupIndex { dim_names, row_groups, group_keys, group_sizes })
-    }
-
-    /// Intern the rows of `range` against `dims`: per-row group ids (local
-    /// to the range), group code tuples in first-occurrence order, and
-    /// group sizes.
-    fn intern_rows(dims: &[DimCodes], range: RowRange) -> InternOut {
-        let mut row_groups = Vec::with_capacity(range.len());
-        let mut group_codes: Vec<Vec<u32>> = Vec::new();
-        let mut group_sizes: Vec<u64> = Vec::new();
-
-        if dims.len() <= 2 {
-            // Fast path: pack up to two codes into a u64 key.
-            let mut intern: FxHashMap<u64, u32> = FxHashMap::default();
-            for row in range.rows() {
-                let packed = if dims.len() == 1 {
-                    u64::from(dims[0].codes[row])
-                } else {
-                    (u64::from(dims[0].codes[row]) << 32) | u64::from(dims[1].codes[row])
-                };
-                let next = group_codes.len() as u32;
-                let gid = *intern.entry(packed).or_insert_with(|| {
-                    group_codes.push(dims.iter().map(|d| d.codes[row]).collect());
-                    group_sizes.push(0);
-                    next
-                });
-                group_sizes[gid as usize] += 1;
-                row_groups.push(gid);
-            }
-        } else {
-            let mut intern: FxHashMap<Box<[u32]>, u32> = FxHashMap::default();
-            let mut scratch: Vec<u32> = Vec::with_capacity(dims.len());
-            for row in range.rows() {
-                scratch.clear();
-                scratch.extend(dims.iter().map(|d| d.codes[row]));
-                let gid = match intern.get(scratch.as_slice()) {
-                    Some(&gid) => gid,
-                    None => {
-                        let gid = group_codes.len() as u32;
-                        intern.insert(scratch.clone().into_boxed_slice(), gid);
-                        group_codes.push(scratch.clone());
-                        group_sizes.push(0);
-                        gid
-                    }
-                };
-                group_sizes[gid as usize] += 1;
-                row_groups.push(gid);
-            }
-        }
-        (row_groups, group_codes, group_sizes)
-    }
-
-    /// Sort-based interning of `range` against `dims`: identical output to
-    /// [`Self::intern_rows`] — group ids in first-occurrence order — but
-    /// computed by sorting row ids by key tuple, walking runs of equal
-    /// keys, and renumbering the runs by their earliest row.
-    fn intern_rows_sorted(dims: &[DimCodes], range: RowRange) -> InternOut {
-        let len = range.len();
-        let base = range.start;
-        // Run id per local row, plus (first local row, size) per run, in
-        // sorted-key order.
-        let mut run_of = vec![0u32; len];
-        let mut runs: Vec<(u32, u64)> = Vec::new();
-
-        if dims.len() <= 2 {
-            let packed = |row: usize| {
-                if dims.len() == 1 {
-                    u64::from(dims[0].codes[row])
-                } else {
-                    (u64::from(dims[0].codes[row]) << 32) | u64::from(dims[1].codes[row])
-                }
-            };
-            let mut order: Vec<(u64, u32)> =
-                range.rows().map(|row| (packed(row), (row - base) as u32)).collect();
-            order.sort_unstable();
-            let mut prev: Option<u64> = None;
-            for &(key, local) in &order {
-                if prev != Some(key) {
-                    runs.push((local, 0));
-                    prev = Some(key);
-                }
-                let r = runs.len() - 1;
-                runs[r].1 += 1;
-                run_of[local as usize] = r as u32;
-            }
-        } else {
-            let tuple = |row: usize| dims.iter().map(|d| d.codes[row]).collect::<Vec<u32>>();
-            let mut order: Vec<u32> = (0..len as u32).collect();
-            order.sort_unstable_by(|&a, &b| {
-                let (a, b) = (a as usize + base, b as usize + base);
-                dims.iter()
-                    .map(|d| d.codes[a].cmp(&d.codes[b]))
-                    .find(|o| o.is_ne())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            let mut prev: Option<Vec<u32>> = None;
-            for &local in &order {
-                let key = tuple(local as usize + base);
-                if prev.as_ref() != Some(&key) {
-                    runs.push((local, 0));
-                    prev = Some(key);
-                }
-                let r = runs.len() - 1;
-                runs[r].1 += 1;
-                run_of[local as usize] = r as u32;
-            }
-        }
-
-        // Renumber runs into first-occurrence order. Within a run the sort
-        // is ascending by row, so a run's recorded first row is its
-        // earliest, and ordering runs by it reproduces the hash build's
-        // group id assignment exactly.
-        let mut perm: Vec<u32> = (0..runs.len() as u32).collect();
-        perm.sort_unstable_by_key(|&r| runs[r as usize].0);
-        let mut gid_of_run = vec![0u32; runs.len()];
-        for (gid, &r) in perm.iter().enumerate() {
-            gid_of_run[r as usize] = gid as u32;
-        }
-
-        let row_groups: Vec<u32> = run_of.iter().map(|&r| gid_of_run[r as usize]).collect();
-        let group_codes: Vec<Vec<u32>> = perm
-            .iter()
-            .map(|&r| {
-                let first = runs[r as usize].0 as usize + base;
-                dims.iter().map(|d| d.codes[first]).collect()
-            })
-            .collect();
-        let group_sizes: Vec<u64> = perm.iter().map(|&r| runs[r as usize].1).collect();
-        (row_groups, group_codes, group_sizes)
-    }
-
-    /// Partitioned interning with a deterministic merge. Each partition
-    /// interns locally with the strategy's kernel ([`Self::intern_rows`] or
-    /// [`Self::intern_rows_sorted`], which produce identical output);
-    /// partitions are then merged in row order, so a group's global id is
-    /// assigned at its earliest occurrence — identical to the sequential
-    /// scan — and per-row ids are rewritten through the per-partition
-    /// translation tables in a second parallel pass.
-    fn intern_rows_partitioned(
-        dims: &[DimCodes],
-        n: usize,
-        options: &ExecOptions,
-        intern_kernel: InternKernel,
-    ) -> InternOut {
-        let partials =
-            exec::run_partitioned(n, options, |_, range| intern_kernel(dims, range), |parts| parts);
-
-        let mut intern: FxHashMap<Box<[u32]>, u32> = FxHashMap::default();
-        let mut group_codes: Vec<Vec<u32>> = Vec::new();
-        let mut group_sizes: Vec<u64> = Vec::new();
-        let translations: Vec<Vec<u32>> = partials
-            .iter()
-            .map(|(_, local_codes, local_sizes)| {
-                local_codes
-                    .iter()
-                    .zip(local_sizes)
-                    .map(|(codes, &size)| {
-                        let gid = match intern.get(codes.as_slice()) {
-                            Some(&gid) => gid,
-                            None => {
-                                let gid = group_codes.len() as u32;
-                                intern.insert(codes.clone().into_boxed_slice(), gid);
-                                group_codes.push(codes.clone());
-                                group_sizes.push(0);
-                                gid
-                            }
-                        };
-                        group_sizes[gid as usize] += size;
-                        gid
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let mut row_groups = vec![0u32; n];
-        exec::for_each_chunk_mut(&mut row_groups, CHUNK_ROWS, options, |i, out| {
-            for (slot, &local) in out.iter_mut().zip(&partials[i].0) {
-                *slot = translations[i][local as usize];
-            }
-        });
-        (row_groups, group_codes, group_sizes)
     }
 
     /// Names of the grouping dimensions.
@@ -662,23 +469,20 @@ impl GroupIndex {
     /// the dimension list, in the order the coarse grouping should use).
     ///
     /// Returns the `Π` mapping: for each fine group id, the coarse group id
-    /// containing it, along with the coarse keys.
+    /// containing it, along with the coarse keys — a `merge_ordered` of
+    /// one partial, the fine groups' projected keys.
     pub fn project(&self, dims: &[usize]) -> GroupProjection {
         assert!(dims.iter().all(|&d| d < self.num_dims()), "projection dim out of range");
-        let mut intern: FxHashMap<Vec<KeyAtom>, u32> = FxHashMap::default();
-        let mut coarse_keys: Vec<Vec<KeyAtom>> = Vec::new();
-        let mut fine_to_coarse = Vec::with_capacity(self.num_groups());
-        for key in &self.group_keys {
-            let sub: Vec<KeyAtom> = dims.iter().map(|&d| key[d].clone()).collect();
-            let next = coarse_keys.len() as u32;
-            let cid = *intern.entry(sub.clone()).or_insert_with(|| {
-                coarse_keys.push(sub);
-                next
-            });
-            fine_to_coarse.push(cid);
-        }
+        let projected = self.partial().map(|(key, size)| {
+            (dims.iter().map(|&d| key[d].clone()).collect::<Vec<KeyAtom>>(), size)
+        });
+        let Merged { mut translations, keys, .. } = merge_ordered([projected]);
         let dim_names = dims.iter().map(|&d| self.dim_names[d].clone()).collect();
-        GroupProjection { dim_names, fine_to_coarse, coarse_keys }
+        GroupProjection {
+            dim_names,
+            fine_to_coarse: translations.swap_remove(0),
+            coarse_keys: keys,
+        }
     }
 }
 
@@ -799,9 +603,11 @@ mod tests {
             &[ScalarExpr::col("major"), ScalarExpr::col("year"), ScalarExpr::year("t")],
         )
         .unwrap();
-        assert_eq!(gi.num_groups(), 5);
-        let total: u64 = gi.sizes().iter().sum();
-        assert_eq!(total, 6);
+        // Any arity packs into the same mixed-radix key as one or two.
+        let keys: Vec<String> = (0..5).map(|g| key_display(gi.key(g))).collect();
+        assert_eq!(keys, vec!["CS|1|2017", "CS|2|2017", "EE|1|2018", "CS|1|2018", "EE|2|2017"]);
+        assert_eq!(gi.row_groups(), &[0, 1, 2, 3, 4, 2]);
+        assert_eq!(gi.sizes(), &[1, 1, 2, 1, 1]);
     }
 
     #[test]
@@ -851,8 +657,8 @@ mod tests {
     #[test]
     fn parallel_build_matches_sequential() {
         // Enough rows to span several partitions, with int, string and
-        // timestamp-function dimensions, so both the packed and general
-        // interning paths and the parallel dimension encoder are exercised.
+        // timestamp-function dimensions, so the partitioned dimension encoder
+        // and tuple interner are exercised at every arity.
         let n = 3 * crate::exec::CHUNK_ROWS + 4321;
         let mut b = TableBuilder::new(&[
             ("s", DataType::Str),
@@ -946,104 +752,43 @@ mod tests {
     }
 
     #[test]
-    fn sorted_build_matches_hash_build() {
-        // Same matrix as parallel_build_matches_sequential, but pinning the
-        // sort-based interner against the hash interner: the two strategies
-        // must produce byte-identical indexes for every dimension shape and
-        // thread count.
-        let n = 2 * crate::exec::CHUNK_ROWS + 999;
-        let mut b = TableBuilder::new(&[
-            ("s", DataType::Str),
-            ("i", DataType::Int64),
-            ("t", DataType::Timestamp),
-        ]);
-        let mut state = 0x9e3779b97f4a7c15u64;
-        for _ in 0..n {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            b.push_row(&[
-                Value::str(format!("s{}", state % 61)),
-                Value::Int64((state >> 5) as i64 % 37),
-                Value::Timestamp(epoch_seconds(2015 + (state % 5) as i32, 1, 1, 0, 0, 0)),
-            ])
-            .unwrap();
-        }
-        let t = b.finish();
-        for exprs in [
-            vec![ScalarExpr::col("s")],
-            vec![ScalarExpr::col("s"), ScalarExpr::col("i")],
-            vec![ScalarExpr::col("s"), ScalarExpr::col("i"), ScalarExpr::year("t")],
-        ] {
-            for threads in [1usize, 2, 8] {
-                let opts = ExecOptions::new(threads);
-                let hash = GroupIndex::build_with_strategy(&t, &exprs, &opts, GroupStrategy::Hash)
-                    .unwrap();
-                let sort = GroupIndex::build_with_strategy(&t, &exprs, &opts, GroupStrategy::Sort)
-                    .unwrap();
-                assert_eq!(sort.row_groups(), hash.row_groups(), "threads = {threads}");
-                assert_eq!(sort.sizes(), hash.sizes());
-                for g in 0..hash.num_groups() as u32 {
-                    assert_eq!(sort.key(g), hash.key(g));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sorted_build_edge_cases() {
-        // Empty table, single row, and an all-equal-keys table.
+    fn build_edge_cases() {
+        // Empty table, an all-equal-keys table, and a one-label dimension
+        // (radix 1) beside a wider one.
         let empty = TableBuilder::new(&[("s", DataType::Str)]).finish();
-        let by_sort = |t: &Table, threads| {
-            let options = ExecOptions::new(threads);
-            GroupIndex::build_with_strategy(
-                t,
-                &[ScalarExpr::col("s")],
-                &options,
-                GroupStrategy::Sort,
-            )
-            .unwrap()
-        };
-        let gi = by_sort(&empty, 1);
+        let gi = GroupIndex::build(&empty, &[ScalarExpr::col("s")]).unwrap();
         assert_eq!(gi.num_groups(), 0);
         assert!(gi.row_groups().is_empty());
 
-        let mut b = TableBuilder::new(&[("s", DataType::Str)]);
-        for _ in 0..100 {
-            b.push_row(&[Value::str("only")]).unwrap();
+        let mut b = TableBuilder::new(&[("s", DataType::Str), ("i", DataType::Int64)]);
+        for i in 0..100 {
+            b.push_row(&[Value::str("only"), Value::Int64(i % 3)]).unwrap();
         }
         let t = b.finish();
-        let gi = by_sort(&t, 4);
+        let gi = GroupIndex::build_with(&t, &[ScalarExpr::col("s")], &ExecOptions::new(4)).unwrap();
         assert_eq!(gi.num_groups(), 1);
         assert_eq!(gi.size(0), 100);
+        let gi = GroupIndex::build(&t, &[ScalarExpr::col("s"), ScalarExpr::col("i")]).unwrap();
+        let keys: Vec<String> = (0..3).map(|g| key_display(gi.key(g))).collect();
+        assert_eq!(keys, vec!["only|0", "only|1", "only|2"]);
+        assert_eq!(gi.sizes(), &[34, 33, 33]);
     }
 
     #[test]
-    fn estimate_keys_from_metadata() {
-        let t = table(); // major: 2 dict entries; year: Int64; t: Timestamp
-        assert_eq!(estimate_keys(&t, &[ScalarExpr::col("major")]), Some(2));
-        assert_eq!(estimate_keys(&t, &[ScalarExpr::col("year")]), None);
-        assert_eq!(
-            estimate_keys(&t, &[ScalarExpr::col("major"), ScalarExpr::month("t")]),
-            Some(24)
-        );
-        assert_eq!(estimate_keys(&t, &[ScalarExpr::hour("t")]), Some(24));
-        assert_eq!(estimate_keys(&t, &[]), Some(1));
-        assert_eq!(estimate_keys(&t, &[ScalarExpr::year("t")]), None);
-    }
-
-    #[test]
-    fn strategy_heuristic_prefers_sort_for_dense_keys() {
-        let (s, reason) = choose_strategy(1000, Some(2));
-        assert_eq!(s, GroupStrategy::Hash);
-        assert!(reason.contains("sparse"), "{reason}");
-        let (s, reason) = choose_strategy(1000, Some(500));
-        assert_eq!(s, GroupStrategy::Sort);
-        assert!(reason.contains("dense"), "{reason}");
-        let (s, reason) = choose_strategy(1000, None);
-        assert_eq!(s, GroupStrategy::Hash);
-        assert!(reason.contains("not known"), "{reason}");
-        assert_eq!(GroupStrategy::Hash.name(), "hash");
-        assert_eq!(GroupStrategy::Sort.to_string(), "sort");
+    fn forged_parts_are_rejected() {
+        let names = || vec!["a".to_string(), "b".to_string()];
+        let key = |a: i64, b: i64| vec![KeyAtom::Int(a), KeyAtom::Int(b)];
+        let ok =
+            GroupIndex::from_parts(names(), vec![0, 1, 0], vec![key(1, 1), key(1, 2)], vec![2, 1]);
+        assert_eq!(ok.unwrap().sizes(), &[2, 1]);
+        for (rows, keys, sizes, what) in [
+            (vec![0, 1, 0], vec![key(1, 1), key(1, 2)], vec![2, 2], "size"),
+            (vec![0, 1, 0], vec![key(1, 1), vec![KeyAtom::Int(1)]], vec![2, 1], "dimensions"),
+            (vec![0, 2, 0], vec![key(1, 1), key(1, 2)], vec![2, 1], "name group 2"),
+            (vec![0, 1, 0], vec![key(1, 1), key(1, 2)], vec![3], "keys vs"),
+        ] {
+            let err = GroupIndex::from_parts(names(), rows, keys, sizes).unwrap_err();
+            assert!(err.to_string().contains(what), "{what}: {err}");
+        }
     }
 }

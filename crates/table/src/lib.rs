@@ -68,7 +68,7 @@ pub use dict::Dictionary;
 pub use error::TableError;
 pub use exec::{ExecOptions, RowRange};
 pub use expr::{ArithOp, CaseWhen, ScalarExpr};
-pub use groupby::{GroupIndex, GroupStrategy, KeyAtom};
+pub use groupby::{GroupIndex, KeyAtom};
 pub use join::hash_join;
 pub use predicate::{CmpOp, Predicate};
 pub use query::{GroupByQuery, QueryResult};

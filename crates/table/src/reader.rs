@@ -23,7 +23,11 @@
 //! the concatenated single table, for any layout, any mix of local and
 //! remote readers, and any thread count. For that to hold, a reader must
 //! answer each request exactly as `LocalShard` would: the same first-seen
-//! group interning, the same bitmap bits, bit-equal `f64` values.
+//! group interning, the same bitmap bits, bit-equal `f64` values. This
+//! module interns and merges nothing itself: a shard's index is one
+//! [`GroupIndex::build_with`], a set's is [`GroupIndex::merge_locals`] over
+//! them — `groupby`'s one kernel and one ordered merge — after each remote
+//! answer has been checked against the request.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -535,6 +539,13 @@ impl<'a> RowSpace<'a> {
                         ),
                     ));
                 }
+                if local.dim_names() != dim_names {
+                    return Err(Self::bad_answer(
+                        s,
+                        reader,
+                        format!("a scatter window over {:?} for {dim_names:?}", local.dim_names()),
+                    ));
+                }
                 Ok(local)
             }
         })?;
@@ -542,7 +553,7 @@ impl<'a> RowSpace<'a> {
             // A one-shard merge is the identity.
             return Ok(locals.remove(0));
         }
-        Ok(GroupIndex::merge_shard_locals(dim_names, &locals, n))
+        GroupIndex::merge_locals(&locals)
     }
 
     /// Evaluate `predicate` into one bitmap **per shard** (each indexed by
@@ -1011,35 +1022,46 @@ pub(crate) mod tests {
     /// misaligned merge.
     #[test]
     fn malformed_answers_are_rejected() {
+        /// `short`: claims one row more than it answers for. Otherwise:
+        /// answers every grouping request over a different dimension list.
         #[derive(Debug)]
-        struct Short(LocalShard);
-        impl ShardReader for Short {
+        struct Bad {
+            shard: LocalShard,
+            short: bool,
+        }
+        impl ShardReader for Bad {
             fn schema(&self) -> &Schema {
-                self.0.schema()
+                self.shard.schema()
             }
             fn num_rows(&self) -> usize {
-                self.0.num_rows() + 1
+                self.shard.num_rows() + usize::from(self.short)
             }
             fn location(&self) -> String {
-                "short".to_string()
+                "bad".to_string()
             }
             fn group_index(&self, exprs: &[ScalarExpr]) -> Result<GroupIndex> {
-                self.0.group_index(exprs)
+                if self.short {
+                    return self.shard.group_index(exprs);
+                }
+                self.shard.group_index(&[ScalarExpr::col("i")])
             }
             fn predicate_bitmap(&self, predicate: &Predicate) -> Result<Bitmap> {
-                self.0.predicate_bitmap(predicate)
+                self.shard.predicate_bitmap(predicate)
             }
             fn expr_values(
                 &self,
                 exprs: &[Option<ScalarExpr>],
             ) -> Result<Vec<Option<ColumnValues>>> {
-                self.0.expr_values(exprs)
+                self.shard.expr_values(exprs)
             }
             fn take_rows(&self, rows: &[u32]) -> Result<Table> {
-                self.0.take_rows(&rows[1..])
+                self.shard.take_rows(&rows[1..])
             }
         }
-        let set = ShardSet::new(vec![Arc::new(Short(LocalShard::new(table(5))))]).unwrap();
+        let set_of = |short| {
+            ShardSet::new(vec![Arc::new(Bad { shard: LocalShard::new(table(5)), short })]).unwrap()
+        };
+        let set = set_of(true);
         let rows = set.rows();
         let exec = ExecOptions::sequential();
         let err = rows.group_index(&[ScalarExpr::col("g")], &exec).unwrap_err();
@@ -1050,6 +1072,10 @@ pub(crate) mod tests {
         assert!(err.to_string().contains("values for column 0"), "{err}");
         let err = rows.gather(&[0, 1]).unwrap_err();
         assert!(err.to_string().contains("gather batch"), "{err}");
+
+        // Alone in its set, so no merge would catch the wrong grouping.
+        let err = set_of(false).rows().group_index(&[ScalarExpr::col("g")], &exec).unwrap_err();
+        assert!(err.to_string().contains("(bad) returned a scatter window over [\"i\"]"), "{err}");
     }
 
     proptest! {

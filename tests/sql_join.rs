@@ -221,7 +221,7 @@ fn sharded_dimension_side_is_invisible() {
 }
 
 /// EXPLAIN over a join plans without executing, and the report carries the
-/// join description plus a group-by strategy with its reason.
+/// join description.
 #[test]
 fn explain_join_reports_without_executing() {
     let mut engine = Engine::new().with_seed(1);
@@ -237,10 +237,8 @@ fn explain_join_reports_without_executing() {
     assert!(ans.results.is_empty(), "EXPLAIN must not execute");
     assert_eq!(ans.report.join.as_deref(), Some("items ON sales.item = items.item"));
     assert_eq!(ans.report.mode, QueryMode::Exact, "joins answer exactly");
-    assert!(!ans.report.group_by_reason.is_empty());
     let line = ans.report.to_line();
     assert!(line.contains("join items"), "{line}");
-    assert!(line.contains("group-by"), "{line}");
 }
 
 /// Join error paths are caught at plan time with informative messages.
