@@ -117,10 +117,17 @@ fn main() {
     let mut live = Engine::new().with_seed(7).with_exec(ExecOptions::sequential());
     live.register_windowed("openaq", base, "local_time").expect("windowed registration");
     live.prepare("openaq", problem(2_000)).expect("prepare the durable sample");
+    // An append costs the batch, not the table: the registered shard is
+    // past the seal size, so it is never rebuilt and the appended rows roll
+    // into a live shard of their own.
+    let mut live_shard_rows_max = 0;
     for start in (WORKLOAD_ROWS..WORKLOAD_ROWS + stream_rows).step_by(5_000) {
         let batch = full.take(&(start..start + 5_000).collect::<Vec<_>>());
         live.ingest("openaq", &batch).expect("ingest batch");
+        let shard_rows = live.catalog_table("openaq").expect("registered").set().shard_rows();
+        live_shard_rows_max = live_shard_rows_max.max(*shard_rows.last().expect("never empty"));
     }
+    let shards = live.catalog_table("openaq").expect("registered").set().num_shards();
     assert_eq!(live.stats_passes(), 1, "maintenance must not re-scan the table");
     // Budget scales with the table: 2 000 rows at 100k grows to 2 400 at
     // 120k, and the maintained sample must be bit-identical to preparing
@@ -144,6 +151,8 @@ fn main() {
         "sample_rows/ingest_workload".into(),
         maintained.report.sample_rows.expect("sampled") as u64,
     ));
+    counters.push(("shards/ingest_workload".into(), shards as u64));
+    counters.push(("live_shard_rows_max/ingest_workload".into(), live_shard_rows_max as u64));
     // Retention: rotate at the midpoint of the seeded time range; the
     // retired count is a pure function of the generator.
     let cutoff = match full.column_by_name("local_time").expect("window column") {

@@ -313,12 +313,18 @@ impl Engine {
         self.entry(name).map(|e| &e.table)
     }
 
-    /// The table behind a *plain* registration (case-insensitive). Entries
-    /// that declared a shard layout return `None`; reach their shards
-    /// through [`Engine::catalog_table`].
+    /// The table behind a *plain* registration (case-insensitive), while it
+    /// is still the one table that was registered. Entries that declared a
+    /// shard layout return `None`, and so does a plain table that
+    /// [`Engine::ingest`] has since rolled past its first shard (its rows
+    /// are then a chain of sealed shards, not one `Table`); reach either
+    /// kind's rows through [`Engine::catalog_table`].
     pub fn table(&self, name: &str) -> Option<&Table> {
         let table = self.catalog_table(name).filter(|t| !t.declared_layout)?;
-        table.set.reader(0).local_table()
+        match table.set.readers() {
+            [only] => only.local_table(),
+            _ => None,
+        }
     }
 
     /// The declared retention window column of `name`, if any.

@@ -52,17 +52,26 @@ fn keep_mask(table: &Table, window: &str, cutoff: i64) -> Result<Vec<bool>> {
 }
 
 impl Engine {
-    /// Append a batch of rows to a registered **local** table (sharded
-    /// layouts append into their live — last — shard; earlier shards are
-    /// shared with the previous layout, not copied).
+    /// Append a batch of rows to a registered **local** table, at a cost of
+    /// the batch, not the table. The rows go into the table's live — last —
+    /// shard until it holds `CHUNK_ROWS` (64Ki) rows, where it is sealed,
+    /// and roll new shards from there
+    /// ([`ShardSet::extended`](cvopt_table::ShardSet::extended)); every
+    /// sealed shard is shared with the previous layout, never copied. A
+    /// plain table stays a plain table — nothing it reports (fingerprints,
+    /// `EXPLAIN`) can see the shards behind it — and a declared layout
+    /// grows one shard per 64Ki rows appended; either way the layout
+    /// depends on the rows that arrived, never on how they were batched.
     ///
     /// Sample upkeep is the point of the pass: cached samples of the table
     /// are *never left stale*. Plain entries are invalidated outright; the
     /// table's maintained samples (durable preparations on a windowed
-    /// table) fold the batch into their index and statistics — each
-    /// refreshed sample is byte-identical to re-preparing from scratch over
-    /// the extended table, for any split of the same row stream into
-    /// batches (see [`Engine::register_windowed`]).
+    /// table) fold the batch into their index, row lists and statistics
+    /// and redraw from those — work proportional to the batch and the
+    /// sample, with no pass over the rows already there. Each refreshed
+    /// sample is byte-identical to re-preparing from scratch over the
+    /// extended table, for any split of the same row stream into batches
+    /// (see [`Engine::register_windowed`]).
     ///
     /// Remote tables reject the call: their rows live at the shard servers,
     /// which own the wire-level append pass.

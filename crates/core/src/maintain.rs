@@ -1,10 +1,12 @@
 //! Incremental sample maintenance for ingesting tables.
 //!
 //! A [`Maintenance`] keeps, for one prepared sample in the engine's store, the
-//! two artifacts the two-pass pipeline derives from the raw rows: the
-//! finest-stratification [`GroupIndex`] and the per-partition statistics
-//! partials (`partials[partition][group][column]`). Both are *mergeable
-//! under append* through contracts the codebase already pins:
+//! three artifacts the two-pass pipeline derives from the raw rows: the
+//! finest-stratification [`GroupIndex`], every stratum's ascending row list
+//! (the index bucketed by stratum — what the draw reads), and the
+//! per-partition statistics partials (`partials[partition][group][column]`).
+//! All are *mergeable under append*, at a cost of the batch, through
+//! contracts the codebase already pins:
 //!
 //! - The group index merges by first-occurrence key order
 //!   ([`GroupIndex::append`], the same ordered merge that joins partitions
@@ -12,6 +14,12 @@
 //!   place, yields exactly the index a fresh build over the extended table
 //!   would produce — old strata keep their ids, new strata take the next
 //!   ids.
+//! - A stratum's row list is its rows in ascending row order, and appended
+//!   rows have the highest ids: pushing each batch row onto its stratum's
+//!   list yields exactly the buckets a fresh
+//!   [`bucket_rows`](cvopt_table::exec::bucket_rows) over the folded index
+//!   would scatter — without re-scattering the rows already there. The
+//!   lists cost 4 bytes per table row per maintained sample.
 //! - Statistics partials are whole **global** partitions (fixed 64Ki-row
 //!   ranges anchored to the logical row space), so appending rows dirties
 //!   only the partitions at or past `old_rows / CHUNK_ROWS`. Clean
@@ -20,9 +28,13 @@
 //!   bit-identical to the fresh kernel's output for that partition, because
 //!   a new stratum by definition has no rows there.
 //!
-//! Allocation and the stratified draw then re-run through the *same* code
-//! paths a fresh preparation uses, over bit-identical inputs. The upshot is
-//! the maintenance contract the ingest CI pins:
+//! Allocation then re-runs through the *same* code path a fresh preparation
+//! uses, and the draw through the same per-stratum kernel
+//! ([`StratifiedSample::draw_bucketed`]), over bit-identical inputs; the
+//! reservoirs jump over the rows they do not keep and the gather copies
+//! only the rows drawn, so what an append costs beyond the batch is the
+//! sample, never the table. The upshot is the maintenance contract the
+//! ingest CI pins:
 //!
 //! > After any sequence of appends, a maintained sample is **byte-identical
 //! > to re-preparing from scratch** over the extended table — independent
@@ -44,7 +56,7 @@
 //! sampler for streams that are never stored; nothing here feeds it.
 
 use cvopt_table::agg::AggState;
-use cvopt_table::exec::{ExecOptions, CHUNK_ROWS};
+use cvopt_table::exec::{bucket_rows, ExecOptions, CHUNK_ROWS};
 use cvopt_table::{GroupIndex, RowSpace, ScalarExpr, Table};
 
 use crate::error::CvError;
@@ -66,6 +78,8 @@ pub(crate) struct Maintenance {
     strata_exprs: Vec<ScalarExpr>,
     /// Maintained finest-stratification index over the current rows.
     index: GroupIndex,
+    /// `strata_rows[c]`: stratum `c`'s rows of `index`, ascending.
+    strata_rows: Vec<Vec<u32>>,
     /// Cached per-partition statistics partials over the current rows.
     partials: Vec<Vec<Vec<AggState>>>,
 }
@@ -84,6 +98,8 @@ impl Maintenance {
         problem.validate()?;
         let strata_exprs = problem.finest_stratification();
         let index = rows.group_index(&strata_exprs, exec)?;
+        let bucketed = bucket_rows(index.row_groups(), index.num_groups(), exec);
+        let strata_rows = (0..index.num_groups()).map(|c| bucketed.bucket(c).to_vec()).collect();
         let partials = stats::tail_partials(rows, &index, &problem.aggregate_columns(), exec, 0)?;
         stats::record_pass();
         let state = Maintenance {
@@ -91,14 +107,15 @@ impl Maintenance {
             base_rows: rows.num_rows(),
             strata_exprs,
             index,
+            strata_rows,
             partials,
         };
         let outcome = state.outcome(problem, rows, seed, exec)?;
         Ok((state, outcome))
     }
 
-    /// Allocate and draw from the maintained index and partials, through
-    /// the exact passes a fresh [`CvOptSampler::sample`] runs.
+    /// Allocate and draw from the maintained index, row lists and partials,
+    /// through the exact kernels a fresh [`CvOptSampler::sample`] runs.
     fn outcome(
         &self,
         problem: &SamplingProblem,
@@ -114,8 +131,14 @@ impl Maintenance {
         let sampler = CvOptSampler::new(problem.clone()).with_seed(seed).with_exec(*exec);
         let plan = sampler.allocate(self.strata_exprs.clone(), &self.index, stats)?;
         note_draw();
-        let sample = StratifiedSample::draw(&self.index, &plan.allocation.sizes, seed, exec)
-            .materialize_from(rows)?;
+        let sample = StratifiedSample::draw_bucketed(
+            &self.index,
+            |c| &self.strata_rows[c],
+            &plan.allocation.sizes,
+            seed,
+            exec,
+        )
+        .materialize_from(rows)?;
         Ok(CvOptOutcome { sample, plan })
     }
 
@@ -156,6 +179,10 @@ impl Maintenance {
         // Batch-local index, folded in row order into the maintained one:
         // identical to rebuilding over the extended table.
         self.index.append(&GroupIndex::build_with(batch, &self.strata_exprs, exec)?)?;
+        self.strata_rows.resize(self.index.num_groups(), Vec::new());
+        for (row, &stratum) in self.index.row_groups().iter().enumerate().skip(old_rows) {
+            self.strata_rows[stratum as usize].push(row as u32);
+        }
 
         // Replay clean partials, rescan the dirty tail. Partition
         // boundaries are anchored to the global row space, so every
@@ -191,6 +218,7 @@ impl Maintenance {
         let (fresh, outcome) = Maintenance::build(problem, rows, seed, exec)?;
         self.strata_exprs = fresh.strata_exprs;
         self.index = fresh.index;
+        self.strata_rows = fresh.strata_rows;
         self.partials = fresh.partials;
         Ok(outcome)
     }
@@ -200,6 +228,7 @@ impl Maintenance {
 mod tests {
     use super::*;
     use crate::spec::QuerySpec;
+    use cvopt_table::exec::bucket_rows_sequential;
     use cvopt_table::{DataType, ShardSet, ShardedTable, TableBuilder, Value};
 
     fn row_stream(n: usize) -> Vec<Vec<Value>> {
@@ -267,6 +296,17 @@ mod tests {
                 .state
                 .apply_append(&mut self.problem, rows, batch, self.seed, &self.exec)
                 .unwrap();
+            self.assert_row_lists_current();
+        }
+
+        /// The kept row lists are the maintained index, bucketed.
+        fn assert_row_lists_current(&self) {
+            let index = &self.state.index;
+            let want = bucket_rows_sequential(index.row_groups(), index.num_groups());
+            assert_eq!(self.state.strata_rows.len(), index.num_groups());
+            for (c, rows) in self.state.strata_rows.iter().enumerate() {
+                assert_eq!(rows, want.bucket(c), "stratum {c}'s row list");
+            }
         }
 
         /// What a from-scratch preparation of the current problem draws.
@@ -422,6 +462,8 @@ mod tests {
         let kept = table_of(&rows[600..]);
         m.outcome = m.state.rebuild(&mut m.problem, &(&kept).into(), m.seed, &m.exec).unwrap();
         assert_eq!(m.problem.budget, 40, "10% of the surviving 400 rows");
+        assert_eq!(m.state.index.num_rows(), 400);
+        m.assert_row_lists_current();
         assert_outcomes_equal(&m.outcome, &m.fresh(&kept), "rebuild");
     }
 }

@@ -1,9 +1,10 @@
 //! Reservoir sampling (Vitter's Algorithm R and Li's Algorithm L).
 //!
 //! The stratified pass keeps one [`Reservoir`] per stratum and offers each
-//! row to its stratum's reservoir — a single scan regardless of the number
-//! of strata (the paper's "second pass"). Algorithm L makes the per-item
-//! cost O(1) amortized with only O(k·(1 + log(n/k))) random numbers.
+//! stratum's rows to its reservoir (the paper's "second pass"). Algorithm L
+//! needs only O(k·(1 + log(n/k))) random numbers, and — offered a whole
+//! slice ([`Reservoir::offer_slice`]) — touches only the items it keeps or
+//! replaces: the skips between two replacements are one subtraction.
 
 use rand::{Rng, RngExt};
 
@@ -85,6 +86,31 @@ impl Reservoir {
             let j = rng.random_range(0..self.seen);
             if (j as usize) < self.capacity {
                 self.items[j as usize] = item;
+            }
+        }
+    }
+
+    /// Offer every item of `items`, in order: the same reservoir state and
+    /// the same RNG draws in the same order as calling [`Reservoir::offer`]
+    /// once per item, for any split of a stream into slices. A full
+    /// Algorithm L reservoir jumps its pending skip over the slice instead
+    /// of counting it down item by item, so the cost is the fills and
+    /// replacements, not the slice length.
+    pub fn offer_slice(&mut self, mut items: &[u32], rng: &mut impl Rng) {
+        if self.capacity == 0 {
+            self.seen += items.len() as u64;
+            return;
+        }
+        while let Some((&next, rest)) = items.split_first() {
+            if self.algo_l && self.items.len() == self.capacity && self.skip > 0 {
+                let jump = self.skip.min(items.len() as u64);
+                self.skip -= jump;
+                self.seen += jump;
+                items = &items[jump as usize..];
+            } else {
+                // A fill, a replacement, or Algorithm R's per-item draw.
+                self.offer(next, rng);
+                items = rest;
             }
         }
     }
@@ -255,6 +281,47 @@ mod tests {
         assert_eq!(sample_distinct(&mut rng, 10, 10), (0..10).collect::<Vec<_>>());
         assert_eq!(sample_distinct(&mut rng, 10, 20).len(), 10);
         assert!(sample_distinct(&mut rng, 10, 0).is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// Offering a stream as slices — any split of it — leaves the
+        /// reservoir and the RNG exactly where per-item offers leave them.
+        #[test]
+        fn offer_slice_equals_per_item_offers(
+            n in 0usize..500,
+            kind in 0usize..5,
+            cuts in proptest::collection::vec(0usize..500, 0..5),
+            seed in 0u64..1000,
+            algo_l in proptest::prelude::any::<bool>(),
+        ) {
+            let capacity = [0, 1, n / 7, n, n + 3][kind];
+            let new = || match algo_l {
+                true => Reservoir::new(capacity),
+                false => Reservoir::new_algorithm_r(capacity),
+            };
+            let stream: Vec<u32> = (0..n as u32).map(|i| i * 3 + 1).collect();
+
+            let (mut one, mut one_rng) = (new(), StdRng::seed_from_u64(seed));
+            for &item in &stream {
+                one.offer(item, &mut one_rng);
+            }
+
+            let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
+            bounds.extend([0, n]);
+            bounds.sort_unstable();
+            let (mut sliced, mut sliced_rng) = (new(), StdRng::seed_from_u64(seed));
+            for window in bounds.windows(2) {
+                sliced.offer_slice(&stream[window[0]..window[1]], &mut sliced_rng);
+            }
+
+            proptest::prop_assert_eq!(sliced.items(), one.items());
+            proptest::prop_assert_eq!(
+                (sliced.seen, sliced.skip, sliced.w.to_bits()),
+                (one.seen, one.skip, one.w.to_bits())
+            );
+            proptest::prop_assert_eq!(sliced_rng.random::<u64>(), one_rng.random::<u64>());
+        }
     }
 
     #[test]

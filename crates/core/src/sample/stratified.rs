@@ -1,18 +1,25 @@
 //! Drawing a stratified sample for a computed allocation.
 //!
-//! The draw is parallel in **both** of its passes. Rows are bucketed by
-//! stratum with the execution layer's two-phase scatter
+//! The draw has two passes, and only the first looks at every row. Rows are
+//! bucketed by stratum with the execution layer's two-phase scatter
 //! ([`cvopt_table::exec::bucket_rows`]: per-partition histograms, an
 //! exclusive prefix over (bucket, partition), then a parallel scatter into
 //! disjoint windows) whose output is byte-identical to a sequential stable
 //! counting sort — each bucket lists its rows in row order, the same order
-//! a sequential scan would offer them. Then every stratum runs its
-//! reservoir with its own RNG substream derived from the caller's seed and
-//! the stratum id. A stratum's sample therefore depends only on
-//! `(seed, stratum)`, making the drawn sample byte-identical for any
-//! thread count — and, because the draw sees only the group index (whose
-//! per-row ids are already concatenated in global row order), for any shard
-//! layout of the rows behind it.
+//! a sequential scan would offer them. Then one kernel
+//! (`StratifiedSample::draw_bucketed`) hands every stratum's row list to
+//! its reservoir as a slice, with its own RNG substream derived from the
+//! caller's seed and the stratum id; Algorithm L jumps over the rows it
+//! does not keep, so this pass costs the rows sampled, not the rows
+//! stored. A caller that already holds the row lists — sample maintenance
+//! keeps them current under append — skips the bucketing pass and calls the
+//! kernel directly.
+//!
+//! A stratum's sample depends only on `(seed, stratum)` and its row list,
+//! making the drawn sample byte-identical for any thread count — and,
+//! because the draw sees only the group index (whose per-row ids are
+//! already concatenated in global row order), for any shard layout of the
+//! rows behind it.
 
 use cvopt_table::exec::{self, ExecOptions};
 use cvopt_table::{GroupIndex, KeyAtom, RowSpace, Table};
@@ -68,8 +75,8 @@ impl StratifiedSample {
     /// stratum `c` of `index` (the paper's second pass). Allocations above
     /// the stratum population are clamped.
     ///
-    /// Strata are drawn in parallel per `options`, each from its own
-    /// `seed`-derived RNG substream; the result depends only on
+    /// Rows are bucketed by stratum per `options`, then drawn by
+    /// `StratifiedSample::draw_bucketed`; the result depends only on
     /// `(index, allocation, seed)`, never on the thread count.
     pub fn draw(
         index: &GroupIndex,
@@ -77,21 +84,30 @@ impl StratifiedSample {
         seed: u64,
         options: &ExecOptions,
     ) -> StratifiedSample {
-        // Bucket row ids by stratum with the two-phase parallel scatter
-        // (per-partition histograms → exclusive prefix → scatter); the
-        // output is byte-identical to a sequential stable counting sort,
-        // so each bucket holds its rows in ascending row order.
+        let bucketed = exec::bucket_rows(index.row_groups(), index.num_groups(), options);
+        Self::draw_bucketed(index, |c| bucketed.bucket(c), allocation, seed, options)
+    }
+
+    /// The per-stratum draw kernel: `bucket(c)` lists stratum `c`'s rows in
+    /// ascending row order (what [`exec::bucket_rows`] produces for
+    /// `index.row_groups()`), and each stratum's reservoir is offered its
+    /// list as one slice from its own `seed`-derived RNG substream. Strata
+    /// are drawn in parallel per `options`.
+    pub(crate) fn draw_bucketed<'a>(
+        index: &GroupIndex,
+        bucket: impl Fn(usize) -> &'a [u32] + Sync,
+        allocation: &[u64],
+        seed: u64,
+        options: &ExecOptions,
+    ) -> StratifiedSample {
         assert_eq!(allocation.len(), index.num_groups(), "allocation must cover every stratum");
-        let num_groups = index.num_groups();
-        let bucketed = exec::bucket_rows(index.row_groups(), num_groups, options);
-        let rows_per_stratum = exec::run_indexed(num_groups, options, |c| {
-            let rows = bucketed.bucket(c);
-            let capacity = allocation[c].min(index.size(c as u32)) as usize;
+        let rows_per_stratum = exec::run_indexed(index.num_groups(), options, |c| {
+            let rows = bucket(c);
+            let population = index.size(c as u32);
+            assert_eq!(rows.len() as u64, population, "stratum {c}'s row list is stale");
             let mut rng = StdRng::seed_from_u64(substream_seed(seed, c as u64));
-            let mut reservoir = Reservoir::new(capacity);
-            for &row in rows {
-                reservoir.offer(row, &mut rng);
-            }
+            let mut reservoir = Reservoir::new(allocation[c].min(population) as usize);
+            reservoir.offer_slice(rows, &mut rng);
             let mut sampled = reservoir.into_items();
             sampled.sort_unstable();
             sampled
@@ -261,6 +277,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn draw_is_the_kernel_over_the_index_buckets() {
+        let (_t, idx) = table_and_index();
+        let buckets = exec::bucket_rows_sequential(idx.row_groups(), idx.num_groups());
+        for (allocation, seed) in [([25, 5], 9), ([0, 10], 1), ([100, 500], 3)] {
+            let exec = ExecOptions::new(2);
+            let drawn = StratifiedSample::draw(&idx, &allocation, seed, &exec);
+            let kernel = StratifiedSample::draw_bucketed(
+                &idx,
+                |c| buckets.bucket(c),
+                &allocation,
+                seed,
+                &ExecOptions::sequential(),
+            );
+            assert_eq!(drawn.rows_per_stratum, kernel.rows_per_stratum);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row list is stale")]
+    fn draw_bucketed_rejects_a_stale_row_list() {
+        let (_t, idx) = table_and_index();
+        let buckets = exec::bucket_rows_sequential(idx.row_groups(), idx.num_groups());
+        let short = |c| &buckets.bucket(c)[1..];
+        StratifiedSample::draw_bucketed(&idx, short, &[5, 5], 1, &ExecOptions::sequential());
     }
 
     #[test]

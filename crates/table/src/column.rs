@@ -1,6 +1,6 @@
 //! Typed columnar storage.
 
-use crate::dict::Dictionary;
+use crate::dict::{Dictionary, Recode};
 use crate::error::TableError;
 use crate::types::{DataType, Value};
 use crate::Result;
@@ -115,11 +115,12 @@ impl Column {
     /// Append every row of `other` (same data type) onto this column.
     ///
     /// Fixed-width columns extend their backing vectors directly; string
-    /// columns re-intern `other`'s values in row order, so the combined
-    /// dictionary assigns codes in first-occurrence order over the
-    /// concatenation — exactly the dictionary a fresh row-by-row build of
-    /// the combined data would produce. [`Column::approx_bytes`] therefore
-    /// stays a pure function of the data, independent of append history.
+    /// columns re-intern `other`'s values in row order — once per distinct
+    /// code of `other`, not once per row — so the combined dictionary
+    /// assigns codes in first-occurrence order over the concatenation:
+    /// exactly the dictionary a fresh row-by-row build of the combined data
+    /// would produce. [`Column::approx_bytes`] therefore stays a pure
+    /// function of the data, independent of append history.
     pub fn extend_from(&mut self, other: &Column) -> Result<()> {
         match (self, other) {
             (Column::Int64(v), Column::Int64(o)) => v.extend_from_slice(o),
@@ -127,8 +128,9 @@ impl Column {
             (Column::Bool(v), Column::Bool(o)) => v.extend_from_slice(o),
             (Column::Timestamp(v), Column::Timestamp(o)) => v.extend_from_slice(o),
             (Column::Str { codes, dict }, Column::Str { codes: ocodes, dict: odict }) => {
+                let mut recode = Recode::new(odict);
                 codes.reserve(ocodes.len());
-                codes.extend(ocodes.iter().map(|&c| dict.intern(odict.get(c))));
+                codes.extend(ocodes.iter().map(|&c| recode.code(c, dict)));
             }
             (col, other) => {
                 return Err(TableError::TypeMismatch {
@@ -138,6 +140,85 @@ impl Column {
             }
         }
         Ok(())
+    }
+
+    /// The gather kernel for one column: a `dtype` column of `len` rows whose
+    /// row `i` is row `at(i).1` of `parts[at(i).0]`. Fixed-width values are
+    /// copied by one typed loop over the parts' slices; strings go through
+    /// one [`Recode`] per part, so the output dictionary holds only what the
+    /// output rows use, in their first-occurrence order — the column a
+    /// row-by-row build of the same rows would produce, byte for byte. A
+    /// part of another type is an error, never a panic.
+    pub(crate) fn gather(
+        dtype: DataType,
+        parts: &[&Column],
+        len: usize,
+        at: impl Fn(usize) -> (usize, usize),
+    ) -> Result<Column> {
+        if let Some(other) = parts.iter().find(|part| part.data_type() != dtype) {
+            return Err(TableError::TypeMismatch {
+                expected: dtype,
+                found: format!("{:?} column", other.data_type()),
+            });
+        }
+        fn copied<T: Copy>(
+            slices: Vec<&[T]>,
+            len: usize,
+            at: impl Fn(usize) -> (usize, usize),
+        ) -> Vec<T> {
+            let value = |i| {
+                let (part, row) = at(i);
+                slices[part][row]
+            };
+            (0..len).map(value).collect()
+        }
+        let i64s = || parts.iter().map(|part| part.i64_slice().expect("type checked")).collect();
+        Ok(match dtype {
+            DataType::Int64 => Column::Int64(copied(i64s(), len, at)),
+            DataType::Timestamp => Column::Timestamp(copied(i64s(), len, at)),
+            DataType::Float64 => {
+                let slices = parts.iter().map(|part| part.f64_slice().expect("type checked"));
+                Column::Float64(copied(slices.collect(), len, at))
+            }
+            DataType::Bool => {
+                let slices = parts.iter().map(|part| match part {
+                    Column::Bool(v) => v.as_slice(),
+                    _ => unreachable!("type checked"),
+                });
+                Column::Bool(copied(slices.collect(), len, at))
+            }
+            DataType::Str => {
+                let old: Vec<&[u32]> =
+                    parts.iter().map(|part| part.str_codes().expect("type checked")).collect();
+                let mut recodes: Vec<Recode<'_>> = parts
+                    .iter()
+                    .map(|part| Recode::new(part.dictionary().expect("type checked")))
+                    .collect();
+                let mut dict = Dictionary::new();
+                let code = |i| {
+                    let (part, row) = at(i);
+                    recodes[part].code(old[part][row], &mut dict)
+                };
+                let codes = (0..len).map(code).collect();
+                Column::Str { codes, dict }
+            }
+        })
+    }
+
+    /// `copies` back-to-back copies of this column. A string column keeps
+    /// its dictionary — the first copy already uses every entry, in order —
+    /// unless there is no first copy.
+    pub(crate) fn repeat(&self, copies: usize) -> Column {
+        match self {
+            Column::Int64(v) => Column::Int64(v.repeat(copies)),
+            Column::Timestamp(v) => Column::Timestamp(v.repeat(copies)),
+            Column::Float64(v) => Column::Float64(v.repeat(copies)),
+            Column::Bool(v) => Column::Bool(v.repeat(copies)),
+            Column::Str { .. } if copies == 0 => Column::new(DataType::Str),
+            Column::Str { codes, dict } => {
+                Column::Str { codes: codes.repeat(copies), dict: dict.clone() }
+            }
+        }
     }
 
     /// The value at `row` as a dynamically typed [`Value`].

@@ -75,9 +75,55 @@ impl Dictionary {
     }
 }
 
+/// `old code → new code` for one source dictionary whose strings are being
+/// re-interned into another: a string is hashed only the first time its
+/// code is seen, every later row of the same code is one table lookup. The
+/// target therefore receives the source's strings in first-occurrence order
+/// of the codes asked for — exactly what interning row by row would give.
+#[derive(Debug)]
+pub(crate) struct Recode<'a> {
+    from: &'a Dictionary,
+    to: Vec<u32>,
+}
+
+impl<'a> Recode<'a> {
+    /// No dictionary can hold this many strings, so it marks "not seen".
+    const UNSEEN: u32 = u32::MAX;
+
+    /// An empty table over `from`'s codes.
+    pub(crate) fn new(from: &'a Dictionary) -> Self {
+        Recode { from, to: vec![Self::UNSEEN; from.len()] }
+    }
+
+    /// `into`'s code for the string `from` calls `code`.
+    #[inline]
+    pub(crate) fn code(&mut self, code: u32, into: &mut Dictionary) -> u32 {
+        let slot = &mut self.to[code as usize];
+        if *slot == Self::UNSEEN {
+            *slot = into.intern(self.from.get(code));
+        }
+        *slot
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn recode_interns_each_code_once_in_first_asked_order() {
+        let mut from = Dictionary::new();
+        for s in ["a", "b", "c", "d"] {
+            from.intern(s);
+        }
+        let mut into = Dictionary::new();
+        into.intern("c");
+        let mut recode = Recode::new(&from);
+        let codes: Vec<u32> = [3, 2, 3, 0, 2].iter().map(|&c| recode.code(c, &mut into)).collect();
+        assert_eq!(codes, vec![1, 0, 1, 2, 0]);
+        // "b" was never asked for, so it was never interned.
+        assert_eq!(into.iter().map(|(_, s)| s).collect::<Vec<_>>(), vec!["c", "d", "a"]);
+    }
 
     #[test]
     fn intern_assigns_dense_codes() {

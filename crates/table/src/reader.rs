@@ -201,8 +201,7 @@ impl ShardReader for LocalShard {
                 "take_rows row {bad} out of range for a {n}-row shard"
             )));
         }
-        let rows: Vec<usize> = rows.iter().map(|&r| r as usize).collect();
-        Ok(self.table.take(&rows))
+        Table::gather(self.table.schema(), &[&self.table], rows.len(), |i| (0, rows[i] as usize))
     }
 
     fn local_table(&self) -> Option<&Table> {
@@ -335,15 +334,44 @@ impl ShardSet {
         })
     }
 
-    /// A new set with `batch`'s rows appended to the **last** shard (the
-    /// live shard of an ingesting table). Earlier readers are shared, not
-    /// copied; only the last shard is rebuilt via [`Table::extended`], so
-    /// the logical row stream is the old rows followed by the batch —
+    /// A new set with `batch`'s rows appended after the set's rows — the
+    /// append of an ingesting table, costing O(batch) whatever the table
+    /// holds. The **live** shard is the last one while it has fewer than
+    /// [`CHUNK_ROWS`](exec::CHUNK_ROWS) rows: the batch tops it up to that
+    /// cap (the only rows ever copied besides the batch's own), where it is
+    /// **sealed**, and the remainder rolls new in-process shards of at most
+    /// the cap each. Every other reader is shared by `Arc`, never copied.
+    /// The layout after an append is therefore a pure function of the
+    /// registered layout and the number of rows appended — never of how the
+    /// stream was split into batches (an empty batch changes nothing) — and
+    /// the logical row stream is the old rows followed by the batch,
     /// identical to appending to the concatenated single table.
     pub fn extended(&self, batch: &Table) -> Result<ShardSet> {
         let last = self.num_shards() - 1;
+        let live = self.local_shard(last)?;
+        if self.schema() != batch.schema() {
+            return Err(TableError::invalid(format!(
+                "cannot append a batch with schema {:?} to a table with schema {:?}",
+                batch.schema(),
+                self.schema()
+            )));
+        }
+        let n = batch.num_rows();
+        let piece = |start: usize, end: usize| match (start, end) {
+            (0, end) if end == n => Cow::Borrowed(batch),
+            _ => Cow::Owned(batch.take(&(start..end).collect::<Vec<_>>())),
+        };
         let mut readers = self.readers.clone();
-        readers[last] = Arc::new(LocalShard::new(self.local_shard(last)?.extended(batch)?));
+        let topped = exec::CHUNK_ROWS.saturating_sub(live.num_rows()).min(n);
+        if topped > 0 {
+            readers[last] = Arc::new(LocalShard::new(live.extended(&piece(0, topped))?));
+        }
+        let mut start = topped;
+        while start < n {
+            let end = n.min(start + exec::CHUNK_ROWS);
+            readers.push(Arc::new(LocalShard::new(piece(start, end).into_owned())));
+            start = end;
+        }
         ShardSet::new(readers)
     }
 
@@ -634,9 +662,15 @@ impl<'a> RowSpace<'a> {
 
     /// Copy the rows with global ids in `rows` (in the given order) into a
     /// standalone [`Table`] — identical to [`Table::take`] on the
-    /// concatenated table. In-process rows are read straight from their
-    /// shard; every other shard answers one batched `take_rows` request,
-    /// reassembled in request order.
+    /// concatenated table, string dictionaries (first-occurrence order of
+    /// the output rows) and [`Table::approx_bytes`] included.
+    ///
+    /// Each requested row is resolved to *(shard, shard-local row)* once;
+    /// every shard behind a non-local reader then answers one batched
+    /// `take_rows` request, and the gather kernel builds each output column
+    /// with one typed loop over the in-process shards' storage and the
+    /// fetched batches. A single in-process shard skips the resolving pass:
+    /// its columns are indexed by `rows` directly.
     pub fn gather(&self, rows: &[usize]) -> Result<Table> {
         let n = self.num_rows();
         if let Some(row) = rows.iter().find(|&&row| row >= n) {
@@ -644,54 +678,62 @@ impl<'a> RowSpace<'a> {
                 "gather row {row} out of range for a {n}-row table"
             )));
         }
-        // One batched request per non-local shard, its rows in request
-        // order; a row space with no such shard skips the batching pass.
-        let mut fetched: Vec<Option<Table>> = vec![None; self.parts.len()];
-        if self.has_remote() {
-            let mut batches: Vec<Vec<u32>> = vec![Vec::new(); self.parts.len()];
-            for &row in rows {
+        if let [Part::Local(table)] = self.parts.as_slice() {
+            return Ok(table.take(rows));
+        }
+
+        // Where each output row reads from: an in-process shard's own row,
+        // or the next row of the batch its shard will be asked for.
+        let mut batches: Vec<Vec<u32>> = vec![Vec::new(); self.parts.len()];
+        let source: Vec<(u32, u32)> = rows
+            .iter()
+            .map(|&row| {
                 let (shard, local) = self.locate(row);
                 if let Part::Remote(_) = self.parts[shard] {
                     batches[shard].push(local as u32);
+                    return (shard as u32, batches[shard].len() as u32 - 1);
                 }
-            }
-            for (s, (part, batch)) in self.parts.iter().zip(&batches).enumerate() {
-                let Part::Remote(reader) = part else { continue };
-                if batch.is_empty() {
-                    continue;
-                }
-                let table = reader.take_rows(batch)?;
-                if table.num_rows() != batch.len() || table.schema() != self.schema() {
-                    let what = "a mismatched gather batch".to_string();
-                    return Err(Self::bad_answer(s, *reader, what));
-                }
-                fetched[s] = Some(table);
-            }
-        }
+                (shard as u32, local as u32)
+            })
+            .collect();
 
-        // A per-shard cursor walks each fetched batch front to back.
-        let mut b = TableBuilder::from_schema(self.schema().clone());
-        b.reserve(rows.len());
-        let mut cursors = vec![0usize; self.parts.len()];
-        for &row in rows {
-            let (shard, local) = self.locate(row);
-            let values = match self.parts[shard] {
-                Part::Local(table) => table.row(local),
-                Part::Remote(_) => {
-                    let batch = fetched[shard].as_ref().expect("fetched batch for a located shard");
-                    cursors[shard] += 1;
-                    batch.row(cursors[shard] - 1)
+        // One batched request per non-local shard that owns a requested row;
+        // one nothing is asked of is never read.
+        let tables = self.parts.iter().zip(&batches).enumerate().map(|(s, (part, batch))| {
+            let reader = match part {
+                Part::Local(table) => return Ok(Cow::Borrowed(*table)),
+                Part::Remote(_) if batch.is_empty() => {
+                    let unread = TableBuilder::from_schema(self.schema().clone());
+                    return Ok(Cow::Owned(unread.finish()));
                 }
+                Part::Remote(reader) => *reader,
             };
-            b.push_row(&values)?;
-        }
-        Ok(b.finish())
+            let table = reader.take_rows(batch)?;
+            if table.num_rows() != batch.len() || table.schema() != self.schema() {
+                let what = format!(
+                    "a mismatched gather batch ({} rows of {:?} for {} rows of {:?})",
+                    table.num_rows(),
+                    table.schema(),
+                    batch.len(),
+                    self.schema()
+                );
+                return Err(Self::bad_answer(s, reader, what));
+            }
+            Ok(Cow::Owned(table))
+        });
+        let tables: Vec<Cow<'_, Table>> = tables.collect::<Result<_>>()?;
+        let tables: Vec<&Table> = tables.iter().map(Cow::as_ref).collect();
+        Table::gather(self.schema(), &tables, rows.len(), |i| {
+            let (shard, row) = source[i];
+            (shard as usize, row as usize)
+        })
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::column::Column;
     use crate::exec::CHUNK_ROWS;
     use crate::types::{DataType, Value};
     use proptest::prelude::*;
@@ -1000,6 +1042,44 @@ pub(crate) mod tests {
         assert!(opaque.retained(|_| true).is_err());
     }
 
+    /// The live shard is topped up to the cap and sealed there; what is left
+    /// of a batch rolls new shards. The layout depends on how many rows were
+    /// appended, never on how they were batched.
+    #[test]
+    fn extended_seals_the_live_shard_at_the_cap() {
+        let total = 100 + 2 * CHUNK_ROWS + 50;
+        let full = table(total);
+        let piece = |lo: usize, hi: usize| full.take(&(lo..hi).collect::<Vec<_>>());
+        for cuts in [
+            vec![total],
+            // Fills the live shard exactly, then an empty batch arrives on it.
+            vec![CHUNK_ROWS, CHUNK_ROWS, total],
+            vec![107, 108, 2 * CHUNK_ROWS + 1, total],
+        ] {
+            let mut set = ShardSet::from(piece(0, 100));
+            let mut at = 100;
+            for cut in cuts.iter().copied() {
+                let grown = set.extended(&piece(at, cut)).unwrap();
+                // Every reader but the one that was live is shared.
+                for s in 0..set.num_shards() - 1 {
+                    assert!(Arc::ptr_eq(grown.reader(s), set.reader(s)), "{cuts:?}");
+                }
+                let live = set.reader(set.num_shards() - 1);
+                let sealed = live.num_rows() == CHUNK_ROWS || cut == at;
+                assert_eq!(Arc::ptr_eq(grown.reader(set.num_shards() - 1), live), sealed);
+                (set, at) = (grown, cut);
+            }
+            assert_eq!(set.shard_rows(), vec![CHUNK_ROWS, CHUNK_ROWS, 150], "{cuts:?}");
+            assert_same_storage(&set.rows().to_table().unwrap(), &full, &format!("{cuts:?}"));
+        }
+        // A registered shard already past the cap is sealed as it stands.
+        let set = ShardSet::from(piece(0, CHUNK_ROWS + 5));
+        let grown = set.extended(&piece(0, 3)).unwrap();
+        assert_eq!(grown.shard_rows(), vec![CHUNK_ROWS + 5, 3]);
+        assert!(Arc::ptr_eq(grown.reader(0), set.reader(0)));
+        assert!(set.extended(&battery_part(0, 1, 0)).unwrap_err().to_string().contains("schema"));
+    }
+
     #[test]
     fn new_rejects_schema_mismatch_and_emptiness() {
         let a = LocalShard::new(table(5));
@@ -1022,28 +1102,37 @@ pub(crate) mod tests {
     /// misaligned merge.
     #[test]
     fn malformed_answers_are_rejected() {
-        /// `short`: claims one row more than it answers for. Otherwise:
-        /// answers every grouping request over a different dimension list.
+        /// How a reader's answers go wrong.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Fault {
+            /// Claims one row more than it answers for.
+            Short,
+            /// Answers every grouping request over a different dimension list.
+            OtherDims,
+            /// Gathers the right number of rows under the right column
+            /// names, with `x` as integers.
+            WrongTypes,
+        }
         #[derive(Debug)]
         struct Bad {
             shard: LocalShard,
-            short: bool,
+            fault: Fault,
         }
         impl ShardReader for Bad {
             fn schema(&self) -> &Schema {
                 self.shard.schema()
             }
             fn num_rows(&self) -> usize {
-                self.shard.num_rows() + usize::from(self.short)
+                self.shard.num_rows() + usize::from(self.fault == Fault::Short)
             }
             fn location(&self) -> String {
                 "bad".to_string()
             }
             fn group_index(&self, exprs: &[ScalarExpr]) -> Result<GroupIndex> {
-                if self.short {
-                    return self.shard.group_index(exprs);
+                if self.fault == Fault::OtherDims {
+                    return self.shard.group_index(&[ScalarExpr::col("i")]);
                 }
-                self.shard.group_index(&[ScalarExpr::col("i")])
+                self.shard.group_index(exprs)
             }
             fn predicate_bitmap(&self, predicate: &Predicate) -> Result<Bitmap> {
                 self.shard.predicate_bitmap(predicate)
@@ -1055,13 +1144,24 @@ pub(crate) mod tests {
                 self.shard.expr_values(exprs)
             }
             fn take_rows(&self, rows: &[u32]) -> Result<Table> {
-                self.shard.take_rows(&rows[1..])
+                if self.fault != Fault::WrongTypes {
+                    return self.shard.take_rows(&rows[1..]);
+                }
+                let mut lie = TableBuilder::new(&[
+                    ("g", DataType::Str),
+                    ("x", DataType::Int64),
+                    ("i", DataType::Int64),
+                ]);
+                for &row in rows {
+                    lie.push_row(&[Value::str("g0"), Value::Int64(1), Value::Int64(row as i64)])?;
+                }
+                Ok(lie.finish())
             }
         }
-        let set_of = |short| {
-            ShardSet::new(vec![Arc::new(Bad { shard: LocalShard::new(table(5)), short })]).unwrap()
+        let set_of = |fault| {
+            ShardSet::new(vec![Arc::new(Bad { shard: LocalShard::new(table(5)), fault })]).unwrap()
         };
-        let set = set_of(true);
+        let set = set_of(Fault::Short);
         let rows = set.rows();
         let exec = ExecOptions::sequential();
         let err = rows.group_index(&[ScalarExpr::col("g")], &exec).unwrap_err();
@@ -1074,8 +1174,114 @@ pub(crate) mod tests {
         assert!(err.to_string().contains("gather batch"), "{err}");
 
         // Alone in its set, so no merge would catch the wrong grouping.
-        let err = set_of(false).rows().group_index(&[ScalarExpr::col("g")], &exec).unwrap_err();
+        let other = set_of(Fault::OtherDims);
+        let err = other.rows().group_index(&[ScalarExpr::col("g")], &exec).unwrap_err();
         assert!(err.to_string().contains("(bad) returned a scatter window over [\"i\"]"), "{err}");
+
+        // Column types that disagree with the schema never reach the typed
+        // gather loops: the batch is refused, naming the shard.
+        let err = set_of(Fault::WrongTypes).rows().gather(&[0, 1]).unwrap_err();
+        assert!(err.to_string().contains("(bad) returned a mismatched gather batch"), "{err}");
+        let lie = Bad { shard: LocalShard::new(table(5)), fault: Fault::WrongTypes };
+        let (honest, lie) = (table(5), lie.take_rows(&[0]).unwrap());
+        let err = Table::gather(honest.schema(), &[&honest, &lie], 1, |_| (1, 0)).unwrap_err();
+        assert!(matches!(err, TableError::TypeMismatch { expected: DataType::Float64, .. }));
+    }
+
+    /// The gather battery's fixture: one column of every type, and strings
+    /// drawn from `POOL` in an order that differs per `part`, so sibling
+    /// parts give the same string different dictionary codes.
+    fn battery_part(part: usize, n: usize, salt: usize) -> Table {
+        const POOL: [&str; 6] = ["us", "vn", "in", "de", "a-longer-string", ""];
+        let mut b = TableBuilder::new(&[
+            ("g", DataType::Str),
+            ("x", DataType::Float64),
+            ("i", DataType::Int64),
+            ("ok", DataType::Bool),
+            ("ts", DataType::Timestamp),
+            ("h", DataType::Str),
+        ]);
+        for r in 0..n {
+            b.push_row(&[
+                Value::str(POOL[(r * (part + 1) + part + salt) % POOL.len()]),
+                Value::Float64(((part * 100 + r) as f64 * 0.37).sin()),
+                Value::Int64((part * 1000 + r) as i64),
+                Value::Bool((r + part) % 3 == 1),
+                Value::Timestamp(1_500_000_000 + (part * 100 + r) as i64),
+                Value::str(POOL[(r / 2 + salt) % 4]),
+            ])
+            .unwrap();
+        }
+        b.finish()
+    }
+
+    /// The row-wise reference the column kernel replaced: every output row
+    /// assembled as values and pushed through the builder.
+    fn gather_rowwise(parts: &[Table], rows: &[usize]) -> Table {
+        let mut b = TableBuilder::from_schema(parts[0].schema().clone());
+        for &row in rows {
+            let (mut part, mut local) = (0, row);
+            while local >= parts[part].num_rows() {
+                local -= parts[part].num_rows();
+                part += 1;
+            }
+            b.push_row(&parts[part].row(local)).unwrap();
+        }
+        b.finish()
+    }
+
+    /// Equal storage, not just equal `row()`s: column bytes, dictionary
+    /// contents in code order, and `approx_bytes`.
+    fn assert_same_storage(got: &Table, want: &Table, what: &str) {
+        assert_eq!(got.schema(), want.schema(), "{what}");
+        assert_eq!(got.num_rows(), want.num_rows(), "{what}");
+        assert_eq!(got.approx_bytes(), want.approx_bytes(), "{what}");
+        for (c, (g, w)) in got.columns().iter().zip(want.columns()).enumerate() {
+            let same = match (g, w) {
+                (Column::Float64(g), Column::Float64(w)) => {
+                    g.iter().map(|v| v.to_bits()).eq(w.iter().map(|v| v.to_bits()))
+                }
+                (Column::Bool(g), Column::Bool(w)) => g == w,
+                (Column::Str { codes: g, dict: gd }, Column::Str { codes: w, dict: wd }) => {
+                    g == w && gd.iter().eq(wd.iter())
+                }
+                (g, w) => g.data_type() == w.data_type() && g.i64_slice() == w.i64_slice(),
+            };
+            assert!(same, "{what}: column {c} differs: {g:?} vs {w:?}");
+        }
+    }
+
+    /// `gather` against the row-wise reference for every reader kind.
+    fn check_gather(parts: &[Table], rows: &[usize], what: &str) {
+        let want = gather_rowwise(parts, rows);
+        let sharded = ShardedTable::from_tables(parts.to_vec()).unwrap();
+        for (kind, set) in layouts_of(&sharded) {
+            let got = set.rows().gather(rows).unwrap();
+            assert_same_storage(&got, &want, &format!("{what}, {kind}"));
+        }
+    }
+
+    #[test]
+    fn gather_battery_fixed_cases() {
+        for sizes in [vec![9], vec![0, 4, 5], vec![3, 0, 2, 0, 0, 4, 1], vec![0, 0, 0]] {
+            let parts: Vec<Table> =
+                sizes.iter().enumerate().map(|(p, &n)| battery_part(p, n, 1)).collect();
+            let n: usize = sizes.iter().sum();
+            let what = format!("{sizes:?}");
+            check_gather(&parts, &[], &what);
+            check_gather(&parts, &(0..n).collect::<Vec<_>>(), &what);
+            check_gather(&parts, &(0..n).rev().collect::<Vec<_>>(), &what);
+            // Duplicates, shuffled, and most rows (and their strings) untouched.
+            let some: Vec<usize> =
+                if n == 0 { Vec::new() } else { (0..7).map(|i| (i * 5 + 3) % n).collect() };
+            check_gather(&parts, &some, &what);
+        }
+        // `take` is the same kernel over one part: the dictionary holds only
+        // what the taken rows use, in their order.
+        let part = battery_part(2, 12, 0);
+        let taken = part.take(&[7, 7, 2]);
+        assert_same_storage(&taken, &gather_rowwise(&[part], &[7, 7, 2]), "take");
+        assert_eq!(taken.column(0).dictionary().unwrap().len(), 2);
     }
 
     proptest! {
@@ -1100,6 +1306,24 @@ pub(crate) mod tests {
                 prop_assert_eq!(set.offsets()[s] + local, row);
                 prop_assert!(local < set.reader(s).num_rows());
             }
+        }
+
+        /// The column kernel equals the row-wise reference — storage, not
+        /// just values — for arbitrary part sizes (empty parts included),
+        /// arbitrary requests (duplicates, any order, empty), and local,
+        /// stub-remote and mixed readers.
+        #[test]
+        fn gather_equals_rowwise_reference(
+            sizes in proptest::collection::vec(0usize..12, 1..8),
+            picks in proptest::collection::vec(0usize..10_000, 0..40),
+            salt in 0usize..6,
+        ) {
+            let parts: Vec<Table> =
+                sizes.iter().enumerate().map(|(p, &n)| battery_part(p, n, salt)).collect();
+            let total: usize = sizes.iter().sum();
+            let rows: Vec<usize> =
+                if total == 0 { Vec::new() } else { picks.iter().map(|p| p % total).collect() };
+            check_gather(&parts, &rows, &format!("{sizes:?} {rows:?}"));
         }
     }
 }

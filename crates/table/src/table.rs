@@ -66,17 +66,14 @@ impl Table {
     }
 
     /// A new table containing `copies` back-to-back copies of this table
-    /// (used to build the paper's `OpenAQ-25x` scale-up for timing runs).
+    /// (used to build the paper's `OpenAQ-25x` scale-up for timing runs),
+    /// concatenated a column at a time.
     pub fn repeat(&self, copies: usize) -> Table {
-        let mut b = TableBuilder::from_schema(self.schema.clone());
-        b.reserve(self.num_rows * copies);
-        for _ in 0..copies {
-            for row in 0..self.num_rows {
-                let values = self.row(row);
-                b.push_row(&values).expect("schema-compatible row");
-            }
+        Table {
+            schema: self.schema.clone(),
+            columns: self.columns.iter().map(|c| c.repeat(copies)).collect(),
+            num_rows: self.num_rows * copies,
         }
-        b.finish()
     }
 
     /// A new table with `batch`'s rows appended after this table's rows.
@@ -102,15 +99,37 @@ impl Table {
         Ok(Table { schema: self.schema.clone(), columns, num_rows: self.num_rows + batch.num_rows })
     }
 
-    /// A new table containing only the rows with ids in `rows` (in order).
+    /// A new table containing only the rows with ids in `rows` (in order):
+    /// the gather kernel (`Table::gather`) over this one table, indexing
+    /// its columns by `rows` directly. String dictionaries are rebuilt in
+    /// first-occurrence order of the rows taken, so the result is the table
+    /// a row-by-row build of those rows would produce. Panics on a row id
+    /// out of range.
     pub fn take(&self, rows: &[usize]) -> Table {
-        let mut b = TableBuilder::from_schema(self.schema.clone());
-        b.reserve(rows.len());
-        for &row in rows {
-            let values = self.row(row);
-            b.push_row(&values).expect("schema-compatible row");
-        }
-        b.finish()
+        Table::gather(&self.schema, &[self], rows.len(), |i| (0, rows[i]))
+            .expect("a table's columns match its own schema")
+    }
+
+    /// The one gather kernel: a `schema` table of `len` rows whose row `i`
+    /// is row `at(i).1` of `parts[at(i).0]`, built a column at a time (see
+    /// [`Column::gather`]) — no row is ever assembled. The caller vouches
+    /// that every part has `schema`'s column count and that `at` stays in
+    /// range; a part whose column types disagree with `schema` is an error.
+    pub(crate) fn gather(
+        schema: &Schema,
+        parts: &[&Table],
+        len: usize,
+        at: impl Fn(usize) -> (usize, usize),
+    ) -> Result<Table> {
+        let columns = schema.fields().iter().enumerate().map(|(c, field)| {
+            let sources: Vec<&Column> = parts.iter().map(|part| &part.columns[c]).collect();
+            Column::gather(field.dtype, &sources, len, &at)
+        });
+        Ok(Table {
+            schema: schema.clone(),
+            columns: columns.collect::<Result<_>>()?,
+            num_rows: len,
+        })
     }
 }
 

@@ -13,9 +13,17 @@
 //! `CVOPT_THREADS` pinned); both pinned values are folded into the sweep
 //! below like the other determinism suites.
 
-use cvopt_core::{Engine, ExecOptions, QueryMode, QuerySpec, SampleHandle, SamplingProblem};
+use std::sync::Arc;
+
+use cvopt_core::{
+    budget_for_rows, problem_for_query, Engine, ExecOptions, QueryMode, QuerySpec, SampleHandle,
+    SamplingProblem,
+};
 use cvopt_datagen::{generate_openaq, OpenAqConfig};
-use cvopt_table::{ShardedTable, Table};
+use cvopt_serve::api::{answer_json, report_json};
+use cvopt_serve::Json;
+use cvopt_table::exec::CHUNK_ROWS;
+use cvopt_table::{sql, Column, ShardedTable, Table};
 
 const BASE_ROWS: usize = 6_000;
 const STREAM_ROWS: usize = 3_000;
@@ -163,4 +171,179 @@ fn rotation_is_layout_and_thread_invariant() {
             }
         }
     }
+}
+
+/// The sealed-layout fixture: a 5 000-row base and a 140 000-row stream, so
+/// the live shard seals twice whichever layout the base was registered in,
+/// and the row counts keep the engine's 1% rate an exact budget throughout.
+const SEAL_BASE_ROWS: usize = 5_000;
+const SEAL_STREAM_ROWS: usize = 140_000;
+const SEAL_STATEMENTS: [&str; 2] = [
+    STATEMENT,
+    "SELECT country, parameter, SUM(value), COUNT(*) FROM openaq GROUP BY country, parameter",
+];
+
+/// The durable problem the engine derives for `statement` over `rows` rows.
+fn derived_problem(statement: &str, rows: usize) -> SamplingProblem {
+    let query = sql::parse(statement).and_then(|s| s.into_query()).unwrap();
+    problem_for_query(&query, budget_for_rows(rows, 0.01).unwrap()).unwrap()
+}
+
+/// Everything a maintained sample is, flattened to bits: origin rows,
+/// strata, weights, the allocation, and the per-stratum statistics.
+fn maintained_bits(engine: &Engine, statement: &str) -> String {
+    let rows = engine.catalog_table("openaq").unwrap().num_rows();
+    let handle = engine.prepare("openaq", derived_problem(statement, rows)).unwrap();
+    assert!(handle.is_cache_hit(), "{statement}: the maintained sample answers its problem");
+    let stats: Vec<[u64; 3]> = (handle.plan().stats.states.iter().flatten())
+        .map(|s| [s.count, s.mean.to_bits(), s.m2.to_bits()])
+        .collect();
+    format!("{:?}{:?}{stats:?}", sample_bits(&handle), handle.plan().allocation.sizes)
+}
+
+fn rendered(json: &Json) -> String {
+    let mut out = String::new();
+    json.write(&mut out);
+    out
+}
+
+/// The `/query` bytes of every statement. The report names the declared
+/// layout (fingerprint, shards), so it is compared only where the layouts
+/// are supposed to be indistinguishable.
+fn answers(engine: &Engine, with_report: bool) -> Vec<String> {
+    let answer = |stmt: &&str| {
+        let answer = engine.query(stmt, QueryMode::Approximate).unwrap();
+        assert_eq!(answer.report.cache_hit, Some(true), "{stmt}");
+        let json = answer_json(&answer);
+        if with_report {
+            return rendered(&json);
+        }
+        ["results", "confidence"].map(|member| rendered(json.get(member).unwrap())).concat()
+    };
+    SEAL_STATEMENTS.iter().map(answer).collect()
+}
+
+/// A windowed engine over `table` with both statements' samples durable.
+fn sealed_engine(table: &Table, shards: usize) -> Engine {
+    let engine = engine_with(table, shards, 2);
+    for stmt in SEAL_STATEMENTS {
+        engine.prepare("openaq", derived_problem(stmt, table.num_rows())).unwrap();
+    }
+    engine
+}
+
+/// Appends seal the live shard at `CHUNK_ROWS` and roll new ones, so the
+/// layout — and everything computed over it — depends on the rows that
+/// arrived, never on how they were batched; and a plain table cannot tell
+/// that it was ever appended to.
+#[test]
+fn sealed_layout_is_a_function_of_the_rows_appended() {
+    let total = SEAL_BASE_ROWS + SEAL_STREAM_ROWS;
+    let generated = generate_openaq(&OpenAqConfig::with_rows(total));
+    // One country first shows up past the first seal: drop its rows from
+    // the head of the stream, keep the tail as generated.
+    let Column::Str { codes, .. } = generated.column_by_name("country").unwrap() else {
+        panic!("country is a string column")
+    };
+    let late = SEAL_BASE_ROWS + CHUNK_ROWS + 10_000;
+    let newcomer = codes[late];
+    let mut order: Vec<usize> = (0..total).filter(|&r| r >= late || codes[r] != newcomer).collect();
+    // A whole number of percent, so every engine pins exactly the 1% rate.
+    order.truncate(order.len() / 100 * 100);
+    let full = generated.take(&order);
+    let total = full.num_rows();
+    let first_new = order.iter().position(|&r| r == late).unwrap();
+    assert!(first_new > SEAL_BASE_ROWS + CHUNK_ROWS, "the new stratum arrives after a seal");
+    let piece = |lo: usize, hi: usize| full.take(&(lo..hi).collect::<Vec<_>>());
+    let base = piece(0, SEAL_BASE_ROWS);
+
+    let fresh = sealed_engine(&full, 1);
+    let want_bits: Vec<String> = SEAL_STATEMENTS.map(|s| maintained_bits(&fresh, s)).to_vec();
+    let want_explain: Vec<String> = (SEAL_STATEMENTS.iter())
+        .map(|s| rendered(&report_json(&fresh.explain_mode(s, QueryMode::Approximate).unwrap())))
+        .collect();
+
+    for shards in [1usize, 3] {
+        let live_rows = *ShardedTable::split(&base, shards).unwrap().shard_rows().last().unwrap();
+        // Cumulative row counts after each batch.
+        let splits: [Vec<usize>; 3] = [
+            // One batch larger than the cap (it seals the live shard and
+            // fills another), then the rest in one.
+            vec![SEAL_BASE_ROWS + CHUNK_ROWS + 20_000, total],
+            // Fill the live shard exactly, then an empty batch arrives on it.
+            [0, 0, 35_000]
+                .map(|more| SEAL_BASE_ROWS + CHUNK_ROWS - live_rows + more)
+                .into_iter()
+                .chain([total])
+                .collect(),
+            (1..)
+                .map(|i| SEAL_BASE_ROWS + i * 17_000)
+                .take_while(|&c| c < total)
+                .chain([total])
+                .collect(),
+        ];
+        let mut layouts = Vec::new();
+        for cuts in &splits {
+            let mut live = sealed_engine(&base, shards);
+            let passes = live.stats_passes();
+            let mut at = SEAL_BASE_ROWS;
+            for &cut in cuts {
+                let before = live.catalog_table("openaq").unwrap().set().readers().to_vec();
+                live.ingest("openaq", &piece(at, cut)).unwrap();
+                let set = live.catalog_table("openaq").unwrap().set();
+                // Only a live shard that took rows is ever rebuilt.
+                let was_live = before.len() - 1;
+                for (s, reader) in before.iter().enumerate() {
+                    let untouched =
+                        s < was_live || cut == at || before[was_live].num_rows() >= CHUNK_ROWS;
+                    assert_eq!(Arc::ptr_eq(set.reader(s), reader), untouched, "{cuts:?} shard {s}");
+                }
+                // Sealed shards hold the cap exactly; the live one at most.
+                let rows = set.shard_rows();
+                for (s, &held) in rows.iter().enumerate().skip(shards - 1) {
+                    let sealed = s >= shards && s + 1 < rows.len();
+                    assert!(held <= CHUNK_ROWS && (!sealed || held == CHUNK_ROWS), "{rows:?}");
+                }
+                at = cut;
+            }
+            assert_eq!((at, live.stats_passes()), (total, passes), "{cuts:?}");
+            let table = live.catalog_table("openaq").unwrap();
+            layouts.push(table.set().shard_rows());
+
+            for (stmt, want) in SEAL_STATEMENTS.iter().zip(&want_bits) {
+                assert_eq!(&maintained_bits(&live, stmt), want, "shards {shards}, {cuts:?}");
+            }
+            assert_eq!(answers(&live, shards == 1), answers(&fresh, shards == 1), "{cuts:?}");
+            if shards == 1 {
+                // Nothing a plain table reports can see the sealing.
+                let unsealed = fresh.catalog_table("openaq").unwrap();
+                assert_eq!(table.layout_fingerprint(42), unsealed.layout_fingerprint(42));
+                assert_eq!(table.num_shards(), None);
+                for (stmt, want) in SEAL_STATEMENTS.iter().zip(&want_explain) {
+                    let report = live.explain_mode(stmt, QueryMode::Approximate).unwrap();
+                    assert_eq!(&rendered(&report_json(&report)), want, "{cuts:?}");
+                }
+            }
+        }
+        assert!(layouts.iter().all(|l| l == &layouts[0]), "layouts differ by split: {layouts:?}");
+        assert_eq!(layouts[0].len(), shards + 2, "two seals: {:?}", layouts[0]);
+    }
+
+    // Rotating the sealed layout retires what rotating the one table does.
+    let Column::Timestamp(times) = full.column_by_name("local_time").unwrap() else {
+        panic!("local_time is a timestamp column")
+    };
+    let (min, max) = (times.iter().min().unwrap(), times.iter().max().unwrap());
+    let cutoff = min + (max - min) / 2;
+    let mut single = sealed_engine(&full, 1);
+    let mut sealed = sealed_engine(&base, 1);
+    sealed.ingest("openaq", &piece(SEAL_BASE_ROWS, total)).unwrap();
+    let (want, got) =
+        (single.rotate("openaq", cutoff).unwrap(), sealed.rotate("openaq", cutoff).unwrap());
+    assert_eq!((got.retired, got.remaining), (want.retired, want.remaining));
+    assert!(got.retired > 0 && got.remaining > 0);
+    for stmt in SEAL_STATEMENTS {
+        assert_eq!(maintained_bits(&sealed, stmt), maintained_bits(&single, stmt), "rotated");
+    }
+    assert_eq!(answers(&sealed, true), answers(&single, true), "rotated answers");
 }
