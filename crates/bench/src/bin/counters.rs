@@ -197,7 +197,7 @@ fn main() {
     let joined = join_engine.query(join_stmt, QueryMode::Exact).expect("join workload");
     let mut join_sharded = Engine::new().with_seed(7).with_exec(ExecOptions::sequential());
     join_sharded.register("openaq", ShardedTable::split(&fact, 3).expect("split"));
-    join_sharded.register("regions", dim);
+    join_sharded.register("regions", dim.clone());
     let sharded_join = join_sharded.query(join_stmt, QueryMode::Exact).expect("sharded join");
     assert_eq!(
         format!("{:?}", joined.results),
@@ -207,6 +207,20 @@ fn main() {
     counters
         .push(("join_rows/join_workload".into(), joined.results[0].group_rows.iter().sum::<u64>()));
     counters.push(("join_groups/join_workload".into(), joined.results[0].num_groups() as u64));
+    // What a join copies: the joined columns its statement reads (`region`
+    // and `value` here), never the full-width joined table. The same three
+    // calls the engine makes, checked against the engine's own answer.
+    let query = cvopt_table::sql::parse(join_stmt).and_then(|s| s.into_query()).expect("compile");
+    let sequential = ExecOptions::sequential();
+    let matched =
+        cvopt_table::hash_join(&fact, &dim, "country", "country", &sequential).expect("join");
+    let read = matched.project(&query.columns()).expect("project");
+    assert_eq!(
+        format!("{:?}", query.execute_with(&read, &sequential).expect("execute")),
+        format!("{:?}", joined.results),
+        "the projected join must answer like the engine"
+    );
+    counters.push(("join_bytes_gathered/join_workload".into(), read.approx_bytes()));
 
     // Plan shapes: fixed by the row counts alone.
     counters.push(("partitions/workload_table".into(), partition_rows(WORKLOAD_ROWS).len() as u64));

@@ -220,8 +220,8 @@ struct PlannedStatement<'e> {
     /// For approximate plans: the derived sampling problem and its
     /// layout-folded cache fingerprint.
     sample: Option<(SamplingProblem, u64)>,
-    /// For `JOIN` statements: the clause to materialize at execution time
-    /// and the dimension entry it resolved to (join plans are always exact
+    /// For `JOIN` statements: the clause to resolve at execution time and
+    /// the dimension entry it names (join plans are always exact
     /// and never touch the sample store).
     join: Option<(sql::JoinClause, &'e CatalogEntry)>,
     /// The subsuming sample the reuse planner matched at plan time, if any.
@@ -235,9 +235,11 @@ impl Engine {
     /// first use, serving it from the cache afterwards) and attach
     /// per-group confidence intervals for `AVG` aggregates.
     /// `EXPLAIN SELECT …` statements plan but never execute: the answer
-    /// carries the report with empty results. `JOIN` statements materialize
-    /// the join (fact side probed per partition, shard outputs concatenated
-    /// in shard order) and answer exactly over the joined table.
+    /// carries the report with empty results. `JOIN` statements resolve the
+    /// join to its match list (fact side probed per partition, shard lists
+    /// concatenated in shard order), copy the joined columns the statement
+    /// reads — [`GroupByQuery::columns`], nothing else — and answer exactly
+    /// over that table.
     pub fn query(&self, statement: &str, mode: QueryMode) -> Result<QueryAnswer> {
         let (planned, is_explain) = self.plan_statement(statement, mode)?;
         let PlannedStatement { from, query, mut report, sample, join, reuse } = planned;
@@ -246,14 +248,15 @@ impl Engine {
         }
         if let Some((join, dim)) = join {
             // The fact side joins per shard in shard order (global row
-            // order), so the output — and therefore the answer bytes — is
-            // identical for any shard layout and any thread count. A
-            // dimension table spread over several shards is first
-            // concatenated into one.
+            // order), so the joined rows — and therefore the partitions cut
+            // on them and the answer bytes — are identical for any shard
+            // layout and any thread count. A dimension table spread over
+            // several shards is first concatenated into one.
             let dim = dim.table.set.rows().to_table()?;
             let joined =
                 hash_join(&from.table.set, &dim, &join.fact_key, &join.dim_key, &self.exec)?;
-            let results = query.execute_with(&joined, &self.exec)?;
+            let read = joined.project(&query.columns())?;
+            let results = query.execute_with(&read, &self.exec)?;
             return Ok(QueryAnswer { results, report, confidence: Vec::new() });
         }
         let Some((problem, fingerprint)) = sample else {
@@ -429,8 +432,8 @@ impl Engine {
     }
 
     /// Plan a `JOIN` statement: always exact (the sampling algebra has no
-    /// join rule), never cached, in-process shards only. The joined table is
-    /// materialized at execution time.
+    /// join rule), never cached, in-process shards only. The join itself
+    /// runs at execution time ([`Engine::query`]); a plan only names it.
     fn plan_join<'e>(
         &'e self,
         fact: &'e CatalogEntry,
@@ -532,6 +535,7 @@ mod tests {
             )
             .unwrap();
         let joined = hash_join(&t, &dim, "g", "k", &ExecOptions::sequential()).unwrap();
+        let joined = joined.project(&joined.schema().names()).unwrap();
         let direct =
             sql::run(&joined, "SELECT tier, AVG(x), COUNT(*) FROM j GROUP BY tier").unwrap();
         assert_eq!(ans.results[0].keys, direct[0].keys);

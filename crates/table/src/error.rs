@@ -48,6 +48,14 @@ pub enum TableError {
         /// Error message.
         message: String,
     },
+    /// A row count that row ids — `u32` in match lists and group indexes —
+    /// cannot address.
+    RowIdOverflow {
+        /// What has too many rows.
+        what: &'static str,
+        /// How many it has.
+        rows: usize,
+    },
     /// Any other invariant violation, with a description.
     Invalid(String),
 }
@@ -83,6 +91,9 @@ impl fmt::Display for TableError {
                 None => write!(f, "SQL error: {message}"),
             },
             TableError::Csv { line, message } => write!(f, "CSV error on line {line}: {message}"),
+            TableError::RowIdOverflow { what, rows } => {
+                write!(f, "{what} has {rows} rows; row ids are 32-bit (at most {})", u32::MAX)
+            }
             TableError::Invalid(message) => write!(f, "{message}"),
         }
     }

@@ -183,6 +183,42 @@ impl ScalarExpr {
         }
     }
 
+    /// Append the name of every column this expression reads to `names`,
+    /// each once, in the order [`ScalarExpr::bind`] resolves them. The
+    /// matches name every variant and every field, so an expression form
+    /// added later cannot compile without saying which columns it reads.
+    pub(crate) fn collect_columns<'e>(&'e self, names: &mut Vec<&'e str>) {
+        match self {
+            ScalarExpr::Column(name) => {
+                if !names.contains(&name.as_str()) {
+                    names.push(name);
+                }
+            }
+            ScalarExpr::Literal(_) => {}
+            ScalarExpr::Year(inner)
+            | ScalarExpr::Month(inner)
+            | ScalarExpr::Day(inner)
+            | ScalarExpr::Hour(inner) => inner.collect_columns(names),
+            ScalarExpr::Indicator { input, op: _, threshold_bits: _ } => {
+                input.collect_columns(names)
+            }
+            ScalarExpr::Binary { op: _, left, right } => {
+                left.collect_columns(names);
+                right.collect_columns(names);
+            }
+            ScalarExpr::Case { whens, otherwise } => {
+                for CaseWhen { lhs, op: _, rhs, then } in whens {
+                    lhs.collect_columns(names);
+                    rhs.collect_columns(names);
+                    then.collect_columns(names);
+                }
+                if let Some(otherwise) = otherwise {
+                    otherwise.collect_columns(names);
+                }
+            }
+        }
+    }
+
     /// Bind this expression against a table, producing an evaluator that can
     /// be applied per row without further name resolution.
     pub fn bind<'t>(&self, table: &'t Table) -> Result<BoundExpr<'t>> {

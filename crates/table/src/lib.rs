@@ -69,7 +69,7 @@ pub use error::TableError;
 pub use exec::{ExecOptions, RowRange};
 pub use expr::{ArithOp, CaseWhen, ScalarExpr};
 pub use groupby::{GroupIndex, KeyAtom};
-pub use join::hash_join;
+pub use join::{hash_join, Join};
 pub use predicate::{CmpOp, Predicate};
 pub use query::{GroupByQuery, QueryResult};
 pub use reader::{ColumnValues, LocalShard, RowSpace, ShardReader, ShardSet};

@@ -135,6 +135,23 @@ impl Predicate {
         Predicate::Not(Box::new(self))
     }
 
+    /// Append the name of every column this predicate reads to `names`,
+    /// each once, in the order [`Predicate::bind`] resolves them (see
+    /// `ScalarExpr::collect_columns`; the match is exhaustive the same way).
+    pub(crate) fn collect_columns<'p>(&'p self, names: &mut Vec<&'p str>) {
+        match self {
+            Predicate::True => {}
+            Predicate::Cmp { expr, op: _, value: _ }
+            | Predicate::Between { expr, low: _, high: _ }
+            | Predicate::InList { expr, values: _ } => expr.collect_columns(names),
+            Predicate::And(a, b) | Predicate::Or(a, b) => {
+                a.collect_columns(names);
+                b.collect_columns(names);
+            }
+            Predicate::Not(a) => a.collect_columns(names),
+        }
+    }
+
     /// Resolve column names and string literals against `table`.
     pub fn bind<'t>(&self, table: &'t Table) -> Result<BoundPredicate<'t>> {
         let node = self.bind_node(table)?;

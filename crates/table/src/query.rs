@@ -50,6 +50,25 @@ impl GroupByQuery {
         self
     }
 
+    /// The names of the columns this query reads, each once: grouping
+    /// expressions, then the predicate, then aggregate inputs — the order
+    /// [`GroupByQuery::execute_with`] binds them in. A table holding just
+    /// these columns answers the query exactly as the full table does
+    /// (`COUNT(*)` alone reads none: only the row count matters then).
+    pub fn columns(&self) -> Vec<&str> {
+        let mut names = Vec::new();
+        for expr in &self.group_by {
+            expr.collect_columns(&mut names);
+        }
+        if let Some(predicate) = &self.predicate {
+            predicate.collect_columns(&mut names);
+        }
+        for expr in self.aggregates.iter().filter_map(|agg| agg.input.as_ref()) {
+            expr.collect_columns(&mut names);
+        }
+        names
+    }
+
     /// Execute exactly against `rows` — a `&Table` or a
     /// [`ShardSet`](crate::reader::ShardSet) — using one worker per
     /// available core (see [`GroupByQuery::execute_with`]).
@@ -540,5 +559,58 @@ mod tests {
         let r = &q.execute(&t).unwrap()[0];
         let sci = r.group_position(&[KeyAtom::from("Science")]).unwrap();
         assert_eq!(r.group_rows[sci], 2);
+    }
+
+    /// One name per `ScalarExpr` and `Predicate` variant — each reachable
+    /// only through that variant — plus repeats, which are reported once.
+    #[test]
+    fn columns_names_every_column_read_once_in_bind_order() {
+        use crate::expr::{ArithOp, CaseWhen};
+        let col = ScalarExpr::col;
+        let case = ScalarExpr::Case {
+            whens: vec![CaseWhen {
+                lhs: col("when_lhs"),
+                op: CmpOp::Gt,
+                rhs: col("when_rhs"),
+                then: col("then"),
+            }],
+            otherwise: Some(Box::new(col("otherwise"))),
+        };
+        let predicate = Predicate::True
+            .and(Predicate::cmp("cmp", CmpOp::Eq, "x"))
+            .and(Predicate::between(col("between"), 1.0, 2.0).not())
+            .or(Predicate::InList { expr: col("in_list"), values: vec![Value::Int64(1)] })
+            .and(Predicate::cmp("plain", CmpOp::Ne, "y"));
+        let q = GroupByQuery::new(
+            vec![
+                col("plain"),
+                ScalarExpr::year("year"),
+                ScalarExpr::month("month"),
+                ScalarExpr::Day(Box::new(col("day"))),
+                ScalarExpr::hour("hour"),
+            ],
+            vec![
+                AggExpr::count(),
+                AggExpr::over(AggKind::Sum, ScalarExpr::indicator("indicator", CmpOp::Gt, 1.0)),
+                AggExpr::over(
+                    AggKind::Avg,
+                    ScalarExpr::binary(
+                        ArithOp::Mul,
+                        ScalarExpr::binary(ArithOp::Add, col("left"), ScalarExpr::lit(2.0)),
+                        col("right"),
+                    ),
+                ),
+                AggExpr::over(AggKind::Max, case),
+                AggExpr::count_if("cmp", CmpOp::Lt, 3.0),
+            ],
+        )
+        .with_predicate(predicate);
+        let grouping = ["plain", "year", "month", "day", "hour"];
+        // "plain" is read again here, and reported once.
+        let predicate = ["cmp", "between", "in_list"];
+        let inputs = ["indicator", "left", "right", "when_lhs", "when_rhs", "then", "otherwise"];
+        assert_eq!(q.columns(), [&grouping[..], &predicate[..], &inputs[..]].concat());
+        let count_only = GroupByQuery::new(vec![], vec![AggExpr::count()]);
+        assert!(count_only.columns().is_empty(), "COUNT(*) reads no column");
     }
 }

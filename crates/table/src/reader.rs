@@ -1232,7 +1232,7 @@ pub(crate) mod tests {
 
     /// Equal storage, not just equal `row()`s: column bytes, dictionary
     /// contents in code order, and `approx_bytes`.
-    fn assert_same_storage(got: &Table, want: &Table, what: &str) {
+    pub(crate) fn assert_same_storage(got: &Table, want: &Table, what: &str) {
         assert_eq!(got.schema(), want.schema(), "{what}");
         assert_eq!(got.num_rows(), want.num_rows(), "{what}");
         assert_eq!(got.approx_bytes(), want.approx_bytes(), "{what}");

@@ -68,7 +68,8 @@ impl SelectStmt {
     /// Validates that every scalar select item appears in the `GROUP BY`
     /// list (standard SQL grouping rule). A `JOIN` clause is not part of
     /// the produced query — callers that support joins (the engine)
-    /// materialize the join first and run the query over its output.
+    /// resolve the join first and run the query over the joined columns it
+    /// reads ([`GroupByQuery::columns`]).
     pub fn into_query(self) -> Result<GroupByQuery> {
         let mut aggregates = Vec::new();
         for item in &self.items {

@@ -110,6 +110,14 @@ impl Table {
             .expect("a table's columns match its own schema")
     }
 
+    /// A table over columns built elsewhere. The caller vouches that they
+    /// match `schema` in number and type and hold `num_rows` rows each; a
+    /// table of no columns has `num_rows` rows all the same.
+    pub(crate) fn from_columns(schema: Schema, columns: Vec<Column>, num_rows: usize) -> Table {
+        debug_assert!(columns.iter().all(|c| c.len() == num_rows));
+        Table { schema, columns, num_rows }
+    }
+
     /// The one gather kernel: a `schema` table of `len` rows whose row `i`
     /// is row `at(i).1` of `parts[at(i).0]`, built a column at a time (see
     /// [`Column::gather`]) — no row is ever assembled. The caller vouches
@@ -125,11 +133,7 @@ impl Table {
             let sources: Vec<&Column> = parts.iter().map(|part| &part.columns[c]).collect();
             Column::gather(field.dtype, &sources, len, &at)
         });
-        Ok(Table {
-            schema: schema.clone(),
-            columns: columns.collect::<Result<_>>()?,
-            num_rows: len,
-        })
+        Ok(Table::from_columns(schema.clone(), columns.collect::<Result<_>>()?, len))
     }
 }
 

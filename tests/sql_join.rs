@@ -201,6 +201,134 @@ fn join_queries_match_prejoined_reference_across_matrix() {
     }
 }
 
+/// Partition scale: the fact side spans four 64Ki partitions and its joined
+/// rows — unmatched keys dropped, `i3` fanned out twice — three, cut at
+/// other fact rows than the fact side's own. Float `SUM`/`AVG` round per
+/// partition, so bit equality with the pre-joined reference holds only if
+/// partitions are cut on *joined* rows for every thread count and shard
+/// layout.
+#[test]
+fn joins_past_one_partition_match_prejoined_reference_across_matrix() {
+    use cvopt_table::exec::CHUNK_ROWS;
+    let fact = sales(3 * CHUNK_ROWS + 4_321);
+    let dim = items();
+    let joined = nested_loop_join(&fact, &dim, "item", "item");
+    assert!(joined.num_rows() > 2 * CHUNK_ROWS, "joined rows must span three partitions");
+    assert_ne!(joined.num_rows(), fact.num_rows(), "drops and fan-out must not cancel out");
+
+    let queries = [
+        (
+            "SELECT store, category, SUM(qty), AVG(qty * weight), COUNT(*) FROM sales \
+             JOIN items ON sales.item = items.item GROUP BY store, category",
+            "SELECT store, category, SUM(qty), AVG(qty * weight), COUNT(*) FROM joined \
+             GROUP BY store, category",
+        ),
+        (
+            "SELECT category, AVG(qty), SUM(weight) FROM sales \
+             JOIN items ON sales.item = items.item WHERE units > 3 GROUP BY category",
+            "SELECT category, AVG(qty), SUM(weight) FROM joined WHERE units > 3 \
+             GROUP BY category",
+        ),
+    ];
+    let mut reference = Engine::new().with_seed(1).with_exec(ExecOptions::sequential());
+    reference.register("joined", joined);
+    let want: Vec<_> =
+        queries.iter().map(|(_, sql)| reference.query(sql, QueryMode::Exact).unwrap()).collect();
+
+    for threads in thread_counts() {
+        for shards in shard_counts() {
+            let mut engine = Engine::new().with_seed(1).with_exec(ExecOptions::new(threads));
+            if shards > 1 {
+                engine.register("sales", ShardedTable::split(&fact, shards).unwrap());
+            } else {
+                engine.register("sales", fact.clone());
+            }
+            engine.register("items", dim.clone());
+            for ((join_sql, _), want) in queries.iter().zip(&want) {
+                let got = engine.query(join_sql, QueryMode::Exact).unwrap();
+                assert_bit_identical(
+                    &got.results,
+                    &want.results,
+                    &format!("threads {threads}, shards {shards}: {join_sql}"),
+                );
+            }
+        }
+    }
+}
+
+/// The engine copies only the joined columns a statement reads. The edges
+/// of "reads": no column at all, a column met only in `WHERE`, columns met
+/// only inside a `CASE` arm — and the errors a narrower copy must not
+/// change or hide.
+#[test]
+fn join_projection_edges_match_prejoined_reference() {
+    let fact = sales(3_000);
+    let dim = items();
+    let joined = nested_loop_join(&fact, &dim, "item", "item");
+    let joined_rows = joined.num_rows() as u64;
+    let mut reference = Engine::new().with_seed(1).with_exec(ExecOptions::sequential());
+    reference.register("joined", joined);
+    let mut engine = Engine::new().with_seed(1).with_exec(ExecOptions::new(2));
+    engine.register("sales", ShardedTable::split(&fact, 3).unwrap());
+    engine.register("items", dim);
+
+    const ON: &str = "FROM sales JOIN items ON sales.item = items.item";
+    let cases = [
+        // Zero columns read: the joined row count has to survive.
+        ("SELECT COUNT(*)", ""),
+        // `units` appears only in WHERE.
+        ("SELECT category, COUNT(*)", "WHERE units > 5 GROUP BY category"),
+        // `units` only in a CASE condition, `weight` only in its THEN arm,
+        // `qty` only in its ELSE.
+        (
+            "SELECT store, SUM(CASE WHEN units > 5 THEN weight ELSE qty END)",
+            "WHERE category <> 'dup' GROUP BY store",
+        ),
+    ];
+    for (select, rest) in cases {
+        let got = engine.query(&format!("{select} {ON} {rest}"), QueryMode::Exact).unwrap();
+        let want =
+            reference.query(&format!("{select} FROM joined {rest}"), QueryMode::Exact).unwrap();
+        assert_bit_identical(&got.results, &want.results, select);
+    }
+    let count = engine.query(&format!("SELECT COUNT(*) {ON}"), QueryMode::Exact).unwrap();
+    assert_eq!(count.results[0].group_rows, vec![joined_rows]);
+    assert_eq!(count.results[0].values, vec![vec![joined_rows as f64]]);
+
+    // An unknown column fails with the text a bind against the full joined
+    // table gives, wherever the statement mentions it.
+    for (select, rest) in [
+        ("SELECT nope, SUM(qty)", "GROUP BY nope"),
+        ("SELECT category, SUM(nope)", "GROUP BY category"),
+        ("SELECT category, SUM(qty)", "WHERE nope > 1 GROUP BY category"),
+        ("SELECT SUM(CASE WHEN qty > 1 THEN nope ELSE 0 END)", ""),
+    ] {
+        let got = engine.query(&format!("{select} {ON} {rest}"), QueryMode::Exact).unwrap_err();
+        let want =
+            reference.query(&format!("{select} FROM joined {rest}"), QueryMode::Exact).unwrap_err();
+        assert_eq!(got.to_string(), want.to_string(), "{select}");
+        assert!(got.to_string().contains("column not found: nope"), "{got}");
+    }
+
+    // A name on both sides is ambiguous whether or not the statement reads
+    // it: `store` here is never mentioned.
+    let mut b = TableBuilder::new(&[
+        ("item", DataType::Str),
+        ("category", DataType::Str),
+        ("store", DataType::Str),
+    ]);
+    b.push_row(&[Value::str("i1"), Value::str("food"), Value::str("s0")]).unwrap();
+    engine.register("clashing", b.finish());
+    let err = engine
+        .query(
+            "SELECT category, SUM(qty) FROM sales JOIN clashing \
+             ON sales.item = clashing.item GROUP BY category",
+            QueryMode::Exact,
+        )
+        .unwrap_err();
+    assert!(err.to_string().contains("column store exists on both sides"), "{err}");
+}
+
 /// A sharded dimension side answers exactly like an unsharded one.
 #[test]
 fn sharded_dimension_side_is_invisible() {
