@@ -1,11 +1,11 @@
 //! # cvopt-bench
 //!
-//! Three binaries and no timing code: [`reproduce`](../src/bin/reproduce.rs)
-//! regenerates every table and figure of the paper (see `DESIGN.md` §4 for
-//! the experiment index and `EXPERIMENTS.md` for recorded outputs);
-//! `counters` records the deterministic counters of a canned workload into
-//! `BENCH_counters.json`; `bench_diff` gates a PR on them. Wall-clock
-//! numbers come from the standalone `benchmark/` package only.
+//! Two binaries and no timing code: [`reproduce`](../src/bin/reproduce.rs)
+//! regenerates every table and figure of the paper (`reproduce --help`
+//! lists the experiment ids); `counters` records the deterministic
+//! counters of a canned workload into `BENCH_counters.json`, which CI
+//! regenerates and gates with `git diff`. Wall-clock numbers come from the
+//! standalone `benchmark/` package only.
 
 /// Sizes the counter workload shares.
 pub mod fixtures {

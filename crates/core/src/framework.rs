@@ -85,11 +85,6 @@ impl CvOptPlan {
     pub fn num_strata(&self) -> usize {
         self.strata_keys.len()
     }
-
-    /// Allocated sample size of the stratum with key `key`.
-    pub fn allocation_for(&self, key: &[KeyAtom]) -> Option<u64> {
-        self.strata_keys.iter().position(|k| k == key).map(|i| self.allocation.sizes[i])
-    }
 }
 
 /// A drawn CVOPT sample plus its plan.
@@ -302,7 +297,9 @@ mod tests {
         assert_eq!(outcome.plan.allocation.total(), 200);
         // "rare" has the largest per-value spread relative to its mean; with
         // the n-capping it should still be sampled heavily relative to size.
-        let rare = outcome.plan.allocation_for(&[KeyAtom::from("rare")]).unwrap();
+        let plan = &outcome.plan;
+        let rare_id = plan.strata_keys.iter().position(|k| k == &[KeyAtom::from("rare")]).unwrap();
+        let rare = plan.allocation.sizes[rare_id];
         assert!(rare >= 10, "rare stratum got {rare}");
     }
 

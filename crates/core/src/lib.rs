@@ -76,7 +76,6 @@ pub(crate) mod maintain;
 pub mod sample;
 pub mod spec;
 pub mod stats;
-pub mod stream;
 pub mod workload;
 
 pub use alloc::{
@@ -101,7 +100,6 @@ pub use spec::{
     SamplingProblem, VarianceKind,
 };
 pub use stats::{total_stats_passes, StratumStatistics};
-pub use stream::{StreamStratum, StreamingConfig, StreamingSampler};
 pub use workload::{Workload, WorkloadQuery};
 
 /// Crate-wide result alias.

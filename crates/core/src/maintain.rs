@@ -51,9 +51,7 @@
 //! history — which keeps replayed ingest logs byte-identical for any batch
 //! split.
 //!
-//! This is the engine's only incremental path. The one-pass
-//! [`StreamingSampler`](crate::stream::StreamingSampler) is a standalone
-//! sampler for streams that are never stored; nothing here feeds it.
+//! This is the only incremental path there is.
 
 use cvopt_table::agg::AggState;
 use cvopt_table::exec::{bucket_rows, ExecOptions, CHUNK_ROWS};

@@ -71,15 +71,6 @@ impl MaterializedSample {
     pub fn is_stratified(&self) -> bool {
         !self.strata.is_empty()
     }
-
-    /// Approximate in-memory footprint in rows relative to the base table.
-    pub fn sampling_fraction(&self, base_rows: usize) -> f64 {
-        if base_rows == 0 {
-            0.0
-        } else {
-            self.len() as f64 / base_rows as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +94,6 @@ mod tests {
         assert!(s.weights.iter().all(|&w| (w - 10.0).abs() < 1e-12));
         assert!((s.total_weight() - 50.0).abs() < 1e-9);
         assert!(!s.is_stratified());
-        assert!((s.sampling_fraction(50) - 0.1).abs() < 1e-12);
     }
 
     #[test]

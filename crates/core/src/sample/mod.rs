@@ -1,12 +1,10 @@
-//! Sample drawing: reservoirs, weighted reservoirs, stratified samples and
-//! the materialized weighted-sample artifact.
+//! Sample drawing: the reservoir, stratified samples and the materialized
+//! weighted-sample artifact.
 
 pub mod materialized;
 pub mod reservoir;
 pub mod stratified;
-pub mod weighted;
 
 pub use materialized::MaterializedSample;
 pub use reservoir::{sample_distinct, Reservoir};
 pub use stratified::{StratifiedSample, StratumInfo};
-pub use weighted::WeightedReservoir;

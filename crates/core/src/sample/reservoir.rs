@@ -1,4 +1,4 @@
-//! Reservoir sampling (Vitter's Algorithm R and Li's Algorithm L).
+//! Reservoir sampling (Li's Algorithm L).
 //!
 //! The stratified pass keeps one [`Reservoir`] per stratum and offers each
 //! stratum's rows to its reservoir (the paper's "second pass"). Algorithm L
@@ -18,7 +18,6 @@ pub struct Reservoir {
     w: f64,
     /// Items left to skip before the next replacement.
     skip: u64,
-    algo_l: bool,
 }
 
 impl Reservoir {
@@ -30,16 +29,7 @@ impl Reservoir {
             seen: 0,
             w: 1.0,
             skip: 0,
-            algo_l: true,
         }
-    }
-
-    /// Same, but using the simpler Algorithm R (one random number per item).
-    /// Exposed for tests and benchmarks comparing the two.
-    pub fn new_algorithm_r(capacity: usize) -> Self {
-        let mut r = Self::new(capacity);
-        r.algo_l = false;
-        r
     }
 
     /// Number of items offered so far.
@@ -63,7 +53,7 @@ impl Reservoir {
         self.seen += 1;
         if self.items.len() < self.capacity {
             self.items.push(item);
-            if self.algo_l && self.items.len() == self.capacity {
+            if self.items.len() == self.capacity {
                 self.advance_w(rng);
                 self.compute_skip(rng);
             }
@@ -72,43 +62,35 @@ impl Reservoir {
         if self.capacity == 0 {
             return;
         }
-        if self.algo_l {
-            if self.skip > 0 {
-                self.skip -= 1;
-            } else {
-                let slot = rng.random_range(0..self.capacity);
-                self.items[slot] = item;
-                self.advance_w(rng);
-                self.compute_skip(rng);
-            }
+        if self.skip > 0 {
+            self.skip -= 1;
         } else {
-            // Algorithm R: replace with probability capacity/seen.
-            let j = rng.random_range(0..self.seen);
-            if (j as usize) < self.capacity {
-                self.items[j as usize] = item;
-            }
+            let slot = rng.random_range(0..self.capacity);
+            self.items[slot] = item;
+            self.advance_w(rng);
+            self.compute_skip(rng);
         }
     }
 
     /// Offer every item of `items`, in order: the same reservoir state and
     /// the same RNG draws in the same order as calling [`Reservoir::offer`]
     /// once per item, for any split of a stream into slices. A full
-    /// Algorithm L reservoir jumps its pending skip over the slice instead
-    /// of counting it down item by item, so the cost is the fills and
-    /// replacements, not the slice length.
+    /// reservoir jumps its pending skip over the slice instead of counting
+    /// it down item by item, so the cost is the fills and replacements, not
+    /// the slice length.
     pub fn offer_slice(&mut self, mut items: &[u32], rng: &mut impl Rng) {
         if self.capacity == 0 {
             self.seen += items.len() as u64;
             return;
         }
         while let Some((&next, rest)) = items.split_first() {
-            if self.algo_l && self.items.len() == self.capacity && self.skip > 0 {
+            if self.items.len() == self.capacity && self.skip > 0 {
                 let jump = self.skip.min(items.len() as u64);
                 self.skip -= jump;
                 self.seen += jump;
                 items = &items[jump as usize..];
             } else {
-                // A fill, a replacement, or Algorithm R's per-item draw.
+                // A fill or a replacement.
                 self.offer(next, rng);
                 items = rest;
             }
@@ -169,9 +151,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn run_reservoir(algo_l: bool, n: u32, k: usize, seed: u64) -> Vec<u32> {
+    fn run_reservoir(n: u32, k: usize, seed: u64) -> Vec<u32> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut r = if algo_l { Reservoir::new(k) } else { Reservoir::new_algorithm_r(k) };
+        let mut r = Reservoir::new(k);
         for i in 0..n {
             r.offer(i, &mut rng);
         }
@@ -180,91 +162,55 @@ mod tests {
 
     #[test]
     fn holds_all_when_stream_small() {
-        for algo_l in [true, false] {
-            let items = run_reservoir(algo_l, 5, 10, 1);
-            assert_eq!(items.len(), 5);
-            let mut sorted = items.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
-        }
+        let mut items = run_reservoir(5, 10, 1);
+        items.sort_unstable();
+        assert_eq!(items, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn exact_capacity() {
-        for algo_l in [true, false] {
-            let items = run_reservoir(algo_l, 1000, 100, 2);
-            assert_eq!(items.len(), 100);
-            let mut sorted = items.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), 100, "items must be distinct");
-            assert!(sorted.iter().all(|&x| x < 1000));
-        }
+        let mut items = run_reservoir(1000, 100, 2);
+        assert_eq!(items.len(), 100);
+        items.sort_unstable();
+        items.dedup();
+        assert_eq!(items.len(), 100, "items must be distinct");
+        assert!(items.iter().all(|&x| x < 1000));
     }
 
     #[test]
     fn zero_capacity() {
-        for algo_l in [true, false] {
-            let items = run_reservoir(algo_l, 100, 0, 3);
-            assert!(items.is_empty());
-        }
+        assert!(run_reservoir(100, 0, 3).is_empty());
     }
 
     /// Each item should appear with probability ≈ k/n. With n=200, k=20 and
     /// 5000 trials the expected inclusion count is 500 with σ ≈ 21; the
-    /// ±27% band is ≈ 6.4σ per item, comfortably safe across 400 checks.
+    /// ±27% band is ≈ 6.4σ per item, comfortably safe across 200 checks.
     #[test]
     fn approximately_uniform() {
-        for algo_l in [true, false] {
-            let n = 200u32;
-            let k = 20usize;
-            let trials = 5000u64;
-            let mut counts = vec![0u64; n as usize];
-            let mut rng = StdRng::seed_from_u64(42);
-            for _ in 0..trials {
-                let mut r = if algo_l { Reservoir::new(k) } else { Reservoir::new_algorithm_r(k) };
-                for i in 0..n {
-                    r.offer(i, &mut rng);
-                }
-                for item in r.into_items() {
-                    counts[item as usize] += 1;
-                }
+        let n = 200u32;
+        let k = 20usize;
+        let trials = 5000u64;
+        let mut counts = vec![0u64; n as usize];
+        let mut rng = StdRng::seed_from_u64(42);
+        for _ in 0..trials {
+            let mut r = Reservoir::new(k);
+            for i in 0..n {
+                r.offer(i, &mut rng);
             }
-            let expected = trials as f64 * k as f64 / n as f64;
-            for (i, &c) in counts.iter().enumerate() {
-                assert!(
-                    (c as f64) > expected * 0.73 && (c as f64) < expected * 1.27,
-                    "algo_l={algo_l}: item {i} sampled {c} times, expected ~{expected}"
-                );
-            }
-            // Aggregate check: total inclusions are exactly trials × k.
-            let total: u64 = counts.iter().sum();
-            assert_eq!(total, trials * k as u64);
-        }
-    }
-
-    #[test]
-    fn algorithms_agree_on_marginals() {
-        // Both algorithms should produce the same inclusion probability;
-        // compare their aggregate inclusion counts for the first half of the
-        // stream (sanity check against index bias).
-        let n = 100u32;
-        let k = 10usize;
-        let trials = 2000;
-        let mut first_half = [0u64; 2];
-        for (ai, algo_l) in [true, false].iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(7);
-            for _ in 0..trials {
-                let mut r = if *algo_l { Reservoir::new(k) } else { Reservoir::new_algorithm_r(k) };
-                for i in 0..n {
-                    r.offer(i, &mut rng);
-                }
-                first_half[ai] += r.items().iter().filter(|&&x| x < n / 2).count() as u64;
+            for item in r.into_items() {
+                counts[item as usize] += 1;
             }
         }
-        let a = first_half[0] as f64;
-        let b = first_half[1] as f64;
-        assert!((a - b).abs() / a < 0.1, "algorithms diverge: {a} vs {b}");
+        let expected = trials as f64 * k as f64 / n as f64;
+        for (i, &c) in counts.iter().enumerate() {
+            assert!(
+                (c as f64) > expected * 0.73 && (c as f64) < expected * 1.27,
+                "item {i} sampled {c} times, expected ~{expected}"
+            );
+        }
+        // Aggregate check: total inclusions are exactly trials × k.
+        let total: u64 = counts.iter().sum();
+        assert_eq!(total, trials * k as u64);
     }
 
     #[test]
@@ -293,16 +239,11 @@ mod tests {
             kind in 0usize..5,
             cuts in proptest::collection::vec(0usize..500, 0..5),
             seed in 0u64..1000,
-            algo_l in proptest::prelude::any::<bool>(),
         ) {
             let capacity = [0, 1, n / 7, n, n + 3][kind];
-            let new = || match algo_l {
-                true => Reservoir::new(capacity),
-                false => Reservoir::new_algorithm_r(capacity),
-            };
             let stream: Vec<u32> = (0..n as u32).map(|i| i * 3 + 1).collect();
 
-            let (mut one, mut one_rng) = (new(), StdRng::seed_from_u64(seed));
+            let (mut one, mut one_rng) = (Reservoir::new(capacity), StdRng::seed_from_u64(seed));
             for &item in &stream {
                 one.offer(item, &mut one_rng);
             }
@@ -310,7 +251,8 @@ mod tests {
             let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
             bounds.extend([0, n]);
             bounds.sort_unstable();
-            let (mut sliced, mut sliced_rng) = (new(), StdRng::seed_from_u64(seed));
+            let (mut sliced, mut sliced_rng) =
+                (Reservoir::new(capacity), StdRng::seed_from_u64(seed));
             for window in bounds.windows(2) {
                 sliced.offer_slice(&stream[window[0]..window[1]], &mut sliced_rng);
             }
@@ -326,8 +268,8 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = run_reservoir(true, 500, 25, 99);
-        let b = run_reservoir(true, 500, 25, 99);
+        let a = run_reservoir(500, 25, 99);
+        let b = run_reservoir(500, 25, 99);
         assert_eq!(a, b);
     }
 }

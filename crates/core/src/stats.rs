@@ -181,17 +181,6 @@ impl StratumStatistics {
         Ok(Self::from_states(index, columns, states))
     }
 
-    /// Collect statistics with `threads` worker threads (convenience
-    /// wrapper over [`StratumStatistics::collect_with`]).
-    pub fn collect_parallel(
-        table: &Table,
-        index: &GroupIndex,
-        columns: &[ScalarExpr],
-        threads: usize,
-    ) -> Result<Self> {
-        Self::collect_with(table, index, columns, &ExecOptions::new(threads))
-    }
-
     /// Collect statistics over `rows` — a `&Table` or a
     /// [`ShardSet`](cvopt_table::ShardSet), shards local or remote — given
     /// the group index ([`RowSpace::group_index`]) over the same logical
@@ -426,7 +415,7 @@ mod tests {
         let idx = GroupIndex::build(&t, &[ScalarExpr::col("g")]).unwrap();
         let cols = [ScalarExpr::col("x")];
         let seq = StratumStatistics::collect(&t, &idx, &cols).unwrap();
-        let par = StratumStatistics::collect_parallel(&t, &idx, &cols, 4).unwrap();
+        let par = StratumStatistics::collect_with(&t, &idx, &cols, &ExecOptions::new(4)).unwrap();
         for g in 0..idx.num_groups() {
             assert_eq!(seq.population(g), par.population(g));
             assert!((seq.mean(g, 0) - par.mean(g, 0)).abs() < 1e-9);
@@ -546,8 +535,9 @@ mod tests {
     fn parallel_small_table_falls_back() {
         let t = table();
         let idx = index(&t);
+        let exec = ExecOptions::new(8);
         let stats =
-            StratumStatistics::collect_parallel(&t, &idx, &[ScalarExpr::col("x")], 8).unwrap();
+            StratumStatistics::collect_with(&t, &idx, &[ScalarExpr::col("x")], &exec).unwrap();
         assert_eq!(stats.num_strata(), 4);
     }
 }

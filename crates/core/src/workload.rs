@@ -69,11 +69,6 @@ impl Workload {
         self
     }
 
-    /// Total workload size (sum of repeats).
-    pub fn total_repeats(&self) -> u64 {
-        self.queries.iter().map(|q| q.repeats).sum()
-    }
-
     /// Deduce aggregation groups and their frequencies against `table`, and
     /// emit weighted [`QuerySpec`]s for the CVOPT planner.
     ///
@@ -238,11 +233,6 @@ mod tests {
         assert_eq!(gpa.weight_for(&[KeyAtom::from("CS")]), 5.0);
         // EE never matches the predicate → falls back to base weight 0.
         assert_eq!(gpa.weight_for(&[KeyAtom::from("EE")]), 0.0);
-    }
-
-    #[test]
-    fn total_repeats() {
-        assert_eq!(paper_workload().total_repeats(), 45);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! statistical structure the experiments depend on — Zipf-skewed group
 //! volumes, heterogeneous per-group means/variances, small groups,
 //! missing-data conventions — without shipping hundreds of gigabytes.
-//! See `DESIGN.md` §2 for the substitution argument.
 
 pub mod bikes;
 pub mod noise;

@@ -78,7 +78,7 @@ pub fn run(scale: &Scale) -> cvopt_core::Result<Report> {
         .note("AQ1 deltas are normalized by max(|true delta|, |2017 level|) per country/aggregate");
     report.note(
         "CVOPT's AQ1 sample uses section-4.3 workload weights (bc strata only); baselines \
-         stratify on the query's GROUP BY (country) — see EXPERIMENTS.md",
+         stratify on the query's GROUP BY (country)",
     );
     Ok(report)
 }

@@ -57,11 +57,6 @@ pub fn run_by_id(id: &str, scale: &Scale) -> cvopt_core::Result<Report> {
     }
 }
 
-/// Run every experiment.
-pub fn run_all(scale: &Scale) -> cvopt_core::Result<Vec<Report>> {
-    ALL_IDS.iter().map(|id| run_by_id(id, scale)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -38,38 +38,6 @@ pub fn relative_errors(truth: &QueryResult, estimate: &QueryResult, floor: f64) 
     per_agg
 }
 
-/// Like [`relative_errors`] but with one floor per aggregate (AQ1's two
-/// derived answers have different magnitudes, so they need distinct guards).
-pub fn relative_errors_floors(
-    truth: &QueryResult,
-    estimate: &QueryResult,
-    floors: &[f64],
-) -> Vec<Vec<f64>> {
-    assert_eq!(floors.len(), truth.num_aggregates(), "one floor per aggregate");
-    let mut per_agg = vec![Vec::with_capacity(truth.num_groups()); truth.num_aggregates()];
-    for (key, true_values) in truth.iter() {
-        for (agg, &t) in true_values.iter().enumerate() {
-            let err = match estimate.value(key, agg) {
-                Some(e) => {
-                    let denom = t.abs().max(floors[agg]);
-                    if denom == 0.0 {
-                        if e == 0.0 {
-                            0.0
-                        } else {
-                            1.0
-                        }
-                    } else {
-                        (e - t).abs() / denom
-                    }
-                }
-                None => 1.0,
-            };
-            per_agg[agg].push(err);
-        }
-    }
-    per_agg
-}
-
 /// Flatten multi-grouping-set (cube) comparisons into one error vector.
 pub fn relative_errors_all(
     truth: &[QueryResult],

@@ -304,7 +304,7 @@ pub fn aq1_spec(table: &Table) -> cvopt_core::Result<Vec<QuerySpec>> {
 /// estimated delta normalized by `max(|true delta|, |2017 level|)`.
 /// Raw relative errors of deltas explode when a country's year-over-year
 /// change is near zero; normalizing by the level keeps the metric
-/// comparable across methods (recorded in EXPERIMENTS.md).
+/// comparable across methods.
 pub fn aq1_errors(truth: &QueryResult, truth_2017: &QueryResult, est: &QueryResult) -> Vec<f64> {
     let mut errors = Vec::new();
     for (key, true_values) in truth.iter() {
@@ -372,12 +372,6 @@ pub fn aq1_estimate(sample: &cvopt_core::MaterializedSample) -> cvopt_core::Resu
     let y17 = cvopt_core::estimate::estimate_single(sample, &aq1_year_query(2017))?;
     let y18 = cvopt_core::estimate::estimate_single(sample, &aq1_year_query(2018))?;
     Ok(aq1_join(&y17, &y18))
-}
-
-/// All 12 standing queries (AQ1 excluded — it is a derived two-query join
-/// handled by [`aq1_exact`]/[`aq1_estimate`]).
-pub fn all_standard() -> Vec<PaperQuery> {
-    vec![aq2(), aq3(), aq4(), aq5(), aq6(), aq7(), aq8(), b1(), b2(), b3(), b4()]
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use cvopt_baselines::SamplingMethod;
 use cvopt_core::{estimate, MaterializedSample, SamplingProblem};
-use cvopt_table::{QueryResult, Table};
+use cvopt_table::Table;
 
 use crate::metrics::{relative_errors_all, ErrorSummary};
 use crate::queries::PaperQuery;
@@ -95,21 +95,6 @@ pub fn evaluate_methods(
         .map(|m| {
             let errs = errors_per_rep(table, m.as_ref(), pq, budget, reps)?;
             Ok(MethodOutcome::from_reps(m.name(), errs))
-        })
-        .collect()
-}
-
-/// Evaluate *one pre-built sample* on several queries (the sample-reuse
-/// experiments: Fig. 4 and Table 5). Returns per-query error vectors.
-pub fn reuse_errors(
-    sample: &MaterializedSample,
-    truths: &[(String, Vec<QueryResult>, &cvopt_table::GroupByQuery)],
-) -> cvopt_core::Result<Vec<(String, Vec<f64>)>> {
-    truths
-        .iter()
-        .map(|(id, truth, query)| {
-            let est = estimate::estimate(sample, query)?;
-            Ok((id.clone(), relative_errors_all(truth, &est, 0.0)))
         })
         .collect()
 }

@@ -2,22 +2,21 @@
 //! snapshot the run into `BENCH_serving.json`.
 //!
 //! ```text
-//! cvopt-load [--workers N] [--requests N] [--rate R] [--seed N]
-//!            [--rows N] [--cache-bytes N] [--addr HOST:PORT]
+//! cvopt-load [--workers N] [--requests N] [--seed N] [--rows N]
+//!            [--cache-bytes N]
 //! ```
 //!
-//! Two phases, one snapshot:
+//! Three phases, one snapshot:
 //!
 //! 1. **Seed → re-optimize → concurrent replay, unbounded cache** — the
 //!    hot/cold statements run sequentially to populate the query log,
 //!    one `POST /reoptimize` consolidates it into a durable sample, then
-//!    a worker pool of persistent keep-alive clients paced at `--rate`
-//!    aggregate requests/second replays the full schedule (including the
-//!    never-seeded derived pool, answered by the reuse planner without
-//!    drawing — `draws_avoided`). Coalescing and the frozen durable set
-//!    make the engine counters a pure function of the schedule; the
-//!    harness asserts they match [`cvopt_load::expected`] before
-//!    recording them.
+//!    a worker pool of persistent keep-alive clients replays the full
+//!    schedule back-to-back (including the never-seeded derived pool,
+//!    answered by the reuse planner without drawing — `draws_avoided`).
+//!    Coalescing and the frozen durable set make the engine counters a
+//!    pure function of the schedule; the harness asserts they match
+//!    [`cvopt_load::expected`] before recording them.
 //! 2. **Sequential, tiny cache budget** (`--cache-bytes`) — the same
 //!    schedule through one connection against one worker, so the
 //!    eviction counters are fully deterministic.
@@ -28,27 +27,25 @@
 //!    statistics pass, and one `/rotate` retires the old half of the
 //!    window. Every counter is a pure function of `--rows` and `--seed`.
 //!
-//! The snapshot lands in `CVOPT_BENCH_DIR` (default `.`); its
-//! `counters/...` rows gate in `bench_diff`, the latency rows are
-//! advisory.
+//! The snapshot lands in `CVOPT_BENCH_DIR` (default `.`). Pointed at this
+//! crate it overwrites the committed `BENCH_serving.json`, and `git diff`
+//! on that file is the gate: every row is a deterministic counter.
 
 use std::net::SocketAddr;
 use std::time::Duration;
 
 use cvopt_core::Engine;
 use cvopt_datagen::{generate_openaq, OpenAqConfig};
-use cvopt_load::{expected, mix, schedule, summarize, Row, RunConfig, RunReport};
+use cvopt_load::{expected, mix, schedule, Row, RunConfig};
 use cvopt_serve::{client, Json, Server, ServerConfig};
 use cvopt_table::{Column, Table, Value};
 
 fn main() {
     let mut workers: usize = 4;
     let mut requests: usize = 120;
-    let mut rate: f64 = 400.0;
     let mut seed: u64 = 7;
     let mut rows: usize = 60_000;
     let mut cache_bytes: u64 = 96 * 1024;
-    let mut external: Option<SocketAddr> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -57,22 +54,18 @@ fn main() {
         match arg.as_str() {
             "--workers" => workers = parse(&value("--workers"), "--workers"),
             "--requests" => requests = parse(&value("--requests"), "--requests"),
-            "--rate" => rate = parse(&value("--rate"), "--rate"),
             "--seed" => seed = parse(&value("--seed"), "--seed"),
             "--rows" => rows = parse(&value("--rows"), "--rows"),
             "--cache-bytes" => cache_bytes = parse(&value("--cache-bytes"), "--cache-bytes"),
-            "--addr" => external = Some(parse(&value("--addr"), "--addr")),
             "--help" | "-h" => {
                 println!(
                     "cvopt-load: seeded load harness for the CVOPT server\n\n\
                      options:\n  \
                      --workers N      concurrent load clients (default 4)\n  \
                      --requests N     statements per phase (default 120)\n  \
-                     --rate R         aggregate target requests/second; 0 = unpaced (default 400)\n  \
                      --seed N         workload mix and engine seed (default 7)\n  \
                      --rows N         fixture table rows (default 60000)\n  \
-                     --cache-bytes N  phase-2 cache budget (default 98304)\n  \
-                     --addr H:P       drive an already-running server for phase 1\n\n\
+                     --cache-bytes N  phase-2 cache budget (default 98304)\n\n\
                      writes BENCH_serving.json into CVOPT_BENCH_DIR (default .)"
                 );
                 return;
@@ -95,55 +88,44 @@ fn main() {
     let mut snapshot: Vec<Row> = Vec::new();
 
     // ── Phase 1: seed → re-optimize → concurrent replay ─────────────────
-    let in_process = external.is_none();
-    let server = if in_process {
-        let mut engine = Engine::new().with_seed(seed);
-        engine.register(mix::TABLE, table.clone());
-        Some(Server::start(engine, server_config(2)).unwrap_or_else(|e| fail(&e.to_string())))
-    } else {
-        None
-    };
-    let addr = external.unwrap_or_else(|| server.as_ref().expect("spawned").addr());
+    let mut engine = Engine::new().with_seed(seed);
+    engine.register(mix::TABLE, table.clone());
+    let server = Server::start(engine, server_config(2)).unwrap_or_else(|e| fail(&e.to_string()));
+    let addr = server.addr();
 
     println!("phase 1: seeding {} hot/cold statements against http://{addr}", seed_sched.len());
-    let seed_report = cvopt_load::run(addr, &seed_sched, RunConfig { workers: 1, target_rps: 0.0 });
+    let seed_report = cvopt_load::run(addr, &seed_sched, RunConfig { workers: 1 });
     let (status, body) =
         client::post(addr, "/reoptimize", &format!(r#"{{"table":"{}"}}"#, mix::TABLE))
             .unwrap_or_else(|e| fail(&e.to_string()));
     if status != 200 {
         fail(&format!("/reoptimize answered {status}: {body}"));
     }
-    println!("phase 1: re-optimized; {workers} workers at {rate} req/s replay the full schedule");
-    let report = cvopt_load::run(addr, &sched, RunConfig { workers, target_rps: rate });
+    println!("phase 1: re-optimized; {workers} workers replay the full schedule");
+    let report = cvopt_load::run(addr, &sched, RunConfig { workers });
     let stats = fetch_stats(addr);
-    if in_process {
-        // The gating contract: coalescing and the frozen durable reuse
-        // set make these counters pure functions of the schedule. Fail
-        // loudly before snapshotting a nondeterministic run.
-        check(&stats, "stats_passes", exp.stats_passes);
-        check(&stats, "cache_misses", exp.cache_misses);
-        check(&stats, "cache_hits", exp.cache_hits);
-        check(&stats, "cached_samples", exp.cached_samples);
-        check(&stats, "reuse_hits", exp.reuse_hits);
-        check(&stats, "draws_avoided", exp.reuse_hits);
-        check(&stats, "cache_evictions", 0);
-        // Served: the seeding run, the /reoptimize call, the replay, and
-        // the /stats probe itself.
-        check(&stats, "requests_served", (exp.seeded + exp.total) as u64 + 2);
-        check(&stats, "keepalive_reuses", (exp.seeded - 1 + exp.total - workers) as u64);
-        assert_eq!(seed_report.connects, 1, "seeding runs on one connection");
-        assert_eq!(report.connects, workers as u64, "keep-alive: one connect per worker");
-        assert!(
-            stat(&stats, "draws_avoided") > 0,
-            "the seeded mix must exercise the reuse planner"
-        );
-    }
+    // The gating contract: coalescing and the frozen durable reuse
+    // set make these counters pure functions of the schedule. Fail
+    // loudly before snapshotting a nondeterministic run.
+    check(&stats, "stats_passes", exp.stats_passes);
+    check(&stats, "cache_misses", exp.cache_misses);
+    check(&stats, "cache_hits", exp.cache_hits);
+    check(&stats, "cached_samples", exp.cached_samples);
+    check(&stats, "reuse_hits", exp.reuse_hits);
+    check(&stats, "draws_avoided", exp.reuse_hits);
+    check(&stats, "cache_evictions", 0);
+    // Served: the seeding run, the /reoptimize call, the replay, and
+    // the /stats probe itself.
+    check(&stats, "requests_served", (exp.seeded + exp.total) as u64 + 2);
+    check(&stats, "keepalive_reuses", (exp.seeded - 1 + exp.total - workers) as u64);
+    assert_eq!(seed_report.connects, 1, "seeding runs on one connection");
+    assert_eq!(report.connects, workers as u64, "keep-alive: one connect per worker");
+    assert!(stat(&stats, "draws_avoided") > 0, "the seeded mix must exercise the reuse planner");
     snapshot.push(Row::new("counters/phase1/seed_requests", exp.seeded as u64));
     snapshot.push(Row::new("counters/phase1/requests", exp.total as u64));
     snapshot.push(Row::new("counters/phase1/client_connects", report.connects));
-    // Deterministically zero against the in-process server (admission
-    // control is off and the queue never fills); against `--addr` they
-    // record how much of the run was absorbed by 503-retries.
+    // Deterministically zero: admission control is off and the queue
+    // never fills.
     snapshot.push(Row::new("counters/phase1/rejected_503", report.rejected_503));
     snapshot.push(Row::new("counters/phase1/retries", report.retries));
     for field in [
@@ -159,17 +141,14 @@ fn main() {
     ] {
         snapshot.push(Row::new(format!("counters/phase1/{field}"), stat(&stats, field)));
     }
-    record_latency(&mut snapshot, &report);
-    if let Some(server) = server {
-        server.shutdown();
-    }
+    server.shutdown();
 
     // ── Phase 2: one sequential client, tiny cache budget ───────────────
     println!("phase 2: sequential run under a {cache_bytes}-byte cache budget");
     let mut engine = Engine::new().with_seed(seed).with_cache_bytes(Some(cache_bytes));
     engine.register(mix::TABLE, table.clone());
     let server = Server::start(engine, server_config(1)).unwrap_or_else(|e| fail(&e.to_string()));
-    let report = cvopt_load::run(server.addr(), &sched, RunConfig { workers: 1, target_rps: 0.0 });
+    let report = cvopt_load::run(server.addr(), &sched, RunConfig { workers: 1 });
     let stats = fetch_stats(server.addr());
     let evictions = stat(&stats, "cache_evictions");
     let held = stat(&stats, "cache_bytes_held");
@@ -339,26 +318,6 @@ fn check(stats: &Json, field: &str, want: u64) {
     if got != want {
         fail(&format!("nondeterministic run: {field} = {got}, schedule predicts {want}"));
     }
-}
-
-fn record_latency(snapshot: &mut Vec<Row>, report: &RunReport) {
-    let summary = summarize(&report.latencies_ns);
-    snapshot.push(Row::new("latency/p50", summary.p50_ns));
-    snapshot.push(Row::new("latency/p90", summary.p90_ns));
-    snapshot.push(Row::new("latency/p99", summary.p99_ns));
-    snapshot.push(Row::new("latency/max", summary.max_ns));
-    snapshot.push(Row::new(
-        "throughput/mean_request_ns",
-        (report.elapsed.as_nanos() / report.requests.max(1) as u128) as u64,
-    ));
-    let rps = report.requests as f64 / report.elapsed.as_secs_f64().max(1e-9);
-    println!(
-        "  {} requests in {:?} ({rps:.0} req/s), p50 {}µs p99 {}µs",
-        report.requests,
-        report.elapsed,
-        summary.p50_ns / 1_000,
-        summary.p99_ns / 1_000,
-    );
 }
 
 fn parse<T: std::str::FromStr>(value: &str, name: &str) -> T {

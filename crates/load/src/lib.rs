@@ -1,30 +1,25 @@
 //! # cvopt-load
 //!
-//! A closed-loop load harness for the CVOPT serving layer: a seeded
-//! workload mix (cache-hot, cache-cold, and exact statements over the
-//! OpenAQ fixture), a worker pool with a target-rate scheduler driving
-//! persistent [`cvopt_serve::Client`] connections, and a snapshot writer
-//! that records the run into `BENCH_serving.json` in the bench harness's
-//! shape.
+//! The deterministic serving-*counter* harness for the CVOPT serving
+//! layer: a seeded workload mix (cache-hot, cache-cold, and exact
+//! statements over the OpenAQ fixture), a worker pool driving persistent
+//! [`cvopt_serve::Client`] connections, and a snapshot writer that records
+//! the run into `BENCH_serving.json`. Serving *latency* is measured by
+//! `benchmark/`'s `serve_cached` workload, not here.
 //!
-//! The snapshot carries two classes of rows:
-//!
-//! * **Deterministic counters** (`counters/...`): statistics passes,
-//!   cache hits/misses/evictions, bytes held, keep-alive reuses, client
-//!   connects. Every one is a pure function of the seeded schedule — the
-//!   engine coalesces concurrent misses, so even under a racing worker
-//!   pool the totals are fixed — and `bench_diff` **fails CI** when one
-//!   moves.
-//! * **Wall-clock rows** (latency quantiles, mean request time):
-//!   advisory only, like every other timing snapshot in the workspace.
+//! Every snapshot row is a counter — statistics passes, cache
+//! hits/misses/evictions, bytes held, keep-alive reuses, client connects —
+//! and a pure function of the seeded schedule: the engine coalesces
+//! concurrent misses, so even under a racing worker pool the totals are
+//! fixed. CI regenerates the committed file and fails on any `git diff`.
 //!
 //! The `cvopt-load` binary ties the pieces together: it spawns an
-//! in-process [`cvopt_serve::Server`] (or targets `--addr`), seeds the
-//! engine's query log with the hot/cold statements, consolidates the log
-//! through `POST /reoptimize`, replays the full schedule concurrently
-//! (the derived pool is answered by the reuse planner — `draws_avoided`
-//! stays above zero by construction), then runs a sequential phase
-//! against a tiny cache budget (deterministic evictions), and writes the
+//! in-process [`cvopt_serve::Server`], seeds the engine's query log with
+//! the hot/cold statements, consolidates the log through `POST
+//! /reoptimize`, replays the full schedule concurrently (the derived pool
+//! is answered by the reuse planner — `draws_avoided` stays above zero by
+//! construction), then runs a sequential phase against a tiny cache budget
+//! (deterministic evictions) and a streaming-ingest phase, and writes the
 //! snapshot. See the README's "Serving" section for usage.
 
 #![warn(missing_docs)]
@@ -32,9 +27,7 @@
 pub mod mix;
 pub mod report;
 pub mod runner;
-pub mod stats;
 
 pub use mix::{expected, schedule, seeding, Class, Expected, Statement};
 pub use report::{snapshot_json, write_snapshot, Row};
 pub use runner::{run, RunConfig, RunReport};
-pub use stats::{summarize, LatencySummary};

@@ -1,19 +1,16 @@
-//! The snapshot writer: `BENCH_serving.json` in the bench harness's
-//! shape, so `bench_diff` needs no second parser.
+//! The snapshot writer: `BENCH_serving.json`, one `"id": value` row per
+//! counter, in the shape the `counters` bin writes `BENCH_counters.json`.
 //!
-//! Rows whose id starts with `counters/` become gating rows once the
-//! group prefix is joined on (`serving/counters/...`): `bench_diff`
-//! fails CI when one moves more than its threshold in either direction.
-//! Every other row (latency quantiles, throughput) diffs as advisory
-//! wall-clock time.
+//! Every row is a pure function of the code and the seeded schedule, so
+//! the committed file is the expectation: CI regenerates it in place and
+//! `git diff --exit-code` is the gate.
 
 use std::path::{Path, PathBuf};
 
-/// One snapshot row. The value lands in `median_ns`/`mean_ns` — a
-/// counter value for `counters/...` ids, nanoseconds otherwise.
+/// One snapshot row: a counter and its value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Row {
-    /// Benchmark id within the group, e.g. `counters/phase1/cache_hits`.
+    /// Counter id within the group, e.g. `counters/phase1/cache_hits`.
     pub id: String,
     /// The recorded value.
     pub value: u64,
@@ -31,11 +28,7 @@ pub fn snapshot_json(group: &str, rows: &[Row]) -> String {
     let mut body = format!("{{\n  \"group\": \"{group}\",\n  \"benchmarks\": {{\n");
     for (i, row) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
-        body.push_str(&format!(
-            "    \"{}\": {{\"median_ns\": {v}, \"mean_ns\": {v}, \"iters\": 1}}{comma}\n",
-            row.id,
-            v = row.value,
-        ));
+        body.push_str(&format!("    \"{}\": {}{comma}\n", row.id, row.value));
     }
     body.push_str("  }\n}\n");
     body
@@ -49,8 +42,7 @@ pub fn write_snapshot(dir: &Path, group: &str, rows: &[Row]) -> std::io::Result<
 }
 
 /// The snapshot directory: `CVOPT_BENCH_DIR`, defaulting to the current
-/// directory (same contract as the bench harness and the `counters`
-/// bin).
+/// directory (same contract as the `counters` bin).
 pub fn bench_dir() -> PathBuf {
     PathBuf::from(std::env::var("CVOPT_BENCH_DIR").unwrap_or_else(|_| ".".into()))
 }
@@ -61,17 +53,13 @@ mod tests {
 
     #[test]
     fn snapshot_shape_matches_the_bench_harness() {
-        let rows = [Row::new("counters/phase1/cache_hits", 17), Row::new("latency/p50", 1_250_000)];
+        let rows =
+            [Row::new("counters/phase1/cache_hits", 17), Row::new("counters/phase2/evictions", 3)];
         let json = snapshot_json("serving", &rows);
         assert!(json.contains("\"group\": \"serving\""));
-        assert!(json.contains(
-            "\"counters/phase1/cache_hits\": {\"median_ns\": 17, \"mean_ns\": 17, \"iters\": 1},"
-        ));
-        assert!(json.contains(
-            "\"latency/p50\": {\"median_ns\": 1250000, \"mean_ns\": 1250000, \"iters\": 1}\n"
-        ));
+        assert!(json.contains("    \"counters/phase1/cache_hits\": 17,\n"));
         // Valid JSON seam: last row carries no trailing comma.
-        assert!(json.ends_with("  }\n}\n"));
+        assert!(json.ends_with("    \"counters/phase2/evictions\": 3\n  }\n}\n"));
     }
 
     #[test]

@@ -1,18 +1,15 @@
-//! The load runner: a worker pool of persistent HTTP clients driving a
-//! schedule at a target request rate.
+//! The load runner: a worker pool of persistent HTTP clients replaying a
+//! schedule back-to-back.
 //!
 //! The schedule is split round-robin across the workers; each worker
-//! opens one keep-alive [`Client`] and paces itself against an open-loop
-//! deadline ladder (request `i` is *due* at `start + i × interval`; a
-//! worker that falls behind sends immediately — queueing shows up as
-//! latency, the way a real closed client sees it). The per-request
-//! latencies and the client connect counts come back in the
+//! opens one keep-alive [`Client`] and sends its statements one after the
+//! other. The client connect and rejection counts come back in the
 //! [`RunReport`]; the engine-side counters are read from `/stats` by the
 //! caller.
 
 use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cvopt_serve::Client;
 
@@ -27,18 +24,11 @@ pub const MAX_ATTEMPTS: u32 = 100;
 pub struct RunConfig {
     /// Concurrent load workers (each with one persistent connection).
     pub workers: usize,
-    /// Aggregate target request rate, requests/second, spread evenly
-    /// across the workers. `0.0` disables pacing (send back-to-back).
-    pub target_rps: f64,
 }
 
-/// What one run measured.
+/// What one run counted.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// Per-request latencies, nanoseconds, in worker-merge order.
-    pub latencies_ns: Vec<u64>,
-    /// Wall-clock time from the synchronized start to the last response.
-    pub elapsed: Duration,
     /// TCP connections opened across all workers (keep-alive pins this
     /// to exactly one per worker).
     pub connects: u64,
@@ -52,19 +42,14 @@ pub struct RunReport {
 }
 
 /// Drive `schedule` against the server at `addr`. A `503` (backpressure
-/// or admission control) is retried with a linear backoff — it counts in
-/// `rejected_503`/`retries`, and its latency row covers the whole
-/// retried exchange, the way a polite real client experiences it. Panics
-/// on any other non-`200` response, on transport errors, and when one
-/// statement is rejected [`MAX_ATTEMPTS`] times — the harness's counters
-/// are only meaningful for a fully-served schedule.
+/// or admission control) is retried with a linear backoff and counts in
+/// `rejected_503`/`retries`. Panics on any other non-`200` response, on
+/// transport errors, and when one statement is rejected [`MAX_ATTEMPTS`]
+/// times — the harness's counters are only meaningful for a fully-served
+/// schedule.
 pub fn run(addr: SocketAddr, schedule: &[Statement], config: RunConfig) -> RunReport {
     let workers = config.workers.max(1);
-    // Open-loop deadline spacing per worker: the aggregate rate divided
-    // by the pool, expressed as the gap between one worker's requests.
-    let interval = (config.target_rps > 0.0)
-        .then(|| Duration::from_secs_f64(workers as f64 / config.target_rps));
-    let barrier = Arc::new(Barrier::new(workers + 1));
+    let barrier = Arc::new(Barrier::new(workers));
 
     let handles: Vec<_> = (0..workers)
         .map(|w| {
@@ -73,20 +58,10 @@ pub fn run(addr: SocketAddr, schedule: &[Statement], config: RunConfig) -> RunRe
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 let mut client = Client::new(addr);
-                let mut latencies = Vec::with_capacity(statements.len());
                 let mut rejected = 0u64;
                 let mut retries = 0u64;
                 barrier.wait();
-                let start = Instant::now();
-                for (i, stmt) in statements.iter().enumerate() {
-                    if let Some(interval) = interval {
-                        let due = start + interval * i as u32;
-                        let now = Instant::now();
-                        if due > now {
-                            std::thread::sleep(due - now);
-                        }
-                    }
-                    let sent = Instant::now();
+                for stmt in &statements {
                     let mut attempt = 0u32;
                     let (status, body) = loop {
                         let (status, body) =
@@ -105,35 +80,21 @@ pub fn run(addr: SocketAddr, schedule: &[Statement], config: RunConfig) -> RunRe
                         std::thread::sleep(Duration::from_millis(2 * u64::from(attempt)));
                     };
                     assert_eq!(status, 200, "{}: {body}", stmt.sql);
-                    latencies.push(sent.elapsed().as_nanos() as u64);
                 }
-                (latencies, client.connects(), rejected, retries)
+                (client.connects(), rejected, retries)
             })
         })
         .collect();
 
-    barrier.wait();
-    let start = Instant::now();
-    let mut latencies_ns = Vec::with_capacity(schedule.len());
-    let mut connects = 0u64;
-    let mut rejected_503 = 0u64;
-    let mut retries = 0u64;
+    let mut report =
+        RunReport { connects: 0, requests: schedule.len(), rejected_503: 0, retries: 0 };
     for handle in handles {
-        let (lat, conns, rej, ret) = handle.join().expect("load worker");
-        latencies_ns.extend(lat);
-        connects += conns;
-        rejected_503 += rej;
-        retries += ret;
+        let (connects, rejected, retries) = handle.join().expect("load worker");
+        report.connects += connects;
+        report.rejected_503 += rejected;
+        report.retries += retries;
     }
-    let elapsed = start.elapsed();
-    RunReport {
-        requests: latencies_ns.len(),
-        latencies_ns,
-        elapsed,
-        connects,
-        rejected_503,
-        retries,
-    }
+    report
 }
 
 #[cfg(test)]
@@ -171,9 +132,8 @@ mod tests {
         let schedule = mix::schedule(7, 24);
         let expected = mix::expected(&schedule);
 
-        let report = run(server.addr(), &schedule, RunConfig { workers: 3, target_rps: 0.0 });
+        let report = run(server.addr(), &schedule, RunConfig { workers: 3 });
         assert_eq!(report.requests, 24);
-        assert_eq!(report.latencies_ns.len(), 24);
         assert_eq!(report.connects, 3, "keep-alive: one connect per load worker");
 
         let (status, body) = client::get(server.addr(), "/stats").expect("stats");
@@ -213,7 +173,7 @@ mod tests {
         let server = Server::start(engine, config).expect("start server");
 
         let schedule = mix::schedule(5, 12);
-        let report = run(server.addr(), &schedule, RunConfig { workers: 2, target_rps: 0.0 });
+        let report = run(server.addr(), &schedule, RunConfig { workers: 2 });
         assert_eq!(report.requests, 12, "every request is eventually answered");
         assert!(
             report.rejected_503 > 0,
@@ -229,27 +189,6 @@ mod tests {
         let stats = Json::parse(&body).expect("stats json");
         assert_eq!(stat(&stats, "admission_rejections"), report.rejected_503);
         assert_eq!(stat(&stats, "requests_rejected"), 0, "no queue backpressure in this run");
-        server.shutdown();
-    }
-
-    /// Pacing stretches the run: 8 requests at 100 req/s aggregate must
-    /// take at least the deadline ladder's span.
-    #[test]
-    fn target_rate_paces_the_run() {
-        let server = fixture_server(2);
-        // Warm the cache so per-request service time is small and the
-        // floor below is pacing, not sampling work.
-        let schedule = mix::schedule(3, 8);
-        run(server.addr(), &schedule, RunConfig { workers: 2, target_rps: 0.0 });
-
-        let report = run(server.addr(), &schedule, RunConfig { workers: 2, target_rps: 100.0 });
-        // Each of 2 workers sends 4 requests 20ms apart: last is due at
-        // 60ms. Allow generous slop below that for coarse sleeping.
-        assert!(
-            report.elapsed >= Duration::from_millis(55),
-            "paced run finished in {:?}",
-            report.elapsed
-        );
         server.shutdown();
     }
 }

@@ -162,9 +162,10 @@ impl Json {
     }
 
     /// Parse a JSON document. Exactly one value, with only whitespace
-    /// around it; errors carry the byte offset they were detected at.
+    /// around it, nested at most [`MAX_DEPTH`] arrays and objects deep;
+    /// errors carry the byte offset they were detected at.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -216,9 +217,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level and a request body is hostile input: a
+/// few kilobytes of `[` would otherwise overflow the worker's stack, which
+/// aborts the process — no `catch_unwind` sees it.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -260,12 +269,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object, refusing the one that would open the
+    /// `MAX_DEPTH + 1`-th level.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -512,6 +536,21 @@ mod tests {
         }
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    /// `MAX_DEPTH` levels parse; one more is an error at the offset of the
+    /// bracket that would open it, however much deeper the input goes
+    /// (uncapped, the 100 KB inputs overflow the test thread's stack).
+    #[test]
+    fn parser_caps_nesting_depth() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + "1" + &close.repeat(n);
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            assert!(Json::parse(&nest(open, close, MAX_DEPTH)).is_ok());
+            for bomb in [nest(open, close, MAX_DEPTH + 1), open.repeat(100_000 / open.len())] {
+                let err = Json::parse(&bomb).unwrap_err();
+                assert_eq!(err.offset, MAX_DEPTH * open.len(), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -124,12 +124,6 @@ impl AggExpr {
         self.alias = alias.into();
         self
     }
-
-    /// Whether the estimate of this aggregate scales with group size
-    /// (COUNT/SUM/COUNT_IF) as opposed to being a per-row average (AVG).
-    pub fn is_extensive(&self) -> bool {
-        matches!(self.kind, AggKind::Count | AggKind::Sum | AggKind::CountIf)
-    }
 }
 
 /// What the one aggregation pass ([`GroupByQuery::aggregate`](crate::GroupByQuery::aggregate))
@@ -212,8 +206,8 @@ impl AggState {
     /// scalar [`AggState::update`] recurrence, and the lanes are merged
     /// into `self` in ascending lane order — so the result is a pure
     /// function of `values` (never of chunking or thread count) and is
-    /// **bit-identical** to [`AggState::update_slice_reference`]. The
-    /// independent chains break the loop-carried dependency of scalar
+    /// **bit-identical** to [`LANES`] plain accumulators fed round-robin
+    /// and merged in lane order. The independent chains break the loop-carried dependency of scalar
     /// Welford, letting the autovectorizer keep [`LANES`] accumulators in
     /// vector registers.
     ///
@@ -276,6 +270,7 @@ impl AggState {
     /// lane-merge contract: [`LANES`] plain accumulators fed round-robin,
     /// merged in lane order. Kept so tests can assert the optimized kernel
     /// matches it with exact `f64` equality.
+    #[cfg(test)]
     pub fn update_slice_reference(&mut self, values: &[f64]) {
         let mut lanes = [AggState::default(); LANES];
         for (i, &v) in values.iter().enumerate() {
@@ -374,15 +369,6 @@ mod tests {
         assert_eq!(AggExpr::avg("gpa").alias, "AVG(gpa)");
         assert_eq!(AggExpr::count_if("value", CmpOp::Gt, 0.04).alias, "COUNT_IF(value > 0.04)");
         assert_eq!(AggExpr::sum("x").with_alias("agg1").alias, "agg1");
-    }
-
-    #[test]
-    fn extensive_flags() {
-        assert!(AggExpr::count().is_extensive());
-        assert!(AggExpr::sum("x").is_extensive());
-        assert!(AggExpr::count_if("x", CmpOp::Gt, 0.0).is_extensive());
-        assert!(!AggExpr::avg("x").is_extensive());
-        assert!(!AggExpr::min("x").is_extensive());
     }
 
     #[test]

@@ -15,13 +15,6 @@ impl Bitmap {
         Bitmap { words: vec![0; len.div_ceil(64)], len }
     }
 
-    /// All-one bitmap over `len` rows.
-    pub fn new_full(len: usize) -> Self {
-        let mut bm = Bitmap { words: vec![u64::MAX; len.div_ceil(64)], len };
-        bm.mask_tail();
-        bm
-    }
-
     /// Build from a per-row closure.
     pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> bool) -> Self {
         let mut bm = Bitmap::new_empty(len);
@@ -96,30 +89,6 @@ impl Bitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// In-place intersection with `other` (must have equal length).
-    pub fn and_inplace(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= *b;
-        }
-    }
-
-    /// In-place union with `other` (must have equal length).
-    pub fn or_inplace(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
-        }
-    }
-
-    /// In-place complement.
-    pub fn not_inplace(&mut self) {
-        for w in &mut self.words {
-            *w = !*w;
-        }
-        self.mask_tail();
-    }
-
     /// Iterator over the indices of set bits, ascending.
     pub fn iter_ones(&self) -> Ones<'_> {
         Ones {
@@ -172,7 +141,7 @@ impl Bitmap {
     }
 
     /// Zero out the bits past `len` in the final word so that `count_ones`
-    /// and complement stay correct.
+    /// stays correct.
     fn mask_tail(&mut self) {
         let tail_bits = self.len % 64;
         if tail_bits != 0 {
@@ -222,7 +191,7 @@ mod tests {
     fn empty_and_full() {
         let e = Bitmap::new_empty(130);
         assert_eq!(e.count_ones(), 0);
-        let f = Bitmap::new_full(130);
+        let f = Bitmap::from_fn(130, |_| true);
         assert_eq!(f.count_ones(), 130);
         assert!(f.get(129));
     }
@@ -243,12 +212,11 @@ mod tests {
     }
 
     #[test]
-    fn not_respects_tail() {
-        let mut bm = Bitmap::new_empty(70);
-        bm.not_inplace();
+    fn from_words_masks_tail() {
+        let bm = Bitmap::from_words(vec![u64::MAX; 2], 70).unwrap();
         assert_eq!(bm.count_ones(), 70);
-        bm.not_inplace();
-        assert_eq!(bm.count_ones(), 0);
+        assert_eq!(bm.iter_ones().last(), Some(69));
+        assert!(Bitmap::from_words(vec![0; 3], 70).is_err());
     }
 
     #[test]
@@ -268,7 +236,7 @@ mod tests {
 
     #[test]
     fn zero_length() {
-        let bm = Bitmap::new_full(0);
+        let bm = Bitmap::new_empty(0);
         assert_eq!(bm.count_ones(), 0);
         assert_eq!(bm.iter_ones().count(), 0);
     }
@@ -298,28 +266,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn and_or_de_morgan(bits_a in proptest::collection::vec(any::<bool>(), 0..300),
-                            bits_b_seed in any::<u64>()) {
-            let len = bits_a.len();
-            let mut a = Bitmap::new_empty(len);
-            let mut b = Bitmap::new_empty(len);
-            for (i, &bit) in bits_a.iter().enumerate() {
-                if bit { a.set(i); }
-                if (bits_b_seed.rotate_left((i % 64) as u32) & 1) == 1 { b.set(i); }
-            }
-            // !(a & b) == !a | !b
-            let mut lhs = a.clone();
-            lhs.and_inplace(&b);
-            lhs.not_inplace();
-            let mut na = a.clone();
-            na.not_inplace();
-            let mut nb = b.clone();
-            nb.not_inplace();
-            na.or_inplace(&nb);
-            prop_assert_eq!(lhs, na);
-        }
-
         #[test]
         fn count_matches_iter(bits in proptest::collection::vec(any::<bool>(), 0..500)) {
             let bm = Bitmap::from_fn(bits.len(), |i| bits[i]);

@@ -1,13 +1,12 @@
-//! Minimal CSV reading/writing for tables and query results.
+//! Minimal CSV reading for tables.
 //!
 //! Supports the RFC-4180 basics: comma separation, `"` quoting with `""`
-//! escapes, and a header row. Good enough to load example data and dump
-//! experiment outputs; not a general-purpose CSV library.
+//! escapes, and a header row. Good enough to load example data; not a
+//! general-purpose CSV library.
 
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 use crate::error::TableError;
-use crate::query::QueryResult;
 use crate::schema::Schema;
 use crate::table::{Table, TableBuilder};
 use crate::types::{DataType, Value};
@@ -45,14 +44,6 @@ fn split_record(line: &str, line_no: usize) -> Result<Vec<String>> {
     }
     fields.push(current);
     Ok(fields)
-}
-
-fn quote_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
 }
 
 /// Parse one field into a [`Value`] for a column of type `dtype`.
@@ -122,43 +113,36 @@ pub fn read_table(reader: impl BufRead, schema: Schema) -> Result<Table> {
     Ok(builder.finish())
 }
 
-/// Write a table to CSV with a header row.
-pub fn write_table(table: &Table, mut writer: impl Write) -> std::io::Result<()> {
-    let names: Vec<String> = table.schema().names().iter().map(|s| quote_field(s)).collect();
-    writeln!(writer, "{}", names.join(","))?;
-    for row in 0..table.num_rows() {
-        let fields: Vec<String> = table
-            .columns()
-            .iter()
-            .map(|c| match c.value(row) {
-                Value::Str(s) => quote_field(&s),
-                other => other.to_string().trim_start_matches('@').to_string(),
-            })
-            .collect();
-        writeln!(writer, "{}", fields.join(","))?;
-    }
-    Ok(())
-}
-
-/// Write a query result to CSV (group key columns, then aggregates).
-pub fn write_result(result: &QueryResult, mut writer: impl Write) -> std::io::Result<()> {
-    let mut header: Vec<String> = result.grouping.iter().map(|s| quote_field(s)).collect();
-    header.extend(result.agg_names.iter().map(|s| quote_field(s)));
-    writeln!(writer, "{}", header.join(","))?;
-    for (key, values) in result.iter() {
-        let mut fields: Vec<String> = key.iter().map(|a| quote_field(&a.to_string())).collect();
-        fields.extend(values.iter().map(|v| format!("{v}")));
-        writeln!(writer, "{}", fields.join(","))?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::AggExpr;
-    use crate::expr::ScalarExpr;
-    use crate::query::GroupByQuery;
+    use std::io::Write;
+
+    fn quote_field(s: &str) -> String {
+        if s.contains(',') || s.contains('"') || s.contains('\n') {
+            format!("\"{}\"", s.replace('"', "\"\""))
+        } else {
+            s.to_string()
+        }
+    }
+
+    /// Write a table to CSV with a header row: what the round trips read back.
+    fn write_table(table: &Table, mut writer: impl Write) -> std::io::Result<()> {
+        let names: Vec<String> = table.schema().names().iter().map(|s| quote_field(s)).collect();
+        writeln!(writer, "{}", names.join(","))?;
+        for row in 0..table.num_rows() {
+            let fields: Vec<String> = table
+                .columns()
+                .iter()
+                .map(|c| match c.value(row) {
+                    Value::Str(s) => quote_field(&s),
+                    other => other.to_string().trim_start_matches('@').to_string(),
+                })
+                .collect();
+            writeln!(writer, "{}", fields.join(","))?;
+        }
+        Ok(())
+    }
 
     fn schema() -> Schema {
         Schema::new(&[
@@ -212,20 +196,6 @@ mod tests {
         let csv = "country,value,n\nUS,1.0,1\n\nVN,2.0,2\n";
         let t = read_table(csv.as_bytes(), schema()).unwrap();
         assert_eq!(t.num_rows(), 2);
-    }
-
-    #[test]
-    fn write_result_csv() {
-        let t = read_table("country,value,n\nUS,1.0,1\nUS,3.0,1\nVN,5.0,1\n".as_bytes(), schema())
-            .unwrap();
-        let q = GroupByQuery::new(vec![ScalarExpr::col("country")], vec![AggExpr::avg("value")]);
-        let r = &q.execute(&t).unwrap()[0];
-        let mut out = Vec::new();
-        write_result(r, &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("country,AVG(value)\n"));
-        assert!(text.contains("US,2\n"));
-        assert!(text.contains("VN,5\n"));
     }
 
     #[test]

@@ -10,8 +10,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` alias using [`FxHasher`].
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
-/// `HashSet` alias using [`FxHasher`].
-pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 /// `BuildHasher` for [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 

@@ -18,7 +18,7 @@
 //!   `WITH CUBE` support, used both to produce ground truth for experiments
 //!   and as the shared grouping machinery for stratified sampling,
 //! * a SQL subset front-end ([`sql`], with a session-level execution
-//!   context [`sql::Session`]) and CSV I/O ([`csv`]).
+//!   context [`sql::Session`]) and CSV input ([`csv`]).
 //!
 //! ## Example
 //!

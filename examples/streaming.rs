@@ -1,69 +1,84 @@
-//! Streaming CVOPT: build a variance-aware stratified sample in ONE pass
-//! over arriving rows (no offline statistics pass), then answer group-by
-//! queries from it. Implements the paper's §8 future-work item (3).
+//! Streaming ingest: a windowed table whose workload-tuned sample is
+//! **maintained** as batches arrive — the engine's one incremental path.
+//! Two queries log a workload, `reoptimize` consolidates it into one
+//! durable sample, every `ingest` folds its batch into that sample without
+//! another statistics pass, and `rotate` retires the oldest rows.
 //!
 //! Run with: `cargo run --release --example streaming`
 
-use cvopt_core::sample::MaterializedSample;
-use cvopt_core::{StreamingConfig, StreamingSampler};
+use cvopt_core::{Engine, QueryMode};
 use cvopt_datagen::{generate_openaq, OpenAqConfig};
-use cvopt_table::{sql, KeyAtom};
+use cvopt_table::time::epoch_seconds;
+
+const BASE_ROWS: usize = 200_000;
+const BATCH_ROWS: usize = 5_000;
+const BATCHES: usize = 20;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Simulate a stream by replaying the rows of a synthetic table.
-    let table = generate_openaq(&OpenAqConfig::with_rows(300_000));
-    let country = table.column_by_name("country")?;
-    let value = table.column_by_name("value")?;
+    let base = generate_openaq(&OpenAqConfig::with_rows(BASE_ROWS));
+    // The stream: a second draw of the same generator, cut into batches.
+    let stream = generate_openaq(&OpenAqConfig {
+        rows: BATCH_ROWS * BATCHES,
+        seed: 0xB47C4,
+        ..OpenAqConfig::default()
+    });
 
-    let mut sampler = StreamingSampler::new(
-        1,
-        StreamingConfig { budget: 3_000, epoch: 20_000, seed: 5, ..Default::default() },
-    );
-    for row in 0..table.num_rows() {
-        let key = [KeyAtom::Str(match country.value(row) {
-            cvopt_table::Value::Str(s) => s,
-            _ => unreachable!("country is a string column"),
-        })];
-        sampler.offer(&key, &[value.f64_at(row).expect("numeric value")], row as u32);
+    let mut engine = Engine::new().with_seed(5);
+    engine.register_windowed("openaq", base, "local_time")?;
+
+    let by_country = "SELECT country, AVG(value) FROM openaq GROUP BY country";
+    let by_parameter =
+        "SELECT country, parameter, AVG(value) FROM openaq GROUP BY country, parameter";
+    for statement in [by_country, by_parameter] {
+        let answer = engine.query(statement, QueryMode::Approximate)?;
+        println!("cold:   {}", answer.report.to_line());
     }
+    let tuned = engine.reoptimize("openaq")?.expect("two statements were logged");
     println!(
-        "stream: {} rows -> {} strata, {} sampled rows held",
-        sampler.arrivals(),
-        sampler.num_strata(),
-        sampler.held()
+        "tuned:  {} logged statements -> one durable sample, {} strata, {} rows",
+        tuned.logged, tuned.strata, tuned.sample_rows
     );
 
-    // Materialize the streamed sample and answer a query from it.
-    let strata = sampler.finish();
-    let mut rows = Vec::new();
-    let mut weights = Vec::new();
-    for s in &strata {
-        for &r in &s.rows {
-            rows.push(r);
-            weights.push(s.weight);
+    let passes_before = engine.stats_passes();
+    for b in 0..BATCHES {
+        let rows: Vec<usize> = (b * BATCH_ROWS..(b + 1) * BATCH_ROWS).collect();
+        let report = engine.ingest("openaq", &stream.take(&rows))?;
+        if (b + 1) % 5 == 0 {
+            println!(
+                "ingest: batch {:>2} -> {} rows, {} maintained samples",
+                b + 1,
+                report.total_rows,
+                report.maintained
+            );
         }
     }
-    let sample = MaterializedSample::from_rows(&table, rows, weights);
-
-    let query = sql::compile("SELECT country, AVG(value) FROM t GROUP BY country")?;
-    let truth = &query.execute(&table)?[0];
-    let approx = cvopt_core::estimate::estimate_single(&sample, &query)?;
-
-    let mut worst: f64 = 0.0;
-    let mut mean = 0.0;
-    for (key, tv) in truth.iter() {
-        let est = approx.value(key, 0).unwrap_or(f64::NAN);
-        let err = ((est - tv[0]) / tv[0]).abs();
-        worst = worst.max(err);
-        mean += err;
-    }
-    mean /= truth.num_groups() as f64;
     println!(
-        "one-pass sample answers AVG(value) per country: mean err {:.2}%, max err {:.2}% \
-         over {} groups",
-        100.0 * mean,
+        "statistics passes across {BATCHES} ingests: {passes_before} -> {}",
+        engine.stats_passes()
+    );
+
+    // The maintained sample answers over the extended table: no new draw.
+    let answer = engine.query(by_country, QueryMode::Approximate)?;
+    println!("warm:   {}", answer.report.to_line());
+    let truth = engine.query(by_country, QueryMode::Exact)?;
+    let (mut mean, mut worst) = (0.0f64, 0.0f64);
+    for (key, exact) in truth.results[0].iter() {
+        let estimate = answer.results[0].value(key, 0).unwrap_or(f64::NAN);
+        let err = ((estimate - exact[0]) / exact[0]).abs();
+        mean += err;
+        worst = worst.max(err);
+    }
+    let groups = truth.results[0].num_groups();
+    println!(
+        "AVG(value) per country after ingest: mean err {:.2}%, max err {:.2}% over {groups} groups",
+        100.0 * mean / groups as f64,
         100.0 * worst,
-        truth.num_groups()
+    );
+
+    let rotated = engine.rotate("openaq", epoch_seconds(2016, 1, 1, 0, 0, 0))?;
+    println!(
+        "rotate: retired {} rows, {} remain, {} maintained samples rebuilt",
+        rotated.retired, rotated.remaining, rotated.maintained
     );
     Ok(())
 }

@@ -10,7 +10,7 @@
 //! * [`table`] — columnar table engine, exact group-by executor, and the
 //!   deterministic chunked-parallel execution layer ([`table::exec`]).
 //! * [`core`] — the CVOPT sampler: statistics, allocation, stratified
-//!   draw, estimation, streaming.
+//!   draw, estimation, incremental maintenance.
 //! * [`serve`] — the HTTP serving layer: a shared engine behind a
 //!   threaded accept-loop → bounded-queue → worker-pool pipeline.
 //! * [`baselines`] — competing samplers (Uniform, CS, RL, Sample+Seek).

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use cvopt_core::{CvOptSampler, ExecOptions, Norm, QuerySpec, SamplingProblem, StratifiedSample};
 use cvopt_datagen::{generate_openaq, OpenAqConfig};
-use cvopt_table::agg::AggState;
+use cvopt_table::agg::{AggState, LANES};
 use cvopt_table::exec;
 use cvopt_table::{DataType, GroupIndex, ScalarExpr, Table, TableBuilder, Value};
 
@@ -249,8 +249,16 @@ fn lane_kernel_matches_scalar_reference_bit_for_bit() {
         let values: Vec<f64> = (0..len).map(|i| (i as f64 * 0.61).sin() * 1e4).collect();
         let mut optimized = AggState::default();
         optimized.update_slice(&values);
+        // The lane-merge contract, spelled with the public scalar pieces:
+        // LANES plain accumulators fed round-robin, merged in lane order.
+        let mut lanes = [AggState::default(); LANES];
+        for (i, &v) in values.iter().enumerate() {
+            lanes[i % LANES].update(v);
+        }
         let mut reference = AggState::default();
-        reference.update_slice_reference(&values);
+        for lane in &lanes {
+            reference.merge(lane);
+        }
         assert_eq!(optimized.count, reference.count, "len {len}");
         assert_eq!(optimized.sum.to_bits(), reference.sum.to_bits(), "len {len}");
         assert_eq!(optimized.mean.to_bits(), reference.mean.to_bits(), "len {len}");

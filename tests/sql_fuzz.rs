@@ -3,6 +3,8 @@
 //! must never panic, never recurse past its depth bound, and never loop.
 //! Valid expression trees generated bottom-up must always parse back.
 
+mod common;
+
 use proptest::prelude::*;
 
 use cvopt_table::{sql, TableError};
@@ -35,9 +37,8 @@ proptest! {
     /// Raw byte noise (lossy UTF-8): never panics, never succeeds unless
     /// the noise happens to be a statement.
     #[test]
-    fn byte_noise_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..120)) {
-        let input = String::from_utf8_lossy(&bytes);
-        let _ = sql::parse_statement(&input);
+    fn byte_noise_never_panics(seed in any::<u64>(), len in 0usize..120) {
+        let _ = sql::parse_statement(&common::byte_noise(seed, len));
     }
 
     /// Mutations of a valid statement — a window deleted anywhere — never
@@ -46,9 +47,7 @@ proptest! {
     fn mutated_statements_fail_with_positions(start in 0usize..70, len in 1usize..12) {
         let base = "EXPLAIN SELECT g, SUM(CASE WHEN v > 2 THEN v * 3 ELSE 0 END) \
                     FROM t JOIN d ON t.k = d.k WHERE v + 1 > 2 GROUP BY g";
-        let start = start.min(base.len());
-        let end = (start + len).min(base.len());
-        let mutated: String = format!("{}{}", &base[..start], &base[end..]);
+        let mutated = common::without_window(base, start, len);
         match sql::parse_statement(&mutated) {
             Ok(_) => {}
             Err(TableError::Sql { position, message }) => {
