@@ -15,6 +15,7 @@
 use cvopt_core::{Engine, ExecOptions, QueryMode, ShardedTable};
 use cvopt_datagen::{generate_openaq, OpenAqConfig};
 use cvopt_table::exec::partition_rows;
+use cvopt_table::groupby::total_group_id_bytes;
 
 /// Rows for the serving-workload fixture: large enough that the default
 /// auto threshold routes to the approximate path, small enough for CI.
@@ -36,6 +37,7 @@ fn main() {
     let mut engine = Engine::new().with_seed(7).with_exec(ExecOptions::sequential());
     engine.register("openaq", table.clone());
     let mut per_statement: Vec<(u64, u64)> = Vec::new();
+    let group_ids_before = total_group_id_bytes();
     for stmt in &STATEMENTS {
         let answer = engine.query(stmt, QueryMode::Approximate).expect("workload statement");
         per_statement.push((
@@ -43,12 +45,16 @@ fn main() {
             answer.report.strata.expect("approximate answers stratify") as u64,
         ));
     }
+    // A cold prepare indexes the table and each estimate its sample: per-row
+    // group ids a draw and a confidence pass read back.
+    let serving_group_ids = total_group_id_bytes() - group_ids_before;
     counters.push(("stats_passes/serving_workload".into(), engine.stats_passes()));
     // The cache economy itself: statements 1 and 2 share a derived
     // problem, so the workload must cost exactly one hit and two misses.
     counters.push(("cache_hits/serving_workload".into(), engine.cache_hits()));
     counters.push(("cache_misses/serving_workload".into(), engine.cache_misses()));
     counters.push(("cached_samples/serving_workload".into(), engine.cached_samples() as u64));
+    counters.push(("group_id_bytes/serving_workload".into(), serving_group_ids));
     let (sample_rows, strata) = *per_statement.last().expect("statements ran");
     counters.push(("sample_rows/last_statement".into(), sample_rows));
     counters.push(("strata/last_statement".into(), strata));
@@ -193,11 +199,25 @@ fn main() {
     let mut join_engine = Engine::new().with_seed(7).with_exec(ExecOptions::sequential());
     join_engine.register("openaq", fact.clone());
     join_engine.register("regions", dim.clone());
-    let joined = join_engine.query(join_stmt, QueryMode::Exact).expect("join workload");
     let mut join_sharded = Engine::new().with_seed(7).with_exec(ExecOptions::sequential());
     join_sharded.register("openaq", ShardedTable::split(&fact, 3).expect("split"));
     join_sharded.register("regions", dim.clone());
+    // What exact statements cost in per-row group ids: the join, and one
+    // statement over the plain and the 3-shard registration. Folding in the
+    // walk writes none; an index built for them would write 4 bytes a row.
+    let group_ids_before = total_group_id_bytes();
+    let exact_stmt = "SELECT country, parameter, unit, SUM(value), COUNT(*) FROM openaq \
+                      GROUP BY country, parameter, unit";
+    let plain_exact = join_engine.query(exact_stmt, QueryMode::Exact).expect("plain exact");
+    let sharded_exact = join_sharded.query(exact_stmt, QueryMode::Exact).expect("sharded exact");
+    assert_eq!(
+        format!("{:?}", plain_exact.results),
+        format!("{:?}", sharded_exact.results),
+        "a 3-shard registration must answer byte-identically"
+    );
+    let joined = join_engine.query(join_stmt, QueryMode::Exact).expect("join workload");
     let sharded_join = join_sharded.query(join_stmt, QueryMode::Exact).expect("sharded join");
+    let exact_group_ids = total_group_id_bytes() - group_ids_before;
     assert_eq!(
         format!("{:?}", joined.results),
         format!("{:?}", sharded_join.results),
@@ -220,6 +240,7 @@ fn main() {
         "the projected join must answer like the engine"
     );
     counters.push(("join_bytes_gathered/join_workload".into(), read.approx_bytes()));
+    counters.push(("group_id_bytes/exact_workload".into(), exact_group_ids));
 
     // Plan shapes: fixed by the row counts alone.
     counters.push(("partitions/workload_table".into(), partition_rows(WORKLOAD_ROWS).len() as u64));

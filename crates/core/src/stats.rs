@@ -207,14 +207,21 @@ impl StratumStatistics {
         let rows = rows.into();
         let bound = bind_columns(&rows, columns, options)?;
         record_pass();
+        // Partition 0's table is the accumulator: no second table of every
+        // stratum is allocated beside the partials.
         let states = exec::fold_partitioned(
             rows.num_rows(),
             options,
+            None,
             |_, range| {
                 partition_states(&rows, &bound, index.row_groups(), index.num_groups(), range)
             },
-            |acc, partial| exec::merge_state_tables(acc, partial, |a, b| a.merge(b)),
+            |acc: &mut Option<Vec<Vec<AggState>>>, partial| match acc {
+                Some(acc) => exec::merge_state_tables(acc, partial, |a, b| a.merge(b)),
+                None => *acc = Some(partial),
+            },
         );
+        let states = states.expect("a row space has at least one partition");
         Ok(Self::from_states(index, columns, states))
     }
 
@@ -298,7 +305,7 @@ impl StratumStatistics {
     /// `[coarse group][column]` accumulators (the statistics of the paper's
     /// groups `a ∈ A_i` derived from the finest strata).
     pub fn coarsen(&self, projection: &GroupProjection) -> Vec<Vec<AggState>> {
-        query::coarsen(projection, &self.states, self.num_columns())
+        query::coarsen(projection, self.states.iter().map(Vec::as_slice), self.num_columns())
     }
 
     /// Coarse populations under a projection.

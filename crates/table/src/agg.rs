@@ -126,8 +126,9 @@ impl AggExpr {
     }
 }
 
-/// What the one aggregation pass ([`GroupByQuery::aggregate`](crate::GroupByQuery::aggregate))
-/// folds per (group, aggregate). The pass is monomorphised over it:
+/// What the one aggregation pass ([`GroupByQuery::execute_with`](crate::GroupByQuery::execute_with),
+/// [`GroupByQuery::aggregate`](crate::GroupByQuery::aggregate)) folds per
+/// (group, aggregate). The pass is monomorphised over it:
 /// [`AggState`] fed unit weights is the exact executor, a Horvitz–Thompson
 /// accumulator fed sample weights is the estimator — same walk, same
 /// partition-order merge, same result assembly.
@@ -135,7 +136,9 @@ pub trait Accumulator: Clone + Default + Send {
     /// Accumulate one row's value; `weight` is how many table rows the row
     /// stands for (1 for a table row itself).
     fn update(&mut self, value: f64, weight: f64);
-    /// Merge another accumulator into this one, exactly.
+    /// Merge another accumulator into this one, exactly. Merging into
+    /// `Self::default()` must yield `other` bit for bit (the pass takes a
+    /// group's first partial as is), and merging a default is a no-op.
     fn merge(&mut self, other: &Self);
     /// Rows accumulated so far (raw, not weighted).
     fn rows(&self) -> u64;

@@ -183,21 +183,27 @@ where
 /// table): peak memory is O(threads + reorder skew) partials rather than
 /// O(partitions).
 ///
-/// Returns partition 0's result folded with every later partial. The fold
+/// Returns `init` folded with every partial, partition 0 first. The fold
 /// sequence is identical for any thread count, so float accumulation
 /// rounds identically.
-pub fn fold_partitioned<T, M, F>(n_rows: usize, options: &ExecOptions, map: M, mut fold: F) -> T
+pub fn fold_partitioned<T, U, M, F>(
+    n_rows: usize,
+    options: &ExecOptions,
+    init: U,
+    map: M,
+    mut fold: F,
+) -> U
 where
     T: Send,
     M: Fn(usize, RowRange) -> T + Sync,
-    F: FnMut(&mut T, T),
+    F: FnMut(&mut U, T),
 {
     let partitions = partition_rows(n_rows);
     let n = partitions.len();
     let threads = options.threads().min(n);
+    let mut acc = init;
     if threads <= 1 || n <= 1 {
-        let mut acc = map(0, partitions[0]);
-        for (i, &range) in partitions.iter().enumerate().skip(1) {
+        for (i, &range) in partitions.iter().enumerate() {
             fold(&mut acc, map(i, range));
         }
         return acc;
@@ -229,26 +235,21 @@ where
         // Fold strictly in partition order; out-of-order arrivals wait in a
         // reorder buffer whose size is bounded by scheduling skew.
         let mut pending: std::collections::BTreeMap<usize, T> = std::collections::BTreeMap::new();
-        let mut acc: Option<T> = None;
         let mut expected = 0usize;
         for (i, partial) in receiver {
             pending.insert(i, partial);
             while let Some(partial) = pending.remove(&expected) {
-                match acc.as_mut() {
-                    None => acc = Some(partial),
-                    Some(acc) => fold(acc, partial),
-                }
+                fold(&mut acc, partial);
                 expected += 1;
             }
         }
         assert_eq!(expected, n, "every partition folded exactly once");
-        acc.expect("at least one partition")
+        acc
     })
 }
 
 /// Merge one partial `[group][column]` state table into an accumulator of
-/// the same shape, cell by cell. The shared reduce step of the aggregation
-/// pass (whatever it accumulates) and the statistics pass.
+/// the same shape, cell by cell: the statistics pass's reduce step.
 pub fn merge_state_tables<S>(acc: &mut [Vec<S>], partial: Vec<Vec<S>>, merge: impl Fn(&mut S, &S)) {
     for (group, partial_group) in acc.iter_mut().zip(partial) {
         for (slot, state) in group.iter_mut().zip(partial_group) {
@@ -681,6 +682,7 @@ mod tests {
             let via_fold = fold_partitioned(
                 n,
                 &ExecOptions::new(threads),
+                0.0f64,
                 |_, r| r.rows().map(value).sum::<f64>(),
                 |acc, part| *acc += part,
             );
@@ -695,6 +697,7 @@ mod tests {
             let order = fold_partitioned(
                 n,
                 &ExecOptions::new(threads),
+                Vec::new(),
                 |i, _| vec![i],
                 |acc, part| acc.extend(part),
             );

@@ -1,4 +1,4 @@
-//! Grouping-key encoding shared by the exact executor and the samplers.
+//! Grouping keys: the one partition walk every grouping pass runs.
 //!
 //! A [`GroupIndex`] assigns every row a dense group id for a list of grouping
 //! expressions (the paper's "finest stratification" when the expressions are
@@ -6,23 +6,40 @@
 //! onto any subset of the dimensions — the paper's `Π(c, A)` mapping from a
 //! finest stratum `c` to the group of query `A` that contains it.
 //!
-//! Two functions do all of it, at different key types. `intern` scans rows
-//! in order and hands each distinct key the next dense id at its first
-//! occurrence: `i64` values when encoding a dimension, mixed-radix packed
-//! `u64` code tuples when grouping. `merge_ordered` joins partial results in
-//! row order through translation tables: the partitions of a parallel scan,
-//! the shards of a row space, an ingest batch behind a maintained index,
-//! and (one partial) the coarse keys of a projection. Group ids are therefore
-//! in **first-occurrence order** however the rows were cut up — the
-//! determinism contract every golden rests on.
+//! Every row's key is a mixed-radix `u64` of dimension codes in **one code
+//! space for the whole row space** (`RowKeys`): a string dimension lends
+//! its dictionary codes — translated, shard by shard, into one merged
+//! dictionary when the row space holds several in-process shards — an
+//! integer-like dimension is interned to dense codes first, and a group
+//! index lends its ids. The radix product is then the exact key-space bound,
+//! known before the scan.
+//!
+//! One walk does the per-row work (`RowKeys::walk`): over a row range, in
+//! row order, it maps each row's key to a partition-local *slot* — through a
+//! flat `u32` table indexed by the key when the bound is at most the rows
+//! walked, through a hash map otherwise; a property of the data, not an
+//! option — and hands each run of rows and their slots to its caller.
+//! [`GroupIndex::build_with`] writes the slots as per-row ids; the exact
+//! executor folds each slot's accumulators in place, so an exact statement
+//! over in-process rows never materialises a per-row id.
+//!
+//! `OrderedMerge` joins partial results in row order through translation
+//! tables: the partitions of a walk, an ingest batch behind a maintained
+//! index, the shards behind a reader, and (one partial) the coarse keys of a
+//! projection. Group ids are therefore in **first-occurrence order** however
+//! the rows were cut up — the determinism contract every golden rests on.
 
 use std::borrow::Cow;
 use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::exec::{self, ExecOptions, CHUNK_ROWS};
-use crate::expr::ScalarExpr;
+use crate::dict::Dictionary;
+use crate::exec::{self, ExecOptions, RowRange, CHUNK_ROWS};
+use crate::expr::{BoundExpr, ScalarExpr};
 use crate::fxhash::FxHashMap;
+use crate::reader::RowSpace;
+use crate::shard::ShardSegment;
 use crate::table::Table;
 use crate::types::Value;
 use crate::Result;
@@ -74,38 +91,280 @@ pub fn key_display(key: &[KeyAtom]) -> String {
     parts.join("|")
 }
 
-/// What interning yields: a dense id per row, the distinct keys in
-/// first-occurrence order, and each key's row count.
-struct Interned<K> {
-    ids: Vec<u32>,
+/// Process-wide bytes of per-row group ids produced so far.
+static GROUP_ID_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Bytes of per-row group ids this process has produced so far: 4 per row
+/// of every [`GroupIndex`] built, decoded, merged or appended to, whatever
+/// engine or sampler asked for it. Monotonic; never reset. An exact
+/// statement over in-process rows adds nothing: it folds without an index.
+pub fn total_group_id_bytes() -> u64 {
+    GROUP_ID_BYTES.load(Ordering::Relaxed)
+}
+
+fn note_group_ids(rows: usize) {
+    GROUP_ID_BYTES.fetch_add(4 * rows as u64, Ordering::Relaxed);
+}
+
+/// What one walk found: its distinct keys in first-occurrence order — slot
+/// order — and each key's row count.
+#[derive(Debug, Default)]
+pub(crate) struct LocalKeys {
+    keys: Vec<u64>,
+    sizes: Vec<u64>,
+}
+
+impl LocalKeys {
+    /// These keys as an [`OrderedMerge`] partial.
+    pub(crate) fn partial(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.keys.iter().copied().zip(self.sizes.iter().copied())
+    }
+
+    /// Append `key` as the next slot.
+    fn push(&mut self, key: u64) -> u32 {
+        self.keys.push(key);
+        self.sizes.push(0);
+        self.keys.len() as u32 - 1
+    }
+}
+
+/// How a walk finds a key's slot. Both tables hand slots out in
+/// first-occurrence order, so they give the same slots for the same rows.
+trait SlotTable {
+    fn slot(&mut self, key: u64, seen: &mut LocalKeys) -> u32;
+}
+
+/// Indexed by the key itself; holds `slot + 1`, 0 for a key not yet seen.
+struct FlatSlots(Vec<u32>);
+
+impl SlotTable for FlatSlots {
+    #[inline]
+    fn slot(&mut self, key: u64, seen: &mut LocalKeys) -> u32 {
+        let entry = &mut self.0[key as usize];
+        if *entry == 0 {
+            *entry = seen.push(key) + 1;
+        }
+        *entry - 1
+    }
+}
+
+/// For key spaces larger than the rows walked.
+#[derive(Default)]
+struct HashSlots(FxHashMap<u64, u32>);
+
+impl SlotTable for HashSlots {
+    #[inline]
+    fn slot(&mut self, key: u64, seen: &mut LocalKeys) -> u32 {
+        *self.0.entry(key).or_insert_with(|| seen.push(key))
+    }
+}
+
+/// Where one column of a packed key reads its codes.
+enum Codes<'k> {
+    /// Per shard: the shard's dictionary codes and, when they are not
+    /// already the column's code space, the table translating them into it.
+    Shards(Vec<(&'k [u32], Option<Vec<u32>>)>),
+    /// One code per global row.
+    Rows(Cow<'k, [u32]>),
+}
+
+/// One column of a packed key: a code per row and, per code, the key atoms
+/// it stands for — one atom for an encoded dimension, a key prefix after a
+/// fold, a whole key for a group index's ids. The label count is the
+/// column's radix.
+struct CodeColumn<'k> {
+    codes: Codes<'k>,
+    labels: Cow<'k, [Vec<KeyAtom>]>,
+}
+
+impl CodeColumn<'_> {
+    fn radix(&self) -> u64 {
+        self.labels.len() as u64
+    }
+
+    /// `key = key · radix + code` for the rows of `run`, one per key.
+    fn pack(&self, run: &ShardSegment, keys: &mut [u64]) {
+        let radix = self.radix();
+        let (codes, translation) = match &self.codes {
+            Codes::Shards(shards) => {
+                let (codes, translation) = &shards[run.shard];
+                (&codes[run.local.start..run.local.end], translation.as_deref())
+            }
+            Codes::Rows(codes) => (&codes[run.global_start..run.global_start + keys.len()], None),
+        };
+        match translation {
+            None => {
+                for (key, &code) in keys.iter_mut().zip(codes) {
+                    *key = *key * radix + u64::from(code);
+                }
+            }
+            Some(translation) => {
+                for (key, &code) in keys.iter_mut().zip(codes) {
+                    *key = *key * radix + u64::from(translation[code as usize]);
+                }
+            }
+        }
+    }
+}
+
+/// The key atoms packed key `key` stands for, first column first.
+fn decode(columns: &[CodeColumn], mut key: u64) -> Vec<KeyAtom> {
+    let mut parts: Vec<&[KeyAtom]> = Vec::with_capacity(columns.len());
+    for column in columns.iter().rev() {
+        let radix = column.radix();
+        parts.push(&column.labels[(key % radix) as usize]);
+        key /= radix;
+    }
+    parts.into_iter().rev().flatten().cloned().collect()
+}
+
+/// What a walk reads each row's `u64` key from.
+enum KeySource<'s, 'k> {
+    /// Mixed-radix packed code columns; `bound` is their radix product.
+    Packed { columns: &'s [CodeColumn<'k>], bound: u64 },
+    /// One integer-like expression, bound per shard: its value is the key,
+    /// and no bound is known before the scan.
+    Values { expr: &'s ScalarExpr, values: &'s [BoundExpr<'k>] },
+}
+
+impl KeySource<'_, '_> {
+    fn bound(&self) -> Option<u64> {
+        match self {
+            KeySource::Packed { bound, .. } => Some(*bound),
+            KeySource::Values { .. } => None,
+        }
+    }
+
+    /// The keys of the rows of `run`, one per entry of `keys`.
+    fn fill(&self, run: &ShardSegment, keys: &mut [u64]) -> Result<()> {
+        match self {
+            KeySource::Packed { columns, .. } => {
+                keys.fill(0);
+                for column in *columns {
+                    column.pack(run, keys);
+                }
+            }
+            KeySource::Values { expr, values } => {
+                let values = &values[run.shard];
+                for (key, row) in keys.iter_mut().zip(run.local.rows()) {
+                    *key = values.i64_at(row).ok_or_else(|| dim_type_error(expr))? as u64;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Rows per run a walk hands its caller, so a run's keys and slots stay in
+/// the first-level cache.
+const RUN_ROWS: usize = 1024;
+
+/// **The walk** — the only per-row key lookup there is. Visits the rows of
+/// `range` in row order, a run of at most [`RUN_ROWS`] rows of one shard at
+/// a time, and gives each row the slot of its key, local to this walk: the
+/// next slot at a key's first occurrence. `visit` receives each run, its
+/// rows' slots, and how many slots exist so far. Returns the walk's keys in
+/// slot order with their row counts.
+///
+/// The slot lookup is a flat table indexed by the key when the source's
+/// bound is at most the rows walked — the table is then no larger than the
+/// ids a walk writes — and a hash map otherwise. Slots are the same either
+/// way.
+fn walk(
+    source: &KeySource,
+    rows: &RowSpace,
+    range: RowRange,
+    visit: impl FnMut(&ShardSegment, &[u32], usize),
+) -> Result<LocalKeys> {
+    match source.bound() {
+        Some(bound) if bound <= range.len() as u64 => {
+            walk_with(FlatSlots(vec![0; bound as usize]), source, rows, range, visit)
+        }
+        _ => walk_with(HashSlots::default(), source, rows, range, visit),
+    }
+}
+
+fn walk_with(
+    mut table: impl SlotTable,
+    source: &KeySource,
+    rows: &RowSpace,
+    range: RowRange,
+    mut visit: impl FnMut(&ShardSegment, &[u32], usize),
+) -> Result<LocalKeys> {
+    let mut seen = LocalKeys::default();
+    let mut keys = [0u64; RUN_ROWS];
+    let mut slots = [0u32; RUN_ROWS];
+    for segment in rows.segments(range) {
+        let mut start = segment.local.start;
+        while start < segment.local.end {
+            let end = segment.local.end.min(start + RUN_ROWS);
+            let run = ShardSegment {
+                shard: segment.shard,
+                local: RowRange { start, end },
+                global_start: segment.global_start + (start - segment.local.start),
+            };
+            let (keys, slots) = (&mut keys[..end - start], &mut slots[..end - start]);
+            source.fill(&run, keys)?;
+            for (slot, &key) in slots.iter_mut().zip(keys.iter()) {
+                *slot = table.slot(key, &mut seen);
+                seen.sizes[*slot as usize] += 1;
+            }
+            visit(&run, slots, seen.keys.len());
+            start = end;
+        }
+    }
+    Ok(seen)
+}
+
+/// **The ordered merge** — the only builder of translation tables. Partials
+/// arrive in row order, each listing its `(key, size)` pairs in local
+/// first-occurrence order; a key's merged id is assigned at its earliest
+/// partial, so concatenated local first-seen order becomes global
+/// first-seen order: exactly what one walk over all rows assigns.
+#[derive(Debug)]
+pub(crate) struct OrderedMerge<K> {
+    map: FxHashMap<K, u32>,
     keys: Vec<K>,
     sizes: Vec<u64>,
 }
 
-/// **The interning kernel** — the only per-row map insert in this module.
-/// Walks the rows from `first_row` on in row order, one per slot of `ids`,
-/// and writes each row's dense id there: a distinct `key_at(row)` takes the
-/// next id at its first occurrence (ids are local to the walk). Returns the
-/// distinct keys in that order and their row counts.
-fn intern<K: Copy + Eq + Hash>(
-    first_row: usize,
-    ids: &mut [u32],
-    key_at: impl Fn(usize) -> Result<K>,
-) -> Result<(Vec<K>, Vec<u64>)> {
-    let mut map: FxHashMap<K, u32> = FxHashMap::default();
-    let (mut keys, mut sizes) = (Vec::new(), Vec::new());
-    for (slot, row) in ids.iter_mut().zip(first_row..) {
-        let key = key_at(row)?;
-        let next = keys.len() as u32;
-        let id = *map.entry(key).or_insert_with(|| {
-            keys.push(key);
-            sizes.push(0);
-            next
-        });
-        sizes[id as usize] += 1;
-        *slot = id;
+impl<K> Default for OrderedMerge<K> {
+    fn default() -> Self {
+        OrderedMerge { map: FxHashMap::default(), keys: Vec::new(), sizes: Vec::new() }
     }
-    Ok((keys, sizes))
+}
+
+impl<K: Clone + Eq + Hash> OrderedMerge<K> {
+    /// Merge the next partial, returning the table that translates its
+    /// local ids to merged ids. Keys first seen here take the next merged
+    /// ids, in the partial's order.
+    pub(crate) fn push(&mut self, partial: impl IntoIterator<Item = (K, u64)>) -> Vec<u32> {
+        let mut translate = |(key, size): (K, u64)| {
+            let id = match self.map.get(&key) {
+                Some(&id) => id,
+                None => {
+                    let id = self.keys.len() as u32;
+                    self.map.insert(key.clone(), id);
+                    self.keys.push(key);
+                    self.sizes.push(0);
+                    id
+                }
+            };
+            self.sizes[id as usize] += size;
+            id
+        };
+        partial.into_iter().map(&mut translate).collect()
+    }
+
+    /// How many keys have been merged so far.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The merged keys, in first-occurrence order.
+    pub(crate) fn into_keys(self) -> Vec<K> {
+        self.keys
+    }
 }
 
 /// What [`merge_ordered`] yields: per partial, the table translating its
@@ -117,66 +376,51 @@ struct Merged<K> {
     sizes: Vec<u64>,
 }
 
-/// **The ordered merge** — the only builder of translation tables. Each
-/// partial lists its `(key, size)` pairs in local first-occurrence order;
-/// walking the partials **in row order** assigns a key's merged id at its
-/// earliest partial, so concatenated local first-seen order becomes global
-/// first-seen order: exactly what one [`intern`] over all rows assigns.
+/// [`OrderedMerge`] over every partial at once.
 fn merge_ordered<K, P>(partials: impl IntoIterator<Item = P>) -> Merged<K>
 where
     K: Clone + Eq + Hash,
     P: IntoIterator<Item = (K, u64)>,
 {
-    let mut map: FxHashMap<K, u32> = FxHashMap::default();
-    let mut keys: Vec<K> = Vec::new();
-    let mut sizes: Vec<u64> = Vec::new();
-    let mut translate = |(key, size): (K, u64)| {
-        let id = match map.get(&key) {
-            Some(&id) => id,
-            None => {
-                let id = keys.len() as u32;
-                map.insert(key.clone(), id);
-                keys.push(key);
-                sizes.push(0);
-                id
-            }
-        };
-        sizes[id as usize] += size;
-        id
-    };
-    let translations = partials
-        .into_iter()
-        .map(|partial| partial.into_iter().map(&mut translate).collect())
-        .collect();
-    Merged { translations, keys, sizes }
+    let mut merge = OrderedMerge::default();
+    let translations = partials.into_iter().map(|partial| merge.push(partial)).collect();
+    Merged { translations, keys: merge.keys, sizes: merge.sizes }
 }
 
-/// Intern all `n` rows: [`intern`] per 64Ki-row partition, [`merge_ordered`]
-/// over the partitions, and a second parallel pass rewriting per-row ids
-/// through the translation tables — identical to one sequential scan for
-/// any thread count. One partition (or one worker) is that scan. The ids
-/// are written and rewritten in the one buffer that is returned, so a build
-/// allocates per-row memory once however the rows were cut up.
-fn intern_rows<K: Copy + Eq + Hash + Send + Sync>(
-    n: usize,
-    options: &ExecOptions,
-    key_at: impl Fn(usize) -> Result<K> + Sync,
-) -> Result<Interned<K>> {
+/// What interning yields: a dense id per row, the distinct keys in
+/// first-occurrence order, and each key's row count.
+struct Interned {
+    ids: Vec<u32>,
+    keys: Vec<u64>,
+    sizes: Vec<u64>,
+}
+
+/// Intern every row of `rows`: [`walk`] each block — the whole row space
+/// on one worker, [`CHUNK_ROWS`]-row partitions otherwise — writing each
+/// row's slot as its id, [`merge_ordered`] over the blocks, and a second
+/// parallel pass rewriting ids through the translation tables: identical to
+/// one sequential walk for any thread count. The ids are written and
+/// rewritten in the one buffer that is returned.
+fn intern_rows(rows: &RowSpace, source: &KeySource, options: &ExecOptions) -> Result<Interned> {
+    let n = rows.num_rows();
     let block = if options.threads() <= 1 { n.max(1) } else { CHUNK_ROWS };
     let mut ids = vec![0u32; n];
-    let mut partials: Vec<(Vec<K>, Vec<u64>)> =
+    let mut partials: Vec<LocalKeys> =
         exec::for_each_chunk_mut(&mut ids, block, options, |i, ids| {
-            intern(i * block, ids, &key_at)
+            let start = i * block;
+            let range = RowRange { start, end: start + ids.len() };
+            walk(source, rows, range, |run, slots, _| {
+                let at = run.global_start - start;
+                ids[at..at + slots.len()].copy_from_slice(slots);
+            })
         })
         .into_iter()
         .collect::<Result<_>>()?;
     if partials.len() <= 1 {
-        let (keys, sizes) = partials.pop().unwrap_or_default();
+        let LocalKeys { keys, sizes } = partials.pop().unwrap_or_default();
         return Ok(Interned { ids, keys, sizes });
     }
-    let merged = merge_ordered(
-        partials.iter().map(|(keys, sizes)| keys.iter().copied().zip(sizes.iter().copied())),
-    );
+    let merged = merge_ordered(partials.iter().map(LocalKeys::partial));
     exec::for_each_chunk_mut(&mut ids, block, options, |i, ids| {
         for id in ids {
             *id = merged.translations[i][*id as usize];
@@ -185,89 +429,132 @@ fn intern_rows<K: Copy + Eq + Hash + Send + Sync>(
     Ok(Interned { ids, keys: merged.keys, sizes: merged.sizes })
 }
 
-/// One column of a packed key: a dense `u32` code per row and, per code, the
-/// key atoms it stands for — one atom for an encoded dimension, a whole key
-/// prefix after a fold (see [`intern_tuples`]). The label count is the
-/// column's radix. A string dimension lends its dictionary codes; every
-/// other column owns the ids an [`intern_rows`] produced.
-struct CodeColumn<'a> {
-    codes: Cow<'a, [u32]>,
-    labels: Vec<Vec<KeyAtom>>,
-}
-
 fn dim_type_error(expr: &ScalarExpr) -> crate::error::TableError {
     crate::error::TableError::invalid(format!(
         "grouping expression {expr} is not integer-like or string"
     ))
 }
 
-fn encode_dimension<'a>(
-    table: &'a Table,
+/// One grouping dimension over in-process `tables` (the shards of `rows`,
+/// in order), as a column of codes in one space for the whole row space.
+fn encode_dimension<'k>(
+    rows: &RowSpace,
+    tables: &[&'k Table],
     expr: &ScalarExpr,
     options: &ExecOptions,
-) -> Result<CodeColumn<'a>> {
-    let bound = expr.bind(table)?;
-    if bound.is_plain_str() {
-        // Dictionary codes are already dense distinct-value codes.
-        let codes = Cow::Borrowed(bound.column().str_codes().expect("plain str column"));
-        let dict = bound.column().dictionary().expect("plain str column");
-        let labels = (0..dict.len() as u32).map(|c| vec![KeyAtom::Str(dict.get_arc(c))]).collect();
-        return Ok(CodeColumn { codes, labels });
+) -> Result<CodeColumn<'k>> {
+    let bound: Vec<BoundExpr<'k>> = tables.iter().map(|t| expr.bind(t)).collect::<Result<_>>()?;
+    if bound.first().is_some_and(BoundExpr::is_plain_str) {
+        // Dictionary codes are already dense distinct-value codes. The
+        // merged space is shard 0's dictionary, then each later shard's
+        // unseen strings in code order, at O(dictionary) per shard; a shard
+        // whose codes already are that space reads them as they are.
+        let dictionary = |b: &BoundExpr<'k>| b.column().dictionary().expect("plain str column");
+        let mut merged: Cow<Dictionary> = Cow::Borrowed(dictionary(&bound[0]));
+        let mut shards = Vec::with_capacity(bound.len());
+        for (s, b) in bound.iter().enumerate() {
+            let translation: Vec<u32> = match s {
+                0 => Vec::new(),
+                _ => dictionary(b)
+                    .iter()
+                    .map(|(_, v)| merged.code_of(v).unwrap_or_else(|| merged.to_mut().intern(v)))
+                    .collect(),
+            };
+            let identity = translation.iter().zip(0u32..).all(|(&to, from)| to == from);
+            let codes = b.column().str_codes().expect("plain str column");
+            shards.push((codes, (!identity).then_some(translation)));
+        }
+        let labels = (0..merged.len() as u32).map(|c| vec![KeyAtom::Str(merged.get_arc(c))]);
+        let labels = Cow::Owned(labels.collect());
+        return Ok(CodeColumn { codes: Codes::Shards(shards), labels });
     }
     // Integer-like dimension: intern values to dense codes in first-seen
-    // order.
-    let interned = intern_rows(table.num_rows(), options, |row| {
-        bound.i64_at(row).ok_or_else(|| dim_type_error(expr))
-    })?;
-    let labels = interned.keys.into_iter().map(|v| vec![KeyAtom::Int(v)]).collect();
-    Ok(CodeColumn { codes: Cow::Owned(interned.ids), labels })
+    // order — the same walk, keyed by the value.
+    let interned = intern_rows(rows, &KeySource::Values { expr, values: &bound }, options)?;
+    let labels = interned.keys.into_iter().map(|v| vec![KeyAtom::Int(v as i64)]).collect();
+    Ok(CodeColumn { codes: Codes::Rows(Cow::Owned(interned.ids)), labels: Cow::Owned(labels) })
 }
 
-/// Intern the rows' code tuples: every tuple is packed into one mixed-radix
-/// `u64` (radix = each column's label count, so the radix product is the
-/// exact key-space bound) and handed to [`intern_rows`]. When the product
-/// would overflow, the longest prefix that fits is interned first and its
-/// dense ids — at most `n` < 2³² of them — continue as one column: the same
-/// kernel applied again. Returns the group column (per-row group ids, group
-/// keys) and the group sizes.
-fn intern_tuples<'a>(
-    mut columns: Vec<CodeColumn<'a>>,
-    n: usize,
-    options: &ExecOptions,
-) -> Result<(CodeColumn<'a>, Vec<u64>)> {
-    loop {
-        let mut fit = 0;
-        let mut product = 1u64;
-        while let Some(p) =
-            columns.get(fit).and_then(|c| product.checked_mul(c.labels.len() as u64))
-        {
-            product = p;
-            fit += 1;
-        }
-        assert!(fit >= 2 || fit == columns.len(), "two u32 code spaces always fit a u64");
-        let head = &columns[..fit];
-        let packed = intern_rows(n, options, |row| {
-            Ok(head.iter().fold(0, |key, c| key * c.labels.len() as u64 + u64::from(c.codes[row])))
-        })?;
-        let labels = packed
-            .keys
+/// Every row's grouping key over one row space, packed into one `u64` code
+/// space whose bound — the radix product — is known before any walk.
+pub(crate) struct RowKeys<'k> {
+    columns: Vec<CodeColumn<'k>>,
+    bound: u64,
+}
+
+impl<'k> RowKeys<'k> {
+    /// The keys of `exprs` over `rows`, whose shards are the in-process
+    /// `tables`. When the radix product would overflow, the longest prefix
+    /// that fits is interned first and its dense ids — at most `n` < 2³² of
+    /// them — continue as one column: the same walk applied again.
+    pub(crate) fn encode(
+        rows: &RowSpace,
+        tables: &[&'k Table],
+        exprs: &[ScalarExpr],
+        options: &ExecOptions,
+    ) -> Result<RowKeys<'k>> {
+        let mut columns: Vec<CodeColumn<'k>> = exprs
             .iter()
-            .map(|&key| {
-                let mut rest = key;
-                let mut atoms: Vec<&[KeyAtom]> = Vec::with_capacity(fit);
-                for column in head.iter().rev() {
-                    let radix = column.labels.len() as u64;
-                    atoms.push(&column.labels[(rest % radix) as usize]);
-                    rest /= radix;
-                }
-                atoms.into_iter().rev().flatten().cloned().collect()
-            })
-            .collect();
-        let groups = CodeColumn { codes: Cow::Owned(packed.ids), labels };
-        if fit == columns.len() {
-            return Ok((groups, packed.sizes));
+            .map(|expr| encode_dimension(rows, tables, expr, options))
+            .collect::<Result<_>>()?;
+        loop {
+            let mut fit = 0;
+            let mut bound = 1u64;
+            while let Some(p) = columns.get(fit).and_then(|c| bound.checked_mul(c.radix())) {
+                bound = p;
+                fit += 1;
+            }
+            if fit == columns.len() {
+                return Ok(RowKeys { columns, bound });
+            }
+            assert!(fit >= 2, "two u32 code spaces always fit a u64");
+            let head = &columns[..fit];
+            let folded = intern_rows(rows, &KeySource::Packed { columns: head, bound }, options)?;
+            let labels = folded.keys.iter().map(|&key| decode(head, key)).collect();
+            let column = CodeColumn {
+                codes: Codes::Rows(Cow::Owned(folded.ids)),
+                labels: Cow::Owned(labels),
+            };
+            columns.splice(..fit, [column]);
         }
-        columns.splice(..fit, [groups]);
+    }
+
+    /// The ids of `index` as keys, bounded by its group count.
+    pub(crate) fn of_index(index: &'k GroupIndex) -> RowKeys<'k> {
+        let column = CodeColumn {
+            codes: Codes::Rows(Cow::Borrowed(&index.row_groups)),
+            labels: Cow::Borrowed(&index.group_keys),
+        };
+        RowKeys { bound: column.radix(), columns: vec![column] }
+    }
+
+    /// The most slots a walk over `range` can hand out.
+    pub(crate) fn max_slots(&self, range: RowRange) -> usize {
+        self.bound.min(range.len() as u64) as usize
+    }
+
+    fn source(&self) -> KeySource<'_, 'k> {
+        KeySource::Packed { columns: &self.columns, bound: self.bound }
+    }
+
+    /// [`walk`] the rows `range` of `rows` — the row space these keys were
+    /// encoded over — handing each run and its slots to `visit`.
+    pub(crate) fn walk(
+        &self,
+        rows: &RowSpace,
+        range: RowRange,
+        visit: impl FnMut(&ShardSegment, &[u32], usize),
+    ) -> LocalKeys {
+        walk(&self.source(), rows, range, visit).expect("code columns hold a key for every row")
+    }
+
+    /// The key atoms of packed key `key`, borrowed from the labels when one
+    /// column holds the whole key (a group index's ids, a single dimension).
+    pub(crate) fn decode(&self, key: u64) -> Cow<'_, [KeyAtom]> {
+        match self.columns.as_slice() {
+            [column] => Cow::Borrowed(&column.labels[key as usize]),
+            columns => Cow::Owned(decode(columns, key)),
+        }
     }
 }
 
@@ -290,35 +577,37 @@ impl GroupIndex {
         Self::build_with(table, exprs, &ExecOptions::default())
     }
 
-    /// Build the index with explicit execution options.
+    /// Build the index with explicit execution options: the one-shard case
+    /// of [`RowSpace::group_index`].
     ///
-    /// The parallel path interns group keys per partition and merges the
-    /// partitions **in row order**, so group ids follow first-occurrence
-    /// order and the result is identical to the sequential build for any
-    /// thread count.
+    /// The parallel path walks 64Ki-row partitions and merges them **in row
+    /// order**, so group ids follow first-occurrence order and the result is
+    /// identical to the sequential build for any thread count.
     pub fn build_with(
         table: &Table,
         exprs: &[ScalarExpr],
         options: &ExecOptions,
     ) -> Result<GroupIndex> {
-        let dim_names = exprs.iter().map(|e| e.display_name()).collect();
-        let n = table.num_rows();
-        if exprs.is_empty() {
-            return Ok(GroupIndex {
-                dim_names,
-                row_groups: vec![0; n],
-                group_keys: vec![Vec::new()],
-                group_sizes: vec![n as u64],
-            });
-        }
-        let dims =
-            exprs.iter().map(|e| encode_dimension(table, e, options)).collect::<Result<_>>()?;
-        let (groups, group_sizes) = intern_tuples(dims, n, options)?;
+        RowSpace::from(table).group_index(exprs, options)
+    }
+
+    /// The index over `rows`, whose shards are the in-process `tables`: one
+    /// walk over the whole row space, its slots written as ids.
+    pub(crate) fn build_local(
+        rows: &RowSpace,
+        tables: &[&Table],
+        exprs: &[ScalarExpr],
+        options: &ExecOptions,
+    ) -> Result<GroupIndex> {
+        let keys = RowKeys::encode(rows, tables, exprs, options)?;
+        let interned = intern_rows(rows, &keys.source(), options)?;
+        let group_keys = interned.keys.iter().map(|&key| keys.decode(key).into_owned()).collect();
+        note_group_ids(interned.ids.len());
         Ok(GroupIndex {
-            dim_names,
-            row_groups: groups.codes.into_owned(),
-            group_keys: groups.labels,
-            group_sizes,
+            dim_names: exprs.iter().map(ScalarExpr::display_name).collect(),
+            row_groups: interned.ids,
+            group_keys,
+            group_sizes: interned.sizes,
         })
     }
 
@@ -345,12 +634,14 @@ impl GroupIndex {
         self.group_keys.extend(new_keys);
         self.group_sizes = sizes;
         self.row_groups.extend(batch.row_groups.iter().map(|&g| translations[1][g as usize]));
+        note_group_ids(batch.num_rows());
         Ok(())
     }
 
     /// Merge independently-built indexes over consecutive row blocks into
-    /// one index over their concatenation — the merge behind
-    /// [`RowSpace::group_index`](crate::reader::RowSpace::group_index).
+    /// one index over their concatenation — how
+    /// [`RowSpace::group_index`] joins the indexes of shards behind a
+    /// reader.
     ///
     /// `locals` are indexes over consecutive blocks of the combined row
     /// space, in row order; every local must stratify by the same
@@ -364,6 +655,7 @@ impl GroupIndex {
             ));
         };
         let mut merged = first.clone();
+        note_group_ids(first.num_rows());
         merged.row_groups.reserve(rest.iter().map(GroupIndex::num_rows).sum());
         for local in rest {
             merged.append(local)?;
@@ -416,6 +708,7 @@ impl GroupIndex {
                 group_sizes[g], counted[g]
             ));
         }
+        note_group_ids(row_groups.len());
         Ok(GroupIndex { dim_names, row_groups, group_keys, group_sizes })
     }
 
@@ -469,20 +762,9 @@ impl GroupIndex {
     /// the dimension list, in the order the coarse grouping should use).
     ///
     /// Returns the `Π` mapping: for each fine group id, the coarse group id
-    /// containing it, along with the coarse keys — a `merge_ordered` of
-    /// one partial, the fine groups' projected keys.
+    /// containing it, along with the coarse keys.
     pub fn project(&self, dims: &[usize]) -> GroupProjection {
-        assert!(dims.iter().all(|&d| d < self.num_dims()), "projection dim out of range");
-        let projected = self.partial().map(|(key, size)| {
-            (dims.iter().map(|&d| key[d].clone()).collect::<Vec<KeyAtom>>(), size)
-        });
-        let Merged { mut translations, keys, .. } = merge_ordered([projected]);
-        let dim_names = dims.iter().map(|&d| self.dim_names[d].clone()).collect();
-        GroupProjection {
-            dim_names,
-            fine_to_coarse: translations.swap_remove(0),
-            coarse_keys: keys,
-        }
+        GroupProjection::of(&self.dim_names, &self.group_keys, dims)
     }
 }
 
@@ -495,6 +777,27 @@ pub struct GroupProjection {
 }
 
 impl GroupProjection {
+    /// Project fine groups — `keys` over the dimensions `dim_names`, in
+    /// fine-id order — onto `dims`: a [`merge_ordered`] of one partial, the
+    /// fine keys' projections, so coarse ids follow first occurrence too.
+    pub(crate) fn of(
+        dim_names: &[String],
+        keys: &[impl AsRef<[KeyAtom]>],
+        dims: &[usize],
+    ) -> GroupProjection {
+        assert!(dims.iter().all(|&d| d < dim_names.len()), "projection dim out of range");
+        let projected = keys.iter().map(|key| {
+            let key = key.as_ref();
+            (dims.iter().map(|&d| key[d].clone()).collect::<Vec<_>>(), 0)
+        });
+        let Merged { mut translations, keys, .. } = merge_ordered([projected]);
+        GroupProjection {
+            dim_names: dims.iter().map(|&d| dim_names[d].clone()).collect(),
+            fine_to_coarse: translations.swap_remove(0),
+            coarse_keys: keys,
+        }
+    }
+
     /// Names of the coarse dimensions.
     pub fn dim_names(&self) -> &[String] {
         &self.dim_names
@@ -743,6 +1046,33 @@ mod tests {
         assert_eq!(gi.num_groups(), 1);
         assert_eq!(gi.size(0), 6);
         assert!(gi.row_groups().iter().all(|&g| g == 0));
+    }
+
+    /// Over the same rows — several runs, one key space — the flat table and
+    /// the hash map hand out the same slots, keys and sizes.
+    #[test]
+    fn flat_and_hashed_slots_agree() {
+        let mut b = TableBuilder::new(&[("s", DataType::Str), ("i", DataType::Int64)]);
+        for r in 0..3 * RUN_ROWS + 17 {
+            b.push_row(&[Value::str(format!("s{}", r * 7 % 23)), Value::Int64((r % 5) as i64)])
+                .unwrap();
+        }
+        let t = b.finish();
+        let rows = RowSpace::from(&t);
+        let tables = rows.local_tables().unwrap();
+        let exprs = [ScalarExpr::col("s"), ScalarExpr::col("i")];
+        let keys = RowKeys::encode(&rows, &tables, &exprs, &ExecOptions::sequential()).unwrap();
+        assert_eq!(keys.bound, 23 * 5);
+        let range = RowRange { start: 0, end: t.num_rows() };
+        let (mut flat, mut hashed) = (Vec::new(), Vec::new());
+        let table = FlatSlots(vec![0; keys.bound as usize]);
+        let a = walk_with(table, &keys.source(), &rows, range, |_, s, _| flat.extend_from_slice(s));
+        let b = walk_with(HashSlots::default(), &keys.source(), &rows, range, |_, s, _| {
+            hashed.extend_from_slice(s)
+        });
+        let (a, b) = (a.unwrap(), b.unwrap());
+        assert_eq!((flat, &a.keys, &a.sizes), (hashed, &b.keys, &b.sizes));
+        assert_eq!(a.keys.len(), 23 * 5);
     }
 
     #[test]

@@ -1,12 +1,22 @@
-//! Group-by query execution: one aggregation pass,
-//! [`GroupByQuery::aggregate`], generic over the [`Accumulator`] it folds.
+//! Group-by query execution: one aggregation pass, generic over the
+//! [`Accumulator`] it folds.
 //!
-//! [`GroupByQuery::execute`] runs it with [`AggState`] and unit weights and
-//! computes exact answers (the experiments' ground truth); sample-based
-//! estimators run the same pass with a weighted accumulator. The pass
-//! accumulates per finest group and then *merges* the states through group
-//! projections for cube grouping sets, so a `WITH CUBE` over k attributes
-//! still scans the data once.
+//! The pass walks the rows one global partition at a time, in the grouping
+//! module's one walk: each row's key takes a partition-local slot and, when
+//! the predicate keeps the row, updates that slot's accumulators in the same
+//! step, so interning and folding read every row once. Each partition's
+//! state table is sized by the groups it saw; partitions merge keys and
+//! states together, in partition order, through the ordered merge; and the
+//! merged finest-group states are projected onto each grouping set, so a
+//! `WITH CUBE` over k attributes still scans the data once.
+//!
+//! [`GroupByQuery::execute`] runs it with [`AggState`] and unit weights over
+//! packed dimension codes — with no group index, when the rows are
+//! in-process — and computes exact answers (the experiments' ground truth).
+//! Sample-based estimators run the same pass over a group index's ids
+//! ([`GroupByQuery::aggregate`]) with a weighted accumulator.
+
+use std::borrow::Cow;
 
 use crate::agg::{Accumulator, AggExpr, AggKind, AggState};
 use crate::bitmap::Bitmap;
@@ -14,7 +24,7 @@ use crate::cube::grouping_sets;
 use crate::exec::{self, ExecOptions};
 use crate::expr::{BoundExpr, ScalarExpr};
 use crate::fxhash::FxHashMap;
-use crate::groupby::{GroupIndex, GroupProjection, KeyAtom};
+use crate::groupby::{GroupIndex, GroupProjection, KeyAtom, LocalKeys, OrderedMerge, RowKeys};
 use crate::predicate::Predicate;
 use crate::reader::RowSpace;
 use crate::Result;
@@ -79,42 +89,44 @@ impl GroupByQuery {
         self.execute_with(rows, &ExecOptions::default())
     }
 
-    /// Execute with explicit execution options. The group-index build, the
-    /// predicate scan, and the aggregation pass are all chunk-parallel, and
-    /// shards may be local, remote, or mixed. Because aggregation partials
-    /// are whole *global* partitions (each assembled from the shard
-    /// segments covering it) merged in partition order, the results are
-    /// **bit-identical to executing on the concatenated table** for any
-    /// shard layout and thread count.
+    /// Execute with explicit execution options. Over in-process rows — a
+    /// table, or every shard of a set — the pass keys rows by their packed
+    /// dimension codes and never builds a group index; when a shard is
+    /// behind a reader it keys them by the merged index's ids. The
+    /// predicate scan and the aggregation pass are chunk-parallel. Because
+    /// aggregation partials are whole *global* partitions (each assembled
+    /// from the shard segments covering it) merged in partition order, the
+    /// results are **bit-identical to executing on the concatenated table**
+    /// for any shard layout and thread count.
     pub fn execute_with<'a>(
         &self,
         rows: impl Into<RowSpace<'a>>,
         options: &ExecOptions,
     ) -> Result<Vec<QueryResult>> {
         let rows = rows.into();
-        let index = rows.group_index(&self.group_by, options)?;
+        let index;
+        let keys = match rows.local_tables() {
+            Some(tables) => RowKeys::encode(&rows, &tables, &self.group_by, options)?,
+            None => {
+                index = rows.group_index(&self.group_by, options)?;
+                RowKeys::of_index(&index)
+            }
+        };
         let filters = match &self.predicate {
             Some(p) => Some(rows.predicate_bitmaps(p, options)?),
             None => None,
         };
-        self.aggregate::<AggState>(&rows, &index, filters.as_deref(), |_| 1.0, options)
+        self.fold::<AggState>(&rows, &keys, filters.as_deref(), |_| 1.0, options)
     }
 
-    /// The aggregation pass, the only one there is: walk `rows` under the
-    /// optional per-shard `filters`, fold one accumulator per (finest group
-    /// of `index`, aggregate) per partition, merge the partials in
-    /// partition order, project the merged states onto each grouping set
-    /// and assemble one [`QueryResult`] per set. `index` and `filters` are
-    /// this query's [`RowSpace::group_index`] and
-    /// [`RowSpace::predicate_bitmaps`] over the same `rows`; `weight` maps a
-    /// global row id to the weight its value is accumulated with.
-    ///
-    /// Partials are whole **global** partitions — each one walks the shard
-    /// segments that cover it, reading values through that shard's bound
-    /// expressions — so every partial's accumulation chain visits the same
-    /// rows in the same order wherever shard boundaries fall, and the
-    /// partition-order merge makes the result bit-identical to the
-    /// single-table pass.
+    /// The aggregation pass over the ids of `index`, this query's
+    /// [`RowSpace::group_index`] over `rows`: walk `rows` under the
+    /// optional per-shard `filters` (this query's
+    /// [`RowSpace::predicate_bitmaps`]), fold one accumulator per (group,
+    /// aggregate) per partition, merge the partials in partition order,
+    /// project the merged states onto each grouping set and assemble one
+    /// [`QueryResult`] per set. `weight` maps a global row id to the weight
+    /// its value is accumulated with.
     pub fn aggregate<A: Accumulator>(
         &self,
         rows: &RowSpace<'_>,
@@ -123,52 +135,107 @@ impl GroupByQuery {
         weight: impl Fn(usize) -> f64 + Sync,
         options: &ExecOptions,
     ) -> Result<Vec<QueryResult>> {
+        self.fold::<A>(rows, &RowKeys::of_index(index), filters, weight, options)
+    }
+
+    /// The pass itself, over any keys of `rows`. Every row takes a slot, so
+    /// fine groups follow first occurrence over *all* rows — the order
+    /// [`coarsen`] merges them in — but only rows the filters keep are
+    /// folded.
+    ///
+    /// Partials are whole **global** partitions — each one walks the shard
+    /// segments that cover it, reading values through that shard's bound
+    /// expressions — so every (partition, group) accumulation chain visits
+    /// the same rows in the same order wherever shard boundaries fall, and
+    /// the partition-order merge makes the result bit-identical to the
+    /// single-table pass.
+    fn fold<A: Accumulator>(
+        &self,
+        rows: &RowSpace<'_>,
+        keys: &RowKeys<'_>,
+        filters: Option<&[Bitmap]>,
+        weight: impl Fn(usize) -> f64 + Sync,
+        options: &ExecOptions,
+    ) -> Result<Vec<QueryResult>> {
         let aggregates = &self.aggregates;
+        let width = aggregates.len();
         let inputs: Vec<Option<ScalarExpr>> = aggregates.iter().map(|a| a.input.clone()).collect();
         let bound = rows.bind(&inputs, options)?;
 
-        let fine = exec::fold_partitioned(
+        // `fine[group * width + aggregate]`, groups in merged
+        // (first-occurrence) order.
+        let (merge, fine) = exec::fold_partitioned(
             rows.num_rows(),
             options,
+            (OrderedMerge::<u64>::default(), Vec::<A>::new()),
             |_, range| {
-                let mut states = vec![vec![A::default(); aggregates.len()]; index.num_groups()];
-                for seg in rows.segments(range) {
-                    let shard_bound = &bound[seg.shard];
+                // `states[slot * width + aggregate]`, grown as slots appear
+                // inside room for every slot the walk can hand out: a
+                // partial is never copied to grow, and room the walk does
+                // not fill is never written.
+                let mut states: Vec<A> = Vec::with_capacity(keys.max_slots(range) * width);
+                let local = keys.walk(rows, range, |run, slots, seen| {
+                    states.resize(seen * width, A::default());
                     // Global row id of shard-local row `r` is `r + delta`.
-                    let delta = seg.global_start - seg.local.start;
-                    let mut update_row = |local_row: usize| {
-                        let row = local_row + delta;
-                        let w = weight(row);
-                        let group = &mut states[index.group_of(row) as usize];
-                        for (slot, (agg, expr)) in
-                            group.iter_mut().zip(aggregates.iter().zip(shard_bound))
-                        {
-                            if let Some(value) = row_value(agg, expr.as_ref(), local_row) {
-                                slot.update(value, w);
+                    let delta = run.global_start - run.local.start;
+                    let weight = |r: usize| weight(r + delta);
+                    // One aggregate at a time over the run: each (slot,
+                    // aggregate) cell still takes its rows in row order.
+                    for (a, (agg, expr)) in aggregates.iter().zip(&bound[run.shard]).enumerate() {
+                        let cells = &mut states[a..];
+                        let (start, end) = (run.local.start, run.local.end);
+                        match filters {
+                            Some(bms) => {
+                                let kept = bms[run.shard].iter_ones_in(start, end);
+                                let rows = kept.map(|r| (r, slots[r - start]));
+                                fold_column(cells, width, rows, agg, expr.as_ref(), weight);
                             }
-                        }
-                    };
-                    match filters {
-                        Some(bms) => {
-                            for local_row in
-                                bms[seg.shard].iter_ones_in(seg.local.start, seg.local.end)
-                            {
-                                update_row(local_row);
-                            }
-                        }
-                        None => {
-                            for local_row in seg.local.rows() {
-                                update_row(local_row);
+                            None => {
+                                let rows = (start..end).zip(slots.iter().copied());
+                                fold_column(cells, width, rows, agg, expr.as_ref(), weight);
                             }
                         }
                     }
-                }
-                states
+                });
+                (local, states)
             },
-            |acc, partial| exec::merge_state_tables(acc, partial, |a, b| a.merge(b)),
+            |(merge, fine): &mut (OrderedMerge<u64>, Vec<A>),
+             (local, states): (LocalKeys, Vec<A>)| {
+                let known = merge.len();
+                let translation = merge.push(local.partial());
+                for (slot, &group) in translation.iter().enumerate() {
+                    let cells = &states[slot * width..(slot + 1) * width];
+                    if group as usize >= known {
+                        // A group's first partial, in id order: merging into
+                        // a default accumulator would copy it, so take it.
+                        fine.extend_from_slice(cells);
+                    } else {
+                        let acc = &mut fine[group as usize * width..][..width];
+                        acc.iter_mut().zip(cells).for_each(|(a, c)| a.merge(c));
+                    }
+                }
+            },
         );
+        let dim_names: Vec<String> = self.group_by.iter().map(ScalarExpr::display_name).collect();
+        let group_keys: Vec<Cow<[KeyAtom]>> =
+            merge.into_keys().into_iter().map(|k| keys.decode(k)).collect();
+        Ok(self.assemble(&dim_names, &group_keys, &fine))
+    }
 
-        // Expand grouping sets and merge the finest-group states onto each.
+    /// Project the finest-group states onto each grouping set and read
+    /// every set's groups out. A non-empty set keeps only groups with at
+    /// least one accumulated row; the empty set answers exactly one row,
+    /// as SQL does for an aggregate over no rows: `COUNT` and `COUNT_IF` 0,
+    /// every other aggregate without a value (NaN).
+    fn assemble<A: Accumulator>(
+        &self,
+        dim_names: &[String],
+        group_keys: &[Cow<[KeyAtom]>],
+        fine: &[A],
+    ) -> Vec<QueryResult> {
+        let aggregates = &self.aggregates;
+        let width = aggregates.len();
+        let fine_groups = || (0..group_keys.len()).map(|g| &fine[g * width..(g + 1) * width]);
         let sets: Vec<Vec<usize>> = if self.cube {
             grouping_sets(self.group_by.len())
         } else {
@@ -176,10 +243,9 @@ impl GroupByQuery {
         };
         let agg_names: Vec<String> = aggregates.iter().map(|a| a.alias.clone()).collect();
         let results = sets.iter().map(|dims| {
-            let proj = index.project(dims);
-            // Keep only groups with at least one accumulated row.
+            let proj = GroupProjection::of(dim_names, group_keys, dims);
             let mut groups = Vec::new();
-            for (cid, states) in coarsen(&proj, &fine, aggregates.len()).iter().enumerate() {
+            for (cid, states) in coarsen(&proj, fine_groups(), width).iter().enumerate() {
                 let group_rows = states.iter().map(A::rows).max().unwrap_or(0);
                 if group_rows == 0 {
                     continue;
@@ -188,38 +254,84 @@ impl GroupByQuery {
                     states.iter().zip(aggregates).map(|(s, a)| s.finalize(a.kind)).collect();
                 groups.push((proj.key(cid as u32).to_vec(), values, group_rows));
             }
+            if dims.is_empty() && groups.is_empty() {
+                let values = aggregates
+                    .iter()
+                    .map(|a| match a.kind {
+                        AggKind::Count | AggKind::CountIf => 0.0,
+                        _ => f64::NAN,
+                    })
+                    .collect();
+                groups.push((Vec::new(), values, 0));
+            }
             QueryResult::from_parts(proj.dim_names().to_vec(), agg_names.clone(), groups)
         });
-        Ok(results.collect())
+        results.collect()
     }
 }
 
-/// The value row `row` feeds aggregate `agg`, read through the aggregate's
-/// input `expr` bound against the shard `row` indexes; `None` when the row
-/// does not contribute (a null input).
+/// Fold aggregate `agg` over `rows` — each a shard-local row id with its
+/// slot — into `cells`, where slot `s`'s cell is `cells[s * width]`. A row
+/// feeds the value its input `expr` (bound against the row's shard) has
+/// there, and none when the input has no value (a null). The match on the
+/// aggregate and on the input's shape happens once per run, not per row: a
+/// plain `Float64` input is read straight from its slice, which holds the
+/// values `f64_at` returns.
 #[inline]
-fn row_value(agg: &AggExpr, expr: Option<&BoundExpr<'_>>, row: usize) -> Option<f64> {
+fn fold_column<A: Accumulator>(
+    cells: &mut [A],
+    width: usize,
+    rows: impl Iterator<Item = (usize, u32)>,
+    agg: &AggExpr,
+    expr: Option<&BoundExpr<'_>>,
+    weight: impl Fn(usize) -> f64,
+) {
     match (agg.kind, expr) {
-        (AggKind::Count, _) => Some(1.0),
+        (AggKind::Count, _) => fold_rows(cells, width, rows, |_| Some(1.0), weight),
         (AggKind::CountIf, Some(e)) => {
             let (op, threshold) = agg.condition.expect("COUNT_IF has a condition");
-            let v = e.f64_at(row).unwrap_or(f64::NAN);
-            Some(if op.evaluate_f64(v, threshold) { 1.0 } else { 0.0 })
+            let hit = move |v: f64| Some(if op.evaluate_f64(v, threshold) { 1.0 } else { 0.0 });
+            match e.f64_slice() {
+                Some(values) => fold_rows(cells, width, rows, |r| hit(values[r]), weight),
+                None => {
+                    let value = |r| hit(e.f64_at(r).unwrap_or(f64::NAN));
+                    fold_rows(cells, width, rows, value, weight)
+                }
+            }
         }
-        (_, Some(e)) => e.f64_at(row),
-        (_, None) => None,
+        (_, Some(e)) => match e.f64_slice() {
+            Some(values) => fold_rows(cells, width, rows, |r| Some(values[r]), weight),
+            None => fold_rows(cells, width, rows, |r| e.f64_at(r), weight),
+        },
+        (_, None) => {}
     }
 }
 
-/// Merge finest-group accumulators (`fine[group][column]`, `width` columns)
-/// onto the coarser grouping `proj`: `[coarse group][column]`.
-pub fn coarsen<A: Accumulator>(
+/// The loop [`fold_column`] specialises, once per value source.
+#[inline]
+fn fold_rows<A: Accumulator>(
+    cells: &mut [A],
+    width: usize,
+    rows: impl Iterator<Item = (usize, u32)>,
+    value: impl Fn(usize) -> Option<f64>,
+    weight: impl Fn(usize) -> f64,
+) {
+    for (row, slot) in rows {
+        if let Some(v) = value(row) {
+            cells[slot as usize * width].update(v, weight(row));
+        }
+    }
+}
+
+/// Merge finest-group accumulators (each fine group's `width` columns, in
+/// fine-id order) onto the coarser grouping `proj`: `[coarse group][column]`.
+pub fn coarsen<'f, A: Accumulator + 'f>(
     proj: &GroupProjection,
-    fine: &[Vec<A>],
+    fine: impl IntoIterator<Item = &'f [A]>,
     width: usize,
 ) -> Vec<Vec<A>> {
     let mut merged = vec![vec![A::default(); width]; proj.num_groups()];
-    for (fine_gid, states) in fine.iter().enumerate() {
+    for (fine_gid, states) in fine.into_iter().enumerate() {
         let cid = proj.coarse_of(fine_gid as u32) as usize;
         for (slot, s) in merged[cid].iter_mut().zip(states) {
             slot.merge(s);
@@ -448,6 +560,46 @@ mod tests {
         assert_eq!(r.num_groups(), 1);
         assert!((r.values[0][0] - 3.45).abs() < 1e-12);
         assert_eq!(r.values[0][1], 8.0);
+    }
+
+    /// SQL answers an aggregate over no qualifying rows with one row:
+    /// `COUNT` and `COUNT_IF` 0, everything else without a value. Only the
+    /// empty grouping set does; a grouped set keeps dropping empty groups.
+    #[test]
+    fn empty_grouping_set_over_no_rows_answers_one_row() {
+        let t = student_table();
+        let none = Predicate::cmp("age", CmpOp::Gt, 100.0);
+        let q = GroupByQuery::new(
+            vec![],
+            vec![
+                AggExpr::count(),
+                AggExpr::count_if("gpa", CmpOp::Gt, 0.0),
+                AggExpr::sum("sat"),
+                AggExpr::avg("gpa"),
+                AggExpr::min("age"),
+            ],
+        );
+        let empty = TableBuilder::from_schema(t.schema().clone()).finish();
+        for (q, rows) in [(q.clone().with_predicate(none.clone()), &t), (q, &empty)] {
+            let r = &q.execute(rows).unwrap()[0];
+            assert_eq!((r.num_groups(), r.group_rows[0]), (1, 0));
+            assert!(r.keys[0].is_empty());
+            assert_eq!(&r.values[0][..2], &[0.0, 0.0]);
+            assert!(r.values[0][2..].iter().all(|v| v.is_nan()), "{:?}", r.values[0]);
+        }
+        for stmt in
+            ["SELECT COUNT(*) FROM t WHERE age > 100", "SELECT AVG(gpa) FROM t WHERE age > 100"]
+        {
+            assert_eq!(crate::sql::run(&t, stmt).unwrap()[0].num_groups(), 1, "{stmt}");
+        }
+        let cube = GroupByQuery::new(
+            vec![ScalarExpr::col("major"), ScalarExpr::col("college")],
+            vec![AggExpr::count()],
+        )
+        .with_predicate(none)
+        .with_cube();
+        let sizes: Vec<usize> = cube.execute(&t).unwrap().iter().map(|r| r.num_groups()).collect();
+        assert_eq!(sizes, [0, 0, 0, 1]);
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //! remote readers, and any thread count. For that to hold, a reader must
 //! answer each request exactly as `LocalShard` would: the same first-seen
 //! group interning, the same bitmap bits, bit-equal `f64` values. This
-//! module interns and merges nothing itself: a shard's index is one
-//! [`GroupIndex::build_with`], a set's is [`GroupIndex::merge_locals`] over
-//! them — `groupby`'s one kernel and one ordered merge — after each remote
+//! module interns and merges nothing itself: over in-process shards a set's
+//! index is `groupby`'s one walk over the whole row space, and only when a
+//! shard is behind a reader is it [`GroupIndex::merge_locals`] over
+//! shard-local indexes — `groupby`'s one ordered merge — after each remote
 //! answer has been checked against the request.
 
 use std::borrow::Cow;
@@ -536,21 +537,29 @@ impl<'a> RowSpace<'a> {
         TableError::invalid(format!("shard {s} ({}) returned {what}", reader.location()))
     }
 
-    /// Build the group index over the logical row space. Each shard is
-    /// indexed independently (a shard never sees its siblings' dictionaries
-    /// or interning state); the shard-local indexes are then merged **in
-    /// shard order**, which is global row order, so a group's global id is
-    /// assigned at its earliest occurrence across the concatenation. The
-    /// result — per-row group ids, first-occurrence key order, group sizes
-    /// — is **identical to building over the concatenated single table**,
-    /// for any shard layout and any thread count. (Every merge here is
-    /// integral, so this holds exactly, not just up to rounding.)
+    /// Build the group index over the logical row space. When every shard
+    /// is in-process this is one walk over the whole row space, keyed in
+    /// one code space (each shard's dictionary codes translated into a
+    /// merged dictionary), so a partition that straddles a shard boundary
+    /// is walked like any other. Otherwise each shard is indexed
+    /// independently — a shard behind a reader never sees its siblings'
+    /// dictionaries or interning state — and the shard-local indexes are
+    /// merged **in shard order**, which is global row order. Either way a
+    /// group's global id is assigned at its earliest occurrence across the
+    /// concatenation, so the result — per-row group ids, first-occurrence
+    /// key order, group sizes — is **identical to building over the
+    /// concatenated single table**, for any shard layout and any thread
+    /// count. (Every merge here is integral, so this holds exactly, not
+    /// just up to rounding.)
     pub fn group_index(&self, exprs: &[ScalarExpr], options: &ExecOptions) -> Result<GroupIndex> {
         let dim_names: Vec<String> = exprs.iter().map(|e| e.display_name()).collect();
         let n = self.num_rows();
         if exprs.is_empty() {
             // One group, no shard round-trips needed.
             return GroupIndex::from_parts(dim_names, vec![0; n], vec![Vec::new()], vec![n as u64]);
+        }
+        if let Some(tables) = self.local_tables() {
+            return GroupIndex::build_local(self, &tables, exprs, options);
         }
         let mut locals = self.scatter(options, |s, part, within| match part {
             Part::Local(table) => GroupIndex::build_with(table, exprs, within),

@@ -3,21 +3,28 @@
 //! pass over the rows with a map of key tuples assigns — the same per-row
 //! group ids, the same first-occurrence key order, the same sizes. The
 //! reference below shares nothing with the code under test: no dimension
-//! codes, no packed keys, no partitions, no merge.
+//! codes, no packed keys, no slot tables, no merge.
+//!
+//! Exact answers == naive reference, bit for bit: the answer contract is
+//! restated the same way, from the reference ids — fine groups in
+//! first-occurrence order over every row, each folded per global partition
+//! in row order over the rows the predicate keeps, partitions merged in
+//! order, fine groups merged onto each grouping set in id order.
 //!
 //! CI runs this suite in the `CVOPT_THREADS` × `CVOPT_SHARDS` matrix with
 //! both values pinned; the pinned counts are folded into every sweep.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
 
 use cvopt_core::{Engine, ExecOptions, QueryMode};
 use cvopt_datagen::{generate_openaq, OpenAqConfig};
+use cvopt_table::agg::AggState;
 use cvopt_table::exec::CHUNK_ROWS;
 use cvopt_table::{
-    DataType, GroupIndex, KeyAtom, QueryResult, ScalarExpr, ShardSet, ShardedTable, Table,
-    TableBuilder, Value,
+    grouping_sets, AggExpr, CmpOp, DataType, GroupByQuery, GroupIndex, KeyAtom, Predicate,
+    QueryResult, ScalarExpr, ShardSet, ShardedTable, Table, TableBuilder, Value,
 };
 
 /// A standard sweep plus the CI matrix's pinned value of `var`.
@@ -81,7 +88,108 @@ fn assert_matches_reference(table: &Table, exprs: &[ScalarExpr], context: &str) 
     }
 }
 
-/// The standard dataset at every key arity from one to five dimensions.
+/// Rows of one grouping set's answer: key, value bits, contributing rows.
+type AnswerRows = Vec<(Vec<KeyAtom>, Vec<u64>, u64)>;
+
+/// `SUM(value), COUNT(*), AVG(value)` by `exprs`, kept to `value > cut`
+/// when a cut is given.
+fn statement(exprs: &[ScalarExpr], value: &str, cut: Option<f64>, cube: bool) -> GroupByQuery {
+    let aggregates = vec![AggExpr::sum(value), AggExpr::count(), AggExpr::avg(value)];
+    let mut query = GroupByQuery::new(exprs.to_vec(), aggregates);
+    query.predicate = cut.map(|cut| Predicate::cmp(value, CmpOp::Gt, cut));
+    query.cube = cube;
+    query
+}
+
+fn answer_rows(results: &[QueryResult]) -> Vec<AnswerRows> {
+    let rows = |r: &QueryResult| -> AnswerRows {
+        let bits = r.values.iter().map(|v| v.iter().map(|x| x.to_bits()).collect());
+        r.keys.iter().cloned().zip(bits).zip(&r.group_rows).map(|((k, b), &n)| (k, b, n)).collect()
+    };
+    results.iter().map(rows).collect()
+}
+
+/// [`statement`]'s answer as the contract defines it, from the reference
+/// ids: one `AggState` per fine group stands for the `SUM` and `AVG`
+/// accumulators (they take the same values in the same order) and its count
+/// for `COUNT(*)`. The empty grouping set answers one row even over no rows.
+fn reference_answer(
+    table: &Table,
+    exprs: &[ScalarExpr],
+    value: &str,
+    cut: Option<f64>,
+    cube: bool,
+) -> Vec<AnswerRows> {
+    let (ids, keys, _) = reference(table, exprs);
+    let values = ScalarExpr::col(value).bind(table).unwrap();
+    let mut fine = vec![AggState::default(); keys.len()];
+    for start in (0..table.num_rows()).step_by(CHUNK_ROWS) {
+        let mut partition: HashMap<u32, AggState> = HashMap::new();
+        let end = table.num_rows().min(start + CHUNK_ROWS);
+        for (row, &id) in (start..end).zip(&ids[start..end]) {
+            let v = values.f64_at(row).unwrap();
+            if cut.is_none_or(|cut| v > cut) {
+                partition.entry(id).or_default().update(v);
+            }
+        }
+        for (id, state) in partition {
+            fine[id as usize].merge(&state);
+        }
+    }
+    let sets = if cube { grouping_sets(exprs.len()) } else { vec![(0..exprs.len()).collect()] };
+    let answer = |dims: &Vec<usize>| {
+        let mut coarse: BTreeMap<Vec<KeyAtom>, AggState> = BTreeMap::new();
+        for (key, state) in keys.iter().zip(&fine) {
+            coarse.entry(dims.iter().map(|&d| key[d].clone()).collect()).or_default().merge(state);
+        }
+        let mut rows: AnswerRows = coarse
+            .into_iter()
+            .filter(|(_, s)| s.count > 0)
+            .map(|(key, s)| (key, vec![s.sum, s.count as f64, s.mean], s.count))
+            .map(|(key, v, n)| (key, v.iter().map(|x| x.to_bits()).collect(), n))
+            .collect();
+        if dims.is_empty() && rows.is_empty() {
+            rows.push((Vec::new(), [f64::NAN, 0.0, f64::NAN].map(f64::to_bits).to_vec(), 0));
+        }
+        rows
+    };
+    sets.iter().map(answer).collect()
+}
+
+/// [`statement`] over `table` answers the reference bit for bit at every
+/// swept thread count: over the table itself, every swept shard split, and
+/// every layout in `layouts` (the same rows cut some other way).
+fn assert_answers_match_reference(
+    table: &Table,
+    exprs: &[ScalarExpr],
+    (value, cut, cube): (&str, Option<f64>, bool),
+    layouts: &[ShardedTable],
+    context: &str,
+) {
+    let want = reference_answer(table, exprs, value, cut, cube);
+    let query = statement(exprs, value, cut, cube);
+    let mut sets: Vec<(String, ShardSet)> = vec![("whole".into(), ShardSet::from(table.clone()))];
+    for shards in swept(&[2, 3], "CVOPT_SHARDS") {
+        if shards > 1 && shards <= table.num_rows() {
+            let split = ShardedTable::split(table, shards).unwrap();
+            sets.push((format!("{shards} shards"), ShardSet::from(split)));
+        }
+    }
+    for (i, layout) in layouts.iter().enumerate() {
+        sets.push((format!("layout {i} {:?}", layout.shard_rows()), layout.clone().into()));
+    }
+    for threads in swept(&[1, 4], "CVOPT_THREADS") {
+        for (how, set) in &sets {
+            let got = query.execute_with(set, &ExecOptions::new(threads)).unwrap();
+            assert!(answer_rows(&got) == want, "{context}: {how}, {threads} threads");
+        }
+    }
+}
+
+/// The standard dataset at every key arity from one to five dimensions,
+/// and the durable four-dimension stratification, whose key space
+/// (countries × parameters × units × locations) is larger than any
+/// partition: it takes the hash map, never the slot table.
 #[test]
 fn index_matches_reference_on_openaq() {
     let table = generate_openaq(&OpenAqConfig::with_rows(20_000));
@@ -97,6 +205,119 @@ fn index_matches_reference_on_openaq() {
     }
     let calendar = [ScalarExpr::hour("local_time"), ScalarExpr::month("local_time")];
     assert_matches_reference(&table, &calendar, "hour, month");
+
+    let durable: Vec<ScalarExpr> =
+        ["country", "parameter", "unit", "location"].map(ScalarExpr::col).to_vec();
+    let radices: Vec<usize> = ["country", "parameter", "unit", "location"]
+        .iter()
+        .map(|c| table.column_by_name(c).unwrap().dictionary().unwrap().len())
+        .collect();
+    assert!(radices.iter().product::<usize>() > CHUNK_ROWS, "{radices:?}");
+    assert_matches_reference(&table, &durable, "durable");
+    assert_answers_match_reference(&table, &durable, ("value", None, false), &[], "durable");
+}
+
+/// A cube under a selective predicate: fine groups are interned from every
+/// row, kept or not, so `coarsen` merges them in all-row first-occurrence
+/// order. Interning only the kept rows would merge the same states in
+/// another order and move the coarse sets' bits.
+#[test]
+fn cube_under_a_selective_predicate_matches_reference() {
+    let table = generate_openaq(&OpenAqConfig::with_rows(3 * CHUNK_ROWS / 2));
+    let dims = [ScalarExpr::col("country"), ScalarExpr::col("parameter")];
+    for cut in [2.0, 40.0, f64::INFINITY] {
+        let context = format!("value > {cut}");
+        assert_answers_match_reference(&table, &dims, ("value", Some(cut), true), &[], &context);
+    }
+}
+
+/// Two partitions and a short tail over string dimensions of 256, 256 and
+/// 257 labels: `(a, b)`'s key space is exactly one partition's rows (the
+/// slot table), `(a, c)`'s one more (the hash map), and a block of the whole
+/// table on one worker takes the slot table for both. Every full partition
+/// holds every `(a, b)` key. One extra layout cuts the rows inside a
+/// partition on both sides of an empty shard.
+#[test]
+fn slot_table_boundary_matches_reference() {
+    let n = 2 * CHUNK_ROWS + 123;
+    let mut b = TableBuilder::new(&[
+        ("a", DataType::Str),
+        ("b", DataType::Str),
+        ("c", DataType::Str),
+        ("v", DataType::Float64),
+    ]);
+    for i in 0..n {
+        b.push_row(&[
+            Value::str(format!("a{:03}", i % 256)),
+            Value::str(format!("b{:03}", (i / 256) % 256)),
+            Value::str(format!("c{:03}", (i * 7 + i / 1000) % 257)),
+            Value::Float64((i as f64 * 0.37).sin() * 100.0),
+        ])
+        .unwrap();
+    }
+    let table = b.finish();
+    let piece = |lo: usize, hi: usize| table.take(&(lo..hi).collect::<Vec<_>>());
+    let straddling = ShardedTable::from_tables(vec![
+        piece(0, 1000),
+        piece(0, 0),
+        piece(1000, CHUNK_ROWS + 77),
+        piece(CHUNK_ROWS + 77, n),
+    ])
+    .unwrap();
+    for (dims, bound) in [(["a", "b"], CHUNK_ROWS), (["a", "c"], CHUNK_ROWS + 256)] {
+        let exprs = dims.map(ScalarExpr::col);
+        let context = format!("{dims:?}, key space {bound}");
+        assert_matches_reference(&table, &exprs, &context);
+        let (ids, _, sizes) = reference(&table, &exprs);
+        let set = ShardSet::from(straddling.clone());
+        let index = set.rows().group_index(&exprs, &ExecOptions::new(4)).unwrap();
+        assert_eq!((index.row_groups(), index.sizes()), (&ids[..], &sizes[..]), "{context}");
+        let layouts = [straddling.clone()];
+        assert_answers_match_reference(&table, &exprs, ("v", None, false), &layouts, &context);
+        assert_answers_match_reference(&table, &exprs, ("v", Some(50.0), true), &layouts, &context);
+    }
+}
+
+/// Shards whose dictionaries list the same strings in different orders:
+/// the second half of the rows cycles the keys backwards, so the second
+/// shard's dictionary is the first one's reversed, and its codes must be
+/// translated into one code space before a key is packed.
+#[test]
+fn reordered_shard_dictionaries_match_reference() {
+    let (m, n) = (37usize, 3000usize);
+    let mut b = TableBuilder::new(&[
+        ("k", DataType::Str),
+        ("g", DataType::Int64),
+        ("v", DataType::Float64),
+    ]);
+    for i in 0..n {
+        let k = if i < n / 2 { i % m } else { m - 1 - (i - n / 2) % m };
+        let v = ((i as f64) * 0.61).cos() * 10.0;
+        b.push_row(&[
+            Value::str(format!("k{k:02}")),
+            Value::Int64((i % 5) as i64),
+            Value::Float64(v),
+        ])
+        .unwrap();
+    }
+    let table = b.finish();
+    let halves = ShardedTable::split(&table, 2).unwrap();
+    let dict = |s: usize| -> Vec<String> {
+        let column = halves.shards()[s].column_by_name("k").unwrap();
+        column.dictionary().unwrap().iter().map(|(_, s)| s.to_string()).collect()
+    };
+    let mut reversed = dict(1);
+    reversed.reverse();
+    assert_eq!(dict(0), reversed, "the halves list the same keys in opposite orders");
+    let exprs = [ScalarExpr::col("k"), ScalarExpr::col("g")];
+    assert_answers_match_reference(
+        &table,
+        &exprs,
+        ("v", None, false),
+        std::slice::from_ref(&halves),
+        "k, g",
+    );
+    assert_answers_match_reference(&table, &exprs[..1], ("v", Some(0.0), true), &[halves], "k");
 }
 
 /// 2400 rows cycling through 200 keys: every shard of a 2- or 3-way split
@@ -112,7 +333,9 @@ fn dense_table() -> Table {
 
 #[test]
 fn dense_keys_match_reference_across_shard_splits() {
-    assert_matches_reference(&dense_table(), &[ScalarExpr::col("k")], "dense");
+    let (table, k) = (dense_table(), [ScalarExpr::col("k")]);
+    assert_matches_reference(&table, &k, "dense");
+    assert_answers_match_reference(&table, &k, ("v", Some(5.0), false), &[], "dense");
 }
 
 fn bits(result: &QueryResult) -> Vec<Vec<u64>> {
