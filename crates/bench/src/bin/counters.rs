@@ -45,8 +45,9 @@ fn main() {
             answer.report.strata.expect("approximate answers stratify") as u64,
         ));
     }
-    // A cold prepare indexes the table and each estimate its sample: per-row
-    // group ids a draw and a confidence pass read back.
+    // A cold prepare buckets the table by stratum in its statistics pass and
+    // writes no per-row group id; each estimate indexes its sample, the ids a
+    // confidence pass reads back.
     let serving_group_ids = total_group_id_bytes() - group_ids_before;
     counters.push(("stats_passes/serving_workload".into(), engine.stats_passes()));
     // The cache economy itself: statements 1 and 2 share a derived

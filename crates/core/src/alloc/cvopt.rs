@@ -13,6 +13,7 @@
 //! MASG formulas are exactly this expression when every query groups by all
 //! of `C` (so `Π` is the identity and the `n` factors cancel).
 
+use cvopt_table::groupby::GroupProjection;
 use cvopt_table::GroupIndex;
 
 use crate::error::CvError;
@@ -30,10 +31,20 @@ pub fn compute_betas(
     index: &GroupIndex,
     stats: &StratumStatistics,
 ) -> Result<Vec<f64>> {
+    strata_betas(problem, index.dim_names(), |dims| index.project(dims), stats)
+}
+
+/// [`compute_betas`] for the strata `stats` describes, stratified by the
+/// dimensions `strata_names`: `project` maps them onto a query's
+/// dimensions, as [`GroupIndex::project`] does.
+pub(crate) fn strata_betas(
+    problem: &SamplingProblem,
+    strata_names: &[String],
+    project: impl Fn(&[usize]) -> GroupProjection,
+    stats: &StratumStatistics,
+) -> Result<Vec<f64>> {
     problem.validate()?;
-    let strata_names: Vec<String> = index.dim_names().to_vec();
-    let num_strata = index.num_groups();
-    let mut betas = vec![0.0f64; num_strata];
+    let mut betas = vec![0.0f64; stats.num_strata()];
 
     for query in &problem.queries {
         // Positions of this query's group-by dims within the stratification.
@@ -49,7 +60,7 @@ pub fn compute_betas(
                 })
             })
             .collect::<Result<_>>()?;
-        let proj = index.project(&dims);
+        let proj = project(&dims);
         let coarse = stats.coarsen(&proj);
         let coarse_pops = stats.coarsen_populations(&proj);
 

@@ -94,9 +94,9 @@ pub struct ExplainReport {
     /// Shard count when the `FROM` table declared a shard layout; `None`
     /// for a plain table.
     pub shards: Option<usize>,
-    /// Per-shard partition counts (shard-local passes such as the index
-    /// build and the draw's scatter partition each shard by its own row
-    /// count). Same availability as `shards`.
+    /// Per-shard partition counts (shard-local passes such as a reader's
+    /// index build partition each shard by its own row count). Same
+    /// availability as `shards`.
     pub shard_partitions: Option<Vec<usize>>,
     /// How many of the `FROM` table's shards answer from outside this
     /// process (`remote_shards` of its

@@ -22,9 +22,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cvopt_table::exec::ExecOptions;
-use cvopt_table::{GroupIndex, KeyAtom, RowSpace, ScalarExpr, Table};
+use cvopt_table::groupby::{GroupProjection, Strata};
+use cvopt_table::{KeyAtom, RowSpace, ScalarExpr, Table};
 
-use crate::alloc::{compute_betas, linf_allocation, lp_allocation, sqrt_allocation, Allocation};
+use crate::alloc::cvopt::strata_betas;
+use crate::alloc::{linf_allocation, lp_allocation, sqrt_allocation, Allocation};
 use crate::error::CvError;
 use crate::sample::{MaterializedSample, StratifiedSample};
 use crate::spec::{Norm, SamplingProblem};
@@ -149,47 +151,52 @@ impl CvOptSampler {
     /// a [`ShardSet`](cvopt_table::ShardSet) (shards local, remote, or
     /// mixed). The plan is bit-identical for any layout of the same rows.
     pub fn plan<'a>(&self, rows: impl Into<RowSpace<'a>>) -> Result<CvOptPlan> {
-        let (_, plan) = self.plan_with_index(&rows.into())?;
+        let (_, plan) = self.plan_with_strata(&rows.into())?;
         Ok(plan)
     }
 
-    /// Passes 1 and 2: plan, then draw and materialize the sample. Every
-    /// pass — index build, statistics, the stratified draw, the gather —
-    /// runs over the row space's shards, and the outcome (plan, sampled
-    /// rows, weights) is **byte-identical to sampling the concatenated
-    /// table with the same seed**, for any shard layout and thread count.
+    /// Passes 1 and 2: plan, then draw and materialize the sample. The
+    /// statistics pass buckets the rows by stratum once, and the draw reads
+    /// the same runs; the outcome (plan, sampled rows, weights) is
+    /// **byte-identical to sampling the concatenated table with the same
+    /// seed**, for any shard layout and thread count.
     pub fn sample<'a>(&self, rows: impl Into<RowSpace<'a>>) -> Result<CvOptOutcome> {
         let rows = rows.into();
-        let (index, plan) = self.plan_with_index(&rows)?;
+        let (strata, plan) = self.plan_with_strata(&rows)?;
         note_draw();
-        let drawn = StratifiedSample::draw(&index, &plan.allocation.sizes, self.seed, &self.exec);
+        let drawn =
+            StratifiedSample::draw_strata(&strata, &plan.allocation.sizes, self.seed, &self.exec);
         let sample = drawn.materialize_from(&rows)?;
         Ok(CvOptOutcome { sample, plan })
     }
 
-    fn plan_with_index(&self, rows: &RowSpace<'_>) -> Result<(GroupIndex, CvOptPlan)> {
+    fn plan_with_strata(&self, rows: &RowSpace<'_>) -> Result<(Strata, CvOptPlan)> {
         self.problem.validate()?;
         let strata_exprs = self.problem.finest_stratification();
-        let index = rows.group_index(&strata_exprs, &self.exec)?;
         let columns = self.problem.aggregate_columns();
-        let stats = StratumStatistics::collect_with(rows, &index, &columns, &self.exec)?;
-        let plan = self.allocate(strata_exprs, &index, stats)?;
-        Ok((index, plan))
+        let (strata, stats) =
+            StratumStatistics::collect_strata(rows, &strata_exprs, &columns, &self.exec)?;
+        let keys = strata.keys().to_vec();
+        let plan = self.allocate(strata_exprs, keys, |dims| strata.project(dims), stats)?;
+        Ok((strata, plan))
     }
 
-    /// The allocation back half of planning: solve the
-    /// problem's norm for the collected statistics. Crate-visible so the
-    /// incremental-maintenance path can re-run the identical allocation
-    /// over incrementally merged statistics.
+    /// The allocation back half of planning: solve the problem's norm for
+    /// the collected statistics of the strata keyed `strata_keys`, whose
+    /// projections onto a query's dimensions `project` gives. Crate-visible
+    /// so the incremental-maintenance path can re-run the identical
+    /// allocation over incrementally merged statistics.
     pub(crate) fn allocate(
         &self,
         strata_exprs: Vec<ScalarExpr>,
-        index: &GroupIndex,
+        strata_keys: Vec<Vec<KeyAtom>>,
+        project: impl Fn(&[usize]) -> GroupProjection,
         stats: StratumStatistics,
     ) -> Result<CvOptPlan> {
+        let names: Vec<String> = strata_exprs.iter().map(ScalarExpr::display_name).collect();
         let (betas, allocation) = match self.problem.norm {
             Norm::L2 => {
-                let betas = compute_betas(&self.problem, index, &stats)?;
+                let betas = strata_betas(&self.problem, &names, &project, &stats)?;
                 let allocation = sqrt_allocation(
                     &betas,
                     &stats.populations,
@@ -203,7 +210,7 @@ impl CvOptSampler {
                 // debug check so internal callers bypassing validation fail
                 // loudly in test builds.
                 debug_assert!(p > 0.0 && p.is_finite(), "Lp norm requires finite p > 0, got {p}");
-                let betas = compute_betas(&self.problem, index, &stats)?;
+                let betas = strata_betas(&self.problem, &names, &project, &stats)?;
                 let allocation = lp_allocation(
                     &betas,
                     &stats.populations,
@@ -235,7 +242,6 @@ impl CvOptSampler {
             }
         };
 
-        let strata_keys = (0..index.num_groups() as u32).map(|g| index.key(g).to_vec()).collect();
         Ok(CvOptPlan { strata_exprs, strata_keys, stats, betas, allocation })
     }
 }

@@ -3,10 +3,11 @@
 //! A [`Maintenance`] keeps, for one prepared sample in the engine's store, the
 //! three artifacts the two-pass pipeline derives from the raw rows: the
 //! finest-stratification [`GroupIndex`], every stratum's ascending row list
-//! (the index bucketed by stratum — what the draw reads), and the
-//! per-partition statistics partials (`partials[partition][group][column]`).
-//! All are *mergeable under append*, at a cost of the batch, through
-//! contracts the codebase already pins:
+//! (what the draw reads), and the per-partition statistics partials (each
+//! partition's slot states and the stratum of each slot). They come from one
+//! strata pass over the index's ids — the row lists are its chains, the
+//! partials its fold — and all are *mergeable under append*, at a cost of
+//! the batch, through contracts the codebase already pins:
 //!
 //! - The group index merges by first-occurrence key order
 //!   ([`GroupIndex::append`], the same ordered merge that joins partitions
@@ -16,17 +17,16 @@
 //!   ids.
 //! - A stratum's row list is its rows in ascending row order, and appended
 //!   rows have the highest ids: pushing each batch row onto its stratum's
-//!   list yields exactly the buckets a fresh
-//!   [`bucket_rows`](cvopt_table::exec::bucket_rows) over the folded index
-//!   would scatter — without re-scattering the rows already there. The
-//!   lists cost 4 bytes per table row per maintained sample.
+//!   list yields exactly the chain a fresh strata pass over the folded index
+//!   would hold — without touching the rows already there. The lists cost
+//!   4 bytes per table row per maintained sample.
 //! - Statistics partials are whole **global** partitions (fixed 64Ki-row
 //!   ranges anchored to the logical row space), so appending rows dirties
-//!   only the partitions at or past `old_rows / CHUNK_ROWS`. Clean
-//!   partials are replayed from the cache; a cached partial padded with
-//!   default accumulators for strata first seen in the batch is
-//!   bit-identical to the fresh kernel's output for that partition, because
-//!   a new stratum by definition has no rows there.
+//!   only the partitions at or past `old_rows / CHUNK_ROWS`. Clean partials
+//!   are replayed from the cache — old strata keep their ids, so a clean
+//!   partial names the same strata it did — and the dirty tail is rescanned
+//!   with the same partition kernel, keyed by the maintained index's ids
+//!   ([`GroupIndex::partition_runs`]).
 //!
 //! Allocation then re-runs through the *same* code path a fresh preparation
 //! uses, and the draw through the same per-stratum kernel
@@ -53,15 +53,14 @@
 //!
 //! This is the only incremental path there is.
 
-use cvopt_table::agg::AggState;
-use cvopt_table::exec::{bucket_rows, ExecOptions, CHUNK_ROWS};
+use cvopt_table::exec::{ExecOptions, CHUNK_ROWS};
 use cvopt_table::{GroupIndex, RowSpace, ScalarExpr, Table};
 
 use crate::error::CvError;
 use crate::framework::{note_draw, CvOptOutcome, CvOptSampler};
 use crate::sample::StratifiedSample;
 use crate::spec::SamplingProblem;
-use crate::stats::{self, StratumStatistics};
+use crate::stats::{self, Partial, StratumStatistics};
 use crate::Result;
 
 /// The state that keeps one durable prepared sample incrementally up to
@@ -79,7 +78,7 @@ pub(crate) struct Maintenance {
     /// `strata_rows[c]`: stratum `c`'s rows of `index`, ascending.
     strata_rows: Vec<Vec<u32>>,
     /// Cached per-partition statistics partials over the current rows.
-    partials: Vec<Vec<Vec<AggState>>>,
+    partials: Vec<Partial>,
 }
 
 impl Maintenance {
@@ -96,10 +95,14 @@ impl Maintenance {
         problem.validate()?;
         let strata_exprs = problem.finest_stratification();
         let index = rows.group_index(&strata_exprs, exec)?;
-        let bucketed = bucket_rows(index.row_groups(), index.num_groups(), exec);
-        let strata_rows = (0..index.num_groups()).map(|c| bucketed.bucket(c).to_vec()).collect();
-        let partials = stats::tail_partials(rows, &index, &problem.aggregate_columns(), exec, 0)?;
-        stats::record_pass();
+        let (strata, partials) = stats::partials(rows, &index, &problem.aggregate_columns(), exec)?;
+        let strata_rows = (0..strata.num_strata())
+            .map(|c| {
+                let mut rows = Vec::with_capacity(strata.sizes()[c] as usize);
+                strata.rows(c).for_each(|run| rows.extend_from_slice(run));
+                rows
+            })
+            .collect();
         let state = Maintenance {
             base_budget: problem.budget,
             base_rows: rows.num_rows(),
@@ -127,11 +130,15 @@ impl Maintenance {
             &self.partials,
         );
         let sampler = CvOptSampler::new(problem.clone()).with_seed(seed).with_exec(*exec);
-        let plan = sampler.allocate(self.strata_exprs.clone(), &self.index, stats)?;
+        let index = &self.index;
+        let keys = (0..index.num_groups() as u32).map(|g| index.key(g).to_vec()).collect();
+        let plan =
+            sampler.allocate(self.strata_exprs.clone(), keys, |d| index.project(d), stats)?;
         note_draw();
         let sample = StratifiedSample::draw_bucketed(
-            &self.index,
-            |c| &self.strata_rows[c],
+            &plan.strata_keys,
+            index.sizes(),
+            |c| std::iter::once(self.strata_rows[c].as_slice()),
             &plan.allocation.sizes,
             seed,
             exec,
@@ -185,16 +192,11 @@ impl Maintenance {
         // Replay clean partials, rescan the dirty tail. Partition
         // boundaries are anchored to the global row space, so every
         // partition strictly before `old_rows / CHUNK_ROWS` is untouched
-        // by the append; padding a kept partial to the merged width adds
-        // default accumulators for batch-new strata, which is exactly what
-        // a fresh kernel computes for a stratum absent from the partition.
+        // by the append.
         let columns = problem.aggregate_columns();
         let first_dirty = old_rows / CHUNK_ROWS;
         let tail = stats::tail_partials(rows, &self.index, &columns, exec, first_dirty)?;
         self.partials.truncate(first_dirty);
-        for partial in &mut self.partials {
-            partial.resize(self.index.num_groups(), vec![AggState::default(); columns.len()]);
-        }
         self.partials.extend(tail);
 
         problem.budget = self.scaled_budget(new_rows);
@@ -226,7 +228,6 @@ impl Maintenance {
 mod tests {
     use super::*;
     use crate::spec::QuerySpec;
-    use cvopt_table::exec::bucket_rows_sequential;
     use cvopt_table::{DataType, ShardSet, ShardedTable, TableBuilder, Value};
 
     fn row_stream(n: usize) -> Vec<Vec<Value>> {
@@ -300,11 +301,11 @@ mod tests {
         /// The kept row lists are the maintained index, bucketed.
         fn assert_row_lists_current(&self) {
             let index = &self.state.index;
-            let want = bucket_rows_sequential(index.row_groups(), index.num_groups());
-            assert_eq!(self.state.strata_rows.len(), index.num_groups());
-            for (c, rows) in self.state.strata_rows.iter().enumerate() {
-                assert_eq!(rows, want.bucket(c), "stratum {c}'s row list");
+            let mut want = vec![Vec::new(); index.num_groups()];
+            for (row, &g) in index.row_groups().iter().enumerate() {
+                want[g as usize].push(row as u32);
             }
+            assert_eq!(self.state.strata_rows, want);
         }
 
         /// What a from-scratch preparation of the current problem draws.

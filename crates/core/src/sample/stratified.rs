@@ -1,27 +1,24 @@
 //! Drawing a stratified sample for a computed allocation.
 //!
-//! The draw has two passes, and only the first looks at every row. Rows are
-//! bucketed by stratum with the execution layer's two-phase scatter
-//! ([`cvopt_table::exec::bucket_rows`]: per-partition histograms, an
-//! exclusive prefix over (bucket, partition), then a parallel scatter into
-//! disjoint windows) whose output is byte-identical to a sequential stable
-//! counting sort — each bucket lists its rows in row order, the same order
-//! a sequential scan would offer them. Then one kernel
-//! (`StratifiedSample::draw_bucketed`) hands every stratum's row list to
-//! its reservoir as a slice, with its own RNG substream derived from the
-//! caller's seed and the stratum id; Algorithm L jumps over the rows it
-//! does not keep, so this pass costs the rows sampled, not the rows
-//! stored. A caller that already holds the row lists — sample maintenance
-//! keeps them current under append — skips the bucketing pass and calls the
-//! kernel directly.
+//! The draw reads the rows of every stratum from a strata pass
+//! ([`Strata`]): the partition runs the statistics pass already sorted, a
+//! chain per stratum in partition order — the stratum's rows ascending, the
+//! order a sequential scan would offer them. One kernel
+//! (`StratifiedSample::draw_bucketed`) offers every stratum's chain, run by
+//! run, to its reservoir, with its own RNG substream derived from the
+//! caller's seed and the stratum id. Algorithm L jumps over the rows it does
+//! not keep, across run boundaries as within a run, so the draw costs the
+//! rows sampled, not the rows stored, and a chain draws exactly what its
+//! concatenation would. A caller that keeps its own row lists — sample
+//! maintenance holds them current under append — calls the kernel
+//! directly.
 //!
 //! A stratum's sample depends only on `(seed, stratum)` and its row list,
-//! making the drawn sample byte-identical for any thread count — and,
-//! because the draw sees only the group index (whose per-row ids are
-//! already concatenated in global row order), for any shard layout of the
-//! rows behind it.
+//! making the drawn sample byte-identical for any thread count and any
+//! shard layout of the rows behind it.
 
 use cvopt_table::exec::{self, ExecOptions};
+use cvopt_table::groupby::Strata;
 use cvopt_table::{GroupIndex, KeyAtom, RowSpace, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -75,7 +72,8 @@ impl StratifiedSample {
     /// stratum `c` of `index` (the paper's second pass). Allocations above
     /// the stratum population are clamped.
     ///
-    /// Rows are bucketed by stratum per `options`, then drawn by
+    /// The rows are bucketed by the strata pass keyed by the index's ids
+    /// ([`Strata::of_index`]), then drawn by
     /// `StratifiedSample::draw_bucketed`; the result depends only on
     /// `(index, allocation, seed)`, never on the thread count.
     pub fn draw(
@@ -84,30 +82,46 @@ impl StratifiedSample {
         seed: u64,
         options: &ExecOptions,
     ) -> StratifiedSample {
-        let bucketed = exec::bucket_rows(index.row_groups(), index.num_groups(), options);
-        Self::draw_bucketed(index, |c| bucketed.bucket(c), allocation, seed, options)
+        let strata = Strata::of_index(index, options, |_| (), |_, ()| ())
+            .expect("a group index's rows have u32 ids");
+        Self::draw_strata(&strata, allocation, seed, options)
     }
 
-    /// The per-stratum draw kernel: `bucket(c)` lists stratum `c`'s rows in
-    /// ascending row order (what [`exec::bucket_rows`] produces for
-    /// `index.row_groups()`), and each stratum's reservoir is offered its
-    /// list as one slice from its own `seed`-derived RNG substream. Strata
-    /// are drawn in parallel per `options`.
-    pub(crate) fn draw_bucketed<'a>(
-        index: &GroupIndex,
-        bucket: impl Fn(usize) -> &'a [u32] + Sync,
+    /// The draw over the runs of a strata pass.
+    pub(crate) fn draw_strata(
+        strata: &Strata,
         allocation: &[u64],
         seed: u64,
         options: &ExecOptions,
     ) -> StratifiedSample {
-        assert_eq!(allocation.len(), index.num_groups(), "allocation must cover every stratum");
-        let rows_per_stratum = exec::run_indexed(index.num_groups(), options, |c| {
-            let rows = bucket(c);
-            let population = index.size(c as u32);
-            assert_eq!(rows.len() as u64, population, "stratum {c}'s row list is stale");
+        let rows = |c| strata.rows(c);
+        Self::draw_bucketed(strata.keys(), strata.sizes(), rows, allocation, seed, options)
+    }
+
+    /// The per-stratum draw kernel: stratum `c` has key `keys[c]` and
+    /// `sizes[c]` rows, and `rows(c)` lists them in ascending row order as a
+    /// chain of runs; each stratum's reservoir is offered its chain run by
+    /// run from its own `seed`-derived RNG substream. Strata are drawn in
+    /// parallel per `options`.
+    pub(crate) fn draw_bucketed<'a, R: Iterator<Item = &'a [u32]>>(
+        keys: &[Vec<KeyAtom>],
+        sizes: &[u64],
+        rows: impl Fn(usize) -> R + Sync,
+        allocation: &[u64],
+        seed: u64,
+        options: &ExecOptions,
+    ) -> StratifiedSample {
+        assert_eq!(allocation.len(), keys.len(), "allocation must cover every stratum");
+        let rows_per_stratum = exec::run_indexed(keys.len(), options, |c| {
+            let population = sizes[c];
             let mut rng = StdRng::seed_from_u64(substream_seed(seed, c as u64));
             let mut reservoir = Reservoir::new(allocation[c].min(population) as usize);
-            reservoir.offer_slice(rows, &mut rng);
+            let mut offered = 0u64;
+            for run in rows(c) {
+                reservoir.offer_slice(run, &mut rng);
+                offered += run.len() as u64;
+            }
+            assert_eq!(offered, population, "stratum {c}'s row list is stale");
             let mut sampled = reservoir.into_items();
             sampled.sort_unstable();
             sampled
@@ -115,10 +129,10 @@ impl StratifiedSample {
 
         let strata = rows_per_stratum
             .iter()
-            .enumerate()
-            .map(|(c, rows)| StratumInfo {
-                key: index.key(c as u32).to_vec(),
-                population: index.size(c as u32),
+            .zip(keys.iter().zip(sizes))
+            .map(|(rows, (key, &population))| StratumInfo {
+                key: key.clone(),
+                population,
                 sampled: rows.len() as u64,
             })
             .collect();
@@ -279,21 +293,34 @@ mod tests {
         }
     }
 
+    /// The reference bucketing: each group's rows of `index`, ascending.
+    fn buckets(index: &GroupIndex) -> (Vec<Vec<KeyAtom>>, Vec<Vec<u32>>) {
+        let mut rows = vec![Vec::new(); index.num_groups()];
+        for (row, &g) in index.row_groups().iter().enumerate() {
+            rows[g as usize].push(row as u32);
+        }
+        let keys = (0..index.num_groups() as u32).map(|g| index.key(g).to_vec()).collect();
+        (keys, rows)
+    }
+
     #[test]
     fn draw_is_the_kernel_over_the_index_buckets() {
         let (_t, idx) = table_and_index();
-        let buckets = exec::bucket_rows_sequential(idx.row_groups(), idx.num_groups());
+        let (keys, buckets) = buckets(&idx);
+        let sizes = idx.sizes();
         for (allocation, seed) in [([25, 5], 9), ([0, 10], 1), ([100, 500], 3)] {
             let exec = ExecOptions::new(2);
             let drawn = StratifiedSample::draw(&idx, &allocation, seed, &exec);
-            let kernel = StratifiedSample::draw_bucketed(
-                &idx,
-                |c| buckets.bucket(c),
-                &allocation,
-                seed,
-                &ExecOptions::sequential(),
-            );
+            let seq = ExecOptions::sequential();
+            // One slice per stratum, and the same rows as a chain of runs.
+            let whole = |c: usize| std::iter::once(buckets[c].as_slice());
+            let chained = |c: usize| buckets[c].chunks(7);
+            let kernel =
+                StratifiedSample::draw_bucketed(&keys, sizes, whole, &allocation, seed, &seq);
+            let chain =
+                StratifiedSample::draw_bucketed(&keys, sizes, chained, &allocation, seed, &seq);
             assert_eq!(drawn.rows_per_stratum, kernel.rows_per_stratum);
+            assert_eq!(chain.rows_per_stratum, kernel.rows_per_stratum);
         }
     }
 
@@ -301,9 +328,10 @@ mod tests {
     #[should_panic(expected = "row list is stale")]
     fn draw_bucketed_rejects_a_stale_row_list() {
         let (_t, idx) = table_and_index();
-        let buckets = exec::bucket_rows_sequential(idx.row_groups(), idx.num_groups());
-        let short = |c| &buckets.bucket(c)[1..];
-        StratifiedSample::draw_bucketed(&idx, short, &[5, 5], 1, &ExecOptions::sequential());
+        let (keys, buckets) = buckets(&idx);
+        let short = |c: usize| std::iter::once(&buckets[c][1..]);
+        let exec = ExecOptions::sequential();
+        StratifiedSample::draw_bucketed(&keys, idx.sizes(), short, &[5, 5], 1, &exec);
     }
 
     #[test]

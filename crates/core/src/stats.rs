@@ -6,17 +6,20 @@
 //! `a = ∪ {c ∈ C(a)}` (the paper's `Π`-projections) are derived by merging —
 //! no second scan.
 //!
-//! The pass runs on the shared chunk-parallel driver
-//! ([`cvopt_table::exec::run_partitioned`]): per-partition accumulators are
-//! merged in partition order, so the collected statistics are bit-identical
-//! for any thread count.
+//! The pass is the table layer's strata pass ([`Strata`]): each global
+//! partition's rows arrive counting-sorted by stratum, and the fold here
+//! gathers every run's values densely and feeds them to the lane-merge slice
+//! kernel ([`AggState::update_slice`]), into one flat state table sized by
+//! the strata that partition saw. Partials merge into the stratum table in
+//! partition order, so the statistics are bit-identical for any shard layout
+//! and thread count; the same runs then serve the draw.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cvopt_table::agg::AggState;
 use cvopt_table::exec::{self, ExecOptions};
 use cvopt_table::expr::BoundExpr;
-use cvopt_table::groupby::GroupProjection;
+use cvopt_table::groupby::{GroupProjection, Runs, Strata};
 use cvopt_table::{query, GroupIndex, RowSpace, ScalarExpr, Table};
 
 use crate::spec::VarianceKind;
@@ -51,49 +54,41 @@ fn bind_columns<'a>(
     rows: &RowSpace<'a>,
     columns: &[ScalarExpr],
     options: &ExecOptions,
-) -> Result<Vec<Vec<BoundExpr<'a>>>> {
+) -> cvopt_table::Result<Vec<Vec<BoundExpr<'a>>>> {
     let exprs: Vec<Option<ScalarExpr>> = columns.iter().cloned().map(Some).collect();
     let bound = rows.bind(&exprs, options)?;
     Ok(bound.into_iter().map(|shard| shard.into_iter().flatten().collect()).collect())
 }
 
-/// The per-partition statistics kernel behind
-/// [`StratumStatistics::collect_with`] and the incremental-maintenance
-/// partial computation: counting-sort the (global) partition's rows by
-/// stratum, gather each stratum's value run densely, and push it through
-/// the lane-merge slice kernel. A pure function of (bound columns, group
-/// ids, range) — which is what lets maintenance cache a partition's result
-/// and replay it bit-identically instead of rescanning — and of the
-/// partition's values in row order only, never of where shard boundaries
-/// fall.
-fn partition_states(
-    rows: &RowSpace<'_>,
-    bound: &[Vec<BoundExpr<'_>>],
-    gids: &[u32],
-    num_groups: usize,
-    range: exec::RowRange,
-) -> Vec<Vec<AggState>> {
-    let ncols = bound[0].len();
-    let mut states = vec![vec![AggState::default(); ncols]; num_groups];
+/// One partition's statistics: the slot states of its runs, `width` per
+/// slot, and the stratum of each slot.
+pub(crate) type Partial = (Vec<u32>, Vec<AggState>);
+
+/// The statistics kernel, a strata pass's fold: gather each slot's run of
+/// values densely and push it through the lane-merge slice kernel, into
+/// `states[slot * columns + column]`. Each run holds its stratum's rows of
+/// the partition in row order, so the lane schedule is a function of the
+/// partition's values alone, never of where shard boundaries fall.
+fn fold_runs(rows: &RowSpace<'_>, bound: &[Vec<BoundExpr<'_>>], runs: &Runs) -> Vec<AggState> {
+    let width = bound[0].len();
+    let mut states = vec![AggState::default(); runs.num_slots() * width];
+    let range = runs.range();
     if range.is_empty() {
         return states;
     }
-    // Partition-local stable counting sort (row ids relative to the
-    // partition): stratum runs come out in ascending row order, the order
-    // the scalar pass would feed each stratum's accumulator.
-    let local = exec::bucket_rows_sequential(&gids[range.start..range.end], num_groups);
-
     // A partition inside one shard — every partition of a plain table —
     // reads that shard's storage in place (`Float64` identity columns
-    // straight from the column slice). One that straddles a shard boundary
-    // first lays its values out in row order across the segments.
+    // straight from the column slice); its row `r` is the shard's
+    // `r - delta`. One that straddles a shard boundary first lays its
+    // values out in row order across the segments.
     let segments = rows.segments(range);
     let first = segments[0];
+    let delta = first.global_start - first.local.start;
     let exprs = &bound[first.shard];
     let dense: Vec<Option<&[f64]>> = exprs.iter().map(|e| e.f64_slice()).collect();
     let straddling: Vec<Vec<Option<f64>>> = match segments.len() {
         1 => Vec::new(),
-        _ => (0..ncols)
+        _ => (0..width)
             .map(|c| {
                 let values = segments.iter().flat_map(|seg| {
                     let expr = &bound[seg.shard][c];
@@ -104,51 +99,81 @@ fn partition_states(
             .collect(),
     };
 
-    let base = first.local.start;
     let mut buf: Vec<f64> = Vec::new();
-    for g in 0..num_groups {
-        let run = local.bucket(g);
-        if run.is_empty() {
-            continue;
-        }
-        for (c, slot) in states[g].iter_mut().enumerate() {
+    for slot in 0..runs.num_slots() {
+        let run = runs.slot(slot).iter().map(|&r| r as usize);
+        for (c, state) in states[slot * width..(slot + 1) * width].iter_mut().enumerate() {
             buf.clear();
             match (straddling.get(c), dense[c]) {
-                (Some(values), _) => buf.extend(run.iter().filter_map(|&r| values[r as usize])),
-                (None, Some(values)) => {
-                    buf.extend(run.iter().map(|&r| values[base + r as usize]));
+                (Some(values), _) => {
+                    buf.extend(run.clone().filter_map(|r| values[r - range.start]))
                 }
-                (None, None) => {
-                    buf.extend(run.iter().filter_map(|&r| exprs[c].f64_at(base + r as usize)));
-                }
+                (None, Some(values)) => buf.extend(run.clone().map(|r| values[r - delta])),
+                (None, None) => buf.extend(run.clone().filter_map(|r| exprs[c].f64_at(r - delta))),
             }
-            slot.update_slice(&buf);
+            state.update_slice(&buf);
         }
     }
     states
 }
 
-/// Per-partition state tables (`partials[partition][group][column]`) for
-/// the global partitions `from_partition..` of `rows`, computed with the
-/// exact [`collect_with`](StratumStatistics::collect_with) kernel. The
-/// incremental-maintenance path calls this with `from_partition = 0` at
-/// build time (one full scan) and with the first *dirty* partition on
-/// append (only the tail containing new rows is rescanned); either way a
-/// returned partial is bit-identical to the one a fresh full collect would
-/// compute for that partition. Does not count a statistics pass.
+/// Merge one partition's slot states into the stratum table `acc`
+/// (`acc[stratum][column]`, grown on demand) through `strata`, the stratum
+/// of each slot. A stratum a partition lacks is left alone — the merge of a
+/// default state is a no-op — and a stratum's first partial lands on a
+/// default state, which merging copies bit for bit; so the partition-order
+/// merge equals merging whole per-partition tables.
+fn merge_partial(acc: &mut Vec<Vec<AggState>>, width: usize, strata: &[u32], states: &[AggState]) {
+    for (slot, &c) in strata.iter().enumerate() {
+        if acc.len() <= c as usize {
+            acc.resize(c as usize + 1, vec![AggState::default(); width]);
+        }
+        let cells = &states[slot * width..(slot + 1) * width];
+        acc[c as usize].iter_mut().zip(cells).for_each(|(a, s)| a.merge(s));
+    }
+}
+
+/// The statistics pass over the strata of `index`, keeping every
+/// partition's partial: what a maintained sample caches, with the strata
+/// whose runs it keeps as row lists. Counts one statistics pass.
+pub(crate) fn partials(
+    rows: &RowSpace<'_>,
+    index: &GroupIndex,
+    columns: &[ScalarExpr],
+    options: &ExecOptions,
+) -> Result<(Strata, Vec<Partial>)> {
+    let bound = bind_columns(rows, columns, options)?;
+    record_pass();
+    let mut partials = Vec::new();
+    let strata = Strata::of_index(
+        index,
+        options,
+        |runs| fold_runs(rows, &bound, runs),
+        |strata, partial| partials.push((strata.to_vec(), partial)),
+    )?;
+    Ok((strata, partials))
+}
+
+/// The partials of the global partitions `from_partition..` of `rows`,
+/// keyed by `index`'s ids, with the same kernel: how the
+/// incremental-maintenance path rescans only the partitions an append
+/// dirtied. A returned partial is bit-identical to the one a fresh pass
+/// computes for that partition. Does not count a statistics pass.
 pub(crate) fn tail_partials(
     rows: &RowSpace<'_>,
     index: &GroupIndex,
     columns: &[ScalarExpr],
     options: &ExecOptions,
     from_partition: usize,
-) -> Result<Vec<Vec<Vec<AggState>>>> {
+) -> Result<Vec<Partial>> {
     let bound = bind_columns(rows, columns, options)?;
     let partitions = exec::partition_rows(rows.num_rows());
     let tail: Vec<exec::RowRange> = partitions.into_iter().skip(from_partition).collect();
-    Ok(exec::run_indexed(tail.len(), options, |i| {
-        partition_states(rows, &bound, index.row_groups(), index.num_groups(), tail[i])
-    }))
+    let partials = exec::run_indexed(tail.len(), options, |i| -> cvopt_table::Result<Partial> {
+        let (strata, runs) = index.partition_runs(tail[i])?;
+        Ok((strata, fold_runs(rows, &bound, &runs)))
+    });
+    Ok(partials.into_iter().collect::<cvopt_table::Result<_>>()?)
 }
 
 /// Per-stratum, per-column statistics over a table.
@@ -178,26 +203,30 @@ impl StratumStatistics {
                 }
             }
         }
-        Ok(Self::from_states(index, columns, states))
+        Ok(StratumStatistics {
+            column_names: columns.iter().map(|c| c.display_name()).collect(),
+            states,
+            populations: index.sizes().to_vec(),
+        })
     }
 
     /// Collect statistics over `rows` — a `&Table` or a
     /// [`ShardSet`](cvopt_table::ShardSet), shards local or remote — given
     /// the group index ([`RowSpace::group_index`]) over the same logical
-    /// rows, on the shared chunk-parallel driver with the vectorized
-    /// per-partition kernel: each partition counting-sorts its rows by
-    /// stratum (partition-local histogram + stable scatter), then feeds
-    /// every stratum's contiguous value run to the lane-merge slice kernel
-    /// ([`AggState::update_slice`]).
+    /// rows: the strata pass keyed by the index's ids
+    /// ([`Strata::of_index`]), folded by the vectorized per-partition
+    /// kernel — every stratum's contiguous value run of a partition goes
+    /// through the lane-merge slice kernel ([`AggState::update_slice`]).
     ///
     /// Partials are whole **global** partitions: boundaries are fixed by
     /// the row count alone (shard boundaries never move them), the lane
     /// schedule is fixed by the run contents, and partial accumulators
     /// merge in partition order, so the result is **bit-identical for any
-    /// shard layout and any thread count**. It may differ from the purely
-    /// scalar [`StratumStatistics::collect`] in the last ulps of mean/M2
-    /// (lane-merged vs. single-chain Welford rounding); both are
-    /// deterministic.
+    /// shard layout and any thread count** — and to the statistics
+    /// [`CvOptSampler`](crate::CvOptSampler) collects over packed keys. It
+    /// may differ from the purely scalar [`StratumStatistics::collect`] in
+    /// the last ulps of mean/M2 (lane-merged vs. single-chain Welford
+    /// rounding); both are deterministic.
     pub fn collect_with<'a>(
         rows: impl Into<RowSpace<'a>>,
         index: &GroupIndex,
@@ -207,56 +236,69 @@ impl StratumStatistics {
         let rows = rows.into();
         let bound = bind_columns(&rows, columns, options)?;
         record_pass();
-        // Partition 0's table is the accumulator: no second table of every
-        // stratum is allocated beside the partials.
-        let states = exec::fold_partitioned(
-            rows.num_rows(),
+        let mut states = Vec::new();
+        Strata::of_index(
+            index,
             options,
-            None,
-            |_, range| {
-                partition_states(&rows, &bound, index.row_groups(), index.num_groups(), range)
-            },
-            |acc: &mut Option<Vec<Vec<AggState>>>, partial| match acc {
-                Some(acc) => exec::merge_state_tables(acc, partial, |a, b| a.merge(b)),
-                None => *acc = Some(partial),
-            },
-        );
-        let states = states.expect("a row space has at least one partition");
-        Ok(Self::from_states(index, columns, states))
+            |runs| fold_runs(&rows, &bound, runs),
+            |strata, partial| merge_partial(&mut states, columns.len(), strata, &partial),
+        )?;
+        Ok(Self::from_table(columns, states, index.sizes().to_vec()))
     }
 
-    pub(crate) fn from_states(
-        index: &GroupIndex,
+    /// The statistics pass over `rows` stratified by `exprs`: one strata
+    /// pass ([`Strata::collect`]) whose fold is the statistics kernel. The
+    /// strata come back with their runs, for the draw.
+    pub(crate) fn collect_strata(
+        rows: &RowSpace<'_>,
+        exprs: &[ScalarExpr],
         columns: &[ScalarExpr],
-        states: Vec<Vec<AggState>>,
+        options: &ExecOptions,
+    ) -> Result<(Strata, Self)> {
+        let mut states = Vec::new();
+        let fold = || {
+            let bound = bind_columns(rows, columns, options)?;
+            record_pass();
+            Ok(move |runs: &Runs| fold_runs(rows, &bound, runs))
+        };
+        let strata = Strata::collect(rows, exprs, options, fold, |strata, partial| {
+            merge_partial(&mut states, columns.len(), strata, &partial)
+        })?;
+        let stats = Self::from_table(columns, states, strata.sizes().to_vec());
+        Ok((strata, stats))
+    }
+
+    /// Statistics from a merged stratum table; a stratum no partial
+    /// reached keeps default states.
+    fn from_table(
+        columns: &[ScalarExpr],
+        mut states: Vec<Vec<AggState>>,
+        populations: Vec<u64>,
     ) -> Self {
+        states.resize(populations.len(), vec![AggState::default(); columns.len()]);
         StratumStatistics {
             column_names: columns.iter().map(|c| c.display_name()).collect(),
             states,
-            populations: index.sizes().to_vec(),
+            populations,
         }
     }
 
-    /// Fold cached per-partition partials (see [`tail_partials`]) into the
-    /// statistics a fresh [`collect_with`](StratumStatistics::collect_with)
-    /// over the same rows would produce. The fold is the same strict
-    /// ascending-partition left fold `fold_partitioned` runs, over
-    /// bit-identical partials, so the result is **bit-identical to a full
-    /// re-collect** — without touching a single row. Partials must all be
-    /// padded to `index.num_groups()` groups (a partition that predates a
-    /// stratum holds default accumulators for it, exactly what a fresh
-    /// kernel computes for a stratum with no rows in the partition).
+    /// Fold cached per-partition partials (see [`tail_partials`]), in
+    /// partition order, into the statistics a fresh
+    /// [`collect_with`](StratumStatistics::collect_with) over the same rows
+    /// would produce: the same merge over bit-identical partials, so the
+    /// result is **bit-identical to a full re-collect** — without touching
+    /// a single row.
     pub(crate) fn from_partials(
         index: &GroupIndex,
         columns: &[ScalarExpr],
-        partials: &[Vec<Vec<AggState>>],
+        partials: &[Partial],
     ) -> Self {
-        let mut iter = partials.iter();
-        let mut acc = iter.next().cloned().unwrap_or_default();
-        for partial in iter {
-            exec::merge_state_tables(&mut acc, partial.clone(), |a, b| a.merge(b));
+        let mut states = Vec::new();
+        for (strata, partial) in partials {
+            merge_partial(&mut states, columns.len(), strata, partial);
         }
-        Self::from_states(index, columns, acc)
+        Self::from_table(columns, states, index.sizes().to_vec())
     }
 
     /// Number of strata.

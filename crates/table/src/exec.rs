@@ -1,10 +1,13 @@
 //! Deterministic chunked-parallel execution.
 //!
-//! Every per-row hot path in the workspace (group-index build, the
-//! statistics pass, predicate evaluation, exact and estimated group-by
-//! scans, the stratified draw) runs through this module's scatter-gather
-//! drivers. The design invariant is **thread-count independence**: results
-//! are bit-identical whatever `threads` is, because
+//! Every per-row hot path in the workspace — the grouping walk behind the
+//! group index, exact and estimated group-by scans and the strata pass
+//! (whose runs the statistics fold and the stratified draw read), predicate
+//! evaluation, the join probe — runs through this module's drivers. A
+//! partition writes only what it owns: its own partial, or its own disjoint
+//! block of an output, handed out by safe slice splitting. The design
+//! invariant is **thread-count independence**: results are bit-identical
+//! whatever `threads` is, because
 //!
 //! 1. work is split into *partitions* whose boundaries depend only on the
 //!    input size (fixed [`CHUNK_ROWS`]-row chunks), never on the thread
@@ -248,165 +251,6 @@ where
     })
 }
 
-/// Merge one partial `[group][column]` state table into an accumulator of
-/// the same shape, cell by cell: the statistics pass's reduce step.
-pub fn merge_state_tables<S>(acc: &mut [Vec<S>], partial: Vec<Vec<S>>, merge: impl Fn(&mut S, &S)) {
-    for (group, partial_group) in acc.iter_mut().zip(partial) {
-        for (slot, state) in group.iter_mut().zip(partial_group) {
-            merge(slot, &state);
-        }
-    }
-}
-
-/// Row ids grouped by bucket: `rows[offsets[b]..offsets[b + 1]]` lists
-/// bucket `b`'s rows in ascending row order — exactly the layout a stable
-/// counting sort over the bucket ids produces.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BucketedRows {
-    /// Exclusive prefix sums of the bucket sizes (`num_buckets + 1` entries).
-    pub offsets: Vec<usize>,
-    /// All row ids, bucket-major, row-ascending within each bucket.
-    pub rows: Vec<u32>,
-}
-
-impl BucketedRows {
-    /// The rows of bucket `b`, in ascending row order.
-    pub fn bucket(&self, b: usize) -> &[u32] {
-        &self.rows[self.offsets[b]..self.offsets[b + 1]]
-    }
-
-    /// Number of buckets.
-    pub fn num_buckets(&self) -> usize {
-        self.offsets.len() - 1
-    }
-}
-
-/// Reference implementation of [`bucket_rows`]: one sequential stable
-/// counting sort over `bucket_of`. The parallel two-phase scatter is
-/// defined to produce byte-identical output to this pass.
-pub fn bucket_rows_sequential(bucket_of: &[u32], num_buckets: usize) -> BucketedRows {
-    let mut offsets = vec![0usize; num_buckets + 1];
-    for &b in bucket_of {
-        offsets[b as usize + 1] += 1;
-    }
-    for b in 0..num_buckets {
-        offsets[b + 1] += offsets[b];
-    }
-    let mut rows = vec![0u32; bucket_of.len()];
-    let mut cursor = offsets.clone();
-    for (row, &b) in bucket_of.iter().enumerate() {
-        rows[cursor[b as usize]] = row as u32;
-        cursor[b as usize] += 1;
-    }
-    BucketedRows { offsets, rows }
-}
-
-/// Shared output buffer for scatter phases. Writes go through a raw
-/// pointer without synchronization; callers guarantee every index is
-/// written by exactly one partition (disjointness comes from the exclusive
-/// prefix offsets), so writes never alias.
-struct ScatterBuffer<T> {
-    ptr: *mut T,
-    len: usize,
-}
-
-// SAFETY: the buffer hands out no references; each `write` target is owned
-// by exactly one partition, so concurrent use never aliases.
-unsafe impl<T: Send> Sync for ScatterBuffer<T> {}
-
-impl<T> ScatterBuffer<T> {
-    fn new(data: &mut [T]) -> Self {
-        ScatterBuffer { ptr: data.as_mut_ptr(), len: data.len() }
-    }
-
-    /// # Safety
-    /// `i < len`, and no other thread writes index `i`.
-    unsafe fn write(&self, i: usize, value: T) {
-        debug_assert!(i < self.len);
-        unsafe { self.ptr.add(i).write(value) };
-    }
-}
-
-/// Bucket row ids by a per-row bucket id with a two-phase parallel
-/// scatter: phase 1 computes per-partition × per-bucket histograms on
-/// [`run_partitioned`], phase 2 takes an exclusive prefix over
-/// `(bucket, partition)` — bucket-major, partition-minor — so every
-/// partition owns a disjoint write window per bucket, and phase 3 scatters
-/// rows in parallel into a pre-sized buffer.
-///
-/// Because partitions are fixed by the row count and the prefix order is
-/// bucket-major then partition order (= global row order within a bucket),
-/// the output is **byte-identical to [`bucket_rows_sequential`]** for any
-/// thread count.
-pub fn bucket_rows(bucket_of: &[u32], num_buckets: usize, options: &ExecOptions) -> BucketedRows {
-    let n = bucket_of.len();
-    let partitions = partition_rows(n);
-    // The phase-2 prefix tables cost O(partitions × buckets) memory and
-    // sequential time. For very fine stratifications that planning pass
-    // dwarfs the O(n) scatter it schedules, so fall back to the counting
-    // sort (O(n + buckets)). The cutoff depends only on the input shape —
-    // never the thread count — and both paths produce identical output,
-    // so determinism is unaffected.
-    let oversized_prefix = partitions.len().saturating_mul(num_buckets) > n;
-    if options.threads() <= 1 || partitions.len() <= 1 || oversized_prefix {
-        return bucket_rows_sequential(bucket_of, num_buckets);
-    }
-
-    // Phase 1: per-partition histograms, in partition order.
-    let histograms: Vec<Vec<u32>> = run_partitioned(
-        n,
-        options,
-        |_, range| {
-            let mut hist = vec![0u32; num_buckets];
-            for &b in &bucket_of[range.start..range.end] {
-                hist[b as usize] += 1;
-            }
-            hist
-        },
-        |parts| parts,
-    );
-
-    // Phase 2: exclusive prefix over (bucket, partition). `starts[p][b]` is
-    // the first output slot of partition `p`'s rows for bucket `b`.
-    let mut offsets = vec![0usize; num_buckets + 1];
-    for hist in &histograms {
-        for (b, &count) in hist.iter().enumerate() {
-            offsets[b + 1] += count as usize;
-        }
-    }
-    for b in 0..num_buckets {
-        offsets[b + 1] += offsets[b];
-    }
-    let mut starts = vec![0u32; histograms.len() * num_buckets];
-    let mut cursor: Vec<u32> = offsets[..num_buckets].iter().map(|&o| o as u32).collect();
-    for (p, hist) in histograms.iter().enumerate() {
-        for (b, &count) in hist.iter().enumerate() {
-            starts[p * num_buckets + b] = cursor[b];
-            cursor[b] += count;
-        }
-    }
-
-    // Phase 3: parallel scatter into disjoint windows.
-    let mut rows = vec![0u32; n];
-    let out = ScatterBuffer::new(&mut rows);
-    run_partitioned(
-        n,
-        options,
-        |p, range| {
-            let mut cursor = starts[p * num_buckets..(p + 1) * num_buckets].to_vec();
-            for row in range.rows() {
-                let b = bucket_of[row] as usize;
-                // SAFETY: `cursor[b]` walks partition `p`'s disjoint
-                // window for bucket `b`; no other partition writes it.
-                unsafe { out.write(cursor[b] as usize, row as u32) };
-                cursor[b] += 1;
-            }
-        },
-        |_: Vec<()>| (),
-    );
-    BucketedRows { offsets, rows }
-}
-
 /// Run `work` for every index in `0..n_items` with dynamic scheduling and
 /// return the results in index order. This is the driver for *item*-grained
 /// parallelism (one stratum, one dimension, one query) where per-item cost
@@ -515,82 +359,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    /// Deterministic pseudo-random bucket assignment for scatter tests.
-    fn assignment(n: usize, num_buckets: usize, seed: u64) -> Vec<u32> {
-        let mut state = seed;
-        (0..n)
-            .map(|row| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(row as u64 | 1)
-                    .rotate_left(17);
-                (state % num_buckets as u64) as u32
-            })
-            .collect()
-    }
-
-    #[test]
-    fn bucket_rows_matches_sequential_at_boundary_sizes() {
-        // 0, 1, and non-multiples of the partition size: the sizes where
-        // an off-by-one in the prefix/scatter would show.
-        for n in [0usize, 1, 63, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 123] {
-            let buckets = assignment(n, 7, 0xC0FFEE);
-            let reference = bucket_rows_sequential(&buckets, 7);
-            for threads in [1usize, 2, 8] {
-                let par = bucket_rows(&buckets, 7, &ExecOptions::new(threads));
-                assert_eq!(par, reference, "n = {n}, threads = {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn bucket_rows_is_stable_by_row_order() {
-        let buckets = assignment(3 * CHUNK_ROWS + 17, 5, 42);
-        let out = bucket_rows(&buckets, 5, &ExecOptions::new(4));
-        assert_eq!(out.num_buckets(), 5);
-        let mut seen = 0usize;
-        for b in 0..5 {
-            let rows = out.bucket(b);
-            seen += rows.len();
-            assert!(rows.windows(2).all(|w| w[0] < w[1]), "bucket {b} not in row order");
-            assert!(rows.iter().all(|&r| buckets[r as usize] as usize == b));
-        }
-        assert_eq!(seen, buckets.len());
-    }
-
-    #[test]
-    fn bucket_rows_empty_buckets_allowed() {
-        // Buckets with zero rows (including trailing ones) keep their
-        // offsets well-formed.
-        let buckets = vec![2u32; 10];
-        let out = bucket_rows(&buckets, 6, &ExecOptions::new(4));
-        assert_eq!(out.offsets, vec![0, 0, 0, 10, 10, 10, 10]);
-        assert!(out.bucket(0).is_empty());
-        assert_eq!(out.bucket(2).len(), 10);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// The two-phase scatter equals the sequential counting sort for
-        /// random assignments spanning multiple partitions.
-        #[test]
-        fn bucket_rows_matches_sequential_on_random_assignments(
-            seed in any::<u64>(),
-            num_buckets in 1usize..40,
-            extra in 0usize..300,
-        ) {
-            let n = CHUNK_ROWS + extra;
-            let buckets = assignment(n, num_buckets, seed);
-            let reference = bucket_rows_sequential(&buckets, num_buckets);
-            for threads in [2usize, 8] {
-                let par = bucket_rows(&buckets, num_buckets, &ExecOptions::new(threads));
-                prop_assert_eq!(&par, &reference, "threads = {}", threads);
-            }
-        }
-    }
 
     #[test]
     fn threads_override_accepts_positive_integers() {
@@ -703,13 +471,6 @@ mod tests {
             );
             assert_eq!(order, vec![0, 1, 2, 3], "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn merge_state_tables_shapes() {
-        let mut acc = vec![vec![1u64, 2], vec![3, 4]];
-        merge_state_tables(&mut acc, vec![vec![10, 20], vec![30, 40]], |a, b| *a += *b);
-        assert_eq!(acc, vec![vec![11, 22], vec![33, 44]]);
     }
 
     #[test]

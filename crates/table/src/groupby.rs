@@ -9,10 +9,11 @@
 //! Every row's key is a mixed-radix `u64` of dimension codes in **one code
 //! space for the whole row space** (`RowKeys`): a string dimension lends
 //! its dictionary codes — translated, shard by shard, into one merged
-//! dictionary when the row space holds several in-process shards — an
-//! integer-like dimension is interned to dense codes first, and a group
-//! index lends its ids. The radix product is then the exact key-space bound,
-//! known before the scan.
+//! dictionary when the row space holds several in-process shards — `YEAR`
+//! and `MONTH` of a timestamp whose span of days is at most the rows read
+//! their code from a table over those days, any other dimension is interned
+//! to dense codes first, and a group index lends its ids. The radix product is then the exact key-space bound, known before
+//! the scan.
 //!
 //! One walk does the per-row work (`RowKeys::walk`): over a row range, in
 //! row order, it maps each row's key to a partition-local *slot* — through a
@@ -20,8 +21,11 @@
 //! walked, through a hash map otherwise; a property of the data, not an
 //! option — and hands each run of rows and their slots to its caller.
 //! [`GroupIndex::build_with`] writes the slots as per-row ids; the exact
-//! executor folds each slot's accumulators in place, so an exact statement
-//! over in-process rows never materialises a per-row id.
+//! executor folds each slot's accumulators in place; and the strata pass
+//! ([`Strata`]) counting-sorts each partition's rows by slot into runs that
+//! the statistics fold and the stratified draw both read. Over in-process
+//! rows, neither an exact statement nor a cold sample materialises a per-row
+//! id.
 //!
 //! `OrderedMerge` joins partial results in row order through translation
 //! tables: the partitions of a walk, an ingest batch behind a maintained
@@ -43,6 +47,10 @@ use crate::shard::ShardSegment;
 use crate::table::Table;
 use crate::types::Value;
 use crate::Result;
+
+mod strata;
+
+pub use strata::{Runs, Strata};
 
 /// One component of a group key. Unlike [`Value`], atoms are hashable and
 /// totally ordered, because floats never appear in group keys.
@@ -166,6 +174,9 @@ enum Codes<'k> {
     Shards(Vec<(&'k [u32], Option<Vec<u32>>)>),
     /// One code per global row.
     Rows(Cow<'k, [u32]>),
+    /// Per shard, each row's epoch seconds; the row's code is
+    /// `codes[utc_day(seconds) - first_day]`.
+    Days { shards: Vec<&'k [i64]>, first_day: i64, codes: Vec<u32> },
 }
 
 /// One column of a packed key: a code per row and, per code, the key atoms
@@ -191,6 +202,14 @@ impl CodeColumn<'_> {
                 (&codes[run.local.start..run.local.end], translation.as_deref())
             }
             Codes::Rows(codes) => (&codes[run.global_start..run.global_start + keys.len()], None),
+            Codes::Days { shards, first_day, codes } => {
+                let seconds = &shards[run.shard][run.local.start..run.local.end];
+                for (key, &s) in keys.iter_mut().zip(seconds) {
+                    let code = codes[(s.div_euclid(SECS_PER_DAY) - first_day) as usize];
+                    *key = *key * radix + u64::from(code);
+                }
+                return;
+            }
         };
         match translation {
             None => {
@@ -260,11 +279,12 @@ impl KeySource<'_, '_> {
 const RUN_ROWS: usize = 1024;
 
 /// **The walk** — the only per-row key lookup there is. Visits the rows of
-/// `range` in row order, a run of at most [`RUN_ROWS`] rows of one shard at
-/// a time, and gives each row the slot of its key, local to this walk: the
-/// next slot at a key's first occurrence. `visit` receives each run, its
-/// rows' slots, and how many slots exist so far. Returns the walk's keys in
-/// slot order with their row counts.
+/// `segments` — one row range, in shard order — in row order, a run of at
+/// most [`RUN_ROWS`] rows of one shard at a time, and gives each row the
+/// slot of its key, local to this walk: the next slot at a key's first
+/// occurrence. `visit` receives each run, its rows' slots, and how many
+/// slots exist so far. Returns the walk's keys in slot order with their row
+/// counts.
 ///
 /// The slot lookup is a flat table indexed by the key when the source's
 /// bound is at most the rows walked — the table is then no larger than the
@@ -272,29 +292,28 @@ const RUN_ROWS: usize = 1024;
 /// way.
 fn walk(
     source: &KeySource,
-    rows: &RowSpace,
-    range: RowRange,
+    segments: &[ShardSegment],
     visit: impl FnMut(&ShardSegment, &[u32], usize),
 ) -> Result<LocalKeys> {
+    let rows: usize = segments.iter().map(ShardSegment::len).sum();
     match source.bound() {
-        Some(bound) if bound <= range.len() as u64 => {
-            walk_with(FlatSlots(vec![0; bound as usize]), source, rows, range, visit)
+        Some(bound) if bound <= rows as u64 => {
+            walk_with(FlatSlots(vec![0; bound as usize]), source, segments, visit)
         }
-        _ => walk_with(HashSlots::default(), source, rows, range, visit),
+        _ => walk_with(HashSlots::default(), source, segments, visit),
     }
 }
 
 fn walk_with(
     mut table: impl SlotTable,
     source: &KeySource,
-    rows: &RowSpace,
-    range: RowRange,
+    segments: &[ShardSegment],
     mut visit: impl FnMut(&ShardSegment, &[u32], usize),
 ) -> Result<LocalKeys> {
     let mut seen = LocalKeys::default();
     let mut keys = [0u64; RUN_ROWS];
     let mut slots = [0u32; RUN_ROWS];
-    for segment in rows.segments(range) {
+    for segment in segments {
         let mut start = segment.local.start;
         while start < segment.local.end {
             let end = segment.local.end.min(start + RUN_ROWS);
@@ -409,7 +428,7 @@ fn intern_rows(rows: &RowSpace, source: &KeySource, options: &ExecOptions) -> Re
         exec::for_each_chunk_mut(&mut ids, block, options, |i, ids| {
             let start = i * block;
             let range = RowRange { start, end: start + ids.len() };
-            walk(source, rows, range, |run, slots, _| {
+            walk(source, &rows.segments(range), |run, slots, _| {
                 let at = run.global_start - start;
                 ids[at..at + slots.len()].copy_from_slice(slots);
             })
@@ -468,11 +487,57 @@ fn encode_dimension<'k>(
         let labels = Cow::Owned(labels.collect());
         return Ok(CodeColumn { codes: Codes::Shards(shards), labels });
     }
-    // Integer-like dimension: intern values to dense codes in first-seen
-    // order — the same walk, keyed by the value.
+    if let Some(column) = day_column(expr, &bound, rows.num_rows()) {
+        return Ok(column);
+    }
+    // Any other integer-like dimension: intern values to dense codes in
+    // first-seen order — the same walk, keyed by the value.
     let interned = intern_rows(rows, &KeySource::Values { expr, values: &bound }, options)?;
     let labels = interned.keys.into_iter().map(|v| vec![KeyAtom::Int(v as i64)]).collect();
     Ok(CodeColumn { codes: Codes::Rows(Cow::Owned(interned.ids)), labels: Cow::Owned(labels) })
+}
+
+const SECS_PER_DAY: i64 = 86_400;
+
+/// `YEAR` or `MONTH` of a timestamp column, coded through a table over the
+/// column's UTC days when the day span is at most `rows` — the walk's own
+/// rule for a table indexed by the key. No per-row code is written, and the
+/// civil conversion runs once per day of the span rather than once per row.
+/// Codes follow each part's first appearance in ascending day order; group
+/// ids follow the packed keys' first occurrence over the rows, as interning
+/// gives them. `None` — intern values instead — for any other dimension or a
+/// wider span.
+fn day_column<'k>(
+    expr: &ScalarExpr,
+    bound: &[BoundExpr<'k>],
+    rows: usize,
+) -> Option<CodeColumn<'k>> {
+    let part: fn(i64) -> i64 = match expr {
+        ScalarExpr::Year(_) => |day| i64::from(crate::time::civil_from_days(day).0),
+        ScalarExpr::Month(_) => |day| i64::from(crate::time::civil_from_days(day).1),
+        _ => return None,
+    };
+    let shards: Vec<&'k [i64]> =
+        bound.iter().map(|b| b.column().i64_slice()).collect::<Option<_>>()?;
+    let (mut low, mut high) = (i64::MAX, i64::MIN);
+    for &seconds in shards.iter().copied().flatten() {
+        low = low.min(seconds);
+        high = high.max(seconds);
+    }
+    let (first_day, last_day) = (low.div_euclid(SECS_PER_DAY), high.div_euclid(SECS_PER_DAY));
+    last_day.checked_sub(first_day).filter(|&width| (width as u64) < rows as u64)?;
+    let mut labels: Vec<Vec<KeyAtom>> = Vec::new();
+    let mut code_of: FxHashMap<i64, u32> = FxHashMap::default();
+    let codes = (first_day..=last_day)
+        .map(|day| {
+            *code_of.entry(part(day)).or_insert_with_key(|&value| {
+                labels.push(vec![KeyAtom::Int(value)]);
+                labels.len() as u32 - 1
+            })
+        })
+        .collect();
+    let codes = Codes::Days { shards, first_day, codes };
+    Some(CodeColumn { codes, labels: Cow::Owned(labels) })
 }
 
 /// Every row's grouping key over one row space, packed into one `u64` code
@@ -545,7 +610,16 @@ impl<'k> RowKeys<'k> {
         range: RowRange,
         visit: impl FnMut(&ShardSegment, &[u32], usize),
     ) -> LocalKeys {
-        walk(&self.source(), rows, range, visit).expect("code columns hold a key for every row")
+        self.walk_segments(&rows.segments(range), visit)
+    }
+
+    /// [`walk`] the rows of `segments`.
+    fn walk_segments(
+        &self,
+        segments: &[ShardSegment],
+        visit: impl FnMut(&ShardSegment, &[u32], usize),
+    ) -> LocalKeys {
+        walk(&self.source(), segments, visit).expect("code columns hold a key for every row")
     }
 
     /// The key atoms of packed key `key`, borrowed from the labels when one
@@ -1066,13 +1140,76 @@ mod tests {
         let range = RowRange { start: 0, end: t.num_rows() };
         let (mut flat, mut hashed) = (Vec::new(), Vec::new());
         let table = FlatSlots(vec![0; keys.bound as usize]);
-        let a = walk_with(table, &keys.source(), &rows, range, |_, s, _| flat.extend_from_slice(s));
-        let b = walk_with(HashSlots::default(), &keys.source(), &rows, range, |_, s, _| {
+        let segments = rows.segments(range);
+        let a = walk_with(table, &keys.source(), &segments, |_, s, _| flat.extend_from_slice(s));
+        let b = walk_with(HashSlots::default(), &keys.source(), &segments, |_, s, _| {
             hashed.extend_from_slice(s)
         });
         let (a, b) = (a.unwrap(), b.unwrap());
         assert_eq!((flat, &a.keys, &a.sizes), (hashed, &b.keys, &b.sizes));
         assert_eq!(a.keys.len(), 23 * 5);
+    }
+
+    /// `YEAR` and `MONTH` read a table over the column's days exactly when
+    /// the day span is at most the rows walked — before 1970 as after — and
+    /// key the rows as interning their values does; a wider span, and any
+    /// plain integer column, interns. A null timestamp never reaches either:
+    /// a table refuses it, and a date part of a string column is refused at
+    /// bind, as before.
+    #[test]
+    fn day_tables_code_date_parts_whose_span_fits_the_rows() {
+        let t = |rows: &[(i64, i64)]| {
+            let mut b = TableBuilder::new(&[
+                ("t", DataType::Timestamp),
+                ("i", DataType::Int64),
+                ("s", DataType::Str),
+            ]);
+            for (r, &(day, i)) in rows.iter().enumerate() {
+                let secs = day * SECS_PER_DAY + (r as i64 * 7919) % SECS_PER_DAY;
+                b.push_row(&[Value::Timestamp(secs), Value::Int64(i), Value::str("x")]).unwrap();
+            }
+            b.finish()
+        };
+        let day = |y, m, d| crate::time::days_from_civil(y, m, d);
+        // 1969-12-30 ..= 1970-01-02 over four rows: the day span fits
+        // exactly. The values -10 ..= -7 (-9 missing) would fit too, but a
+        // plain column interns.
+        let fits = t(&[
+            (day(1970, 1, 2), -7),
+            (day(1969, 12, 30), -10),
+            (day(1970, 1, 1), -7),
+            (day(1969, 12, 31), -8),
+        ]);
+        // A day span one wider than its three rows.
+        let wide = t(&[(day(1969, 12, 30), 1), (day(1970, 1, 2), 4), (day(1970, 1, 1), 1)]);
+        for (table, coded) in [(&fits, true), (&wide, false)] {
+            let rows = RowSpace::from(table);
+            for expr in [ScalarExpr::year("t"), ScalarExpr::month("t"), ScalarExpr::col("i")] {
+                let exprs = [expr.clone()];
+                let keys = RowKeys::encode(&rows, &[table], &exprs, &ExecOptions::new(2)).unwrap();
+                let days = matches!(keys.columns[0].codes, Codes::Days { .. });
+                let date_part = !matches!(expr, ScalarExpr::Column(_));
+                assert_eq!(days, coded && date_part, "{expr}");
+                let index = GroupIndex::build(table, &exprs).unwrap();
+                let bound = expr.bind(table).unwrap();
+                let mut firsts: Vec<Vec<KeyAtom>> = Vec::new();
+                for row in 0..table.num_rows() {
+                    let key = vec![KeyAtom::Int(bound.i64_at(row).unwrap())];
+                    if !firsts.contains(&key) {
+                        firsts.push(key.clone());
+                    }
+                    assert_eq!(index.key(index.group_of(row)), key.as_slice(), "{expr}");
+                }
+                let keys: Vec<&[KeyAtom]> =
+                    (0..index.num_groups() as u32).map(|g| index.key(g)).collect();
+                assert_eq!(keys, firsts, "{expr}: first-occurrence order");
+            }
+        }
+        let mut b = TableBuilder::new(&[("t", DataType::Timestamp)]);
+        let null = b.push_row(&[Value::Null]).unwrap_err();
+        assert!(matches!(null, crate::error::TableError::TypeMismatch { .. }), "{null}");
+        let err = GroupIndex::build(&fits, &[ScalarExpr::year("s")]).unwrap_err();
+        assert!(matches!(err, crate::error::TableError::InvalidFunctionInput { .. }), "{err}");
     }
 
     #[test]

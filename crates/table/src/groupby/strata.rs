@@ -1,0 +1,429 @@
+//! The strata pass: the one bucketing of a row space by stratum, which the
+//! statistics fold and the stratified draw both read.
+//!
+//! For each global [`CHUNK_ROWS`](crate::exec::CHUNK_ROWS)-row partition the
+//! walk gives every row a partition-local slot, and the partition's rows are
+//! then counting-sorted by slot into [`Runs`] of global `u32` row ids, each
+//! run in row order; keyed by a group index's ids, which are dense already,
+//! the rows counting-sort by id directly. A caller-supplied fold consumes
+//! the runs while they are still cache-resident, and only its partial, the
+//! runs and the partition's translation table outlive the partition.
+//! Partition keys merge in partition order through the ordered merge, so
+//! strata take ids in first-occurrence order — the ids [`GroupIndex`]
+//! assigns — and a stratum's rows are the chain of its runs in partition
+//! order: its rows ascending, exactly as one sequential stable counting sort
+//! over the row space lists them, for any shard layout and thread count.
+
+use crate::error::check_row_ids;
+use crate::exec::{self, ExecOptions, RowRange};
+use crate::expr::ScalarExpr;
+use crate::reader::RowSpace;
+use crate::shard::ShardSegment;
+use crate::Result;
+
+use super::{GroupIndex, GroupProjection, KeyAtom, LocalKeys, OrderedMerge, RowKeys};
+
+/// One partition's rows counting-sorted by slot: [`Runs::slot`]`(s)` lists
+/// the global ids of the rows whose key took slot `s`, ascending. Slots are
+/// the partition's distinct keys, so no run is empty.
+#[derive(Debug)]
+pub struct Runs {
+    range: RowRange,
+    /// Slot `s`'s run is `rows[offsets[s]..offsets[s + 1]]`.
+    offsets: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl Runs {
+    /// The partition's global row range.
+    pub fn range(&self) -> RowRange {
+        self.range
+    }
+
+    /// Number of slots: the distinct keys of the partition.
+    pub fn num_slots(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Slot `slot`'s global row ids, ascending.
+    pub fn slot(&self, slot: usize) -> &[u32] {
+        &self.rows[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
+    }
+}
+
+/// The scatter of a stable counting sort: row `r` of `range` goes to
+/// `cursor[key]` for its key `keys[r - range.start]`, which then advances.
+fn scatter(range: RowRange, keys: &[u32], cursor: &mut [u32]) -> Vec<u32> {
+    let mut rows = vec![0u32; keys.len()];
+    for (row, &key) in range.rows().zip(keys) {
+        let at = &mut cursor[key as usize];
+        rows[*at as usize] = row as u32;
+        *at += 1;
+    }
+    rows
+}
+
+/// The partition kernel over packed keys: walk `segments` — the rows of
+/// `range` — and counting-sort the rows by the slots the walk handed out, in
+/// first-occurrence order.
+fn partition(keys: &RowKeys, segments: &[ShardSegment], range: RowRange) -> (LocalKeys, Runs) {
+    let mut slots = Vec::with_capacity(range.len());
+    let local = keys.walk_segments(segments, |_, run, _| slots.extend_from_slice(run));
+    let mut offsets = Vec::with_capacity(local.sizes.len() + 1);
+    let mut end = 0u32;
+    offsets.push(end);
+    for &size in &local.sizes {
+        end += size as u32;
+        offsets.push(end);
+    }
+    let mut cursor = offsets[..local.sizes.len()].to_vec();
+    let rows = scatter(range, &slots, &mut cursor);
+    (local, Runs { range, offsets, rows })
+}
+
+/// The partition kernel over an index's ids, which are dense already: the
+/// rows counting-sort by id directly, and the ids present, ascending, are
+/// the slots — returned as the stratum of each slot.
+fn id_partition(index: &GroupIndex, range: RowRange) -> (Vec<u32>, Runs) {
+    let ids = &index.row_groups[range.start..range.end];
+    // Counts per id, then where each present id's run starts.
+    let mut cursor = vec![0u32; index.num_groups()];
+    for &id in ids {
+        cursor[id as usize] += 1;
+    }
+    let (mut strata, mut offsets, mut end) = (Vec::new(), vec![0u32], 0u32);
+    for (id, at) in (0u32..).zip(cursor.iter_mut()) {
+        if *at > 0 {
+            strata.push(id);
+            (*at, end) = (end, end + *at);
+            offsets.push(end);
+        }
+    }
+    let rows = scatter(range, ids, &mut cursor);
+    (strata, Runs { range, offsets, rows })
+}
+
+/// The pass over `n` rows. Every partition goes through `partition`, then
+/// `fold`; in partition order, `translate` names the stratum of each slot,
+/// and `merge` receives that table with the fold's partial. Refuses a row
+/// space whose row ids do not fit `u32` before touching a row.
+fn pass<P: Send, T: Send>(
+    n: usize,
+    options: &ExecOptions,
+    partition: impl Fn(RowRange) -> (P, Runs) + Sync,
+    fold: impl Fn(&Runs) -> T + Sync,
+    mut translate: impl FnMut(P) -> Vec<u32>,
+    mut merge: impl FnMut(&[u32], T),
+) -> Result<Vec<(Runs, Vec<u32>)>> {
+    check_row_ids("a stratified row space", n)?;
+    let map = |_, range| {
+        let (slots, runs) = partition(range);
+        let partial = fold(&runs);
+        (slots, runs, partial)
+    };
+    Ok(exec::fold_partitioned(n, options, Vec::new(), map, |partitions, (slots, runs, partial)| {
+        let strata = translate(slots);
+        merge(&strata, partial);
+        partitions.push((runs, strata));
+    }))
+}
+
+/// A row space bucketed by stratum: the strata in first-occurrence order,
+/// their keys and sizes, and every stratum's rows as a chain of per-partition
+/// runs.
+#[derive(Debug)]
+pub struct Strata {
+    dim_names: Vec<String>,
+    keys: Vec<Vec<KeyAtom>>,
+    sizes: Vec<u64>,
+    /// Per partition, in order: its runs.
+    partitions: Vec<Runs>,
+    /// Stratum `c`'s runs are `links[starts[c]..starts[c + 1]]`, as
+    /// `(partition, slot)` pairs in partition order.
+    starts: Vec<usize>,
+    links: Vec<(u32, u32)>,
+}
+
+impl Strata {
+    /// Bucket `rows` by `exprs`, keyed as the exact executor keys them:
+    /// packed dimension codes when every shard is in-process — no per-row
+    /// group id is written — and the merged [`RowSpace::group_index`]'s ids
+    /// when a shard is behind a reader.
+    ///
+    /// `fold` runs once the keys are in hand and before any row is walked,
+    /// so a grouping error is reported before anything the fold binds. What
+    /// it returns consumes each partition's [`Runs`], in parallel; `merge`
+    /// then receives, in partition order, the stratum of each of the
+    /// partition's slots and the fold's partial.
+    ///
+    /// With no dimensions every row is in the one stratum with the empty
+    /// key — which exists even over no rows, as in a group index.
+    pub fn collect<F, T>(
+        rows: &RowSpace<'_>,
+        exprs: &[ScalarExpr],
+        options: &ExecOptions,
+        fold: impl FnOnce() -> Result<F>,
+        merge: impl FnMut(&[u32], T),
+    ) -> Result<Strata>
+    where
+        F: Fn(&Runs) -> T + Sync,
+        T: Send,
+    {
+        let Some(tables) = rows.local_tables() else {
+            let index = rows.group_index(exprs, options)?;
+            return Strata::of_index(&index, options, fold()?, merge);
+        };
+        let keys = RowKeys::encode(rows, &tables, exprs, options)?;
+        let fold = fold()?;
+        let mut merged = OrderedMerge::default();
+        let partitions = pass(
+            rows.num_rows(),
+            options,
+            |range| partition(&keys, &rows.segments(range), range),
+            fold,
+            |local: LocalKeys| merged.push(local.partial()),
+            merge,
+        )?;
+        let mut strata_keys: Vec<Vec<KeyAtom>> =
+            merged.keys.iter().map(|&key| keys.decode(key).into_owned()).collect();
+        let mut sizes = merged.sizes;
+        if exprs.is_empty() && strata_keys.is_empty() {
+            strata_keys.push(Vec::new());
+            sizes.push(0);
+        }
+        let dim_names = exprs.iter().map(ScalarExpr::display_name).collect();
+        Ok(Strata::link(dim_names, strata_keys, sizes, partitions))
+    }
+
+    /// Bucket the rows of `index` by its ids: [`Strata::collect`] keyed by
+    /// a group index already in hand. The strata are the index's groups.
+    pub fn of_index<T: Send>(
+        index: &GroupIndex,
+        options: &ExecOptions,
+        fold: impl Fn(&Runs) -> T + Sync,
+        merge: impl FnMut(&[u32], T),
+    ) -> Result<Strata> {
+        let partitions = pass(
+            index.num_rows(),
+            options,
+            |range| id_partition(index, range),
+            fold,
+            |strata| strata,
+            merge,
+        )?;
+        let (names, keys, sizes) =
+            (index.dim_names.clone(), index.group_keys.clone(), index.group_sizes.clone());
+        Ok(Strata::link(names, keys, sizes, partitions))
+    }
+
+    /// Chain every stratum's runs — a counting sort of the partitions'
+    /// slots by stratum, partition order kept — and drop the translation
+    /// tables, which the chains replace.
+    fn link(
+        dim_names: Vec<String>,
+        keys: Vec<Vec<KeyAtom>>,
+        sizes: Vec<u64>,
+        partitions: Vec<(Runs, Vec<u32>)>,
+    ) -> Strata {
+        let mut starts = vec![0usize; keys.len() + 1];
+        for (_, strata) in &partitions {
+            for &c in strata {
+                starts[c as usize + 1] += 1;
+            }
+        }
+        for c in 0..keys.len() {
+            starts[c + 1] += starts[c];
+        }
+        let mut cursor = starts.clone();
+        let mut links = vec![(0, 0); starts[keys.len()]];
+        for (p, (_, strata)) in partitions.iter().enumerate() {
+            for (slot, &c) in strata.iter().enumerate() {
+                links[cursor[c as usize]] = (p as u32, slot as u32);
+                cursor[c as usize] += 1;
+            }
+        }
+        let partitions = partitions.into_iter().map(|(runs, _)| runs).collect();
+        Strata { dim_names, keys, sizes, partitions, starts, links }
+    }
+
+    /// Number of strata.
+    pub fn num_strata(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Stratum keys, by stratum id.
+    pub fn keys(&self) -> &[Vec<KeyAtom>] {
+        &self.keys
+    }
+
+    /// Rows per stratum.
+    pub fn sizes(&self) -> &[u64] {
+        &self.sizes
+    }
+
+    /// Project the strata onto a subset of dimensions, as
+    /// [`GroupIndex::project`] does.
+    pub fn project(&self, dims: &[usize]) -> GroupProjection {
+        GroupProjection::of(&self.dim_names, &self.keys, dims)
+    }
+
+    /// Stratum `stratum`'s rows, ascending, as its runs in partition order.
+    pub fn rows(&self, stratum: usize) -> impl Iterator<Item = &[u32]> + '_ {
+        let links = &self.links[self.starts[stratum]..self.starts[stratum + 1]];
+        links.iter().map(|&(p, slot)| self.partitions[p as usize].slot(slot as usize))
+    }
+}
+
+impl GroupIndex {
+    /// Partition `range` of these rows as a strata pass sees it: the
+    /// stratum — this index's id — of each slot, and the runs. How a
+    /// maintained index rescans only the partitions an append dirtied.
+    /// `range` must lie within the index's rows.
+    pub fn partition_runs(&self, range: RowRange) -> Result<(Vec<u32>, Runs)> {
+        check_row_ids("a stratified row space", range.end)?;
+        Ok(id_partition(self, range))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::error::TableError;
+    use crate::exec::CHUNK_ROWS;
+    use crate::table::{Table, TableBuilder};
+    use crate::types::{DataType, Value};
+
+    /// Deterministic pseudo-random stratum per row.
+    fn assignment(n: usize, num_strata: usize, seed: u64) -> Vec<i64> {
+        let mut state = seed;
+        (0..n)
+            .map(|row| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(row as u64 | 1)
+                    .rotate_left(17);
+                (state % num_strata as u64) as i64
+            })
+            .collect()
+    }
+
+    fn table_of(strata: &[i64]) -> Table {
+        let mut b = TableBuilder::new(&[("g", DataType::Int64)]);
+        for &g in strata {
+            b.push_row(&[Value::Int64(g)]).unwrap();
+        }
+        b.finish()
+    }
+
+    /// The chains of `strata` against the reference: stratum `c`'s rows are
+    /// the rows `index` puts in group `c`, ascending.
+    fn assert_chains(strata: &Strata, index: &GroupIndex, what: &str) {
+        assert_eq!(strata.keys(), index.group_keys.as_slice(), "{what}");
+        assert_eq!(strata.sizes(), index.sizes(), "{what}");
+        let mut want = vec![Vec::new(); index.num_groups()];
+        for (row, &g) in index.row_groups().iter().enumerate() {
+            want[g as usize].push(row as u32);
+        }
+        for (c, want) in want.iter().enumerate() {
+            assert_eq!(
+                &strata.rows(c).flatten().copied().collect::<Vec<_>>(),
+                want,
+                "{what}: stratum {c}"
+            );
+        }
+    }
+
+    /// Both entries — packed codes and an index's ids — at every thread
+    /// count, against the index.
+    fn check(t: &Table, exprs: &[ScalarExpr], what: &str) {
+        let index = GroupIndex::build_with(t, exprs, &ExecOptions::sequential()).unwrap();
+        for threads in [1usize, 2, 8] {
+            let options = ExecOptions::new(threads);
+            let no_fold = || Ok(|_: &Runs| ());
+            let encoded = Strata::collect(&t.into(), exprs, &options, no_fold, |_, ()| ());
+            assert_chains(&encoded.unwrap(), &index, &format!("{what}, threads {threads}"));
+            let by_ids = Strata::of_index(&index, &options, |_| (), |_, ()| ()).unwrap();
+            assert_chains(&by_ids, &index, &format!("{what}, ids, threads {threads}"));
+        }
+    }
+
+    /// A key bound above the partition's rows takes the hashed slot table;
+    /// the chains are the same.
+    #[test]
+    fn runs_match_counting_sort_with_hashed_slots() {
+        let n = CHUNK_ROWS + 999;
+        let mut b = TableBuilder::new(&[("a", DataType::Int64), ("b", DataType::Int64)]);
+        for (a, b2) in assignment(n, 300, 3).into_iter().zip(assignment(n, 301, 4)) {
+            b.push_row(&[Value::Int64(a), Value::Int64(b2)]).unwrap();
+        }
+        let t = b.finish();
+        let exprs = [ScalarExpr::col("a"), ScalarExpr::col("b")];
+        let rows = RowSpace::from(&t);
+        let keys = RowKeys::encode(&rows, &[&t], &exprs, &ExecOptions::sequential()).unwrap();
+        assert!(keys.bound > CHUNK_ROWS as u64);
+        check(&t, &exprs, "hashed");
+    }
+
+    /// A stratum present in one partition only has one run; the empty
+    /// grouping has one stratum, over no rows too.
+    #[test]
+    fn strata_absent_from_a_partition_have_no_run_there() {
+        let mut strata = assignment(2 * CHUNK_ROWS + 5, 3, 9);
+        strata[CHUNK_ROWS + 10] = 99;
+        let t = table_of(&strata);
+        check(&t, &[ScalarExpr::col("g")], "one partition");
+        let index = GroupIndex::build(&t, &[ScalarExpr::col("g")]).unwrap();
+        let pass = Strata::of_index(&index, &ExecOptions::new(2), |_| (), |_, ()| ()).unwrap();
+        let lone = pass.keys().iter().position(|k| k == &[KeyAtom::Int(99)]).unwrap();
+        assert_eq!(pass.rows(lone).collect::<Vec<_>>(), [&[(CHUNK_ROWS + 10) as u32][..]]);
+        for n in [0, 5] {
+            check(&table_of(&assignment(n, 2, 1)), &[], &format!("no dimensions, {n} rows"));
+        }
+    }
+
+    /// The fold sees each partition's runs, and `merge` receives its partial
+    /// with the strata of its slots, in partition order.
+    #[test]
+    fn merge_sees_partitions_in_order() {
+        let t = table_of(&assignment(3 * CHUNK_ROWS + 17, 5, 42));
+        let index = GroupIndex::build(&t, &[ScalarExpr::col("g")]).unwrap();
+        for threads in [1usize, 4] {
+            let mut seen = Vec::new();
+            let fold = |runs: &Runs| (runs.range().start, runs.num_slots());
+            let strata = Strata::of_index(&index, &ExecOptions::new(threads), fold, |ids, got| {
+                assert_eq!(ids.len(), got.1);
+                seen.push(got.0);
+            })
+            .unwrap();
+            assert_eq!(seen, [0, CHUNK_ROWS, 2 * CHUNK_ROWS, 3 * CHUNK_ROWS]);
+            for c in 0..strata.num_strata() {
+                let rows: Vec<u32> = strata.rows(c).flatten().copied().collect();
+                assert!(rows.windows(2).all(|w| w[0] < w[1]), "stratum {c} not in row order");
+            }
+        }
+        // One partition rescanned alone: its slots name the index's ids.
+        let (strata, runs) = index.partition_runs(RowRange { start: 10, end: 20 }).unwrap();
+        assert_eq!(strata.len(), runs.num_slots());
+        let mut listed = 0;
+        for (slot, &c) in strata.iter().enumerate() {
+            assert!(runs.slot(slot).iter().all(|&row| index.group_of(row as usize) == c));
+            listed += runs.slot(slot).len();
+        }
+        assert_eq!(listed, 10);
+    }
+
+    /// Row ids are `u32`: a row space they cannot address is refused before
+    /// any partition is walked.
+    #[test]
+    fn row_ids_that_do_not_fit_u32_are_refused() {
+        let unwalked = |_| -> (Vec<u32>, Runs) { unreachable!("refused before walking") };
+        for n in [u32::MAX as usize + 1, usize::MAX] {
+            let options = ExecOptions::new(2);
+            let err = pass(n, &options, unwalked, |_| (), |s| s, |_, ()| ()).unwrap_err();
+            assert_eq!(err, TableError::RowIdOverflow { what: "a stratified row space", rows: n });
+        }
+        let index = GroupIndex::build(&table_of(&[1, 2]), &[ScalarExpr::col("g")]).unwrap();
+        let far = RowRange { start: u32::MAX as usize, end: u32::MAX as usize + 1 };
+        assert!(matches!(index.partition_runs(far), Err(TableError::RowIdOverflow { .. })));
+    }
+}

@@ -18,7 +18,7 @@
 
 use crate::column::Column;
 use crate::dict::Dictionary;
-use crate::error::TableError;
+use crate::error::{check_row_ids, TableError};
 use crate::exec::{self, ExecOptions};
 use crate::fxhash::FxHashMap;
 use crate::reader::RowSpace;
@@ -99,15 +99,6 @@ struct Match {
     shard: u32,
     fact: u32,
     dim: u32,
-}
-
-/// Row ids in a match list are `u32`: `rows` — a table's row count, or the
-/// joined row count — has to fit one.
-fn check_row_ids(what: &'static str, rows: usize) -> Result<()> {
-    if u32::try_from(rows).is_err() {
-        return Err(TableError::RowIdOverflow { what, rows });
-    }
-    Ok(())
 }
 
 /// Append the matches of rows `0..n` of fact shard `shard` — row `r` matches

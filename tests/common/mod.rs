@@ -3,8 +3,12 @@
 //! offset, single-byte mutation, window deletion and nesting ladders — over
 //! raw bytes for binary decoders, and as lossy UTF-8 text for text ones.
 //! Every one is a pure function of its arguments, so a failure names the
-//! input that caused it and replays.
+//! input that caused it and replays. [`strata`] holds the reference the
+//! determinism suites pin the strata pass against, and a reader-backed
+//! shard to sweep it over.
 #![allow(dead_code)] // each battery uses its own subset
+
+pub mod strata;
 
 /// `len` pseudo-random bytes (splitmix64 over `seed`).
 pub fn noise(seed: u64, len: usize) -> Vec<u8> {

@@ -338,6 +338,57 @@ fn dense_keys_match_reference_across_shard_splits() {
     assert_answers_match_reference(&table, &k, ("v", Some(5.0), false), &[], "dense");
 }
 
+/// `YEAR` and `MONTH` of timestamps from late 1968 into 1970 — negative
+/// seconds, year ends, a span of days well under the row count, so they
+/// pack through a day table — and of a handful of rows a century apart,
+/// whose span is wider than the rows, so their values are interned: both
+/// equal the reference, whole and across shard splits.
+#[test]
+fn date_parts_match_reference_either_side_of_the_day_table() {
+    let start = cvopt_table::time::epoch_seconds(1968, 12, 25, 0, 0, 0);
+    let table = |n: usize, step: i64| {
+        let mut b = TableBuilder::new(&[
+            ("t", DataType::Timestamp),
+            ("g", DataType::Str),
+            ("v", DataType::Float64),
+        ]);
+        for i in 0..n {
+            b.push_row(&[
+                Value::Timestamp(start + (i as i64 * 7919) % 400 * step + i as i64 % 86_400),
+                Value::str(["a", "b", "c"][i % 3]),
+                Value::Float64((i as f64 * 0.37).sin() * 10.0),
+            ])
+            .unwrap();
+        }
+        b.finish()
+    };
+    let dims = [ScalarExpr::col("g"), ScalarExpr::month("t"), ScalarExpr::year("t")];
+    let days = table(5000, 86_400);
+    assert_matches_reference(&days, &dims, "day table");
+    assert_answers_match_reference(&days, &dims, ("v", Some(0.0), true), &[], "day table");
+    let centuries = table(40, 86_400 * 365);
+    assert_matches_reference(&centuries, &dims, "interned");
+    assert_answers_match_reference(&centuries, &dims, ("v", None, false), &[], "interned");
+}
+
+/// AQ4 — country × month × year under `parameter = 'co'` — exactly and
+/// sampled over 3 shards, bit-equal to the single table.
+#[test]
+fn aq4_over_three_shards_matches_the_single_table() {
+    let table = generate_openaq(&OpenAqConfig::with_rows(40_000));
+    let aq4 = "SELECT country, MONTH(local_time), YEAR(local_time), AVG(value) FROM openaq \
+               WHERE parameter = 'co' GROUP BY country, MONTH(local_time), YEAR(local_time)";
+    let mut plain = Engine::new().with_seed(5);
+    plain.register("openaq", table.clone());
+    let mut split = Engine::new().with_seed(5);
+    split.register("openaq", ShardedTable::split(&table, 3).unwrap());
+    for mode in [QueryMode::Exact, QueryMode::Approximate] {
+        let (a, b) = (plain.query(aq4, mode).unwrap(), split.query(aq4, mode).unwrap());
+        assert_eq!(a.results[0].keys, b.results[0].keys, "{mode:?} keys");
+        assert_eq!(bits(&a.results[0]), bits(&b.results[0]), "{mode:?} values");
+    }
+}
+
 fn bits(result: &QueryResult) -> Vec<Vec<u64>> {
     result.values.iter().map(|row| row.iter().map(|v| v.to_bits()).collect()).collect()
 }

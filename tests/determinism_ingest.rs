@@ -144,6 +144,38 @@ fn replayed_ingest_is_batch_thread_and_layout_invariant() {
     }
 }
 
+/// A maintained sample stratified by a date part: the base, every batch
+/// and the final table each code `MONTH(local_time)` through a day table of
+/// their own, and the maintained sample is still the fresh preparation, bit
+/// for bit, for every split and layout.
+#[test]
+fn maintained_date_part_strata_match_a_fresh_preparation() {
+    let full = generate_openaq(&OpenAqConfig::with_rows(BASE_ROWS + STREAM_ROWS));
+    let base = full.take(&(0..BASE_ROWS).collect::<Vec<_>>());
+    let problem = |budget| {
+        let mut spec = QuerySpec::group_by(&["country"]).aggregate("value");
+        spec.group_by.push(cvopt_table::ScalarExpr::month("local_time"));
+        SamplingProblem::single(spec, budget)
+    };
+    let reference = engine_with(&full, 1, 1);
+    let want = sample_bits(&reference.prepare("openaq", problem(SCALED_BUDGET)).unwrap());
+    for shards in shard_counts() {
+        for split in splits() {
+            let mut live = engine_with(&base, shards, 2);
+            live.prepare("openaq", problem(BUDGET)).unwrap();
+            let mut start = BASE_ROWS;
+            for len in &split {
+                live.ingest("openaq", &full.take(&(start..start + len).collect::<Vec<_>>()))
+                    .unwrap();
+                start += len;
+            }
+            let handle = live.prepare("openaq", problem(SCALED_BUDGET)).unwrap();
+            assert!(handle.is_cache_hit(), "shards {shards}, split {split:?}");
+            assert_eq!(sample_bits(&handle), want, "shards {shards}, split {split:?}");
+        }
+    }
+}
+
 #[test]
 fn rotation_is_layout_and_thread_invariant() {
     let full = generate_openaq(&OpenAqConfig::with_rows(BASE_ROWS));

@@ -1,21 +1,36 @@
 //! Determinism under parallelism: the execution layer guarantees that
 //! plans, group ids, and drawn samples are identical for every thread
 //! count. These tests pin that guarantee for all three norms and for the
-//! group-index build on random tables, for the two-phase scatter behind
-//! the stratified draw, and for the lane-merge statistics kernels.
+//! group-index build on random tables, for the strata pass whose runs the
+//! statistics fold and the stratified draw read — against a sequential
+//! reference, over every shard layout — and for the lane-merge statistics
+//! kernels.
 //!
 //! CI runs this suite in a `threads: [1, 4]` matrix with `CVOPT_THREADS`
 //! pinned; the pinned count is folded into every sweep below so the
-//! scatter and kernels are exercised at that concurrency level on real
+//! strata pass and kernels are exercised at that concurrency level on real
 //! multi-core runners.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use cvopt_core::{CvOptSampler, ExecOptions, Norm, QuerySpec, SamplingProblem, StratifiedSample};
+use cvopt_core::{
+    problem_for_query, CvOptSampler, ExecOptions, Norm, QuerySpec, SamplingProblem,
+    StratifiedSample,
+};
 use cvopt_datagen::{generate_openaq, OpenAqConfig};
+use cvopt_net::{Peer, RemoteShard, Shardd};
 use cvopt_table::agg::{AggState, LANES};
 use cvopt_table::exec;
-use cvopt_table::{DataType, GroupIndex, ScalarExpr, Table, TableBuilder, Value};
+use cvopt_table::groupby::{Runs, Strata};
+use cvopt_table::{
+    sql, DataType, GroupIndex, RowSpace, ScalarExpr, ShardReader, ShardSet, ShardedTable, Table,
+    TableBuilder, Value,
+};
+
+mod common;
+use common::strata::{bits, counting_sort, statistics, Opaque};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -204,24 +219,55 @@ fn random_strata(n: usize, num_strata: usize, seed: u64) -> Vec<u32> {
         .collect()
 }
 
-/// The two-phase parallel scatter equals the sequential stable counting
-/// sort at the sizes where prefix/offset bugs hide: empty input, a single
-/// row, and row counts that are not a multiple of the partition size.
+/// A strata pass that only buckets.
+fn bucket(rows: &RowSpace<'_>, exprs: &[ScalarExpr], options: &ExecOptions) -> Strata {
+    Strata::collect(rows, exprs, options, || Ok(|_: &Runs| ()), |_, ()| ()).unwrap()
+}
+
+/// `strata` lists the strata of `index`, each as its rows ascending.
+fn assert_chains(strata: &Strata, index: &GroupIndex, what: &str) {
+    let want = counting_sort(index.row_groups(), index.num_groups());
+    assert_eq!(strata.sizes(), index.sizes(), "{what}");
+    assert_eq!(strata.num_strata(), index.num_groups(), "{what}");
+    for (c, want) in want.iter().enumerate() {
+        assert_eq!(strata.keys()[c], index.key(c as u32), "{what}: stratum {c}");
+        let got: Vec<u32> = strata.rows(c).flatten().copied().collect();
+        assert_eq!(&got, want, "{what}: stratum {c}'s rows");
+    }
+}
+
+/// Bucket `strata` (one stratum id per row) both ways the pass is keyed —
+/// packed codes and an index's ids — at every thread count.
+fn check_runs(strata: &[u32], what: &str) {
+    let mut b = TableBuilder::new(&[("g", DataType::Int64)]);
+    for &c in strata {
+        b.push_row(&[Value::Int64(i64::from(c))]).unwrap();
+    }
+    let table = b.finish();
+    let exprs = [ScalarExpr::col("g")];
+    let index = GroupIndex::build_with(&table, &exprs, &ExecOptions::sequential()).unwrap();
+    for threads in thread_counts() {
+        let options = ExecOptions::new(threads);
+        let what = format!("{what}, threads {threads}");
+        assert_chains(&bucket(&(&table).into(), &exprs, &options), &index, &what);
+        let by_ids = Strata::of_index(&index, &options, |_| (), |_, ()| ()).unwrap();
+        assert_chains(&by_ids, &index, &format!("{what}, ids"));
+    }
+}
+
+/// The strata pass's runs equal the sequential stable counting sort at the
+/// sizes where offset bugs hide: empty input, a single row, and row counts
+/// that are not a multiple of the partition size.
 #[test]
-fn two_phase_scatter_matches_counting_sort_at_boundary_sizes() {
+fn strata_runs_match_counting_sort_at_boundary_sizes() {
     for n in [0usize, 1, 65, exec::CHUNK_ROWS - 1, exec::CHUNK_ROWS + 1, 2 * exec::CHUNK_ROWS + 321]
     {
-        let strata = random_strata(n, 11, 0xDECAF);
-        let reference = exec::bucket_rows_sequential(&strata, 11);
-        for threads in thread_counts() {
-            let par = exec::bucket_rows(&strata, 11, &ExecOptions::new(threads));
-            assert_eq!(par, reference, "n = {n}, threads = {threads}");
-        }
+        check_runs(&random_strata(n, 11, 0xDECAF), &format!("n = {n}"));
     }
 }
 
 /// End to end through the draw: bucketing a real group index with the
-/// scatter and running the per-stratum reservoirs yields bit-identical
+/// strata pass and running the per-stratum reservoirs yields bit-identical
 /// samples for every thread count, including the CI-pinned one.
 #[test]
 fn stratified_draw_identical_across_threads_with_scatter() {
@@ -234,6 +280,137 @@ fn stratified_draw_identical_across_threads_with_scatter() {
     for threads in thread_counts() {
         let par = StratifiedSample::draw(&index, &allocation, 99, &ExecOptions::new(threads));
         assert_eq!(par.rows_per_stratum, reference.rows_per_stratum, "threads {threads}");
+    }
+}
+
+/// Rows of the layout sweep: three partitions, the last one partial.
+const SWEEP_ROWS: usize = 2 * exec::CHUNK_ROWS + 777;
+
+/// The sweep's table. `g` has a stratum on one row of the middle partition
+/// only (`solo`) and one whose `x / d` never has a value (`nulls`, where
+/// `d` is 0); `(h, k)` has a key bound of 300 × 300, above a partition's
+/// rows, over about 600 strata.
+fn sweep_table() -> Table {
+    let mut b = TableBuilder::new(&[
+        ("g", DataType::Str),
+        ("h", DataType::Int64),
+        ("k", DataType::Int64),
+        ("j", DataType::Int64),
+        ("x", DataType::Float64),
+        ("d", DataType::Float64),
+    ]);
+    let picks = random_strata(SWEEP_ROWS, 1 << 20, 0x5EED);
+    for (row, &pick) in picks.iter().enumerate() {
+        let g = match pick % 8 {
+            _ if row == exec::CHUNK_ROWS + 4321 => "solo".to_string(),
+            7 => "nulls".to_string(),
+            p => format!("g{p}"),
+        };
+        let h = i64::from(pick % 300);
+        b.push_row(&[
+            Value::str(g.as_str()),
+            Value::Int64(h),
+            Value::Int64((h + i64::from(pick >> 19 & 1)) % 300),
+            Value::Int64(i64::from(pick >> 9) % 3),
+            Value::Float64(1.0 + f64::from(pick % 997) * 0.37),
+            Value::Float64(if g == "nulls" { 0.0 } else { 2.0 }),
+        ])
+        .unwrap();
+    }
+    b.finish()
+}
+
+/// A reader-backed set: every shard answers through the reader surface.
+fn reader_backed(sharded: &ShardedTable) -> ShardSet {
+    let readers = sharded.shards().iter().map(|t| Arc::new(Opaque::of(t.clone())) as _).collect();
+    ShardSet::new(readers).unwrap()
+}
+
+/// The same layout with its shards behind the two shard servers `peers`.
+fn behind(peers: &[Arc<Peer>], sharded: &ShardedTable) -> ShardSet {
+    let readers: Vec<Arc<dyn ShardReader>> = sharded
+        .shards()
+        .iter()
+        .enumerate()
+        .map(|(s, shard)| {
+            let peer = Arc::clone(&peers[s % peers.len()]);
+            Arc::new(RemoteShard::register(peer, format!("sweep/{s}"), shard).unwrap()) as _
+        })
+        .collect();
+    ShardSet::new(readers).unwrap()
+}
+
+/// The strata pass against the sequential reference, for a plain table, 3
+/// in-process shards whose boundaries fall inside partitions, a layout with
+/// an empty shard, reader-backed shards, and shards behind a pair of
+/// in-process shard servers, at 1 and 4 threads: a hashed key space, a
+/// cube, a stratum in one partition only and a stratum whose values are all
+/// missing. Keys, sizes and runs equal the counting sort's; statistics equal
+/// the gathering pass's bit for bit; the draw equals the one over the
+/// reference index.
+#[test]
+fn strata_pass_matches_the_reference_for_every_layout() {
+    let table = sweep_table();
+    let take = |lo: usize, hi: usize| table.take(&(lo..hi).collect::<Vec<_>>());
+    let empty = TableBuilder::from_schema(table.schema().clone()).finish();
+    let three = ShardedTable::from_tables(vec![
+        take(0, 40_000),
+        take(40_000, 100_000),
+        take(100_000, SWEEP_ROWS),
+    ])
+    .unwrap();
+    let with_empty =
+        ShardedTable::from_tables(vec![take(0, 70_000), empty, take(70_000, SWEEP_ROWS)]).unwrap();
+    let mut servers =
+        [Shardd::bind("127.0.0.1:0", 2).unwrap(), Shardd::bind("127.0.0.1:0", 2).unwrap()];
+    let peers = servers.each_ref().map(|s| Arc::new(Peer::connect(s.addr().to_string()).unwrap()));
+    let layouts = [
+        ("plain", ShardSet::from(table.clone())),
+        ("3 shards", ShardSet::from(three.clone())),
+        ("empty shard", ShardSet::from(with_empty)),
+        ("reader-backed", reader_backed(&three)),
+        ("shardd pair", behind(&peers, &three)),
+    ];
+    let budget = SWEEP_ROWS / 50;
+    for stmt in [
+        "SELECT g, AVG(x / d) FROM t GROUP BY g",
+        "SELECT h, k, SUM(x) FROM t GROUP BY h, k",
+        "SELECT g, j, SUM(x), AVG(x) FROM t GROUP BY g, j WITH CUBE",
+    ] {
+        let problem = problem_for_query(&sql::compile(stmt).unwrap(), budget).unwrap();
+        let (exprs, columns) = (problem.finest_stratification(), problem.aggregate_columns());
+        let seq = ExecOptions::sequential();
+        let index = GroupIndex::build_with(&table, &exprs, &seq).unwrap();
+        let want = statistics(&table, &index, &columns);
+        let sampler = CvOptSampler::new(problem).with_seed(7);
+        let allocation = sampler.clone().with_exec(seq).plan(&table).unwrap().allocation.sizes;
+        let drawn = StratifiedSample::draw(&index, &allocation, 7, &seq).rows_per_stratum;
+        for (layout, set) in &layouts {
+            for threads in [1usize, 4] {
+                let what = format!("{stmt}: {layout}, threads {threads}");
+                let options = ExecOptions::new(threads);
+                assert_chains(&bucket(&set.rows(), &exprs, &options), &index, &what);
+                let outcome = sampler.clone().with_exec(options).sample(set).unwrap();
+                let plan = &outcome.plan;
+                assert_eq!(plan.num_strata(), index.num_groups(), "{what}");
+                assert_eq!(plan.stats.populations, index.sizes(), "{what}");
+                for (c, (got, want)) in plan.stats.states.iter().zip(&want).enumerate() {
+                    assert_eq!(plan.strata_keys[c], index.key(c as u32), "{what}");
+                    let (got, want): (Vec<_>, Vec<_>) =
+                        (got.iter().map(bits).collect(), want.iter().map(bits).collect());
+                    assert_eq!(got, want, "{what}: stratum {c}'s statistics");
+                }
+                assert_eq!(plan.allocation.sizes, allocation, "{what}");
+                let mut rows_per_stratum = vec![Vec::new(); index.num_groups()];
+                for (&row, &c) in outcome.sample.origin.iter().zip(&outcome.sample.row_stratum) {
+                    rows_per_stratum[c as usize].push(row);
+                }
+                assert_eq!(rows_per_stratum, drawn, "{what}: drawn rows");
+            }
+        }
+    }
+    for server in &mut servers {
+        server.shutdown();
     }
 }
 
@@ -271,20 +448,14 @@ fn lane_kernel_matches_scalar_reference_bit_for_bit() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Two-phase scatter output equals the sequential counting sort for
-    /// random stratum assignments spanning a partition boundary.
+    /// The strata pass's runs equal the sequential counting sort for random
+    /// stratum assignments spanning a partition boundary.
     #[test]
-    fn two_phase_scatter_matches_counting_sort_random_strata(
+    fn strata_runs_match_counting_sort_random_strata(
         seed in any::<u64>(),
         num_strata in 1usize..60,
         extra in 0usize..200,
     ) {
-        let n = exec::CHUNK_ROWS + extra;
-        let strata = random_strata(n, num_strata, seed);
-        let reference = exec::bucket_rows_sequential(&strata, num_strata);
-        for threads in thread_counts().into_iter().filter(|&t| t > 1) {
-            let par = exec::bucket_rows(&strata, num_strata, &ExecOptions::new(threads));
-            prop_assert_eq!(&par, &reference, "threads = {}", threads);
-        }
+        check_runs(&random_strata(exec::CHUNK_ROWS + extra, num_strata, seed), "random");
     }
 }
