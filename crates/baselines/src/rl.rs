@@ -71,9 +71,11 @@ impl SamplingMethod for RoschLehner {
         problem.validate()?;
         let exprs = problem.finest_stratification();
         let index = GroupIndex::build(table, &exprs)?;
-        let stats = StratumStatistics::collect(table, &index, &problem.aggregate_columns())?;
+        let exec = ExecOptions::default();
+        let stats =
+            StratumStatistics::collect_with(table, &index, &problem.aggregate_columns(), &exec)?;
         let sizes = Self::allocation(&stats, problem);
-        let drawn = StratifiedSample::draw(&index, &sizes, seed, &ExecOptions::default());
+        let drawn = StratifiedSample::draw(&index, &sizes, seed, &exec);
         Ok(drawn.materialize(table))
     }
 }

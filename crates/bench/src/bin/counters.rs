@@ -1,17 +1,19 @@
-//! Record **deterministic counters** into `BENCH_counters.json`, one
-//! `"id": value` row each.
+//! Record **deterministic counters** into this crate's
+//! `BENCH_counters.json`, one `"id": value` row each.
 //!
 //! Counters capture behavior that must not silently regress but that no
 //! wall-clock number can gate on a shared runner: how many statistics
 //! passes a canned serving workload costs (the cache-reuse economy of
-//! paper §6.3), sampled row counts and strata under fixed seeds, and the
-//! partition plan shapes. Every value is a pure function of the code — no
-//! RNG beyond the vendored seeded generators, no clock — so the committed
-//! file is the expectation: CI regenerates it in place (`CVOPT_BENCH_DIR`
-//! pointed at this crate) and **fails** on any `git diff`.
+//! paper §6.3), what the seeded serving mix costs in passes, hits, derived
+//! answers and evictions, sampled row counts and strata under fixed seeds,
+//! and the partition plan shapes. Every value is a pure function of the
+//! code — no RNG beyond the vendored seeded generators, no clock — so the
+//! committed file is the expectation: CI regenerates it in place and
+//! **fails** on any `git diff`.
 //!
-//! Writes into `CVOPT_BENCH_DIR`, defaulting to the current directory.
+//! Takes no arguments: `cargo run --release -p cvopt-bench --bin counters`.
 
+use cvopt_bench::mix;
 use cvopt_core::{Engine, ExecOptions, QueryMode, ShardedTable};
 use cvopt_datagen::{generate_openaq, OpenAqConfig};
 use cvopt_table::exec::partition_rows;
@@ -20,6 +22,14 @@ use cvopt_table::groupby::total_group_id_bytes;
 /// Rows for the serving-workload fixture: large enough that the default
 /// auto threshold routes to the approximate path, small enough for CI.
 const WORKLOAD_ROWS: usize = 100_000;
+
+/// Rows of the serving mix's fixture.
+const MIX_ROWS: usize = 60_000;
+/// Statements in the serving mix's schedule.
+const MIX_STATEMENTS: usize = 120;
+/// The eviction replay's cache budget: it holds a couple of the mix's
+/// samples, so the replay evicts.
+const MIX_CACHE_BYTES: u64 = 96 * 1024;
 
 /// A canned serving session: three statements over one table, the first
 /// two sharing a derived problem (same grouping and value column, new
@@ -105,6 +115,49 @@ fn main() {
     counters.push(("reuse_hits/reuse_workload".into(), reuse.reuse_hits()));
     counters.push(("draws_avoided/reuse_workload".into(), reuse.draws_avoided()));
     counters.push(("stats_passes/reuse_workload".into(), reuse.stats_passes()));
+
+    // The serving mix: seed the query log with the hot and cold shapes,
+    // consolidate it, then replay the whole schedule — the derived pool is
+    // answered from the consolidated sample without a draw. The counters
+    // are what the schedule predicts, however a server interleaves the
+    // replay (the mix's tests race it over keep-alive clients).
+    let sched = mix::schedule(7, MIX_STATEMENTS);
+    let mix_table = generate_openaq(&OpenAqConfig::with_rows(MIX_ROWS));
+    let mut serving = Engine::new().with_seed(7).with_exec(ExecOptions::sequential());
+    serving.register(mix::TABLE, mix_table.clone());
+    mix::run_flow(&serving, &sched);
+    for (name, want) in mix::expected(&sched).counters() {
+        let got = mix::engine_counter(&serving, name);
+        assert_eq!(got, want, "serving mix: {name} = {got}, the schedule predicts {want}");
+    }
+    assert!(serving.draws_avoided() > 0, "the serving mix must exercise the reuse planner");
+    for name in [
+        "stats_passes",
+        "cache_misses",
+        "cache_hits",
+        "reuse_hits",
+        "draws_avoided",
+        "cached_samples",
+        "cache_bytes_held",
+        "cache_evictions",
+    ] {
+        counters.push((format!("{name}/serving_mix"), mix::engine_counter(&serving, name)));
+    }
+    // The same schedule, unseeded, under a cache budget a few samples
+    // fill: every eviction is a pure function of the replay order.
+    let mut evicting = Engine::new()
+        .with_seed(7)
+        .with_exec(ExecOptions::sequential())
+        .with_cache_bytes(Some(MIX_CACHE_BYTES));
+    evicting.register(mix::TABLE, mix_table);
+    mix::replay(&evicting, &sched);
+    assert!(evicting.cache_evictions() > 0, "the {MIX_CACHE_BYTES}-byte budget must evict");
+    assert!(evicting.cache_bytes_held() <= MIX_CACHE_BYTES, "cache over budget");
+    for name in
+        ["stats_passes", "cache_misses", "cached_samples", "cache_bytes_held", "cache_evictions"]
+    {
+        counters.push((format!("{name}/eviction_mix"), mix::engine_counter(&evicting, name)));
+    }
 
     // The ingest economy: a windowed table under streaming append keeps
     // its durable sample maintained without re-scanning history (one
@@ -253,8 +306,7 @@ fn main() {
     write_snapshot(&counters);
 }
 
-/// Write the snapshot (the shape `cvopt-load` writes `BENCH_serving.json`
-/// in).
+/// Write the snapshot over the committed one.
 fn write_snapshot(counters: &[(String, u64)]) {
     let mut body = String::from("{\n  \"group\": \"counters\",\n  \"benchmarks\": {\n");
     for (i, (name, value)) in counters.iter().enumerate() {
@@ -262,8 +314,7 @@ fn write_snapshot(counters: &[(String, u64)]) {
         body.push_str(&format!("    \"{name}\": {value}{comma}\n"));
     }
     body.push_str("  }\n}\n");
-    let dir = std::env::var("CVOPT_BENCH_DIR").unwrap_or_else(|_| ".".into());
-    let path = std::path::Path::new(&dir).join("BENCH_counters.json");
-    std::fs::write(&path, body).expect("write BENCH_counters.json");
-    println!("wrote {} ({} counters)", path.display(), counters.len());
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_counters.json");
+    std::fs::write(path, body).expect("write BENCH_counters.json");
+    println!("wrote {path} ({} counters)", counters.len());
 }

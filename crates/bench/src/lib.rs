@@ -3,9 +3,12 @@
 //! Two binaries and no timing code: [`reproduce`](../src/bin/reproduce.rs)
 //! regenerates every table and figure of the paper (`reproduce --help`
 //! lists the experiment ids); `counters` records the deterministic
-//! counters of a canned workload into `BENCH_counters.json`, which CI
-//! regenerates and gates with `git diff`. Wall-clock numbers come from the
-//! standalone `benchmark/` package only.
+//! counters of canned workloads — the seeded serving [`mix`] among them —
+//! into `BENCH_counters.json`, which CI regenerates and gates with
+//! `git diff`. Wall-clock numbers come from the standalone `benchmark/`
+//! package only.
+
+pub mod mix;
 
 /// Sizes the counter workload shares.
 pub mod fixtures {

@@ -16,14 +16,17 @@
 //!
 //! Every approximate statement uses the same aggregate (`AVG(value)`),
 //! no predicate, and a distinct `GROUP BY` set, so **distinct SQL text ↔
-//! distinct prepared problem**: the engine counters for the harness's
-//! seed → re-optimize → replay flow are a pure function of the schedule
-//! ([`expected`]), independent of client interleaving (concurrent misses
-//! for one problem coalesce into a single pass, and the durable reuse set
-//! is frozen once `/reoptimize` returns).
+//! distinct prepared problem**: the engine counters for the seed →
+//! re-optimize → replay flow ([`run_flow`]) are a pure function of the
+//! schedule ([`expected`]), independent of client interleaving (concurrent
+//! misses for one problem coalesce into a single pass, and the durable
+//! reuse set is frozen once `/reoptimize` returns). The `counters` bin
+//! records the flow's counters; this module's tests replay it over
+//! concurrent keep-alive clients against an in-process server.
 
 use std::collections::BTreeSet;
 
+use cvopt_core::{Engine, QueryMode};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -127,16 +130,48 @@ pub fn schedule(seed: u64, total: usize) -> Vec<Statement> {
         .collect()
 }
 
-/// The harness's seeding run: the schedule with the derived pool filtered
-/// out, in order. Run sequentially before `/reoptimize` so the query log
-/// holds exactly the hot/cold shapes.
+/// The seeding run: the schedule with the derived pool filtered out, in
+/// order. Run sequentially before `/reoptimize` so the query log holds
+/// exactly the hot/cold shapes.
 pub fn seeding(schedule: &[Statement]) -> Vec<Statement> {
     schedule.iter().filter(|s| s.class != Class::Derived).cloned().collect()
 }
 
-/// The engine-counter totals the harness flow — sequential [`seeding`]
-/// run, one `/reoptimize`, then the full schedule however its statements
-/// are interleaved across clients — must produce.
+/// Answer `statements` on `engine`, in order.
+pub fn replay(engine: &Engine, statements: &[Statement]) {
+    for stmt in statements {
+        let mode = if stmt.mode == "exact" { QueryMode::Exact } else { QueryMode::Approximate };
+        engine.query(&stmt.sql, mode).expect("workload statement");
+    }
+}
+
+/// The flow [`expected`] predicts, sequentially on a bare engine: the
+/// [`seeding`] run, one [`Engine::reoptimize`] of [`TABLE`], then the full
+/// schedule.
+pub fn run_flow(engine: &Engine, schedule: &[Statement]) {
+    replay(engine, &seeding(schedule));
+    engine.reoptimize(TABLE).expect("reoptimize");
+    replay(engine, schedule);
+}
+
+/// `engine`'s value of the counter `/stats` reports as `name`.
+pub fn engine_counter(engine: &Engine, name: &str) -> u64 {
+    match name {
+        "stats_passes" => engine.stats_passes(),
+        "cache_misses" => engine.cache_misses(),
+        "cache_hits" => engine.cache_hits(),
+        "reuse_hits" => engine.reuse_hits(),
+        "draws_avoided" => engine.draws_avoided(),
+        "cached_samples" => engine.cached_samples() as u64,
+        "cache_bytes_held" => engine.cache_bytes_held(),
+        "cache_evictions" => engine.cache_evictions(),
+        other => panic!("no engine counter {other}"),
+    }
+}
+
+/// The engine-counter totals the flow — sequential [`seeding`] run, one
+/// `/reoptimize`, then the full schedule however its statements are
+/// interleaved across clients — must produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Expected {
     /// Total statements in the full schedule.
@@ -160,6 +195,22 @@ pub struct Expected {
     pub cached_samples: u64,
     /// Answers derived from a subsuming sample (= `draws_avoided`).
     pub reuse_hits: u64,
+}
+
+impl Expected {
+    /// The engine counters the flow pins, named as `/stats` names them
+    /// (an unbounded cache never evicts).
+    pub fn counters(&self) -> [(&'static str, u64); 7] {
+        [
+            ("stats_passes", self.stats_passes),
+            ("cache_misses", self.cache_misses),
+            ("cache_hits", self.cache_hits),
+            ("reuse_hits", self.reuse_hits),
+            ("draws_avoided", self.reuse_hits),
+            ("cached_samples", self.cached_samples),
+            ("cache_evictions", 0),
+        ]
+    }
 }
 
 fn attrs(group: &str) -> BTreeSet<&str> {
@@ -314,38 +365,99 @@ mod tests {
         }
     }
 
-    /// The load harness's accounting contract: the engine's counters for
-    /// the seed → re-optimize → replay flow equal [`expected`]'s pure
-    /// computation. Runs the whole flow sequentially against a real
-    /// engine.
+    fn fixture() -> cvopt_table::Table {
+        cvopt_datagen::generate_openaq(&cvopt_datagen::OpenAqConfig::with_rows(20_000))
+    }
+
+    /// The accounting contract: the engine's counters for the seed →
+    /// re-optimize → replay flow equal [`expected`]'s pure computation.
+    /// Runs the whole flow sequentially against a real engine.
     #[test]
     fn engine_counters_match_expected() {
-        use cvopt_core::{Engine, QueryMode};
-        use cvopt_datagen::{generate_openaq, OpenAqConfig};
-
         let mut engine = Engine::new().with_seed(7);
-        engine.register(TABLE, generate_openaq(&OpenAqConfig::with_rows(20_000)));
+        engine.register(TABLE, fixture());
 
         let sched = schedule(7, 40);
         let exp = expected(&sched);
-        let run = |engine: &Engine, stmts: &[Statement]| {
-            for stmt in stmts {
-                let mode =
-                    if stmt.mode == "exact" { QueryMode::Exact } else { QueryMode::Approximate };
-                engine.query(&stmt.sql, mode).expect("workload statement");
-            }
-        };
-        run(&engine, &seeding(&sched));
-        engine.reoptimize(TABLE).expect("reoptimize").expect("seeded log is non-empty");
-        run(&engine, &sched);
+        run_flow(&engine, &sched);
 
-        assert_eq!(engine.stats_passes(), exp.stats_passes);
-        assert_eq!(engine.cache_misses(), exp.cache_misses);
-        assert_eq!(engine.cache_hits(), exp.cache_hits);
-        assert_eq!(engine.reuse_hits(), exp.reuse_hits);
-        assert_eq!(engine.draws_avoided(), exp.reuse_hits);
-        assert_eq!(engine.cached_samples() as u64, exp.cached_samples);
-        assert_eq!(engine.cache_evictions(), 0);
+        for (name, want) in exp.counters() {
+            assert_eq!(engine_counter(&engine, name), want, "{name}");
+        }
         assert!(exp.reuse_hits > 0, "the replay must derive answers");
+    }
+
+    /// The same contract over HTTP, with the replay racing keep-alive
+    /// clients: the seeding run shares one connection, `/reoptimize` and
+    /// the `/stats` probe are one-shot requests, and each replay client
+    /// keeps its own connection for its round-robin share of the schedule.
+    /// Coalescing and the frozen durable set make every counter
+    /// independent of the interleaving, at any engine thread count.
+    #[test]
+    fn concurrent_keepalive_replay_matches_expected() {
+        use std::sync::{Arc, Barrier};
+        use std::time::Duration;
+
+        use cvopt_serve::{client, Client, Json, Server, ServerConfig};
+
+        const CLIENTS: usize = 4;
+        fn send(client: &mut Client, stmt: &Statement) {
+            let (status, body) = client.post("/query", &stmt.query_body()).expect("query");
+            assert_eq!(status, 200, "{}: {body}", stmt.sql);
+        }
+
+        let sched = schedule(7, 40);
+        let exp = expected(&sched);
+        for threads in [1, 4] {
+            let mut engine = Engine::new().with_seed(7);
+            engine.register(TABLE, fixture());
+            let config = ServerConfig {
+                workers: 2,
+                thread_budget: 2 * threads,
+                keepalive_idle: Duration::from_secs(300),
+                keepalive_max_requests: usize::MAX,
+                ..ServerConfig::default()
+            };
+            let server = Server::start(engine, config).expect("start server");
+            let addr = server.addr();
+
+            let mut seeder = Client::new(addr);
+            seeding(&sched).iter().for_each(|stmt| send(&mut seeder, stmt));
+            let (status, body) =
+                client::post(addr, "/reoptimize", &format!(r#"{{"table":"{TABLE}"}}"#)).unwrap();
+            assert_eq!(status, 200, "{body}");
+
+            let barrier = Arc::new(Barrier::new(CLIENTS));
+            let replay: Vec<_> = (0..CLIENTS)
+                .map(|c| {
+                    let share: Vec<Statement> =
+                        sched.iter().skip(c).step_by(CLIENTS).cloned().collect();
+                    let barrier = Arc::clone(&barrier);
+                    std::thread::spawn(move || {
+                        let mut client = Client::new(addr);
+                        barrier.wait();
+                        share.iter().for_each(|stmt| send(&mut client, stmt));
+                        client.connects()
+                    })
+                })
+                .collect();
+            let connects: u64 = replay.into_iter().map(|h| h.join().expect("replay client")).sum();
+
+            let (status, body) = client::get(addr, "/stats").unwrap();
+            assert_eq!(status, 200);
+            let stats = Json::parse(&body).expect("stats json");
+            let stat = |name: &str| stats.get(name).and_then(Json::as_u64).expect(name);
+            for (name, want) in exp.counters() {
+                assert_eq!(stat(name), want, "{name} at {threads} thread(s)");
+            }
+            assert_eq!(seeder.connects(), 1);
+            assert_eq!(connects, CLIENTS as u64, "keep-alive: one connect per replay client");
+            // Every request after the first on a keep-alive connection
+            // reuses it; served counts the seeding run, the replay,
+            // `/reoptimize` and this `/stats` probe.
+            assert_eq!(stat("keepalive_reuses"), (exp.seeded - 1 + exp.total - CLIENTS) as u64);
+            assert_eq!(stat("requests_served"), (exp.seeded + exp.total + 2) as u64);
+            server.shutdown();
+        }
     }
 }

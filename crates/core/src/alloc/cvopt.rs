@@ -17,7 +17,9 @@ use cvopt_table::groupby::GroupProjection;
 use cvopt_table::GroupIndex;
 
 use crate::error::CvError;
-use crate::spec::{SamplingProblem, VarianceKind};
+use crate::spec::SamplingProblem;
+#[cfg(test)]
+use crate::spec::VarianceKind;
 use crate::stats::StratumStatistics;
 use crate::Result;
 
@@ -106,11 +108,11 @@ pub(crate) fn strata_betas(
     Ok(betas)
 }
 
-/// Theorem 1 (SASG): `α_i = w_i σ_i² / μ_i²` per group, computed directly.
-///
-/// Exposed for documentation parity with the paper; the general
-/// [`compute_betas`] reduces to this when the problem is SASG (tested).
-pub fn sasg_alphas(
+/// Theorem 1 (SASG): `α_i = w_i σ_i² / μ_i²` per group, computed directly:
+/// the parity reference the general [`compute_betas`] reduces to when the
+/// problem is SASG.
+#[cfg(test)]
+pub(crate) fn sasg_alphas(
     stats: &StratumStatistics,
     column: usize,
     weights: &[f64],
@@ -138,7 +140,8 @@ pub fn sasg_alphas(
 }
 
 /// Theorem 2 (MASG): `α_i = Σ_j w_{i,j} σ_{i,j}² / μ_{i,j}²` per group.
-pub fn masg_alphas(
+#[cfg(test)]
+pub(crate) fn masg_alphas(
     stats: &StratumStatistics,
     columns: &[usize],
     weights: &[Vec<f64>],
@@ -159,7 +162,7 @@ pub fn masg_alphas(
 mod tests {
     use super::*;
     use crate::spec::QuerySpec;
-    use cvopt_table::{DataType, ScalarExpr, Table, TableBuilder, Value};
+    use cvopt_table::{DataType, ExecOptions, ScalarExpr, Table, TableBuilder, Value};
 
     /// Two groups with equal means but very different spreads: the paper's
     /// motivating example — group 1 must receive more samples.
@@ -180,8 +183,12 @@ mod tests {
     fn setup(t: &Table, problem: &SamplingProblem) -> (GroupIndex, StratumStatistics) {
         let exprs = problem.finest_stratification();
         let index = GroupIndex::build(t, &exprs).unwrap();
-        let stats = StratumStatistics::collect(t, &index, &problem.aggregate_columns()).unwrap();
+        let stats = collect(t, &index, &problem.aggregate_columns());
         (index, stats)
+    }
+
+    fn collect(t: &Table, index: &GroupIndex, columns: &[ScalarExpr]) -> StratumStatistics {
+        StratumStatistics::collect_with(t, index, columns, &ExecOptions::sequential()).unwrap()
     }
 
     #[test]
@@ -268,11 +275,9 @@ mod tests {
 
         // Hand-compute for each (major, year) stratum.
         let major_idx = GroupIndex::build(&t, &[ScalarExpr::col("major")]).unwrap();
-        let major_stats =
-            StratumStatistics::collect(&t, &major_idx, &[ScalarExpr::col("gpa")]).unwrap();
+        let major_stats = collect(&t, &major_idx, &[ScalarExpr::col("gpa")]);
         let year_idx = GroupIndex::build(&t, &[ScalarExpr::col("year")]).unwrap();
-        let year_stats =
-            StratumStatistics::collect(&t, &year_idx, &[ScalarExpr::col("gpa")]).unwrap();
+        let year_stats = collect(&t, &year_idx, &[ScalarExpr::col("gpa")]);
 
         for (c, beta) in betas.iter().enumerate() {
             let key = index.key(c as u32);

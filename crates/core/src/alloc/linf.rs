@@ -180,7 +180,7 @@ mod tests {
     use super::*;
     use crate::alloc::cvopt::sasg_alphas;
     use crate::alloc::solver::sqrt_allocation;
-    use cvopt_table::{DataType, GroupIndex, ScalarExpr, Table, TableBuilder, Value};
+    use cvopt_table::{DataType, ExecOptions, GroupIndex, ScalarExpr, Table, TableBuilder, Value};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -205,7 +205,8 @@ mod tests {
 
     fn stats(t: &Table) -> StratumStatistics {
         let idx = GroupIndex::build(t, &[ScalarExpr::col("g")]).unwrap();
-        StratumStatistics::collect(t, &idx, &[ScalarExpr::col("x")]).unwrap()
+        let columns = [ScalarExpr::col("x")];
+        StratumStatistics::collect_with(t, &idx, &columns, &ExecOptions::sequential()).unwrap()
     }
 
     #[test]

@@ -11,7 +11,7 @@ pub mod linf;
 pub mod lp;
 pub mod solver;
 
-pub use cvopt::{compute_betas, masg_alphas, sasg_alphas};
+pub use cvopt::compute_betas;
 pub use linf::{achieved_cvs, linf_allocation};
 pub use lp::lp_allocation;
 pub use solver::{

@@ -20,7 +20,7 @@ use cvopt_table::agg::AggState;
 use cvopt_table::exec::{self, ExecOptions};
 use cvopt_table::expr::BoundExpr;
 use cvopt_table::groupby::{GroupProjection, Runs, Strata};
-use cvopt_table::{query, GroupIndex, RowSpace, ScalarExpr, Table};
+use cvopt_table::{query, GroupIndex, RowSpace, ScalarExpr};
 
 use crate::spec::VarianceKind;
 use crate::Result;
@@ -188,28 +188,6 @@ pub struct StratumStatistics {
 }
 
 impl StratumStatistics {
-    /// Collect statistics in a single sequential pass (the reference
-    /// implementation: one accumulator stream, no partition merges).
-    pub fn collect(table: &Table, index: &GroupIndex, columns: &[ScalarExpr]) -> Result<Self> {
-        let bound: Vec<_> =
-            columns.iter().map(|c| c.bind(table)).collect::<std::result::Result<_, _>>()?;
-        record_pass();
-        let mut states = vec![vec![AggState::default(); columns.len()]; index.num_groups()];
-        for row in 0..table.num_rows() {
-            let gid = index.group_of(row) as usize;
-            for (slot, expr) in states[gid].iter_mut().zip(&bound) {
-                if let Some(v) = expr.f64_at(row) {
-                    slot.update(v);
-                }
-            }
-        }
-        Ok(StratumStatistics {
-            column_names: columns.iter().map(|c| c.display_name()).collect(),
-            states,
-            populations: index.sizes().to_vec(),
-        })
-    }
-
     /// Collect statistics over `rows` — a `&Table` or a
     /// [`ShardSet`](cvopt_table::ShardSet), shards local or remote — given
     /// the group index ([`RowSpace::group_index`]) over the same logical
@@ -224,9 +202,8 @@ impl StratumStatistics {
     /// merge in partition order, so the result is **bit-identical for any
     /// shard layout and any thread count** — and to the statistics
     /// [`CvOptSampler`](crate::CvOptSampler) collects over packed keys. It
-    /// may differ from the purely scalar [`StratumStatistics::collect`] in
-    /// the last ulps of mean/M2 (lane-merged vs. single-chain Welford
-    /// rounding); both are deterministic.
+    /// may differ from a single-chain scalar Welford loop (the tests'
+    /// reference) in the last ulps of mean/M2; both are deterministic.
     pub fn collect_with<'a>(
         rows: impl Into<RowSpace<'a>>,
         index: &GroupIndex,
@@ -363,7 +340,7 @@ impl StratumStatistics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cvopt_table::{DataType, ShardSet, ShardedTable, TableBuilder, Value};
+    use cvopt_table::{DataType, ShardSet, ShardedTable, Table, TableBuilder, Value};
 
     fn table() -> Table {
         let mut b = TableBuilder::new(&[
@@ -391,13 +368,30 @@ mod tests {
         GroupIndex::build(t, &[ScalarExpr::col("g"), ScalarExpr::col("h")]).unwrap()
     }
 
+    fn collect(t: &Table, idx: &GroupIndex, columns: &[ScalarExpr]) -> StratumStatistics {
+        StratumStatistics::collect_with(t, idx, columns, &ExecOptions::sequential()).unwrap()
+    }
+
+    /// The scalar reference: one Welford chain per stratum, fed in row
+    /// order — no partitions, no lanes, no merges.
+    fn scalar_reference(t: &Table, idx: &GroupIndex, columns: &[ScalarExpr]) -> StratumStatistics {
+        let bound: Vec<_> = columns.iter().map(|c| c.bind(t).unwrap()).collect();
+        let mut states = vec![vec![AggState::default(); columns.len()]; idx.num_groups()];
+        for row in 0..t.num_rows() {
+            for (slot, expr) in states[idx.group_of(row) as usize].iter_mut().zip(&bound) {
+                if let Some(v) = expr.f64_at(row) {
+                    slot.update(v);
+                }
+            }
+        }
+        StratumStatistics::from_table(columns, states, idx.sizes().to_vec())
+    }
+
     #[test]
     fn collect_per_stratum() {
         let t = table();
         let idx = index(&t);
-        let stats =
-            StratumStatistics::collect(&t, &idx, &[ScalarExpr::col("x"), ScalarExpr::col("y")])
-                .unwrap();
+        let stats = collect(&t, &idx, &[ScalarExpr::col("x"), ScalarExpr::col("y")]);
         assert_eq!(stats.num_strata(), 4);
         assert_eq!(stats.num_columns(), 2);
         // Stratum (a,p): x values 1,3.
@@ -416,7 +410,7 @@ mod tests {
     fn cv_edge_cases() {
         let t = table();
         let idx = index(&t);
-        let stats = StratumStatistics::collect(&t, &idx, &[ScalarExpr::col("y")]).unwrap();
+        let stats = collect(&t, &idx, &[ScalarExpr::col("y")]);
         // Stratum (a,p) has constant y=10 → cv 0.
         let ap = (0..4)
             .find(|&g| {
@@ -430,14 +424,14 @@ mod tests {
     fn coarsen_matches_direct() {
         let t = table();
         let idx = index(&t);
-        let stats = StratumStatistics::collect(&t, &idx, &[ScalarExpr::col("x")]).unwrap();
+        let stats = collect(&t, &idx, &[ScalarExpr::col("x")]);
         let proj = idx.project(&[0]);
         let coarse = stats.coarsen(&proj);
         let pops = stats.coarsen_populations(&proj);
 
         // Compare against a direct single-level index.
         let direct_idx = GroupIndex::build(&t, &[ScalarExpr::col("g")]).unwrap();
-        let direct = StratumStatistics::collect(&t, &direct_idx, &[ScalarExpr::col("x")]).unwrap();
+        let direct = scalar_reference(&t, &direct_idx, &[ScalarExpr::col("x")]);
         for cid in 0..proj.num_groups() {
             let key = proj.key(cid as u32);
             let dg = (0..direct_idx.num_groups() as u32)
@@ -463,7 +457,7 @@ mod tests {
         let t = b.finish();
         let idx = GroupIndex::build(&t, &[ScalarExpr::col("g")]).unwrap();
         let cols = [ScalarExpr::col("x")];
-        let seq = StratumStatistics::collect(&t, &idx, &cols).unwrap();
+        let seq = scalar_reference(&t, &idx, &cols);
         let par = StratumStatistics::collect_with(&t, &idx, &cols, &ExecOptions::new(4)).unwrap();
         for g in 0..idx.num_groups() {
             assert_eq!(seq.population(g), par.population(g));

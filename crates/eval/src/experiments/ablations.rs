@@ -40,12 +40,14 @@ impl SamplingMethod for NaiveClampCvOpt {
         problem.validate()?;
         let exprs = problem.finest_stratification();
         let index = GroupIndex::build(table, &exprs)?;
-        let stats = StratumStatistics::collect(table, &index, &problem.aggregate_columns())?;
+        let exec = ExecOptions::default();
+        let stats =
+            StratumStatistics::collect_with(table, &index, &problem.aggregate_columns(), &exec)?;
         let betas = compute_betas(problem, &index, &stats)?;
         let targets = lemma1_closed_form(&betas, problem.budget as u64);
         let sizes: Vec<u64> =
             targets.iter().zip(index.sizes()).map(|(&x, &n)| (x.round() as u64).min(n)).collect();
-        Ok(StratifiedSample::draw(&index, &sizes, seed, &ExecOptions::default()).materialize(table))
+        Ok(StratifiedSample::draw(&index, &sizes, seed, &exec).materialize(table))
     }
 }
 

@@ -72,6 +72,11 @@ fn main() {
     if config.workers == 0 {
         fail("--workers must be at least 1");
     }
+    // The engine only checks the rate when a statement samples; reject a
+    // bad one before binding instead of failing every approximate query.
+    if let Err(e) = cvopt_core::budget_for_rows(1, rate) {
+        fail(&format!("--rate: {e}"));
+    }
     config.addr = format!("{addr}:{port}");
 
     let engine = Engine::new()

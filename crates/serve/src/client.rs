@@ -4,10 +4,9 @@
 //!
 //! [`Client`] holds one persistent keep-alive connection and reuses it
 //! across requests, reconnecting transparently when the server closes it
-//! (idle timeout, per-connection request cap); `with_keep_alive(false)`
-//! is the escape hatch back to one-connection-per-request. The free
-//! functions ([`request_raw`], [`get`], [`post`]) stay one-shot: they
-//! send `Connection: close` and read to EOF — exactly the bytes the
+//! (idle timeout, per-connection request cap). The free functions
+//! ([`request_raw`], [`get`], [`post`]) are one-shot: they send
+//! `Connection: close` and read to EOF — exactly the bytes the
 //! byte-identical determinism tests compare.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -27,7 +26,6 @@ const IO_TIMEOUT: Duration = Duration::from_secs(30);
 #[derive(Debug)]
 pub struct Client {
     addr: SocketAddr,
-    keep_alive: bool,
     conn: Option<BufReader<TcpStream>>,
     connects: u64,
 }
@@ -36,17 +34,7 @@ impl Client {
     /// A keep-alive client for `addr`. No connection is opened until the
     /// first request.
     pub fn new(addr: SocketAddr) -> Client {
-        Client { addr, keep_alive: true, conn: None, connects: 0 }
-    }
-
-    /// Toggle connection reuse. With `false` every request opens (and
-    /// closes) its own connection, like the free functions.
-    pub fn with_keep_alive(mut self, keep_alive: bool) -> Client {
-        self.keep_alive = keep_alive;
-        if !keep_alive {
-            self.conn = None;
-        }
-        self
+        Client { addr, conn: None, connects: 0 }
     }
 
     /// How many TCP connections this client has opened so far.
@@ -62,10 +50,6 @@ impl Client {
         path: &str,
         body: Option<&str>,
     ) -> io::Result<Vec<u8>> {
-        if !self.keep_alive {
-            self.connects += 1;
-            return request_raw(self.addr, method, path, body);
-        }
         let reused = self.conn.is_some();
         match self.send_on_connection(method, path, body) {
             Ok(raw) => Ok(raw),

@@ -395,30 +395,30 @@ mod tests {
         cfg.admission_rate = 1.0;
         cfg.admission_burst = 3.0;
         let server = Server::start(engine_with_table(100), cfg).unwrap();
+        let mut statuses = Vec::new();
         let mut first = Client::new(server.addr());
-        for _ in 0..3 {
-            let (status, _) = first.get("/healthz").unwrap();
-            assert_eq!(status, 200);
+        for _ in 0..4 {
+            statuses.push(first.get("/healthz").unwrap().0);
         }
-        let (status, body) = first.get("/healthz").unwrap();
-        assert_eq!(status, 503, "{body}");
+        assert_eq!(statuses, [200, 200, 200, 503]);
         let mut second = Client::new(server.addr());
-        let (status, _) = second.get("/healthz").unwrap();
-        assert_eq!(status, 503, "a new connection from the same peer shares the bucket");
-        assert!(server.state().admission_rejections.load(Ordering::Relaxed) >= 2);
+        statuses.push(second.get("/healthz").unwrap().0);
+        assert_eq!(statuses[4], 503, "a new connection from the same peer shares the bucket");
         // The 503s kept both connections open; after a refill the same
         // sockets serve again.
         std::thread::sleep(Duration::from_millis(1100));
-        let (status, _) = first.get("/healthz").unwrap();
-        assert_eq!(status, 200);
+        statuses.push(first.get("/healthz").unwrap().0);
+        assert_eq!(statuses[5], 200);
         assert_eq!(first.connects(), 1, "rejections must not close the connection");
         // Admission rejections are reported separately from queue
-        // rejections on /stats.
+        // rejections on /stats, and the server's tally is exactly the
+        // 503s the clients received.
+        let rejected = statuses.iter().filter(|&&status| status == 503).count() as u64;
         std::thread::sleep(Duration::from_millis(1100));
         let (status, body) = client::get(server.addr(), "/stats").unwrap();
         assert_eq!(status, 200);
         let stats = Json::parse(&body).unwrap();
-        assert!(stats.get("admission_rejections").unwrap().as_u64().unwrap() >= 2);
+        assert_eq!(stats.get("admission_rejections").unwrap().as_u64(), Some(rejected));
         assert_eq!(stats.get("requests_rejected").unwrap().as_u64(), Some(0));
         server.shutdown();
     }
