@@ -175,6 +175,11 @@ fn main() {
     };
     let mut live = Engine::new().with_seed(7).with_exec(ExecOptions::sequential());
     live.register_windowed("openaq", base, "local_time").expect("windowed registration");
+    // What the prepare, the appends and the rotate cost in per-row group
+    // ids: the batches' own, 4 bytes a batch row. A maintained sample keeps
+    // its cold pass, so neither the prepare nor the rotate's rebuild writes
+    // one.
+    let group_ids_before = total_group_id_bytes();
     live.prepare("openaq", problem(2_000)).expect("prepare the durable sample");
     // An append costs the batch, not the table: the registered shard is
     // past the seal size, so it is never rebuilt and the appended rows roll
@@ -186,6 +191,7 @@ fn main() {
         let shard_rows = live.catalog_table("openaq").expect("registered").set().shard_rows();
         live_shard_rows_max = live_shard_rows_max.max(*shard_rows.last().expect("never empty"));
     }
+    let mut ingest_group_ids = total_group_id_bytes() - group_ids_before;
     let shards = live.catalog_table("openaq").expect("registered").set().num_shards();
     assert_eq!(live.stats_passes(), 1, "maintenance must not re-scan the table");
     // Budget scales with the table: 2 000 rows at 100k grows to 2 400 at
@@ -221,8 +227,11 @@ fn main() {
         }
         other => panic!("local_time must be a timestamp, got {other:?}"),
     };
+    let group_ids_before = total_group_id_bytes();
     live.rotate("openaq", cutoff).expect("rotate the window");
+    ingest_group_ids += total_group_id_bytes() - group_ids_before;
     counters.push(("rows_retired/ingest_workload".into(), live.rows_retired()));
+    counters.push(("group_id_bytes/ingest_workload".into(), ingest_group_ids));
 
     // The join path: a fact-to-dimension join answers exactly, and its
     // output size — matched rows surviving the inner join, with duplicate

@@ -248,7 +248,7 @@ impl Engine {
     /// [`Engine::rotate`] (drop rows older than a cutoff), and its durable
     /// prepared samples are **incrementally maintained** under
     /// [`Engine::ingest`] instead of being invalidated — each append folds
-    /// into the maintained index and statistics, and the refreshed sample
+    /// into the maintained strata and statistics, and the refreshed sample
     /// is byte-identical to re-preparing from scratch.
     ///
     /// A set with remote shards cannot be windowed here: those rows live at

@@ -66,7 +66,7 @@ impl Engine {
     /// Sample upkeep is the point of the pass: cached samples of the table
     /// are *never left stale*. Plain entries are invalidated outright; the
     /// table's maintained samples (durable preparations on a windowed
-    /// table) fold the batch into their index, row lists and statistics
+    /// table) fold the batch into their strata, row lists and statistics
     /// and redraw from those — work proportional to the batch and the
     /// sample, with no pass over the rows already there. Each refreshed
     /// sample is byte-identical to re-preparing from scratch over the

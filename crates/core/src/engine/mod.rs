@@ -353,27 +353,21 @@ impl Engine {
     }
 
     /// Run the two-pass sampler for a problem the store does not hold. A
-    /// *durable* preparation over a windowed table goes through
-    /// [`Maintenance::build`] — byte-identical to the plain path, but
-    /// capturing the index and statistics partials so later
-    /// [`Engine::ingest`] calls can fold batches in without a rescan.
+    /// *durable* preparation over a windowed table keeps the sampler's
+    /// strata pass as its [`Maintenance`] state, so later
+    /// [`Engine::ingest`] calls can fold batches in without a rescan; any
+    /// other drops it.
     fn draw(
         &self,
         from: &CatalogEntry,
         problem: &SamplingProblem,
         durable: bool,
     ) -> Result<(CvOptOutcome, Option<Maintenance>)> {
-        let drawn = if durable && from.window.is_some() {
-            let rows = from.table.set.rows();
-            let (state, outcome) = Maintenance::build(problem, &rows, self.seed, &self.exec)?;
-            (outcome, Some(state))
-        } else {
-            let sampler =
-                CvOptSampler::new(problem.clone()).with_seed(self.seed).with_exec(self.exec);
-            (sampler.sample(&from.table.set)?, None)
-        };
+        let sampler = CvOptSampler::new(problem.clone()).with_seed(self.seed).with_exec(self.exec);
+        let keep = durable && from.window.is_some();
+        let (outcome, pass) = sampler.sample_keeping(&from.table.set.rows(), keep)?;
         self.stats_passes.fetch_add(1, Ordering::Relaxed);
-        Ok(drawn)
+        Ok((outcome, pass.map(|pass| Maintenance::new(problem, pass))))
     }
 
     fn handle(

@@ -22,7 +22,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cvopt_table::exec::ExecOptions;
-use cvopt_table::groupby::{GroupProjection, Strata};
+use cvopt_table::groupby::GroupProjection;
 use cvopt_table::{KeyAtom, RowSpace, ScalarExpr, Table};
 
 use crate::alloc::cvopt::strata_betas;
@@ -30,7 +30,7 @@ use crate::alloc::{linf_allocation, lp_allocation, sqrt_allocation, Allocation};
 use crate::error::CvError;
 use crate::sample::{MaterializedSample, StratifiedSample};
 use crate::spec::{Norm, SamplingProblem};
-use crate::stats::StratumStatistics;
+use crate::stats::{KeptPass, StratumStatistics};
 use crate::Result;
 
 /// Process-wide count of stratified draws (pass 2 of every `sample*`
@@ -151,8 +151,7 @@ impl CvOptSampler {
     /// a [`ShardSet`](cvopt_table::ShardSet) (shards local, remote, or
     /// mixed). The plan is bit-identical for any layout of the same rows.
     pub fn plan<'a>(&self, rows: impl Into<RowSpace<'a>>) -> Result<CvOptPlan> {
-        let (_, plan) = self.plan_with_strata(&rows.into())?;
-        Ok(plan)
+        Ok(self.plan_with_strata(&rows.into(), false)?.0)
     }
 
     /// Passes 1 and 2: plan, then draw and materialize the sample. The
@@ -161,24 +160,34 @@ impl CvOptSampler {
     /// **byte-identical to sampling the concatenated table with the same
     /// seed**, for any shard layout and thread count.
     pub fn sample<'a>(&self, rows: impl Into<RowSpace<'a>>) -> Result<CvOptOutcome> {
-        let rows = rows.into();
-        let (strata, plan) = self.plan_with_strata(&rows)?;
-        note_draw();
-        let drawn =
-            StratifiedSample::draw_strata(&strata, &plan.allocation.sizes, self.seed, &self.exec);
-        let sample = drawn.materialize_from(&rows)?;
-        Ok(CvOptOutcome { sample, plan })
+        Ok(self.sample_keeping(&rows.into(), false)?.0)
     }
 
-    fn plan_with_strata(&self, rows: &RowSpace<'_>) -> Result<(Strata, CvOptPlan)> {
+    /// [`CvOptSampler::sample`], handing back — when `keep` — its strata
+    /// pass: the strata with their runs and every partition's statistics
+    /// partial, what a maintained sample is made of.
+    pub(crate) fn sample_keeping(
+        &self,
+        rows: &RowSpace<'_>,
+        keep: bool,
+    ) -> Result<(CvOptOutcome, Option<KeptPass>)> {
+        let (plan, pass) = self.plan_with_strata(rows, keep)?;
+        note_draw();
+        let drawn =
+            StratifiedSample::draw_strata(&pass.0, &plan.allocation.sizes, self.seed, &self.exec);
+        let sample = drawn.materialize_from(rows)?;
+        Ok((CvOptOutcome { sample, plan }, keep.then_some(pass)))
+    }
+
+    fn plan_with_strata(&self, rows: &RowSpace<'_>, keep: bool) -> Result<(CvOptPlan, KeptPass)> {
         self.problem.validate()?;
         let strata_exprs = self.problem.finest_stratification();
         let columns = self.problem.aggregate_columns();
-        let (strata, stats) =
-            StratumStatistics::collect_strata(rows, &strata_exprs, &columns, &self.exec)?;
-        let keys = strata.keys().to_vec();
+        let (stats, pass) =
+            StratumStatistics::collect_strata(rows, &strata_exprs, &columns, &self.exec, keep)?;
+        let (strata, keys) = (&pass.0, pass.0.keys().to_vec());
         let plan = self.allocate(strata_exprs, keys, |dims| strata.project(dims), stats)?;
-        Ok((strata, plan))
+        Ok((plan, pass))
     }
 
     /// The allocation back half of planning: solve the problem's norm for

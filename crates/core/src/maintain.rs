@@ -1,32 +1,28 @@
 //! Incremental sample maintenance for ingesting tables.
 //!
-//! A [`Maintenance`] keeps, for one prepared sample in the engine's store, the
-//! three artifacts the two-pass pipeline derives from the raw rows: the
-//! finest-stratification [`GroupIndex`], every stratum's ascending row list
-//! (what the draw reads), and the per-partition statistics partials (each
-//! partition's slot states and the stratum of each slot). They come from one
-//! strata pass over the index's ids — the row lists are its chains, the
-//! partials its fold — and all are *mergeable under append*, at a cost of
-//! the batch, through contracts the codebase already pins:
+//! A [`Maintenance`] keeps, for one prepared sample in the engine's store,
+//! the strata pass that prepared it ([`CvOptSampler::sample`]'s, which the
+//! cold path drops): the stratum keys, sizes and a key → stratum map, every
+//! stratum's ascending row list (its chain of runs, copied), the
+//! per-partition statistics partials, and the stratum ids of the rows of the
+//! last, not-yet-full partition. All are *mergeable under append*, at a
+//! cost of the batch, through contracts the codebase already pins:
 //!
-//! - The group index merges by first-occurrence key order
-//!   ([`GroupIndex::append`], the same ordered merge that joins partitions
-//!   and shards): folding a batch-local index into the maintained one, in
-//!   place, yields exactly the index a fresh build over the extended table
-//!   would produce — old strata keep their ids, new strata take the next
-//!   ids.
-//! - A stratum's row list is its rows in ascending row order, and appended
-//!   rows have the highest ids: pushing each batch row onto its stratum's
-//!   list yields exactly the chain a fresh strata pass over the folded index
-//!   would hold — without touching the rows already there. The lists cost
-//!   4 bytes per table row per maintained sample.
+//! - Strata merge by first-occurrence key order ([`OrderedMerge`], the
+//!   ordered merge that joins partitions and shards): the batch's own index,
+//!   translated through the map, gives its rows the ids a fresh pass over
+//!   the extended table would — old strata keep theirs, new ones take the
+//!   next.
+//! - Appended rows have the highest ids, so pushing each onto its stratum's
+//!   ascending list yields exactly the chain a fresh pass would hold. The
+//!   lists cost 4 bytes per table row per maintained sample, and no other
+//!   per-row array is kept.
 //! - Statistics partials are whole **global** partitions (fixed 64Ki-row
 //!   ranges anchored to the logical row space), so appending rows dirties
 //!   only the partitions at or past `old_rows / CHUNK_ROWS`. Clean partials
-//!   are replayed from the cache — old strata keep their ids, so a clean
-//!   partial names the same strata it did — and the dirty tail is rescanned
-//!   with the same partition kernel, keyed by the maintained index's ids
-//!   ([`GroupIndex::partition_runs`]).
+//!   are replayed — a clean partial names the same strata it did — and the
+//!   dirty ones are re-bucketed by the id-keyed partition kernel from the
+//!   kept tail ids (at most 64Ki) followed by the batch's.
 //!
 //! Allocation then re-runs through the *same* code path a fresh preparation
 //! uses, and the draw through the same per-stratum kernel
@@ -54,13 +50,14 @@
 //! This is the only incremental path there is.
 
 use cvopt_table::exec::{ExecOptions, CHUNK_ROWS};
-use cvopt_table::{GroupIndex, RowSpace, ScalarExpr, Table};
+use cvopt_table::groupby::{GroupProjection, OrderedMerge};
+use cvopt_table::{GroupIndex, KeyAtom, RowSpace, ScalarExpr, Table};
 
 use crate::error::CvError;
 use crate::framework::{note_draw, CvOptOutcome, CvOptSampler};
 use crate::sample::StratifiedSample;
 use crate::spec::SamplingProblem;
-use crate::stats::{self, Partial, StratumStatistics};
+use crate::stats::{self, KeptPass, Partial, StratumStatistics};
 use crate::Result;
 
 /// The state that keeps one durable prepared sample incrementally up to
@@ -73,78 +70,66 @@ pub(crate) struct Maintenance {
     base_budget: usize,
     base_rows: usize,
     strata_exprs: Vec<ScalarExpr>,
-    /// Maintained finest-stratification index over the current rows.
-    index: GroupIndex,
-    /// `strata_rows[c]`: stratum `c`'s rows of `index`, ascending.
+    /// The strata of the current rows, in first-occurrence order: keys,
+    /// sizes, and the map a batch's keys translate through.
+    strata: OrderedMerge<Vec<KeyAtom>>,
+    /// `strata_rows[c]`: stratum `c`'s rows, ascending.
     strata_rows: Vec<Vec<u32>>,
     /// Cached per-partition statistics partials over the current rows.
     partials: Vec<Partial>,
+    /// The stratum of each row of the last partition while it is not full:
+    /// the old rows a dirty-tail rescan reads.
+    tail_ids: Vec<u32>,
+    /// Rows covered.
+    rows: usize,
 }
 
 impl Maintenance {
-    /// Prepare `problem` over `rows` and capture the maintenance state.
-    /// The outcome is bit-identical to [`CvOptSampler::sample`] with the
-    /// same seed and options; this counts as one statistics pass and one
-    /// draw, exactly like the fresh path.
+    /// Prepare `problem` over `rows` and capture the maintenance state: the
+    /// cold path's one strata pass, kept. The outcome is
+    /// [`CvOptSampler::sample`]'s with the same seed and options, and this
+    /// counts as one statistics pass and one draw, exactly like it.
     pub(crate) fn build(
         problem: &SamplingProblem,
         rows: &RowSpace<'_>,
         seed: u64,
         exec: &ExecOptions,
     ) -> Result<(Maintenance, CvOptOutcome)> {
-        problem.validate()?;
-        let strata_exprs = problem.finest_stratification();
-        let index = rows.group_index(&strata_exprs, exec)?;
-        let (strata, partials) = stats::partials(rows, &index, &problem.aggregate_columns(), exec)?;
-        let strata_rows = (0..strata.num_strata())
+        let sampler = CvOptSampler::new(problem.clone()).with_seed(seed).with_exec(*exec);
+        let (outcome, pass) = sampler.sample_keeping(rows, true)?;
+        Ok((Maintenance::new(problem, pass.expect("the pass is kept")), outcome))
+    }
+
+    /// The state of `problem`'s sample from the strata pass that prepared
+    /// it: the strata and every partition's partial.
+    pub(crate) fn new(problem: &SamplingProblem, (pass, partials): KeptPass) -> Maintenance {
+        let mut strata = OrderedMerge::default();
+        strata.push(pass.keys().iter().cloned().zip(pass.sizes().iter().copied()));
+        let strata_rows: Vec<Vec<u32>> = (0..pass.num_strata())
             .map(|c| {
-                let mut rows = Vec::with_capacity(strata.sizes()[c] as usize);
-                strata.rows(c).for_each(|run| rows.extend_from_slice(run));
+                let mut rows = Vec::with_capacity(pass.sizes()[c] as usize);
+                pass.rows(c).for_each(|run| rows.extend_from_slice(run));
                 rows
             })
             .collect();
-        let state = Maintenance {
+        let rows = pass.sizes().iter().sum::<u64>() as usize;
+        let tail = rows / CHUNK_ROWS * CHUNK_ROWS;
+        let mut tail_ids = vec![0; rows - tail];
+        for (c, list) in (0u32..).zip(&strata_rows) {
+            for &row in list.iter().rev().take_while(|&&row| row as usize >= tail) {
+                tail_ids[row as usize - tail] = c;
+            }
+        }
+        Maintenance {
             base_budget: problem.budget,
-            base_rows: rows.num_rows(),
-            strata_exprs,
-            index,
+            base_rows: rows,
+            strata_exprs: problem.finest_stratification(),
+            strata,
             strata_rows,
             partials,
-        };
-        let outcome = state.outcome(problem, rows, seed, exec)?;
-        Ok((state, outcome))
-    }
-
-    /// Allocate and draw from the maintained index, row lists and partials,
-    /// through the exact kernels a fresh [`CvOptSampler::sample`] runs.
-    fn outcome(
-        &self,
-        problem: &SamplingProblem,
-        rows: &RowSpace<'_>,
-        seed: u64,
-        exec: &ExecOptions,
-    ) -> Result<CvOptOutcome> {
-        let stats = StratumStatistics::from_partials(
-            &self.index,
-            &problem.aggregate_columns(),
-            &self.partials,
-        );
-        let sampler = CvOptSampler::new(problem.clone()).with_seed(seed).with_exec(*exec);
-        let index = &self.index;
-        let keys = (0..index.num_groups() as u32).map(|g| index.key(g).to_vec()).collect();
-        let plan =
-            sampler.allocate(self.strata_exprs.clone(), keys, |d| index.project(d), stats)?;
-        note_draw();
-        let sample = StratifiedSample::draw_bucketed(
-            &plan.strata_keys,
-            index.sizes(),
-            |c| std::iter::once(self.strata_rows[c].as_slice()),
-            &plan.allocation.sizes,
-            seed,
-            exec,
-        )
-        .materialize_from(rows)?;
-        Ok(CvOptOutcome { sample, plan })
+            tail_ids,
+            rows,
+        }
     }
 
     /// The creation-time rate projected onto `rows` table rows: a pure
@@ -172,8 +157,7 @@ impl Maintenance {
         seed: u64,
         exec: &ExecOptions,
     ) -> Result<CvOptOutcome> {
-        let old_rows = self.index.num_rows();
-        let new_rows = rows.num_rows();
+        let (old_rows, new_rows) = (self.rows, rows.num_rows());
         if old_rows + batch.num_rows() != new_rows {
             return Err(CvError::invalid(format!(
                 "maintained sample covers {old_rows} rows + batch of {} != table of {new_rows}",
@@ -181,26 +165,51 @@ impl Maintenance {
             )));
         }
 
-        // Batch-local index, folded in row order into the maintained one:
-        // identical to rebuilding over the extended table.
-        self.index.append(&GroupIndex::build_with(batch, &self.strata_exprs, exec)?)?;
-        self.strata_rows.resize(self.index.num_groups(), Vec::new());
-        for (row, &stratum) in self.index.row_groups().iter().enumerate().skip(old_rows) {
-            self.strata_rows[stratum as usize].push(row as u32);
-        }
+        // The batch's own index, its keys translated through the ordered
+        // merge: old strata keep their ids and new ones take the next, in
+        // first-occurrence order — as a fresh pass over `rows` assigns them.
+        // The stratum of every row from the last partition's start on is
+        // then the kept tail's, followed by the batch's.
+        let index = GroupIndex::build_with(batch, &self.strata_exprs, exec)?;
+        let keys = (0..index.num_groups() as u32).map(|g| (index.key(g).to_vec(), index.size(g)));
+        let translation = self.strata.push(keys);
+        let mut ids = std::mem::take(&mut self.tail_ids);
+        ids.extend(index.row_groups().iter().map(|&g| translation[g as usize]));
 
         // Replay clean partials, rescan the dirty tail. Partition
         // boundaries are anchored to the global row space, so every
         // partition strictly before `old_rows / CHUNK_ROWS` is untouched
         // by the append.
-        let columns = problem.aggregate_columns();
         let first_dirty = old_rows / CHUNK_ROWS;
-        let tail = stats::tail_partials(rows, &self.index, &columns, exec, first_dirty)?;
+        let from = first_dirty * CHUNK_ROWS;
+        let columns = problem.aggregate_columns();
+        let num_strata = self.strata.keys().len();
+        let tail = stats::tail_partials(rows, &columns, exec, from, &ids, num_strata)?;
         self.partials.truncate(first_dirty);
         self.partials.extend(tail);
 
+        // The rescan refused any row id past `u32::MAX`.
+        self.strata_rows.resize(num_strata, Vec::new());
+        for (row, &stratum) in (old_rows..new_rows).zip(&ids[old_rows - from..]) {
+            self.strata_rows[stratum as usize].push(row as u32);
+        }
+        self.tail_ids = ids.split_off(new_rows / CHUNK_ROWS * CHUNK_ROWS - from);
+        self.rows = new_rows;
+
+        // Allocate and draw from the maintained strata, partials and row
+        // lists, through the exact kernels a fresh preparation runs.
         problem.budget = self.scaled_budget(new_rows);
-        self.outcome(problem, rows, seed, exec)
+        let (keys, sizes) = (self.strata.keys(), self.strata.sizes());
+        let stats = StratumStatistics::from_partials(sizes, &columns, &self.partials);
+        let sampler = CvOptSampler::new(problem.clone()).with_seed(seed).with_exec(*exec);
+        let names: Vec<String> = self.strata_exprs.iter().map(ScalarExpr::display_name).collect();
+        let project = |dims: &[usize]| GroupProjection::of(&names, keys, dims);
+        let plan = sampler.allocate(self.strata_exprs.clone(), keys.to_vec(), project, stats)?;
+        note_draw();
+        let lists = |c: usize| std::iter::once(self.strata_rows[c].as_slice());
+        let drawn =
+            StratifiedSample::draw_bucketed(keys, sizes, lists, &plan.allocation.sizes, seed, exec);
+        Ok(CvOptOutcome { sample: drawn.materialize_from(rows)?, plan })
     }
 
     /// Rebuild from scratch over `rows` (after a retention rotation,
@@ -216,10 +225,7 @@ impl Maintenance {
     ) -> Result<CvOptOutcome> {
         problem.budget = self.scaled_budget(rows.num_rows());
         let (fresh, outcome) = Maintenance::build(problem, rows, seed, exec)?;
-        self.strata_exprs = fresh.strata_exprs;
-        self.index = fresh.index;
-        self.strata_rows = fresh.strata_rows;
-        self.partials = fresh.partials;
+        *self = Maintenance { base_budget: self.base_budget, base_rows: self.base_rows, ..fresh };
         Ok(outcome)
     }
 }
@@ -228,13 +234,16 @@ impl Maintenance {
 mod tests {
     use super::*;
     use crate::spec::QuerySpec;
+    use cvopt_table::agg::AggState;
     use cvopt_table::{DataType, ShardSet, ShardedTable, TableBuilder, Value};
 
+    /// Four strata; row `CHUNK_ROWS`, which opens the second partition, is
+    /// not in the first of them.
     fn row_stream(n: usize) -> Vec<Vec<Value>> {
         (0..n)
             .map(|i| {
                 vec![
-                    Value::str(["a", "b", "c", "d"][i % 4]),
+                    Value::str(["a", "b", "c", "d"][i * 7 / 5 % 4]),
                     Value::Float64(((i as f64) * 0.61).sin() * 50.0 + (i % 13) as f64),
                     Value::Int64(i as i64),
                 ]
@@ -258,6 +267,18 @@ mod tests {
         SamplingProblem::single(QuerySpec::group_by(&["g"]).aggregate("x"), budget)
     }
 
+    /// `table` in `shards` in-process shards.
+    fn layout(table: &Table, shards: usize) -> ShardSet {
+        ShardSet::from(ShardedTable::split(table, shards).unwrap())
+    }
+
+    /// Every layout the maintenance tests run under: the rows plain and in
+    /// three shards, at one and two threads.
+    fn layouts() -> [(usize, ExecOptions); 4] {
+        [(1, 1), (1, 2), (3, 1), (3, 2)]
+            .map(|(shards, threads)| (shards, ExecOptions::new(threads)))
+    }
+
     fn assert_outcomes_equal(a: &CvOptOutcome, b: &CvOptOutcome, what: &str) {
         assert_eq!(a.sample.origin, b.sample.origin, "{what}: origin rows");
         assert_eq!(a.sample.row_stratum, b.sample.row_stratum, "{what}: strata");
@@ -273,73 +294,133 @@ mod tests {
         }
     }
 
-    /// A sample under maintenance the way the store holds it: the problem
-    /// and the outcome beside the state.
+    fn state_bits(states: &[AggState]) -> Vec<[u64; 6]> {
+        let bits = |s: &AggState| {
+            [
+                s.count,
+                s.sum.to_bits(),
+                s.mean.to_bits(),
+                s.m2.to_bits(),
+                s.min.to_bits(),
+                s.max.to_bits(),
+            ]
+        };
+        states.iter().map(bits).collect()
+    }
+
+    /// A partial as each of its strata's states, in bits, by stratum: the
+    /// id-keyed kernel lists a partition's strata ascending and the walk in
+    /// first-occurrence order, and the merge is per stratum, so that order
+    /// is no part of the contract.
+    fn by_stratum((strata, states): &Partial, width: usize) -> Vec<(u32, Vec<[u64; 6]>)> {
+        assert_eq!(states.len(), strata.len() * width, "one state per slot and column");
+        let mut cells: Vec<_> =
+            strata.iter().zip(states.chunks(width)).map(|(&c, s)| (c, state_bits(s))).collect();
+        cells.sort_unstable_by_key(|&(c, _)| c);
+        cells
+    }
+
+    /// A sample under maintenance the way the store holds it — the problem
+    /// and the outcome beside the state — over the rows it covers.
     struct Maintained {
         problem: SamplingProblem,
         state: Maintenance,
         outcome: CvOptOutcome,
+        rows: ShardSet,
         seed: u64,
         exec: ExecOptions,
     }
 
     impl Maintained {
-        fn build(budget: usize, rows: &RowSpace<'_>, seed: u64, exec: ExecOptions) -> Self {
+        fn build(budget: usize, rows: ShardSet, seed: u64, exec: ExecOptions) -> Self {
             let problem = problem(budget);
-            let (state, outcome) = Maintenance::build(&problem, rows, seed, &exec).unwrap();
-            Maintained { problem, state, outcome, seed, exec }
+            let (state, outcome) = Maintenance::build(&problem, &rows.rows(), seed, &exec).unwrap();
+            let built = Maintained { problem, state, outcome, rows, seed, exec };
+            built.assert_state_current();
+            built
         }
 
-        fn append(&mut self, rows: &RowSpace<'_>, batch: &Table) {
+        /// Append `batch` to the rows, fold it in, and check the state.
+        fn append(&mut self, batch: &Table) {
+            self.rows = self.rows.extended(batch).unwrap();
             self.outcome = self
                 .state
-                .apply_append(&mut self.problem, rows, batch, self.seed, &self.exec)
+                .apply_append(&mut self.problem, &self.rows.rows(), batch, self.seed, &self.exec)
                 .unwrap();
-            self.assert_row_lists_current();
+            self.assert_state_current();
         }
 
-        /// The kept row lists are the maintained index, bucketed.
-        fn assert_row_lists_current(&self) {
-            let index = &self.state.index;
-            let mut want = vec![Vec::new(); index.num_groups()];
-            for (row, &g) in index.row_groups().iter().enumerate() {
-                want[g as usize].push(row as u32);
+        /// The whole maintained state is what a fresh strata pass over the
+        /// current rows keeps: the strata's keys and sizes, every row list,
+        /// the tail ids, and every partial's states, stratum by stratum, bit
+        /// for bit.
+        fn assert_state_current(&self) {
+            let (state, rows) = (&self.state, self.rows.rows());
+            let columns = self.problem.aggregate_columns();
+            let exprs = &state.strata_exprs;
+            let (_, (strata, partials)) =
+                StratumStatistics::collect_strata(&rows, exprs, &columns, &self.exec, true)
+                    .unwrap();
+            assert_eq!(state.rows, rows.num_rows());
+            assert_eq!(state.strata.keys(), strata.keys(), "keys");
+            assert_eq!(state.strata.sizes(), strata.sizes(), "sizes");
+            assert_eq!(state.strata_rows.len(), strata.num_strata());
+            let mut stratum_of = vec![0u32; rows.num_rows()];
+            for (c, list) in (0u32..).zip(&state.strata_rows) {
+                let chain: Vec<u32> = strata.rows(c as usize).flatten().copied().collect();
+                assert_eq!(list, &chain, "stratum {c}'s rows");
+                chain.iter().for_each(|&row| stratum_of[row as usize] = c);
             }
-            assert_eq!(self.state.strata_rows, want);
+            let tail = rows.num_rows() / CHUNK_ROWS * CHUNK_ROWS;
+            assert_eq!(state.tail_ids, stratum_of[tail..], "tail ids");
+            assert_eq!(state.partials.len(), partials.len(), "partitions");
+            for (p, (kept, fresh)) in state.partials.iter().zip(&partials).enumerate() {
+                let (kept, fresh) =
+                    (by_stratum(kept, columns.len()), by_stratum(fresh, columns.len()));
+                assert_eq!(kept, fresh, "partition {p}'s states");
+            }
         }
 
         /// What a from-scratch preparation of the current problem draws.
-        fn fresh<'a>(&self, rows: impl Into<RowSpace<'a>>) -> CvOptOutcome {
+        fn fresh(&self) -> CvOptOutcome {
             CvOptSampler::new(self.problem.clone())
                 .with_seed(self.seed)
                 .with_exec(self.exec)
-                .sample(rows)
+                .sample(&self.rows)
                 .unwrap()
         }
     }
 
     /// Appending in any batch split — an empty batch included — yields the
     /// same maintained outcome as re-preparing from scratch over the final
-    /// table.
+    /// table, in every layout; so do splits around a partition boundary —
+    /// batches that leave the last partition part-full, fill it exactly and
+    /// open the next — and a build whose last partition is already open.
     #[test]
     fn append_matches_fresh_prepare_for_any_split() {
-        let rows = row_stream(3000);
-        let base = table_of(&rows[..1000]);
+        let near = CHUNK_ROWS - 1056;
+        let stream = row_stream(CHUNK_ROWS + 1984);
         for splits in [
             vec![1000, 3000],
             vec![1000, 1500, 2200, 3000],
             vec![1000, 1001, 3000],
             vec![1000, 1000, 3000, 3000],
+            vec![near, CHUNK_ROWS - 16, CHUNK_ROWS, CHUNK_ROWS + 1984],
+            vec![CHUNK_ROWS + 464, CHUNK_ROWS + 1984],
         ] {
-            let mut m = Maintained::build(50, &(&base).into(), 11, ExecOptions::new(2));
-            let mut current = base.clone();
-            for window in splits.windows(2) {
-                let batch = table_of(&rows[window[0]..window[1]]);
-                current = current.extended(&batch).unwrap();
-                m.append(&(&current).into(), &batch);
+            let (base, total) = (splits[0], *splits.last().unwrap());
+            let base_table = table_of(&stream[..base]);
+            let batches: Vec<Table> =
+                splits.windows(2).map(|w| table_of(&stream[w[0]..w[1]])).collect();
+            for (shards, exec) in layouts() {
+                let what = format!("{splits:?}, {shards} shards, {exec:?}");
+                let mut m = Maintained::build(base / 20, layout(&base_table, shards), 11, exec);
+                for batch in &batches {
+                    m.append(batch);
+                }
+                assert_outcomes_equal(&m.outcome, &m.fresh(), &what);
+                assert_eq!(m.problem.budget, total / 20, "{what}: rate 5%");
             }
-            assert_outcomes_equal(&m.outcome, &m.fresh(&table_of(&rows)), &format!("{splits:?}"));
-            assert_eq!(m.problem.budget, 150, "rate 5% of 3000 rows");
         }
     }
 
@@ -348,23 +429,22 @@ mod tests {
     #[test]
     fn sharded_append_matches_fresh_prepare() {
         let rows = row_stream(2400);
-        let base = ShardSet::from(ShardedTable::split(&table_of(&rows[..1800]), 3).unwrap());
-        let mut m = Maintained::build(90, &base.rows(), 4, ExecOptions::new(3));
-        let mut current = base;
-        for bounds in [(1800, 2000), (2000, 2400)] {
-            let batch = table_of(&rows[bounds.0..bounds.1]);
-            current = current.extended(&batch).unwrap();
-            m.append(&current.rows(), &batch);
+        for threads in [1, 2, 3] {
+            let base = layout(&table_of(&rows[..1800]), 3);
+            let mut m = Maintained::build(90, base, 4, ExecOptions::new(threads));
+            for bounds in [(1800, 2000), (2000, 2400)] {
+                m.append(&table_of(&rows[bounds.0..bounds.1]));
+            }
+            assert_outcomes_equal(&m.outcome, &m.fresh(), &format!("threads {threads}"));
         }
-        assert_outcomes_equal(&m.outcome, &m.fresh(&current), "sharded append");
     }
 
     /// Appends that introduce brand-new strata pad cached partials
     /// correctly: the maintained stats still match a full re-collect.
     #[test]
     fn append_with_new_strata_matches() {
-        let base = table_of(&row_stream(500));
-        let mut m = Maintained::build(40, &(&base).into(), 7, ExecOptions::sequential());
+        let base = layout(&table_of(&row_stream(500)), 1);
+        let mut m = Maintained::build(40, base, 7, ExecOptions::sequential());
         // A batch whose group key was never seen before.
         let mut b = TableBuilder::new(&schema());
         for i in 0..200usize {
@@ -375,21 +455,20 @@ mod tests {
             ])
             .unwrap();
         }
-        let batch = b.finish();
-        let current = base.extended(&batch).unwrap();
-        m.append(&(&current).into(), &batch);
-        assert_outcomes_equal(&m.outcome, &m.fresh(&current), "new-strata append");
+        m.append(&b.finish());
+        assert_outcomes_equal(&m.outcome, &m.fresh(), "new-strata append");
         assert_eq!(m.outcome.plan.num_strata(), 5);
     }
 
-    /// The maintained index itself, batch by batch: folding k batches in
-    /// one at a time equals one build over the rows so far — row ids, key
-    /// order, sizes — whether a batch brings new strata or none.
+    /// The maintained strata, batch by batch: folding k batches in one at a
+    /// time keeps what one pass over the rows so far keeps — keys in first
+    /// occurrence order, sizes, row lists, tail ids, partials — whether a
+    /// batch brings new strata, old ones among them, or none.
     #[test]
-    fn folded_index_matches_build_over_concatenation() {
+    fn folded_strata_match_a_fresh_pass_over_concatenation() {
         let rows = row_stream(900);
-        let mut current = table_of(&rows[..300]);
-        let mut m = Maintained::build(30, &(&current).into(), 3, ExecOptions::new(2));
+        let base = layout(&table_of(&rows[..300]), 1);
+        let mut m = Maintained::build(30, base, 3, ExecOptions::new(2));
         let fresh_strata: Vec<Vec<Value>> = ["e", "a", "f", "e"]
             .iter()
             .map(|g| vec![Value::str(g), Value::Float64(1.0), Value::Int64(0)])
@@ -399,19 +478,12 @@ mod tests {
             (table_of(&fresh_strata), 2),
             (table_of(&rows[600..900]), 0),
         ] {
-            let before = m.state.index.num_groups();
-            current = current.extended(&batch).unwrap();
-            m.append(&(&current).into(), &batch);
-            let built =
-                GroupIndex::build_with(&current, &m.state.strata_exprs, &ExecOptions::sequential())
-                    .unwrap();
-            assert_eq!(m.state.index.num_groups(), before + new_strata);
-            assert_eq!(m.state.index.row_groups(), built.row_groups());
-            assert_eq!(m.state.index.sizes(), built.sizes());
-            for g in 0..built.num_groups() as u32 {
-                assert_eq!(m.state.index.key(g), built.key(g));
-            }
+            let before = m.state.strata.keys().len();
+            m.append(&batch);
+            assert_eq!(m.state.strata.keys().len(), before + new_strata);
         }
+        let new = [vec![KeyAtom::from("e")], vec![KeyAtom::from("f")]];
+        assert_eq!(m.state.strata.keys()[4..], new, "new strata in first-occurrence order");
     }
 
     proptest::proptest! {
@@ -419,36 +491,36 @@ mod tests {
         /// **Batch-boundary invariance**: any partition of the same row
         /// stream into ingest batches yields a bit-identical maintained
         /// sample — the one a fresh preparation over the final table
-        /// produces.
+        /// produces — and keeps the state a fresh pass keeps after every
+        /// batch, in every layout.
         #[test]
         fn maintenance_is_batch_boundary_invariant(
             cuts in proptest::collection::vec(1usize..1400, 0..6),
             seed in 0u64..32,
         ) {
             let rows = row_stream(2000);
-            let base = table_of(&rows[..600]);
             let mut bounds: Vec<usize> = cuts.iter().map(|c| 600 + c).collect();
             bounds.push(600);
             bounds.push(2000);
             bounds.sort_unstable();
             bounds.dedup();
-            let mut m = Maintained::build(30, &(&base).into(), seed, ExecOptions::new(2));
-            let mut current = base;
-            for window in bounds.windows(2) {
-                let batch = table_of(&rows[window[0]..window[1]]);
-                current = current.extended(&batch).unwrap();
-                m.append(&(&current).into(), &batch);
+            for (shards, exec) in layouts() {
+                let base = layout(&table_of(&rows[..600]), shards);
+                let mut m = Maintained::build(30, base, seed, exec);
+                for window in bounds.windows(2) {
+                    m.append(&table_of(&rows[window[0]..window[1]]));
+                }
+                let fresh = m.fresh();
+                proptest::prop_assert_eq!(&m.outcome.sample.origin, &fresh.sample.origin);
+                let wa: Vec<u64> = m.outcome.sample.weights.iter().map(|w| w.to_bits()).collect();
+                let wb: Vec<u64> = fresh.sample.weights.iter().map(|w| w.to_bits()).collect();
+                proptest::prop_assert_eq!(wa, wb);
+                proptest::prop_assert_eq!(
+                    &m.outcome.plan.allocation.sizes,
+                    &fresh.plan.allocation.sizes
+                );
+                proptest::prop_assert_eq!(m.problem.budget, 100, "5% of 2000 rows");
             }
-            let fresh = m.fresh(&current);
-            proptest::prop_assert_eq!(&m.outcome.sample.origin, &fresh.sample.origin);
-            let wa: Vec<u64> = m.outcome.sample.weights.iter().map(|w| w.to_bits()).collect();
-            let wb: Vec<u64> = fresh.sample.weights.iter().map(|w| w.to_bits()).collect();
-            proptest::prop_assert_eq!(wa, wb);
-            proptest::prop_assert_eq!(
-                &m.outcome.plan.allocation.sizes,
-                &fresh.plan.allocation.sizes
-            );
-            proptest::prop_assert_eq!(m.problem.budget, 100, "5% of 2000 rows");
         }
     }
 
@@ -456,13 +528,13 @@ mod tests {
     #[test]
     fn rebuild_rescales_budget() {
         let rows = row_stream(1000);
-        let mut m =
-            Maintained::build(100, &(&table_of(&rows)).into(), 1, ExecOptions::sequential());
-        let kept = table_of(&rows[600..]);
-        m.outcome = m.state.rebuild(&mut m.problem, &(&kept).into(), m.seed, &m.exec).unwrap();
+        let all = layout(&table_of(&rows), 1);
+        let mut m = Maintained::build(100, all, 1, ExecOptions::sequential());
+        m.rows = layout(&table_of(&rows[600..]), 1);
+        m.outcome = m.state.rebuild(&mut m.problem, &m.rows.rows(), m.seed, &m.exec).unwrap();
         assert_eq!(m.problem.budget, 40, "10% of the surviving 400 rows");
-        assert_eq!(m.state.index.num_rows(), 400);
-        m.assert_row_lists_current();
-        assert_outcomes_equal(&m.outcome, &m.fresh(&kept), "rebuild");
+        assert_eq!((m.state.base_budget, m.state.base_rows), (100, 1000), "the pinned rate");
+        m.assert_state_current();
+        assert_outcomes_equal(&m.outcome, &m.fresh(), "rebuild");
     }
 }

@@ -12,7 +12,10 @@
 //! kernel ([`AggState::update_slice`]), into one flat state table sized by
 //! the strata that partition saw. Partials merge into the stratum table in
 //! partition order, so the statistics are bit-identical for any shard layout
-//! and thread count; the same runs then serve the draw.
+//! and thread count; the same runs then serve the draw. A maintained sample
+//! keeps the pass's partials, merges them again after an append, and
+//! recomputes only the partials of the partitions the append dirtied, from
+//! the stratum ids of their rows (`tail_partials`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,9 +43,9 @@ pub fn total_stats_passes() -> u64 {
 /// Record one statistics pass. Called by every collector after its
 /// column binding succeeds (failed preparations never scanned anything)
 /// and before the scan itself, so a pass in flight is already visible to
-/// live readers. Also called by the incremental-maintenance build, whose
-/// initial partial computation is a full scan; maintenance *updates* scan
-/// only appended rows and are deliberately not counted as passes.
+/// live readers. A maintained sample is prepared by the same pass; its
+/// *updates* rescan only the partitions an append dirtied and are
+/// deliberately not counted as passes.
 pub(crate) fn record_pass() {
     TOTAL_PASSES.fetch_add(1, Ordering::Relaxed);
 }
@@ -63,6 +66,10 @@ fn bind_columns<'a>(
 /// One partition's statistics: the slot states of its runs, `width` per
 /// slot, and the stratum of each slot.
 pub(crate) type Partial = (Vec<u32>, Vec<AggState>);
+
+/// A statistics pass kept whole: its strata, with their runs, and every
+/// partition's partial, in partition order.
+pub(crate) type KeptPass = (Strata, Vec<Partial>);
 
 /// The statistics kernel, a strata pass's fold: gather each slot's run of
 /// values densely and push it through the lane-merge slice kernel, into
@@ -133,44 +140,29 @@ fn merge_partial(acc: &mut Vec<Vec<AggState>>, width: usize, strata: &[u32], sta
     }
 }
 
-/// The statistics pass over the strata of `index`, keeping every
-/// partition's partial: what a maintained sample caches, with the strata
-/// whose runs it keeps as row lists. Counts one statistics pass.
-pub(crate) fn partials(
-    rows: &RowSpace<'_>,
-    index: &GroupIndex,
-    columns: &[ScalarExpr],
-    options: &ExecOptions,
-) -> Result<(Strata, Vec<Partial>)> {
-    let bound = bind_columns(rows, columns, options)?;
-    record_pass();
-    let mut partials = Vec::new();
-    let strata = Strata::of_index(
-        index,
-        options,
-        |runs| fold_runs(rows, &bound, runs),
-        |strata, partial| partials.push((strata.to_vec(), partial)),
-    )?;
-    Ok((strata, partials))
-}
-
-/// The partials of the global partitions `from_partition..` of `rows`,
-/// keyed by `index`'s ids, with the same kernel: how the
-/// incremental-maintenance path rescans only the partitions an append
-/// dirtied. A returned partial is bit-identical to the one a fresh pass
-/// computes for that partition. Does not count a statistics pass.
+/// The partials of the global partitions of `rows` from row `from` — a
+/// partition start — on, whose rows from `from` on have the stratum ids
+/// `ids`, each below `num_strata`: the same fold over the id-keyed
+/// partition kernel ([`Runs::by_id`]). How sample maintenance rescans only
+/// the partitions an append dirtied. A returned partial lists its strata
+/// ascending, where a fresh pass over packed keys lists them by first
+/// occurrence, but each stratum's states are bit-identical to that pass's —
+/// and the merge is per stratum. Does not count a statistics pass.
 pub(crate) fn tail_partials(
     rows: &RowSpace<'_>,
-    index: &GroupIndex,
     columns: &[ScalarExpr],
     options: &ExecOptions,
-    from_partition: usize,
+    from: usize,
+    ids: &[u32],
+    num_strata: usize,
 ) -> Result<Vec<Partial>> {
     let bound = bind_columns(rows, columns, options)?;
     let partitions = exec::partition_rows(rows.num_rows());
-    let tail: Vec<exec::RowRange> = partitions.into_iter().skip(from_partition).collect();
+    let tail: Vec<exec::RowRange> = partitions.into_iter().filter(|p| p.start >= from).collect();
     let partials = exec::run_indexed(tail.len(), options, |i| -> cvopt_table::Result<Partial> {
-        let (strata, runs) = index.partition_runs(tail[i])?;
+        let range = tail[i];
+        let ids = &ids[range.start - from..range.end - from];
+        let (strata, runs) = Runs::by_id(range.start, ids, num_strata)?;
         Ok((strata, fold_runs(rows, &bound, &runs)))
     });
     Ok(partials.into_iter().collect::<cvopt_table::Result<_>>()?)
@@ -225,24 +217,29 @@ impl StratumStatistics {
 
     /// The statistics pass over `rows` stratified by `exprs`: one strata
     /// pass ([`Strata::collect`]) whose fold is the statistics kernel. The
-    /// strata come back with their runs, for the draw.
+    /// strata come back with their runs, for the draw, and — only when
+    /// `keep` — with every partition's partial, for a maintained sample.
     pub(crate) fn collect_strata(
         rows: &RowSpace<'_>,
         exprs: &[ScalarExpr],
         columns: &[ScalarExpr],
         options: &ExecOptions,
-    ) -> Result<(Strata, Self)> {
-        let mut states = Vec::new();
+        keep: bool,
+    ) -> Result<(Self, KeptPass)> {
+        let (mut states, mut kept) = (Vec::new(), Vec::new());
         let fold = || {
             let bound = bind_columns(rows, columns, options)?;
             record_pass();
             Ok(move |runs: &Runs| fold_runs(rows, &bound, runs))
         };
         let strata = Strata::collect(rows, exprs, options, fold, |strata, partial| {
-            merge_partial(&mut states, columns.len(), strata, &partial)
+            merge_partial(&mut states, columns.len(), strata, &partial);
+            if keep {
+                kept.push((strata.to_vec(), partial));
+            }
         })?;
         let stats = Self::from_table(columns, states, strata.sizes().to_vec());
-        Ok((strata, stats))
+        Ok((stats, (strata, kept)))
     }
 
     /// Statistics from a merged stratum table; a stratum no partial
@@ -260,14 +257,14 @@ impl StratumStatistics {
         }
     }
 
-    /// Fold cached per-partition partials (see [`tail_partials`]), in
-    /// partition order, into the statistics a fresh
-    /// [`collect_with`](StratumStatistics::collect_with) over the same rows
-    /// would produce: the same merge over bit-identical partials, so the
-    /// result is **bit-identical to a full re-collect** — without touching
-    /// a single row.
+    /// Fold cached per-partition partials (see [`tail_partials`]) of strata
+    /// sized `sizes`, in partition order, into the statistics a fresh pass
+    /// over the same rows would produce: every stratum merges bit-identical
+    /// states in the same partition order, so the result is
+    /// **bit-identical to a full re-collect** — without touching a single
+    /// row.
     pub(crate) fn from_partials(
-        index: &GroupIndex,
+        sizes: &[u64],
         columns: &[ScalarExpr],
         partials: &[Partial],
     ) -> Self {
@@ -275,7 +272,7 @@ impl StratumStatistics {
         for (strata, partial) in partials {
             merge_partial(&mut states, columns.len(), strata, partial);
         }
-        Self::from_table(columns, states, index.sizes().to_vec())
+        Self::from_table(columns, states, sizes.to_vec())
     }
 
     /// Number of strata.

@@ -279,7 +279,11 @@ fn get_schema(r: &mut Reader) -> Result<Schema> {
         let dtype = get_data_type(r)?;
         Ok(cvopt_table::Field::new(name, dtype))
     })?;
-    Ok(Schema::from_fields(fields))
+    let schema = Schema::from_fields(fields);
+    if let Some(name) = schema.repeated_name() {
+        return Err(DecodeError::new(format!("schema repeats column {name:?}")));
+    }
+    Ok(schema)
 }
 
 fn put_table(w: &mut Writer, table: &Table) {
@@ -1191,6 +1195,17 @@ mod tests {
         // Re-encoding the decoded table yields the same bytes.
         let again = Request::encode(&Request::Register { key: "k".into(), table: decoded });
         assert_eq!(again, bytes);
+    }
+
+    /// A `Register` frame whose schema repeats a name is refused: the
+    /// second column could never be read.
+    #[test]
+    fn repeated_column_name_is_rejected() {
+        let mut b = TableBuilder::new(&[("x", DataType::Float64), ("x", DataType::Str)]);
+        b.push_row(&[Value::Float64(1.0), Value::str("a")]).unwrap();
+        let bytes = Request::Register { key: "k".into(), table: b.finish() }.encode();
+        let err = Request::decode(&bytes).unwrap_err();
+        assert!(err.to_string().contains("schema repeats column \"x\""), "{err}");
     }
 
     #[test]

@@ -923,6 +923,21 @@ mod tests {
         );
         assert_eq!(resp.status, 400, "{}", resp.body);
         assert!(resp.body.contains("shard"), "{}", resp.body);
+        // A repeated column name would register a column no statement can
+        // read.
+        let resp = handle(
+            &state,
+            &post(
+                "/tables",
+                r#"{"name":"x","csv":"x,x\n1.5,a\n","columns":[["x","float64"],["x","str"]]}"#,
+            ),
+        );
+        assert_eq!(resp.status, 400, "{}", resp.body);
+        assert!(
+            resp.body.contains("line 1") && resp.body.contains("repeats column"),
+            "{}",
+            resp.body
+        );
         // An explicit null round-trips from this endpoint's own response
         // shape and means "unsharded".
         let resp = handle(

@@ -70,7 +70,8 @@ fn parse_value(field: &str, dtype: DataType, line_no: usize) -> Result<Value> {
 
 /// Read a table with a known schema from CSV with a header row.
 ///
-/// The header must match the schema's column names exactly and in order.
+/// The header must match the schema's column names exactly and in order,
+/// and name no column twice.
 pub fn read_table(reader: impl BufRead, schema: Schema) -> Result<Table> {
     let mut builder = TableBuilder::from_schema(schema.clone());
     let mut lines = reader.lines().enumerate();
@@ -86,6 +87,12 @@ pub fn read_table(reader: impl BufRead, schema: Schema) -> Result<Table> {
         return Err(TableError::Csv {
             line: 1,
             message: format!("header {names:?} does not match schema {expected:?}"),
+        });
+    }
+    if let Some(name) = schema.repeated_name() {
+        return Err(TableError::Csv {
+            line: 1,
+            message: format!("header repeats column {name:?}"),
         });
     }
 
@@ -176,6 +183,16 @@ mod tests {
     fn header_mismatch_rejected() {
         let csv = "a,b,c\n";
         assert!(read_table(csv.as_bytes(), schema()).is_err());
+    }
+
+    /// A repeated name would register a column no statement can read.
+    #[test]
+    fn repeated_column_name_rejected() {
+        let schema = Schema::new(&[("x", DataType::Float64), ("x", DataType::Str)]);
+        let err = read_table("x,x\n1.0,a\n".as_bytes(), schema).unwrap_err();
+        assert!(
+            matches!(&err, TableError::Csv { line: 1, message } if message.contains("repeats column \"x\""))
+        );
     }
 
     #[test]

@@ -27,11 +27,12 @@
 //! rows, neither an exact statement nor a cold sample materialises a per-row
 //! id.
 //!
-//! `OrderedMerge` joins partial results in row order through translation
+//! [`OrderedMerge`] joins partial results in row order through translation
 //! tables: the partitions of a walk, an ingest batch behind a maintained
-//! index, the shards behind a reader, and (one partial) the coarse keys of a
-//! projection. Group ids are therefore in **first-occurrence order** however
-//! the rows were cut up — the determinism contract every golden rests on.
+//! sample's strata, the shards behind a reader, and (one partial) the coarse
+//! keys of a projection. Group ids are therefore in **first-occurrence
+//! order** however the rows were cut up — the determinism contract every
+//! golden rests on.
 
 use std::borrow::Cow;
 use std::hash::Hash;
@@ -103,9 +104,9 @@ pub fn key_display(key: &[KeyAtom]) -> String {
 static GROUP_ID_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Bytes of per-row group ids this process has produced so far: 4 per row
-/// of every [`GroupIndex`] built, decoded, merged or appended to, whatever
-/// engine or sampler asked for it. Monotonic; never reset. An exact
-/// statement over in-process rows adds nothing: it folds without an index.
+/// of every [`GroupIndex`] built, decoded or merged, whatever engine or
+/// sampler asked for it. Monotonic; never reset. An exact statement over
+/// in-process rows adds nothing: it folds without an index.
 pub fn total_group_id_bytes() -> u64 {
     GROUP_ID_BYTES.load(Ordering::Relaxed)
 }
@@ -341,7 +342,7 @@ fn walk_with(
 /// partial, so concatenated local first-seen order becomes global
 /// first-seen order: exactly what one walk over all rows assigns.
 #[derive(Debug)]
-pub(crate) struct OrderedMerge<K> {
+pub struct OrderedMerge<K> {
     map: FxHashMap<K, u32>,
     keys: Vec<K>,
     sizes: Vec<u64>,
@@ -357,7 +358,7 @@ impl<K: Clone + Eq + Hash> OrderedMerge<K> {
     /// Merge the next partial, returning the table that translates its
     /// local ids to merged ids. Keys first seen here take the next merged
     /// ids, in the partial's order.
-    pub(crate) fn push(&mut self, partial: impl IntoIterator<Item = (K, u64)>) -> Vec<u32> {
+    pub fn push(&mut self, partial: impl IntoIterator<Item = (K, u64)>) -> Vec<u32> {
         let mut translate = |(key, size): (K, u64)| {
             let id = match self.map.get(&key) {
                 Some(&id) => id,
@@ -381,29 +382,14 @@ impl<K: Clone + Eq + Hash> OrderedMerge<K> {
     }
 
     /// The merged keys, in first-occurrence order.
-    pub(crate) fn into_keys(self) -> Vec<K> {
-        self.keys
+    pub fn keys(&self) -> &[K] {
+        &self.keys
     }
-}
 
-/// What [`merge_ordered`] yields: per partial, the table translating its
-/// local ids to merged ids; the merged keys in first-occurrence order; and
-/// their summed sizes.
-struct Merged<K> {
-    translations: Vec<Vec<u32>>,
-    keys: Vec<K>,
-    sizes: Vec<u64>,
-}
-
-/// [`OrderedMerge`] over every partial at once.
-fn merge_ordered<K, P>(partials: impl IntoIterator<Item = P>) -> Merged<K>
-where
-    K: Clone + Eq + Hash,
-    P: IntoIterator<Item = (K, u64)>,
-{
-    let mut merge = OrderedMerge::default();
-    let translations = partials.into_iter().map(|partial| merge.push(partial)).collect();
-    Merged { translations, keys: merge.keys, sizes: merge.sizes }
+    /// Each merged key's summed size.
+    pub fn sizes(&self) -> &[u64] {
+        &self.sizes
+    }
 }
 
 /// What interning yields: a dense id per row, the distinct keys in
@@ -416,7 +402,7 @@ struct Interned {
 
 /// Intern every row of `rows`: [`walk`] each block — the whole row space
 /// on one worker, [`CHUNK_ROWS`]-row partitions otherwise — writing each
-/// row's slot as its id, [`merge_ordered`] over the blocks, and a second
+/// row's slot as its id, an [`OrderedMerge`] of the blocks, and a second
 /// parallel pass rewriting ids through the translation tables: identical to
 /// one sequential walk for any thread count. The ids are written and
 /// rewritten in the one buffer that is returned.
@@ -439,13 +425,14 @@ fn intern_rows(rows: &RowSpace, source: &KeySource, options: &ExecOptions) -> Re
         let LocalKeys { keys, sizes } = partials.pop().unwrap_or_default();
         return Ok(Interned { ids, keys, sizes });
     }
-    let merged = merge_ordered(partials.iter().map(LocalKeys::partial));
+    let mut merge = OrderedMerge::default();
+    let translations: Vec<Vec<u32>> = partials.iter().map(|p| merge.push(p.partial())).collect();
     exec::for_each_chunk_mut(&mut ids, block, options, |i, ids| {
         for id in ids {
-            *id = merged.translations[i][*id as usize];
+            *id = translations[i][*id as usize];
         }
     });
-    Ok(Interned { ids, keys: merged.keys, sizes: merged.sizes })
+    Ok(Interned { ids, keys: merge.keys, sizes: merge.sizes })
 }
 
 fn dim_type_error(expr: &ScalarExpr) -> crate::error::TableError {
@@ -685,33 +672,6 @@ impl GroupIndex {
         })
     }
 
-    /// This index as a [`merge_ordered`] partial.
-    fn partial(&self) -> impl Iterator<Item = (&[KeyAtom], u64)> {
-        self.group_keys.iter().map(Vec::as_slice).zip(self.group_sizes.iter().copied())
-    }
-
-    /// Fold `batch` — an index over the rows that directly follow this
-    /// one's, stratified by the same dimensions — into this index, in
-    /// O(groups + batch rows): old rows keep their ids, old groups keep
-    /// theirs, groups first seen in the batch take the next ids. The result
-    /// is **identical to building one index over the concatenated rows**.
-    pub fn append(&mut self, batch: &GroupIndex) -> Result<()> {
-        if batch.dim_names != self.dim_names {
-            return Err(crate::error::TableError::invalid(format!(
-                "appended index stratifies by {:?}, this one by {:?}",
-                batch.dim_names, self.dim_names
-            )));
-        }
-        let Merged { translations, keys, sizes } = merge_ordered([self.partial(), batch.partial()]);
-        let new_keys: Vec<Vec<KeyAtom>> =
-            keys[self.group_keys.len()..].iter().map(|key| key.to_vec()).collect();
-        self.group_keys.extend(new_keys);
-        self.group_sizes = sizes;
-        self.row_groups.extend(batch.row_groups.iter().map(|&g| translations[1][g as usize]));
-        note_group_ids(batch.num_rows());
-        Ok(())
-    }
-
     /// Merge independently-built indexes over consecutive row blocks into
     /// one index over their concatenation — how
     /// [`RowSpace::group_index`] joins the indexes of shards behind a
@@ -719,22 +679,35 @@ impl GroupIndex {
     ///
     /// `locals` are indexes over consecutive blocks of the combined row
     /// space, in row order; every local must stratify by the same
-    /// dimensions. Because group ids follow first-occurrence order, the
-    /// result is **identical to building one index over the concatenated
-    /// rows** (see [`GroupIndex::append`]).
+    /// dimensions. Each local folds in through the [`OrderedMerge`]: earlier
+    /// groups keep their ids and groups first seen in a local take the next,
+    /// so the result is **identical to building one index over the
+    /// concatenated rows**.
     pub fn merge_locals(locals: &[GroupIndex]) -> Result<GroupIndex> {
-        let Some((first, rest)) = locals.split_first() else {
-            return Err(crate::error::TableError::invalid(
-                "merge_locals needs at least one local index",
-            ));
+        let invalid = |what: String| Err(crate::error::TableError::invalid(what));
+        let Some(first) = locals.first() else {
+            return invalid("merge_locals needs at least one local index".into());
         };
-        let mut merged = first.clone();
-        note_group_ids(first.num_rows());
-        merged.row_groups.reserve(rest.iter().map(GroupIndex::num_rows).sum());
-        for local in rest {
-            merged.append(local)?;
+        if let Some(local) = locals.iter().find(|local| local.dim_names != first.dim_names) {
+            return invalid(format!(
+                "a local index stratifies by {:?}, the first by {:?}",
+                local.dim_names, first.dim_names
+            ));
         }
-        Ok(merged)
+        let mut merge = OrderedMerge::default();
+        let mut row_groups = Vec::with_capacity(locals.iter().map(GroupIndex::num_rows).sum());
+        for local in locals {
+            let keys = local.group_keys.iter().map(Vec::as_slice);
+            let translation = merge.push(keys.zip(local.group_sizes.iter().copied()));
+            row_groups.extend(local.row_groups.iter().map(|&g| translation[g as usize]));
+        }
+        note_group_ids(row_groups.len());
+        Ok(GroupIndex {
+            dim_names: first.dim_names.clone(),
+            row_groups,
+            group_keys: merge.keys.iter().map(|key| key.to_vec()).collect(),
+            group_sizes: merge.sizes,
+        })
     }
 
     /// Reassemble an index from its parts, validating internal consistency.
@@ -852,9 +825,9 @@ pub struct GroupProjection {
 
 impl GroupProjection {
     /// Project fine groups — `keys` over the dimensions `dim_names`, in
-    /// fine-id order — onto `dims`: a [`merge_ordered`] of one partial, the
+    /// fine-id order — onto `dims`: an [`OrderedMerge`] of one partial, the
     /// fine keys' projections, so coarse ids follow first occurrence too.
-    pub(crate) fn of(
+    pub fn of(
         dim_names: &[String],
         keys: &[impl AsRef<[KeyAtom]>],
         dims: &[usize],
@@ -864,11 +837,11 @@ impl GroupProjection {
             let key = key.as_ref();
             (dims.iter().map(|&d| key[d].clone()).collect::<Vec<_>>(), 0)
         });
-        let Merged { mut translations, keys, .. } = merge_ordered([projected]);
+        let mut merge = OrderedMerge::default();
         GroupProjection {
             dim_names: dims.iter().map(|&d| dim_names[d].clone()).collect(),
-            fine_to_coarse: translations.swap_remove(0),
-            coarse_keys: keys,
+            fine_to_coarse: merge.push(projected),
+            coarse_keys: merge.keys,
         }
     }
 

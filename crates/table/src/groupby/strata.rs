@@ -4,10 +4,12 @@
 //! For each global [`CHUNK_ROWS`](crate::exec::CHUNK_ROWS)-row partition the
 //! walk gives every row a partition-local slot, and the partition's rows are
 //! then counting-sorted by slot into [`Runs`] of global `u32` row ids, each
-//! run in row order; keyed by a group index's ids, which are dense already,
-//! the rows counting-sort by id directly. A caller-supplied fold consumes
-//! the runs while they are still cache-resident, and only its partial, the
-//! runs and the partition's translation table outlive the partition.
+//! run in row order. Keyed by ids that are dense already — a group index's,
+//! or the stratum ids a maintained sample keeps for the rows an append
+//! dirties ([`Runs::by_id`]) — the rows counting-sort by id directly, with
+//! no walk. A caller-supplied fold consumes the runs while they are still
+//! cache-resident, and only its partial, the runs and the partition's
+//! translation table outlive the partition.
 //! Partition keys merge in partition order through the ordered merge, so
 //! strata take ids in first-occurrence order — the ids [`GroupIndex`]
 //! assigns — and a stratum's rows are the chain of its runs in partition
@@ -49,6 +51,17 @@ impl Runs {
     pub fn slot(&self, slot: usize) -> &[u32] {
         &self.rows[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
     }
+
+    /// The rows from `first_row` on, one per entry of `ids` — their ids,
+    /// each below `num_ids` — as a strata pass keyed by those ids partitions
+    /// them: the id of each slot, ascending, and the runs. How a maintained
+    /// sample re-buckets only the partitions an append dirtied. Refuses rows
+    /// whose ids do not fit `u32`.
+    pub fn by_id(first_row: usize, ids: &[u32], num_ids: usize) -> Result<(Vec<u32>, Runs)> {
+        let range = RowRange { start: first_row, end: first_row + ids.len() };
+        check_row_ids("a stratified row space", range.end)?;
+        Ok(id_partition(ids, num_ids, range))
+    }
 }
 
 /// The scatter of a stable counting sort: row `r` of `range` goes to
@@ -81,13 +94,12 @@ fn partition(keys: &RowKeys, segments: &[ShardSegment], range: RowRange) -> (Loc
     (local, Runs { range, offsets, rows })
 }
 
-/// The partition kernel over an index's ids, which are dense already: the
-/// rows counting-sort by id directly, and the ids present, ascending, are
-/// the slots — returned as the stratum of each slot.
-fn id_partition(index: &GroupIndex, range: RowRange) -> (Vec<u32>, Runs) {
-    let ids = &index.row_groups[range.start..range.end];
+/// The partition kernel over dense ids — `ids` of the rows of `range`, each
+/// below `num_ids`: the rows counting-sort by id directly, and the ids
+/// present, ascending, are the slots — returned as the stratum of each slot.
+fn id_partition(ids: &[u32], num_ids: usize, range: RowRange) -> (Vec<u32>, Runs) {
     // Counts per id, then where each present id's run starts.
-    let mut cursor = vec![0u32; index.num_groups()];
+    let mut cursor = vec![0u32; num_ids];
     for &id in ids {
         cursor[id as usize] += 1;
     }
@@ -206,7 +218,7 @@ impl Strata {
         let partitions = pass(
             index.num_rows(),
             options,
-            |range| id_partition(index, range),
+            |range| id_partition(&index.row_groups[range.rows()], index.num_groups(), range),
             fold,
             |strata| strata,
             merge,
@@ -271,17 +283,6 @@ impl Strata {
     pub fn rows(&self, stratum: usize) -> impl Iterator<Item = &[u32]> + '_ {
         let links = &self.links[self.starts[stratum]..self.starts[stratum + 1]];
         links.iter().map(|&(p, slot)| self.partitions[p as usize].slot(slot as usize))
-    }
-}
-
-impl GroupIndex {
-    /// Partition `range` of these rows as a strata pass sees it: the
-    /// stratum — this index's id — of each slot, and the runs. How a
-    /// maintained index rescans only the partitions an append dirtied.
-    /// `range` must lie within the index's rows.
-    pub fn partition_runs(&self, range: RowRange) -> Result<(Vec<u32>, Runs)> {
-        check_row_ids("a stratified row space", range.end)?;
-        Ok(id_partition(self, range))
     }
 }
 
@@ -401,9 +402,13 @@ mod tests {
                 assert!(rows.windows(2).all(|w| w[0] < w[1]), "stratum {c} not in row order");
             }
         }
-        // One partition rescanned alone: its slots name the index's ids.
-        let (strata, runs) = index.partition_runs(RowRange { start: 10, end: 20 }).unwrap();
+        // A range inside the rows re-bucketed alone from its ids: its slots
+        // name those ids, ascending.
+        let ids = &index.row_groups()[10..20];
+        let (strata, runs) = Runs::by_id(10, ids, index.num_groups()).unwrap();
+        assert_eq!(runs.range(), RowRange { start: 10, end: 20 });
         assert_eq!(strata.len(), runs.num_slots());
+        assert!(strata.windows(2).all(|w| w[0] < w[1]));
         let mut listed = 0;
         for (slot, &c) in strata.iter().enumerate() {
             assert!(runs.slot(slot).iter().all(|&row| index.group_of(row as usize) == c));
@@ -422,8 +427,12 @@ mod tests {
             let err = pass(n, &options, unwalked, |_| (), |s| s, |_, ()| ()).unwrap_err();
             assert_eq!(err, TableError::RowIdOverflow { what: "a stratified row space", rows: n });
         }
-        let index = GroupIndex::build(&table_of(&[1, 2]), &[ScalarExpr::col("g")]).unwrap();
-        let far = RowRange { start: u32::MAX as usize, end: u32::MAX as usize + 1 };
-        assert!(matches!(index.partition_runs(far), Err(TableError::RowIdOverflow { .. })));
+        // The id-keyed kernel refuses a row past `u32::MAX`, and takes the
+        // last row that fits.
+        let last = Runs::by_id(u32::MAX as usize - 1, &[0], 1).unwrap();
+        assert_eq!(last.1.slot(0), [u32::MAX - 1]);
+        let far = Runs::by_id(u32::MAX as usize, &[0], 1).unwrap_err();
+        let rows = u32::MAX as usize + 1;
+        assert_eq!(far, TableError::RowIdOverflow { what: "a stratified row space", rows });
     }
 }

@@ -218,7 +218,7 @@ impl GroupByQuery {
         );
         let dim_names: Vec<String> = self.group_by.iter().map(ScalarExpr::display_name).collect();
         let group_keys: Vec<Cow<[KeyAtom]>> =
-            merge.into_keys().into_iter().map(|k| keys.decode(k)).collect();
+            merge.keys().iter().map(|&k| keys.decode(k)).collect();
         Ok(self.assemble(&dim_names, &group_keys, &fine))
     }
 

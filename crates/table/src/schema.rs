@@ -74,6 +74,14 @@ impl Schema {
     pub fn names(&self) -> Vec<&str> {
         self.fields.iter().map(|f| f.name.as_str()).collect()
     }
+
+    /// The first column name an earlier column already has, if any: a
+    /// schema that repeats a name holds a column no name can reach, since
+    /// [`Schema::index_of`] finds the first.
+    pub fn repeated_name(&self) -> Option<&str> {
+        let mut seen = std::collections::HashSet::new();
+        self.fields.iter().map(|f| f.name.as_str()).find(|name| !seen.insert(*name))
+    }
 }
 
 #[cfg(test)]
