@@ -6,16 +6,20 @@
 //! passes a canned serving workload costs (the cache-reuse economy of
 //! paper §6.3), what the seeded serving mix costs in passes, hits, derived
 //! answers and evictions, sampled row counts and strata under fixed seeds,
-//! and the partition plan shapes. Every value is a pure function of the
+//! what a statement over two shard servers costs in requests and bytes, and
+//! the partition plan shapes. Every value is a pure function of the
 //! code — no RNG beyond the vendored seeded generators, no clock — so the
 //! committed file is the expectation: CI regenerates it in place and
 //! **fails** on any `git diff`.
 //!
 //! Takes no arguments: `cargo run --release -p cvopt-bench --bin counters`.
 
+use std::sync::Arc;
+
 use cvopt_bench::mix;
 use cvopt_core::{Engine, ExecOptions, QueryMode, ShardedTable};
 use cvopt_datagen::{generate_openaq, OpenAqConfig};
+use cvopt_net::{Peer, RemoteShard, Shardd};
 use cvopt_table::exec::partition_rows;
 use cvopt_table::groupby::total_group_id_bytes;
 
@@ -30,6 +34,10 @@ const MIX_STATEMENTS: usize = 120;
 /// The eviction replay's cache budget: it holds a couple of the mix's
 /// samples, so the replay evicts.
 const MIX_CACHE_BYTES: u64 = 96 * 1024;
+
+/// Rows of the remote fixture: two shard servers of 131,072 rows each, two
+/// whole partitions apiece.
+const REMOTE_ROWS: usize = 4 * (1 << 16);
 
 /// A canned serving session: three statements over one table, the first
 /// two sharing a derived problem (same grouping and value column, new
@@ -304,6 +312,7 @@ fn main() {
     );
     counters.push(("join_bytes_gathered/join_workload".into(), read.approx_bytes()));
     counters.push(("group_id_bytes/exact_workload".into(), exact_group_ids));
+    remote_workload(&mut counters);
 
     // Plan shapes: fixed by the row counts alone.
     counters.push(("partitions/workload_table".into(), partition_rows(WORKLOAD_ROWS).len() as u64));
@@ -313,6 +322,76 @@ fn main() {
     ));
 
     write_snapshot(&counters);
+}
+
+/// The wire: one cold approximate statement and AQ6 exactly over two
+/// in-process shard servers on loopback, each answering as the in-process
+/// registration does. A cold statement costs a walk and a pick per shard,
+/// an exact one a walk, and no id is written for a table row on either side
+/// of the wire: only the estimate's index over the sample's rows.
+fn remote_workload(counters: &mut Vec<(String, u64)>) {
+    let table = generate_openaq(&OpenAqConfig::with_rows(REMOTE_ROWS));
+    let mut servers = [
+        Shardd::bind("127.0.0.1:0", 2).expect("bind"),
+        Shardd::bind("127.0.0.1:0", 2).expect("bind"),
+    ];
+    let sharded = ShardedTable::split(&table, 2).expect("split");
+    let readers = sharded.shards().iter().zip(&servers).enumerate().map(|(s, (shard, server))| {
+        let peer = Arc::new(Peer::connect(server.addr().to_string()).expect("connect"));
+        let remote = RemoteShard::register(peer, format!("openaq/{s}"), shard).expect("register");
+        Arc::new(remote) as Arc<dyn cvopt_table::ShardReader>
+    });
+    let set = cvopt_table::ShardSet::new(readers.collect()).expect("shard set");
+    let engine = |set: Option<&cvopt_table::ShardSet>| {
+        let mut engine = Engine::new().with_seed(7).with_exec(ExecOptions::sequential());
+        match set {
+            Some(set) => engine.register("openaq", set.clone()),
+            None => engine.register("openaq", table.clone()),
+        };
+        engine
+    };
+    let (remote, local) = (engine(Some(&set)), engine(None));
+    let wire = || {
+        let bytes = cvopt_net::net_bytes_sent() + cvopt_net::net_bytes_received();
+        (cvopt_net::net_requests(), bytes)
+    };
+    let mut remote_ids = 0;
+    for (name, stmt, mode, frames) in [
+        (
+            "remote_approx",
+            "SELECT country, parameter, SUM(value) FROM openaq GROUP BY country, parameter",
+            QueryMode::Approximate,
+            4,
+        ),
+        (
+            "remote_exact",
+            "SELECT parameter, unit, COUNT_IF(value > 0.5) AS count FROM openaq \
+             WHERE country = 'C02' GROUP BY parameter, unit",
+            QueryMode::Exact,
+            2,
+        ),
+    ] {
+        let (before, ids_before) = (wire(), total_group_id_bytes());
+        let answer = remote.query(stmt, mode).expect("remote statement");
+        let (after, ids_after) = (wire(), total_group_id_bytes());
+        let (requests, bytes) = (after.0 - before.0, after.1 - before.1);
+        remote_ids += ids_after - ids_before;
+        let want = local.query(stmt, mode).expect("in-process statement");
+        assert_eq!(
+            format!("{:?}", answer.results),
+            format!("{:?}", want.results),
+            "{name}: the shard servers must answer as the in-process registration"
+        );
+        assert_eq!(requests, frames, "{name}: a walk per shard, and a pick per shard if drawn");
+        let sample_ids = 4 * answer.report.sample_rows.unwrap_or(0) as u64;
+        assert_eq!(ids_after - ids_before, sample_ids, "{name}: ids only for the sample's rows");
+        counters.push((format!("net_requests/{name}"), requests));
+        counters.push((format!("net_bytes/{name}"), bytes));
+    }
+    counters.push(("group_id_bytes/remote_workload".into(), remote_ids));
+    for server in &mut servers {
+        server.shutdown();
+    }
 }
 
 /// Write the snapshot over the committed one.

@@ -155,8 +155,9 @@ impl CvOptSampler {
     }
 
     /// Passes 1 and 2: plan, then draw and materialize the sample. The
-    /// statistics pass buckets the rows by stratum once, and the draw reads
-    /// the same runs; the outcome (plan, sampled rows, weights) is
+    /// statistics pass buckets the rows by stratum once, and the draw's
+    /// ordinals resolve against the same runs — or, behind readers, through
+    /// one pick per shard; the outcome (plan, sampled rows, weights) is
     /// **byte-identical to sampling the concatenated table with the same
     /// seed**, for any shard layout and thread count.
     pub fn sample<'a>(&self, rows: impl Into<RowSpace<'a>>) -> Result<CvOptOutcome> {
@@ -165,17 +166,24 @@ impl CvOptSampler {
 
     /// [`CvOptSampler::sample`], handing back — when `keep` — its strata
     /// pass: the strata with their runs and every partition's statistics
-    /// partial, what a maintained sample is made of.
+    /// partial, what a maintained sample is made of (only ever kept over
+    /// rows in process). The draw's ordinals resolve where the rows live
+    /// ([`Strata::pick`](cvopt_table::groupby::Strata::pick)), which also
+    /// copies the sampled rows out.
     pub(crate) fn sample_keeping(
         &self,
         rows: &RowSpace<'_>,
         keep: bool,
     ) -> Result<(CvOptOutcome, Option<KeptPass>)> {
         let (plan, pass) = self.plan_with_strata(rows, keep)?;
+        let strata = &pass.0;
         note_draw();
-        let drawn =
-            StratifiedSample::draw_strata(&pass.0, &plan.allocation.sizes, self.seed, &self.exec);
-        let sample = drawn.materialize_from(rows)?;
+        let sizes = strata.sizes();
+        let ordinals =
+            StratifiedSample::draw_ordinals(sizes, &plan.allocation.sizes, self.seed, &self.exec);
+        let (picked, table) = strata.pick(rows, &ordinals, &self.exec)?;
+        let sample =
+            StratifiedSample::of_rows(strata.keys(), sizes, picked).materialize_with(table);
         Ok((CvOptOutcome { sample, plan }, keep.then_some(pass)))
     }
 

@@ -26,10 +26,10 @@
 //!
 //! Allocation then re-runs through the *same* code path a fresh preparation
 //! uses, and the draw through the same per-stratum kernel
-//! ([`StratifiedSample::draw_bucketed`]), over bit-identical inputs; the
-//! reservoirs jump over the rows they do not keep and the gather copies
-//! only the rows drawn, so what an append costs beyond the batch is the
-//! sample, never the table. The upshot is the maintenance contract the
+//! (`StratifiedSample::draw_ordinals`), over bit-identical inputs; its
+//! ordinals index the maintained row lists, and the gather copies only the
+//! rows drawn, so what an append costs beyond the batch is the sample, never
+//! the table. The upshot is the maintenance contract the
 //! ingest CI pins:
 //!
 //! > After any sequence of appends, a maintained sample is **byte-identical
@@ -206,9 +206,10 @@ impl Maintenance {
         let project = |dims: &[usize]| GroupProjection::of(&names, keys, dims);
         let plan = sampler.allocate(self.strata_exprs.clone(), keys.to_vec(), project, stats)?;
         note_draw();
-        let lists = |c: usize| std::iter::once(self.strata_rows[c].as_slice());
-        let drawn =
-            StratifiedSample::draw_bucketed(keys, sizes, lists, &plan.allocation.sizes, seed, exec);
+        let ordinals = StratifiedSample::draw_ordinals(sizes, &plan.allocation.sizes, seed, exec);
+        let lists = ordinals.iter().zip(&self.strata_rows);
+        let picked = lists.map(|(ordinals, rows)| ordinals.iter().map(|&o| rows[o as usize]));
+        let drawn = StratifiedSample::of_rows(keys, sizes, picked.map(Iterator::collect).collect());
         Ok(CvOptOutcome { sample: drawn.materialize_from(rows)?, plan })
     }
 

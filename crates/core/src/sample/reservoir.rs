@@ -1,10 +1,12 @@
 //! Reservoir sampling (Li's Algorithm L).
 //!
-//! The stratified pass keeps one [`Reservoir`] per stratum and offers each
-//! stratum's rows to its reservoir (the paper's "second pass"). Algorithm L
-//! needs only O(k·(1 + log(n/k))) random numbers, and — offered a whole
-//! slice ([`Reservoir::offer_slice`]) — touches only the items it keeps or
-//! replaces: the skips between two replacements are one subtraction.
+//! The stratified draw keeps one [`Reservoir`] per stratum (the paper's
+//! "second pass"). Algorithm L never reads an item — which items it keeps
+//! depends only on how many it is offered — so the draw offers each
+//! reservoir a *count* ([`Reservoir::offer_count`]): the stream's ordinals,
+//! which the caller resolves to rows wherever the rows live. It needs only
+//! O(k·(1 + log(n/k))) random numbers, and the skips between two
+//! replacements are one subtraction.
 
 use rand::{Rng, RngExt};
 
@@ -72,27 +74,28 @@ impl Reservoir {
         }
     }
 
-    /// Offer every item of `items`, in order: the same reservoir state and
-    /// the same RNG draws in the same order as calling [`Reservoir::offer`]
-    /// once per item, for any split of a stream into slices. A full
-    /// reservoir jumps its pending skip over the slice instead of counting
-    /// it down item by item, so the cost is the fills and replacements, not
-    /// the slice length.
-    pub fn offer_slice(&mut self, mut items: &[u32], rng: &mut impl Rng) {
+    /// Offer the next `count` stream items, each its ordinal in the stream
+    /// (`seen`, `seen + 1`, …): the same reservoir state and the same RNG
+    /// draws in the same order as calling [`Reservoir::offer`] once per
+    /// ordinal, for any split of a stream into counts. A full reservoir
+    /// jumps its pending skip over the count instead of counting it down
+    /// item by item, so the cost is the fills and replacements, not the
+    /// count.
+    pub fn offer_count(&mut self, count: u64, rng: &mut impl Rng) {
+        let end = self.seen + count;
         if self.capacity == 0 {
-            self.seen += items.len() as u64;
+            self.seen = end;
             return;
         }
-        while let Some((&next, rest)) = items.split_first() {
+        while self.seen < end {
             if self.items.len() == self.capacity && self.skip > 0 {
-                let jump = self.skip.min(items.len() as u64);
+                let jump = self.skip.min(end - self.seen);
                 self.skip -= jump;
                 self.seen += jump;
-                items = &items[jump as usize..];
             } else {
                 // A fill or a replacement.
-                self.offer(next, rng);
-                items = rest;
+                let ordinal = u32::try_from(self.seen).expect("ordinals are u32 row positions");
+                self.offer(ordinal, rng);
             }
         }
     }
@@ -231,38 +234,38 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
-        /// Offering a stream as slices — any split of it — leaves the
-        /// reservoir and the RNG exactly where per-item offers leave them.
+        /// Offering a stream of ordinals as counts — any split of it —
+        /// leaves the reservoir and the RNG exactly where per-item offers
+        /// leave them.
         #[test]
-        fn offer_slice_equals_per_item_offers(
+        fn offer_count_equals_per_item_offers(
             n in 0usize..500,
             kind in 0usize..5,
             cuts in proptest::collection::vec(0usize..500, 0..5),
             seed in 0u64..1000,
         ) {
             let capacity = [0, 1, n / 7, n, n + 3][kind];
-            let stream: Vec<u32> = (0..n as u32).map(|i| i * 3 + 1).collect();
 
             let (mut one, mut one_rng) = (Reservoir::new(capacity), StdRng::seed_from_u64(seed));
-            for &item in &stream {
-                one.offer(item, &mut one_rng);
+            for ordinal in 0..n as u32 {
+                one.offer(ordinal, &mut one_rng);
             }
 
             let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
             bounds.extend([0, n]);
             bounds.sort_unstable();
-            let (mut sliced, mut sliced_rng) =
+            let (mut counted, mut counted_rng) =
                 (Reservoir::new(capacity), StdRng::seed_from_u64(seed));
             for window in bounds.windows(2) {
-                sliced.offer_slice(&stream[window[0]..window[1]], &mut sliced_rng);
+                counted.offer_count((window[1] - window[0]) as u64, &mut counted_rng);
             }
 
-            proptest::prop_assert_eq!(sliced.items(), one.items());
+            proptest::prop_assert_eq!(counted.items(), one.items());
             proptest::prop_assert_eq!(
-                (sliced.seen, sliced.skip, sliced.w.to_bits()),
+                (counted.seen, counted.skip, counted.w.to_bits()),
                 (one.seen, one.skip, one.w.to_bits())
             );
-            proptest::prop_assert_eq!(sliced_rng.random::<u64>(), one_rng.random::<u64>());
+            proptest::prop_assert_eq!(counted_rng.random::<u64>(), one_rng.random::<u64>());
         }
     }
 

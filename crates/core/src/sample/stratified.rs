@@ -1,21 +1,20 @@
 //! Drawing a stratified sample for a computed allocation.
 //!
-//! The draw reads the rows of every stratum from a strata pass
-//! ([`Strata`]): the partition runs the statistics pass already sorted, a
-//! chain per stratum in partition order — the stratum's rows ascending, the
-//! order a sequential scan would offer them. One kernel
-//! (`StratifiedSample::draw_bucketed`) offers every stratum's chain, run by
-//! run, to its reservoir, with its own RNG substream derived from the
-//! caller's seed and the stratum id. Algorithm L jumps over the rows it does
-//! not keep, across run boundaries as within a run, so the draw costs the
-//! rows sampled, not the rows stored, and a chain draws exactly what its
-//! concatenation would. A caller that keeps its own row lists — sample
-//! maintenance holds them current under append — calls the kernel
-//! directly.
+//! One kernel draws every sample (`StratifiedSample::draw_ordinals`): each
+//! stratum's reservoir, with its own RNG substream derived from the caller's
+//! seed and the stratum id, is offered the stratum's row *count*, and keeps
+//! a set of ordinals — positions among the stratum's rows in row order.
+//! Algorithm L never reads an item, so a stratum's sample depends only on
+//! `(seed, stratum, n_c, s_c)`, and the draw costs the rows sampled, not the
+//! rows stored. The sorted ordinals then resolve to rows where the rows
+//! live: against a strata pass's chains of runs ([`Strata::pick`]) in
+//! process, through one pick request per shard behind a reader, or against
+//! the row lists sample maintenance keeps current under append. Ordinals
+//! map monotonically onto a stratum's ascending rows, so every resolution
+//! yields the rows a scan offering them in order would keep.
 //!
-//! A stratum's sample depends only on `(seed, stratum)` and its row list,
-//! making the drawn sample byte-identical for any thread count and any
-//! shard layout of the rows behind it.
+//! The drawn sample is therefore byte-identical for any thread count and
+//! any shard layout of the rows behind it.
 
 use cvopt_table::exec::{self, ExecOptions};
 use cvopt_table::groupby::Strata;
@@ -73,9 +72,9 @@ impl StratifiedSample {
     /// the stratum population are clamped.
     ///
     /// The rows are bucketed by the strata pass keyed by the index's ids
-    /// ([`Strata::of_index`]), then drawn by
-    /// `StratifiedSample::draw_bucketed`; the result depends only on
-    /// `(index, allocation, seed)`, never on the thread count.
+    /// ([`Strata::of_index`]) and the drawn ordinals resolve against its
+    /// runs; the result depends only on `(index, allocation, seed)`, never
+    /// on the thread count.
     pub fn draw(
         index: &GroupIndex,
         allocation: &[u64],
@@ -84,49 +83,39 @@ impl StratifiedSample {
     ) -> StratifiedSample {
         let strata = Strata::of_index(index, options, |_| (), |_, ()| ())
             .expect("a group index's rows have u32 ids");
-        Self::draw_strata(&strata, allocation, seed, options)
+        let ordinals = Self::draw_ordinals(strata.sizes(), allocation, seed, options);
+        let rows = strata.resolve(&ordinals, options);
+        Self::of_rows(strata.keys(), strata.sizes(), rows)
     }
 
-    /// The draw over the runs of a strata pass.
-    pub(crate) fn draw_strata(
-        strata: &Strata,
+    /// The draw kernel: stratum `c`, of `sizes[c]` rows, offers its count to
+    /// a reservoir of `allocation[c]` (clamped to the population) from its
+    /// own `seed`-derived RNG substream, and keeps that many ordinals,
+    /// returned ascending. Strata are drawn in parallel per `options`.
+    pub fn draw_ordinals(
+        sizes: &[u64],
         allocation: &[u64],
         seed: u64,
         options: &ExecOptions,
-    ) -> StratifiedSample {
-        let rows = |c| strata.rows(c);
-        Self::draw_bucketed(strata.keys(), strata.sizes(), rows, allocation, seed, options)
+    ) -> Vec<Vec<u32>> {
+        assert_eq!(allocation.len(), sizes.len(), "allocation must cover every stratum");
+        exec::run_indexed(sizes.len(), options, |c| {
+            let mut rng = StdRng::seed_from_u64(substream_seed(seed, c as u64));
+            let mut reservoir = Reservoir::new(allocation[c].min(sizes[c]) as usize);
+            reservoir.offer_count(sizes[c], &mut rng);
+            let mut ordinals = reservoir.into_items();
+            ordinals.sort_unstable();
+            ordinals
+        })
     }
 
-    /// The per-stratum draw kernel: stratum `c` has key `keys[c]` and
-    /// `sizes[c]` rows, and `rows(c)` lists them in ascending row order as a
-    /// chain of runs; each stratum's reservoir is offered its chain run by
-    /// run from its own `seed`-derived RNG substream. Strata are drawn in
-    /// parallel per `options`.
-    pub(crate) fn draw_bucketed<'a, R: Iterator<Item = &'a [u32]>>(
+    /// The sample of `rows_per_stratum[c]` — rows drawn from stratum `c`,
+    /// keyed `keys[c]`, of `sizes[c]` rows.
+    pub(crate) fn of_rows(
         keys: &[Vec<KeyAtom>],
         sizes: &[u64],
-        rows: impl Fn(usize) -> R + Sync,
-        allocation: &[u64],
-        seed: u64,
-        options: &ExecOptions,
+        rows_per_stratum: Vec<Vec<u32>>,
     ) -> StratifiedSample {
-        assert_eq!(allocation.len(), keys.len(), "allocation must cover every stratum");
-        let rows_per_stratum = exec::run_indexed(keys.len(), options, |c| {
-            let population = sizes[c];
-            let mut rng = StdRng::seed_from_u64(substream_seed(seed, c as u64));
-            let mut reservoir = Reservoir::new(allocation[c].min(population) as usize);
-            let mut offered = 0u64;
-            for run in rows(c) {
-                reservoir.offer_slice(run, &mut rng);
-                offered += run.len() as u64;
-            }
-            assert_eq!(offered, population, "stratum {c}'s row list is stale");
-            let mut sampled = reservoir.into_items();
-            sampled.sort_unstable();
-            sampled
-        });
-
         let strata = rows_per_stratum
             .iter()
             .zip(keys.iter().zip(sizes))
@@ -159,6 +148,13 @@ impl StratifiedSample {
     /// the same rows, so every estimator downstream is oblivious to
     /// sharding. Fallible because a remote gather can fail.
     pub fn materialize_from(&self, rows: &RowSpace<'_>) -> crate::Result<MaterializedSample> {
+        let all: Vec<usize> = self.rows_per_stratum.iter().flatten().map(|&r| r as usize).collect();
+        Ok(self.materialize_with(rows.gather(&all)?))
+    }
+
+    /// The sample over `table`, which holds the sampled rows stratum-major,
+    /// with per-row expansion weights.
+    pub(crate) fn materialize_with(&self, table: Table) -> MaterializedSample {
         let total = self.total_sampled() as usize;
         let mut origin = Vec::with_capacity(total);
         let mut weights = Vec::with_capacity(total);
@@ -171,14 +167,7 @@ impl StratifiedSample {
                 row_stratum.push(c as u32);
             }
         }
-        let rows_usize: Vec<usize> = origin.iter().map(|&r| r as usize).collect();
-        Ok(MaterializedSample {
-            table: rows.gather(&rows_usize)?,
-            weights,
-            origin,
-            strata: self.strata.clone(),
-            row_stratum,
-        })
+        MaterializedSample { table, weights, origin, strata: self.strata.clone(), row_stratum }
     }
 }
 
@@ -294,44 +283,42 @@ mod tests {
     }
 
     /// The reference bucketing: each group's rows of `index`, ascending.
-    fn buckets(index: &GroupIndex) -> (Vec<Vec<KeyAtom>>, Vec<Vec<u32>>) {
+    fn buckets(index: &GroupIndex) -> Vec<Vec<u32>> {
         let mut rows = vec![Vec::new(); index.num_groups()];
         for (row, &g) in index.row_groups().iter().enumerate() {
             rows[g as usize].push(row as u32);
         }
-        let keys = (0..index.num_groups() as u32).map(|g| index.key(g).to_vec()).collect();
-        (keys, rows)
+        rows
     }
 
+    /// The draw over an index is the ordinal kernel with each stratum's
+    /// ordinals resolved against its rows ascending.
     #[test]
     fn draw_is_the_kernel_over_the_index_buckets() {
         let (_t, idx) = table_and_index();
-        let (keys, buckets) = buckets(&idx);
-        let sizes = idx.sizes();
+        let buckets = buckets(&idx);
         for (allocation, seed) in [([25, 5], 9), ([0, 10], 1), ([100, 500], 3)] {
             let exec = ExecOptions::new(2);
             let drawn = StratifiedSample::draw(&idx, &allocation, seed, &exec);
             let seq = ExecOptions::sequential();
-            // One slice per stratum, and the same rows as a chain of runs.
-            let whole = |c: usize| std::iter::once(buckets[c].as_slice());
-            let chained = |c: usize| buckets[c].chunks(7);
-            let kernel =
-                StratifiedSample::draw_bucketed(&keys, sizes, whole, &allocation, seed, &seq);
-            let chain =
-                StratifiedSample::draw_bucketed(&keys, sizes, chained, &allocation, seed, &seq);
-            assert_eq!(drawn.rows_per_stratum, kernel.rows_per_stratum);
-            assert_eq!(chain.rows_per_stratum, kernel.rows_per_stratum);
+            let ordinals = StratifiedSample::draw_ordinals(idx.sizes(), &allocation, seed, &seq);
+            let resolved: Vec<Vec<u32>> = ordinals
+                .iter()
+                .zip(&buckets)
+                .map(|(ordinals, rows)| ordinals.iter().map(|&o| rows[o as usize]).collect())
+                .collect();
+            assert_eq!(drawn.rows_per_stratum, resolved);
         }
     }
 
+    /// Ordinals resolve only within their stratum's rows.
     #[test]
-    #[should_panic(expected = "row list is stale")]
-    fn draw_bucketed_rejects_a_stale_row_list() {
+    #[should_panic(expected = "an ordinal past stratum 1")]
+    fn resolve_rejects_an_ordinal_past_its_stratum() {
         let (_t, idx) = table_and_index();
-        let (keys, buckets) = buckets(&idx);
-        let short = |c: usize| std::iter::once(&buckets[c][1..]);
         let exec = ExecOptions::sequential();
-        StratifiedSample::draw_bucketed(&keys, idx.sizes(), short, &[5, 5], 1, &exec);
+        let strata = Strata::of_index(&idx, &exec, |_| (), |_, ()| ()).unwrap();
+        strata.resolve(&[vec![0], vec![3, 10]], &exec);
     }
 
     #[test]

@@ -7,22 +7,22 @@
 //! no second scan.
 //!
 //! The pass is the table layer's strata pass ([`Strata`]): each global
-//! partition's rows arrive counting-sorted by stratum, and the fold here
-//! gathers every run's values densely and feeds them to the lane-merge slice
-//! kernel ([`AggState::update_slice`]), into one flat state table sized by
-//! the strata that partition saw. Partials merge into the stratum table in
-//! partition order, so the statistics are bit-identical for any shard layout
-//! and thread count; the same runs then serve the draw. A maintained sample
-//! keeps the pass's partials, merges them again after an append, and
-//! recomputes only the partials of the partitions the append dirtied, from
-//! the stratum ids of their rows (`tail_partials`).
+//! partition's rows arrive counting-sorted by stratum, and its statistics
+//! kernel ([`fold_runs`]) gathers every run's values densely and feeds them
+//! to the lane-merge slice kernel ([`AggState::update_slice`]), into one
+//! flat state table sized by the strata that partition saw — in process, or
+//! on the shard that holds the partition. Partials merge into the stratum
+//! table here in partition order, so the statistics are bit-identical for
+//! any shard layout and thread count; the same strata then serve the draw.
+//! A maintained sample keeps the pass's partials, merges them again after
+//! an append, and recomputes only the partials of the partitions the append
+//! dirtied, from the stratum ids of their rows (`tail_partials`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cvopt_table::agg::AggState;
 use cvopt_table::exec::{self, ExecOptions};
-use cvopt_table::expr::BoundExpr;
-use cvopt_table::groupby::{GroupProjection, Runs, Strata};
+use cvopt_table::groupby::{bind_columns, fold_runs, GroupProjection, Runs, Strata};
 use cvopt_table::{query, GroupIndex, RowSpace, ScalarExpr};
 
 use crate::spec::VarianceKind;
@@ -50,19 +50,6 @@ pub(crate) fn record_pass() {
     TOTAL_PASSES.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Bind the aggregation columns against every shard of `rows`
-/// (`bound[shard][column]`): in place for in-process shards, through one
-/// `expr_values` request for any other.
-fn bind_columns<'a>(
-    rows: &RowSpace<'a>,
-    columns: &[ScalarExpr],
-    options: &ExecOptions,
-) -> cvopt_table::Result<Vec<Vec<BoundExpr<'a>>>> {
-    let exprs: Vec<Option<ScalarExpr>> = columns.iter().cloned().map(Some).collect();
-    let bound = rows.bind(&exprs, options)?;
-    Ok(bound.into_iter().map(|shard| shard.into_iter().flatten().collect()).collect())
-}
-
 /// One partition's statistics: the slot states of its runs, `width` per
 /// slot, and the stratum of each slot.
 pub(crate) type Partial = (Vec<u32>, Vec<AggState>);
@@ -70,59 +57,6 @@ pub(crate) type Partial = (Vec<u32>, Vec<AggState>);
 /// A statistics pass kept whole: its strata, with their runs, and every
 /// partition's partial, in partition order.
 pub(crate) type KeptPass = (Strata, Vec<Partial>);
-
-/// The statistics kernel, a strata pass's fold: gather each slot's run of
-/// values densely and push it through the lane-merge slice kernel, into
-/// `states[slot * columns + column]`. Each run holds its stratum's rows of
-/// the partition in row order, so the lane schedule is a function of the
-/// partition's values alone, never of where shard boundaries fall.
-fn fold_runs(rows: &RowSpace<'_>, bound: &[Vec<BoundExpr<'_>>], runs: &Runs) -> Vec<AggState> {
-    let width = bound[0].len();
-    let mut states = vec![AggState::default(); runs.num_slots() * width];
-    let range = runs.range();
-    if range.is_empty() {
-        return states;
-    }
-    // A partition inside one shard — every partition of a plain table —
-    // reads that shard's storage in place (`Float64` identity columns
-    // straight from the column slice); its row `r` is the shard's
-    // `r - delta`. One that straddles a shard boundary first lays its
-    // values out in row order across the segments.
-    let segments = rows.segments(range);
-    let first = segments[0];
-    let delta = first.global_start - first.local.start;
-    let exprs = &bound[first.shard];
-    let dense: Vec<Option<&[f64]>> = exprs.iter().map(|e| e.f64_slice()).collect();
-    let straddling: Vec<Vec<Option<f64>>> = match segments.len() {
-        1 => Vec::new(),
-        _ => (0..width)
-            .map(|c| {
-                let values = segments.iter().flat_map(|seg| {
-                    let expr = &bound[seg.shard][c];
-                    seg.local.rows().map(move |r| expr.f64_at(r))
-                });
-                values.collect()
-            })
-            .collect(),
-    };
-
-    let mut buf: Vec<f64> = Vec::new();
-    for slot in 0..runs.num_slots() {
-        let run = runs.slot(slot).iter().map(|&r| r as usize);
-        for (c, state) in states[slot * width..(slot + 1) * width].iter_mut().enumerate() {
-            buf.clear();
-            match (straddling.get(c), dense[c]) {
-                (Some(values), _) => {
-                    buf.extend(run.clone().filter_map(|r| values[r - range.start]))
-                }
-                (None, Some(values)) => buf.extend(run.clone().map(|r| values[r - delta])),
-                (None, None) => buf.extend(run.clone().filter_map(|r| exprs[c].f64_at(r - delta))),
-            }
-            state.update_slice(&buf);
-        }
-    }
-    states
-}
 
 /// Merge one partition's slot states into the stratum table `acc`
 /// (`acc[stratum][column]`, grown on demand) through `strata`, the stratum
@@ -156,7 +90,7 @@ pub(crate) fn tail_partials(
     ids: &[u32],
     num_strata: usize,
 ) -> Result<Vec<Partial>> {
-    let bound = bind_columns(rows, columns, options)?;
+    let bound = bind_columns(rows, columns)?;
     let partitions = exec::partition_rows(rows.num_rows());
     let tail: Vec<exec::RowRange> = partitions.into_iter().filter(|p| p.start >= from).collect();
     let partials = exec::run_indexed(tail.len(), options, |i| -> cvopt_table::Result<Partial> {
@@ -181,7 +115,8 @@ pub struct StratumStatistics {
 
 impl StratumStatistics {
     /// Collect statistics over `rows` — a `&Table` or a
-    /// [`ShardSet`](cvopt_table::ShardSet), shards local or remote — given
+    /// [`ShardSet`](cvopt_table::ShardSet) whose shards are all in process;
+    /// a set with a shard behind a reader is refused, naming it — given
     /// the group index ([`RowSpace::group_index`]) over the same logical
     /// rows: the strata pass keyed by the index's ids
     /// ([`Strata::of_index`]), folded by the vectorized per-partition
@@ -203,7 +138,7 @@ impl StratumStatistics {
         options: &ExecOptions,
     ) -> Result<Self> {
         let rows = rows.into();
-        let bound = bind_columns(&rows, columns, options)?;
+        let bound = bind_columns(&rows, columns)?;
         record_pass();
         let mut states = Vec::new();
         Strata::of_index(
@@ -216,9 +151,10 @@ impl StratumStatistics {
     }
 
     /// The statistics pass over `rows` stratified by `exprs`: one strata
-    /// pass ([`Strata::collect`]) whose fold is the statistics kernel. The
-    /// strata come back with their runs, for the draw, and — only when
-    /// `keep` — with every partition's partial, for a maintained sample.
+    /// pass ([`Strata::collect`]) folding the statistics kernel — in
+    /// process, or pushed down to the shards behind readers. The strata
+    /// come back for the draw, and — only when `keep` — with every
+    /// partition's partial, for a maintained sample.
     pub(crate) fn collect_strata(
         rows: &RowSpace<'_>,
         exprs: &[ScalarExpr],
@@ -227,17 +163,13 @@ impl StratumStatistics {
         keep: bool,
     ) -> Result<(Self, KeptPass)> {
         let (mut states, mut kept) = (Vec::new(), Vec::new());
-        let fold = || {
-            let bound = bind_columns(rows, columns, options)?;
-            record_pass();
-            Ok(move |runs: &Runs| fold_runs(rows, &bound, runs))
-        };
-        let strata = Strata::collect(rows, exprs, options, fold, |strata, partial| {
-            merge_partial(&mut states, columns.len(), strata, &partial);
-            if keep {
-                kept.push((strata.to_vec(), partial));
-            }
-        })?;
+        let strata =
+            Strata::collect(rows, exprs, columns, options, record_pass, |strata, partial| {
+                merge_partial(&mut states, columns.len(), strata, &partial);
+                if keep {
+                    kept.push((strata.to_vec(), partial));
+                }
+            })?;
         let stats = Self::from_table(columns, states, strata.sizes().to_vec());
         Ok((stats, (strata, kept)))
     }

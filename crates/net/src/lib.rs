@@ -12,8 +12,9 @@
 //!   [`pipeline::Service`]. `cvopt-serve`'s HTTP server runs on it too.
 //! * [`server`] — [`server::Shardd`], the frame service over the pipeline:
 //!   it owns one or more registered [`cvopt_table::Table`] shards and
-//!   answers pass requests (scatter window, bitmap, stat partials,
-//!   gather). The `cvopt-shardd` binary wraps it.
+//!   answers plan-level pass requests — a walk that folds every partition
+//!   the shard holds, a pick that returns a draw's rows — plus gathers and
+//!   row mutations. The `cvopt-shardd` binary wraps it.
 //! * [`client`] + [`remote`] — [`client::Peer`], a persistent connection
 //!   with timeouts, one transport retry, and a circuit breaker; and
 //!   [`remote::RemoteShard`], which implements the same
@@ -23,12 +24,15 @@
 //! # Determinism contract
 //!
 //! A query over remote shards returns bytes identical to the same query over
-//! a [`cvopt_table::ShardSet`] of in-process shards with the same layout
-//! (every pass has one kernel, over [`cvopt_table::RowSpace`]). The server
+//! a [`cvopt_table::ShardSet`] of in-process shards with the same layout:
+//! a shard folds the global partitions it holds with the kernel the
+//! coordinator runs in process, partials merge in partition order, and a
+//! draw's ordinals depend only on (seed, stratum, n_c, s_c). The server
 //! answers every pass through [`cvopt_table::LocalShard`] — the reference
 //! implementation — and the wire format round-trips values exactly
 //! (`f64::to_bits`, dictionary rebuild in row order), so nothing drifts in
-//! transit.
+//! transit. A cold approximate statement costs one walk and one pick per
+//! shard; an exact one, one walk.
 
 pub mod circuit;
 pub mod client;

@@ -2,10 +2,8 @@
 
 use std::sync::Arc;
 
-use cvopt_table::{
-    Bitmap, ColumnValues, GroupIndex, Predicate, Result, ScalarExpr, Schema, ShardReader, Table,
-    TableError,
-};
+use cvopt_table::reader::{Fold, Pick, Picked, Walked};
+use cvopt_table::{Result, ScalarExpr, Schema, ShardReader, Table, TableError};
 
 use crate::client::Peer;
 use crate::wire::{Request, Response};
@@ -110,13 +108,13 @@ impl RemoteShard {
         let kind = match response {
             Response::Registered { .. } => "Registered",
             Response::Health { .. } => "Health",
-            Response::Window { .. } => "Window",
-            Response::Bitmap { .. } => "Bitmap",
             Response::Partials { .. } => "Partials",
             Response::Rows { .. } => "Rows",
             Response::Error { .. } => "Error",
             Response::Appended { .. } => "Appended",
             Response::Rotated { .. } => "Rotated",
+            Response::Walked { .. } => "Walked",
+            Response::Picked { .. } => "Picked",
         };
         self.invalid(format_args!("unexpected {kind} response"))
     }
@@ -135,41 +133,31 @@ impl ShardReader for RemoteShard {
         format!("{}/{}", self.peer.addr(), self.key)
     }
 
-    fn group_index(&self, exprs: &[ScalarExpr]) -> Result<GroupIndex> {
-        let request = Request::ScatterWindow { key: self.key.clone(), exprs: exprs.to_vec() };
+    fn walk(
+        &self,
+        first_row: usize,
+        total_rows: usize,
+        exprs: &[ScalarExpr],
+        fold: &Fold,
+    ) -> Result<Walked> {
+        let request = Request::Walk {
+            key: self.key.clone(),
+            first_row: first_row as u64,
+            total_rows: total_rows as u64,
+            exprs: exprs.to_vec(),
+            fold: fold.clone(),
+        };
         match self.call(&request)? {
-            Response::Window { index } if index.num_rows() == self.rows => Ok(index),
-            Response::Window { index } => Err(self.invalid(format_args!(
-                "scatter window covers {} rows, shard has {}",
-                index.num_rows(),
-                self.rows
-            ))),
+            Response::Walked { walked } => Ok(walked),
             other => Err(self.unexpected(&other)),
         }
     }
 
-    fn predicate_bitmap(&self, predicate: &Predicate) -> Result<Bitmap> {
-        let request = Request::Bitmap { key: self.key.clone(), predicate: predicate.clone() };
+    fn pick(&self, exprs: &[ScalarExpr], picks: &[Pick]) -> Result<Picked> {
+        let request =
+            Request::Pick { key: self.key.clone(), exprs: exprs.to_vec(), picks: picks.to_vec() };
         match self.call(&request)? {
-            Response::Bitmap { bitmap } if bitmap.len() == self.rows => Ok(bitmap),
-            Response::Bitmap { bitmap } => Err(self.invalid(format_args!(
-                "bitmap covers {} rows, shard has {}",
-                bitmap.len(),
-                self.rows
-            ))),
-            other => Err(self.unexpected(&other)),
-        }
-    }
-
-    fn expr_values(&self, exprs: &[Option<ScalarExpr>]) -> Result<Vec<Option<ColumnValues>>> {
-        let request = Request::StatPartials { key: self.key.clone(), exprs: exprs.to_vec() };
-        match self.call(&request)? {
-            Response::Partials { columns } if columns.len() == exprs.len() => Ok(columns),
-            Response::Partials { columns } => Err(self.invalid(format_args!(
-                "{} partial columns for {} expressions",
-                columns.len(),
-                exprs.len()
-            ))),
+            Response::Picked { picked } => Ok(picked),
             other => Err(self.unexpected(&other)),
         }
     }
@@ -193,7 +181,7 @@ impl ShardReader for RemoteShard {
 mod tests {
     use super::*;
     use crate::server::Shardd;
-    use cvopt_table::{DataType, LocalShard, TableBuilder, Value};
+    use cvopt_table::{AggExpr, DataType, LocalShard, Predicate, TableBuilder, Value};
 
     fn table() -> Table {
         let mut b = TableBuilder::new(&[("k", DataType::Str), ("v", DataType::Float64)]);
@@ -214,20 +202,24 @@ mod tests {
         assert_eq!(remote.schema(), local.schema());
 
         let exprs = [ScalarExpr::col("k")];
-        let remote_index = remote.group_index(&exprs).unwrap();
-        let local_index = local.group_index(&exprs).unwrap();
-        assert_eq!(remote_index.row_groups(), local_index.row_groups());
-        assert_eq!(remote_index.sizes(), local_index.sizes());
-
+        let stats = Fold::Stats { columns: vec![ScalarExpr::col("v")] };
         let pred = Predicate::cmp("v", cvopt_table::CmpOp::Gt, Value::Float64(1.5));
-        let remote_bm = remote.predicate_bitmap(&pred).unwrap();
-        let local_bm = local.predicate_bitmap(&pred).unwrap();
-        assert_eq!(remote_bm, local_bm);
+        let exact = Fold::Exact { predicate: Some(pred), aggregates: vec![AggExpr::avg("v")] };
+        for fold in [stats, exact] {
+            let walked = remote.walk(0, 4, &exprs, &fold).unwrap();
+            let want = local.walk(0, 4, &exprs, &fold).unwrap();
+            assert_eq!(format!("{walked:?}"), format!("{want:?}"));
+            assert_eq!(walked.sizes, [2, 1, 1]);
+            assert_eq!(walked.partitions.len(), 1);
+        }
+        // A shard that does not fit the row space it claims is refused.
+        assert!(remote.walk(2, 4, &exprs, &Fold::Stats { columns: vec![] }).is_err());
 
-        let exprs = [None, Some(ScalarExpr::col("v"))];
-        let remote_vals = remote.expr_values(&exprs).unwrap();
-        let local_vals = local.expr_values(&exprs).unwrap();
-        assert_eq!(remote_vals, local_vals);
+        let picks = [Pick { key: 0, ordinals: vec![1] }, Pick { key: 2, ordinals: vec![0] }];
+        let picked = remote.pick(&exprs, &picks).unwrap();
+        let want = local.pick(&exprs, &picks).unwrap();
+        assert_eq!((&picked.rows, &want.rows), (&vec![2, 3], &vec![2, 3]));
+        assert_eq!(format!("{:?}", picked.table.row(1)), format!("{:?}", want.table.row(1)));
 
         let rows = [3u32, 0, 2];
         let remote_rows = remote.take_rows(&rows).unwrap();

@@ -2,8 +2,10 @@
 //! [`crate::pipeline`], which owns accepting, queueing, the worker pool,
 //! idle connections and shutdown.
 //!
-//! A [`Shardd`] owns registered [`Table`] shards and answers one pass
-//! request per frame, every pass through [`LocalShard`] — the reference
+//! A [`Shardd`] owns registered [`Table`] shards and answers one request per
+//! frame: a plan-level `Walk` (key the shard, fold every partition it holds
+//! whole) or `Pick` (the rows a draw's ordinals name), a `Gather`, or a row
+//! mutation. Every pass runs through [`LocalShard`] — the reference
 //! implementation of the shard-pass surface — so a remote answer is
 //! bit-identical to what the same shard would produce in process.
 //! Registration replaces any shard already stored under the same key, which
@@ -99,14 +101,17 @@ fn answer(shards: &ShardMap, request: Request) -> Result<Response> {
             keys.sort();
             Ok(Response::Health { keys })
         }
-        Request::ScatterWindow { key, exprs } => with_shard(shards, &key, |shard| {
-            Ok(Response::Window { index: shard.group_index(&exprs)? })
-        }),
-        Request::Bitmap { key, predicate } => with_shard(shards, &key, |shard| {
-            Ok(Response::Bitmap { bitmap: shard.predicate_bitmap(&predicate)? })
-        }),
-        Request::StatPartials { key, exprs } => with_shard(shards, &key, |shard| {
-            Ok(Response::Partials { columns: shard.expr_values(&exprs)? })
+        Request::Walk { key, first_row, total_rows, exprs, fold } => {
+            let [first_row, total_rows] = [first_row, total_rows].map(usize::try_from);
+            let (Ok(first_row), Ok(total_rows)) = (first_row, total_rows) else {
+                return Err(TableError::invalid("a walk past this platform's row numbers"));
+            };
+            with_shard(shards, &key, |shard| {
+                Ok(Response::Walked { walked: shard.walk(first_row, total_rows, &exprs, &fold)? })
+            })
+        }
+        Request::Pick { key, exprs, picks } => with_shard(shards, &key, |shard| {
+            Ok(Response::Picked { picked: shard.pick(&exprs, &picks)? })
         }),
         Request::Gather { key, rows } => {
             with_shard(shards, &key, |shard| Ok(Response::Rows { table: shard.take_rows(&rows)? }))

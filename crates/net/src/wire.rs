@@ -2,20 +2,44 @@
 //!
 //! Every payload is a tagged union over fixed-width little-endian
 //! primitives. Strings are a length followed by UTF-8 bytes; floats travel
-//! as `f64::to_bits`, so NaN payloads and signed zeros round-trip exactly.
+//! as `f64::to_bits`, so NaN payloads and signed zeros round-trip exactly,
+//! and an [`AggState`] travels as its count plus its five floats' bits.
 //! Tables are shipped row-major as tagged [`Value`]s and rebuilt with
 //! [`TableBuilder`] in row order, which reproduces the dictionary build
 //! order of the original table — a gathered remote table is byte-identical
 //! to its local counterpart.
 //!
 //! Tag assignments are part of the protocol and must never be renumbered;
-//! new variants get new tags.
+//! new variants get new tags:
+//!
+//! | tag | request          | response     |
+//! |-----|------------------|--------------|
+//! | 1   | `Register`       | `Registered` |
+//! | 2   | `Health`         | `Health`     |
+//! | 3   | retired          | retired      |
+//! | 4   | retired          | retired      |
+//! | 5   | retired          | retired      |
+//! | 6   | retired          | `Partials`   |
+//! | 7   | retired          | `Rows`       |
+//! | 8   | `Gather`         | `Error`      |
+//! | 9   | `Append`         | `Appended`   |
+//! | 10  | `Rotate`         | `Rotated`    |
+//! | 11  | `Walk`           | `Walked`     |
+//! | 12  | `Pick`           | `Picked`     |
+//!
+//! Retired: request 3 (histogram) and 7 (draw); request 4, 5 and 6 and
+//! response 4 and 5 — the per-row scatter window, predicate bitmap and
+//! value columns the plan-level `Walk` and `Pick` replaced — and response 3
+//! (histogram). `Partials` is sent by no pass; it stays for the codec
+//! throughput probe.
 
 use std::fmt;
 use std::sync::Arc;
 
+use cvopt_table::agg::AggState;
+use cvopt_table::reader::{Fold, Pick, Picked, Walked, WalkedPartition};
 use cvopt_table::{
-    ArithOp, Bitmap, CaseWhen, CmpOp, ColumnValues, DataType, GroupIndex, KeyAtom, Predicate,
+    AggExpr, AggKind, ArithOp, CaseWhen, CmpOp, ColumnValues, DataType, KeyAtom, Predicate,
     ScalarExpr, Schema, Table, TableBuilder, Value,
 };
 
@@ -548,73 +572,184 @@ fn get_predicate(r: &mut Reader, depth: usize) -> Result<Predicate> {
     }
 }
 
-fn put_bitmap(w: &mut Writer, bitmap: &Bitmap) {
-    w.len(bitmap.len());
-    w.len(bitmap.words().len());
-    for &word in bitmap.words() {
-        w.u64(word);
-    }
-}
-
-fn get_bitmap(r: &mut Reader) -> Result<Bitmap> {
-    // The row count is logical (64 rows per word), not an element count, so
-    // it is read without the elements-fit-in-payload guard; `from_words`
-    // validates it against the actual word count.
-    let len = r.u64()? as usize;
-    let n_words = r.len()?;
-    let words = get_vec(r, n_words, |r| r.u64())?;
-    Bitmap::from_words(words, len).map_err(|e| DecodeError::new(e.to_string()))
-}
-
-fn put_group_index(w: &mut Writer, index: &GroupIndex) {
-    w.len(index.dim_names().len());
-    for name in index.dim_names() {
-        w.str(name);
-    }
-    w.len(index.row_groups().len());
-    for &gid in index.row_groups() {
-        w.u32(gid);
-    }
-    w.len(index.num_groups());
-    for gid in 0..index.num_groups() as u32 {
-        let key = index.key(gid);
-        w.len(key.len());
-        for atom in key {
-            match atom {
-                KeyAtom::Int(v) => {
-                    w.u8(0);
-                    w.i64(*v);
-                }
-                KeyAtom::Str(s) => {
-                    w.u8(1);
-                    w.str(s);
-                }
+fn put_key(w: &mut Writer, key: &[KeyAtom]) {
+    w.len(key.len());
+    for atom in key {
+        match atom {
+            KeyAtom::Int(v) => {
+                w.u8(0);
+                w.i64(*v);
+            }
+            KeyAtom::Str(s) => {
+                w.u8(1);
+                w.str(s);
             }
         }
-        w.u64(index.size(gid));
     }
 }
 
-fn get_group_index(r: &mut Reader) -> Result<GroupIndex> {
-    let n_dims = r.len()?;
-    let dim_names = get_vec(r, n_dims, |r| r.str())?;
-    let n_rows = r.len()?;
-    let row_groups = get_vec(r, n_rows, |r| r.u32())?;
-    let n_groups = r.len()?;
-    let mut group_keys = Vec::with_capacity(n_groups.min(MAX_PREALLOC));
-    let mut group_sizes = Vec::with_capacity(n_groups.min(MAX_PREALLOC));
-    for _ in 0..n_groups {
-        let n_atoms = r.len()?;
-        let key = get_vec(r, n_atoms, |r| match r.u8()? {
-            0 => Ok(KeyAtom::Int(r.i64()?)),
-            1 => Ok(KeyAtom::Str(Arc::from(r.str()?.as_str()))),
-            t => Err(DecodeError::new(format!("invalid key atom tag {t}"))),
-        })?;
-        group_keys.push(key);
-        group_sizes.push(r.u64()?);
+fn get_key(r: &mut Reader) -> Result<Vec<KeyAtom>> {
+    let n = r.len()?;
+    get_vec(r, n, |r| match r.u8()? {
+        0 => Ok(KeyAtom::Int(r.i64()?)),
+        1 => Ok(KeyAtom::Str(Arc::from(r.str()?.as_str()))),
+        t => Err(DecodeError::new(format!("invalid key atom tag {t}"))),
+    })
+}
+
+fn put_option<T>(w: &mut Writer, value: Option<&T>, put: impl FnOnce(&mut Writer, &T)) {
+    match value {
+        Some(v) => {
+            w.u8(1);
+            put(w, v);
+        }
+        None => w.u8(0),
     }
-    GroupIndex::from_parts(dim_names, row_groups, group_keys, group_sizes)
-        .map_err(|e| DecodeError::new(e.to_string()))
+}
+
+fn get_option<'a, T>(
+    r: &mut Reader<'a>,
+    get: impl FnOnce(&mut Reader<'a>) -> Result<T>,
+) -> Result<Option<T>> {
+    Ok(if r.bool()? { Some(get(r)?) } else { None })
+}
+
+fn put_agg_kind(w: &mut Writer, kind: AggKind) {
+    w.u8(match kind {
+        AggKind::Count => 0,
+        AggKind::Sum => 1,
+        AggKind::Avg => 2,
+        AggKind::Min => 3,
+        AggKind::Max => 4,
+        AggKind::Var => 5,
+        AggKind::Std => 6,
+        AggKind::CountIf => 7,
+    });
+}
+
+fn get_agg_kind(r: &mut Reader) -> Result<AggKind> {
+    match r.u8()? {
+        0 => Ok(AggKind::Count),
+        1 => Ok(AggKind::Sum),
+        2 => Ok(AggKind::Avg),
+        3 => Ok(AggKind::Min),
+        4 => Ok(AggKind::Max),
+        5 => Ok(AggKind::Var),
+        6 => Ok(AggKind::Std),
+        7 => Ok(AggKind::CountIf),
+        t => Err(DecodeError::new(format!("invalid aggregate tag {t}"))),
+    }
+}
+
+fn put_agg(w: &mut Writer, agg: &AggExpr) {
+    put_agg_kind(w, agg.kind);
+    put_option(w, agg.input.as_ref(), put_expr);
+    put_option(w, agg.condition.as_ref(), |w, &(op, threshold)| {
+        put_cmp_op(w, op);
+        w.f64(threshold);
+    });
+    w.str(&agg.alias);
+}
+
+/// An aggregate, with a condition exactly when it is a `COUNT_IF`.
+fn get_agg(r: &mut Reader) -> Result<AggExpr> {
+    let kind = get_agg_kind(r)?;
+    let input = get_option(r, |r| get_expr(r, 0))?;
+    let condition = get_option(r, |r| Ok((get_cmp_op(r)?, r.f64()?)))?;
+    if condition.is_some() != (kind == AggKind::CountIf) {
+        return Err(DecodeError::new(format!(
+            "a {} aggregate with condition {condition:?}",
+            kind.name()
+        )));
+    }
+    Ok(AggExpr { kind, input, condition, alias: r.str()? })
+}
+
+fn put_fold(w: &mut Writer, fold: &Fold) {
+    match fold {
+        Fold::Stats { columns } => {
+            w.u8(0);
+            put_exprs(w, columns);
+        }
+        Fold::Exact { predicate, aggregates } => {
+            w.u8(1);
+            put_option(w, predicate.as_ref(), put_predicate);
+            w.len(aggregates.len());
+            for agg in aggregates {
+                put_agg(w, agg);
+            }
+        }
+    }
+}
+
+fn get_fold(r: &mut Reader) -> Result<Fold> {
+    match r.u8()? {
+        0 => Ok(Fold::Stats { columns: get_exprs(r)? }),
+        1 => {
+            let predicate = get_option(r, |r| get_predicate(r, 0))?;
+            let n = r.len()?;
+            Ok(Fold::Exact { predicate, aggregates: get_vec(r, n, get_agg)? })
+        }
+        t => Err(DecodeError::new(format!("invalid fold tag {t}"))),
+    }
+}
+
+fn put_state(w: &mut Writer, state: &AggState) {
+    w.u64(state.count);
+    for v in [state.sum, state.mean, state.m2, state.min, state.max] {
+        w.f64(v);
+    }
+}
+
+fn get_state(r: &mut Reader) -> Result<AggState> {
+    let count = r.u64()?;
+    let [sum, mean, m2, min, max] = [r.f64()?, r.f64()?, r.f64()?, r.f64()?, r.f64()?];
+    Ok(AggState { count, sum, mean, m2, min, max })
+}
+
+fn put_walked(w: &mut Writer, walked: &Walked) {
+    w.len(walked.keys.len());
+    for (key, &size) in walked.keys.iter().zip(&walked.sizes) {
+        put_key(w, key);
+        w.u64(size);
+    }
+    w.len(walked.partitions.len());
+    for partition in &walked.partitions {
+        w.u64(partition.start);
+        put_rows(w, &partition.slots);
+        w.len(partition.states.len());
+        for state in &partition.states {
+            put_state(w, state);
+        }
+    }
+}
+
+/// A walk's answer as sent; whether it fits the request is the
+/// coordinator's to check.
+fn get_walked(r: &mut Reader) -> Result<Walked> {
+    let n = r.len()?;
+    let (keys, sizes) = get_vec(r, n, |r| Ok((get_key(r)?, r.u64()?)))?.into_iter().unzip();
+    let n = r.len()?;
+    let partitions = get_vec(r, n, |r| {
+        let start = r.u64()?;
+        let slots = get_rows(r)?;
+        let n = r.len()?;
+        Ok(WalkedPartition { start, slots, states: get_vec(r, n, get_state)? })
+    })?;
+    Ok(Walked { keys, sizes, partitions })
+}
+
+fn put_picks(w: &mut Writer, picks: &[Pick]) {
+    w.len(picks.len());
+    for pick in picks {
+        w.u32(pick.key);
+        put_rows(w, &pick.ordinals);
+    }
+}
+
+fn get_picks(r: &mut Reader) -> Result<Vec<Pick>> {
+    let n = r.len()?;
+    get_vec(r, n, |r| Ok(Pick { key: r.u32()?, ordinals: get_rows(r)? }))
 }
 
 fn put_column_values(w: &mut Writer, col: &ColumnValues) {
@@ -689,29 +824,8 @@ pub enum Request {
     },
     /// Liveness probe; answers with the registered shard keys.
     Health,
-    /// Scatter-window pass: the shard-local [`GroupIndex`] comes back whole.
-    ScatterWindow {
-        /// Target shard.
-        key: String,
-        /// Group-by dimension expressions.
-        exprs: Vec<ScalarExpr>,
-    },
-    /// Predicate pass: evaluate a filter into a shard-local bitmap.
-    Bitmap {
-        /// Target shard.
-        key: String,
-        /// Filter to evaluate.
-        predicate: Predicate,
-    },
-    /// Statistics pass: per-row numeric views of aggregate input columns.
-    StatPartials {
-        /// Target shard.
-        key: String,
-        /// One optional expression per aggregate (`None` for `COUNT(*)`).
-        exprs: Vec<Option<ScalarExpr>>,
-    },
-    /// Gather rows (shard-local indices, in request order): sampled rows
-    /// for a draw, or rows for exact execution.
+    /// Gather rows (shard-local indices, in request order): an explicit
+    /// gather, or the rows of a partition that straddles a shard boundary.
     Gather {
         /// Target shard.
         key: String,
@@ -743,6 +857,30 @@ pub enum Request {
         /// Rows with `column < cutoff` are dropped.
         cutoff: i64,
     },
+    /// Plan pass: key the shard's rows by `exprs` and fold every global
+    /// partition it holds whole ([`cvopt_table::ShardReader::walk`]).
+    Walk {
+        /// Target shard.
+        key: String,
+        /// Global row id of the shard's first row.
+        first_row: u64,
+        /// Rows of the whole row space, which fixes its partitions.
+        total_rows: u64,
+        /// Group-by (stratification) expressions.
+        exprs: Vec<ScalarExpr>,
+        /// The per-partition kernel.
+        fold: Fold,
+    },
+    /// Draw pass: the rows at the given ordinals of the shard's keys
+    /// ([`cvopt_table::ShardReader::pick`]).
+    Pick {
+        /// Target shard.
+        key: String,
+        /// The stratification expressions the keys are numbered by.
+        exprs: Vec<ScalarExpr>,
+        /// Ordinals per shard key.
+        picks: Vec<Pick>,
+    },
 }
 
 impl Request {
@@ -756,30 +894,6 @@ impl Request {
                 put_table(&mut w, table);
             }
             Request::Health => w.u8(2),
-            Request::ScatterWindow { key, exprs } => {
-                w.u8(4);
-                w.str(key);
-                put_exprs(&mut w, exprs);
-            }
-            Request::Bitmap { key, predicate } => {
-                w.u8(5);
-                w.str(key);
-                put_predicate(&mut w, predicate);
-            }
-            Request::StatPartials { key, exprs } => {
-                w.u8(6);
-                w.str(key);
-                w.len(exprs.len());
-                for expr in exprs {
-                    match expr {
-                        Some(e) => {
-                            w.u8(1);
-                            put_expr(&mut w, e);
-                        }
-                        None => w.u8(0),
-                    }
-                }
-            }
             Request::Gather { key, rows } => {
                 w.u8(8);
                 w.str(key);
@@ -797,6 +911,20 @@ impl Request {
                 w.str(column);
                 w.i64(*cutoff);
             }
+            Request::Walk { key, first_row, total_rows, exprs, fold } => {
+                w.u8(11);
+                w.str(key);
+                w.u64(*first_row);
+                w.u64(*total_rows);
+                put_exprs(&mut w, exprs);
+                put_fold(&mut w, fold);
+            }
+            Request::Pick { key, exprs, picks } => {
+                w.u8(12);
+                w.str(key);
+                put_exprs(&mut w, exprs);
+                put_picks(&mut w, picks);
+            }
         }
         w.finish()
     }
@@ -811,24 +939,6 @@ impl Request {
                 Request::Register { key, table }
             }
             2 => Request::Health,
-            4 => {
-                let key = r.str()?;
-                let exprs = get_exprs(&mut r)?;
-                Request::ScatterWindow { key, exprs }
-            }
-            5 => {
-                let key = r.str()?;
-                let predicate = get_predicate(&mut r, 0)?;
-                Request::Bitmap { key, predicate }
-            }
-            6 => {
-                let key = r.str()?;
-                let n = r.len()?;
-                let exprs = get_vec(&mut r, n, |r| {
-                    Ok(if r.bool()? { Some(get_expr(r, 0)?) } else { None })
-                })?;
-                Request::StatPartials { key, exprs }
-            }
             8 => {
                 let key = r.str()?;
                 let rows = get_rows(&mut r)?;
@@ -845,6 +955,20 @@ impl Request {
                 let column = r.str()?;
                 let cutoff = r.i64()?;
                 Request::Rotate { key, column, cutoff }
+            }
+            11 => {
+                let key = r.str()?;
+                let first_row = r.u64()?;
+                let total_rows = r.u64()?;
+                let exprs = get_exprs(&mut r)?;
+                let fold = get_fold(&mut r)?;
+                Request::Walk { key, first_row, total_rows, exprs, fold }
+            }
+            12 => {
+                let key = r.str()?;
+                let exprs = get_exprs(&mut r)?;
+                let picks = get_picks(&mut r)?;
+                Request::Pick { key, exprs, picks }
             }
             t => return Err(DecodeError::new(format!("invalid request tag {t}"))),
         };
@@ -866,22 +990,13 @@ pub enum Response {
         /// Sorted shard keys.
         keys: Vec<String>,
     },
-    /// Shard-local group index from a scatter-window pass.
-    Window {
-        /// The shard-local index.
-        index: GroupIndex,
-    },
-    /// Shard-local filter bitmap.
-    Bitmap {
-        /// One bit per shard row.
-        bitmap: Bitmap,
-    },
-    /// Per-aggregate numeric column views.
+    /// Per-expression numeric column views. No pass sends these; the
+    /// codec's throughput probe does.
     Partials {
         /// One entry per requested expression (`None` for `COUNT(*)`).
         columns: Vec<Option<ColumnValues>>,
     },
-    /// Materialized rows from a gather pass.
+    /// Rows from a gather.
     Rows {
         /// Rows in request order.
         table: Table,
@@ -904,6 +1019,16 @@ pub enum Response {
         /// Rows in the shard after the rotation.
         rows: u64,
     },
+    /// A walk's keys and per-partition partials.
+    Walked {
+        /// The shard's answer.
+        walked: Walked,
+    },
+    /// A pick's rows.
+    Picked {
+        /// The shard's answer.
+        picked: Picked,
+    },
 }
 
 impl Response {
@@ -921,14 +1046,6 @@ impl Response {
                 for key in keys {
                     w.str(key);
                 }
-            }
-            Response::Window { index } => {
-                w.u8(4);
-                put_group_index(&mut w, index);
-            }
-            Response::Bitmap { bitmap } => {
-                w.u8(5);
-                put_bitmap(&mut w, bitmap);
             }
             Response::Partials { columns } => {
                 w.u8(6);
@@ -960,6 +1077,15 @@ impl Response {
                 w.u64(*retired);
                 w.u64(*rows);
             }
+            Response::Walked { walked } => {
+                w.u8(11);
+                put_walked(&mut w, walked);
+            }
+            Response::Picked { picked } => {
+                w.u8(12);
+                put_table(&mut w, &picked.table);
+                put_rows(&mut w, &picked.rows);
+            }
         }
         w.finish()
     }
@@ -974,8 +1100,6 @@ impl Response {
                 let keys = get_vec(&mut r, n, |r| r.str())?;
                 Response::Health { keys }
             }
-            4 => Response::Window { index: get_group_index(&mut r)? },
-            5 => Response::Bitmap { bitmap: get_bitmap(&mut r)? },
             6 => {
                 let n = r.len()?;
                 let columns = get_vec(&mut r, n, |r| {
@@ -990,6 +1114,12 @@ impl Response {
                 let retired = r.u64()?;
                 let rows = r.u64()?;
                 Response::Rotated { retired, rows }
+            }
+            11 => Response::Walked { walked: get_walked(&mut r)? },
+            12 => {
+                let table = get_table(&mut r)?;
+                let rows = get_rows(&mut r)?;
+                Response::Picked { picked: Picked { table, rows } }
             }
             t => return Err(DecodeError::new(format!("invalid response tag {t}"))),
         };
@@ -1048,22 +1178,43 @@ mod tests {
     fn requests_round_trip() {
         round_trip_request(Request::Register { key: "t/0".into(), table: sample_table() });
         round_trip_request(Request::Health);
-        round_trip_request(Request::ScatterWindow {
+        let strata = vec![ScalarExpr::col("city"), ScalarExpr::year("ts"), ScalarExpr::month("ts")];
+        round_trip_request(Request::Walk {
             key: "t/0".into(),
-            exprs: vec![ScalarExpr::col("city"), ScalarExpr::year("ts"), ScalarExpr::month("ts")],
+            first_row: 65_536,
+            total_rows: 200_000,
+            exprs: strata.clone(),
+            fold: Fold::Stats {
+                columns: vec![
+                    ScalarExpr::col("value"),
+                    ScalarExpr::indicator("value", CmpOp::Gt, 1.0),
+                ],
+            },
         });
-        round_trip_request(Request::Bitmap {
+        round_trip_request(Request::Walk {
             key: "t/0".into(),
-            predicate: Predicate::cmp("city", CmpOp::Eq, Value::str("hanoi"))
-                .and(Predicate::between(ScalarExpr::col("value"), 0.0, 2.0))
-                .or(Predicate::True.not()),
+            first_row: 0,
+            total_rows: 0,
+            exprs: Vec::new(),
+            fold: Fold::Exact {
+                predicate: Some(
+                    Predicate::cmp("city", CmpOp::Eq, Value::str("hanoi"))
+                        .and(Predicate::between(ScalarExpr::col("value"), 0.0, 2.0))
+                        .or(Predicate::True.not()),
+                ),
+                aggregates: vec![
+                    AggExpr::count(),
+                    AggExpr::avg("value"),
+                    AggExpr::count_if("value", CmpOp::Ge, -0.0),
+                ],
+            },
         });
-        round_trip_request(Request::StatPartials {
+        round_trip_request(Request::Pick {
             key: "t/0".into(),
-            exprs: vec![
-                None,
-                Some(ScalarExpr::col("value")),
-                Some(ScalarExpr::indicator("value", CmpOp::Gt, 1.0)),
+            exprs: strata,
+            picks: vec![
+                Pick { key: 3, ordinals: vec![0, 7, 9] },
+                Pick { key: 0, ordinals: vec![] },
             ],
         });
         // Computed expressions: arithmetic trees, literals, and CASE (with
@@ -1091,9 +1242,15 @@ mod tests {
             }],
             otherwise: None,
         };
-        round_trip_request(Request::ScatterWindow {
+        round_trip_request(Request::Walk {
             key: "t/0".into(),
-            exprs: vec![arith, case_with_else, case_no_else],
+            first_row: 1,
+            total_rows: 2,
+            exprs: vec![arith.clone(), case_with_else.clone()],
+            fold: Fold::Exact {
+                predicate: None,
+                aggregates: vec![AggExpr::over(AggKind::Sum, case_no_else)],
+            },
         });
         round_trip_request(Request::Gather { key: "t/0".into(), rows: vec![1, 0, 1] });
         round_trip_request(Request::Gather { key: "t/0".into(), rows: vec![] });
@@ -1111,27 +1268,45 @@ mod tests {
 
     #[test]
     fn retired_tags_are_invalid_not_misparsed() {
-        // Request tags 3 (Histogram) and 7 (Draw) and response tag 3
-        // (Histogram) were deleted without renumbering the survivors.
-        for tag in [3u8, 7] {
+        // Request tags 3 (histogram), 4 (scatter window), 5 (bitmap), 6
+        // (value columns) and 7 (draw), and response tags 3 (histogram), 4
+        // (window) and 5 (bitmap) were deleted without renumbering the
+        // survivors.
+        for tag in [3u8, 4, 5, 6, 7] {
             let err = Request::decode(&[tag]).unwrap_err();
             assert!(err.to_string().contains("invalid request tag"), "{err}");
         }
-        let err = Response::decode(&[3]).unwrap_err();
-        assert!(err.to_string().contains("invalid response tag"), "{err}");
+        for tag in [3u8, 4, 5] {
+            let err = Response::decode(&[tag]).unwrap_err();
+            assert!(err.to_string().contains("invalid response tag"), "{err}");
+        }
     }
 
     #[test]
     fn responses_round_trip() {
         round_trip_response(Response::Registered { rows: 42 });
         round_trip_response(Response::Health { keys: vec!["a/0".into(), "b/1".into()] });
-        let table = sample_table();
-        let index = GroupIndex::build(&table, &[ScalarExpr::col("city")]).unwrap();
-        round_trip_response(Response::Window { index });
-        let mut bitmap = Bitmap::new_empty(130);
-        bitmap.set(0);
-        bitmap.set(129);
-        round_trip_response(Response::Bitmap { bitmap });
+        round_trip_response(Response::Walked {
+            walked: Walked {
+                keys: vec![
+                    vec![KeyAtom::from("hanoi"), KeyAtom::Int(2017)],
+                    vec![KeyAtom::from(""), KeyAtom::Int(-1)],
+                ],
+                sizes: vec![65_536, 3],
+                partitions: vec![WalkedPartition {
+                    start: 65_536,
+                    slots: vec![1, 0],
+                    states: vec![
+                        AggState { count: 2, sum: 3.0, mean: 1.5, m2: 0.5, min: 1.0, max: 2.0 },
+                        AggState::default(),
+                    ],
+                }],
+            },
+        });
+        round_trip_response(Response::Walked { walked: Walked::default() });
+        round_trip_response(Response::Picked {
+            picked: Picked { table: sample_table(), rows: vec![9, 4] },
+        });
         round_trip_response(Response::Partials {
             columns: vec![
                 None,
@@ -1145,38 +1320,35 @@ mod tests {
         round_trip_response(Response::Rotated { retired: 7, rows: 35 });
     }
 
+    /// A `COUNT_IF` without its condition — or any other aggregate with
+    /// one — would panic the fold, so it never decodes; nor does a partial
+    /// claiming more states than bytes are left.
     #[test]
-    fn forged_scatter_window_is_rejected() {
-        // A hand-written window frame over one dimension: rows [0, 1, 0],
-        // keys [0] and [1]. One size off by one would bias every
-        // Horvitz–Thompson weight of that stratum; a short key would panic
-        // in a later projection.
-        let frame = |sizes: [u64; 2], short_key: bool| {
-            let mut w = Writer::new();
-            w.u8(4);
-            w.len(1);
-            w.str("g");
-            w.len(3);
-            for gid in [0u32, 1, 0] {
-                w.u32(gid);
-            }
-            w.len(2);
-            for (i, size) in sizes.into_iter().enumerate() {
-                let atoms = usize::from(!(short_key && i == 1));
-                w.len(atoms);
-                for _ in 0..atoms {
-                    w.u8(0);
-                    w.i64(i as i64);
-                }
-                w.u64(size);
-            }
-            w.finish()
+    fn forged_plan_frames_are_rejected() {
+        let walk = |agg: AggExpr| {
+            let fold = Fold::Exact { predicate: None, aggregates: vec![agg] };
+            Request::Walk { key: "k".into(), first_row: 0, total_rows: 1, exprs: vec![], fold }
         };
-        assert!(Response::decode(&frame([2, 1], false)).is_ok());
-        let err = Response::decode(&frame([2, 2], false)).unwrap_err();
-        assert!(err.to_string().contains("size group 1 at 2 but 1 rows"), "{err}");
-        let err = Response::decode(&frame([2, 1], true)).unwrap_err();
-        assert!(err.to_string().contains("for 1 dimensions"), "{err}");
+        let count_if = AggExpr::count_if("value", CmpOp::Gt, 1.0);
+        assert!(Request::decode(&walk(count_if.clone()).encode()).is_ok());
+        for agg in [
+            AggExpr { condition: None, ..count_if.clone() },
+            AggExpr { kind: AggKind::Sum, ..count_if },
+        ] {
+            let err = Request::decode(&walk(agg).encode()).unwrap_err();
+            assert!(err.to_string().contains("aggregate with condition"), "{err}");
+        }
+
+        let mut w = Writer::new();
+        w.u8(11);
+        w.len(0); // no keys
+        w.len(1); // one partition
+        w.u64(0);
+        w.len(0); // no slots
+        w.len(1_000); // but a thousand states
+        put_state(&mut w, &AggState::default());
+        let err = Response::decode(&w.finish()).unwrap_err();
+        assert!(err.to_string().contains("exceeds remaining"), "{err}");
     }
 
     #[test]
@@ -1210,14 +1382,16 @@ mod tests {
 
     #[test]
     fn nan_bits_survive() {
-        let payload = Response::encode(&Response::Partials {
-            columns: vec![Some(ColumnValues::Dense(vec![f64::from_bits(0x7ff8_0000_dead_beef)]))],
-        });
-        let Response::Partials { columns } = Response::decode(&payload).unwrap() else {
+        let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        let state = AggState { count: 1, sum: nan, mean: -0.0, m2: nan, min: nan, max: nan };
+        let partition = WalkedPartition { start: 0, slots: vec![0], states: vec![state] };
+        let walked = Walked { keys: vec![vec![]], sizes: vec![1], partitions: vec![partition] };
+        let payload = Response::Walked { walked }.encode();
+        let Response::Walked { walked } = Response::decode(&payload).unwrap() else {
             panic!("wrong variant");
         };
-        let Some(ColumnValues::Dense(values)) = &columns[0] else { panic!("wrong column") };
-        assert_eq!(values[0].to_bits(), 0x7ff8_0000_dead_beef);
+        let got = walked.partitions[0].states[0];
+        assert_eq!((got.sum.to_bits(), got.mean.to_bits()), (nan.to_bits(), (-0.0f64).to_bits()));
     }
 
     #[test]
@@ -1264,11 +1438,19 @@ mod tests {
             w.u8(6); // Not(
         }
         w.u8(0); // True
-        let mut payload = vec![5u8]; // request tag: Bitmap
-        let mut key = Writer::new();
-        key.str("k");
-        payload.extend_from_slice(&key.finish());
+                 // A walk whose exact fold filters by the nested predicate.
+        let mut head = Writer::new();
+        head.u8(11);
+        head.str("k");
+        head.u64(0);
+        head.u64(1);
+        head.len(0);
+        head.u8(1);
+        head.u8(1);
+        let mut payload = head.finish();
         payload.extend_from_slice(&w.finish());
-        assert!(Request::decode(&payload).is_err());
+        payload.extend_from_slice(&0u64.to_le_bytes()); // no aggregates
+        let err = Request::decode(&payload).unwrap_err();
+        assert!(err.to_string().contains("predicate nests too deeply"), "{err}");
     }
 }

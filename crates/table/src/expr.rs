@@ -6,7 +6,6 @@ use std::fmt;
 use crate::column::Column;
 use crate::error::TableError;
 use crate::predicate::CmpOp;
-use crate::reader::ColumnValues;
 use crate::table::Table;
 use crate::time;
 use crate::types::{DataType, Value};
@@ -361,13 +360,11 @@ enum BoundKind<'t> {
     Literal(f64),
     Binary { op: ArithOp, left: Box<BoundExpr<'t>>, right: Box<BoundExpr<'t>> },
     Case { whens: Vec<BoundWhen<'t>>, otherwise: Option<Box<BoundExpr<'t>>> },
-    Shipped(ColumnValues),
 }
 
-/// A [`ScalarExpr`] bound to a concrete table — or, for a shard whose rows
-/// live in another process, to the per-row values that shard shipped
-/// (see [`RowSpace::bind`](crate::reader::RowSpace::bind)); either way the
-/// numeric accessors read the same bits.
+/// A [`ScalarExpr`] bound to a concrete table (see
+/// [`RowSpace::bind`](crate::reader::RowSpace::bind) for a row space of
+/// several).
 ///
 /// Evaluation is total and never panics: division by zero, integer
 /// overflow, and a `CASE` with no matching arm all evaluate to "no value"
@@ -378,13 +375,6 @@ pub struct BoundExpr<'t> {
 }
 
 impl<'t> BoundExpr<'t> {
-    /// The values a non-local shard answered an `expr_values` request
-    /// with, readable through [`BoundExpr::f64_at`] and
-    /// [`BoundExpr::f64_slice`] exactly like an expression bound in place.
-    pub(crate) fn shipped(values: ColumnValues) -> BoundExpr<'static> {
-        BoundExpr { kind: BoundKind::Shipped(values) }
-    }
-
     /// Evaluate at `row` as a dynamic [`Value`]. Computed expressions
     /// (arithmetic, `CASE`) evaluate as floats; a row where they have no
     /// value yields `Float64(NaN)`.
@@ -443,7 +433,6 @@ impl<'t> BoundExpr<'t> {
                 }
                 otherwise.as_ref().and_then(|e| e.f64_at(row))
             }
-            BoundKind::Shipped(values) => values.get(row),
         }
     }
 
@@ -489,7 +478,6 @@ impl<'t> BoundExpr<'t> {
                 }
                 otherwise.as_ref().and_then(|e| e.i64_at(row))
             }
-            BoundKind::Shipped(_) => None,
         }
     }
 
@@ -509,7 +497,6 @@ impl<'t> BoundExpr<'t> {
     pub fn f64_slice(&self) -> Option<&[f64]> {
         match &self.kind {
             BoundKind::Leaf { column, func: TimeFunc::Identity } => column.f64_slice(),
-            BoundKind::Shipped(values) => values.dense(),
             _ => None,
         }
     }

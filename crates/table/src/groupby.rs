@@ -29,8 +29,8 @@
 //!
 //! [`OrderedMerge`] joins partial results in row order through translation
 //! tables: the partitions of a walk, an ingest batch behind a maintained
-//! sample's strata, the shards behind a reader, and (one partial) the coarse
-//! keys of a projection. Group ids are therefore in **first-occurrence
+//! sample's strata, the key lists of the shards behind readers, and (one
+//! partial) the coarse keys of a projection. Group ids are therefore in **first-occurrence
 //! order** however the rows were cut up — the determinism contract every
 //! golden rests on.
 
@@ -51,7 +51,8 @@ use crate::Result;
 
 mod strata;
 
-pub use strata::{Runs, Strata};
+pub(crate) use strata::partition;
+pub use strata::{bind_columns, fold_runs, Runs, Strata};
 
 /// One component of a group key. Unlike [`Value`], atoms are hashable and
 /// totally ordered, because floats never appear in group keys.
@@ -124,6 +125,11 @@ pub(crate) struct LocalKeys {
 }
 
 impl LocalKeys {
+    /// The walk's packed keys, in slot order.
+    pub(crate) fn keys(&self) -> &[u64] {
+        &self.keys
+    }
+
     /// These keys as an [`OrderedMerge`] partial.
     pub(crate) fn partial(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.keys.iter().copied().zip(self.sizes.iter().copied())
@@ -379,6 +385,20 @@ impl<K: Clone + Eq + Hash> OrderedMerge<K> {
     /// How many keys have been merged so far.
     pub(crate) fn len(&self) -> usize {
         self.keys.len()
+    }
+
+    /// The merged id of `key`, if a partial has listed it.
+    pub(crate) fn id_of<Q>(&self, key: &Q) -> Option<u32>
+    where
+        K: std::borrow::Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.map.get(key).copied()
+    }
+
+    /// The merged keys and their sizes, in first-occurrence order.
+    pub(crate) fn into_parts(self) -> (Vec<K>, Vec<u64>) {
+        (self.keys, self.sizes)
     }
 
     /// The merged keys, in first-occurrence order.
@@ -672,50 +692,11 @@ impl GroupIndex {
         })
     }
 
-    /// Merge independently-built indexes over consecutive row blocks into
-    /// one index over their concatenation — how
-    /// [`RowSpace::group_index`] joins the indexes of shards behind a
-    /// reader.
-    ///
-    /// `locals` are indexes over consecutive blocks of the combined row
-    /// space, in row order; every local must stratify by the same
-    /// dimensions. Each local folds in through the [`OrderedMerge`]: earlier
-    /// groups keep their ids and groups first seen in a local take the next,
-    /// so the result is **identical to building one index over the
-    /// concatenated rows**.
-    pub fn merge_locals(locals: &[GroupIndex]) -> Result<GroupIndex> {
-        let invalid = |what: String| Err(crate::error::TableError::invalid(what));
-        let Some(first) = locals.first() else {
-            return invalid("merge_locals needs at least one local index".into());
-        };
-        if let Some(local) = locals.iter().find(|local| local.dim_names != first.dim_names) {
-            return invalid(format!(
-                "a local index stratifies by {:?}, the first by {:?}",
-                local.dim_names, first.dim_names
-            ));
-        }
-        let mut merge = OrderedMerge::default();
-        let mut row_groups = Vec::with_capacity(locals.iter().map(GroupIndex::num_rows).sum());
-        for local in locals {
-            let keys = local.group_keys.iter().map(Vec::as_slice);
-            let translation = merge.push(keys.zip(local.group_sizes.iter().copied()));
-            row_groups.extend(local.row_groups.iter().map(|&g| translation[g as usize]));
-        }
-        note_group_ids(row_groups.len());
-        Ok(GroupIndex {
-            dim_names: first.dim_names.clone(),
-            row_groups,
-            group_keys: merge.keys.iter().map(|key| key.to_vec()).collect(),
-            group_sizes: merge.sizes,
-        })
-    }
-
-    /// Reassemble an index from its parts, validating internal consistency.
-    /// This is the decode side of shipping a scatter window over the wire;
+    /// Reassemble an index from its parts, validating internal consistency:
     /// every accessor invariant (`group_of` in range, sizes equal to the
     /// per-group row counts, every key as wide as the dimension list) is
-    /// checked here so a corrupt or forged frame can neither panic later
-    /// nor bias a stratum's population.
+    /// checked here, so parts from outside the process can neither panic
+    /// later nor bias a stratum's population.
     pub fn from_parts(
         dim_names: Vec<String>,
         row_groups: Vec<u32>,

@@ -7,20 +7,28 @@
 //! run in row order. Keyed by ids that are dense already — a group index's,
 //! or the stratum ids a maintained sample keeps for the rows an append
 //! dirties ([`Runs::by_id`]) — the rows counting-sort by id directly, with
-//! no walk. A caller-supplied fold consumes the runs while they are still
-//! cache-resident, and only its partial, the runs and the partition's
-//! translation table outlive the partition.
+//! no walk. The statistics kernel ([`fold_runs`]) consumes the runs while
+//! they are still cache-resident, and only its partial, the runs and the
+//! partition's translation table outlive the partition.
 //! Partition keys merge in partition order through the ordered merge, so
 //! strata take ids in first-occurrence order — the ids [`GroupIndex`]
 //! assigns — and a stratum's rows are the chain of its runs in partition
 //! order: its rows ascending, exactly as one sequential stable counting sort
 //! over the row space lists them, for any shard layout and thread count.
+//!
+//! A draw picks each stratum's rows by *ordinal* — its position among the
+//! stratum's rows, ascending — and [`Strata::pick`] resolves them where the
+//! rows live: against the chains in process, and behind readers through one
+//! pick request per shard, split by the shard-level stratum sizes the pass's
+//! walks answered (see [`crate::reader`]'s plan pushdown).
 
+use crate::agg::AggState;
 use crate::error::check_row_ids;
 use crate::exec::{self, ExecOptions, RowRange};
-use crate::expr::ScalarExpr;
-use crate::reader::RowSpace;
+use crate::expr::{BoundExpr, ScalarExpr};
+use crate::reader::{Fold, RowSpace, ShardKeys};
 use crate::shard::ShardSegment;
+use crate::table::Table;
 use crate::Result;
 
 use super::{GroupIndex, GroupProjection, KeyAtom, LocalKeys, OrderedMerge, RowKeys};
@@ -79,7 +87,11 @@ fn scatter(range: RowRange, keys: &[u32], cursor: &mut [u32]) -> Vec<u32> {
 /// The partition kernel over packed keys: walk `segments` — the rows of
 /// `range` — and counting-sort the rows by the slots the walk handed out, in
 /// first-occurrence order.
-fn partition(keys: &RowKeys, segments: &[ShardSegment], range: RowRange) -> (LocalKeys, Runs) {
+pub(crate) fn partition(
+    keys: &RowKeys,
+    segments: &[ShardSegment],
+    range: RowRange,
+) -> (LocalKeys, Runs) {
     let mut slots = Vec::with_capacity(range.len());
     let local = keys.walk_segments(segments, |_, run, _| slots.extend_from_slice(run));
     let mut offsets = Vec::with_capacity(local.sizes.len() + 1);
@@ -115,6 +127,72 @@ fn id_partition(ids: &[u32], num_ids: usize, range: RowRange) -> (Vec<u32>, Runs
     (strata, Runs { range, offsets, rows })
 }
 
+/// Bind the aggregation `columns` against every shard of `rows`
+/// (`bound[shard][column]`), in place: what [`fold_runs`] reads. Every shard
+/// must be in-process.
+pub fn bind_columns<'a>(
+    rows: &RowSpace<'a>,
+    columns: &[ScalarExpr],
+) -> Result<Vec<Vec<BoundExpr<'a>>>> {
+    let exprs: Vec<Option<ScalarExpr>> = columns.iter().cloned().map(Some).collect();
+    let bound = rows.bind(&exprs)?;
+    Ok(bound.into_iter().map(|shard| shard.into_iter().flatten().collect()).collect())
+}
+
+/// The statistics kernel, a strata pass's fold: gather each slot's run of
+/// values densely and push it through the lane-merge slice kernel
+/// ([`AggState::update_slice`]), into `states[slot * columns + column]`.
+/// Each run holds its stratum's rows of the partition in row order, so the
+/// lane schedule is a function of the partition's values alone, never of
+/// where shard boundaries fall. `bound` is [`bind_columns`] over `rows`.
+pub fn fold_runs(rows: &RowSpace<'_>, bound: &[Vec<BoundExpr<'_>>], runs: &Runs) -> Vec<AggState> {
+    let width = bound.first().map_or(0, Vec::len);
+    let mut states = vec![AggState::default(); runs.num_slots() * width];
+    let range = runs.range();
+    if range.is_empty() || width == 0 {
+        return states;
+    }
+    // A partition inside one shard — every partition of a plain table —
+    // reads that shard's storage in place (`Float64` identity columns
+    // straight from the column slice); its row `r` is the shard's
+    // `r - delta`. One that straddles a shard boundary first lays its
+    // values out in row order across the segments.
+    let segments = rows.segments(range);
+    let first = segments[0];
+    let delta = first.global_start - first.local.start;
+    let exprs = &bound[first.shard];
+    let dense: Vec<Option<&[f64]>> = exprs.iter().map(|e| e.f64_slice()).collect();
+    let straddling: Vec<Vec<Option<f64>>> = match segments.len() {
+        1 => Vec::new(),
+        _ => (0..width)
+            .map(|c| {
+                let values = segments.iter().flat_map(|seg| {
+                    let expr = &bound[seg.shard][c];
+                    seg.local.rows().map(move |r| expr.f64_at(r))
+                });
+                values.collect()
+            })
+            .collect(),
+    };
+
+    let mut buf: Vec<f64> = Vec::new();
+    for slot in 0..runs.num_slots() {
+        let run = runs.slot(slot).iter().map(|&r| r as usize);
+        for (c, state) in states[slot * width..(slot + 1) * width].iter_mut().enumerate() {
+            buf.clear();
+            match (straddling.get(c), dense[c]) {
+                (Some(values), _) => {
+                    buf.extend(run.clone().filter_map(|r| values[r - range.start]))
+                }
+                (None, Some(values)) => buf.extend(run.clone().map(|r| values[r - delta])),
+                (None, None) => buf.extend(run.clone().filter_map(|r| exprs[c].f64_at(r - delta))),
+            }
+            state.update_slice(&buf);
+        }
+    }
+    states
+}
+
 /// The pass over `n` rows. Every partition goes through `partition`, then
 /// `fold`; in partition order, `translate` names the stratum of each slot,
 /// and `merge` receives that table with the fold's partial. Refuses a row
@@ -141,74 +219,90 @@ fn pass<P: Send, T: Send>(
 }
 
 /// A row space bucketed by stratum: the strata in first-occurrence order,
-/// their keys and sizes, and every stratum's rows as a chain of per-partition
-/// runs.
+/// their keys and sizes, and where each stratum's rows are — a chain of
+/// per-partition runs in process, or the shards behind readers that hold
+/// them.
 #[derive(Debug)]
 pub struct Strata {
     dim_names: Vec<String>,
     keys: Vec<Vec<KeyAtom>>,
     sizes: Vec<u64>,
-    /// Per partition, in order: its runs.
-    partitions: Vec<Runs>,
-    /// Stratum `c`'s runs are `links[starts[c]..starts[c + 1]]`, as
-    /// `(partition, slot)` pairs in partition order.
-    starts: Vec<usize>,
-    links: Vec<(u32, u32)>,
+    rows: StrataRows,
+}
+
+/// Where a pass's strata find their rows.
+#[derive(Debug)]
+enum StrataRows {
+    /// In process: per partition, in order, its runs; stratum `c`'s runs are
+    /// `links[starts[c]..starts[c + 1]]`, as `(partition, slot)` pairs in
+    /// partition order.
+    Runs { partitions: Vec<Runs>, starts: Vec<usize>, links: Vec<(u32, u32)> },
+    /// Behind readers: the stratification, and per shard the stratum of
+    /// each of its keys with the key's rows there.
+    Shards { exprs: Vec<ScalarExpr>, shards: Vec<ShardKeys> },
 }
 
 impl Strata {
-    /// Bucket `rows` by `exprs`, keyed as the exact executor keys them:
-    /// packed dimension codes when every shard is in-process — no per-row
-    /// group id is written — and the merged [`RowSpace::group_index`]'s ids
-    /// when a shard is behind a reader.
+    /// Bucket `rows` by `exprs`, keyed as the exact executor keys them, and
+    /// fold the statistics kernel ([`fold_runs`]) of `columns` over every
+    /// partition. When every shard is in-process the pass keys rows by
+    /// packed dimension codes — no per-row group id is written — and keeps
+    /// each partition's runs. When a shard is behind a reader it is one
+    /// walk per shard (the plan pushdown of [`crate::reader`]): every shard
+    /// folds the partitions it holds whole, and the strata keep only which
+    /// shard holds how many of their rows.
     ///
-    /// `fold` runs once the keys are in hand and before any row is walked,
-    /// so a grouping error is reported before anything the fold binds. What
-    /// it returns consumes each partition's [`Runs`], in parallel; `merge`
-    /// then receives, in partition order, the stratum of each of the
-    /// partition's slots and the fold's partial.
+    /// `bound` runs once the keys and the columns bind — in process — or
+    /// once they bind against the schema, before the first walk goes out:
+    /// in either case before any row is read, so a grouping or binding
+    /// error is reported before it. `merge` then receives, in partition
+    /// order, the stratum of each of the partition's slots and the slot
+    /// states (`columns.len()` per slot).
     ///
     /// With no dimensions every row is in the one stratum with the empty
     /// key — which exists even over no rows, as in a group index.
-    pub fn collect<F, T>(
+    pub fn collect(
         rows: &RowSpace<'_>,
         exprs: &[ScalarExpr],
+        columns: &[ScalarExpr],
         options: &ExecOptions,
-        fold: impl FnOnce() -> Result<F>,
-        merge: impl FnMut(&[u32], T),
-    ) -> Result<Strata>
-    where
-        F: Fn(&Runs) -> T + Sync,
-        T: Send,
-    {
+        bound: impl FnOnce(),
+        mut merge: impl FnMut(&[u32], Vec<AggState>),
+    ) -> Result<Strata> {
+        let dim_names = exprs.iter().map(ScalarExpr::display_name).collect();
         let Some(tables) = rows.local_tables() else {
-            let index = rows.group_index(exprs, options)?;
-            return Strata::of_index(&index, options, fold()?, merge);
+            let fold = Fold::Stats { columns: columns.to_vec() };
+            rows.check_binds(exprs, &fold)?;
+            bound();
+            let walked = rows.walk(exprs, &fold, options)?;
+            for (strata, states) in walked.partials {
+                merge(&strata, states);
+            }
+            let (keys, sizes) = with_empty_key(exprs, walked.keys, walked.sizes);
+            let shards = StrataRows::Shards { exprs: exprs.to_vec(), shards: walked.shards };
+            return Ok(Strata { dim_names, keys, sizes, rows: shards });
         };
         let keys = RowKeys::encode(rows, &tables, exprs, options)?;
-        let fold = fold()?;
+        let values = bind_columns(rows, columns)?;
+        bound();
         let mut merged = OrderedMerge::default();
         let partitions = pass(
             rows.num_rows(),
             options,
             |range| partition(&keys, &rows.segments(range), range),
-            fold,
+            |runs| fold_runs(rows, &values, runs),
             |local: LocalKeys| merged.push(local.partial()),
             merge,
         )?;
-        let mut strata_keys: Vec<Vec<KeyAtom>> =
-            merged.keys.iter().map(|&key| keys.decode(key).into_owned()).collect();
-        let mut sizes = merged.sizes;
-        if exprs.is_empty() && strata_keys.is_empty() {
-            strata_keys.push(Vec::new());
-            sizes.push(0);
-        }
-        let dim_names = exprs.iter().map(ScalarExpr::display_name).collect();
+        let (packed, sizes) = merged.into_parts();
+        let strata_keys = packed.iter().map(|&key| keys.decode(key).into_owned()).collect();
+        let (strata_keys, sizes) = with_empty_key(exprs, strata_keys, sizes);
         Ok(Strata::link(dim_names, strata_keys, sizes, partitions))
     }
 
-    /// Bucket the rows of `index` by its ids: [`Strata::collect`] keyed by
-    /// a group index already in hand. The strata are the index's groups.
+    /// Bucket the rows of `index` by its ids, folding each partition's runs
+    /// with `fold`: the in-process strata pass keyed by a group index
+    /// already in hand. The strata are the index's groups.
     pub fn of_index<T: Send>(
         index: &GroupIndex,
         options: &ExecOptions,
@@ -255,7 +349,7 @@ impl Strata {
             }
         }
         let partitions = partitions.into_iter().map(|(runs, _)| runs).collect();
-        Strata { dim_names, keys, sizes, partitions, starts, links }
+        Strata { dim_names, keys, sizes, rows: StrataRows::Runs { partitions, starts, links } }
     }
 
     /// Number of strata.
@@ -279,11 +373,84 @@ impl Strata {
         GroupProjection::of(&self.dim_names, &self.keys, dims)
     }
 
-    /// Stratum `stratum`'s rows, ascending, as its runs in partition order.
-    pub fn rows(&self, stratum: usize) -> impl Iterator<Item = &[u32]> + '_ {
-        let links = &self.links[self.starts[stratum]..self.starts[stratum + 1]];
-        links.iter().map(|&(p, slot)| self.partitions[p as usize].slot(slot as usize))
+    /// Whether the strata hold their rows as chains of runs in process;
+    /// `false` when the pass walked shards behind readers.
+    pub fn in_process(&self) -> bool {
+        matches!(self.rows, StrataRows::Runs { .. })
     }
+
+    /// Stratum `stratum`'s rows, ascending, as its runs in partition order.
+    /// Panics unless the strata are [in process](Strata::in_process).
+    pub fn rows(&self, stratum: usize) -> impl Iterator<Item = &[u32]> + '_ {
+        let StrataRows::Runs { partitions, starts, links } = &self.rows else {
+            panic!("strata collected behind readers hold no rows in process");
+        };
+        let links = &links[starts[stratum]..starts[stratum + 1]];
+        links.iter().map(|&(p, slot)| partitions[p as usize].slot(slot as usize))
+    }
+
+    /// The rows of each stratum `c` at `ordinals[c]` — positions among its
+    /// rows, ascending — resolved against the chains, strata in parallel:
+    /// the rows ascending too, since ordinals map monotonically onto a
+    /// stratum's ascending rows. Panics unless the strata are
+    /// [in process](Strata::in_process), or on an ordinal past its
+    /// stratum's rows.
+    pub fn resolve(&self, ordinals: &[Vec<u32>], options: &ExecOptions) -> Vec<Vec<u32>> {
+        assert_eq!(ordinals.len(), self.num_strata(), "ordinals must cover every stratum");
+        exec::run_indexed(ordinals.len(), options, |c| {
+            let mut picked = Vec::with_capacity(ordinals[c].len());
+            let mut wanted = ordinals[c].iter().map(|&o| o as usize).peekable();
+            let mut first = 0;
+            for run in self.rows(c) {
+                while let Some(o) = wanted.next_if(|&o| o < first + run.len()) {
+                    picked.push(run[o - first]);
+                }
+                first += run.len();
+            }
+            assert!(wanted.peek().is_none(), "an ordinal past stratum {c}'s {first} rows");
+            picked
+        })
+    }
+
+    /// The rows of each stratum `c` at `ordinals[c]` (see
+    /// [`Strata::resolve`]) in global row ids, and those rows of `rows` —
+    /// the row space this pass bucketed — copied stratum-major into one
+    /// table, identical to [`RowSpace::gather`] of them. In process that is
+    /// what it says; behind readers every shard that holds a picked row
+    /// answers one pick request, and the picked rows it returns are the
+    /// gather.
+    pub fn pick(
+        &self,
+        rows: &RowSpace<'_>,
+        ordinals: &[Vec<u32>],
+        options: &ExecOptions,
+    ) -> Result<(Vec<Vec<u32>>, Table)> {
+        match &self.rows {
+            StrataRows::Runs { .. } => {
+                let picked = self.resolve(ordinals, options);
+                let all: Vec<usize> = picked.iter().flatten().map(|&row| row as usize).collect();
+                let table = rows.gather(&all)?;
+                Ok((picked, table))
+            }
+            StrataRows::Shards { exprs, shards } => {
+                rows.pick(exprs, &self.keys, shards, ordinals, options)
+            }
+        }
+    }
+}
+
+/// The strata of no dimensions are the one stratum with the empty key, even
+/// over no rows.
+fn with_empty_key(
+    exprs: &[ScalarExpr],
+    mut keys: Vec<Vec<KeyAtom>>,
+    mut sizes: Vec<u64>,
+) -> (Vec<Vec<KeyAtom>>, Vec<u64>) {
+    if exprs.is_empty() && keys.is_empty() {
+        keys.push(Vec::new());
+        sizes.push(0);
+    }
+    (keys, sizes)
 }
 
 #[cfg(test)]
@@ -340,8 +507,7 @@ mod tests {
         let index = GroupIndex::build_with(t, exprs, &ExecOptions::sequential()).unwrap();
         for threads in [1usize, 2, 8] {
             let options = ExecOptions::new(threads);
-            let no_fold = || Ok(|_: &Runs| ());
-            let encoded = Strata::collect(&t.into(), exprs, &options, no_fold, |_, ()| ());
+            let encoded = Strata::collect(&t.into(), exprs, &[], &options, || {}, |_, _| {});
             assert_chains(&encoded.unwrap(), &index, &format!("{what}, threads {threads}"));
             let by_ids = Strata::of_index(&index, &options, |_| (), |_, ()| ()).unwrap();
             assert_chains(&by_ids, &index, &format!("{what}, ids, threads {threads}"));

@@ -11,8 +11,10 @@
 //! `WITH CUBE` over k attributes still scans the data once.
 //!
 //! [`GroupByQuery::execute`] runs it with [`AggState`] and unit weights over
-//! packed dimension codes — with no group index, when the rows are
-//! in-process — and computes exact answers (the experiments' ground truth).
+//! packed dimension codes — with no group index — and computes exact answers
+//! (the experiments' ground truth). Over shards behind readers each shard
+//! runs the same per-partition function over the partitions it holds, and
+//! its partials merge here in partition order.
 //! Sample-based estimators run the same pass over a group index's ids
 //! ([`GroupByQuery::aggregate`]) with a weighted accumulator.
 
@@ -21,12 +23,12 @@ use std::borrow::Cow;
 use crate::agg::{Accumulator, AggExpr, AggKind, AggState};
 use crate::bitmap::Bitmap;
 use crate::cube::grouping_sets;
-use crate::exec::{self, ExecOptions};
+use crate::exec::{self, ExecOptions, RowRange};
 use crate::expr::{BoundExpr, ScalarExpr};
 use crate::fxhash::FxHashMap;
 use crate::groupby::{GroupIndex, GroupProjection, KeyAtom, LocalKeys, OrderedMerge, RowKeys};
 use crate::predicate::Predicate;
-use crate::reader::RowSpace;
+use crate::reader::{Fold, RowSpace};
 use crate::Result;
 
 /// A group-by query specification.
@@ -92,31 +94,57 @@ impl GroupByQuery {
     /// Execute with explicit execution options. Over in-process rows — a
     /// table, or every shard of a set — the pass keys rows by their packed
     /// dimension codes and never builds a group index; when a shard is
-    /// behind a reader it keys them by the merged index's ids. The
-    /// predicate scan and the aggregation pass are chunk-parallel. Because
-    /// aggregation partials are whole *global* partitions (each assembled
-    /// from the shard segments covering it) merged in partition order, the
-    /// results are **bit-identical to executing on the concatenated table**
-    /// for any shard layout and thread count.
+    /// behind a reader every shard folds the partitions it holds whole and
+    /// answers partials, with no per-row id or value crossing the boundary.
+    /// The predicate scan and the aggregation pass are chunk-parallel.
+    /// Because aggregation partials are whole *global* partitions (each
+    /// assembled from the shard segments covering it) merged in partition
+    /// order, the results are **bit-identical to executing on the
+    /// concatenated table** for any shard layout and thread count.
     pub fn execute_with<'a>(
         &self,
         rows: impl Into<RowSpace<'a>>,
         options: &ExecOptions,
     ) -> Result<Vec<QueryResult>> {
         let rows = rows.into();
-        let index;
-        let keys = match rows.local_tables() {
-            Some(tables) => RowKeys::encode(&rows, &tables, &self.group_by, options)?,
-            None => {
-                index = rows.group_index(&self.group_by, options)?;
-                RowKeys::of_index(&index)
-            }
+        let dim_names: Vec<String> = self.group_by.iter().map(ScalarExpr::display_name).collect();
+        let Some(tables) = rows.local_tables() else {
+            return self.execute_walked(&rows, &dim_names, options);
         };
+        let keys = RowKeys::encode(&rows, &tables, &self.group_by, options)?;
         let filters = match &self.predicate {
             Some(p) => Some(rows.predicate_bitmaps(p, options)?),
             None => None,
         };
         self.fold::<AggState>(&rows, &keys, filters.as_deref(), |_| 1.0, options)
+    }
+
+    /// [`GroupByQuery::execute_with`] over a row space with a shard behind a
+    /// reader: one walk per shard folds the partitions it holds, and the
+    /// partials merge into the finest groups in partition order, exactly as
+    /// the in-process pass merges its own.
+    fn execute_walked(
+        &self,
+        rows: &RowSpace<'_>,
+        dim_names: &[String],
+        options: &ExecOptions,
+    ) -> Result<Vec<QueryResult>> {
+        let fold =
+            Fold::Exact { predicate: self.predicate.clone(), aggregates: self.aggregates.clone() };
+        rows.check_binds(&self.group_by, &fold)?;
+        let walked = rows.walk(&self.group_by, &fold, options)?;
+        let width = self.aggregates.len();
+        let mut fine = vec![AggState::default(); walked.keys.len() * width];
+        for (groups, states) in &walked.partials {
+            for (slot, &group) in groups.iter().enumerate() {
+                let cells = &states[slot * width..(slot + 1) * width];
+                let acc = &mut fine[group as usize * width..][..width];
+                acc.iter_mut().zip(cells).for_each(|(a, c)| a.merge(c));
+            }
+        }
+        let group_keys: Vec<Cow<[KeyAtom]>> =
+            walked.keys.iter().map(|key| Cow::Borrowed(key.as_slice())).collect();
+        Ok(self.assemble(dim_names, &group_keys, &fine))
     }
 
     /// The aggregation pass over the ids of `index`, this query's
@@ -160,7 +188,7 @@ impl GroupByQuery {
         let aggregates = &self.aggregates;
         let width = aggregates.len();
         let inputs: Vec<Option<ScalarExpr>> = aggregates.iter().map(|a| a.input.clone()).collect();
-        let bound = rows.bind(&inputs, options)?;
+        let bound = rows.bind(&inputs)?;
 
         // `fine[group * width + aggregate]`, groups in merged
         // (first-occurrence) order.
@@ -168,37 +196,7 @@ impl GroupByQuery {
             rows.num_rows(),
             options,
             (OrderedMerge::<u64>::default(), Vec::<A>::new()),
-            |_, range| {
-                // `states[slot * width + aggregate]`, grown as slots appear
-                // inside room for every slot the walk can hand out: a
-                // partial is never copied to grow, and room the walk does
-                // not fill is never written.
-                let mut states: Vec<A> = Vec::with_capacity(keys.max_slots(range) * width);
-                let local = keys.walk(rows, range, |run, slots, seen| {
-                    states.resize(seen * width, A::default());
-                    // Global row id of shard-local row `r` is `r + delta`.
-                    let delta = run.global_start - run.local.start;
-                    let weight = |r: usize| weight(r + delta);
-                    // One aggregate at a time over the run: each (slot,
-                    // aggregate) cell still takes its rows in row order.
-                    for (a, (agg, expr)) in aggregates.iter().zip(&bound[run.shard]).enumerate() {
-                        let cells = &mut states[a..];
-                        let (start, end) = (run.local.start, run.local.end);
-                        match filters {
-                            Some(bms) => {
-                                let kept = bms[run.shard].iter_ones_in(start, end);
-                                let rows = kept.map(|r| (r, slots[r - start]));
-                                fold_column(cells, width, rows, agg, expr.as_ref(), weight);
-                            }
-                            None => {
-                                let rows = (start..end).zip(slots.iter().copied());
-                                fold_column(cells, width, rows, agg, expr.as_ref(), weight);
-                            }
-                        }
-                    }
-                });
-                (local, states)
-            },
+            |_, range| fold_partition(rows, keys, range, aggregates, &bound, filters, &weight),
             |(merge, fine): &mut (OrderedMerge<u64>, Vec<A>),
              (local, states): (LocalKeys, Vec<A>)| {
                 let known = merge.len();
@@ -268,6 +266,54 @@ impl GroupByQuery {
         });
         results.collect()
     }
+}
+
+/// One partition of the aggregation pass: walk `range` of `rows` under
+/// `keys`, and fold every row the optional per-shard `filters` keep into its
+/// slot's accumulators, `states[slot * width + aggregate]`. `bound` holds
+/// the aggregates' inputs bound per shard, and `weight` maps a global row
+/// id to its weight. Returns the partition's keys with the states. Both
+/// sides of a statement over shards behind readers run it: a shard for the
+/// partitions it holds whole, the coordinator for in-process rows and for a
+/// partition that straddles a shard boundary.
+pub(crate) fn fold_partition<A: Accumulator>(
+    rows: &RowSpace<'_>,
+    keys: &RowKeys<'_>,
+    range: RowRange,
+    aggregates: &[AggExpr],
+    bound: &[Vec<Option<BoundExpr<'_>>>],
+    filters: Option<&[Bitmap]>,
+    weight: impl Fn(usize) -> f64,
+) -> (LocalKeys, Vec<A>) {
+    let width = aggregates.len();
+    // `states[slot * width + aggregate]`, grown as slots appear inside room
+    // for every slot the walk can hand out: a partial is never copied to
+    // grow, and room the walk does not fill is never written.
+    let mut states: Vec<A> = Vec::with_capacity(keys.max_slots(range) * width);
+    let local = keys.walk(rows, range, |run, slots, seen| {
+        states.resize(seen * width, A::default());
+        // Global row id of shard-local row `r` is `r + delta`.
+        let delta = run.global_start - run.local.start;
+        let weight = |r: usize| weight(r + delta);
+        // One aggregate at a time over the run: each (slot, aggregate) cell
+        // still takes its rows in row order.
+        for (a, (agg, expr)) in aggregates.iter().zip(&bound[run.shard]).enumerate() {
+            let cells = &mut states[a..];
+            let (start, end) = (run.local.start, run.local.end);
+            match filters {
+                Some(bms) => {
+                    let kept = bms[run.shard].iter_ones_in(start, end);
+                    let rows = kept.map(|r| (r, slots[r - start]));
+                    fold_column(cells, width, rows, agg, expr.as_ref(), weight);
+                }
+                None => {
+                    let rows = (start..end).zip(slots.iter().copied());
+                    fold_column(cells, width, rows, agg, expr.as_ref(), weight);
+                }
+            }
+        }
+    });
+    (local, states)
 }
 
 /// Fold aggregate `agg` over `rows` — each a shard-local row id with its

@@ -1,21 +1,30 @@
 //! The shard-pass surface, and the one row space every pass runs over.
 //!
-//! Only four things ever cross a shard boundary: a shard-local group index,
-//! a shard-local predicate bitmap, per-row expression values, and gathered
-//! rows. [`ShardReader`] is that surface, so a shard can live anywhere —
-//! [`LocalShard`] wraps an in-process [`Table`], and a remote
-//! implementation answers the same four questions over a wire. A
-//! [`ShardSet`] is what every catalog table is: readers in shard order with
-//! one logical row space (a plain table is a set of one [`LocalShard`]).
+//! A shard answers a plan, not a row: [`ShardReader::walk`] folds the
+//! partitions the shard holds and [`ShardReader::pick`] resolves a drawn
+//! sample's ordinals to rows, so what crosses a shard boundary is keys,
+//! per-partition partials and the sampled rows — plus, through
+//! [`ShardReader::take_rows`], the rows of a partition that straddles a
+//! shard boundary and of an explicit gather. [`LocalShard`] wraps an
+//! in-process [`Table`], and a remote implementation answers the same
+//! questions over a wire. A [`ShardSet`] is what every catalog table is:
+//! readers in shard order with one logical row space (a plain table is a set
+//! of one [`LocalShard`]).
 //!
 //! *Where a shard's rows live* is known to this module alone. Every pass in
 //! the workspace — group index, predicate bitmaps, statistics, exact
 //! aggregation, gather, join — has one kernel, written against
 //! [`RowSpace`]: a borrowed view that **lends** an in-process shard's
 //! storage (the kernel reads its columns in place, under the caller's
-//! execution options) and asks every other shard through its reader. A bare
-//! `&Table` is a one-shard row space, so the single-table entry points run
-//! the same kernels at the same cost.
+//! execution options). A bare `&Table` is a one-shard row space, so the
+//! single-table entry points run the same kernels at the same cost. When a
+//! shard is behind a reader, the two passes a statement needs — the strata
+//! pass with its statistics fold, and the exact fold — are pushed down to
+//! the shards (the `pushdown` module): each shard runs the per-partition
+//! kernel over every global partition it holds whole, and the coordinator
+//! merges the partials. An ids-keyed entry point (a group index, predicate
+//! bitmaps, bound expressions) needs every shard's rows in process and
+//! refuses a set with a shard behind a reader, naming that shard.
 //!
 //! The determinism contract: every pass merges shard answers in **fixed
 //! shard order** (global row order) and anchors float accumulation to
@@ -23,18 +32,14 @@
 //! the concatenated single table, for any layout, any mix of local and
 //! remote readers, and any thread count. For that to hold, a reader must
 //! answer each request exactly as `LocalShard` would: the same first-seen
-//! group interning, the same bitmap bits, bit-equal `f64` values. This
-//! module interns and merges nothing itself: over in-process shards a set's
-//! index is `groupby`'s one walk over the whole row space, and only when a
-//! shard is behind a reader is it [`GroupIndex::merge_locals`] over
-//! shard-local indexes — `groupby`'s one ordered merge — after each remote
-//! answer has been checked against the request.
+//! key order, the same partition states bit for bit, the same picked rows.
+//! Every remote answer is checked against the request before it is merged.
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::bitmap::Bitmap;
-use crate::error::TableError;
+use crate::error::{check_row_ids, TableError};
 use crate::exec::{self, ExecOptions, RowRange};
 use crate::expr::{BoundExpr, ScalarExpr};
 use crate::groupby::GroupIndex;
@@ -44,13 +49,17 @@ use crate::shard::{ShardSegment, ShardedTable};
 use crate::table::{Table, TableBuilder};
 use crate::Result;
 
-/// Per-row values of one expression over a whole shard, as shipped across
-/// the pass boundary. `Dense` is the contiguous-`f64`-column fast path
-/// (exactly when the shard-side expression exposes a
+mod pushdown;
+
+pub(crate) use pushdown::ShardKeys;
+pub use pushdown::{Fold, Pick, Picked, Walked, WalkedPartition};
+
+/// Per-row values of one expression over a whole shard. `Dense` is the
+/// contiguous-`f64`-column form (exactly when the expression exposes a
 /// [`f64_slice`](crate::expr::BoundExpr::f64_slice)); `Sparse` carries the
 /// per-row [`f64_at`](crate::expr::BoundExpr::f64_at) outputs, missing
-/// values included. Which variant arrives is a property of the schema and
-/// expression alone, never of the data, so every shard of a set agrees.
+/// values included. No pass ships these any more; the shard wire keeps a
+/// frame of them for its codec throughput probe.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnValues {
     /// One value per row; the expression is a plain `Float64` column.
@@ -77,27 +86,9 @@ impl ColumnValues {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Value at `row` (`None` for a missing value), matching the shard-side
-    /// `f64_at` bit for bit.
-    #[inline]
-    pub fn get(&self, row: usize) -> Option<f64> {
-        match self {
-            ColumnValues::Dense(v) => Some(v[row]),
-            ColumnValues::Sparse(v) => v[row],
-        }
-    }
-
-    /// The dense values, if this is the dense representation.
-    pub fn dense(&self) -> Option<&[f64]> {
-        match self {
-            ColumnValues::Dense(v) => Some(v),
-            ColumnValues::Sparse(_) => None,
-        }
-    }
 }
 
-/// One shard's answers to the four scatter-gather pass requests.
+/// One shard's answers to the plan-level pass requests.
 ///
 /// Implementations must be *deterministic mirrors* of [`LocalShard`]: for
 /// the same shard contents, every method returns the identical value
@@ -114,22 +105,28 @@ pub trait ShardReader: std::fmt::Debug + Send + Sync {
     /// (e.g. `local` or `127.0.0.1:7000/t/0`).
     fn location(&self) -> String;
 
-    /// Shard-local group index over `exprs` (sequential build order).
-    fn group_index(&self, exprs: &[ScalarExpr]) -> Result<GroupIndex>;
+    /// Walk the shard — rows `first_row..` of a `total_rows`-row row space —
+    /// keyed by `exprs`, and run `fold`'s per-partition kernel over every
+    /// global partition the shard holds whole (see [`Walked`]).
+    fn walk(
+        &self,
+        first_row: usize,
+        total_rows: usize,
+        exprs: &[ScalarExpr],
+        fold: &Fold,
+    ) -> Result<Walked>;
 
-    /// Shard-local predicate bitmap over all rows.
-    fn predicate_bitmap(&self, predicate: &Predicate) -> Result<Bitmap>;
-
-    /// Per-row values for each expression (`None` entries pass through,
-    /// for aggregates like `COUNT(*)` with no input).
-    fn expr_values(&self, exprs: &[Option<ScalarExpr>]) -> Result<Vec<Option<ColumnValues>>>;
+    /// Re-walk the shard keyed by `exprs` and return the rows each pick
+    /// names, pick by pick (see [`Picked`]). Key ids are the ones a walk
+    /// over the same rows answers.
+    fn pick(&self, exprs: &[ScalarExpr], picks: &[Pick]) -> Result<Picked>;
 
     /// Copy the shard-local `rows`, in the given order, into a table.
     fn take_rows(&self, rows: &[u32]) -> Result<Table>;
 
     /// The shard's rows, when they live in this process and can be lent to
     /// a pass in place. `None` (the default) means every pass goes through
-    /// the four requests above.
+    /// the requests above.
     fn local_table(&self) -> Option<&Table> {
         None
     }
@@ -167,32 +164,21 @@ impl ShardReader for LocalShard {
         "local".to_string()
     }
 
-    fn group_index(&self, exprs: &[ScalarExpr]) -> Result<GroupIndex> {
-        // Sequential inside the shard: the shard level is where the
-        // coordinator parallelizes, and the build is thread-count
-        // invariant anyway.
-        GroupIndex::build_with(&self.table, exprs, &ExecOptions::sequential())
+    // Sequential inside the shard: the shard level is where the coordinator
+    // parallelizes, and both passes are thread-count invariant anyway.
+    fn walk(
+        &self,
+        first_row: usize,
+        total_rows: usize,
+        exprs: &[ScalarExpr],
+        fold: &Fold,
+    ) -> Result<Walked> {
+        let sequential = ExecOptions::sequential();
+        pushdown::walk_table(&self.table, first_row, total_rows, exprs, fold, &sequential)
     }
 
-    fn predicate_bitmap(&self, predicate: &Predicate) -> Result<Bitmap> {
-        Ok(predicate
-            .bind(&self.table)?
-            .eval_bitmap_with(self.table.num_rows(), &ExecOptions::sequential()))
-    }
-
-    fn expr_values(&self, exprs: &[Option<ScalarExpr>]) -> Result<Vec<Option<ColumnValues>>> {
-        let n = self.table.num_rows();
-        exprs
-            .iter()
-            .map(|expr| {
-                let Some(expr) = expr else { return Ok(None) };
-                let bound = expr.bind(&self.table)?;
-                Ok(Some(match bound.f64_slice() {
-                    Some(values) => ColumnValues::Dense(values.to_vec()),
-                    None => ColumnValues::Sparse((0..n).map(|row| bound.f64_at(row)).collect()),
-                }))
-            })
-            .collect()
+    fn pick(&self, exprs: &[ScalarExpr], picks: &[Pick]) -> Result<Picked> {
+        pushdown::pick_table(&self.table, exprs, picks, &ExecOptions::sequential())
     }
 
     fn take_rows(&self, rows: &[u32]) -> Result<Table> {
@@ -211,15 +197,21 @@ impl ShardReader for LocalShard {
 }
 
 /// `offsets[s]` is the global row id of shard `s`'s first row;
-/// `offsets[num_shards]` is the total row count.
-fn offsets_of(shard_rows: impl Iterator<Item = usize>) -> Vec<usize> {
+/// `offsets[num_shards]` is the total row count — refused when row ids,
+/// `u32` in a pass's runs and a pick's ordinals, cannot address it.
+fn offsets_of(shard_rows: impl Iterator<Item = usize>) -> Result<Vec<usize>> {
     let mut offsets = vec![0];
     let mut total = 0usize;
     for rows in shard_rows {
-        total += rows;
+        total = match total.checked_add(rows) {
+            Some(sum) => check_row_ids("a shard set", sum).map(|()| sum)?,
+            None => {
+                return Err(TableError::RowIdOverflow { what: "a shard set", rows: usize::MAX })
+            }
+        };
         offsets.push(total);
     }
-    offsets
+    Ok(offsets)
 }
 
 /// A set of [`ShardReader`]s with one logical row space (shard 0's rows
@@ -248,7 +240,9 @@ impl From<ShardedTable> for ShardSet {
 
 impl ShardSet {
     /// Assemble a set from schema-identical readers (empty shards allowed;
-    /// at least one reader required so the schema is defined).
+    /// at least one reader required so the schema is defined). Refuses
+    /// readers whose rows sum past `u32::MAX` — what row ids can address —
+    /// with [`TableError::RowIdOverflow`], before any pass is asked of them.
     pub fn new(readers: Vec<Arc<dyn ShardReader>>) -> Result<ShardSet> {
         let Some(first) = readers.first() else {
             return Err(TableError::invalid("a shard set needs at least one shard"));
@@ -262,7 +256,7 @@ impl ShardSet {
                 )));
             }
         }
-        let offsets = offsets_of(readers.iter().map(|r| r.num_rows()));
+        let offsets = offsets_of(readers.iter().map(|r| r.num_rows()))?;
         Ok(ShardSet { readers, offsets })
     }
 
@@ -424,8 +418,8 @@ impl Part<'_> {
 
 /// A borrowed view of one logical row space — a bare [`Table`] (one shard)
 /// or a [`ShardSet`] — that every pass kernel reads through. In-process
-/// shards are read in place; only shards behind a non-local reader cost a
-/// request and a [`ColumnValues`] copy.
+/// shards are read in place; a shard behind a non-local reader is asked
+/// for a pass's partials and picked rows, never for per-row ids or values.
 #[derive(Debug, Clone)]
 pub struct RowSpace<'a> {
     parts: Vec<Part<'a>>,
@@ -537,20 +531,30 @@ impl<'a> RowSpace<'a> {
         TableError::invalid(format!("shard {s} ({}) returned {what}", reader.location()))
     }
 
-    /// Build the group index over the logical row space. When every shard
-    /// is in-process this is one walk over the whole row space, keyed in
-    /// one code space (each shard's dictionary codes translated into a
-    /// merged dictionary), so a partition that straddles a shard boundary
-    /// is walked like any other. Otherwise each shard is indexed
-    /// independently — a shard behind a reader never sees its siblings'
-    /// dictionaries or interning state — and the shard-local indexes are
-    /// merged **in shard order**, which is global row order. Either way a
-    /// group's global id is assigned at its earliest occurrence across the
-    /// concatenation, so the result — per-row group ids, first-occurrence
-    /// key order, group sizes — is **identical to building over the
-    /// concatenated single table**, for any shard layout and any thread
-    /// count. (Every merge here is integral, so this holds exactly, not
-    /// just up to rounding.)
+    /// Why an ids-keyed pass — `what` — cannot run: it needs every shard's
+    /// rows in process, and the first shard behind a reader is named.
+    fn behind_reader(&self, what: &str) -> TableError {
+        let (s, reader) = (self.parts.iter().enumerate())
+            .find_map(|(s, part)| match part {
+                Part::Remote(reader) => Some((s, reader)),
+                Part::Local(_) => None,
+            })
+            .expect("a row space with no shard behind a reader lends every shard");
+        TableError::invalid(format!(
+            "shard {s} ({}) is behind a reader: {what} needs every shard's rows in process",
+            reader.location()
+        ))
+    }
+
+    /// Build the group index over the logical row space: one walk over the
+    /// whole row space, keyed in one code space (each shard's dictionary
+    /// codes translated into a merged dictionary), so a partition that
+    /// straddles a shard boundary is walked like any other. A group's id is
+    /// assigned at its earliest occurrence across the concatenation, so the
+    /// result — per-row group ids, first-occurrence key order, group sizes —
+    /// is **identical to building over the concatenated single table**, for
+    /// any shard layout and any thread count. Every shard must be
+    /// in-process, except with no expressions: one group, no rows read.
     pub fn group_index(&self, exprs: &[ScalarExpr], options: &ExecOptions) -> Result<GroupIndex> {
         let dim_names: Vec<String> = exprs.iter().map(|e| e.display_name()).collect();
         let n = self.num_rows();
@@ -558,39 +562,10 @@ impl<'a> RowSpace<'a> {
             // One group, no shard round-trips needed.
             return GroupIndex::from_parts(dim_names, vec![0; n], vec![Vec::new()], vec![n as u64]);
         }
-        if let Some(tables) = self.local_tables() {
-            return GroupIndex::build_local(self, &tables, exprs, options);
+        match self.local_tables() {
+            Some(tables) => GroupIndex::build_local(self, &tables, exprs, options),
+            None => Err(self.behind_reader("a group index")),
         }
-        let mut locals = self.scatter(options, |s, part, within| match part {
-            Part::Local(table) => GroupIndex::build_with(table, exprs, within),
-            Part::Remote(reader) => {
-                let local = reader.group_index(exprs)?;
-                if local.num_rows() != reader.num_rows() {
-                    return Err(Self::bad_answer(
-                        s,
-                        reader,
-                        format!(
-                            "a {}-row scatter window for {} rows",
-                            local.num_rows(),
-                            reader.num_rows()
-                        ),
-                    ));
-                }
-                if local.dim_names() != dim_names {
-                    return Err(Self::bad_answer(
-                        s,
-                        reader,
-                        format!("a scatter window over {:?} for {dim_names:?}", local.dim_names()),
-                    ));
-                }
-                Ok(local)
-            }
-        })?;
-        if locals.len() == 1 {
-            // A one-shard merge is the identity.
-            return Ok(locals.remove(0));
-        }
-        GroupIndex::merge_locals(&locals)
     }
 
     /// Evaluate `predicate` into one bitmap **per shard** (each indexed by
@@ -598,66 +573,30 @@ impl<'a> RowSpace<'a> {
     /// resolve against each shard's own dictionary; bit `r` of shard `s`'s
     /// bitmap equals bit `offsets[s] + r` of the bitmap the concatenated
     /// table would produce, for any layout and thread count (predicate
-    /// evaluation is row-local, so this holds exactly).
+    /// evaluation is row-local, so this holds exactly). Every shard must be
+    /// in-process.
     pub fn predicate_bitmaps(
         &self,
         predicate: &Predicate,
         options: &ExecOptions,
     ) -> Result<Vec<Bitmap>> {
-        self.scatter(options, |s, part, within| match part {
-            Part::Local(table) => {
-                Ok(predicate.bind(table)?.eval_bitmap_with(table.num_rows(), within))
-            }
-            Part::Remote(reader) => {
-                let bitmap = reader.predicate_bitmap(predicate)?;
-                if bitmap.len() != reader.num_rows() {
-                    return Err(Self::bad_answer(
-                        s,
-                        reader,
-                        format!("a {}-row bitmap for {} rows", bitmap.len(), reader.num_rows()),
-                    ));
-                }
-                Ok(bitmap)
-            }
+        let tables = self.local_tables().ok_or_else(|| self.behind_reader("a predicate bitmap"))?;
+        self.scatter(options, |s, _, within| {
+            let table = tables[s];
+            Ok(predicate.bind(table)?.eval_bitmap_with(table.num_rows(), within))
         })
     }
 
-    /// Bind each expression against every shard (outer index: shard;
-    /// inner: expression; `None` entries pass through, for aggregates like
-    /// `COUNT(*)` with no input). An in-process shard binds in place — the
-    /// kernel then reads its columns directly; any other shard answers one
-    /// `expr_values` request and its (validated) values are read through
-    /// the same [`BoundExpr`] accessors, bit for bit.
-    pub fn bind(
-        &self,
-        exprs: &[Option<ScalarExpr>],
-        options: &ExecOptions,
-    ) -> Result<Vec<Vec<Option<BoundExpr<'a>>>>> {
-        self.scatter(options, |s, part, _| match part {
-            Part::Local(table) => {
-                exprs.iter().map(|e| e.as_ref().map(|e| e.bind(table)).transpose()).collect()
-            }
-            Part::Remote(reader) => {
-                let columns = reader.expr_values(exprs)?;
-                if columns.len() != exprs.len() {
-                    return Err(Self::bad_answer(
-                        s,
-                        reader,
-                        format!("{} value columns for {} expressions", columns.len(), exprs.len()),
-                    ));
-                }
-                let rows = reader.num_rows();
-                for (c, (column, expr)) in columns.iter().zip(exprs).enumerate() {
-                    // `None` exactly where no expression was asked for.
-                    let got = column.as_ref().map(ColumnValues::len);
-                    if got != expr.as_ref().map(|_| rows) {
-                        let what = format!("{got:?} values for column {c} over {rows} rows");
-                        return Err(Self::bad_answer(s, reader, what));
-                    }
-                }
-                Ok(columns.into_iter().map(|c| c.map(BoundExpr::shipped)).collect())
-            }
-        })
+    /// Bind each expression against every shard, in place (outer index:
+    /// shard; inner: expression; `None` entries pass through, for aggregates
+    /// like `COUNT(*)` with no input): a kernel then reads each shard's
+    /// columns directly. Every shard must be in-process.
+    pub fn bind(&self, exprs: &[Option<ScalarExpr>]) -> Result<Vec<Vec<Option<BoundExpr<'a>>>>> {
+        let tables = self.local_tables().ok_or_else(|| self.behind_reader("a bound expression"))?;
+        let bound = tables.into_iter().map(|table| {
+            exprs.iter().map(|e| e.as_ref().map(|e| e.bind(table)).transpose()).collect()
+        });
+        bound.collect()
     }
 
     /// Every row as one table, in global row order: the shard itself when
@@ -717,18 +656,7 @@ impl<'a> RowSpace<'a> {
                 }
                 Part::Remote(reader) => *reader,
             };
-            let table = reader.take_rows(batch)?;
-            if table.num_rows() != batch.len() || table.schema() != self.schema() {
-                let what = format!(
-                    "a mismatched gather batch ({} rows of {:?} for {} rows of {:?})",
-                    table.num_rows(),
-                    table.schema(),
-                    batch.len(),
-                    self.schema()
-                );
-                return Err(Self::bad_answer(s, reader, what));
-            }
-            Ok(Cow::Owned(table))
+            self.take_rows(s, reader, batch).map(Cow::Owned)
         });
         let tables: Vec<Cow<'_, Table>> = tables.collect::<Result<_>>()?;
         let tables: Vec<&Table> = tables.iter().map(Cow::as_ref).collect();
@@ -736,6 +664,23 @@ impl<'a> RowSpace<'a> {
             let (shard, row) = source[i];
             (shard as usize, row as usize)
         })
+    }
+
+    /// Shard `s`'s local `rows`, taken through its reader: refused unless
+    /// the batch has one row per id, under the set's schema.
+    fn take_rows(&self, s: usize, reader: &dyn ShardReader, rows: &[u32]) -> Result<Table> {
+        let table = reader.take_rows(rows)?;
+        if table.num_rows() != rows.len() || table.schema() != self.schema() {
+            let what = format!(
+                "a mismatched gather batch ({} rows of {:?} for {} rows of {:?})",
+                table.num_rows(),
+                table.schema(),
+                rows.len(),
+                self.schema()
+            );
+            return Err(Self::bad_answer(s, reader, what));
+        }
+        Ok(table)
     }
 }
 
@@ -764,9 +709,9 @@ pub(crate) mod tests {
         b.finish()
     }
 
-    /// A reader that answers only through the four pass requests — what a
+    /// A reader that answers only through the reader surface — what a
     /// shard in another process looks like to the coordinator, minus the
-    /// wire. Sets of these exercise the non-local half of every kernel.
+    /// wire. Sets of these exercise the pushed-down half of every pass.
     #[derive(Debug)]
     pub(crate) struct Opaque(pub LocalShard);
 
@@ -780,14 +725,17 @@ pub(crate) mod tests {
         fn location(&self) -> String {
             "opaque".to_string()
         }
-        fn group_index(&self, exprs: &[ScalarExpr]) -> Result<GroupIndex> {
-            self.0.group_index(exprs)
+        fn walk(
+            &self,
+            first_row: usize,
+            total_rows: usize,
+            exprs: &[ScalarExpr],
+            fold: &Fold,
+        ) -> Result<Walked> {
+            self.0.walk(first_row, total_rows, exprs, fold)
         }
-        fn predicate_bitmap(&self, predicate: &Predicate) -> Result<Bitmap> {
-            self.0.predicate_bitmap(predicate)
-        }
-        fn expr_values(&self, exprs: &[Option<ScalarExpr>]) -> Result<Vec<Option<ColumnValues>>> {
-            self.0.expr_values(exprs)
+        fn pick(&self, exprs: &[ScalarExpr], picks: &[Pick]) -> Result<Picked> {
+            self.0.pick(exprs, picks)
         }
         fn take_rows(&self, rows: &[u32]) -> Result<Table> {
             self.0.take_rows(rows)
@@ -902,18 +850,31 @@ pub(crate) mod tests {
         assert_eq!(segs[1].global_start, t.num_rows() / 2);
     }
 
+    /// Behind a reader the shards answer walks, and their keys, sizes and
+    /// partials merge to the single table's; an ids-keyed index over such a
+    /// set is refused, naming the shard.
     #[test]
     fn group_index_matches_single_table_for_every_reader_kind() {
+        use crate::groupby::Strata;
         let t = table(500);
         let exprs = [ScalarExpr::col("g"), ScalarExpr::col("i")];
         let reference = GroupIndex::build_with(&t, &exprs, &ExecOptions::sequential()).unwrap();
         for (kind, set) in layouts_of(&uneven(&t)) {
             for threads in [1usize, 4] {
-                let got = set.rows().group_index(&exprs, &ExecOptions::new(threads)).unwrap();
-                assert_eq!(got.row_groups(), reference.row_groups(), "{kind}, threads {threads}");
-                assert_eq!(got.sizes(), reference.sizes());
+                let options = ExecOptions::new(threads);
+                let strata = Strata::collect(&set.rows(), &exprs, &[], &options, || {}, |_, _| {});
+                let strata = strata.unwrap();
+                assert_eq!(strata.sizes(), reference.sizes(), "{kind}, threads {threads}");
                 for g in 0..reference.num_groups() as u32 {
-                    assert_eq!(got.key(g), reference.key(g));
+                    assert_eq!(strata.keys()[g as usize], reference.key(g), "{kind}");
+                }
+                assert_eq!(strata.in_process(), kind == "local");
+                match set.rows().group_index(&exprs, &options) {
+                    Ok(got) => assert_eq!(got.row_groups(), reference.row_groups(), "{kind}"),
+                    Err(err) => {
+                        assert_ne!(kind, "local");
+                        assert!(err.to_string().contains("(opaque) is behind a reader"), "{err}");
+                    }
                 }
             }
             // Empty expression list: one group, no shard round trips.
@@ -923,14 +884,28 @@ pub(crate) mod tests {
         }
     }
 
+    /// A predicate over shards behind readers is evaluated by the shards'
+    /// own walks: an exact statement under it answers as over the single
+    /// table. In process the bitmaps match the concatenated table's bit for
+    /// bit; behind a reader they are refused, naming the shard.
     #[test]
     fn predicate_bitmaps_match_single_table_for_every_reader_kind() {
+        use crate::agg::AggExpr;
         use crate::predicate::CmpOp;
+        use crate::query::GroupByQuery;
         let t = table(500);
         let pred = Predicate::cmp("x", CmpOp::Gt, 0.0);
         let reference = pred.bind(&t).unwrap().eval_bitmap(500);
+        let query = GroupByQuery::new(vec![ScalarExpr::col("g")], vec![AggExpr::count()])
+            .with_predicate(pred.clone());
+        let counted = query.execute(&t).unwrap();
         for (kind, set) in layouts_of(&uneven(&t)) {
-            let got = set.rows().predicate_bitmaps(&pred, &ExecOptions::new(4)).unwrap();
+            let got = query.execute_with(&set, &ExecOptions::new(4)).unwrap();
+            assert_eq!((&got[0].keys, &got[0].values), (&counted[0].keys, &counted[0].values));
+            let Ok(got) = set.rows().predicate_bitmaps(&pred, &ExecOptions::new(4)) else {
+                assert_ne!(kind, "local");
+                continue;
+            };
             assert_eq!(got.len(), 3);
             let ones: Vec<usize> = got
                 .iter()
@@ -942,38 +917,59 @@ pub(crate) mod tests {
         }
     }
 
+    /// A walk's statistics states are the bound expressions' values of each
+    /// key's rows, in row order, through the lane-merge slice kernel — for a
+    /// plain `Float64` column and a computed integer one alike.
     #[test]
-    fn expr_values_agree_with_bound_expressions() {
+    fn walked_statistics_agree_with_bound_expressions() {
+        use crate::agg::AggState;
         let t = table(100);
         let shard = LocalShard::new(t.clone());
-        let exprs = [
-            Some(ScalarExpr::col("x")),
-            Some(ScalarExpr::col("i")),
-            None,
-            Some(ScalarExpr::col("g")),
-        ];
-        let cols = shard.expr_values(&exprs).unwrap();
-        assert!(cols[0].as_ref().unwrap().is_dense());
-        assert!(!cols[1].as_ref().unwrap().is_dense());
-        assert!(cols[2].is_none());
-        let bx = ScalarExpr::col("x").bind(&t).unwrap();
-        let bi = ScalarExpr::col("i").bind(&t).unwrap();
-        for row in 0..100 {
-            assert_eq!(cols[0].as_ref().unwrap().get(row), bx.f64_at(row));
-            assert_eq!(cols[1].as_ref().unwrap().get(row), bi.f64_at(row));
-            // Strings have no f64 value.
-            assert_eq!(cols[3].as_ref().unwrap().get(row), None);
+        let columns = vec![ScalarExpr::col("x"), ScalarExpr::col("i")];
+        let walked = shard.walk(0, 100, &[ScalarExpr::col("g")], &Fold::Stats { columns }).unwrap();
+        assert_eq!(walked.keys.len(), 7);
+        let [partition] = walked.partitions.as_slice() else { panic!("one whole partition") };
+        let bound =
+            [ScalarExpr::col("x").bind(&t).unwrap(), ScalarExpr::col("i").bind(&t).unwrap()];
+        for (slot, &key) in partition.slots.iter().enumerate() {
+            let rows = (0..100).filter(|row| row % 7 == key as usize);
+            for (c, expr) in bound.iter().enumerate() {
+                let values: Vec<f64> = rows.clone().filter_map(|row| expr.f64_at(row)).collect();
+                let mut want = AggState::default();
+                want.update_slice(&values);
+                let got = partition.states[slot * 2 + c];
+                assert_eq!((got.count, got.m2.to_bits()), (want.count, want.m2.to_bits()));
+                assert_eq!(got.mean.to_bits(), want.mean.to_bits(), "key {key}, column {c}");
+            }
         }
     }
 
+    /// Bound in place, an expression reads the table's own bits; behind a
+    /// reader, binding is refused, and the shard's exact fold reads the
+    /// same bits: every aggregate answers bit for bit as in process.
     #[test]
     fn bound_values_read_the_same_bits_in_place_and_shipped() {
+        use crate::agg::AggExpr;
+        use crate::query::GroupByQuery;
         let t = table(200);
         let exprs = [Some(ScalarExpr::col("x")), None, Some(ScalarExpr::col("i"))];
-        let reference = RowSpace::from(&t).bind(&exprs, &ExecOptions::sequential()).unwrap();
+        let reference = RowSpace::from(&t).bind(&exprs).unwrap();
+        let aggregates = ["x", "i"]
+            .into_iter()
+            .flat_map(|c| [AggExpr::sum(c), AggExpr::min(c), AggExpr::max(c), AggExpr::var(c)]);
+        let query = GroupByQuery::new(vec![ScalarExpr::col("g")], aggregates.collect());
+        let want = query.execute(&t).unwrap();
         for (kind, set) in layouts_of(&uneven(&t)) {
             let rows = set.rows();
-            let bound = rows.bind(&exprs, &ExecOptions::new(2)).unwrap();
+            let got = query.execute_with(&set, &ExecOptions::new(2)).unwrap();
+            for (g, w) in got[0].values.iter().zip(&want[0].values) {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(g), bits(w), "{kind}");
+            }
+            let Ok(bound) = rows.bind(&exprs) else {
+                assert_ne!(kind, "local");
+                continue;
+            };
             for row in 0..200 {
                 let (s, local) = rows.locate(row);
                 assert!(bound[s][1].is_none());
@@ -1107,8 +1103,8 @@ pub(crate) mod tests {
         assert!(shard.take_rows(&[10]).is_err());
     }
 
-    /// A reader whose answers are the wrong shape is a clean error, never a
-    /// misaligned merge.
+    /// A reader whose answers are the wrong shape is a clean error that
+    /// names the shard, never a misaligned merge or a panic.
     #[test]
     fn malformed_answers_are_rejected() {
         /// How a reader's answers go wrong.
@@ -1116,11 +1112,35 @@ pub(crate) mod tests {
         enum Fault {
             /// Claims one row more than it answers for.
             Short,
-            /// Answers every grouping request over a different dimension list.
+            /// Walks over a different dimension list.
             OtherDims,
-            /// Gathers the right number of rows under the right column
-            /// names, with `x` as integers.
+            /// Gathers and picks the right number of rows under the right
+            /// column names, with `x` as integers.
             WrongTypes,
+            /// A slot names a key id past the key list.
+            SlotPastKeys,
+            /// The partition starts one row late.
+            Misaligned,
+            /// The partition is answered twice.
+            Repeated,
+            /// The partition starts past the shard.
+            Outside,
+            /// No partition is answered.
+            Missing,
+            /// One state short of slots × width.
+            StateCount,
+            /// The key sizes overcount the shard by one.
+            Sizes,
+            /// The key list names one key twice.
+            KeyTwice,
+            /// One picked row too few.
+            PickedRows,
+            /// A picked row id past the shard.
+            RowPastShard,
+            /// A pick's rows in descending order.
+            Descending,
+            /// Rows of other strata, in order, in place of the picked ones.
+            OtherKeys,
         }
         #[derive(Debug)]
         struct Bad {
@@ -1137,20 +1157,46 @@ pub(crate) mod tests {
             fn location(&self) -> String {
                 "bad".to_string()
             }
-            fn group_index(&self, exprs: &[ScalarExpr]) -> Result<GroupIndex> {
-                if self.fault == Fault::OtherDims {
-                    return self.shard.group_index(&[ScalarExpr::col("i")]);
-                }
-                self.shard.group_index(exprs)
-            }
-            fn predicate_bitmap(&self, predicate: &Predicate) -> Result<Bitmap> {
-                self.shard.predicate_bitmap(predicate)
-            }
-            fn expr_values(
+            fn walk(
                 &self,
-                exprs: &[Option<ScalarExpr>],
-            ) -> Result<Vec<Option<ColumnValues>>> {
-                self.shard.expr_values(exprs)
+                first_row: usize,
+                total_rows: usize,
+                exprs: &[ScalarExpr],
+                fold: &Fold,
+            ) -> Result<Walked> {
+                let total = total_rows - usize::from(self.fault == Fault::Short);
+                let wide = [exprs, &[ScalarExpr::col("i")]].concat();
+                let exprs = if self.fault == Fault::OtherDims { &wide } else { exprs };
+                let mut walked = self.shard.walk(first_row, total, exprs, fold)?;
+                let keys = walked.keys.len() as u32;
+                let partitions = &mut walked.partitions;
+                match self.fault {
+                    Fault::SlotPastKeys => partitions[0].slots[0] = keys,
+                    Fault::Misaligned => partitions[0].start += 1,
+                    Fault::Repeated => partitions.push(partitions[0].clone()),
+                    Fault::Outside => partitions[0].start = 1 << 16,
+                    Fault::Missing => partitions.clear(),
+                    Fault::StateCount => drop(partitions[0].states.pop()),
+                    Fault::Sizes => walked.sizes[0] += 1,
+                    Fault::KeyTwice => walked.keys[1] = walked.keys[0].clone(),
+                    _ => {}
+                }
+                Ok(walked)
+            }
+            fn pick(&self, exprs: &[ScalarExpr], picks: &[Pick]) -> Result<Picked> {
+                let mut picked = self.shard.pick(exprs, picks)?;
+                match self.fault {
+                    Fault::WrongTypes => picked.table = self.take_rows(&picked.rows)?,
+                    Fault::PickedRows => drop(picked.rows.pop()),
+                    Fault::RowPastShard => picked.rows[0] = 99,
+                    Fault::Descending => picked.rows.swap(0, 1),
+                    Fault::OtherKeys => {
+                        picked.rows = vec![1, 2];
+                        picked.table = self.shard.take_rows(&picked.rows)?;
+                    }
+                    _ => {}
+                }
+                Ok(picked)
             }
             fn take_rows(&self, rows: &[u32]) -> Result<Table> {
                 if self.fault != Fault::WrongTypes {
@@ -1167,34 +1213,113 @@ pub(crate) mod tests {
                 Ok(lie.finish())
             }
         }
+        // Alone in its set, so no merge would catch a wrong answer; its
+        // twenty rows are one whole partition, `g0` at rows 0, 7 and 14.
         let set_of = |fault| {
-            ShardSet::new(vec![Arc::new(Bad { shard: LocalShard::new(table(5)), fault })]).unwrap()
+            let bad = Bad { shard: LocalShard::new(table(20)), fault };
+            ShardSet::new(vec![Arc::new(bad)]).unwrap()
         };
-        let set = set_of(Fault::Short);
-        let rows = set.rows();
         let exec = ExecOptions::sequential();
-        let err = rows.group_index(&[ScalarExpr::col("g")], &exec).unwrap_err();
-        assert!(err.to_string().contains("scatter window"), "{err}");
-        let err = rows.predicate_bitmaps(&Predicate::True, &exec).unwrap_err();
-        assert!(err.to_string().contains("bitmap"), "{err}");
-        let err = rows.bind(&[Some(ScalarExpr::col("x"))], &exec).unwrap_err();
-        assert!(err.to_string().contains("values for column 0"), "{err}");
-        let err = rows.gather(&[0, 1]).unwrap_err();
-        assert!(err.to_string().contains("gather batch"), "{err}");
+        let strata = [ScalarExpr::col("g")];
+        let fold = Fold::Stats { columns: vec![ScalarExpr::col("x")] };
+        let walk = |fault| set_of(fault).rows().walk(&strata, &fold, &exec).err();
+        for (fault, what) in [
+            (Fault::Short, "key sizes [3, 3, 3, 3, 3, 3, 2] for 21 rows"),
+            (Fault::Sizes, "key sizes [4, 3, 3, 3, 3, 3, 2] for 20 rows"),
+            (Fault::OtherDims, "key \"g0|0\" for 1 dimensions"),
+            (Fault::SlotPastKeys, "a slot of key 7 of 7 at row 0"),
+            (Fault::Misaligned, "a partition at row 1 where row 0 starts one"),
+            (Fault::Outside, "a partition at row 65536 where row 0 starts one"),
+            (Fault::Repeated, "2 partitions where it holds 1 whole"),
+            (Fault::Missing, "0 partitions where it holds 1 whole"),
+            (Fault::StateCount, "6 states for 7 slots of 1 at row 0"),
+            (Fault::KeyTwice, "a walk with key \"g0\" twice"),
+        ] {
+            let err = walk(fault).unwrap_or_else(|| panic!("{fault:?} was merged")).to_string();
+            assert!(err.starts_with("shard 0 (bad) returned "), "{fault:?}: {err}");
+            assert!(err.contains(what), "{fault:?}: {err}");
+        }
 
-        // Alone in its set, so no merge would catch the wrong grouping.
-        let other = set_of(Fault::OtherDims);
-        let err = other.rows().group_index(&[ScalarExpr::col("g")], &exec).unwrap_err();
-        assert!(err.to_string().contains("(bad) returned a scatter window over [\"i\"]"), "{err}");
+        // Two ordinals of `g0`: rows 0 and 14.
+        let pick = |fault| {
+            let set = set_of(fault);
+            let rows = set.rows();
+            let pass =
+                crate::groupby::Strata::collect(&rows, &strata, &[], &exec, || {}, |_, _| {});
+            let mut ordinals = vec![Vec::new(); 7];
+            ordinals[0] = vec![0, 2];
+            pass?.pick(&rows, &ordinals, &exec).map(|(picked, _)| picked)
+        };
+        for (fault, what) in [
+            (Fault::WrongTypes, "a pick with rows of schema"),
+            (Fault::PickedRows, "a pick with 2 rows and 1 ids for 2"),
+            (Fault::RowPastShard, "a pick with row 99 of a 20-row shard"),
+            (Fault::Descending, "a pick with rows 14 and 0 out of order for key 0"),
+            (Fault::OtherKeys, "a pick with row 1 keyed \"g1\", not its stratum's \"g0\""),
+        ] {
+            let err = pick(fault).unwrap_err().to_string();
+            assert!(err.starts_with("shard 0 (bad) returned "), "{fault:?}: {err}");
+            assert!(err.contains(what), "{fault:?}: {err}");
+        }
 
-        // Column types that disagree with the schema never reach the typed
+        // A gather of the wrong length or types never reaches the typed
         // gather loops: the batch is refused, naming the shard.
+        let err = set_of(Fault::Short).rows().gather(&[0, 1]).unwrap_err();
+        assert!(err.to_string().contains("(bad) returned a mismatched gather batch"), "{err}");
         let err = set_of(Fault::WrongTypes).rows().gather(&[0, 1]).unwrap_err();
         assert!(err.to_string().contains("(bad) returned a mismatched gather batch"), "{err}");
         let lie = Bad { shard: LocalShard::new(table(5)), fault: Fault::WrongTypes };
         let (honest, lie) = (table(5), lie.take_rows(&[0]).unwrap());
         let err = Table::gather(honest.schema(), &[&honest, &lie], 1, |_| (1, 0)).unwrap_err();
         assert!(matches!(err, TableError::TypeMismatch { expected: DataType::Float64, .. }));
+
+        // Ids-keyed passes never ask: they need the rows in process.
+        let set = set_of(Fault::Short);
+        let rows = set.rows();
+        let err = rows.group_index(&strata, &exec).unwrap_err();
+        assert!(err.to_string().contains("shard 0 (bad) is behind a reader: a group index"));
+        let err = rows.predicate_bitmaps(&Predicate::True, &exec).unwrap_err();
+        assert!(err.to_string().contains("(bad) is behind a reader: a predicate bitmap"));
+        let err = rows.bind(&[Some(ScalarExpr::col("x"))]).unwrap_err();
+        assert!(err.to_string().contains("(bad) is behind a reader: a bound expression"));
+    }
+
+    /// Readers whose rows sum past what `u32` row ids address are refused
+    /// when the set is assembled, before any of them is asked a question.
+    #[test]
+    fn new_refuses_rows_past_u32_max() {
+        #[derive(Debug)]
+        struct Huge(Schema);
+        impl ShardReader for Huge {
+            fn schema(&self) -> &Schema {
+                &self.0
+            }
+            fn num_rows(&self) -> usize {
+                u32::MAX as usize / 2 + 1
+            }
+            fn location(&self) -> String {
+                "huge".to_string()
+            }
+            fn walk(&self, _: usize, _: usize, _: &[ScalarExpr], _: &Fold) -> Result<Walked> {
+                panic!("asked to walk")
+            }
+            fn pick(&self, _: &[ScalarExpr], _: &[Pick]) -> Result<Picked> {
+                panic!("asked to pick")
+            }
+            fn take_rows(&self, _: &[u32]) -> Result<Table> {
+                panic!("asked for rows")
+            }
+        }
+        let huge = Arc::new(Huge(table(0).schema().clone())) as Arc<dyn ShardReader>;
+        assert!(ShardSet::new(vec![Arc::clone(&huge)]).is_ok());
+        let err = ShardSet::new(vec![Arc::clone(&huge), huge]).unwrap_err();
+        let rows = u32::MAX as usize + 1;
+        assert_eq!(err, TableError::RowIdOverflow { what: "a shard set", rows });
+        // A sum past `usize` itself is refused the same way.
+        assert_eq!(
+            offsets_of([u32::MAX as usize, usize::MAX].into_iter()).unwrap_err(),
+            TableError::RowIdOverflow { what: "a shard set", rows: usize::MAX }
+        );
     }
 
     /// The gather battery's fixture: one column of every type, and strings

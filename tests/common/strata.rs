@@ -8,9 +8,8 @@
 
 use cvopt_table::agg::AggState;
 use cvopt_table::exec::partition_rows;
-use cvopt_table::{
-    Bitmap, ColumnValues, GroupIndex, LocalShard, Predicate, ScalarExpr, Schema, ShardReader, Table,
-};
+use cvopt_table::reader::{Fold, Pick, Picked, Walked};
+use cvopt_table::{GroupIndex, LocalShard, ScalarExpr, Schema, ShardReader, Table};
 
 /// Stratum `c`'s rows of `ids` (one stratum id per row), ascending: a
 /// stable counting sort.
@@ -64,8 +63,9 @@ pub fn bits(state: &AggState) -> [u64; 6] {
     ]
 }
 
-/// A reader that answers only through the four pass requests: what a shard
-/// in another process looks like to the coordinator, minus the wire.
+/// A reader that answers only through the reader surface — `walk`, `pick`
+/// and `take_rows`, each delegated to [`LocalShard`]: what a shard in
+/// another process looks like to the coordinator, minus the wire.
 #[derive(Debug)]
 pub struct Opaque(LocalShard);
 
@@ -86,17 +86,17 @@ impl ShardReader for Opaque {
     fn location(&self) -> String {
         "opaque".to_string()
     }
-    fn group_index(&self, exprs: &[ScalarExpr]) -> cvopt_table::Result<GroupIndex> {
-        self.0.group_index(exprs)
-    }
-    fn predicate_bitmap(&self, predicate: &Predicate) -> cvopt_table::Result<Bitmap> {
-        self.0.predicate_bitmap(predicate)
-    }
-    fn expr_values(
+    fn walk(
         &self,
-        exprs: &[Option<ScalarExpr>],
-    ) -> cvopt_table::Result<Vec<Option<ColumnValues>>> {
-        self.0.expr_values(exprs)
+        first_row: usize,
+        total_rows: usize,
+        exprs: &[ScalarExpr],
+        fold: &Fold,
+    ) -> cvopt_table::Result<Walked> {
+        self.0.walk(first_row, total_rows, exprs, fold)
+    }
+    fn pick(&self, exprs: &[ScalarExpr], picks: &[Pick]) -> cvopt_table::Result<Picked> {
+        self.0.pick(exprs, picks)
     }
     fn take_rows(&self, rows: &[u32]) -> cvopt_table::Result<Table> {
         self.0.take_rows(rows)

@@ -21,10 +21,14 @@ use cvopt_core::{
     QueryMode, QuerySpec, SamplingProblem, StratifiedSample,
 };
 use cvopt_datagen::{generate_openaq, OpenAqConfig};
+use cvopt_table::groupby::Strata;
 use cvopt_table::{
-    sql, Bitmap, ColumnValues, DataType, GroupIndex, LocalShard, Predicate, ScalarExpr, Schema,
-    ShardReader, ShardSet, ShardedTable, Table, TableBuilder, Value,
+    sql, DataType, GroupIndex, LocalShard, ScalarExpr, ShardReader, ShardSet, ShardedTable, Table,
+    TableBuilder, Value,
 };
+
+mod common;
+use common::strata::Opaque;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const SHARD_COUNTS: [usize; 3] = [1, 3, 5];
@@ -85,46 +89,12 @@ fn layouts(table: &Table) -> Vec<(String, ShardedTable)> {
     out
 }
 
-/// A reader that answers only through the four pass requests: what a shard
-/// in another process looks like to the coordinator, minus the wire.
-#[derive(Debug)]
-struct Opaque(LocalShard);
-
-impl ShardReader for Opaque {
-    fn schema(&self) -> &Schema {
-        self.0.schema()
-    }
-    fn num_rows(&self) -> usize {
-        self.0.num_rows()
-    }
-    fn location(&self) -> String {
-        "opaque".to_string()
-    }
-    fn group_index(&self, exprs: &[ScalarExpr]) -> cvopt_table::Result<GroupIndex> {
-        self.0.group_index(exprs)
-    }
-    fn predicate_bitmap(&self, predicate: &Predicate) -> cvopt_table::Result<Bitmap> {
-        self.0.predicate_bitmap(predicate)
-    }
-    fn expr_values(
-        &self,
-        exprs: &[Option<ScalarExpr>],
-    ) -> cvopt_table::Result<Vec<Option<ColumnValues>>> {
-        self.0.expr_values(exprs)
-    }
-    fn take_rows(&self, rows: &[u32]) -> cvopt_table::Result<Table> {
-        self.0.take_rows(rows)
-    }
-}
-
 /// One layout two ways, both in this process: shards lent in place, and
 /// shards that answer only through the reader surface.
 fn local_and_reader_backed(sharded: &ShardedTable) -> [(&'static str, ShardSet); 2] {
-    let opaque = sharded
-        .shards()
-        .iter()
-        .map(|t| Arc::new(Opaque(LocalShard::new(t.clone()))) as Arc<dyn ShardReader>)
-        .collect();
+    let opaque =
+        sharded.shards().iter().map(|t| Arc::new(Opaque::of(t.clone())) as Arc<dyn ShardReader>);
+    let opaque = opaque.collect();
     [("local", ShardSet::from(sharded.clone())), ("reader-backed", ShardSet::new(opaque).unwrap())]
 }
 
@@ -249,8 +219,10 @@ fn sharded_estimates_and_exact_answers_identical_to_unsharded() {
     }
 }
 
-/// The draw sees only the group index, and the index built over any layout
-/// equals the single-table one — so the drawn rows do too.
+/// The draw sees only the strata's sizes, and the strata of any layout
+/// equal the single table's — so the drawn rows do too: resolved against
+/// the group index in process, and picked by ordinal from the strata pass
+/// wherever the rows live.
 #[test]
 fn sharded_draw_identical_across_layouts_and_threads() {
     let table = skewed_table();
@@ -258,17 +230,33 @@ fn sharded_draw_identical_across_layouts_and_threads() {
     let index = GroupIndex::build_with(&table, &exprs, &ExecOptions::sequential()).unwrap();
     let allocation: Vec<u64> = index.sizes().iter().map(|&n| (n / 8).max(1)).collect();
     let reference = StratifiedSample::draw(&index, &allocation, 99, &ExecOptions::sequential());
+    let gathered = reference.materialize(&table);
     for (layout, sharded) in layouts(&table) {
         for (kind, set) in local_and_reader_backed(&sharded) {
             for threads in thread_counts() {
                 let options = ExecOptions::new(threads);
-                let sindex = set.rows().group_index(&exprs, &options).unwrap();
-                assert_eq!(sindex.row_groups(), index.row_groups(), "layout {layout} ({kind})");
-                let drawn = StratifiedSample::draw(&sindex, &allocation, 99, &options);
-                assert_eq!(
-                    drawn.rows_per_stratum, reference.rows_per_stratum,
-                    "layout {layout} ({kind}), threads {threads}"
-                );
+                let what = format!("layout {layout} ({kind}), threads {threads}");
+                let rows = set.rows();
+                if kind == "local" {
+                    let sindex = rows.group_index(&exprs, &options).unwrap();
+                    assert_eq!(sindex.row_groups(), index.row_groups(), "{what}");
+                    let drawn = StratifiedSample::draw(&sindex, &allocation, 99, &options);
+                    assert_eq!(drawn.rows_per_stratum, reference.rows_per_stratum, "{what}");
+                } else {
+                    let err = rows.group_index(&exprs, &options).unwrap_err().to_string();
+                    assert!(err.contains("(opaque) is behind a reader"), "{what}: {err}");
+                }
+                let strata = Strata::collect(&rows, &exprs, &[], &options, || {}, |_, _| {});
+                let strata = strata.unwrap();
+                assert_eq!(strata.sizes(), index.sizes(), "{what}");
+                let ordinals =
+                    StratifiedSample::draw_ordinals(strata.sizes(), &allocation, 99, &options);
+                let (picked, sample) = strata.pick(&rows, &ordinals, &options).unwrap();
+                assert_eq!(picked, reference.rows_per_stratum, "{what}");
+                assert_eq!(sample.num_rows(), gathered.table.num_rows(), "{what}");
+                for row in (0..sample.num_rows()).step_by(97) {
+                    assert_eq!(sample.row(row), gathered.table.row(row), "{what}, row {row}");
+                }
             }
         }
     }
@@ -557,6 +545,89 @@ mod remote {
         assert_eq!(a.remote_shards, None);
         assert_eq!(b.remote_shards, Some(3));
         shardd.shutdown();
+    }
+
+    /// The OpenAQ rows of the partition-scale sweep: three whole partitions
+    /// and a partial fourth.
+    const PARTITION_SCALE_ROWS: usize = 3 * (1 << 16) + 5_000;
+
+    /// Layouts at partition scale: a shard boundary on a partition edge, one
+    /// inside a partition, and a shard holding no whole partition behind an
+    /// empty one.
+    fn partition_scale_layouts(table: &Table) -> Vec<(&'static str, ShardedTable)> {
+        let take = |lo: usize, hi: usize| table.take(&(lo..hi).collect::<Vec<_>>());
+        let (n, edge) = (table.num_rows(), 2 * (1 << 16));
+        let empty = TableBuilder::from_schema(table.schema().clone()).finish();
+        let layout = |shards| ShardedTable::from_tables(shards).unwrap();
+        vec![
+            ("edge", layout(vec![take(0, edge), take(edge, n)])),
+            ("inside", layout(vec![take(0, 100_000), take(100_000, n)])),
+            ("no whole partition", layout(vec![empty, take(0, 40_000), take(40_000, n)])),
+        ]
+    }
+
+    /// At partition scale every shard folds the partitions it holds and the
+    /// coordinator folds only those that straddle a boundary: cold
+    /// approximate statements — a cube and two aggregates among them — and
+    /// exact statements under a predicate, with `COUNT_IF` and with `CASE`
+    /// arithmetic answer byte-identically to the single table, over live
+    /// shard servers and through reader-backed shards alike, at one thread
+    /// and at the CI-pinned count.
+    #[test]
+    fn partition_scale_remote_answers_identical_to_single_table() {
+        let table = generate_openaq(&OpenAqConfig::with_rows(PARTITION_SCALE_ROWS));
+        let statements = [
+            ("SELECT country, AVG(value), SUM(value) FROM openaq GROUP BY country", true),
+            (
+                "SELECT country, parameter, SUM(value) FROM openaq \
+                 GROUP BY country, parameter WITH CUBE",
+                true,
+            ),
+            (
+                "SELECT country, AVG(value) FROM openaq WHERE parameter = 'pm25' \
+                 GROUP BY country",
+                false,
+            ),
+            ("SELECT parameter, unit, COUNT_IF(value > 0.5) FROM openaq GROUP BY parameter, unit", false),
+            (
+                "SELECT country, SUM(CASE WHEN value > 10 THEN value * 2 ELSE value - 1 END) \
+                 FROM openaq GROUP BY country",
+                false,
+            ),
+        ];
+        let pinned = std::env::var("CVOPT_THREADS").ok().and_then(|v| v.parse().ok());
+        let threads = [1, pinned.unwrap_or(2)];
+        let engine = |threads| Engine::new().with_seed(11).with_exec(ExecOptions::new(threads));
+        let mut single = engine(1);
+        single.register("openaq", table.clone());
+        let mode =
+            |approximate| if approximate { QueryMode::Approximate } else { QueryMode::Exact };
+        let reference: Vec<QueryAnswer> = (statements.iter())
+            .map(|&(stmt, approximate)| single.query(stmt, mode(approximate)).unwrap())
+            .collect();
+
+        let mut servers =
+            [Shardd::bind("127.0.0.1:0", 2).unwrap(), Shardd::bind("127.0.0.1:0", 2).unwrap()];
+        let peers =
+            servers.each_ref().map(|s| Arc::new(Peer::connect(s.addr().to_string()).unwrap()));
+        for (layout, sharded) in partition_scale_layouts(&table) {
+            let [_, opaque] = local_and_reader_backed(&sharded);
+            let remote = ("shardd", remote_set(layout, &sharded, &peers));
+            for (kind, set) in [opaque, remote] {
+                for threads in threads {
+                    let mut sharded_engine = engine(threads);
+                    sharded_engine.register("openaq", set.clone());
+                    for ((stmt, approximate), want) in statements.iter().zip(&reference) {
+                        let got = sharded_engine.query(stmt, mode(*approximate)).unwrap();
+                        let what = format!("{layout} ({kind}), threads {threads}: {stmt}");
+                        assert_same_answer(&got, want, &what);
+                    }
+                }
+            }
+        }
+        for server in &mut servers {
+            server.shutdown();
+        }
     }
 
     /// Fault injection: killing the shard server mid-query yields a clean

@@ -2,15 +2,16 @@
 //! a shard server reads came from another process, so `Request::decode` and
 //! `Response::decode` must be total — any bytes either decode or return an
 //! error, never a panic — and what they accept must re-encode to bytes they
-//! accept again. A scatter window is decoded through `GroupIndex::from_parts`,
-//! whose ids an exact statement over a remote shard folds by. The frame
-//! reader must refuse a head with a bad length or version before it reads,
-//! or allocates for, the payload.
+//! accept again. Every count a decoder reads passes the remaining-bytes
+//! guard, and no reservation exceeds `MAX_PREALLOC`. The frame reader must
+//! refuse a head with a bad length or version before it reads, or allocates
+//! for, the payload.
 //!
 //! Every payload is the encoding of a real value: a table of string,
-//! integer, float, timestamp and bool columns, a group index window, a
-//! bitmap, dense and sparse value columns, and a nested predicate — one of
-//! every `Request` and `Response` variant.
+//! integer, float, timestamp and bool columns, walks under both folds (a
+//! nested predicate and every aggregate shape), their answers with keys and
+//! partition states, picks and their picked rows, and dense and sparse value
+//! columns — one of every `Request` and `Response` variant.
 
 mod common;
 
@@ -18,9 +19,11 @@ use std::io::{self, Read};
 
 use cvopt_net::frame::{read_frame, write_frame, MAX_FRAME, PROTOCOL_VERSION};
 use cvopt_net::wire::{Request, Response};
+use cvopt_table::agg::AggState;
+use cvopt_table::reader::{Fold, Pick, Picked, Walked, WalkedPartition};
 use cvopt_table::{
-    ArithOp, Bitmap, CaseWhen, CmpOp, ColumnValues, DataType, GroupIndex, Predicate, ScalarExpr,
-    Table, TableBuilder, Value,
+    AggExpr, AggKind, ArithOp, CaseWhen, CmpOp, ColumnValues, DataType, KeyAtom, LocalShard,
+    Predicate, ScalarExpr, ShardReader, Table, TableBuilder, Value,
 };
 
 fn table() -> Table {
@@ -62,14 +65,32 @@ fn requests() -> Vec<Request> {
     vec![
         Request::Register { key: key(), table: table() },
         Request::Health,
-        Request::ScatterWindow {
+        Request::Walk {
             key: key(),
+            first_row: 65_536,
+            total_rows: 131_077,
             exprs: vec![ScalarExpr::col("city"), ScalarExpr::year("ts"), case.clone()],
+            fold: Fold::Stats { columns: vec![ScalarExpr::col("value"), case.clone()] },
         },
-        Request::Bitmap { key: key(), predicate },
-        Request::StatPartials {
+        Request::Walk {
             key: key(),
-            exprs: vec![None, Some(ScalarExpr::col("value")), Some(case)],
+            first_row: 0,
+            total_rows: 6,
+            exprs: vec![ScalarExpr::col("city")],
+            fold: Fold::Exact {
+                predicate: Some(predicate),
+                aggregates: vec![
+                    AggExpr::count(),
+                    AggExpr::over(AggKind::Sum, case),
+                    AggExpr::count_if("n", CmpOp::Le, -2.5),
+                    AggExpr::var("value").with_alias("v"),
+                ],
+            },
+        },
+        Request::Pick {
+            key: key(),
+            exprs: vec![ScalarExpr::col("city"), ScalarExpr::month("ts")],
+            picks: vec![Pick { key: 2, ordinals: vec![0, 1] }, Pick { key: 0, ordinals: vec![] }],
         },
         Request::Gather { key: key(), rows: vec![3, 0, 5, 0] },
         Request::Append { key: key(), expected_rows: 12_345, table: table() },
@@ -79,15 +100,21 @@ fn requests() -> Vec<Request> {
 
 fn responses() -> Vec<Response> {
     let exprs = [ScalarExpr::col("city"), ScalarExpr::month("ts")];
-    let mut bitmap = Bitmap::new_empty(70);
-    for row in [0, 3, 64, 69] {
-        bitmap.set(row);
-    }
+    let shard = LocalShard::new(table());
+    let fold = Fold::Stats { columns: vec![ScalarExpr::col("value"), ScalarExpr::col("n")] };
+    let walked = shard.walk(0, 6, &exprs, &fold).unwrap();
+    assert_eq!(walked.partitions.len(), 1, "the six rows are one whole partition");
+    let partition = WalkedPartition {
+        start: 1 << 16,
+        slots: vec![0],
+        states: vec![AggState { count: 3, sum: -0.0, mean: f64::NAN, ..AggState::default() }],
+    };
+    let forged =
+        Walked { keys: vec![vec![KeyAtom::Int(-1)]], sizes: vec![3], partitions: vec![partition] };
+    let picks = [Pick { key: 2, ordinals: vec![0] }, Pick { key: 0, ordinals: vec![0] }];
     vec![
         Response::Registered { rows: 6 },
         Response::Health { keys: vec!["aq/0".into(), "aq/1".into()] },
-        Response::Window { index: GroupIndex::build(&table(), &exprs).unwrap() },
-        Response::Bitmap { bitmap },
         Response::Partials {
             columns: vec![
                 None,
@@ -99,6 +126,10 @@ fn responses() -> Vec<Response> {
         Response::Error { message: "no such shard".into() },
         Response::Appended { rows: 18 },
         Response::Rotated { retired: 2, rows: 4 },
+        Response::Walked { walked },
+        Response::Walked { walked: forged },
+        Response::Picked { picked: shard.pick(&exprs, &picks).unwrap() },
+        Response::Picked { picked: Picked { table: table(), rows: vec![5, 0, 1, 2, 3, 4] } },
     ]
 }
 
@@ -178,7 +209,7 @@ fn byte_noise_never_panics() {
         let noise = common::noise(seed, (seed % 160) as usize);
         judge(&noise);
         // Behind every tag, valid and retired, so the noise reaches a body.
-        judge(&[&[(seed % 12) as u8], &noise[..]].concat());
+        judge(&[&[(seed % 14) as u8], &noise[..]].concat());
     }
 }
 
