@@ -251,9 +251,9 @@ impl Engine {
     /// into the maintained strata and statistics, and the refreshed sample
     /// is byte-identical to re-preparing from scratch.
     ///
-    /// A set with remote shards cannot be windowed here: those rows live at
-    /// the shard servers, which own append and retention (the `cvopt-net`
-    /// append/rotate passes).
+    /// A set with remote shards cannot be windowed: those rows live at the
+    /// shard servers, and such a table changes only by being registered
+    /// again with its new rows.
     pub fn register_windowed(
         &mut self,
         name: impl Into<String>,
@@ -263,8 +263,8 @@ impl Engine {
         let table = table.into();
         if table.remote_shards().is_some() {
             return Err(CvError::invalid(
-                "remote shard sets cannot declare a window column; retention runs at the \
-                 shard servers",
+                "remote shard sets cannot declare a window column; re-register the table \
+                 with its new rows",
             ));
         }
         let dtype = table.set.schema().type_of(window)?;

@@ -74,13 +74,13 @@ impl Engine {
     /// (see [`Engine::register_windowed`]).
     ///
     /// Remote tables reject the call: their rows live at the shard servers,
-    /// which own the wire-level append pass.
+    /// and such a table changes only by being registered again with its new
+    /// rows.
     pub fn ingest(&mut self, name: &str, batch: &Table) -> Result<IngestReport> {
         let entry = self.resolve(name)?;
         if entry.table.remote_shards().is_some() {
             return Err(CvError::invalid(format!(
-                "table '{}' answers from remote shards; append through the shard servers and \
-                 re-register",
+                "table '{}' answers from remote shards; re-register the table with its new rows",
                 entry.name
             )));
         }
@@ -108,8 +108,7 @@ impl Engine {
         };
         let Some(shards) = entry.table.set.rows().local_tables() else {
             return Err(CvError::invalid(format!(
-                "table '{}' answers from remote shards; rotate at the shard servers and \
-                 re-register",
+                "table '{}' answers from remote shards; re-register the table with its new rows",
                 entry.name
             )));
         };

@@ -143,10 +143,11 @@ impl StratifiedSample {
 
     /// Gather the sampled (global) rows out of `rows`, stratum-major, into
     /// a self-contained [`MaterializedSample`]: each row is copied from the
-    /// shard that owns it (one batched request per non-local shard). The
-    /// sample is a standalone single [`Table`], identical for any layout of
-    /// the same rows, so every estimator downstream is oblivious to
-    /// sharding. Fallible because a remote gather can fail.
+    /// in-process shard that owns it. The sample is a standalone single
+    /// [`Table`], identical for any layout of the same rows, so every
+    /// estimator downstream is oblivious to sharding. Refuses a row space
+    /// with a shard behind a reader ([`RowSpace::gather`]); such a sample's
+    /// rows come back through the pass's pick instead.
     pub fn materialize_from(&self, rows: &RowSpace<'_>) -> crate::Result<MaterializedSample> {
         let all: Vec<usize> = self.rows_per_stratum.iter().flatten().map(|&r| r as usize).collect();
         Ok(self.materialize_with(rows.gather(&all)?))

@@ -115,8 +115,10 @@ impl Peer {
     /// Send one request and wait for its response.
     ///
     /// Retries transport failures up to `config.retries` times on a fresh
-    /// connection. Returns [`NetError::CircuitOpen`] without touching the
-    /// network when the breaker is open.
+    /// connection — safe for every request, since `Register` is an
+    /// idempotent replace and every other request is a read. Returns
+    /// [`NetError::CircuitOpen`] without touching the network when the
+    /// breaker is open.
     pub fn call(&self, request: &Request) -> Result<Response, NetError> {
         crate::record_request();
         if !self.circuit.admit() {

@@ -13,8 +13,10 @@
 //! * [`server`] — [`server::Shardd`], the frame service over the pipeline:
 //!   it owns one or more registered [`cvopt_table::Table`] shards and
 //!   answers plan-level pass requests — a walk that folds every partition
-//!   the shard holds, a pick that returns a draw's rows — plus gathers and
-//!   row mutations. The `cvopt-shardd` binary wraps it.
+//!   the shard holds, a pick that returns a draw's rows — plus the gather of
+//!   a fragment of a partition that straddles a shard boundary. Its state
+//!   changes only through registration, an idempotent replace; every other
+//!   request is a read. The `cvopt-shardd` binary wraps it.
 //! * [`client`] + [`remote`] — [`client::Peer`], a persistent connection
 //!   with timeouts, one transport retry, and a circuit breaker; and
 //!   [`remote::RemoteShard`], which implements the same

@@ -1,4 +1,8 @@
 //! RemoteShard: the shard-pass surface over a network peer.
+//!
+//! A handle reads: it registers its shard once, then asks the server for
+//! walks, picks and straddling fragments. The rows behind it change only by
+//! registering the table again with its new rows.
 
 use std::sync::Arc;
 
@@ -43,58 +47,6 @@ impl RemoteShard {
         }
     }
 
-    /// Attach to a shard the server already holds (after a coordinator
-    /// restart, say), trusting `schema` and `rows` from the catalog.
-    pub fn attach(peer: Arc<Peer>, key: impl Into<String>, schema: Schema, rows: usize) -> Self {
-        RemoteShard { peer, key: key.into(), schema, rows }
-    }
-
-    /// The peer this shard lives on.
-    pub fn peer(&self) -> &Arc<Peer> {
-        &self.peer
-    }
-
-    /// Append a row batch to the remote shard — the streaming ingest pass.
-    ///
-    /// The request carries this handle's view of the shard's row count, and
-    /// the server applies the batch only at that count (acknowledging, not
-    /// re-applying, when the batch is already in) — so the transport
-    /// layer's retry-on-reconnect can never double-append. Returns the
-    /// shard's post-append row count.
-    pub fn append(&mut self, batch: &Table) -> Result<usize> {
-        let request = Request::Append {
-            key: self.key.clone(),
-            expected_rows: self.rows as u64,
-            table: batch.clone(),
-        };
-        match self.call(&request)? {
-            Response::Appended { rows } => {
-                let expected = self.rows + batch.num_rows();
-                if rows as usize != expected {
-                    return Err(self.invalid(format_args!(
-                        "append acknowledged {rows} rows, expected {expected}"
-                    )));
-                }
-                self.rows = expected;
-                Ok(expected)
-            }
-            other => Err(self.unexpected(&other)),
-        }
-    }
-
-    /// Retention rotation: drop remote rows whose `column` value is below
-    /// `cutoff`. Returns how many rows were retired.
-    pub fn rotate(&mut self, column: &str, cutoff: i64) -> Result<usize> {
-        let request = Request::Rotate { key: self.key.clone(), column: column.to_string(), cutoff };
-        match self.call(&request)? {
-            Response::Rotated { retired, rows } => {
-                self.rows = rows as usize;
-                Ok(retired as usize)
-            }
-            other => Err(self.unexpected(&other)),
-        }
-    }
-
     fn call(&self, request: &Request) -> Result<Response> {
         self.peer.call(request).map_err(|e| self.invalid(e))
     }
@@ -111,8 +63,6 @@ impl RemoteShard {
             Response::Partials { .. } => "Partials",
             Response::Rows { .. } => "Rows",
             Response::Error { .. } => "Error",
-            Response::Appended { .. } => "Appended",
-            Response::Rotated { .. } => "Rotated",
             Response::Walked { .. } => "Walked",
             Response::Picked { .. } => "Picked",
         };
@@ -228,66 +178,6 @@ mod tests {
             assert_eq!(format!("{:?}", remote_rows.row(r)), format!("{:?}", local_rows.row(r)));
         }
 
-        server.shutdown();
-    }
-
-    fn ts_table(offset: i64, rows: i64) -> Table {
-        let mut b = TableBuilder::new(&[("k", DataType::Str), ("ts", DataType::Int64)]);
-        for i in offset..offset + rows {
-            b.push_row(&[Value::str(["a", "b"][(i % 2) as usize]), Value::Int64(i)]).unwrap();
-        }
-        b.finish()
-    }
-
-    /// Append then rotate over the wire; the surviving rows match what the
-    /// same operations produce on a local table.
-    #[test]
-    fn append_and_rotate_over_the_wire() {
-        let mut server = Shardd::bind("127.0.0.1:0", 2).unwrap();
-        let peer = Arc::new(Peer::connect(server.addr().to_string()).unwrap());
-        let mut remote = RemoteShard::register(Arc::clone(&peer), "t/0", &ts_table(0, 4)).unwrap();
-
-        assert_eq!(remote.append(&ts_table(4, 3)).unwrap(), 7);
-        assert_eq!(remote.num_rows(), 7);
-
-        let retired = remote.rotate("ts", 2).unwrap();
-        assert_eq!((retired, remote.num_rows()), (2, 5));
-
-        // The remote rows after append+rotate equal the local equivalent.
-        let local = ts_table(2, 5);
-        let gathered = remote.take_rows(&(0..5).map(|r| r as u32).collect::<Vec<_>>()).unwrap();
-        for r in 0..5 {
-            assert_eq!(format!("{:?}", gathered.row(r)), format!("{:?}", local.row(r)));
-        }
-
-        // Rotating on a non-integer column is a clean application error.
-        assert!(remote.rotate("k", 0).is_err());
-        server.shutdown();
-    }
-
-    /// A retried append (same expected row count) acknowledges instead of
-    /// double-applying; a stale appender gets an error.
-    #[test]
-    fn append_is_idempotent_under_retry() {
-        let mut server = Shardd::bind("127.0.0.1:0", 1).unwrap();
-        let addr = server.addr().to_string();
-        crate::server::register_table(&addr, "t", &ts_table(0, 4)).unwrap();
-        let peer = Peer::connect(&addr).unwrap();
-
-        let batch = ts_table(4, 2);
-        let first = Request::Append { key: "t".into(), expected_rows: 4, table: batch.clone() };
-        match peer.call(&first).unwrap() {
-            Response::Appended { rows } => assert_eq!(rows, 6),
-            other => panic!("unexpected response {other:?}"),
-        }
-        // Retry with the same precondition: acknowledged, not re-applied.
-        match peer.call(&first).unwrap() {
-            Response::Appended { rows } => assert_eq!(rows, 6),
-            other => panic!("unexpected response {other:?}"),
-        }
-        // A genuinely stale view is an error, not a silent overwrite.
-        let stale = Request::Append { key: "t".into(), expected_rows: 3, table: batch };
-        assert!(peer.call(&stale).is_err());
         server.shutdown();
     }
 

@@ -2,21 +2,26 @@
 //! [`crate::pipeline`], which owns accepting, queueing, the worker pool,
 //! idle connections and shutdown.
 //!
-//! A [`Shardd`] owns registered [`Table`] shards and answers one request per
-//! frame: a plan-level `Walk` (key the shard, fold every partition it holds
-//! whole) or `Pick` (the rows a draw's ordinals name), a `Gather`, or a row
-//! mutation. Every pass runs through [`LocalShard`] — the reference
+//! A [`Shardd`] owns registered [`cvopt_table::Table`] shards and answers
+//! one request per frame: a plan-level `Walk` (key the shard, fold every
+//! partition it holds whole) or `Pick` (the rows a draw's ordinals name), or
+//! a `Gather` of the fragment of a partition that straddles a shard
+//! boundary. Every pass runs through [`LocalShard`] — the reference
 //! implementation of the shard-pass surface — so a remote answer is
 //! bit-identical to what the same shard would produce in process.
-//! Registration replaces any shard already stored under the same key, which
-//! is what lets a coordinator re-register shards after a server restart.
+//!
+//! A server's state changes only through `Register`, which replaces any
+//! shard already stored under the same key: an idempotent replace, so a
+//! coordinator re-registers shards after a server restart, a table changes
+//! by being registered again with its new rows, and a `Register` delivered
+//! twice leaves what one delivery leaves. Every other request is a read.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 
-use cvopt_table::{LocalShard, Result, ShardReader, Table, TableError};
+use cvopt_table::{LocalShard, Result, ShardReader, TableError};
 
 use crate::frame::{read_frame, write_frame};
 use crate::pipeline::{lock, Connection, Next, Pipeline, Service};
@@ -116,61 +121,7 @@ fn answer(shards: &ShardMap, request: Request) -> Result<Response> {
         Request::Gather { key, rows } => {
             with_shard(shards, &key, |shard| Ok(Response::Rows { table: shard.take_rows(&rows)? }))
         }
-        // The shard map's mutex is held across the whole check-and-swap:
-        // the row-count precondition and the replacement must be atomic, or
-        // two racing appenders could both pass the check and one batch
-        // would be lost.
-        Request::Append { key, expected_rows, table: batch } => {
-            let mut shards = lock(shards);
-            let shard = find(&shards, &key)?;
-            let current = shard.table().num_rows() as u64;
-            if current == expected_rows + batch.num_rows() as u64 {
-                // A retry of an append whose response was lost: the batch
-                // is already in, acknowledge without re-applying.
-                return Ok(Response::Appended { rows: current });
-            }
-            if current != expected_rows {
-                return Err(TableError::invalid(format!(
-                    "append to shard {key:?} expected {expected_rows} rows, server has {current}"
-                )));
-            }
-            let extended = shard.table().extended(&batch)?;
-            let rows = extended.num_rows() as u64;
-            shards.insert(key, Arc::new(LocalShard::new(extended)));
-            Ok(Response::Appended { rows })
-        }
-        Request::Rotate { key, column, cutoff } => {
-            let mut shards = lock(shards);
-            let shard = find(&shards, &key)?;
-            let kept = rotate_table(shard.table(), &column, cutoff)?;
-            let (before, rows) = (shard.table().num_rows() as u64, kept.num_rows() as u64);
-            shards.insert(key, Arc::new(LocalShard::new(kept)));
-            Ok(Response::Rotated { retired: before - rows, rows })
-        }
     }
-}
-
-/// Retention for one shard: keep rows whose window-column value is at or
-/// past `cutoff`.
-fn rotate_table(table: &Table, column: &str, cutoff: i64) -> Result<Table> {
-    let idx = table.schema().index_of(column)?;
-    let kept: Vec<usize> = match table.column(idx) {
-        cvopt_table::Column::Int64(v) | cvopt_table::Column::Timestamp(v) => {
-            (0..v.len()).filter(|&i| v[i] >= cutoff).collect()
-        }
-        other => {
-            return Err(TableError::TypeMismatch {
-                expected: cvopt_table::DataType::Int64,
-                found: format!("{:?} window column", other.data_type()),
-            })
-        }
-    };
-    Ok(table.take(&kept))
-}
-
-fn find(shards: &HashMap<String, Arc<LocalShard>>, key: &str) -> Result<Arc<LocalShard>> {
-    let missing = || TableError::invalid(format!("no shard registered under key {key:?}"));
-    shards.get(key).cloned().ok_or_else(missing)
 }
 
 /// Look up a shard and run `f` on it, outside the map's lock.
@@ -179,29 +130,27 @@ fn with_shard(
     key: &str,
     f: impl FnOnce(&LocalShard) -> Result<Response>,
 ) -> Result<Response> {
-    let shard = find(&lock(shards), key)?;
+    let shard = lock(shards).get(key).cloned();
+    let missing = || TableError::invalid(format!("no shard registered under key {key:?}"));
+    let shard = shard.ok_or_else(missing)?;
     f(&shard)
-}
-
-/// Convenience for tests and smoke scripts: register `table` on a running
-/// server via a temporary connection.
-pub fn register_table(
-    addr: &str,
-    key: &str,
-    table: &Table,
-) -> std::result::Result<u64, crate::NetError> {
-    let peer = crate::Peer::connect(addr)?;
-    match peer.call(&Request::Register { key: key.to_string(), table: table.clone() })? {
-        Response::Registered { rows } => Ok(rows),
-        other => Err(crate::NetError::Remote(format!("unexpected response {other:?}"))),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::Peer;
-    use cvopt_table::{DataType, TableBuilder, Value};
+    use cvopt_table::reader::{Fold, Pick};
+    use cvopt_table::{DataType, ScalarExpr, Table, TableBuilder, Value};
+
+    /// Register `table` on a running server via a temporary connection.
+    fn register_table(addr: &str, key: &str, table: &Table) -> u64 {
+        let peer = Peer::connect(addr).unwrap();
+        match peer.call(&Request::Register { key: key.to_string(), table: table.clone() }) {
+            Ok(Response::Registered { rows }) => rows,
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
 
     fn tiny_table() -> Table {
         let mut b = TableBuilder::new(&[("k", DataType::Str), ("v", DataType::Float64)]);
@@ -215,8 +164,7 @@ mod tests {
     fn register_health_and_unknown_key() {
         let mut server = Shardd::bind("127.0.0.1:0", 2).unwrap();
         let addr = server.addr().to_string();
-        let rows = register_table(&addr, "t/0", &tiny_table()).unwrap();
-        assert_eq!(rows, 3);
+        assert_eq!(register_table(&addr, "t/0", &tiny_table()), 3);
 
         let peer = Peer::connect(&addr).unwrap();
         match peer.call(&Request::Health).unwrap() {
@@ -264,7 +212,7 @@ mod tests {
     fn more_connections_than_workers_are_all_served() {
         let mut server = Shardd::bind("127.0.0.1:0", 1).unwrap();
         let addr = server.addr().to_string();
-        register_table(&addr, "t", &tiny_table()).unwrap();
+        register_table(&addr, "t", &tiny_table());
 
         // A single worker must round-robin all four keep-alive connections.
         let peers: Vec<Peer> = (0..4).map(|_| Peer::connect(&addr).unwrap()).collect();
@@ -304,12 +252,74 @@ mod tests {
     fn gather_round_trips_rows() {
         let mut server = Shardd::bind("127.0.0.1:0", 1).unwrap();
         let addr = server.addr().to_string();
-        register_table(&addr, "t", &tiny_table()).unwrap();
+        register_table(&addr, "t", &tiny_table());
         let peer = Peer::connect(&addr).unwrap();
         match peer.call(&Request::Gather { key: "t".into(), rows: vec![2, 0] }).unwrap() {
             Response::Rows { table } => {
                 assert_eq!(table.num_rows(), 2);
                 assert_eq!(format!("{:?}", table.row(0)), format!("{:?}", tiny_table().row(2)));
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+        server.shutdown();
+    }
+
+    /// One frame out and its answer back, on a raw connection.
+    fn exchange(raw: &mut std::net::TcpStream, request: &Request) -> Response {
+        write_frame(&mut *raw, &request.encode()).unwrap();
+        Response::decode(&read_frame(raw).unwrap()).unwrap()
+    }
+
+    /// The one mutating frame delivered twice on one connection — what a
+    /// transport retry after a lost response sends — leaves what one
+    /// delivery leaves: both are acknowledged, and the shard then answers
+    /// every pass as `LocalShard` does.
+    #[test]
+    fn duplicate_register_is_an_idempotent_replace() {
+        let mut server = Shardd::bind("127.0.0.1:0", 1).unwrap();
+        let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+        let register = Request::Register { key: "t".into(), table: tiny_table() }.encode();
+        write_frame(&mut raw, &register).unwrap();
+        write_frame(&mut raw, &register).unwrap();
+        for _ in 0..2 {
+            match Response::decode(&read_frame(&mut raw).unwrap()).unwrap() {
+                Response::Registered { rows } => assert_eq!(rows, 3),
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+        match exchange(&mut raw, &Request::Health) {
+            Response::Health { keys } => assert_eq!(keys, vec!["t".to_string()]),
+            other => panic!("unexpected response {other:?}"),
+        }
+
+        let local = LocalShard::new(tiny_table());
+        let exprs = vec![ScalarExpr::col("k")];
+        let fold = Fold::Stats { columns: vec![ScalarExpr::col("v")] };
+        let walk = Request::Walk {
+            key: "t".into(),
+            first_row: 0,
+            total_rows: 3,
+            exprs: exprs.clone(),
+            fold: fold.clone(),
+        };
+        match exchange(&mut raw, &walk) {
+            Response::Walked { walked } => {
+                let want = local.walk(0, 3, &exprs, &fold).unwrap();
+                assert_eq!(format!("{walked:?}"), format!("{want:?}"));
+                assert_eq!(walked.sizes, [2, 1]);
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+        let picks = vec![Pick { key: 0, ordinals: vec![1] }, Pick { key: 1, ordinals: vec![0] }];
+        let pick = Request::Pick { key: "t".into(), exprs: exprs.clone(), picks: picks.clone() };
+        match exchange(&mut raw, &pick) {
+            Response::Picked { picked } => {
+                let want = local.pick(&exprs, &picks).unwrap();
+                assert_eq!((&picked.rows, &want.rows), (&vec![2, 1], &vec![2, 1]));
+                for r in 0..want.rows.len() {
+                    let row = |t: &Table| format!("{:?}", t.row(r));
+                    assert_eq!(row(&picked.table), row(&want.table));
+                }
             }
             other => panic!("unexpected response {other:?}"),
         }

@@ -22,16 +22,19 @@
 //! | 6   | retired          | `Partials`   |
 //! | 7   | retired          | `Rows`       |
 //! | 8   | `Gather`         | `Error`      |
-//! | 9   | `Append`         | `Appended`   |
-//! | 10  | `Rotate`         | `Rotated`    |
+//! | 9   | retired          | retired      |
+//! | 10  | retired          | retired      |
 //! | 11  | `Walk`           | `Walked`     |
 //! | 12  | `Pick`           | `Picked`     |
 //!
 //! Retired: request 3 (histogram) and 7 (draw); request 4, 5 and 6 and
 //! response 4 and 5 — the per-row scatter window, predicate bitmap and
-//! value columns the plan-level `Walk` and `Pick` replaced — and response 3
-//! (histogram). `Partials` is sent by no pass; it stays for the codec
-//! throughput probe.
+//! value columns the plan-level `Walk` and `Pick` replaced; response 3
+//! (histogram); and 9 and 10 on both sides, the server-side append and
+//! rotation. `Register` — an idempotent replace — is the one request that
+//! changes a server's state; every other is a read. `Gather` serves the
+//! fragments of a partition that straddles a shard boundary. `Partials` is
+//! sent by no pass; it stays for the codec throughput probe.
 
 use std::fmt;
 use std::sync::Arc;
@@ -824,38 +827,13 @@ pub enum Request {
     },
     /// Liveness probe; answers with the registered shard keys.
     Health,
-    /// Gather rows (shard-local indices, in request order): an explicit
-    /// gather, or the rows of a partition that straddles a shard boundary.
+    /// Gather rows (shard-local indices, in request order): the fragment
+    /// of a partition that straddles a shard boundary.
     Gather {
         /// Target shard.
         key: String,
         /// Shard-local row indices.
         rows: Vec<u32>,
-    },
-    /// Streaming ingest: append a row batch to a registered shard.
-    ///
-    /// `expected_rows` is the appender's view of the shard's pre-append
-    /// row count. The server applies the batch only at that count and
-    /// acknowledges (without re-applying) when the shard already sits at
-    /// `expected_rows + batch rows` — so a retry after a lost response is
-    /// idempotent, never a double append.
-    Append {
-        /// Target shard.
-        key: String,
-        /// Shard row count the appender observed.
-        expected_rows: u64,
-        /// The batch to append.
-        table: Table,
-    },
-    /// Retention rotation: drop shard rows whose `column` value is below
-    /// `cutoff`.
-    Rotate {
-        /// Target shard.
-        key: String,
-        /// Window column (`INT64`/`TIMESTAMP`).
-        column: String,
-        /// Rows with `column < cutoff` are dropped.
-        cutoff: i64,
     },
     /// Plan pass: key the shard's rows by `exprs` and fold every global
     /// partition it holds whole ([`cvopt_table::ShardReader::walk`]).
@@ -899,18 +877,6 @@ impl Request {
                 w.str(key);
                 put_rows(&mut w, rows);
             }
-            Request::Append { key, expected_rows, table } => {
-                w.u8(9);
-                w.str(key);
-                w.u64(*expected_rows);
-                put_table(&mut w, table);
-            }
-            Request::Rotate { key, column, cutoff } => {
-                w.u8(10);
-                w.str(key);
-                w.str(column);
-                w.i64(*cutoff);
-            }
             Request::Walk { key, first_row, total_rows, exprs, fold } => {
                 w.u8(11);
                 w.str(key);
@@ -943,18 +909,6 @@ impl Request {
                 let key = r.str()?;
                 let rows = get_rows(&mut r)?;
                 Request::Gather { key, rows }
-            }
-            9 => {
-                let key = r.str()?;
-                let expected_rows = r.u64()?;
-                let table = get_table(&mut r)?;
-                Request::Append { key, expected_rows, table }
-            }
-            10 => {
-                let key = r.str()?;
-                let column = r.str()?;
-                let cutoff = r.i64()?;
-                Request::Rotate { key, column, cutoff }
             }
             11 => {
                 let key = r.str()?;
@@ -1006,19 +960,6 @@ pub enum Response {
         /// Human-readable failure description.
         message: String,
     },
-    /// Batch appended (or a retry acknowledged); echoes the shard's
-    /// post-append row count.
-    Appended {
-        /// Rows in the shard after the append.
-        rows: u64,
-    },
-    /// Rotation applied; reports what it dropped and what survives.
-    Rotated {
-        /// Rows dropped (window value below the cutoff).
-        retired: u64,
-        /// Rows in the shard after the rotation.
-        rows: u64,
-    },
     /// A walk's keys and per-partition partials.
     Walked {
         /// The shard's answer.
@@ -1068,15 +1009,6 @@ impl Response {
                 w.u8(8);
                 w.str(message);
             }
-            Response::Appended { rows } => {
-                w.u8(9);
-                w.u64(*rows);
-            }
-            Response::Rotated { retired, rows } => {
-                w.u8(10);
-                w.u64(*retired);
-                w.u64(*rows);
-            }
             Response::Walked { walked } => {
                 w.u8(11);
                 put_walked(&mut w, walked);
@@ -1109,12 +1041,6 @@ impl Response {
             }
             7 => Response::Rows { table: get_table(&mut r)? },
             8 => Response::Error { message: r.str()? },
-            9 => Response::Appended { rows: r.u64()? },
-            10 => {
-                let retired = r.u64()?;
-                let rows = r.u64()?;
-                Response::Rotated { retired, rows }
-            }
             11 => Response::Walked { walked: get_walked(&mut r)? },
             12 => {
                 let table = get_table(&mut r)?;
@@ -1254,29 +1180,19 @@ mod tests {
         });
         round_trip_request(Request::Gather { key: "t/0".into(), rows: vec![1, 0, 1] });
         round_trip_request(Request::Gather { key: "t/0".into(), rows: vec![] });
-        round_trip_request(Request::Append {
-            key: "t/0".into(),
-            expected_rows: 12_345,
-            table: sample_table(),
-        });
-        round_trip_request(Request::Rotate {
-            key: "t/0".into(),
-            column: "ts".into(),
-            cutoff: -1_500_000_000,
-        });
     }
 
     #[test]
     fn retired_tags_are_invalid_not_misparsed() {
         // Request tags 3 (histogram), 4 (scatter window), 5 (bitmap), 6
-        // (value columns) and 7 (draw), and response tags 3 (histogram), 4
-        // (window) and 5 (bitmap) were deleted without renumbering the
-        // survivors.
-        for tag in [3u8, 4, 5, 6, 7] {
+        // (value columns) and 7 (draw), response tags 3 (histogram), 4
+        // (window) and 5 (bitmap), and 9 (append) and 10 (rotate) on both
+        // sides were deleted without renumbering the survivors.
+        for tag in [3u8, 4, 5, 6, 7, 9, 10] {
             let err = Request::decode(&[tag]).unwrap_err();
             assert!(err.to_string().contains("invalid request tag"), "{err}");
         }
-        for tag in [3u8, 4, 5] {
+        for tag in [3u8, 4, 5, 9, 10] {
             let err = Response::decode(&[tag]).unwrap_err();
             assert!(err.to_string().contains("invalid response tag"), "{err}");
         }
@@ -1316,8 +1232,6 @@ mod tests {
         });
         round_trip_response(Response::Rows { table: sample_table() });
         round_trip_response(Response::Error { message: "no such key".into() });
-        round_trip_response(Response::Appended { rows: u64::MAX });
-        round_trip_response(Response::Rotated { retired: 7, rows: 35 });
     }
 
     /// A `COUNT_IF` without its condition — or any other aggregate with

@@ -262,7 +262,8 @@ fn tables(state: &ApiState, body: &Json) -> Response {
             if window.is_some() {
                 return Response::error(
                     400,
-                    "remote tables cannot declare 'window'; retention runs at the shard servers",
+                    "remote tables cannot declare 'window': their rows live at the shard \
+                     servers; re-register the table with its new rows",
                 );
             }
             // Shard the table across the listed shard servers, round-robin.

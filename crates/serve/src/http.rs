@@ -83,8 +83,10 @@ pub enum ReadOutcome {
 /// keep-alive connection: a pipelined second request sits in the
 /// reader's buffer, and the next call picks it up without touching the
 /// socket. EOF *before* the first request byte is a clean
-/// [`ReadOutcome::Closed`]; EOF anywhere later is a 400-shaped
-/// [`ReadOutcome::Bad`].
+/// [`ReadOutcome::Closed`]; EOF anywhere later — inside the body included —
+/// and a head line that is not UTF-8 are a 400-shaped [`ReadOutcome::Bad`].
+/// Only the transport failing (a stall past the socket's timeout, a reset)
+/// is an `Err`.
 ///
 /// `interim` receives the `100 Continue` interim response when the
 /// client sent `Expect: 100-continue` and the body is acceptable (curl
@@ -98,7 +100,7 @@ pub fn read_request(
 ) -> io::Result<ReadOutcome> {
     let request_line = match read_head_line(reader)? {
         HeadLine::Line(line) => line,
-        HeadLine::TooLarge => return Ok(ReadOutcome::Bad(too_large_line())),
+        HeadLine::Bad(bad) => return Ok(ReadOutcome::Bad(bad)),
         HeadLine::Eof => return Ok(ReadOutcome::Closed),
     };
     let mut parts = request_line.split_whitespace();
@@ -124,7 +126,7 @@ pub fn read_request(
     loop {
         let line = match read_head_line(reader)? {
             HeadLine::Line(line) => line,
-            HeadLine::TooLarge => return Ok(ReadOutcome::Bad(too_large_line())),
+            HeadLine::Bad(bad) => return Ok(ReadOutcome::Bad(bad)),
             HeadLine::Eof => {
                 return Ok(ReadOutcome::Bad(BadRequest::new(400, "connection closed mid-request")))
             }
@@ -175,7 +177,12 @@ pub fn read_request(
         interim.flush()?;
     }
     let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    match reader.read_exact(&mut body) {
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+            return Ok(ReadOutcome::Bad(BadRequest::new(400, "connection closed mid-body")))
+        }
+        read => read?,
+    }
 
     let (raw_path, raw_query) = match target.split_once('?') {
         Some((p, q)) => (p, Some(q)),
@@ -192,26 +199,27 @@ pub fn read_request(
     Ok(ReadOutcome::Request(Request { method, path, query, body, close }))
 }
 
-fn too_large_line() -> BadRequest {
-    BadRequest::new(413, "request head line too large")
-}
-
 /// One CRLF-terminated head line (request line or header), or why not.
 enum HeadLine {
     Line(String),
-    TooLarge,
+    Bad(BadRequest),
     Eof,
 }
 
 fn read_head_line(reader: &mut impl BufRead) -> io::Result<HeadLine> {
     let mut line = String::new();
     let mut taken = reader.take(MAX_HEAD_BYTES as u64 + 1);
-    let n = taken.read_line(&mut line)?;
+    let n = match taken.read_line(&mut line) {
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            return Ok(HeadLine::Bad(BadRequest::new(400, "request head is not UTF-8")))
+        }
+        read => read?,
+    };
     if n == 0 {
         return Ok(HeadLine::Eof);
     }
     if line.len() > MAX_HEAD_BYTES {
-        return Ok(HeadLine::TooLarge);
+        return Ok(HeadLine::Bad(BadRequest::new(413, "request head line too large")));
     }
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
@@ -333,8 +341,9 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
-    fn parse(raw: &str) -> Result<Request, BadRequest> {
-        match read_request(&mut Cursor::new(raw.as_bytes().to_vec()), Vec::new(), 1024).unwrap() {
+    fn parse(raw: impl AsRef<[u8]>) -> Result<Request, BadRequest> {
+        let raw = raw.as_ref();
+        match read_request(&mut Cursor::new(raw.to_vec()), Vec::new(), 1024).unwrap() {
             ReadOutcome::Request(req) => Ok(req),
             ReadOutcome::Bad(bad) => Err(bad),
             ReadOutcome::Closed => panic!("unexpected clean close for {raw:?}"),
@@ -377,6 +386,11 @@ mod tests {
         // clean close, not an error.
         let bad = parse("GET / HTTP/1.1\r\nHost: x").unwrap_err();
         assert_eq!(bad.status, 400);
+        // So is EOF inside a body, and a head line that is not UTF-8.
+        let bad = parse("POST /query HTTP/1.1\r\nContent-Length: 9\r\n\r\n{}").unwrap_err();
+        assert_eq!((bad.status, bad.message.as_str()), (400, "connection closed mid-body"));
+        let bad = parse(b"GET /caf\xE9 HTTP/1.1\r\n\r\n").unwrap_err();
+        assert_eq!((bad.status, bad.message.as_str()), (400, "request head is not UTF-8"));
         let outcome = read_request(&mut Cursor::new(Vec::new()), Vec::new(), 1024).unwrap();
         assert!(matches!(outcome, ReadOutcome::Closed));
     }

@@ -46,7 +46,6 @@ use crate::fxhash::FxHashMap;
 use crate::reader::RowSpace;
 use crate::shard::ShardSegment;
 use crate::table::Table;
-use crate::types::Value;
 use crate::Result;
 
 mod strata;
@@ -54,7 +53,7 @@ mod strata;
 pub(crate) use strata::partition;
 pub use strata::{bind_columns, fold_runs, Runs, Strata};
 
-/// One component of a group key. Unlike [`Value`], atoms are hashable and
+/// One component of a group key. Unlike [`Value`](crate::Value), atoms are hashable and
 /// totally ordered, because floats never appear in group keys.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum KeyAtom {
@@ -62,16 +61,6 @@ pub enum KeyAtom {
     Int(i64),
     /// String component.
     Str(Arc<str>),
-}
-
-impl KeyAtom {
-    /// Convert to a dynamic [`Value`].
-    pub fn to_value(&self) -> Value {
-        match self {
-            KeyAtom::Int(v) => Value::Int64(*v),
-            KeyAtom::Str(s) => Value::Str(Arc::clone(s)),
-        }
-    }
 }
 
 impl std::fmt::Display for KeyAtom {

@@ -5,11 +5,10 @@
 //! sample's ordinals to rows, so what crosses a shard boundary is keys,
 //! per-partition partials and the sampled rows — plus, through
 //! [`ShardReader::take_rows`], the rows of a partition that straddles a
-//! shard boundary and of an explicit gather. [`LocalShard`] wraps an
-//! in-process [`Table`], and a remote implementation answers the same
-//! questions over a wire. A [`ShardSet`] is what every catalog table is:
-//! readers in shard order with one logical row space (a plain table is a set
-//! of one [`LocalShard`]).
+//! shard boundary. [`LocalShard`] wraps an in-process [`Table`], and a
+//! remote implementation answers the same questions over a wire. A
+//! [`ShardSet`] is what every catalog table is: readers in shard order with
+//! one logical row space (a plain table is a set of one [`LocalShard`]).
 //!
 //! *Where a shard's rows live* is known to this module alone. Every pass in
 //! the workspace — group index, predicate bitmaps, statistics, exact
@@ -23,8 +22,8 @@
 //! the shards (the `pushdown` module): each shard runs the per-partition
 //! kernel over every global partition it holds whole, and the coordinator
 //! merges the partials. An ids-keyed entry point (a group index, predicate
-//! bitmaps, bound expressions) needs every shard's rows in process and
-//! refuses a set with a shard behind a reader, naming that shard.
+//! bitmaps, bound expressions, a gather) needs every shard's rows in process
+//! and refuses a set with a shard behind a reader, naming that shard.
 //!
 //! The determinism contract: every pass merges shard answers in **fixed
 //! shard order** (global row order) and anchors float accumulation to
@@ -68,26 +67,6 @@ pub enum ColumnValues {
     Sparse(Vec<Option<f64>>),
 }
 
-impl ColumnValues {
-    /// Whether this is the dense (plain `Float64` column) representation.
-    pub fn is_dense(&self) -> bool {
-        matches!(self, ColumnValues::Dense(_))
-    }
-
-    /// Number of rows covered.
-    pub fn len(&self) -> usize {
-        match self {
-            ColumnValues::Dense(v) => v.len(),
-            ColumnValues::Sparse(v) => v.len(),
-        }
-    }
-
-    /// Whether the column covers zero rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// One shard's answers to the plan-level pass requests.
 ///
 /// Implementations must be *deterministic mirrors* of [`LocalShard`]: for
@@ -121,7 +100,9 @@ pub trait ShardReader: std::fmt::Debug + Send + Sync {
     /// over the same rows answers.
     fn pick(&self, exprs: &[ScalarExpr], picks: &[Pick]) -> Result<Picked>;
 
-    /// Copy the shard-local `rows`, in the given order, into a table.
+    /// Copy the shard-local `rows`, in the given order, into a table: the
+    /// fragment of a global partition that straddles a shard boundary,
+    /// which the coordinator folds itself.
     fn take_rows(&self, rows: &[u32]) -> Result<Table>;
 
     /// The shard's rows, when they live in this process and can be lent to
@@ -143,11 +124,6 @@ impl LocalShard {
     /// Wrap an owned table.
     pub fn new(table: Table) -> LocalShard {
         LocalShard { table }
-    }
-
-    /// The wrapped table.
-    pub fn table(&self) -> &Table {
-        &self.table
     }
 }
 
@@ -323,7 +299,7 @@ impl ShardSet {
     fn local_shard(&self, s: usize) -> Result<&Table> {
         self.readers[s].local_table().ok_or_else(|| {
             TableError::invalid(format!(
-                "shard {s} ({}) is not in-process; append and rotate at its server",
+                "shard {s} ({}) is not in-process; re-register the table with its new rows",
                 self.readers[s].location()
             ))
         })
@@ -601,6 +577,7 @@ impl<'a> RowSpace<'a> {
 
     /// Every row as one table, in global row order: the shard itself when
     /// the row space is a single in-process one, a gathered copy otherwise.
+    /// Every shard must be in-process.
     pub fn to_table(&self) -> Result<Cow<'a, Table>> {
         if let [Part::Local(table)] = self.parts.as_slice() {
             return Ok(Cow::Borrowed(table));
@@ -611,14 +588,13 @@ impl<'a> RowSpace<'a> {
     /// Copy the rows with global ids in `rows` (in the given order) into a
     /// standalone [`Table`] — identical to [`Table::take`] on the
     /// concatenated table, string dictionaries (first-occurrence order of
-    /// the output rows) and [`Table::approx_bytes`] included.
+    /// the output rows) and [`Table::approx_bytes`] included. Every shard
+    /// must be in-process.
     ///
-    /// Each requested row is resolved to *(shard, shard-local row)* once;
-    /// every shard behind a non-local reader then answers one batched
-    /// `take_rows` request, and the gather kernel builds each output column
-    /// with one typed loop over the in-process shards' storage and the
-    /// fetched batches. A single in-process shard skips the resolving pass:
-    /// its columns are indexed by `rows` directly.
+    /// A single shard's columns are indexed by `rows` directly. Otherwise
+    /// each requested row is resolved to *(shard, shard-local row)* once,
+    /// and the gather kernel builds each output column with one typed loop
+    /// over the shards' storage.
     pub fn gather(&self, rows: &[usize]) -> Result<Table> {
         let n = self.num_rows();
         if let Some(row) = rows.iter().find(|&&row| row >= n) {
@@ -626,44 +602,12 @@ impl<'a> RowSpace<'a> {
                 "gather row {row} out of range for a {n}-row table"
             )));
         }
-        if let [Part::Local(table)] = self.parts.as_slice() {
+        let tables = self.local_tables().ok_or_else(|| self.behind_reader("a gather"))?;
+        if let [table] = tables.as_slice() {
             return Ok(table.take(rows));
         }
-
-        // Where each output row reads from: an in-process shard's own row,
-        // or the next row of the batch its shard will be asked for.
-        let mut batches: Vec<Vec<u32>> = vec![Vec::new(); self.parts.len()];
-        let source: Vec<(u32, u32)> = rows
-            .iter()
-            .map(|&row| {
-                let (shard, local) = self.locate(row);
-                if let Part::Remote(_) = self.parts[shard] {
-                    batches[shard].push(local as u32);
-                    return (shard as u32, batches[shard].len() as u32 - 1);
-                }
-                (shard as u32, local as u32)
-            })
-            .collect();
-
-        // One batched request per non-local shard that owns a requested row;
-        // one nothing is asked of is never read.
-        let tables = self.parts.iter().zip(&batches).enumerate().map(|(s, (part, batch))| {
-            let reader = match part {
-                Part::Local(table) => return Ok(Cow::Borrowed(*table)),
-                Part::Remote(_) if batch.is_empty() => {
-                    let unread = TableBuilder::from_schema(self.schema().clone());
-                    return Ok(Cow::Owned(unread.finish()));
-                }
-                Part::Remote(reader) => *reader,
-            };
-            self.take_rows(s, reader, batch).map(Cow::Owned)
-        });
-        let tables: Vec<Cow<'_, Table>> = tables.collect::<Result<_>>()?;
-        let tables: Vec<&Table> = tables.iter().map(Cow::as_ref).collect();
-        Table::gather(self.schema(), &tables, rows.len(), |i| {
-            let (shard, row) = source[i];
-            (shard as usize, row as usize)
-        })
+        let source: Vec<(usize, usize)> = rows.iter().map(|&row| self.locate(row)).collect();
+        Table::gather(self.schema(), &tables, rows.len(), |i| source[i])
     }
 
     /// Shard `s`'s local `rows`, taken through its reader: refused unless
@@ -984,18 +928,27 @@ pub(crate) mod tests {
         }
     }
 
+    /// In process a gather is `take` on the concatenation; behind a reader
+    /// it is refused, naming the shard.
     #[test]
     fn gather_matches_take_on_concatenation() {
         let t = table(200);
         let request = [199usize, 0, 40, 39, 150, 41];
         let taken = t.take(&request);
         for (kind, set) in layouts_of(&uneven(&t)) {
-            let got = set.rows().gather(&request).unwrap();
-            assert_eq!(got.num_rows(), taken.num_rows());
+            assert!(set.rows().gather(&[500]).is_err());
+            let got = match set.rows().gather(&request) {
+                Ok(got) => got,
+                Err(err) => {
+                    assert_ne!(kind, "local");
+                    assert!(err.to_string().contains("(opaque) is behind a reader: a gather"));
+                    continue;
+                }
+            };
+            assert_eq!((kind, got.num_rows()), ("local", taken.num_rows()));
             for i in 0..request.len() {
                 assert_eq!(got.row(i), taken.row(i), "{kind}");
             }
-            assert!(set.rows().gather(&[500]).is_err());
         }
         let got = RowSpace::from(&t).gather(&request).unwrap();
         for i in 0..request.len() {
@@ -1262,11 +1215,16 @@ pub(crate) mod tests {
             assert!(err.contains(what), "{fault:?}: {err}");
         }
 
-        // A gather of the wrong length or types never reaches the typed
-        // gather loops: the batch is refused, naming the shard.
-        let err = set_of(Fault::Short).rows().gather(&[0, 1]).unwrap_err();
+        // A fragment of the wrong length or types never reaches the fold:
+        // the batch is refused, naming the shard — asked directly, and as
+        // the first five rows' share of a partition straddling into a
+        // second shard.
+        let set = set_of(Fault::Short);
+        let err = set.rows().take_rows(0, set.reader(0).as_ref(), &[0, 1]).unwrap_err();
         assert!(err.to_string().contains("(bad) returned a mismatched gather batch"), "{err}");
-        let err = set_of(Fault::WrongTypes).rows().gather(&[0, 1]).unwrap_err();
+        let bad = Bad { shard: LocalShard::new(table(5)), fault: Fault::WrongTypes };
+        let straddling = ShardSet::new(vec![Arc::new(bad), Arc::new(LocalShard::new(table(15)))]);
+        let err = straddling.unwrap().rows().walk(&strata, &fold, &exec).err().unwrap();
         assert!(err.to_string().contains("(bad) returned a mismatched gather batch"), "{err}");
         let lie = Bad { shard: LocalShard::new(table(5)), fault: Fault::WrongTypes };
         let (honest, lie) = (table(5), lie.take_rows(&[0]).unwrap());
@@ -1282,6 +1240,8 @@ pub(crate) mod tests {
         assert!(err.to_string().contains("(bad) is behind a reader: a predicate bitmap"));
         let err = rows.bind(&[Some(ScalarExpr::col("x"))]).unwrap_err();
         assert!(err.to_string().contains("(bad) is behind a reader: a bound expression"));
+        let err = rows.gather(&[0]).unwrap_err();
+        assert!(err.to_string().contains("(bad) is behind a reader: a gather"));
     }
 
     /// Readers whose rows sum past what `u32` row ids address are refused
@@ -1385,13 +1345,19 @@ pub(crate) mod tests {
         }
     }
 
-    /// `gather` against the row-wise reference for every reader kind.
+    /// `gather` against the row-wise reference in process; a layout with
+    /// a shard behind a reader is refused, naming it.
     fn check_gather(parts: &[Table], rows: &[usize], what: &str) {
         let want = gather_rowwise(parts, rows);
         let sharded = ShardedTable::from_tables(parts.to_vec()).unwrap();
         for (kind, set) in layouts_of(&sharded) {
-            let got = set.rows().gather(rows).unwrap();
-            assert_same_storage(&got, &want, &format!("{what}, {kind}"));
+            match set.rows().gather(rows) {
+                Ok(got) => assert_same_storage(&got, &want, &format!("{what}, {kind}")),
+                Err(err) => {
+                    assert_ne!(kind, "local", "{what}: {err}");
+                    assert!(err.to_string().contains("(opaque) is behind a reader: a gather"));
+                }
+            }
         }
     }
 
@@ -1443,9 +1409,9 @@ pub(crate) mod tests {
         }
 
         /// The column kernel equals the row-wise reference — storage, not
-        /// just values — for arbitrary part sizes (empty parts included),
-        /// arbitrary requests (duplicates, any order, empty), and local,
-        /// stub-remote and mixed readers.
+        /// just values — for arbitrary part sizes (empty parts included) and
+        /// arbitrary requests (duplicates, any order, empty); a layout with
+        /// a stub-remote reader is refused.
         #[test]
         fn gather_equals_rowwise_reference(
             sizes in proptest::collection::vec(0usize..12, 1..8),

@@ -103,11 +103,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Whether the value is null.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
 }
 
 impl PartialEq for Value {

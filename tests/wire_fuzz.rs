@@ -11,14 +11,17 @@
 //! integer, float, timestamp and bool columns, walks under both folds (a
 //! nested predicate and every aggregate shape), their answers with keys and
 //! partition states, picks and their picked rows, and dense and sparse value
-//! columns — one of every `Request` and `Response` variant.
+//! columns — one of every `Request` and `Response` variant, and the corpus's
+//! first bytes are exactly the tags each decoder accepts, so a variant added
+//! or retired without its payload fails the battery.
 
 mod common;
 
+use std::collections::BTreeSet;
 use std::io::{self, Read};
 
 use cvopt_net::frame::{read_frame, write_frame, MAX_FRAME, PROTOCOL_VERSION};
-use cvopt_net::wire::{Request, Response};
+use cvopt_net::wire::{DecodeError, Request, Response};
 use cvopt_table::agg::AggState;
 use cvopt_table::reader::{Fold, Pick, Picked, Walked, WalkedPartition};
 use cvopt_table::{
@@ -93,8 +96,6 @@ fn requests() -> Vec<Request> {
             picks: vec![Pick { key: 2, ordinals: vec![0, 1] }, Pick { key: 0, ordinals: vec![] }],
         },
         Request::Gather { key: key(), rows: vec![3, 0, 5, 0] },
-        Request::Append { key: key(), expected_rows: 12_345, table: table() },
-        Request::Rotate { key: key(), column: "ts".into(), cutoff: 1_500_000_000 },
     ]
 }
 
@@ -124,8 +125,6 @@ fn responses() -> Vec<Response> {
         },
         Response::Rows { table: table() },
         Response::Error { message: "no such shard".into() },
-        Response::Appended { rows: 18 },
-        Response::Rotated { retired: 2, rows: 4 },
         Response::Walked { walked },
         Response::Walked { walked: forged },
         Response::Picked { picked: shard.pick(&exprs, &picks).unwrap() },
@@ -137,6 +136,26 @@ fn responses() -> Vec<Response> {
 fn payloads() -> Vec<(bool, Vec<u8>)> {
     let requests = requests().into_iter().map(|r| (true, r.encode()));
     requests.chain(responses().into_iter().map(|r| (false, r.encode()))).collect()
+}
+
+/// The tags `decode` accepts: those whose one-byte payload fails, if at all,
+/// with anything but "invalid `side` tag".
+fn live_tags<T>(side: &str, decode: fn(&[u8]) -> Result<T, DecodeError>) -> BTreeSet<u8> {
+    let invalid = |tag: u8| DecodeError(format!("invalid {side} tag {tag}"));
+    (0..=u8::MAX).filter(|&tag| decode(&[tag]).err() != Some(invalid(tag))).collect()
+}
+
+#[test]
+fn the_corpus_heads_exactly_the_live_tags() {
+    let heads = |requests: bool| -> BTreeSet<u8> {
+        payloads()
+            .into_iter()
+            .filter(|(is_request, _)| *is_request == requests)
+            .map(|(_, b)| b[0])
+            .collect()
+    };
+    assert_eq!(heads(true), live_tags("request", Request::decode));
+    assert_eq!(heads(false), live_tags("response", Response::decode));
 }
 
 /// The battery's one judgement, over both decoders: no panic, and an
