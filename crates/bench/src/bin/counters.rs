@@ -21,7 +21,7 @@ use cvopt_core::{Engine, ExecOptions, QueryMode, ShardedTable};
 use cvopt_datagen::{generate_openaq, OpenAqConfig};
 use cvopt_net::{Peer, RemoteShard, Shardd};
 use cvopt_table::exec::partition_rows;
-use cvopt_table::groupby::total_group_id_bytes;
+use cvopt_table::groupby::{total_group_id_bytes, total_keys_projected};
 
 /// Rows for the serving-workload fixture: large enough that the default
 /// auto threshold routes to the approximate path, small enough for CI.
@@ -55,7 +55,7 @@ fn main() {
     let mut engine = Engine::new().with_seed(7).with_exec(ExecOptions::sequential());
     engine.register("openaq", table.clone());
     let mut per_statement: Vec<(u64, u64)> = Vec::new();
-    let group_ids_before = total_group_id_bytes();
+    let (group_ids_before, projected_before) = (total_group_id_bytes(), total_keys_projected());
     for stmt in &STATEMENTS {
         let answer = engine.query(stmt, QueryMode::Approximate).expect("workload statement");
         per_statement.push((
@@ -67,6 +67,10 @@ fn main() {
     // writes no per-row group id; each estimate indexes its sample, the ids a
     // confidence pass reads back.
     let serving_group_ids = total_group_id_bytes() - group_ids_before;
+    // Every statement groups its sample by its own dimensions, so each
+    // read-out — and each allocation's projection onto the statement's
+    // stratification — is the identity and hashes no fine key.
+    let serving_projected = total_keys_projected() - projected_before;
     counters.push(("stats_passes/serving_workload".into(), engine.stats_passes()));
     // The cache economy itself: statements 1 and 2 share a derived
     // problem, so the workload must cost exactly one hit and two misses.
@@ -74,6 +78,7 @@ fn main() {
     counters.push(("cache_misses/serving_workload".into(), engine.cache_misses()));
     counters.push(("cached_samples/serving_workload".into(), engine.cached_samples() as u64));
     counters.push(("group_id_bytes/serving_workload".into(), serving_group_ids));
+    counters.push(("keys_projected/serving_workload".into(), serving_projected));
     let (sample_rows, strata) = *per_statement.last().expect("statements ran");
     counters.push(("sample_rows/last_statement".into(), sample_rows));
     counters.push(("strata/last_statement".into(), strata));
@@ -97,6 +102,7 @@ fn main() {
     // from the reuse planner — zero additional draws.
     let mut reuse = Engine::new().with_seed(7).with_exec(ExecOptions::sequential());
     reuse.register("openaq", table);
+    let projected_before = total_keys_projected();
     reuse
         .prepare(
             "openaq",
@@ -120,9 +126,11 @@ fn main() {
         );
     }
     assert_eq!(reuse.stats_passes(), 1, "the prepared sample must answer everything");
+    let reuse_projected = total_keys_projected() - projected_before;
     counters.push(("reuse_hits/reuse_workload".into(), reuse.reuse_hits()));
     counters.push(("draws_avoided/reuse_workload".into(), reuse.draws_avoided()));
     counters.push(("stats_passes/reuse_workload".into(), reuse.stats_passes()));
+    counters.push(("keys_projected/reuse_workload".into(), reuse_projected));
 
     // The serving mix: seed the query log with the hot and cold shapes,
     // consolidate it, then replay the whole schedule — the derived pool is

@@ -39,14 +39,15 @@ pub fn compute_betas(
 /// [`compute_betas`] for the strata `stats` describes, stratified by the
 /// dimensions `strata_names`: `project` maps them onto a query's
 /// dimensions, as [`GroupIndex::project`] does.
-pub(crate) fn strata_betas(
+pub(crate) fn strata_betas<'k>(
     problem: &SamplingProblem,
     strata_names: &[String],
-    project: impl Fn(&[usize]) -> GroupProjection,
+    project: impl Fn(&[usize]) -> GroupProjection<'k>,
     stats: &StratumStatistics,
 ) -> Result<Vec<f64>> {
     problem.validate()?;
     let mut betas = vec![0.0f64; stats.num_strata()];
+    let width = stats.num_columns();
 
     for query in &problem.queries {
         // Positions of this query's group-by dims within the stratification.
@@ -75,7 +76,7 @@ pub(crate) fn strata_betas(
             // Per coarse group: w / (n_a² μ_a²), with zero-mean detection.
             let mut group_factor = vec![0.0f64; proj.num_groups()];
             for (a, factor) in group_factor.iter_mut().enumerate() {
-                let mu = coarse[a][col].mean;
+                let mu = coarse[a * width + col].mean;
                 let n_a = coarse_pops[a] as f64;
                 let w = agg.weight_for(proj.key(a as u32));
                 if mu == 0.0 {

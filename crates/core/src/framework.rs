@@ -203,11 +203,11 @@ impl CvOptSampler {
     /// projections onto a query's dimensions `project` gives. Crate-visible
     /// so the incremental-maintenance path can re-run the identical
     /// allocation over incrementally merged statistics.
-    pub(crate) fn allocate(
+    pub(crate) fn allocate<'k>(
         &self,
         strata_exprs: Vec<ScalarExpr>,
         strata_keys: Vec<Vec<KeyAtom>>,
-        project: impl Fn(&[usize]) -> GroupProjection,
+        project: impl Fn(&[usize]) -> GroupProjection<'k>,
         stats: StratumStatistics,
     ) -> Result<CvOptPlan> {
         let names: Vec<String> = strata_exprs.iter().map(ScalarExpr::display_name).collect();

@@ -249,15 +249,16 @@ impl StratumStatistics {
         }
     }
 
-    /// Merge stratum statistics onto a coarser grouping: returns
-    /// `[coarse group][column]` accumulators (the statistics of the paper's
-    /// groups `a ∈ A_i` derived from the finest strata).
-    pub fn coarsen(&self, projection: &GroupProjection) -> Vec<Vec<AggState>> {
+    /// Merge stratum statistics onto a coarser grouping: returns one flat
+    /// buffer of `[coarse group * num_columns + column]` accumulators (the
+    /// statistics of the paper's groups `a ∈ A_i` derived from the finest
+    /// strata).
+    pub fn coarsen(&self, projection: &GroupProjection<'_>) -> Vec<AggState> {
         query::coarsen(projection, self.states.iter().map(Vec::as_slice), self.num_columns())
     }
 
     /// Coarse populations under a projection.
-    pub fn coarsen_populations(&self, projection: &GroupProjection) -> Vec<u64> {
+    pub fn coarsen_populations(&self, projection: &GroupProjection<'_>) -> Vec<u64> {
         let mut pops = vec![0u64; projection.num_groups()];
         for (fine_gid, &n) in self.populations.iter().enumerate() {
             pops[projection.coarse_of(fine_gid as u32) as usize] += n;
@@ -367,9 +368,9 @@ mod tests {
                 .find(|&g| direct_idx.key(g) == key)
                 .unwrap() as usize;
             assert_eq!(pops[cid], direct.population(dg));
-            assert!((coarse[cid][0].mean - direct.mean(dg, 0)).abs() < 1e-12);
+            assert!((coarse[cid].mean - direct.mean(dg, 0)).abs() < 1e-12);
             assert!(
-                (coarse[cid][0].sample_variance() - direct.variance(dg, 0, VarianceKind::Sample))
+                (coarse[cid].sample_variance() - direct.variance(dg, 0, VarianceKind::Sample))
                     .abs()
                     < 1e-9
             );

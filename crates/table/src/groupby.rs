@@ -30,9 +30,10 @@
 //! [`OrderedMerge`] joins partial results in row order through translation
 //! tables: the partitions of a walk, an ingest batch behind a maintained
 //! sample's strata, the key lists of the shards behind readers, and (one
-//! partial) the coarse keys of a projection. Group ids are therefore in **first-occurrence
-//! order** however the rows were cut up — the determinism contract every
-//! golden rests on.
+//! partial) the coarse keys of a projection onto anything but the identity,
+//! which keeps the fine ids and borrows the fine keys. Group ids are
+//! therefore in **first-occurrence order** however the rows were cut up —
+//! the determinism contract every golden rests on.
 
 use std::borrow::Cow;
 use std::hash::Hash;
@@ -103,6 +104,16 @@ pub fn total_group_id_bytes() -> u64 {
 
 fn note_group_ids(rows: usize) {
     GROUP_ID_BYTES.fetch_add(4 * rows as u64, Ordering::Relaxed);
+}
+
+/// Process-wide fine keys hashed by projections so far.
+static KEYS_PROJECTED: AtomicU64 = AtomicU64::new(0);
+
+/// Fine group keys this process has hashed to project them so far: one per
+/// fine group of every [`GroupProjection`] but the identity, which hashes
+/// none. Monotonic; never reset.
+pub fn total_keys_projected() -> u64 {
+    KEYS_PROJECTED.load(Ordering::Relaxed)
 }
 
 /// What one walk found: its distinct keys in first-occurrence order — slot
@@ -780,36 +791,53 @@ impl GroupIndex {
     ///
     /// Returns the `Π` mapping: for each fine group id, the coarse group id
     /// containing it, along with the coarse keys.
-    pub fn project(&self, dims: &[usize]) -> GroupProjection {
+    pub fn project(&self, dims: &[usize]) -> GroupProjection<'_> {
         GroupProjection::of(&self.dim_names, &self.group_keys, dims)
     }
 }
 
-/// The result of projecting a [`GroupIndex`] onto a dimension subset.
+/// The result of projecting a [`GroupIndex`] onto a dimension subset. Its
+/// coarse keys borrow the fine keys when the projection is the identity.
 #[derive(Debug, Clone)]
-pub struct GroupProjection {
+pub struct GroupProjection<'k> {
     dim_names: Vec<String>,
     fine_to_coarse: Vec<u32>,
-    coarse_keys: Vec<Vec<KeyAtom>>,
+    coarse_keys: Vec<Cow<'k, [KeyAtom]>>,
 }
 
-impl GroupProjection {
+impl<'k> GroupProjection<'k> {
     /// Project fine groups — `keys` over the dimensions `dim_names`, in
     /// fine-id order — onto `dims`: an [`OrderedMerge`] of one partial, the
     /// fine keys' projections, so coarse ids follow first occurrence too.
+    ///
+    /// The identity — `dims` is `0..dim_names.len()`, every dimension in
+    /// its own place — maps fine id `g` to `g` and borrows each fine key,
+    /// hashing and cloning none: fine keys are distinct, so the merge would
+    /// find exactly that. Any other list, a full-length reordering
+    /// included, hashes one projected key per fine group (counted by
+    /// [`total_keys_projected`]).
     pub fn of(
         dim_names: &[String],
-        keys: &[impl AsRef<[KeyAtom]>],
+        keys: &'k [impl AsRef<[KeyAtom]>],
         dims: &[usize],
-    ) -> GroupProjection {
+    ) -> GroupProjection<'k> {
         assert!(dims.iter().all(|&d| d < dim_names.len()), "projection dim out of range");
+        let coarse_names = dims.iter().map(|&d| dim_names[d].clone()).collect();
+        if dims.iter().copied().eq(0..dim_names.len()) {
+            return GroupProjection {
+                dim_names: coarse_names,
+                fine_to_coarse: (0..keys.len() as u32).collect(),
+                coarse_keys: keys.iter().map(|key| Cow::Borrowed(key.as_ref())).collect(),
+            };
+        }
+        KEYS_PROJECTED.fetch_add(keys.len() as u64, Ordering::Relaxed);
         let projected = keys.iter().map(|key| {
             let key = key.as_ref();
-            (dims.iter().map(|&d| key[d].clone()).collect::<Vec<_>>(), 0)
+            (Cow::Owned(dims.iter().map(|&d| key[d].clone()).collect()), 0)
         });
         let mut merge = OrderedMerge::default();
         GroupProjection {
-            dim_names: dims.iter().map(|&d| dim_names[d].clone()).collect(),
+            dim_names: coarse_names,
             fine_to_coarse: merge.push(projected),
             coarse_keys: merge.keys,
         }
@@ -972,6 +1000,20 @@ mod tests {
         assert_eq!(proj.dim_names(), &["year".to_string(), "major".to_string()]);
         assert_eq!(proj.num_groups(), 4);
         assert_eq!(proj.key(proj.coarse_of(0)), &[KeyAtom::Int(1), KeyAtom::from("CS")]);
+    }
+
+    #[test]
+    fn projection_identity() {
+        let t = table();
+        let gi =
+            GroupIndex::build(&t, &[ScalarExpr::col("major"), ScalarExpr::col("year")]).unwrap();
+        let proj = gi.project(&[0, 1]);
+        assert_eq!(proj.dim_names(), gi.dim_names());
+        assert_eq!(proj.num_groups(), gi.num_groups());
+        for g in 0..gi.num_groups() as u32 {
+            assert_eq!(proj.coarse_of(g), g);
+            assert_eq!(proj.key(g), gi.key(g));
+        }
     }
 
     #[test]

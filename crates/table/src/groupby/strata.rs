@@ -369,7 +369,7 @@ impl Strata {
 
     /// Project the strata onto a subset of dimensions, as
     /// [`GroupIndex::project`] does.
-    pub fn project(&self, dims: &[usize]) -> GroupProjection {
+    pub fn project(&self, dims: &[usize]) -> GroupProjection<'_> {
         GroupProjection::of(&self.dim_names, &self.keys, dims)
     }
 

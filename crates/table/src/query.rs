@@ -8,7 +8,10 @@
 //! state table is sized by the groups it saw; partitions merge keys and
 //! states together, in partition order, through the ordered merge; and the
 //! merged finest-group states are projected onto each grouping set, so a
-//! `WITH CUBE` over k attributes still scans the data once.
+//! `WITH CUBE` over k attributes still scans the data once. The full set —
+//! a plain statement's only one — is the identity projection: it keeps the
+//! fine ids and borrows the fine keys, so its read-out hashes and clones no
+//! key, and clones only the key of a group that folded a row.
 //!
 //! [`GroupByQuery::execute`] runs it with [`AggState`] and unit weights over
 //! packed dimension codes — with no group index — and computes exact answers
@@ -25,7 +28,6 @@ use crate::bitmap::Bitmap;
 use crate::cube::grouping_sets;
 use crate::exec::{self, ExecOptions, RowRange};
 use crate::expr::{BoundExpr, ScalarExpr};
-use crate::fxhash::FxHashMap;
 use crate::groupby::{GroupIndex, GroupProjection, KeyAtom, LocalKeys, OrderedMerge, RowKeys};
 use crate::predicate::Predicate;
 use crate::reader::{Fold, RowSpace};
@@ -242,8 +244,10 @@ impl GroupByQuery {
         let agg_names: Vec<String> = aggregates.iter().map(|a| a.alias.clone()).collect();
         let results = sets.iter().map(|dims| {
             let proj = GroupProjection::of(dim_names, group_keys, dims);
+            let coarse = coarsen(&proj, fine_groups(), width);
             let mut groups = Vec::new();
-            for (cid, states) in coarsen(&proj, fine_groups(), width).iter().enumerate() {
+            for cid in 0..proj.num_groups() {
+                let states = &coarse[cid * width..(cid + 1) * width];
                 let group_rows = states.iter().map(A::rows).max().unwrap_or(0);
                 if group_rows == 0 {
                     continue;
@@ -370,18 +374,18 @@ fn fold_rows<A: Accumulator>(
 }
 
 /// Merge finest-group accumulators (each fine group's `width` columns, in
-/// fine-id order) onto the coarser grouping `proj`: `[coarse group][column]`.
+/// fine-id order) onto the coarser grouping `proj`, into one flat buffer:
+/// `[coarse group * width + column]`.
 pub fn coarsen<'f, A: Accumulator + 'f>(
-    proj: &GroupProjection,
+    proj: &GroupProjection<'_>,
     fine: impl IntoIterator<Item = &'f [A]>,
     width: usize,
-) -> Vec<Vec<A>> {
-    let mut merged = vec![vec![A::default(); width]; proj.num_groups()];
+) -> Vec<A> {
+    let mut merged = vec![A::default(); proj.num_groups() * width];
     for (fine_gid, states) in fine.into_iter().enumerate() {
         let cid = proj.coarse_of(fine_gid as u32) as usize;
-        for (slot, s) in merged[cid].iter_mut().zip(states) {
-            slot.merge(s);
-        }
+        let acc = &mut merged[cid * width..][..width];
+        acc.iter_mut().zip(states).for_each(|(a, s)| a.merge(s));
     }
     merged
 }
@@ -393,34 +397,33 @@ pub struct QueryResult {
     pub grouping: Vec<String>,
     /// Aggregate output labels.
     pub agg_names: Vec<String>,
-    /// Group keys, sorted.
+    /// Group keys, sorted and unique: [`QueryResult::group_position`]
+    /// binary-searches them.
     pub keys: Vec<Vec<KeyAtom>>,
     /// `values[group][aggregate]`.
     pub values: Vec<Vec<f64>>,
     /// Rows that contributed to each group (post-predicate).
     pub group_rows: Vec<u64>,
-    key_index: FxHashMap<Vec<KeyAtom>, usize>,
 }
 
 impl QueryResult {
-    /// Assemble a result from `(key, values, contributing rows)` triples;
-    /// rows are sorted by key.
+    /// Assemble a result from `(key, values, contributing rows)` triples
+    /// with distinct keys; rows are sorted by key.
     pub fn from_parts(
         grouping: Vec<String>,
         agg_names: Vec<String>,
         mut rows: Vec<(Vec<KeyAtom>, Vec<f64>, u64)>,
     ) -> Self {
         rows.sort_by(|a, b| a.0.cmp(&b.0));
+        debug_assert!(rows.windows(2).all(|w| w[0].0 != w[1].0), "duplicate group key");
         let mut result = QueryResult {
             grouping,
             agg_names,
             keys: Vec::with_capacity(rows.len()),
             values: Vec::with_capacity(rows.len()),
             group_rows: Vec::with_capacity(rows.len()),
-            key_index: FxHashMap::default(),
         };
         for (key, values, nrows) in rows {
-            result.key_index.insert(key.clone(), result.keys.len());
             result.keys.push(key);
             result.values.push(values);
             result.group_rows.push(nrows);
@@ -440,7 +443,7 @@ impl QueryResult {
 
     /// Row index of `key`, if present.
     pub fn group_position(&self, key: &[KeyAtom]) -> Option<usize> {
-        self.key_index.get(key).copied()
+        self.keys.binary_search_by(|k| k.as_slice().cmp(key)).ok()
     }
 
     /// The value of aggregate `agg_idx` for group `key`, if present.
@@ -551,6 +554,13 @@ mod tests {
         assert!((cs - 3.25).abs() < 1e-12);
         let math = r.value(&[KeyAtom::from("Math")], 0).unwrap();
         assert!((math - 3.7).abs() < 1e-12);
+        // Absent keys: before the first, between two and after the last
+        // sorted key, of the wrong arity, and the empty key.
+        for absent in [&["AA"][..], &["Chem"], &["zz"], &["CS", "Science"], &[]] {
+            let key: Vec<KeyAtom> = absent.iter().map(|&s| KeyAtom::from(s)).collect();
+            assert_eq!(r.group_position(&key), None, "{absent:?}");
+            assert_eq!(r.value(&key, 0), None, "{absent:?}");
+        }
     }
 
     #[test]
@@ -606,6 +616,11 @@ mod tests {
         assert_eq!(r.num_groups(), 1);
         assert!((r.values[0][0] - 3.45).abs() < 1e-12);
         assert_eq!(r.values[0][1], 8.0);
+        // `dims = []`: the one group's key is empty, and no other key is
+        // present.
+        assert_eq!(r.group_position(&[]), Some(0));
+        assert_eq!(r.value(&[], 1), Some(8.0));
+        assert_eq!(r.value(&[KeyAtom::from("CS")], 0), None);
     }
 
     /// SQL answers an aggregate over no qualifying rows with one row:

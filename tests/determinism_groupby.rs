@@ -189,7 +189,10 @@ fn assert_answers_match_reference(
 /// The standard dataset at every key arity from one to five dimensions,
 /// and the durable four-dimension stratification, whose key space
 /// (countries × parameters × units × locations) is larger than any
-/// partition: it takes the hash map, never the slot table.
+/// partition: it takes the hash map, never the slot table. Under a
+/// selective `value > cut` most of its fine groups fold no row, so the
+/// identity read-out — a plain statement's set and a cube's full set — and
+/// the cube's projected sets must skip exactly the empty ones.
 #[test]
 fn index_matches_reference_on_openaq() {
     let table = generate_openaq(&OpenAqConfig::with_rows(20_000));
@@ -215,6 +218,18 @@ fn index_matches_reference_on_openaq() {
     assert!(radices.iter().product::<usize>() > CHUNK_ROWS, "{radices:?}");
     assert_matches_reference(&table, &durable, "durable");
     assert_answers_match_reference(&table, &durable, ("value", None, false), &[], "durable");
+
+    let values = ScalarExpr::col("value").bind(&table).unwrap();
+    let mut sorted: Vec<f64> = (0..table.num_rows()).map(|r| values.f64_at(r).unwrap()).collect();
+    sorted.sort_by(f64::total_cmp);
+    let cut = sorted[sorted.len() * 99 / 100];
+    let folded = reference_answer(&table, &durable, "value", Some(cut), false)[0].len();
+    let fine = reference(&table, &durable).1.len();
+    assert!(0 < folded && 2 * folded < fine, "{folded} of {fine} fine groups fold a row");
+    for cube in [false, true] {
+        let context = format!("durable, value > {cut}, cube {cube}");
+        assert_answers_match_reference(&table, &durable, ("value", Some(cut), cube), &[], &context);
+    }
 }
 
 /// A cube under a selective predicate: fine groups are interned from every
