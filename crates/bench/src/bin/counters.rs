@@ -64,9 +64,10 @@ fn main() {
         ));
     }
     // A cold prepare buckets the table by stratum in its statistics pass and
-    // writes no per-row group id; each estimate indexes its sample, the ids a
-    // confidence pass reads back.
+    // writes no per-row group id, and an answer walks its sample's packed
+    // keys, the estimate and the confidence pass alike: none at all.
     let serving_group_ids = total_group_id_bytes() - group_ids_before;
+    assert_eq!(serving_group_ids, 0, "no serving statement writes a per-row group id");
     // Every statement groups its sample by its own dimensions, so each
     // read-out — and each allocation's projection onto the statement's
     // stratification — is the identity and hashes no fine key.
@@ -335,8 +336,8 @@ fn main() {
 /// The wire: one cold approximate statement and AQ6 exactly over two
 /// in-process shard servers on loopback, each answering as the in-process
 /// registration does. A cold statement costs a walk and a pick per shard,
-/// an exact one a walk, and no id is written for a table row on either side
-/// of the wire: only the estimate's index over the sample's rows.
+/// an exact one a walk, and no per-row id is written on either side of the
+/// wire: not for a table row, and not for a sample row.
 fn remote_workload(counters: &mut Vec<(String, u64)>) {
     let table = generate_openaq(&OpenAqConfig::with_rows(REMOTE_ROWS));
     let mut servers = [
@@ -391,8 +392,7 @@ fn remote_workload(counters: &mut Vec<(String, u64)>) {
             "{name}: the shard servers must answer as the in-process registration"
         );
         assert_eq!(requests, frames, "{name}: a walk per shard, and a pick per shard if drawn");
-        let sample_ids = 4 * answer.report.sample_rows.unwrap_or(0) as u64;
-        assert_eq!(ids_after - ids_before, sample_ids, "{name}: ids only for the sample's rows");
+        assert_eq!(ids_after, ids_before, "{name}: no per-row group id");
         counters.push((format!("net_requests/{name}"), requests));
         counters.push((format!("net_bytes/{name}"), bytes));
     }

@@ -22,14 +22,16 @@
 //! plug-in sample moments.
 //!
 //! The pass (`SampleScan::confidence`) is the second read-out of a
-//! statement's `SampleScan`: it walks the rows the already-built
-//! predicate bitmap keeps, looks groups up in the already-built index, and
-//! accumulates every `AVG` aggregate of the statement side by side.
+//! statement's `SampleScan`: one sequential walk of the already-encoded
+//! packed keys over every sample row gives each row its group — its key's
+//! first-occurrence id — and the pass accumulates every `AVG` aggregate of
+//! the statement side by side over the rows the already-built predicate
+//! bitmap keeps.
 
 use cvopt_table::exec::ExecOptions;
 use cvopt_table::expr::BoundExpr;
 use cvopt_table::fxhash::FxHashMap;
-use cvopt_table::{AggExpr, AggKind, GroupByQuery, GroupIndex, KeyAtom, Predicate, ScalarExpr};
+use cvopt_table::{AggExpr, AggKind, GroupByQuery, KeyAtom, Predicate, RowRange, ScalarExpr};
 
 use crate::error::CvError;
 use crate::estimate::SampleScan;
@@ -66,8 +68,8 @@ impl AvgEstimate {
 
 /// Confidence intervals for one `AVG` aggregate of an approximate answer.
 ///
-/// The intervals come from the confidence pass, which reads the same group
-/// index and predicate bitmap as the weighted pass but sums in plain row
+/// The intervals come from the confidence pass, which reads the same packed
+/// keys and predicate bitmap as the weighted pass but sums in plain row
 /// order: its point estimates agree with the corresponding
 /// [`QueryResult`](cvopt_table::QueryResult) values analytically but may
 /// differ in the last float bits. Treat `estimates[i].estimate` as the
@@ -120,22 +122,21 @@ struct AvgAcc<'a> {
     /// its insertion sequence: always the aggregate's contributing rows in
     /// row order.
     cells: FxHashMap<(u32, u32), CellAcc>,
-    // Per-group totals for the point estimate.
-    wsum: Vec<f64>,
-    wysum: Vec<f64>,
-    rows: Vec<u64>,
+    /// Per group, for the point estimate: Σw, Σw·y and the rows.
+    totals: Vec<(f64, f64, u64)>,
 }
 
 impl AvgAcc<'_> {
-    /// Point estimates and linearized standard errors, sorted by group key.
-    fn finish(self, sample: &MaterializedSample, index: &GroupIndex) -> Vec<AvgEstimate> {
-        let num_groups = index.num_groups();
-        let estimates: Vec<f64> = self
-            .wysum
-            .iter()
-            .zip(&self.wsum)
-            .map(|(&wy, &w)| if w > 0.0 { wy / w } else { f64::NAN })
-            .collect();
+    /// Point estimates and linearized standard errors, sorted by group key;
+    /// `key(g)` is group `g`'s key.
+    fn finish(
+        self,
+        sample: &MaterializedSample,
+        key: impl Fn(usize) -> Vec<KeyAtom>,
+    ) -> Vec<AvgEstimate> {
+        let num_groups = self.totals.len();
+        let estimates: Vec<f64> =
+            self.totals.iter().map(|&(w, wy, _)| if w > 0.0 { wy / w } else { f64::NAN }).collect();
 
         // Variance: Σ_c n_c(n_c−s_c)/s_c · S²_{z,c} / N̂_d².
         let mut variance = vec![0.0f64; num_groups];
@@ -156,19 +157,18 @@ impl AvgAcc<'_> {
         }
 
         let mut out = Vec::with_capacity(num_groups);
-        for g in 0..num_groups {
-            if self.rows[g] == 0 {
+        for (g, &(n_hat, _, rows)) in self.totals.iter().enumerate() {
+            if rows == 0 {
                 continue;
             }
-            let n_hat = self.wsum[g];
             let std_error = if n_hat > 0.0 { (variance[g] / (n_hat * n_hat)).sqrt() } else { 0.0 };
             let estimate = estimates[g];
             out.push(AvgEstimate {
-                key: index.key(g as u32).to_vec(),
+                key: key(g),
                 estimate,
                 std_error,
                 cv: if estimate != 0.0 { std_error / estimate.abs() } else { f64::INFINITY },
-                sampled_rows: self.rows[g],
+                sampled_rows: rows,
             });
         }
         out.sort_by(|a, b| a.key.cmp(&b.key));
@@ -178,17 +178,19 @@ impl AvgAcc<'_> {
 
 impl SampleScan<'_> {
     /// The confidence pass: per-group standard errors for every `AVG`
-    /// aggregate of the scanned query, in **one** sequential walk over the
-    /// sample rows the predicate keeps. Cube queries and non-stratified
-    /// samples get none (the stratified domain estimator does not cover
-    /// them); a failure on an eligible aggregate propagates rather than
-    /// silently dropping the intervals.
+    /// aggregate of the scanned query, in **one** sequential walk of the
+    /// packed keys over every sample row, in row order, folding the rows the
+    /// predicate keeps. A row's group is its walk slot — its key's
+    /// first-occurrence id over *all* rows, kept or not — which fixes the
+    /// cells' insertion order and with it every float sum over them. Cube
+    /// queries and non-stratified samples get none (the stratified domain
+    /// estimator does not cover them); a failure on an eligible aggregate
+    /// propagates rather than silently dropping the intervals.
     pub(crate) fn confidence(&self) -> Result<Vec<AggConfidence>> {
         let sample = self.sample;
         if self.query.cube || !sample.is_stratified() {
             return Ok(Vec::new());
         }
-        let num_groups = self.index.num_groups();
         let mut avgs = Vec::new();
         for (agg_index, agg) in self.query.aggregates.iter().enumerate() {
             if let (AggKind::Avg, Some(input)) = (agg.kind, &agg.input) {
@@ -196,36 +198,41 @@ impl SampleScan<'_> {
                     agg_index,
                     value: input.bind(&sample.table)?,
                     cells: FxHashMap::default(),
-                    wsum: vec![0.0; num_groups],
-                    wysum: vec![0.0; num_groups],
-                    rows: vec![0; num_groups],
+                    totals: Vec::new(),
                 });
             }
         }
         if avgs.is_empty() {
             return Ok(Vec::new());
         }
-        let mut visit = |row: usize| {
-            let (g, c, w) =
-                (self.index.group_of(row), sample.row_stratum[row], sample.weights[row]);
-            for acc in &mut avgs {
-                let Some(y) = acc.value.f64_at(row) else { continue };
-                acc.wsum[g as usize] += w;
-                acc.wysum[g as usize] += w * y;
-                acc.rows[g as usize] += 1;
-                let cell = acc.cells.entry((c, g)).or_default();
-                cell.m += 1;
-                cell.sum += y;
-                cell.sum2 += y * y;
+        // The sample is one table: a run's shard-local rows are global rows.
+        let all = RowRange { start: 0, end: sample.len() };
+        let groups = self.keys.walk(&self.rows, all, |run, slots, seen| {
+            avgs.iter_mut().for_each(|acc| acc.totals.resize(seen, (0.0, 0.0, 0)));
+            let start = run.local.start;
+            let mut visit = |row: usize| {
+                let (g, c, w) = (slots[row - start], sample.row_stratum[row], sample.weights[row]);
+                for acc in &mut avgs {
+                    let Some(y) = acc.value.f64_at(row) else { continue };
+                    let totals = &mut acc.totals[g as usize];
+                    totals.0 += w;
+                    totals.1 += w * y;
+                    totals.2 += 1;
+                    let cell = acc.cells.entry((c, g)).or_default();
+                    cell.m += 1;
+                    cell.sum += y;
+                    cell.sum2 += y * y;
+                }
+            };
+            match &self.filter {
+                Some(bitmaps) => bitmaps[0].iter_ones_in(start, run.local.end).for_each(&mut visit),
+                None => run.local.rows().for_each(&mut visit),
             }
-        };
-        match &self.filter {
-            Some(bitmaps) => bitmaps[0].iter_ones().for_each(&mut visit),
-            None => (0..sample.len()).for_each(&mut visit),
-        }
+        });
+        let key = |g: usize| self.keys.decode(groups.keys()[g]).into_owned();
         let confidence = avgs.into_iter().map(|acc| AggConfidence {
             agg_index: acc.agg_index,
-            estimates: acc.finish(sample, &self.index),
+            estimates: acc.finish(sample, key),
         });
         Ok(confidence.collect())
     }
@@ -276,6 +283,103 @@ mod tests {
             let p = plain.value(&e.key, 0).unwrap();
             assert!((e.estimate - p).abs() < 1e-9, "{:?}: {} vs {}", e.key, e.estimate, p);
             assert!(e.std_error >= 0.0);
+        }
+    }
+
+    /// A sample stratified by `(g, h)` answering a query grouped by `g`
+    /// alone, under a predicate that drops each group's first-occurring
+    /// rows: the groups' first occurrence over the kept rows is another
+    /// order than over all rows, and the intervals must still name, count
+    /// and center every group as the estimate does, with the standard error
+    /// of a naive per-stratum reference.
+    #[test]
+    fn predicate_and_coarser_grouping_match_naive_reference() {
+        let mut b = TableBuilder::new(&[
+            ("g", DataType::Str),
+            ("h", DataType::Str),
+            ("x", DataType::Float64),
+        ]);
+        // The first rows fix the strata's order; each group's first
+        // stratum has h = "p".
+        let lead = [("a", "p"), ("b", "p"), ("b", "q"), ("a", "q"), ("c", "p"), ("c", "q")];
+        let mut k = 7u64;
+        for i in 0..3000usize {
+            k = k.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let (g, h) = lead[if i < lead.len() { i } else { (k >> 40) as usize % lead.len() }];
+            let u = (k >> 33) as f64 / (1u64 << 31) as f64;
+            let mean = if h == "p" { 20.0 } else { 60.0 } + (g.as_bytes()[0] - b'a') as f64 * 15.0;
+            b.push_row(&[Value::str(g), Value::str(h), Value::Float64(mean + u * 30.0)]).unwrap();
+        }
+        let t = b.finish();
+        let spec = QuerySpec::group_by(&["g", "h"]).aggregate("x");
+        let s = CvOptSampler::new(SamplingProblem::single(spec, 300))
+            .with_seed(5)
+            .sample(&t)
+            .unwrap()
+            .sample;
+        let pred = Predicate::cmp("h", CmpOp::Ne, "p");
+        let kept = pred.bind(&s.table).unwrap();
+        let g = ScalarExpr::col("g").bind(&s.table).unwrap();
+        let group = |row: usize| match g.value_at(row) {
+            Value::Str(s) => vec![KeyAtom::Str(s)],
+            other => panic!("{other:?}"),
+        };
+        let first_seen = |rows: &mut dyn Iterator<Item = usize>| {
+            let mut order: Vec<Vec<KeyAtom>> = Vec::new();
+            for key in rows.map(group) {
+                if !order.contains(&key) {
+                    order.push(key);
+                }
+            }
+            order
+        };
+        let over_kept = first_seen(&mut (0..s.len()).filter(|&r| kept.matches(r)));
+        assert_ne!(first_seen(&mut (0..s.len())), over_kept, "the predicate reorders groups");
+
+        let ests = estimate_avg_with_error(
+            &s,
+            &[ScalarExpr::col("g")],
+            &ScalarExpr::col("x"),
+            Some(&pred),
+        )
+        .unwrap();
+        let query = GroupByQuery::new(vec![ScalarExpr::col("g")], vec![AggExpr::avg("x")])
+            .with_predicate(pred.clone());
+        let plain = crate::estimate::estimate_single(&s, &query).unwrap();
+        let keys: Vec<&Vec<KeyAtom>> = ests.iter().map(|e| &e.key).collect();
+        assert_eq!(keys, plain.keys.iter().collect::<Vec<_>>());
+        let x = ScalarExpr::col("x").bind(&s.table).unwrap();
+        for (e, (&rows, values)) in ests.iter().zip(plain.group_rows.iter().zip(&plain.values)) {
+            assert_eq!(e.sampled_rows, rows, "{:?}", e.key);
+            assert!((e.estimate - values[0]).abs() <= 1e-12 * values[0].abs(), "{:?}", e.key);
+            // Cochran's domain estimator, term by term.
+            let in_domain = |r: usize| kept.matches(r) && group(r) == e.key;
+            let domain: Vec<usize> = (0..s.len()).filter(|&r| in_domain(r)).collect();
+            let n_hat: f64 = domain.iter().map(|&r| s.weights[r]).sum();
+            let y_hat =
+                domain.iter().map(|&r| s.weights[r] * x.f64_at(r).unwrap()).sum::<f64>() / n_hat;
+            let mut variance = 0.0;
+            for (c, stratum) in s.strata.iter().enumerate() {
+                let (n_c, s_c) = (stratum.population as f64, stratum.sampled as f64);
+                if s_c < 2.0 || s_c >= n_c {
+                    continue;
+                }
+                let rows = (0..s.len()).filter(|&r| s.row_stratum[r] == c as u32);
+                let z: Vec<f64> = rows
+                    .map(|r| if in_domain(r) { x.f64_at(r).unwrap() - y_hat } else { 0.0 })
+                    .collect();
+                let mean = z.iter().sum::<f64>() / s_c;
+                let s2 = z.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (s_c - 1.0);
+                variance += n_c * (n_c - s_c) / s_c * s2;
+            }
+            let want = variance.sqrt() / n_hat;
+            assert!(want > 0.0, "{:?}", e.key);
+            assert!(
+                (e.std_error - want).abs() <= 1e-12 * want,
+                "{:?}: {} vs {want}",
+                e.key,
+                e.std_error
+            );
         }
     }
 

@@ -68,7 +68,7 @@ impl SampleHandle {
     /// Answer `query` from the prepared sample under the engine's execution
     /// options: Horvitz–Thompson estimates, plus per-group confidence
     /// intervals for its `AVG` aggregates (non-cube queries over stratified
-    /// samples; empty otherwise). The sample's group index and predicate
+    /// samples; empty otherwise). The sample's packed keys and predicate
     /// bitmap are built once and read by both passes. The query may carry
     /// predicates and groupings the sample was never planned for (paper
     /// §6.3).

@@ -1,9 +1,9 @@
 //! Answering group-by queries from a weighted sample.
 //!
 //! There is no estimator loop here: the estimate is
-//! [`GroupByQuery::aggregate`] — the pass the exact executor runs — folding
-//! [`WeightedAggState`] under the sample's Horvitz–Thompson weights instead
-//! of `AggState` under unit weights:
+//! [`GroupByQuery::aggregate`] — the pass the exact executor runs, over the
+//! same packed keys — folding [`WeightedAggState`] under the sample's
+//! Horvitz–Thompson weights instead of `AggState` under unit weights:
 //!
 //! * `COUNT`    → `Σ w`
 //! * `SUM`      → `Σ w·v`
@@ -18,12 +18,13 @@
 //! queries with new predicates or new groupings supplied at query time
 //! (paper §6.3), including `WITH CUBE`. A statement's estimates and their
 //! error bars ([`crate::confidence`]) are two read-outs over one
-//! `SampleScan`: the sample's group index and predicate bitmap, built
-//! once.
+//! `SampleScan`: the sample's packed grouping keys and predicate bitmap,
+//! built once. Neither writes a per-row group id.
 
 use cvopt_table::agg::{Accumulator, AggKind};
 use cvopt_table::exec::ExecOptions;
-use cvopt_table::{Bitmap, GroupByQuery, GroupIndex, QueryResult, RowSpace};
+use cvopt_table::groupby::RowKeys;
+use cvopt_table::{Bitmap, GroupByQuery, QueryResult, RowSpace};
 
 use crate::sample::MaterializedSample;
 use crate::Result;
@@ -142,18 +143,18 @@ impl WeightedAggState {
 }
 
 /// What every pass answering `query` from `sample` reads: the sample's rows,
-/// their group index under the query's grouping and the bitmap of its
+/// their packed keys under the query's grouping and the bitmap of its
 /// predicate — built once, under `options`, and shared by the weighted pass
 /// ([`SampleScan::estimate`]) and the confidence pass
 /// (`SampleScan::confidence`, in [`crate::confidence`]).
 pub(crate) struct SampleScan<'a> {
     pub(crate) sample: &'a MaterializedSample,
     pub(crate) query: &'a GroupByQuery,
-    pub(crate) index: GroupIndex,
+    pub(crate) keys: RowKeys<'a>,
     /// The predicate's bitmap over the sample's one table (`None` without
     /// a predicate), in the per-shard form the aggregation pass takes.
     pub(crate) filter: Option<Vec<Bitmap>>,
-    rows: RowSpace<'a>,
+    pub(crate) rows: RowSpace<'a>,
     options: ExecOptions,
 }
 
@@ -164,12 +165,12 @@ impl<'a> SampleScan<'a> {
         options: &ExecOptions,
     ) -> Result<Self> {
         let rows = RowSpace::from(&sample.table);
-        let index = rows.group_index(&query.group_by, options)?;
+        let keys = RowKeys::encode(&rows, &[&sample.table], &query.group_by, options)?;
         let filter = match &query.predicate {
             Some(p) => Some(rows.predicate_bitmaps(p, options)?),
             None => None,
         };
-        Ok(SampleScan { sample, query, index, filter, rows, options: *options })
+        Ok(SampleScan { sample, query, keys, filter, rows, options: *options })
     }
 
     /// The Horvitz–Thompson estimate: one [`QueryResult`] per grouping set.
@@ -177,7 +178,7 @@ impl<'a> SampleScan<'a> {
         let weights = &self.sample.weights;
         Ok(self.query.aggregate::<WeightedAggState>(
             &self.rows,
-            &self.index,
+            &self.keys,
             self.filter.as_deref(),
             |row| weights[row],
             &self.options,
@@ -196,7 +197,7 @@ pub fn estimate(sample: &MaterializedSample, query: &GroupByQuery) -> Result<Vec
 }
 
 /// Estimate `query` from `sample` with explicit execution options. The
-/// index build, the predicate scan, and the weighted accumulation all run
+/// key encoding, the predicate scan, and the weighted accumulation all run
 /// chunk-parallel; partials merge in partition order, so the estimate is
 /// identical for any thread count.
 pub fn estimate_with(
@@ -218,8 +219,8 @@ mod tests {
     use super::*;
     use crate::sample::stratified::StratifiedSample;
     use cvopt_table::{
-        AggExpr as TAggExpr, CmpOp, DataType, KeyAtom, Predicate, ScalarExpr, Table, TableBuilder,
-        Value,
+        AggExpr as TAggExpr, CmpOp, DataType, GroupIndex, KeyAtom, Predicate, ScalarExpr, Table,
+        TableBuilder, Value,
     };
 
     fn base_table() -> Table {

@@ -26,7 +26,7 @@
 //!    from the sample: the exact executor's one aggregation pass
 //!    ([`cvopt_table::GroupByQuery::aggregate`]) run with a weighted
 //!    accumulator, plus one confidence pass for the error bars of every
-//!    `AVG`, both over a group index and predicate bitmap built once.
+//!    `AVG`, both over packed keys and a predicate bitmap built once.
 //!
 //! For serving workloads, the recommended entry point is the long-lived
 //! [`Engine`] (see [`engine`]): a table catalog, a prepared-sample cache

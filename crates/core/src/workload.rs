@@ -13,7 +13,7 @@
 //! implement the defined semantics (sum of repeats of producing queries) and
 //! document the discrepancy here.
 
-use cvopt_table::{GroupIndex, Predicate, ScalarExpr, Table};
+use cvopt_table::{AggExpr, GroupByQuery, Predicate, ScalarExpr, Table};
 
 use crate::spec::{AggColumn, QuerySpec};
 use crate::Result;
@@ -93,21 +93,16 @@ impl Workload {
                 }
             };
 
-            // Which groups does this query produce? (those matching the
-            // predicate at least once)
-            let index = GroupIndex::build(table, &wq.group_by)?;
-            let mut produced = vec![false; index.num_groups()];
-            match &wq.predicate {
-                None => produced.fill(true),
-                Some(p) => {
-                    let bound = p.bind(table)?;
-                    for row in 0..table.num_rows() {
-                        if bound.matches(row) {
-                            produced[index.group_of(row) as usize] = true;
-                        }
-                    }
-                }
-            }
+            // Which groups does this query produce? Those with a row under
+            // its predicate; without one, every group the exact `COUNT(*)`
+            // answers, the empty grouping's one row over no rows included.
+            let mut count = GroupByQuery::new(wq.group_by.clone(), vec![AggExpr::count()]);
+            count.predicate = wq.predicate.clone();
+            let counted = count.execute(table)?.remove(0);
+            let produced = || {
+                let counts = counted.keys.iter().zip(&counted.group_rows);
+                counts.filter(|&(_, &rows)| rows > 0 || wq.predicate.is_none()).map(|(key, _)| key)
+            };
 
             for col in &wq.agg_columns {
                 let col_name = col.display_name();
@@ -124,11 +119,8 @@ impl Workload {
                     }
                 };
                 let agg = &mut spec.aggregates[agg_idx];
-                for (gid, &hit) in produced.iter().enumerate() {
-                    if hit {
-                        let key = index.key(gid as u32).to_vec();
-                        *agg.group_weights.entry(key).or_insert(0.0) += wq.repeats as f64;
-                    }
+                for key in produced() {
+                    *agg.group_weights.entry(key.clone()).or_insert(0.0) += wq.repeats as f64;
                 }
             }
         }
@@ -233,6 +225,29 @@ mod tests {
         assert_eq!(gpa.weight_for(&[KeyAtom::from("CS")]), 5.0);
         // EE never matches the predicate → falls back to base weight 0.
         assert_eq!(gpa.weight_for(&[KeyAtom::from("EE")]), 0.0);
+    }
+
+    /// Over no rows, a query with a predicate produces no group; one
+    /// without produces the full-table aggregate's one row, as the grouping
+    /// over the table has it, and no other.
+    #[test]
+    fn groups_over_no_rows() {
+        let t = student_table();
+        let empty = TableBuilder::from_schema(t.schema().clone()).finish();
+        let none = Predicate::cmp("age", CmpOp::Gt, 100.0);
+        for (table, predicate) in [(&empty, None), (&empty, Some(&none)), (&t, Some(&none))] {
+            for group_by in [&[][..], &["major"]] {
+                let mut query = WorkloadQuery::new(group_by, &["gpa"], 3);
+                query.predicate = predicate.cloned();
+                let specs = Workload { queries: vec![query] }.derive_specs(table).unwrap();
+                let weights = &specs[0].aggregates[0].group_weights;
+                let context = format!("{group_by:?} {predicate:?}");
+                match (group_by.is_empty(), predicate) {
+                    (true, None) => assert_eq!(weights.get(&Vec::new()), Some(&3.0), "{context}"),
+                    _ => assert!(weights.is_empty(), "{context}"),
+                }
+            }
+        }
     }
 
     #[test]

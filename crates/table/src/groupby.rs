@@ -12,20 +12,22 @@
 //! dictionary when the row space holds several in-process shards — `YEAR`
 //! and `MONTH` of a timestamp whose span of days is at most the rows read
 //! their code from a table over those days, any other dimension is interned
-//! to dense codes first, and a group index lends its ids. The radix product is then the exact key-space bound, known before
-//! the scan.
+//! to dense codes first. The radix product is then the exact key-space
+//! bound, known before the scan.
 //!
 //! One walk does the per-row work (`RowKeys::walk`): over a row range, in
 //! row order, it maps each row's key to a partition-local *slot* — through a
 //! flat `u32` table indexed by the key when the bound is at most the rows
 //! walked, through a hash map otherwise; a property of the data, not an
 //! option — and hands each run of rows and their slots to its caller.
-//! [`GroupIndex::build_with`] writes the slots as per-row ids; the exact
-//! executor folds each slot's accumulators in place; and the strata pass
+//! [`GroupIndex::build_with`] writes the slots as per-row ids; the
+//! aggregation pass folds each slot's accumulators in place, for an exact
+//! statement and for an answer from a sample alike; an answer's confidence
+//! pass reads each sample row's slot as its group; and the strata pass
 //! ([`Strata`]) counting-sorts each partition's rows by slot into runs that
 //! the statistics fold and the stratified draw both read. Over in-process
-//! rows, neither an exact statement nor a cold sample materialises a per-row
-//! id.
+//! rows, no statement — exact, cold or answered from a cached sample —
+//! materialises a per-row id.
 //!
 //! [`OrderedMerge`] joins partial results in row order through translation
 //! tables: the partitions of a walk, an ingest batch behind a maintained
@@ -97,7 +99,8 @@ static GROUP_ID_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Bytes of per-row group ids this process has produced so far: 4 per row
 /// of every [`GroupIndex`] built, decoded or merged, whatever engine or
 /// sampler asked for it. Monotonic; never reset. An exact statement over
-/// in-process rows adds nothing: it folds without an index.
+/// in-process rows and an answer from a sample add nothing: they fold
+/// without an index.
 pub fn total_group_id_bytes() -> u64 {
     GROUP_ID_BYTES.load(Ordering::Relaxed)
 }
@@ -119,14 +122,15 @@ pub fn total_keys_projected() -> u64 {
 /// What one walk found: its distinct keys in first-occurrence order — slot
 /// order — and each key's row count.
 #[derive(Debug, Default)]
-pub(crate) struct LocalKeys {
+pub struct LocalKeys {
     keys: Vec<u64>,
     sizes: Vec<u64>,
 }
 
 impl LocalKeys {
-    /// The walk's packed keys, in slot order.
-    pub(crate) fn keys(&self) -> &[u64] {
+    /// The walk's packed keys, in slot order: [`RowKeys::decode`] reads
+    /// each one's key atoms.
+    pub fn keys(&self) -> &[u64] {
         &self.keys
     }
 
@@ -180,7 +184,7 @@ enum Codes<'k> {
     /// already the column's code space, the table translating them into it.
     Shards(Vec<(&'k [u32], Option<Vec<u32>>)>),
     /// One code per global row.
-    Rows(Cow<'k, [u32]>),
+    Rows(Vec<u32>),
     /// Per shard, each row's epoch seconds; the row's code is
     /// `codes[utc_day(seconds) - first_day]`.
     Days { shards: Vec<&'k [i64]>, first_day: i64, codes: Vec<u32> },
@@ -188,11 +192,10 @@ enum Codes<'k> {
 
 /// One column of a packed key: a code per row and, per code, the key atoms
 /// it stands for — one atom for an encoded dimension, a key prefix after a
-/// fold, a whole key for a group index's ids. The label count is the
-/// column's radix.
+/// fold. The label count is the column's radix.
 struct CodeColumn<'k> {
     codes: Codes<'k>,
-    labels: Cow<'k, [Vec<KeyAtom>]>,
+    labels: Vec<Vec<KeyAtom>>,
 }
 
 impl CodeColumn<'_> {
@@ -491,7 +494,7 @@ fn encode_dimension<'k>(
             shards.push((codes, (!identity).then_some(translation)));
         }
         let labels = (0..merged.len() as u32).map(|c| vec![KeyAtom::Str(merged.get_arc(c))]);
-        let labels = Cow::Owned(labels.collect());
+        let labels = labels.collect();
         return Ok(CodeColumn { codes: Codes::Shards(shards), labels });
     }
     if let Some(column) = day_column(expr, &bound, rows.num_rows()) {
@@ -501,7 +504,7 @@ fn encode_dimension<'k>(
     // first-seen order — the same walk, keyed by the value.
     let interned = intern_rows(rows, &KeySource::Values { expr, values: &bound }, options)?;
     let labels = interned.keys.into_iter().map(|v| vec![KeyAtom::Int(v as i64)]).collect();
-    Ok(CodeColumn { codes: Codes::Rows(Cow::Owned(interned.ids)), labels: Cow::Owned(labels) })
+    Ok(CodeColumn { codes: Codes::Rows(interned.ids), labels })
 }
 
 const SECS_PER_DAY: i64 = 86_400;
@@ -544,12 +547,12 @@ fn day_column<'k>(
         })
         .collect();
     let codes = Codes::Days { shards, first_day, codes };
-    Some(CodeColumn { codes, labels: Cow::Owned(labels) })
+    Some(CodeColumn { codes, labels })
 }
 
 /// Every row's grouping key over one row space, packed into one `u64` code
 /// space whose bound — the radix product — is known before any walk.
-pub(crate) struct RowKeys<'k> {
+pub struct RowKeys<'k> {
     columns: Vec<CodeColumn<'k>>,
     bound: u64,
 }
@@ -559,7 +562,7 @@ impl<'k> RowKeys<'k> {
     /// `tables`. When the radix product would overflow, the longest prefix
     /// that fits is interned first and its dense ids — at most `n` < 2³² of
     /// them — continue as one column: the same walk applied again.
-    pub(crate) fn encode(
+    pub fn encode(
         rows: &RowSpace,
         tables: &[&'k Table],
         exprs: &[ScalarExpr],
@@ -583,21 +586,9 @@ impl<'k> RowKeys<'k> {
             let head = &columns[..fit];
             let folded = intern_rows(rows, &KeySource::Packed { columns: head, bound }, options)?;
             let labels = folded.keys.iter().map(|&key| decode(head, key)).collect();
-            let column = CodeColumn {
-                codes: Codes::Rows(Cow::Owned(folded.ids)),
-                labels: Cow::Owned(labels),
-            };
+            let column = CodeColumn { codes: Codes::Rows(folded.ids), labels };
             columns.splice(..fit, [column]);
         }
-    }
-
-    /// The ids of `index` as keys, bounded by its group count.
-    pub(crate) fn of_index(index: &'k GroupIndex) -> RowKeys<'k> {
-        let column = CodeColumn {
-            codes: Codes::Rows(Cow::Borrowed(&index.row_groups)),
-            labels: Cow::Borrowed(&index.group_keys),
-        };
-        RowKeys { bound: column.radix(), columns: vec![column] }
     }
 
     /// The most slots a walk over `range` can hand out.
@@ -609,9 +600,11 @@ impl<'k> RowKeys<'k> {
         KeySource::Packed { columns: &self.columns, bound: self.bound }
     }
 
-    /// [`walk`] the rows `range` of `rows` — the row space these keys were
-    /// encoded over — handing each run and its slots to `visit`.
-    pub(crate) fn walk(
+    /// Walk the rows `range` of `rows` — the row space these keys were
+    /// encoded over — in row order, handing each run, its rows' slots and
+    /// the slot count so far to `visit`: the module's one walk. Over every
+    /// row, a row's slot is its key's first-occurrence id.
+    pub fn walk(
         &self,
         rows: &RowSpace,
         range: RowRange,
@@ -630,8 +623,8 @@ impl<'k> RowKeys<'k> {
     }
 
     /// The key atoms of packed key `key`, borrowed from the labels when one
-    /// column holds the whole key (a group index's ids, a single dimension).
-    pub(crate) fn decode(&self, key: u64) -> Cow<'_, [KeyAtom]> {
+    /// column holds the whole key (a single dimension).
+    pub fn decode(&self, key: u64) -> Cow<'_, [KeyAtom]> {
         match self.columns.as_slice() {
             [column] => Cow::Borrowed(&column.labels[key as usize]),
             columns => Cow::Owned(decode(columns, key)),

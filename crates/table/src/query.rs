@@ -14,12 +14,12 @@
 //! key, and clones only the key of a group that folded a row.
 //!
 //! [`GroupByQuery::execute`] runs it with [`AggState`] and unit weights over
-//! packed dimension codes — with no group index — and computes exact answers
-//! (the experiments' ground truth). Over shards behind readers each shard
-//! runs the same per-partition function over the partitions it holds, and
-//! its partials merge here in partition order.
-//! Sample-based estimators run the same pass over a group index's ids
-//! ([`GroupByQuery::aggregate`]) with a weighted accumulator.
+//! packed dimension codes and computes exact answers (the experiments'
+//! ground truth). Over shards behind readers each shard runs the same
+//! per-partition function over the partitions it holds, and its partials
+//! merge here in partition order. Sample-based estimators run the same pass
+//! ([`GroupByQuery::aggregate`]) over the sample's packed keys with a
+//! weighted accumulator. No answer builds a group index.
 
 use std::borrow::Cow;
 
@@ -28,7 +28,7 @@ use crate::bitmap::Bitmap;
 use crate::cube::grouping_sets;
 use crate::exec::{self, ExecOptions, RowRange};
 use crate::expr::{BoundExpr, ScalarExpr};
-use crate::groupby::{GroupIndex, GroupProjection, KeyAtom, LocalKeys, OrderedMerge, RowKeys};
+use crate::groupby::{GroupProjection, KeyAtom, LocalKeys, OrderedMerge, RowKeys};
 use crate::predicate::Predicate;
 use crate::reader::{Fold, RowSpace};
 use crate::Result;
@@ -118,7 +118,7 @@ impl GroupByQuery {
             Some(p) => Some(rows.predicate_bitmaps(p, options)?),
             None => None,
         };
-        self.fold::<AggState>(&rows, &keys, filters.as_deref(), |_| 1.0, options)
+        self.aggregate::<AggState>(&rows, &keys, filters.as_deref(), |_| 1.0, options)
     }
 
     /// [`GroupByQuery::execute_with`] over a row space with a shard behind a
@@ -149,27 +149,15 @@ impl GroupByQuery {
         Ok(self.assemble(dim_names, &group_keys, &fine))
     }
 
-    /// The aggregation pass over the ids of `index`, this query's
-    /// [`RowSpace::group_index`] over `rows`: walk `rows` under the
-    /// optional per-shard `filters` (this query's
+    /// The aggregation pass over `keys`, this query's grouping
+    /// ([`RowKeys::encode`]) over the in-process `rows`: walk `rows` under
+    /// the optional per-shard `filters` (this query's
     /// [`RowSpace::predicate_bitmaps`]), fold one accumulator per (group,
     /// aggregate) per partition, merge the partials in partition order,
     /// project the merged states onto each grouping set and assemble one
     /// [`QueryResult`] per set. `weight` maps a global row id to the weight
-    /// its value is accumulated with.
-    pub fn aggregate<A: Accumulator>(
-        &self,
-        rows: &RowSpace<'_>,
-        index: &GroupIndex,
-        filters: Option<&[Bitmap]>,
-        weight: impl Fn(usize) -> f64 + Sync,
-        options: &ExecOptions,
-    ) -> Result<Vec<QueryResult>> {
-        self.fold::<A>(rows, &RowKeys::of_index(index), filters, weight, options)
-    }
-
-    /// The pass itself, over any keys of `rows`. Every row takes a slot, so
-    /// fine groups follow first occurrence over *all* rows — the order
+    /// its value is accumulated with. Every row takes a slot, so fine
+    /// groups follow first occurrence over *all* rows — the order
     /// [`coarsen`] merges them in — but only rows the filters keep are
     /// folded.
     ///
@@ -179,7 +167,7 @@ impl GroupByQuery {
     /// the same rows in the same order wherever shard boundaries fall, and
     /// the partition-order merge makes the result bit-identical to the
     /// single-table pass.
-    fn fold<A: Accumulator>(
+    pub fn aggregate<A: Accumulator>(
         &self,
         rows: &RowSpace<'_>,
         keys: &RowKeys<'_>,

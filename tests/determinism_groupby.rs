@@ -11,6 +11,11 @@
 //! in row order over the rows the predicate keeps, partitions merged in
 //! order, fine groups merged onto each grouping set in id order.
 //!
+//! Sampled answers == the same reference, bit for bit: an estimate is that
+//! pass over the sample's rows with the weighted accumulator and each row's
+//! weight, so the reference restates it with the accumulator and the weight
+//! as parameters.
+//!
 //! CI runs this suite in the `CVOPT_THREADS` × `CVOPT_SHARDS` matrix with
 //! both values pinned; the pinned counts are folded into every sweep.
 
@@ -18,12 +23,13 @@ use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
 
-use cvopt_core::{Engine, ExecOptions, QueryMode};
+use cvopt_core::estimate::{estimate_with, WeightedAggState};
+use cvopt_core::{Engine, ExecOptions, MaterializedSample, QueryMode};
 use cvopt_datagen::{generate_openaq, OpenAqConfig};
-use cvopt_table::agg::AggState;
+use cvopt_table::agg::{Accumulator, AggState};
 use cvopt_table::exec::CHUNK_ROWS;
 use cvopt_table::{
-    grouping_sets, AggExpr, CmpOp, DataType, GroupByQuery, GroupIndex, KeyAtom, Predicate,
+    grouping_sets, AggExpr, AggKind, CmpOp, DataType, GroupByQuery, GroupIndex, KeyAtom, Predicate,
     QueryResult, ScalarExpr, ShardSet, ShardedTable, Table, TableBuilder, Value,
 };
 
@@ -110,26 +116,26 @@ fn answer_rows(results: &[QueryResult]) -> Vec<AnswerRows> {
 }
 
 /// [`statement`]'s answer as the contract defines it, from the reference
-/// ids: one `AggState` per fine group stands for the `SUM` and `AVG`
-/// accumulators (they take the same values in the same order) and its count
-/// for `COUNT(*)`. The empty grouping set answers one row even over no rows.
-fn reference_answer(
+/// ids, accumulating row `r` with weight `weight(r)`: one `A` per fine group
+/// stands for the `SUM`, `COUNT(*)` and `AVG` accumulators (they take the
+/// same rows and weights in the same order, and no value is null). The
+/// empty grouping set answers one row even over no rows.
+fn reference_answer<A: Accumulator>(
     table: &Table,
     exprs: &[ScalarExpr],
-    value: &str,
-    cut: Option<f64>,
-    cube: bool,
+    (value, cut, cube): (&str, Option<f64>, bool),
+    weight: impl Fn(usize) -> f64,
 ) -> Vec<AnswerRows> {
     let (ids, keys, _) = reference(table, exprs);
     let values = ScalarExpr::col(value).bind(table).unwrap();
-    let mut fine = vec![AggState::default(); keys.len()];
+    let mut fine = vec![A::default(); keys.len()];
     for start in (0..table.num_rows()).step_by(CHUNK_ROWS) {
-        let mut partition: HashMap<u32, AggState> = HashMap::new();
+        let mut partition: HashMap<u32, A> = HashMap::new();
         let end = table.num_rows().min(start + CHUNK_ROWS);
         for (row, &id) in (start..end).zip(&ids[start..end]) {
             let v = values.f64_at(row).unwrap();
             if cut.is_none_or(|cut| v > cut) {
-                partition.entry(id).or_default().update(v);
+                partition.entry(id).or_default().update(v, weight(row));
             }
         }
         for (id, state) in partition {
@@ -138,15 +144,15 @@ fn reference_answer(
     }
     let sets = if cube { grouping_sets(exprs.len()) } else { vec![(0..exprs.len()).collect()] };
     let answer = |dims: &Vec<usize>| {
-        let mut coarse: BTreeMap<Vec<KeyAtom>, AggState> = BTreeMap::new();
+        let mut coarse: BTreeMap<Vec<KeyAtom>, A> = BTreeMap::new();
         for (key, state) in keys.iter().zip(&fine) {
             coarse.entry(dims.iter().map(|&d| key[d].clone()).collect()).or_default().merge(state);
         }
+        let kinds = [AggKind::Sum, AggKind::Count, AggKind::Avg];
         let mut rows: AnswerRows = coarse
             .into_iter()
-            .filter(|(_, s)| s.count > 0)
-            .map(|(key, s)| (key, vec![s.sum, s.count as f64, s.mean], s.count))
-            .map(|(key, v, n)| (key, v.iter().map(|x| x.to_bits()).collect(), n))
+            .filter(|(_, s)| s.rows() > 0)
+            .map(|(key, s)| (key, kinds.map(|k| s.finalize(k).to_bits()).to_vec(), s.rows()))
             .collect();
         if dims.is_empty() && rows.is_empty() {
             rows.push((Vec::new(), [f64::NAN, 0.0, f64::NAN].map(f64::to_bits).to_vec(), 0));
@@ -166,7 +172,7 @@ fn assert_answers_match_reference(
     layouts: &[ShardedTable],
     context: &str,
 ) {
-    let want = reference_answer(table, exprs, value, cut, cube);
+    let want = reference_answer::<AggState>(table, exprs, (value, cut, cube), |_| 1.0);
     let query = statement(exprs, value, cut, cube);
     let mut sets: Vec<(String, ShardSet)> = vec![("whole".into(), ShardSet::from(table.clone()))];
     for shards in swept(&[2, 3], "CVOPT_SHARDS") {
@@ -183,6 +189,32 @@ fn assert_answers_match_reference(
             let got = query.execute_with(set, &ExecOptions::new(threads)).unwrap();
             assert!(answer_rows(&got) == want, "{context}: {how}, {threads} threads");
         }
+    }
+}
+
+/// Every row of `table`, weighted `1 + 0.37 · (row mod 13)`.
+fn weighted_sample(table: &Table) -> MaterializedSample {
+    let rows: Vec<u32> = (0..table.num_rows() as u32).collect();
+    let weights = (0..table.num_rows()).map(|r| 1.0 + (r % 13) as f64 * 0.37).collect();
+    MaterializedSample::from_rows(table, rows, weights)
+}
+
+/// [`statement`] estimated from `sample` answers the reference over the
+/// sample's rows, folding [`WeightedAggState`] under the sample's weights,
+/// bit for bit at every swept thread count.
+fn assert_estimates_match_reference(
+    sample: &MaterializedSample,
+    exprs: &[ScalarExpr],
+    (value, cut, cube): (&str, Option<f64>, bool),
+    context: &str,
+) {
+    let weight = |r: usize| sample.weights[r];
+    let want =
+        reference_answer::<WeightedAggState>(&sample.table, exprs, (value, cut, cube), weight);
+    let query = statement(exprs, value, cut, cube);
+    for threads in swept(&[1, 2, 8], "CVOPT_THREADS") {
+        let got = estimate_with(sample, &query, &ExecOptions::new(threads)).unwrap();
+        assert!(answer_rows(&got) == want, "{context}: estimated, {threads} threads");
     }
 }
 
@@ -223,12 +255,38 @@ fn index_matches_reference_on_openaq() {
     let mut sorted: Vec<f64> = (0..table.num_rows()).map(|r| values.f64_at(r).unwrap()).collect();
     sorted.sort_by(f64::total_cmp);
     let cut = sorted[sorted.len() * 99 / 100];
-    let folded = reference_answer(&table, &durable, "value", Some(cut), false)[0].len();
+    let shape = ("value", Some(cut), false);
+    let folded = reference_answer::<AggState>(&table, &durable, shape, |_| 1.0)[0].len();
     let fine = reference(&table, &durable).1.len();
     assert!(0 < folded && 2 * folded < fine, "{folded} of {fine} fine groups fold a row");
     for cube in [false, true] {
         let context = format!("durable, value > {cut}, cube {cube}");
         assert_answers_match_reference(&table, &durable, ("value", Some(cut), cube), &[], &context);
+    }
+
+    let sample = weighted_sample(&table);
+    for (cut, cube) in [(None, false), (Some(cut), false), (Some(cut), true)] {
+        let context = format!("durable sample, cut {cut:?}, cube {cube}");
+        assert_estimates_match_reference(&sample, &durable, ("value", cut, cube), &context);
+    }
+}
+
+/// A weighted sample larger than one partition — every row of a
+/// 1.5-partition table, at weights that are not 1 — answers the weighted
+/// reference grouped by two columns, plain and as a cube, and as a cube
+/// over the same columns in the other order, with and without a selective
+/// cut.
+#[test]
+fn sampled_answers_match_weighted_reference() {
+    let table = generate_openaq(&OpenAqConfig::with_rows(3 * CHUNK_ROWS / 2));
+    let sample = weighted_sample(&table);
+    let dims = [ScalarExpr::col("country"), ScalarExpr::col("parameter")];
+    let reordered = [dims[1].clone(), dims[0].clone()];
+    for cut in [None, Some(40.0)] {
+        for (exprs, cube) in [(&dims, false), (&dims, true), (&reordered, true)] {
+            let context = format!("{exprs:?}, cut {cut:?}, cube {cube}");
+            assert_estimates_match_reference(&sample, exprs, ("value", cut, cube), &context);
+        }
     }
 }
 
