@@ -350,7 +350,15 @@ fn remote_workload(counters: &mut Vec<(String, u64)>) {
         let remote = RemoteShard::register(peer, format!("openaq/{s}"), shard).expect("register");
         Arc::new(remote) as Arc<dyn cvopt_table::ShardReader>
     });
+    let wire = || {
+        let bytes = cvopt_net::net_bytes_sent() + cvopt_net::net_bytes_received();
+        (cvopt_net::net_requests(), bytes)
+    };
+    let registering = wire();
     let set = cvopt_table::ShardSet::new(readers.collect()).expect("shard set");
+    // The two `Register` frames and their acknowledgements: the table codec's
+    // cost, byte for byte.
+    counters.push(("net_bytes/remote_register".into(), wire().1 - registering.1));
     let engine = |set: Option<&cvopt_table::ShardSet>| {
         let mut engine = Engine::new().with_seed(7).with_exec(ExecOptions::sequential());
         match set {
@@ -360,10 +368,6 @@ fn remote_workload(counters: &mut Vec<(String, u64)>) {
         engine
     };
     let (remote, local) = (engine(Some(&set)), engine(None));
-    let wire = || {
-        let bytes = cvopt_net::net_bytes_sent() + cvopt_net::net_bytes_received();
-        (cvopt_net::net_requests(), bytes)
-    };
     let mut remote_ids = 0;
     for (name, stmt, mode, frames) in [
         (

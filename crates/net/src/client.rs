@@ -7,7 +7,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::circuit::CircuitBreaker;
-use crate::frame::{frame_len, read_frame, write_frame};
+use crate::frame::{read_head, write_frame, HEAD_LEN};
 use crate::wire::{DecodeError, Request, Response};
 
 /// Client-side failure talking to a shard server.
@@ -132,7 +132,7 @@ impl Peer {
                 crate::record_retry();
             }
             match self.try_call(&mut conn, &payload) {
-                Ok(raw) => match Response::decode(&raw) {
+                Ok(decoded) => match decoded {
                     Ok(Response::Error { message }) => {
                         // The peer is alive and answered; only the request
                         // was bad. Keep the circuit closed.
@@ -166,8 +166,13 @@ impl Peer {
         Err(NetError::Io(last_err.expect("at least one attempt ran")))
     }
 
-    /// One attempt: connect if needed, write the frame, read the reply.
-    fn try_call(&self, conn: &mut Option<TcpStream>, payload: &[u8]) -> Result<Vec<u8>, io::Error> {
+    /// One attempt: connect if needed, write the frame, decode the reply as
+    /// it arrives.
+    fn try_call(
+        &self,
+        conn: &mut Option<TcpStream>,
+        payload: &[u8],
+    ) -> io::Result<Result<Response, DecodeError>> {
         if conn.is_none() {
             let stream = TcpStream::connect_timeout(&self.resolved, self.config.connect_timeout)?;
             stream.set_read_timeout(Some(self.config.io_timeout))?;
@@ -178,8 +183,9 @@ impl Peer {
         let stream = conn.as_mut().expect("connection just established");
         let sent = write_frame(stream, payload)?;
         crate::record_bytes_sent(sent);
-        let raw = read_frame(stream)?;
-        crate::record_bytes_received(frame_len(&raw));
-        Ok(raw)
+        let len = read_head(stream)?;
+        let response = Response::decode_from(stream, len)?;
+        crate::record_bytes_received(HEAD_LEN + len as u64);
+        Ok(response)
     }
 }

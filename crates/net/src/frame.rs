@@ -1,14 +1,22 @@
 //! Length-prefixed framing: `[u32 LE length][u8 version][payload]`.
 //!
-//! The length covers the version byte plus the payload, so a reader can
-//! allocate exactly once per frame. Frames above [`MAX_FRAME`] are rejected
-//! before allocation — a corrupt or hostile length prefix cannot OOM the
-//! process.
+//! The length covers the version byte plus the payload. [`read_head`]
+//! checks a frame's length bounds and then its version before any payload
+//! byte is read, so a corrupt or hostile head — a length above
+//! [`MAX_FRAME`], or a frame of another protocol version — is refused
+//! before anything is allocated for it. Both ends then decode the payload
+//! as it arrives ([`crate::wire::Request::decode_from`],
+//! [`crate::wire::Response::decode_from`]), so no buffer holds a whole
+//! frame; [`read_frame`] reads one whole, for callers that want the bytes.
 
 use std::io::{self, Read, Write};
 
-/// Protocol version carried in every frame.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// Protocol version carried in every frame. Version 2 ships tables
+/// column-major; version 1 frames are refused at the head.
+pub const PROTOCOL_VERSION: u8 = 2;
+
+/// Bytes of a frame's head: the length prefix and the version.
+pub const HEAD_LEN: u64 = 5;
 
 /// Upper bound on a single frame body (version byte + payload): 256 MiB.
 pub const MAX_FRAME: usize = 256 * 1024 * 1024;
@@ -29,9 +37,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<u64> {
     Ok(4 + body_len as u64)
 }
 
-/// Read one frame, returning its payload. The 5-byte head is checked —
-/// length bounds, then version — before the payload is allocated or read.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
+/// Read a frame's 5-byte head and return the length of the payload that
+/// follows it. Length bounds, then version, are checked before any payload
+/// byte is read.
+pub fn read_head(r: &mut impl Read) -> io::Result<usize> {
     let mut head = [0u8; 5];
     r.read_exact(&mut head)?;
     let body_len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
@@ -50,14 +59,15 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
             format!("unsupported protocol version {}", head[4]),
         ));
     }
-    let mut payload = vec![0u8; body_len - 1];
-    r.read_exact(&mut payload)?;
-    Ok(payload)
+    Ok(body_len - 1)
 }
 
-/// Total on-wire size of a frame carrying `payload`.
-pub fn frame_len(payload: &[u8]) -> u64 {
-    4 + 1 + payload.len() as u64
+/// Read one frame whole, returning its payload ([`read_head`], then the
+/// payload it announces).
+pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
+    let mut payload = vec![0u8; read_head(r)?];
+    r.read_exact(&mut payload)?;
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -101,6 +111,15 @@ mod tests {
         let err = read_frame(&mut Cursor::new(&buf)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("unsupported protocol version"), "{err}");
+    }
+
+    #[test]
+    fn a_version_1_frame_is_refused_at_the_head() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"x").unwrap();
+        buf[4] = 1;
+        let err = read_head(&mut Cursor::new(&buf)).unwrap_err();
+        assert!(err.to_string().contains("unsupported protocol version 1"), "{err}");
     }
 
     #[test]

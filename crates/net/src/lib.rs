@@ -6,7 +6,8 @@
 //! * [`frame`] + [`wire`] — a length-prefixed, versioned binary protocol.
 //!   Every message is `[u32 LE length][u8 version][payload]`; payloads are
 //!   tagged unions encoded with fixed-width little-endian primitives, so the
-//!   same bytes decode identically on every platform.
+//!   same bytes decode identically on every platform. Tables travel a
+//!   column at a time, and a payload is decoded as it arrives.
 //! * [`pipeline`] — the one server loop in the workspace: accept → bounded
 //!   queue → worker pool → idle parking → shutdown, behind a two-method
 //!   [`pipeline::Service`]. `cvopt-serve`'s HTTP server runs on it too.
@@ -32,9 +33,9 @@
 //! draw's ordinals depend only on (seed, stratum, n_c, s_c). The server
 //! answers every pass through [`cvopt_table::LocalShard`] — the reference
 //! implementation — and the wire format round-trips values exactly
-//! (`f64::to_bits`, dictionary rebuild in row order), so nothing drifts in
-//! transit. A cold approximate statement costs one walk and one pick per
-//! shard; an exact one, one walk.
+//! (`f64::to_bits`, string dictionaries in first-occurrence order), so
+//! nothing drifts in transit. A cold approximate statement costs one walk
+//! and one pick per shard; an exact one, one walk.
 
 pub mod circuit;
 pub mod client;

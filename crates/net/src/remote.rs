@@ -4,6 +4,7 @@
 //! walks, picks and straddling fragments. The rows behind it change only by
 //! registering the table again with its new rows.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use cvopt_table::reader::{Fold, Pick, Picked, Walked};
@@ -34,7 +35,7 @@ impl RemoteShard {
     /// table was mangled in transit and is reported as an error.
     pub fn register(peer: Arc<Peer>, key: impl Into<String>, table: &Table) -> Result<RemoteShard> {
         let key = key.into();
-        let request = Request::Register { key: key.clone(), table: table.clone() };
+        let request = Request::Register { key: key.clone(), table: Cow::Borrowed(table) };
         let shard =
             RemoteShard { peer, key, schema: table.schema().clone(), rows: table.num_rows() };
         match shard.call(&request)? {

@@ -17,13 +17,13 @@
 //! twice leaves what one delivery leaves. Every other request is a read.
 
 use std::collections::HashMap;
-use std::io;
-use std::net::{SocketAddr, ToSocketAddrs};
+use std::io::{self, BufReader, Read};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 
 use cvopt_table::{LocalShard, Result, ShardReader, TableError};
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{read_head, write_frame};
 use crate::pipeline::{lock, Connection, Next, Pipeline, Service};
 use crate::wire::{Request, Response};
 
@@ -74,12 +74,19 @@ struct FrameService {
     shards: ShardMap,
 }
 
+/// The frame is decoded as it arrives, so no buffer ever holds a whole
+/// payload. A payload that does not decode costs its request, not the
+/// connection: the rest of it is skipped and the answer is an `Error`. A
+/// read that fails — the peer hung up or stalled mid-frame — closes the
+/// connection, whose stream has lost its place.
 impl Service for FrameService {
     fn answer(&self, conn: &mut Connection) -> Next {
-        let Ok(payload) = read_frame(&mut conn.reader) else { return Next::Close };
-        let response = match Request::decode(&payload) {
-            Ok(request) => handle_request(&self.shards, request),
-            Err(e) => Response::Error { message: e.to_string() },
+        let Ok(len) = read_head(&mut conn.reader) else { return Next::Close };
+        let mut body = (&mut conn.reader).take(len as u64);
+        let response = match Request::decode_from(&mut body, len) {
+            Ok(Ok(request)) => handle_request(&self.shards, request),
+            Ok(Err(e)) if skipped(&mut body) => Response::Error { message: e.to_string() },
+            _ => return Next::Close,
         };
         match write_frame(&mut conn.writer, &response.encode()) {
             Ok(_) => Next::Keep,
@@ -88,17 +95,22 @@ impl Service for FrameService {
     }
 }
 
+/// Whether the rest of a frame's body could be read past.
+fn skipped(body: &mut io::Take<&mut BufReader<TcpStream>>) -> bool {
+    io::copy(body, &mut io::sink()).is_ok() && body.limit() == 0
+}
+
 /// Execute one request against the shard map, folding lookup and pass
 /// errors into [`Response::Error`].
-fn handle_request(shards: &ShardMap, request: Request) -> Response {
+fn handle_request(shards: &ShardMap, request: Request<'_>) -> Response {
     answer(shards, request).unwrap_or_else(|e| Response::Error { message: e.to_string() })
 }
 
-fn answer(shards: &ShardMap, request: Request) -> Result<Response> {
+fn answer(shards: &ShardMap, request: Request<'_>) -> Result<Response> {
     match request {
         Request::Register { key, table } => {
             let rows = table.num_rows() as u64;
-            lock(shards).insert(key, Arc::new(LocalShard::new(table)));
+            lock(shards).insert(key, Arc::new(LocalShard::new(table.into_owned())));
             Ok(Response::Registered { rows })
         }
         Request::Health => {
@@ -140,13 +152,15 @@ fn with_shard(
 mod tests {
     use super::*;
     use crate::client::Peer;
+    use crate::frame::read_frame;
     use cvopt_table::reader::{Fold, Pick};
     use cvopt_table::{DataType, ScalarExpr, Table, TableBuilder, Value};
+    use std::borrow::Cow;
 
     /// Register `table` on a running server via a temporary connection.
     fn register_table(addr: &str, key: &str, table: &Table) -> u64 {
         let peer = Peer::connect(addr).unwrap();
-        match peer.call(&Request::Register { key: key.to_string(), table: table.clone() }) {
+        match peer.call(&Request::Register { key: key.to_string(), table: Cow::Borrowed(table) }) {
             Ok(Response::Registered { rows }) => rows,
             other => panic!("unexpected response {other:?}"),
         }
@@ -270,6 +284,62 @@ mod tests {
         Response::decode(&read_frame(raw).unwrap()).unwrap()
     }
 
+    /// A `Register` whose body stops decoding partway costs that request
+    /// only: the rest of the frame is skipped, the answer is an `Error`,
+    /// and the next frame on the same connection is answered.
+    #[test]
+    fn a_frame_that_fails_to_decode_costs_one_request_not_the_connection() {
+        let mut server = Shardd::bind("127.0.0.1:0", 1).unwrap();
+        let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+        let register = Request::Register { key: "t".into(), table: Cow::Owned(tiny_table()) };
+        let mut payload = register.encode();
+        // Row 1's code in column "k", ahead of column "v"'s three floats,
+        // names a string past the dictionary.
+        let code = payload.len() - 3 * 8 - 2 * 4;
+        payload[code] = 7;
+        let mut frames = Vec::new();
+        write_frame(&mut frames, &payload).unwrap();
+        write_frame(&mut frames, &Request::Health.encode()).unwrap();
+        std::io::Write::write_all(&mut raw, &frames).unwrap();
+        match Response::decode(&read_frame(&mut raw).unwrap()).unwrap() {
+            Response::Error { message } => assert!(message.contains("past"), "{message}"),
+            other => panic!("unexpected response {other:?}"),
+        }
+        match Response::decode(&read_frame(&mut raw).unwrap()).unwrap() {
+            Response::Health { keys } => assert!(keys.is_empty()),
+            other => panic!("unexpected response {other:?}"),
+        }
+        server.shutdown();
+    }
+
+    /// A peer that hangs up halfway through a frame's body loses its own
+    /// connection, unanswered; every other connection is still served.
+    #[test]
+    fn a_peer_that_hangs_up_mid_body_closes_only_its_own_connection() {
+        use std::io::{Read as _, Write as _};
+        let mut server = Shardd::bind("127.0.0.1:0", 1).unwrap();
+        let mut other = std::net::TcpStream::connect(server.addr()).unwrap();
+        assert!(matches!(exchange(&mut other, &Request::Health), Response::Health { .. }));
+
+        let mut quitter = std::net::TcpStream::connect(server.addr()).unwrap();
+        quitter.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+        let register = Request::Register { key: "t".into(), table: Cow::Owned(tiny_table()) };
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &register.encode()).unwrap();
+        quitter.write_all(&frame[..frame.len() / 2]).unwrap();
+        quitter.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut answer = Vec::new();
+        let _ = quitter.read_to_end(&mut answer);
+        assert!(answer.is_empty(), "a half frame was answered: {answer:?}");
+
+        match exchange(&mut other, &Request::Health) {
+            Response::Health { keys } => assert!(keys.is_empty()),
+            other => panic!("unexpected response {other:?}"),
+        }
+        assert_eq!(register_table(&server.addr().to_string(), "t", &tiny_table()), 3);
+        server.shutdown();
+    }
+
     /// The one mutating frame delivered twice on one connection — what a
     /// transport retry after a lost response sends — leaves what one
     /// delivery leaves: both are acknowledged, and the shard then answers
@@ -278,7 +348,8 @@ mod tests {
     fn duplicate_register_is_an_idempotent_replace() {
         let mut server = Shardd::bind("127.0.0.1:0", 1).unwrap();
         let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
-        let register = Request::Register { key: "t".into(), table: tiny_table() }.encode();
+        let register = Request::Register { key: "t".into(), table: Cow::Owned(tiny_table()) };
+        let register = register.encode();
         write_frame(&mut raw, &register).unwrap();
         write_frame(&mut raw, &register).unwrap();
         for _ in 0..2 {

@@ -4,10 +4,24 @@
 //! primitives. Strings are a length followed by UTF-8 bytes; floats travel
 //! as `f64::to_bits`, so NaN payloads and signed zeros round-trip exactly,
 //! and an [`AggState`] travels as its count plus its five floats' bits.
-//! Tables are shipped row-major as tagged [`Value`]s and rebuilt with
-//! [`TableBuilder`] in row order, which reproduces the dictionary build
-//! order of the original table — a gathered remote table is byte-identical
-//! to its local counterpart.
+//!
+//! Tables travel column-major: the schema, the row count `n`, then one run
+//! per column — `n` `i64`s for `Int64` and `Timestamp`, `n` `f64` bit
+//! patterns for `Float64`, `n` bytes of 0 or 1 for `Bool`, and for `Str`
+//! the dictionary (a count, then its strings) followed by `n` `u32` codes.
+//! A string column's dictionary travels in first-occurrence order of its
+//! codes with no unused entry: the encoder recodes a column that is not in
+//! that form, and the decoder refuses any other. So a received table is the
+//! one a row-by-row build of its rows gives, byte for byte, and a decoded
+//! payload re-encodes to the same bytes.
+//!
+//! A [`Reader`] pulls a payload of declared length from any [`Read`]
+//! through a window of at most 64 KiB, and decodes fixed-width
+//! runs (table columns, row lists, dense value columns) a window at a time,
+//! so a shard server decodes a frame as it arrives. Every count is checked
+//! against the payload's remaining bytes before anything is reserved for
+//! it, and no reservation exceeds those bytes: never more than a buffer
+//! holding the whole frame would take.
 //!
 //! Tag assignments are part of the protocol and must never be renumbered;
 //! new variants get new tags:
@@ -36,14 +50,17 @@
 //! fragments of a partition that straddles a shard boundary. `Partials` is
 //! sent by no pass; it stays for the codec throughput probe.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::io::{self, Read};
 use std::sync::Arc;
 
 use cvopt_table::agg::AggState;
+use cvopt_table::dict::check_first_occurrence;
 use cvopt_table::reader::{Fold, Pick, Picked, Walked, WalkedPartition};
 use cvopt_table::{
-    AggExpr, AggKind, ArithOp, CaseWhen, CmpOp, ColumnValues, DataType, KeyAtom, Predicate,
-    ScalarExpr, Schema, Table, TableBuilder, Value,
+    AggExpr, AggKind, ArithOp, CaseWhen, CmpOp, Column, ColumnValues, DataType, Dictionary, Field,
+    KeyAtom, Predicate, ScalarExpr, Schema, Table, Value,
 };
 
 /// Decoding failed: the payload is truncated, mis-tagged, or inconsistent.
@@ -70,21 +87,19 @@ type Result<T> = std::result::Result<T, DecodeError>;
 /// decoding, so a corrupt frame cannot overflow the stack.
 const MAX_DEPTH: usize = 128;
 
-/// Cap on any single up-front reservation sized by a claimed element count.
-/// Counts are validated against remaining payload bytes assuming one byte
-/// per element, but most elements are wider than a byte — so a hostile
-/// count inside a large frame could otherwise force a reservation many
-/// times the payload size before element decoding fails. Beyond the cap,
-/// vectors grow as elements actually decode.
-const MAX_PREALLOC: usize = 64 * 1024;
+/// The most payload bytes a [`Reader`] holds at once.
+const WINDOW: usize = 64 * 1024;
 
-/// Decode `n` elements with `f`, pre-allocating at most [`MAX_PREALLOC`].
+/// Decode `n` elements with `f`. `n` has passed the remaining-bytes guard,
+/// but most elements are wider than a byte, so the up-front reservation is
+/// capped at what the payload's remaining bytes could hold; beyond it the
+/// vector grows as elements actually decode.
 fn get_vec<'a, T>(
     r: &mut Reader<'a>,
     n: usize,
     mut f: impl FnMut(&mut Reader<'a>) -> Result<T>,
 ) -> Result<Vec<T>> {
-    let mut out = Vec::with_capacity(n.min(MAX_PREALLOC));
+    let mut out = Vec::with_capacity(n.min(r.left() / std::mem::size_of::<T>().max(1)));
     for _ in 0..n {
         out.push(f(r)?);
     }
@@ -140,58 +155,119 @@ impl Writer {
         self.len(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
+
+    /// A run of fixed-width values, without its count.
+    fn run<T: Copy, const W: usize>(&mut self, values: &[T], encode: impl Fn(T) -> [u8; W]) {
+        self.buf.reserve(values.len() * W);
+        for &v in values {
+            self.buf.extend_from_slice(&encode(v));
+        }
+    }
 }
 
-/// Cursor over an encoded payload.
-#[derive(Debug)]
+/// Cursor over a payload of declared length, pulled from a [`Read`]
+/// through a window of at most 64 KiB. It never reads past the
+/// declared length, so the source is left at whatever follows the payload.
 pub struct Reader<'a> {
-    buf: &'a [u8],
+    src: &'a mut dyn Read,
+    window: Vec<u8>,
+    /// The pulled, unconsumed bytes are `window[pos..end]`.
     pos: usize,
+    end: usize,
+    /// Payload bytes not yet pulled from `src`.
+    unread: usize,
+    /// The source failed, so the payload was not read whole.
+    failed: Option<io::Error>,
 }
 
 impl<'a> Reader<'a> {
-    /// Read from the start of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+    /// Read a payload of `len` bytes from `src`.
+    pub fn new(src: &'a mut dyn Read, len: usize) -> Self {
+        let window = vec![0; len.min(WINDOW)];
+        Reader { src, window, pos: 0, end: 0, unread: len, failed: None }
+    }
+
+    /// Payload bytes not yet consumed.
+    fn left(&self) -> usize {
+        self.end - self.pos + self.unread
     }
 
     /// Error unless every byte has been consumed.
     pub fn expect_end(&self) -> Result<()> {
-        if self.pos != self.buf.len() {
+        match self.left() {
+            0 => Ok(()),
+            n => Err(DecodeError::new(format!("{n} trailing bytes after payload"))),
+        }
+    }
+
+    /// What `decoded` came to, once the whole payload is consumed — unless
+    /// the source failed under it, which is the error then.
+    fn finish<T>(mut self, decoded: Result<T>) -> io::Result<Result<T>> {
+        match self.failed.take() {
+            Some(e) => Err(e),
+            None => Ok(decoded.and_then(|value| self.expect_end().map(|()| value))),
+        }
+    }
+
+    /// Have at least `want` unconsumed bytes in the window, pulling as many
+    /// as fit. `want` is at most a primitive's width, and the window holds
+    /// [`WINDOW`] bytes or the whole payload, so a payload with `want`
+    /// bytes left always has room for them.
+    fn fill(&mut self, want: usize) -> Result<()> {
+        if self.end - self.pos >= want {
+            return Ok(());
+        }
+        if self.left() < want {
+            let left = self.left();
             return Err(DecodeError::new(format!(
-                "{} trailing bytes after payload",
-                self.buf.len() - self.pos
+                "payload truncated: wanted {want} bytes, {left} left"
             )));
+        }
+        self.window.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        while self.end < want {
+            let stop = self.window.len().min(self.end + self.unread);
+            match self.src.read(&mut self.window[self.end..stop]) {
+                Ok(0) => return Err(self.fail(io::ErrorKind::UnexpectedEof.into())),
+                Ok(n) => {
+                    self.end += n;
+                    self.unread -= n;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(self.fail(e)),
+            }
         }
         Ok(())
     }
 
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
-            return Err(DecodeError::new(format!(
-                "payload truncated: wanted {n} bytes, {} left",
-                self.buf.len() - self.pos
-            )));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+    fn fail(&mut self, e: io::Error) -> DecodeError {
+        let err = DecodeError::new(format!("payload read failed: {e}"));
+        self.failed = Some(e);
+        err
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        self.fill(N)?;
+        let out = self.window[self.pos..self.pos + N].try_into().expect("N bytes");
+        self.pos += N;
         Ok(out)
     }
 
     fn u8(&mut self) -> Result<u8> {
-        Ok(self.bytes(1)?[0])
+        Ok(self.array::<1>()?[0])
     }
 
     fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
+        Ok(i64::from_le_bytes(self.array()?))
     }
 
     fn f64(&mut self) -> Result<f64> {
@@ -211,10 +287,10 @@ impl<'a> Reader<'a> {
         // A length can never exceed what is physically left in the payload
         // (every element is at least one byte), so reject it before any
         // allocation sized by it.
-        if n > (self.buf.len() - self.pos) as u64 {
+        if n > self.left() as u64 {
             return Err(DecodeError::new(format!(
                 "length {n} exceeds remaining payload of {} bytes",
-                self.buf.len() - self.pos
+                self.left()
             )));
         }
         Ok(n as usize)
@@ -222,10 +298,73 @@ impl<'a> Reader<'a> {
 
     fn str(&mut self) -> Result<String> {
         let n = self.len()?;
-        let raw = self.bytes(n)?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| DecodeError::new("string field is not valid UTF-8"))
+        let mut raw = Vec::with_capacity(n);
+        self.chunks(n, 1, |chunk| raw.extend_from_slice(chunk))?;
+        String::from_utf8(raw).map_err(|_| DecodeError::new("string field is not valid UTF-8"))
     }
+
+    /// The bytes of a run of `n` values `width` wide, if the payload has
+    /// them left — checked before any of them is read or reserved for.
+    fn run_bytes(&self, n: u64, width: usize) -> Result<usize> {
+        let bytes = usize::try_from(n).ok().and_then(|n| n.checked_mul(width));
+        bytes.filter(|&bytes| bytes <= self.left()).ok_or_else(|| {
+            DecodeError::new(format!(
+                "a run of {n} × {width} bytes exceeds remaining payload of {} bytes",
+                self.left()
+            ))
+        })
+    }
+
+    /// Hand `f` the next `bytes` bytes (a checked run of `width`-byte
+    /// values) a window at a time, each chunk whole values.
+    fn chunks(&mut self, mut bytes: usize, width: usize, mut f: impl FnMut(&[u8])) -> Result<()> {
+        while bytes > 0 {
+            self.fill(width)?;
+            let ready = (self.end - self.pos).min(bytes);
+            let take = ready - ready % width;
+            f(&self.window[self.pos..self.pos + take]);
+            self.pos += take;
+            bytes -= take;
+        }
+        Ok(())
+    }
+
+    /// A run of `n` fixed-width values, decoded a window at a time into a
+    /// vector of exactly `n`.
+    fn run<T, const W: usize>(&mut self, n: u64, decode: impl Fn([u8; W]) -> T) -> Result<Vec<T>> {
+        let bytes = self.run_bytes(n, W)?;
+        let mut out = Vec::with_capacity(bytes / W);
+        self.chunks(bytes, W, |chunk| {
+            out.extend(chunk.chunks_exact(W).map(|v| decode(v.try_into().expect("W bytes"))));
+        })?;
+        Ok(out)
+    }
+
+    /// A counted run of fixed-width values.
+    fn counted_run<T, const W: usize>(&mut self, decode: impl Fn([u8; W]) -> T) -> Result<Vec<T>> {
+        let n = self.u64()?;
+        self.run(n, decode)
+    }
+}
+
+/// Decode a payload of `len` bytes from `src` with `get`. The outer error
+/// is the source's: the payload was not read whole, so the stream has lost
+/// its place. The inner one is the payload's.
+fn decode_stream<T>(
+    src: &mut dyn Read,
+    len: usize,
+    get: impl FnOnce(&mut Reader) -> Result<T>,
+) -> io::Result<Result<T>> {
+    let mut r = Reader::new(src, len);
+    let decoded = get(&mut r);
+    r.finish(decoded)
+}
+
+/// Decode a payload held whole in memory with `get`.
+fn decode_slice<T>(payload: &[u8], get: impl FnOnce(&mut Reader) -> Result<T>) -> Result<T> {
+    let mut src = payload;
+    decode_stream(&mut src, payload.len(), get)
+        .unwrap_or_else(|e| Err(DecodeError::new(format!("payload read failed: {e}"))))
 }
 
 // ---------------------------------------------------------------------------
@@ -304,7 +443,7 @@ fn get_schema(r: &mut Reader) -> Result<Schema> {
     let fields = get_vec(r, n, |r| {
         let name = r.str()?;
         let dtype = get_data_type(r)?;
-        Ok(cvopt_table::Field::new(name, dtype))
+        Ok(Field::new(name, dtype))
     })?;
     let schema = Schema::from_fields(fields);
     if let Some(name) = schema.repeated_name() {
@@ -316,30 +455,66 @@ fn get_schema(r: &mut Reader) -> Result<Schema> {
 fn put_table(w: &mut Writer, table: &Table) {
     put_schema(w, table.schema());
     w.len(table.num_rows());
-    for row in 0..table.num_rows() {
-        for value in table.row(row) {
-            put_value(w, &value);
+    for column in table.columns() {
+        match &*column.canonical() {
+            Column::Int64(v) | Column::Timestamp(v) => w.run(v, i64::to_le_bytes),
+            Column::Float64(v) => w.run(v, |x: f64| x.to_bits().to_le_bytes()),
+            Column::Bool(v) => w.run(v, |b: bool| [b as u8]),
+            Column::Str { codes, dict } => {
+                w.len(dict.len());
+                for (_, s) in dict.iter() {
+                    w.str(s);
+                }
+                w.run(codes, u32::to_le_bytes);
+            }
         }
     }
 }
 
 fn get_table(r: &mut Reader) -> Result<Table> {
     let schema = get_schema(r)?;
-    let num_rows = r.len()?;
-    let num_cols = schema.len();
-    let mut builder = TableBuilder::from_schema(schema);
-    builder.reserve(num_rows.min(MAX_PREALLOC));
-    let mut row = Vec::with_capacity(num_cols);
-    for _ in 0..num_rows {
-        row.clear();
-        for _ in 0..num_cols {
-            row.push(get_value(r)?);
-        }
-        builder.push_row(&row).map_err(|e| DecodeError::new(format!("table row rejected: {e}")))?;
+    // Rows are named by `u32` ids in every pass, so no table holds more.
+    let rows = r.u64()?;
+    if rows > u64::from(u32::MAX) {
+        return Err(DecodeError::new(format!("a table of {rows} rows")));
     }
-    Ok(builder.finish())
+    let columns = schema.fields().iter().map(|field| get_column(r, field, rows));
+    let columns = columns.collect::<Result<Vec<_>>>()?;
+    Table::try_from_columns(schema, columns, rows as usize)
+        .map_err(|e| DecodeError::new(format!("table rejected: {e}")))
 }
 
+/// One column's run of `rows` values, each column filled in one typed pass.
+fn get_column(r: &mut Reader, field: &Field, rows: u64) -> Result<Column> {
+    let invalid = |what: String| DecodeError::new(format!("column {:?}: {what}", field.name));
+    Ok(match field.dtype {
+        DataType::Int64 => Column::Int64(r.run(rows, i64::from_le_bytes)?),
+        DataType::Timestamp => Column::Timestamp(r.run(rows, i64::from_le_bytes)?),
+        DataType::Float64 => {
+            Column::Float64(r.run(rows, |v| f64::from_bits(u64::from_le_bytes(v)))?)
+        }
+        DataType::Bool => {
+            let bytes = r.run(rows, |[b]: [u8; 1]| b)?;
+            if let Some(b) = bytes.iter().find(|&&b| b > 1) {
+                return Err(invalid(format!("invalid bool byte {b}")));
+            }
+            Column::Bool(bytes.into_iter().map(|b| b == 1).collect())
+        }
+        DataType::Str => {
+            let entries = r.len()?;
+            let mut dict = Dictionary::new();
+            for entry in 0..entries {
+                let s = r.str()?;
+                if dict.intern(&s) as usize != entry {
+                    return Err(invalid(format!("dictionary repeats {s:?}")));
+                }
+            }
+            let codes = r.run(rows, u32::from_le_bytes)?;
+            check_first_occurrence(&codes, entries).map_err(|e| invalid(e.to_string()))?;
+            Column::Str { codes, dict }
+        }
+    })
+}
 fn put_cmp_op(w: &mut Writer, op: CmpOp) {
     w.u8(match op {
         CmpOp::Eq => 0,
@@ -760,9 +935,7 @@ fn put_column_values(w: &mut Writer, col: &ColumnValues) {
         ColumnValues::Dense(values) => {
             w.u8(0);
             w.len(values.len());
-            for &v in values {
-                w.f64(v);
-            }
+            w.run(values, |x: f64| x.to_bits().to_le_bytes());
         }
         ColumnValues::Sparse(values) => {
             w.u8(1);
@@ -782,11 +955,7 @@ fn put_column_values(w: &mut Writer, col: &ColumnValues) {
 
 fn get_column_values(r: &mut Reader) -> Result<ColumnValues> {
     match r.u8()? {
-        0 => {
-            let n = r.len()?;
-            let values = get_vec(r, n, |r| r.f64())?;
-            Ok(ColumnValues::Dense(values))
-        }
+        0 => Ok(ColumnValues::Dense(r.counted_run(|v| f64::from_bits(u64::from_le_bytes(v)))?)),
         1 => {
             let n = r.len()?;
             let values = get_vec(r, n, |r| Ok(if r.bool()? { Some(r.f64()?) } else { None }))?;
@@ -798,14 +967,11 @@ fn get_column_values(r: &mut Reader) -> Result<ColumnValues> {
 
 fn put_rows(w: &mut Writer, rows: &[u32]) {
     w.len(rows.len());
-    for &row in rows {
-        w.u32(row);
-    }
+    w.run(rows, u32::to_le_bytes);
 }
 
 fn get_rows(r: &mut Reader) -> Result<Vec<u32>> {
-    let n = r.len()?;
-    get_vec(r, n, |r| r.u32())
+    r.counted_run(u32::from_le_bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -816,14 +982,17 @@ fn get_rows(r: &mut Reader) -> Result<Vec<u32>> {
 ///
 /// Every pass-level request names the shard `key` it targets; keys are
 /// assigned at registration, so one server can host shards of many tables.
+///
+/// A `Register` borrows the table it ships, so a coordinator encodes its
+/// shard in place; a decoded one owns the table it received.
 #[derive(Debug, Clone)]
-pub enum Request {
+pub enum Request<'a> {
     /// Install (or replace) a shard under `key`.
     Register {
         /// Shard key, e.g. `"aq/0"`.
         key: String,
         /// Full shard contents.
-        table: Table,
+        table: Cow<'a, Table>,
     },
     /// Liveness probe; answers with the registered shard keys.
     Health,
@@ -861,7 +1030,7 @@ pub enum Request {
     },
 }
 
-impl Request {
+impl Request<'_> {
     /// Encode into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
@@ -896,39 +1065,48 @@ impl Request {
     }
 
     /// Decode a frame payload.
-    pub fn decode(payload: &[u8]) -> Result<Request> {
-        let mut r = Reader::new(payload);
-        let req = match r.u8()? {
-            1 => {
-                let key = r.str()?;
-                let table = get_table(&mut r)?;
-                Request::Register { key, table }
-            }
-            2 => Request::Health,
-            8 => {
-                let key = r.str()?;
-                let rows = get_rows(&mut r)?;
-                Request::Gather { key, rows }
-            }
-            11 => {
-                let key = r.str()?;
-                let first_row = r.u64()?;
-                let total_rows = r.u64()?;
-                let exprs = get_exprs(&mut r)?;
-                let fold = get_fold(&mut r)?;
-                Request::Walk { key, first_row, total_rows, exprs, fold }
-            }
-            12 => {
-                let key = r.str()?;
-                let exprs = get_exprs(&mut r)?;
-                let picks = get_picks(&mut r)?;
-                Request::Pick { key, exprs, picks }
-            }
-            t => return Err(DecodeError::new(format!("invalid request tag {t}"))),
-        };
-        r.expect_end()?;
-        Ok(req)
+    pub fn decode(payload: &[u8]) -> Result<Request<'static>> {
+        decode_slice(payload, get_request)
     }
+
+    /// Decode a payload of `len` bytes as it arrives from `src`, reading
+    /// no byte past it. The outer error is the source's: the stream has
+    /// lost its place. The inner one is the payload's: skipping what is
+    /// left of the payload puts the stream at the next frame.
+    pub fn decode_from(src: &mut dyn Read, len: usize) -> io::Result<Result<Request<'static>>> {
+        decode_stream(src, len, get_request)
+    }
+}
+
+fn get_request(r: &mut Reader) -> Result<Request<'static>> {
+    Ok(match r.u8()? {
+        1 => {
+            let key = r.str()?;
+            let table = get_table(r)?;
+            Request::Register { key, table: Cow::Owned(table) }
+        }
+        2 => Request::Health,
+        8 => {
+            let key = r.str()?;
+            let rows = get_rows(r)?;
+            Request::Gather { key, rows }
+        }
+        11 => {
+            let key = r.str()?;
+            let first_row = r.u64()?;
+            let total_rows = r.u64()?;
+            let exprs = get_exprs(r)?;
+            let fold = get_fold(r)?;
+            Request::Walk { key, first_row, total_rows, exprs, fold }
+        }
+        12 => {
+            let key = r.str()?;
+            let exprs = get_exprs(r)?;
+            let picks = get_picks(r)?;
+            Request::Pick { key, exprs, picks }
+        }
+        t => return Err(DecodeError::new(format!("invalid request tag {t}"))),
+    })
 }
 
 /// A shard server's answer to a [`Request`].
@@ -1024,39 +1202,49 @@ impl Response {
 
     /// Decode a frame payload.
     pub fn decode(payload: &[u8]) -> Result<Response> {
-        let mut r = Reader::new(payload);
-        let resp = match r.u8()? {
-            1 => Response::Registered { rows: r.u64()? },
-            2 => {
-                let n = r.len()?;
-                let keys = get_vec(&mut r, n, |r| r.str())?;
-                Response::Health { keys }
-            }
-            6 => {
-                let n = r.len()?;
-                let columns = get_vec(&mut r, n, |r| {
-                    Ok(if r.bool()? { Some(get_column_values(r)?) } else { None })
-                })?;
-                Response::Partials { columns }
-            }
-            7 => Response::Rows { table: get_table(&mut r)? },
-            8 => Response::Error { message: r.str()? },
-            11 => Response::Walked { walked: get_walked(&mut r)? },
-            12 => {
-                let table = get_table(&mut r)?;
-                let rows = get_rows(&mut r)?;
-                Response::Picked { picked: Picked { table, rows } }
-            }
-            t => return Err(DecodeError::new(format!("invalid response tag {t}"))),
-        };
-        r.expect_end()?;
-        Ok(resp)
+        decode_slice(payload, get_response)
     }
+
+    /// Decode a payload of `len` bytes as it arrives from `src`, as
+    /// [`Request::decode_from`] does.
+    pub fn decode_from(src: &mut dyn Read, len: usize) -> io::Result<Result<Response>> {
+        decode_stream(src, len, get_response)
+    }
+}
+
+fn get_response(r: &mut Reader) -> Result<Response> {
+    Ok(match r.u8()? {
+        1 => Response::Registered { rows: r.u64()? },
+        2 => {
+            let n = r.len()?;
+            Response::Health { keys: get_vec(r, n, |r| r.str())? }
+        }
+        6 => {
+            let n = r.len()?;
+            let columns =
+                get_vec(r, n, |r| Ok(if r.bool()? { Some(get_column_values(r)?) } else { None }))?;
+            Response::Partials { columns }
+        }
+        7 => Response::Rows { table: get_table(r)? },
+        8 => Response::Error { message: r.str()? },
+        11 => Response::Walked { walked: get_walked(r)? },
+        12 => {
+            let table = get_table(r)?;
+            let rows = get_rows(r)?;
+            Response::Picked { picked: Picked { table, rows } }
+        }
+        t => return Err(DecodeError::new(format!("invalid response tag {t}"))),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cvopt_table::TableBuilder;
+
+    fn register(table: Table) -> Request<'static> {
+        Request::Register { key: "k".into(), table: Cow::Owned(table) }
+    }
 
     fn sample_table() -> Table {
         let mut b = TableBuilder::new(&[
@@ -1102,7 +1290,7 @@ mod tests {
 
     #[test]
     fn requests_round_trip() {
-        round_trip_request(Request::Register { key: "t/0".into(), table: sample_table() });
+        round_trip_request(register(sample_table()));
         round_trip_request(Request::Health);
         let strata = vec![ScalarExpr::col("city"), ScalarExpr::year("ts"), ScalarExpr::month("ts")];
         round_trip_request(Request::Walk {
@@ -1267,10 +1455,10 @@ mod tests {
 
     #[test]
     fn decoded_table_is_byte_identical() {
-        // The dictionary rebuild must reproduce the original column bytes,
-        // not just equal values: probe via take() on the decoded table.
+        // The decoded table must hold the original column bytes, not just
+        // equal values.
         let table = sample_table();
-        let bytes = Request::encode(&Request::Register { key: "k".into(), table: table.clone() });
+        let bytes = register(table.clone()).encode();
         let Request::Register { table: decoded, .. } = Request::decode(&bytes).unwrap() else {
             panic!("wrong variant");
         };
@@ -1279,7 +1467,7 @@ mod tests {
             assert_eq!(format!("{:?}", decoded.row(row)), format!("{:?}", table.row(row)));
         }
         // Re-encoding the decoded table yields the same bytes.
-        let again = Request::encode(&Request::Register { key: "k".into(), table: decoded });
+        let again = register(decoded.into_owned()).encode();
         assert_eq!(again, bytes);
     }
 
@@ -1289,7 +1477,7 @@ mod tests {
     fn repeated_column_name_is_rejected() {
         let mut b = TableBuilder::new(&[("x", DataType::Float64), ("x", DataType::Str)]);
         b.push_row(&[Value::Float64(1.0), Value::str("a")]).unwrap();
-        let bytes = Request::Register { key: "k".into(), table: b.finish() }.encode();
+        let bytes = register(b.finish()).encode();
         let err = Request::decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("schema repeats column \"x\""), "{err}");
     }
@@ -1310,7 +1498,7 @@ mod tests {
 
     #[test]
     fn truncated_payload_is_an_error_not_a_panic() {
-        let bytes = Request::encode(&Request::Register { key: "k".into(), table: sample_table() });
+        let bytes = register(sample_table()).encode();
         for cut in 0..bytes.len() {
             assert!(Request::decode(&bytes[..cut]).is_err(), "cut at {cut} should fail");
         }
@@ -1366,5 +1554,133 @@ mod tests {
         payload.extend_from_slice(&0u64.to_le_bytes()); // no aggregates
         let err = Request::decode(&payload).unwrap_err();
         assert!(err.to_string().contains("predicate nests too deeply"), "{err}");
+    }
+
+    /// A `Rows` payload of one column `c` of `dtype` and `rows` rows, whose
+    /// run `run` writes.
+    fn one_column(dtype: DataType, rows: u64, run: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u8(7);
+        put_schema(&mut w, &Schema::new(&[("c", dtype)]));
+        w.u64(rows);
+        run(&mut w);
+        w.finish()
+    }
+
+    /// A string column's run: its dictionary, then its codes.
+    fn strings(dict: &[&str], codes: &[u32]) -> Vec<u8> {
+        one_column(DataType::Str, codes.len() as u64, |w| {
+            w.len(dict.len());
+            dict.iter().for_each(|s| w.str(s));
+            codes.iter().for_each(|&c| w.u32(c));
+        })
+    }
+
+    fn refused(payload: &[u8], why: &str) {
+        let err = Response::decode(payload).unwrap_err();
+        assert!(err.0.contains(why), "wanted {why:?}, got {err}");
+    }
+
+    #[test]
+    fn a_dictionary_in_any_but_first_occurrence_order_is_refused() {
+        assert!(Response::decode(&strings(&["a", "b"], &[0, 1, 0])).is_ok());
+        refused(&strings(&["a", "b"], &[0, 2, 1]), "code 2 is past a dictionary of 2 entries");
+        refused(&strings(&["a", "b"], &[1, 0]), "code 1 skips unused dictionary entry 0");
+        refused(&strings(&["a", "a"], &[0, 1]), "dictionary repeats \"a\"");
+        refused(&strings(&["a", "b", "c"], &[0, 1, 1]), "dictionary entry 2 is used by no row");
+    }
+
+    #[test]
+    fn hostile_column_runs_are_refused() {
+        // Three rows claimed, two values sent.
+        let short = one_column(DataType::Int64, 3, |w| [1, 2].into_iter().for_each(|v| w.i64(v)));
+        refused(&short, "a run of 3 × 8 bytes exceeds remaining payload of 16 bytes");
+        refused(&one_column(DataType::Bool, 2, |w| w.buf.extend([1, 2])), "invalid bool byte 2");
+        // More rows than any row id names, and runs whose byte length
+        // overflows: each refused before anything is reserved.
+        refused(&one_column(DataType::Float64, 1 << 32, |_| ()), "a table of 4294967296 rows");
+        let mut gather = Writer::new();
+        gather.u8(8);
+        gather.str("k");
+        gather.u64(u64::MAX / 2);
+        let err = Request::decode(&gather.finish()).unwrap_err();
+        assert!(err.0.contains("exceeds remaining payload"), "{err}");
+        let mut dense = Writer::new();
+        dense.u8(6);
+        dense.len(1);
+        dense.u8(1);
+        dense.u8(0);
+        dense.u64(u64::MAX / 8 + 1);
+        refused(&dense.finish(), "exceeds remaining payload");
+        // A body cut halfway through its last column.
+        let whole = Response::Rows { table: sample_table() }.encode();
+        refused(&whole[..whole.len() - 12], "a run of 2 × 8 bytes exceeds remaining payload");
+    }
+
+    /// A column whose own dictionary is out of order, or holds entries no
+    /// row uses, is sent as the column a row-by-row build gives.
+    #[test]
+    fn the_encoder_sends_a_dictionary_in_first_occurrence_order() {
+        let mut dict = Dictionary::new();
+        for s in ["unused", "y", "x"] {
+            dict.intern(s);
+        }
+        let column = Column::Str { codes: vec![2, 1, 2], dict };
+        let schema = Schema::new(&[("c", DataType::Str)]);
+        let table = Table::try_from_columns(schema, vec![column], 3).unwrap();
+        let bytes = Response::Rows { table }.encode();
+        assert_eq!(bytes, strings(&["x", "y"], &[0, 1, 0]));
+    }
+
+    /// Reads hand out at most 3 bytes, so every primitive and run crosses
+    /// refills.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.0.len()).min(3);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_stream_decodes_one_payload_and_stops_at_its_end() {
+        let first = register(sample_table()).encode();
+        let second = Request::Health.encode();
+        let stream = [first.as_slice(), &second].concat();
+        let mut src = Trickle(&stream);
+        let got = Request::decode_from(&mut src, first.len()).unwrap().unwrap();
+        assert_eq!(got.encode(), first);
+        assert_eq!(src.0, second.as_slice(), "read past the payload");
+        assert!(matches!(Request::decode_from(&mut src, 1).unwrap(), Ok(Request::Health)));
+    }
+
+    /// A source that ends early is the stream's failure; a payload that
+    /// ends early is the payload's.
+    #[test]
+    fn a_source_that_ends_early_is_an_io_error() {
+        let bytes = register(sample_table()).encode();
+        let cut = &bytes[..bytes.len() - 5];
+        let err = Request::decode_from(&mut Trickle(cut), bytes.len()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(Request::decode_from(&mut Trickle(cut), cut.len()).unwrap().is_err());
+    }
+
+    /// A payload longer than the window decodes the same through a
+    /// trickle as from a slice.
+    #[test]
+    fn runs_and_strings_longer_than_the_window_cross_refills() {
+        let mut b = TableBuilder::new(&[("s", DataType::Str), ("v", DataType::Float64)]);
+        let long = "é".repeat(WINDOW);
+        for i in 0..20_000 {
+            let s = if i == 7 { long.clone() } else { format!("s{}", i % 300) };
+            b.push_row(&[Value::str(s), Value::Float64(i as f64 * 0.25)]).unwrap();
+        }
+        let bytes = Response::Rows { table: b.finish() }.encode();
+        assert!(bytes.len() > 3 * WINDOW);
+        let streamed = Response::decode_from(&mut Trickle(&bytes), bytes.len()).unwrap().unwrap();
+        assert_eq!(streamed.encode(), bytes);
     }
 }

@@ -1,6 +1,8 @@
 //! Typed columnar storage.
 
-use crate::dict::{Dictionary, Recode};
+use std::borrow::Cow;
+
+use crate::dict::{check_first_occurrence, Dictionary, Recode};
 use crate::error::TableError;
 use crate::types::{DataType, Value};
 use crate::Result;
@@ -205,6 +207,22 @@ impl Column {
         })
     }
 
+    /// This column with a string dictionary in first-occurrence order of
+    /// its codes and no unused entry (see
+    /// [`crate::dict::check_first_occurrence`]) — the column a row-by-row
+    /// build of the same values gives. Borrowed when it already is; a
+    /// string column that is not is recoded through `Column::gather`.
+    pub fn canonical(&self) -> Cow<'_, Column> {
+        match self {
+            Column::Str { codes, dict } if check_first_occurrence(codes, dict.len()).is_err() => {
+                let all = |row| (0, row);
+                let recoded = Column::gather(DataType::Str, &[self], codes.len(), all);
+                Cow::Owned(recoded.expect("a column gathers from itself"))
+            }
+            _ => Cow::Borrowed(self),
+        }
+    }
+
     /// `copies` back-to-back copies of this column. A string column keeps
     /// its dictionary — the first copy already uses every entry, in order —
     /// unless there is no first copy.
@@ -355,6 +373,29 @@ mod tests {
         assert_eq!(c.f64_at(0), Some(1.0));
         assert_eq!(c.f64_at(1), Some(0.0));
         assert_eq!(c.i64_at(0), Some(1));
+    }
+
+    #[test]
+    fn canonical_recodes_only_a_dictionary_out_of_first_occurrence_order() {
+        let mut c = Column::new(DataType::Str);
+        for s in ["b", "a", "b"] {
+            c.push(&Value::str(s)).unwrap();
+        }
+        assert!(matches!(c.canonical(), Cow::Borrowed(_)));
+
+        // "z" unused, then "a" before "b": rows read b, a, b.
+        let mut dict = Dictionary::new();
+        for s in ["z", "a", "b"] {
+            dict.intern(s);
+        }
+        let odd = Column::Str { codes: vec![2, 1, 2], dict };
+        let Cow::Owned(fixed) = odd.canonical() else { panic!("recoded") };
+        assert_eq!(fixed.str_codes(), c.str_codes());
+        assert_eq!(fixed.approx_bytes(), c.approx_bytes());
+        assert_eq!(
+            (0..3).map(|r| fixed.value(r)).collect::<Vec<_>>(),
+            [0, 1, 2].map(|r| c.value(r))
+        );
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use std::sync::Arc;
 
+use crate::error::TableError;
 use crate::fxhash::FxHashMap;
+use crate::Result;
 
 /// An append-only interner mapping strings to dense `u32` codes.
 ///
@@ -75,6 +77,35 @@ impl Dictionary {
     }
 }
 
+/// Check that `codes` number a dictionary of `entries` strings in
+/// first-occurrence order with no entry unused: each row either repeats a
+/// code already seen or uses the next unused one, and every entry is used.
+/// That is the dictionary a row-by-row build of the same strings gives, so
+/// a string column in this form is the one canonical column for its values.
+/// The error names the first row or entry that breaks the form.
+pub fn check_first_occurrence(codes: &[u32], entries: usize) -> Result<()> {
+    let mut next = 0;
+    for (row, &code) in codes.iter().enumerate() {
+        let code = code as usize;
+        if code < next {
+            continue;
+        }
+        if code >= entries {
+            let past = format!("row {row}: code {code} is past a dictionary of {entries} entries");
+            return Err(TableError::invalid(past));
+        }
+        if code > next {
+            let skip = format!("row {row}: code {code} skips unused dictionary entry {next}");
+            return Err(TableError::invalid(skip));
+        }
+        next += 1;
+    }
+    if next < entries {
+        return Err(TableError::invalid(format!("dictionary entry {next} is used by no row")));
+    }
+    Ok(())
+}
+
 /// `old code → new code` for one source dictionary whose strings are being
 /// re-interned into another: a string is hashed only the first time its
 /// code is seen, every later row of the same code is one table lookup. The
@@ -123,6 +154,17 @@ mod tests {
         assert_eq!(codes, vec![1, 0, 1, 2, 0]);
         // "b" was never asked for, so it was never interned.
         assert_eq!(into.iter().map(|(_, s)| s).collect::<Vec<_>>(), vec!["c", "d", "a"]);
+    }
+
+    #[test]
+    fn first_occurrence_form_is_checked_row_by_row() {
+        assert!(check_first_occurrence(&[0, 1, 0, 2, 1], 3).is_ok());
+        assert!(check_first_occurrence(&[], 0).is_ok());
+        let err = |codes: &[u32], entries| check_first_occurrence(codes, entries).unwrap_err();
+        assert!(err(&[0, 3], 3).to_string().contains("row 1: code 3 is past"));
+        assert!(err(&[0, 2, 1], 3).to_string().contains("row 1: code 2 skips unused"));
+        assert!(err(&[0, 1], 3).to_string().contains("entry 2 is used by no row"));
+        assert!(err(&[], 1).to_string().contains("entry 0 is used by no row"));
     }
 
     #[test]

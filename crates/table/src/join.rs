@@ -236,7 +236,7 @@ impl Join<'_> {
             });
             fields.push(field.clone());
         }
-        Ok(Table::from_columns(Schema::from_fields(fields), columns, n))
+        Table::try_from_columns(Schema::from_fields(fields), columns, n)
     }
 }
 

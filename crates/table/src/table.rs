@@ -110,12 +110,34 @@ impl Table {
             .expect("a table's columns match its own schema")
     }
 
-    /// A table over columns built elsewhere. The caller vouches that they
-    /// match `schema` in number and type and hold `num_rows` rows each; a
-    /// table of no columns has `num_rows` rows all the same.
-    pub(crate) fn from_columns(schema: Schema, columns: Vec<Column>, num_rows: usize) -> Table {
-        debug_assert!(columns.iter().all(|c| c.len() == num_rows));
-        Table { schema, columns, num_rows }
+    /// A table over columns built elsewhere, checked: one column per
+    /// field of `schema`, each of the field's type and `num_rows` long. A
+    /// table of no columns has `num_rows` rows all the same. A string
+    /// column's codes are the caller's to keep within its dictionary.
+    pub fn try_from_columns(
+        schema: Schema,
+        columns: Vec<Column>,
+        num_rows: usize,
+    ) -> Result<Table> {
+        if columns.len() != schema.len() {
+            return Err(TableError::ArityMismatch { expected: schema.len(), found: columns.len() });
+        }
+        for (field, column) in schema.fields().iter().zip(&columns) {
+            if column.data_type() != field.dtype {
+                return Err(TableError::TypeMismatch {
+                    expected: field.dtype,
+                    found: format!("{:?} column {:?}", column.data_type(), field.name),
+                });
+            }
+            if column.len() != num_rows {
+                return Err(TableError::invalid(format!(
+                    "column {:?} holds {} rows, the table {num_rows}",
+                    field.name,
+                    column.len()
+                )));
+            }
+        }
+        Ok(Table { schema, columns, num_rows })
     }
 
     /// The one gather kernel: a `schema` table of `len` rows whose row `i`
@@ -133,7 +155,7 @@ impl Table {
             let sources: Vec<&Column> = parts.iter().map(|part| &part.columns[c]).collect();
             Column::gather(field.dtype, &sources, len, &at)
         });
-        Ok(Table::from_columns(schema.clone(), columns.collect::<Result<_>>()?, len))
+        Table::try_from_columns(schema.clone(), columns.collect::<Result<_>>()?, len)
     }
 }
 
@@ -242,6 +264,22 @@ mod tests {
     fn type_mismatch_rejected() {
         let mut b = TableBuilder::new(&[("a", DataType::Int64)]);
         assert!(b.push_row(&[Value::str("no")]).is_err());
+    }
+
+    #[test]
+    fn try_from_columns_checks_count_type_and_length() {
+        let t = student_table();
+        let rebuilt = Table::try_from_columns(t.schema().clone(), t.columns().to_vec(), 4).unwrap();
+        assert_eq!(rebuilt.row(3), t.row(3));
+        let cols = |n: usize| t.columns()[..n].to_vec();
+        let err = Table::try_from_columns(t.schema().clone(), cols(2), 4).unwrap_err();
+        assert!(matches!(err, TableError::ArityMismatch { expected: 3, found: 2 }));
+        let swapped = vec![t.column(0).clone(), t.column(2).clone(), t.column(1).clone()];
+        let err = Table::try_from_columns(t.schema().clone(), swapped, 4).unwrap_err();
+        assert!(matches!(err, TableError::TypeMismatch { expected: DataType::Float64, .. }));
+        assert!(Table::try_from_columns(t.schema().clone(), cols(3), 5).is_err());
+        let empty = Table::try_from_columns(Schema::from_fields(vec![]), vec![], 7).unwrap();
+        assert_eq!((empty.num_rows(), empty.num_columns()), (7, 0));
     }
 
     #[test]

@@ -3,9 +3,15 @@
 //! `Response::decode` must be total — any bytes either decode or return an
 //! error, never a panic — and what they accept must re-encode to bytes they
 //! accept again. Every count a decoder reads passes the remaining-bytes
-//! guard, and no reservation exceeds `MAX_PREALLOC`. The frame reader must
-//! refuse a head with a bad length or version before it reads, or allocates
-//! for, the payload.
+//! guard, and no reservation exceeds the payload's remaining bytes — never
+//! more than a buffer holding the whole frame would take. A payload decodes
+//! the same pulled from a stream a few bytes at a time as from a slice. The
+//! frame reader must refuse a head with a bad length or version before it
+//! reads, or allocates for, the payload.
+//!
+//! Tables travel column-major, and a decoded table must be the one a
+//! row-by-row `TableBuilder` rebuild gives: same rows, same dictionary
+//! order, same `approx_bytes`, whatever the sender's dictionary order.
 //!
 //! Every payload is the encoding of a real value: a table of string,
 //! integer, float, timestamp and bool columns, walks under both folds (a
@@ -17,6 +23,7 @@
 
 mod common;
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::io::{self, Read};
 
@@ -25,8 +32,8 @@ use cvopt_net::wire::{DecodeError, Request, Response};
 use cvopt_table::agg::AggState;
 use cvopt_table::reader::{Fold, Pick, Picked, Walked, WalkedPartition};
 use cvopt_table::{
-    AggExpr, AggKind, ArithOp, CaseWhen, CmpOp, ColumnValues, DataType, KeyAtom, LocalShard,
-    Predicate, ScalarExpr, ShardReader, Table, TableBuilder, Value,
+    AggExpr, AggKind, ArithOp, CaseWhen, CmpOp, Column, ColumnValues, DataType, Dictionary,
+    KeyAtom, LocalShard, Predicate, ScalarExpr, Schema, ShardReader, Table, TableBuilder, Value,
 };
 
 fn table() -> Table {
@@ -51,7 +58,7 @@ fn table() -> Table {
     b.finish()
 }
 
-fn requests() -> Vec<Request> {
+fn requests() -> Vec<Request<'static>> {
     let key = || "aq/0".to_string();
     let case = ScalarExpr::Case {
         whens: vec![CaseWhen {
@@ -66,7 +73,7 @@ fn requests() -> Vec<Request> {
         .and(Predicate::between(ScalarExpr::col("value"), -1.0, 4.0).not())
         .or(Predicate::InList { expr: ScalarExpr::col("n"), values: vec![Value::Int64(1)] });
     vec![
-        Request::Register { key: key(), table: table() },
+        Request::Register { key: key(), table: Cow::Owned(table()) },
         Request::Health,
         Request::Walk {
             key: key(),
@@ -180,6 +187,146 @@ fn every_variant_round_trips() {
         };
         assert_eq!(again, bytes);
     }
+}
+
+/// Hands out 1 to 7 bytes per `read`, cycling, whatever the caller asks
+/// for, so every primitive, string and run is cut across refills.
+struct Dribble<'a> {
+    bytes: &'a [u8],
+    reads: usize,
+}
+
+impl Read for Dribble<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = (1 + self.reads % 7).min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        self.reads += 1;
+        Ok(n)
+    }
+}
+
+#[test]
+fn every_payload_decodes_the_same_dribbled_as_from_a_slice() {
+    for (is_request, bytes) in payloads() {
+        let mut src = Dribble { bytes: &bytes, reads: 0 };
+        let again = match is_request {
+            true => Request::decode_from(&mut src, bytes.len()).unwrap().unwrap().encode(),
+            false => Response::decode_from(&mut src, bytes.len()).unwrap().unwrap().encode(),
+        };
+        assert_eq!(again, bytes);
+        assert!(src.bytes.is_empty() && src.reads > 0);
+    }
+}
+
+/// A table's contents bit for bit: the values of a fixed-width column,
+/// the codes and dictionary order of a string column.
+fn contents(column: &Column) -> String {
+    match column {
+        Column::Float64(v) => format!("{:?}", v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()),
+        Column::Str { codes, dict } => format!("{codes:?} {:?}", dict.iter().collect::<Vec<_>>()),
+        other => format!("{other:?}"),
+    }
+}
+
+/// The reference: the table `TableBuilder` rebuilds from `table`'s rows,
+/// one at a time — what a receiver re-interning row by row would hold.
+fn rebuilt(table: &Table) -> Table {
+    let mut b = TableBuilder::from_schema(table.schema().clone());
+    for row in 0..table.num_rows() {
+        b.push_row(&table.row(row)).unwrap();
+    }
+    b.finish()
+}
+
+/// `decode(encode(table))` is `rebuilt(table)`, and re-encodes to the
+/// same bytes.
+fn assert_rebuilt(table: Table) {
+    let want = rebuilt(&table);
+    let bytes = Response::Rows { table }.encode();
+    let Response::Rows { table: got } = Response::decode(&bytes).unwrap() else {
+        panic!("wrong variant")
+    };
+    assert_eq!((got.schema(), got.num_rows()), (want.schema(), want.num_rows()));
+    assert_eq!(got.approx_bytes(), want.approx_bytes());
+    for (got, want) in got.columns().iter().zip(want.columns()) {
+        assert_eq!(contents(got), contents(want));
+    }
+    assert_eq!(Response::Rows { table: got }.encode(), bytes);
+}
+
+/// A seeded table: up to five columns of every type, up to 40 rows, its
+/// strings drawn from a small pool, so dictionaries repeat entries.
+fn random_table(seed: u64) -> Table {
+    const POOL: [&str; 6] = ["", "hanoi", "delhi", "lima", "são paulo", "x"];
+    const TYPES: [DataType; 5] =
+        [DataType::Int64, DataType::Float64, DataType::Str, DataType::Bool, DataType::Timestamp];
+    let head = common::noise(seed, 6);
+    let types: Vec<DataType> =
+        head[1..=(head[0] % 6) as usize].iter().map(|&b| TYPES[b as usize % 5]).collect();
+    let names: Vec<String> = (0..types.len()).map(|c| format!("c{c}")).collect();
+    let fields: Vec<(&str, DataType)> = names.iter().map(String::as_str).zip(types).collect();
+    let mut b = TableBuilder::new(&fields);
+    let rows = (seed % 41) as usize;
+    let noise = common::noise(seed ^ 0xC0FF_EE00, 8 * rows * fields.len().max(1));
+    let mut bytes = noise.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap()));
+    for _ in 0..rows {
+        let row = fields.iter().map(|&(_, dtype)| {
+            let x = bytes.next().unwrap();
+            match dtype {
+                DataType::Int64 => Value::Int64(x as i64),
+                DataType::Float64 => Value::Float64(f64::from_bits(x)),
+                DataType::Str => Value::str(POOL[(x % POOL.len() as u64) as usize]),
+                DataType::Bool => Value::Bool(x % 2 == 1),
+                DataType::Timestamp => Value::Timestamp(x as i64 >> 20),
+            }
+        });
+        b.push_row(&row.collect::<Vec<_>>()).unwrap();
+    }
+    b.finish()
+}
+
+/// `table` with each string column's dictionary re-ordered (reversed) and
+/// padded with entries no row uses: the same rows, stored in a form the
+/// encoder has to recode.
+fn scrambled(table: &Table) -> Table {
+    let columns = table.columns().iter().map(|column| match column {
+        Column::Str { codes, dict } => {
+            let mut odd = Dictionary::new();
+            odd.intern("never used");
+            let strings: Vec<&str> = dict.iter().map(|(_, s)| s).collect();
+            for s in strings.iter().rev() {
+                odd.intern(s);
+            }
+            odd.intern("nor this");
+            let codes = codes.iter().map(|&c| odd.code_of(strings[c as usize]).unwrap()).collect();
+            Column::Str { codes, dict: odd }
+        }
+        other => other.clone(),
+    });
+    Table::try_from_columns(table.schema().clone(), columns.collect(), table.num_rows()).unwrap()
+}
+
+#[test]
+fn a_decoded_table_is_the_row_by_row_rebuild() {
+    for seed in 0..300 {
+        let table = random_table(seed);
+        assert_rebuilt(scrambled(&table));
+        assert_rebuilt(table);
+    }
+    // Empty tables, with and without columns, and a table of no columns
+    // but many rows.
+    assert_rebuilt(TableBuilder::new(&[("s", DataType::Str), ("b", DataType::Bool)]).finish());
+    assert_rebuilt(TableBuilder::new(&[]).finish());
+    let mut b = TableBuilder::new(&[]);
+    (0..1_000).for_each(|_| b.push_row(&[]).unwrap());
+    assert_rebuilt(b.finish());
+    // A string column whose every entry is unused, over no rows.
+    let mut dict = Dictionary::new();
+    dict.intern("ghost");
+    let ghost = Column::Str { codes: vec![], dict };
+    let schema = Schema::new(&[("s", DataType::Str)]);
+    assert_rebuilt(Table::try_from_columns(schema, vec![ghost], 0).unwrap());
 }
 
 #[test]
