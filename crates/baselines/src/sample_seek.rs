@@ -15,7 +15,7 @@
 //! reports Sample+Seek's errors blowing up (up to 173% maximum error).
 
 use cvopt_core::{CvError, MaterializedSample, Result, SamplingProblem};
-use cvopt_table::Table;
+use cvopt_table::{RowRange, Table};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -45,15 +45,19 @@ impl SamplingMethod for SampleSeek {
         let n = table.num_rows();
         let mut cumulative = Vec::with_capacity(n);
         let mut total = 0.0f64;
-        for row in 0..n {
-            let v = measure.f64_at(row).ok_or_else(|| {
-                CvError::invalid(format!(
-                    "measure column {} is not numeric",
-                    measure_expr.display_name()
-                ))
-            })?;
-            total += v.abs();
-            cumulative.push(total);
+        let mut scratch = measure.scratch();
+        for run in (RowRange { start: 0, end: n }).runs() {
+            let block = measure.block(run, &mut scratch);
+            for i in 0..run.len() {
+                let v = block.get(i).ok_or_else(|| {
+                    CvError::invalid(format!(
+                        "measure column {} is not numeric",
+                        measure_expr.display_name()
+                    ))
+                })?;
+                total += v.abs();
+                cumulative.push(total);
+            }
         }
         if total <= 0.0 {
             return Err(CvError::invalid(

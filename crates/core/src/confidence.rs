@@ -29,7 +29,7 @@
 //! bitmap keeps.
 
 use cvopt_table::exec::ExecOptions;
-use cvopt_table::expr::BoundExpr;
+use cvopt_table::expr::{BlockScratch, BoundExpr};
 use cvopt_table::fxhash::FxHashMap;
 use cvopt_table::{AggExpr, AggKind, GroupByQuery, KeyAtom, Predicate, RowRange, ScalarExpr};
 
@@ -206,27 +206,36 @@ impl SampleScan<'_> {
             return Ok(Vec::new());
         }
         // The sample is one table: a run's shard-local rows are global rows.
+        // Each aggregate folds its own cells, so taking the aggregates one
+        // at a time over a run, each over its block of values, folds every
+        // cell in row order as a row-major walk does.
         let all = RowRange { start: 0, end: sample.len() };
+        let mut scratch: Vec<BlockScratch> = avgs.iter().map(|acc| acc.value.scratch()).collect();
         let groups = self.keys.walk(&self.rows, all, |run, slots, seen| {
-            avgs.iter_mut().for_each(|acc| acc.totals.resize(seen, (0.0, 0.0, 0)));
             let start = run.local.start;
-            let mut visit = |row: usize| {
-                let (g, c, w) = (slots[row - start], sample.row_stratum[row], sample.weights[row]);
-                for acc in &mut avgs {
-                    let Some(y) = acc.value.f64_at(row) else { continue };
-                    let totals = &mut acc.totals[g as usize];
+            for (acc, scratch) in avgs.iter_mut().zip(&mut scratch) {
+                let AvgAcc { value, cells, totals, .. } = acc;
+                totals.resize(seen, (0.0, 0.0, 0));
+                let block = value.block(run.local, scratch);
+                let mut visit = |row: usize| {
+                    let Some(y) = block.get(row - start) else { return };
+                    let (g, c, w) =
+                        (slots[row - start], sample.row_stratum[row], sample.weights[row]);
+                    let totals = &mut totals[g as usize];
                     totals.0 += w;
                     totals.1 += w * y;
                     totals.2 += 1;
-                    let cell = acc.cells.entry((c, g)).or_default();
+                    let cell = cells.entry((c, g)).or_default();
                     cell.m += 1;
                     cell.sum += y;
                     cell.sum2 += y * y;
+                };
+                match &self.filter {
+                    Some(bitmaps) => {
+                        bitmaps[0].iter_ones_in(start, run.local.end).for_each(&mut visit)
+                    }
+                    None => run.local.rows().for_each(&mut visit),
                 }
-            };
-            match &self.filter {
-                Some(bitmaps) => bitmaps[0].iter_ones_in(start, run.local.end).for_each(&mut visit),
-                None => run.local.rows().for_each(&mut visit),
             }
         });
         let key = |g: usize| self.keys.decode(groups.keys()[g]).into_owned();

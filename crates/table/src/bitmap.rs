@@ -1,7 +1,5 @@
 //! A packed bitmap over row ids, used as the result of predicate evaluation.
 
-use crate::exec::{self, ExecOptions, CHUNK_ROWS};
-
 /// A fixed-length bitset over `len` rows, stored as 64-bit words.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitmap {
@@ -23,33 +21,6 @@ impl Bitmap {
                 bm.set(row);
             }
         }
-        bm
-    }
-
-    /// Build from a per-row closure, evaluated chunk-parallel. Partition
-    /// boundaries are word-aligned (see [`exec::CHUNK_ROWS`]), so each
-    /// worker fills disjoint words and the result is identical to
-    /// [`Bitmap::from_fn`] for any thread count.
-    pub fn from_fn_with(
-        len: usize,
-        options: &ExecOptions,
-        f: impl Fn(usize) -> bool + Sync,
-    ) -> Self {
-        let mut bm = Bitmap::new_empty(len);
-        let words_per_chunk = CHUNK_ROWS / 64;
-        exec::for_each_chunk_mut(&mut bm.words, words_per_chunk, options, |chunk, words| {
-            let base = chunk * CHUNK_ROWS;
-            for (wi, slot) in words.iter_mut().enumerate() {
-                let row0 = base + wi * 64;
-                let mut word = 0u64;
-                for bit in 0..64usize.min(len - row0) {
-                    if f(row0 + bit) {
-                        word |= 1 << bit;
-                    }
-                }
-                *slot = word;
-            }
-        });
         bm
     }
 
@@ -152,6 +123,28 @@ impl Bitmap {
     }
 }
 
+/// The word kernels' packing: bit `i % 64` of `words[i / 64]` becomes
+/// `bit(i)` for every `i` below `len`, and the bits past `len` zero.
+#[inline]
+pub(crate) fn pack_words(words: &mut [u64], len: usize, bit: impl Fn(usize) -> bool) {
+    for (w, word) in words[..len.div_ceil(64)].iter_mut().enumerate() {
+        let base = w * 64;
+        let mut packed = 0u64;
+        for b in 0..(len - base).min(64) {
+            packed |= u64::from(bit(base + b)) << b;
+        }
+        *word = packed;
+    }
+}
+
+/// Every bit below `len` of `words` set, and the bits past it zero.
+pub(crate) fn fill_ones(words: &mut [u64], len: usize) {
+    for (w, word) in words[..len.div_ceil(64)].iter_mut().enumerate() {
+        let bits = len - w * 64;
+        *word = if bits >= 64 { u64::MAX } else { (1u64 << bits) - 1 };
+    }
+}
+
 /// Iterator over set bits of a [`Bitmap`] (optionally bounded below `end`).
 pub struct Ones<'a> {
     words: &'a [u64],
@@ -239,19 +232,6 @@ mod tests {
         let bm = Bitmap::new_empty(0);
         assert_eq!(bm.count_ones(), 0);
         assert_eq!(bm.iter_ones().count(), 0);
-    }
-
-    #[test]
-    fn from_fn_with_matches_sequential() {
-        use crate::exec::ExecOptions;
-        for len in [0usize, 1, 100, 64 * 1024, 3 * 64 * 1024 + 777] {
-            let f = |i: usize| i.is_multiple_of(13) || i % 7 == 3;
-            let seq = Bitmap::from_fn(len, f);
-            for threads in [1usize, 2, 8] {
-                let par = Bitmap::from_fn_with(len, &ExecOptions::new(threads), f);
-                assert_eq!(par, seq, "len {len}, threads {threads}");
-            }
-        }
     }
 
     #[test]

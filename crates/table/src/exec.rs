@@ -30,6 +30,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// negligible; on a 1M-row table this yields 16 partitions.
 pub const CHUNK_ROWS: usize = 1 << 16;
 
+/// Rows per run: the unit a partition is walked and evaluated in, a block
+/// at a time (a multiple of 64 that divides [`CHUNK_ROWS`]), so a run's
+/// keys, slots and expression values stay in the first-level cache.
+pub const RUN_ROWS: usize = 1024;
+
 /// Thread-count options for the partitioned drivers.
 ///
 /// The default is one thread per available core
@@ -149,6 +154,15 @@ impl RowRange {
     /// Iterate the rows of the range.
     pub fn rows(&self) -> std::ops::Range<usize> {
         self.start..self.end
+    }
+
+    /// The range cut into consecutive runs of at most [`RUN_ROWS`] rows, in
+    /// order: runs of a range that starts on a multiple of 64 start on one
+    /// too.
+    pub fn runs(self) -> impl Iterator<Item = RowRange> {
+        (self.start..self.end)
+            .step_by(RUN_ROWS)
+            .map(move |start| RowRange { start, end: self.end.min(start + RUN_ROWS) })
     }
 }
 

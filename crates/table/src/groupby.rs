@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::dict::Dictionary;
-use crate::exec::{self, ExecOptions, RowRange, CHUNK_ROWS};
+use crate::exec::{self, ExecOptions, RowRange, CHUNK_ROWS, RUN_ROWS};
 use crate::expr::{BoundExpr, ScalarExpr};
 use crate::fxhash::FxHashMap;
 use crate::reader::RowSpace;
@@ -284,10 +284,6 @@ impl KeySource<'_, '_> {
     }
 }
 
-/// Rows per run a walk hands its caller, so a run's keys and slots stay in
-/// the first-level cache.
-const RUN_ROWS: usize = 1024;
-
 /// **The walk** — the only per-row key lookup there is. Visits the rows of
 /// `segments` — one row range, in shard order — in row order, a run of at
 /// most [`RUN_ROWS`] rows of one shard at a time, and gives each row the
@@ -324,22 +320,19 @@ fn walk_with(
     let mut keys = [0u64; RUN_ROWS];
     let mut slots = [0u32; RUN_ROWS];
     for segment in segments {
-        let mut start = segment.local.start;
-        while start < segment.local.end {
-            let end = segment.local.end.min(start + RUN_ROWS);
+        for local in segment.local.runs() {
             let run = ShardSegment {
                 shard: segment.shard,
-                local: RowRange { start, end },
-                global_start: segment.global_start + (start - segment.local.start),
+                local,
+                global_start: segment.global_start + (local.start - segment.local.start),
             };
-            let (keys, slots) = (&mut keys[..end - start], &mut slots[..end - start]);
+            let (keys, slots) = (&mut keys[..local.len()], &mut slots[..local.len()]);
             source.fill(&run, keys)?;
             for (slot, &key) in slots.iter_mut().zip(keys.iter()) {
                 *slot = table.slot(key, &mut seen);
                 seen.sizes[*slot as usize] += 1;
             }
             visit(&run, slots, seen.keys.len());
-            start = end;
         }
     }
     Ok(seen)

@@ -152,45 +152,54 @@ pub fn fold_runs(rows: &RowSpace<'_>, bound: &[Vec<BoundExpr<'_>>], runs: &Runs)
     if range.is_empty() || width == 0 {
         return states;
     }
-    // A partition inside one shard — every partition of a plain table —
-    // reads that shard's storage in place (`Float64` identity columns
-    // straight from the column slice); its row `r` is the shard's
-    // `r - delta`. One that straddles a shard boundary first lays its
-    // values out in row order across the segments.
+    // A `Float64` identity column of a partition inside one shard — every
+    // partition of a plain table — is read in place; its row `r` is the
+    // shard's `r - delta`. Any other column is evaluated first, a block at a
+    // time over each segment of the partition, into its values in row order.
     let segments = rows.segments(range);
     let first = segments[0];
     let delta = first.global_start - first.local.start;
-    let exprs = &bound[first.shard];
-    let dense: Vec<Option<&[f64]>> = exprs.iter().map(|e| e.f64_slice()).collect();
-    let straddling: Vec<Vec<Option<f64>>> = match segments.len() {
-        1 => Vec::new(),
-        _ => (0..width)
-            .map(|c| {
-                let values = segments.iter().flat_map(|seg| {
+    let columns: Vec<Values<'_>> = (0..width)
+        .map(|c| match bound[first.shard][c].f64_slice() {
+            Some(values) if segments.len() == 1 => Values::InPlace(values),
+            _ => {
+                let mut scratch = bound[first.shard][c].scratch();
+                let mut values = Vec::with_capacity(range.len());
+                for seg in &segments {
                     let expr = &bound[seg.shard][c];
-                    seg.local.rows().map(move |r| expr.f64_at(r))
-                });
-                values.collect()
-            })
-            .collect(),
-    };
+                    for run in seg.local.runs() {
+                        let block = expr.block(run, &mut scratch);
+                        values.extend((0..run.len()).map(|i| block.get(i)));
+                    }
+                }
+                Values::Evaluated(values)
+            }
+        })
+        .collect();
 
     let mut buf: Vec<f64> = Vec::new();
     for slot in 0..runs.num_slots() {
         let run = runs.slot(slot).iter().map(|&r| r as usize);
-        for (c, state) in states[slot * width..(slot + 1) * width].iter_mut().enumerate() {
+        for (state, column) in states[slot * width..(slot + 1) * width].iter_mut().zip(&columns) {
             buf.clear();
-            match (straddling.get(c), dense[c]) {
-                (Some(values), _) => {
+            match column {
+                Values::InPlace(values) => buf.extend(run.clone().map(|r| values[r - delta])),
+                Values::Evaluated(values) => {
                     buf.extend(run.clone().filter_map(|r| values[r - range.start]))
                 }
-                (None, Some(values)) => buf.extend(run.clone().map(|r| values[r - delta])),
-                (None, None) => buf.extend(run.clone().filter_map(|r| exprs[c].f64_at(r - delta))),
             }
             state.update_slice(&buf);
         }
     }
     states
+}
+
+/// One column of a partition as [`fold_runs`] gathers it.
+enum Values<'a> {
+    /// The shard's own `Float64` slice.
+    InPlace(&'a [f64]),
+    /// The partition's values in row order, `None` where a row has none.
+    Evaluated(Vec<Option<f64>>),
 }
 
 /// The pass over `n` rows. Every partition goes through `partition`, then

@@ -1,13 +1,24 @@
 //! Predicate AST and evaluation.
 //!
 //! Predicates are resolved against a table once ([`Predicate::bind`]) and can
-//! then be evaluated row-at-a-time or in bulk into a [`Bitmap`]. String
-//! comparisons are resolved to dictionary codes at bind time, so the per-row
-//! work for `country = 'VN'` is a single integer compare.
+//! then be evaluated one row at a time ([`BoundPredicate::matches`], the
+//! single-row API and the test oracle) or in bulk into a [`Bitmap`], one
+//! 64-row word at a time over runs of [`RUN_ROWS`](exec::RUN_ROWS) rows.
+//! String comparisons are resolved against the column dictionary at bind
+//! time: `=` and `<>` compare the code slice with one code, and ordered
+//! comparisons and `IN ('…')` read a truth table with one entry per
+//! dictionary code. Numeric comparisons, `BETWEEN` and `IN` run over the
+//! expression's block ([`BoundExpr::block`]), and `AND`, `OR` and `NOT` are
+//! word operations.
+//!
+//! Every numeric comparison — `=`, `<`, `IN`, `BETWEEN` alike — is
+//! [`CmpOp::evaluate_f64`]: a total order with NaN above +∞ and −0 below +0.
+//! A row where the expression has no value fails every comparison.
 
-use crate::bitmap::Bitmap;
+use crate::bitmap::{fill_ones, pack_words, Bitmap};
 use crate::error::TableError;
-use crate::expr::{BoundExpr, ScalarExpr};
+use crate::exec::{self, ExecOptions, RowRange, CHUNK_ROWS};
+use crate::expr::{and_valid, BlockScratch, BoundExpr, ScalarExpr, RUN_WORDS};
 use crate::table::Table;
 use crate::types::Value;
 use crate::Result;
@@ -44,10 +55,34 @@ impl CmpOp {
         }
     }
 
-    /// Apply to two floats (total order).
+    /// Apply to two floats (total order: NaN above +∞, −0 below +0). The
+    /// one numeric comparator: every comparison of a predicate, `CASE`
+    /// arm, `IND` and `COUNT_IF` goes through it.
     #[inline]
     pub fn evaluate_f64(self, left: f64, right: f64) -> bool {
         self.evaluate(left.total_cmp(&right))
+    }
+
+    /// [`CmpOp::evaluate_f64`] of `left(i)` against `right(i)` for every
+    /// `i` below `len`, packed 64 rows a word into `words`, bits past `len`
+    /// zero. The operator is matched once per call, not once per row.
+    #[inline]
+    pub(crate) fn evaluate_words(
+        self,
+        words: &mut [u64],
+        len: usize,
+        left: impl Fn(usize) -> f64,
+        right: impl Fn(usize) -> f64,
+    ) {
+        let (l, r) = (&left, &right);
+        match self {
+            CmpOp::Eq => pack_words(words, len, |i| CmpOp::Eq.evaluate_f64(l(i), r(i))),
+            CmpOp::Ne => pack_words(words, len, |i| CmpOp::Ne.evaluate_f64(l(i), r(i))),
+            CmpOp::Lt => pack_words(words, len, |i| CmpOp::Lt.evaluate_f64(l(i), r(i))),
+            CmpOp::Le => pack_words(words, len, |i| CmpOp::Le.evaluate_f64(l(i), r(i))),
+            CmpOp::Gt => pack_words(words, len, |i| CmpOp::Gt.evaluate_f64(l(i), r(i))),
+            CmpOp::Ge => pack_words(words, len, |i| CmpOp::Ge.evaluate_f64(l(i), r(i))),
+        }
     }
 }
 
@@ -163,7 +198,7 @@ impl Predicate {
             Predicate::True => Node::True,
             Predicate::Cmp { expr, op, value } => {
                 let bound = expr.bind(table)?;
-                let rhs = Rhs::bind(&bound, value)?;
+                let rhs = Rhs::bind(&bound, *op, value)?;
                 Node::Cmp { expr: bound, op: *op, rhs }
             }
             Predicate::Between { expr, low, high } => {
@@ -190,7 +225,9 @@ impl Predicate {
                         }
                     }
                     codes.sort_unstable();
-                    Node::InCodes { expr: bound, codes }
+                    let mut member = vec![false; dict.len()];
+                    codes.iter().for_each(|&code| member[code as usize] = true);
+                    Node::InCodes { expr: bound, codes, member }
                 } else {
                     let mut nums = Vec::with_capacity(values.len());
                     for v in values {
@@ -256,15 +293,18 @@ fn as_f64(v: &Value) -> Result<f64> {
 enum Rhs {
     /// Numeric comparison value.
     Number(f64),
-    /// Dictionary code of a string literal present in the column dictionary.
-    Code(u32),
+    /// A string literal present in the column dictionary: its code, which
+    /// `=` and `<>` compare with, and whether the comparison holds at each
+    /// code of the dictionary, which the word kernel's ordered comparisons
+    /// read.
+    Code { code: u32, holds: Vec<bool> },
     /// String literal absent from the dictionary: `=` never matches, `<>`
     /// always matches.
     MissingString,
 }
 
 impl Rhs {
-    fn bind(expr: &BoundExpr<'_>, value: &Value) -> Result<Rhs> {
+    fn bind(expr: &BoundExpr<'_>, op: CmpOp, value: &Value) -> Result<Rhs> {
         if expr.is_plain_str() {
             let s = value.as_str().ok_or_else(|| {
                 TableError::invalid(format!(
@@ -273,7 +313,10 @@ impl Rhs {
             })?;
             let dict = expr.column().dictionary().expect("plain str column");
             Ok(match dict.code_of(s) {
-                Some(code) => Rhs::Code(code),
+                Some(code) => {
+                    let holds = dict.iter().map(|(_, text)| op.evaluate(text.cmp(s))).collect();
+                    Rhs::Code { code, holds }
+                }
                 None => Rhs::MissingString,
             })
         } else {
@@ -282,12 +325,15 @@ impl Rhs {
     }
 }
 
+/// A bound predicate's tree. `InCodes` is `IN` over a string column: the
+/// listed codes, ascending, and whether each code of the dictionary is one
+/// of them.
 #[derive(Debug, Clone)]
 enum Node<'t> {
     True,
     Cmp { expr: BoundExpr<'t>, op: CmpOp, rhs: Rhs },
     Between { expr: BoundExpr<'t>, low: f64, high: f64 },
-    InCodes { expr: BoundExpr<'t>, codes: Vec<u32> },
+    InCodes { expr: BoundExpr<'t>, codes: Vec<u32>, member: Vec<bool> },
     InNumbers { expr: BoundExpr<'t>, values: Vec<f64> },
     And(Box<Node<'t>>, Box<Node<'t>>),
     Or(Box<Node<'t>>, Box<Node<'t>>),
@@ -307,15 +353,95 @@ impl BoundPredicate<'_> {
         Self::eval(&self.node, row)
     }
 
-    /// Evaluate over all `num_rows` rows into a bitmap.
+    /// Evaluate over all `num_rows` rows into a bitmap: the sequential case
+    /// of [`BoundPredicate::eval_bitmap_with`].
     pub fn eval_bitmap(&self, num_rows: usize) -> Bitmap {
-        Bitmap::from_fn(num_rows, |row| self.matches(row))
+        self.eval_bitmap_with(num_rows, &ExecOptions::sequential())
     }
 
-    /// Evaluate into a bitmap with chunk-parallel execution; identical
-    /// output to [`BoundPredicate::eval_bitmap`] for any thread count.
-    pub fn eval_bitmap_with(&self, num_rows: usize, options: &crate::exec::ExecOptions) -> Bitmap {
-        Bitmap::from_fn_with(num_rows, options, |row| self.matches(row))
+    /// Evaluate over all `num_rows` rows into a bitmap, chunk-parallel: bit
+    /// `r` is [`BoundPredicate::matches`]`(r)`. Each worker fills the words
+    /// of whole [`CHUNK_ROWS`]-row partitions, a run of
+    /// [`RUN_ROWS`](exec::RUN_ROWS) rows at a time with buffers allocated
+    /// once per partition, so the bitmap is the same for any thread count.
+    pub fn eval_bitmap_with(&self, num_rows: usize, options: &ExecOptions) -> Bitmap {
+        let mut words = vec![0u64; num_rows.div_ceil(64)];
+        exec::for_each_chunk_mut(&mut words, CHUNK_ROWS / 64, options, |chunk, words| {
+            let mut scratch = Scratch::of(&self.node);
+            let start = chunk * CHUNK_ROWS;
+            let partition = RowRange { start, end: num_rows.min(start + CHUNK_ROWS) };
+            for (run, out) in partition.runs().zip(words.chunks_mut(RUN_WORDS)) {
+                Self::eval_words(&self.node, &mut scratch, run, out);
+            }
+        });
+        Bitmap::from_words(words, num_rows).expect("one word per 64 rows")
+    }
+
+    /// The word kernel: `node` over the rows of `run` into `out`, one word
+    /// per 64 rows, bits past the run zero.
+    fn eval_words(node: &Node<'_>, scratch: &mut Scratch, run: RowRange, out: &mut [u64]) {
+        let len = run.len();
+        match node {
+            Node::True => fill_ones(out, len),
+            Node::Cmp { expr, op, rhs: Rhs::Number(n) } => {
+                let block = expr.block(run, scratch.block());
+                op.evaluate_words(out, len, |i| block.values[i], |_| *n);
+                and_valid(out, block.valid);
+            }
+            Node::Cmp { expr, op, rhs: Rhs::Code { code, holds } } => {
+                let codes = &str_codes(expr)[run.rows()];
+                match op {
+                    CmpOp::Eq => pack_words(out, len, |i| codes[i] == *code),
+                    CmpOp::Ne => pack_words(out, len, |i| codes[i] != *code),
+                    _ => pack_words(out, len, |i| holds[codes[i] as usize]),
+                }
+            }
+            Node::Cmp { op, rhs: Rhs::MissingString, .. } => match op {
+                CmpOp::Ne => fill_ones(out, len),
+                _ => out.fill(0),
+            },
+            Node::Between { expr, low, high } => {
+                let block = expr.block(run, scratch.block());
+                let v = block.values;
+                let within = |i: usize| {
+                    CmpOp::Ge.evaluate_f64(v[i], *low) && CmpOp::Le.evaluate_f64(v[i], *high)
+                };
+                pack_words(out, len, within);
+                and_valid(out, block.valid);
+            }
+            Node::InCodes { expr, member, .. } => {
+                let codes = &str_codes(expr)[run.rows()];
+                pack_words(out, len, |i| member[codes[i] as usize]);
+            }
+            Node::InNumbers { expr, values } => {
+                let block = expr.block(run, scratch.block());
+                let v = block.values;
+                pack_words(out, len, |i| values.iter().any(|&x| CmpOp::Eq.evaluate_f64(v[i], x)));
+                and_valid(out, block.valid);
+            }
+            Node::And(a, b) | Node::Or(a, b) => {
+                let [left, right] = scratch.children.as_mut_slice() else {
+                    unreachable!("a binary node has two children")
+                };
+                Self::eval_words(a, left, run, out);
+                let other = &mut scratch.words[..out.len()];
+                if matches!(node, Node::And(..)) {
+                    if out.iter().any(|&w| w != 0) {
+                        Self::eval_words(b, right, run, other);
+                        out.iter_mut().zip(other.iter()).for_each(|(o, w)| *o &= w);
+                    }
+                } else {
+                    Self::eval_words(b, right, run, other);
+                    out.iter_mut().zip(other.iter()).for_each(|(o, w)| *o |= w);
+                }
+            }
+            Node::Not(a) => {
+                Self::eval_words(a, &mut scratch.children[0], run, out);
+                let all = &mut scratch.words[..out.len()];
+                fill_ones(all, len);
+                out.iter_mut().zip(all.iter()).for_each(|(o, w)| *o ^= w);
+            }
+        }
     }
 
     fn eval(node: &Node<'_>, row: usize) -> bool {
@@ -326,7 +452,7 @@ impl BoundPredicate<'_> {
                     Some(v) => op.evaluate_f64(v, *n),
                     None => false,
                 },
-                Rhs::Code(code) => {
+                Rhs::Code { code, .. } => {
                     let actual = expr.str_code_at(row).expect("bound to str column");
                     match op {
                         CmpOp::Eq => actual == *code,
@@ -341,15 +467,15 @@ impl BoundPredicate<'_> {
                 Rhs::MissingString => matches!(op, CmpOp::Ne),
             },
             Node::Between { expr, low, high } => match expr.f64_at(row) {
-                Some(v) => v >= *low && v <= *high,
+                Some(v) => CmpOp::Ge.evaluate_f64(v, *low) && CmpOp::Le.evaluate_f64(v, *high),
                 None => false,
             },
-            Node::InCodes { expr, codes } => {
+            Node::InCodes { expr, codes, .. } => {
                 let actual = expr.str_code_at(row).expect("bound to str column");
                 codes.binary_search(&actual).is_ok()
             }
             Node::InNumbers { expr, values } => match expr.f64_at(row) {
-                Some(v) => values.contains(&v),
+                Some(v) => values.iter().any(|&x| CmpOp::Eq.evaluate_f64(v, x)),
                 None => false,
             },
             Node::And(a, b) => Self::eval(a, row) && Self::eval(b, row),
@@ -359,12 +485,48 @@ impl BoundPredicate<'_> {
     }
 }
 
+/// The code slice of a node over a string column.
+fn str_codes<'t>(expr: &BoundExpr<'t>) -> &'t [u32] {
+    expr.column().str_codes().expect("bound to str column")
+}
+
+/// The word kernel's buffers for one [`Node`], shaped as its tree: an
+/// expression's block scratch, and a run of words for the second operand
+/// of `AND` and `OR` and the mask of `NOT`.
+#[derive(Debug)]
+struct Scratch {
+    expr: Option<BlockScratch>,
+    words: [u64; RUN_WORDS],
+    children: Vec<Scratch>,
+}
+
+impl Scratch {
+    fn of(node: &Node<'_>) -> Scratch {
+        let (expr, children) = match node {
+            Node::Cmp { expr, rhs: Rhs::Number(_), .. }
+            | Node::Between { expr, .. }
+            | Node::InNumbers { expr, .. } => (Some(expr.scratch()), Vec::new()),
+            Node::True | Node::Cmp { .. } | Node::InCodes { .. } => (None, Vec::new()),
+            Node::And(a, b) | Node::Or(a, b) => (None, vec![Scratch::of(a), Scratch::of(b)]),
+            Node::Not(a) => (None, vec![Scratch::of(a)]),
+        };
+        Scratch { expr, words: [0; RUN_WORDS], children }
+    }
+
+    /// The block scratch of a node over a numeric expression.
+    fn block(&mut self) -> &mut BlockScratch {
+        self.expr.as_mut().expect("a numeric node has block scratch")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::tests::{edge_table, next, random_expr, random_literal, random_op};
     use crate::table::TableBuilder;
     use crate::time::epoch_seconds;
     use crate::types::DataType;
+    use proptest::prelude::*;
 
     fn table() -> Table {
         let mut b = TableBuilder::new(&[
@@ -535,5 +697,126 @@ mod tests {
         let t = table();
         assert!(Predicate::cmp("country", CmpOp::Eq, 5i64).bind(&t).is_err());
         assert!(Predicate::cmp("value", CmpOp::Eq, "x").bind(&t).is_err());
+    }
+
+    /// One float column over `[-0.0, 0.0, NaN, 5, +inf]`.
+    fn signed_zeros_and_nan() -> Table {
+        let mut b = TableBuilder::new(&[("v", DataType::Float64)]);
+        for v in [-0.0, 0.0, f64::NAN, 5.0, f64::INFINITY] {
+            b.push_row(&[Value::Float64(v)]).unwrap();
+        }
+        b.finish()
+    }
+
+    /// `=`, `IN`, `BETWEEN`, `>` and `>= AND <=` share one total order:
+    /// −0 is below +0, and NaN is above +∞.
+    #[test]
+    fn numeric_forms_share_one_comparator() {
+        let t = signed_zeros_and_nan();
+        let v = || ScalarExpr::col("v");
+        let kept = |p: Predicate| {
+            let bound = p.bind(&t).unwrap();
+            let rows: Vec<usize> = bound.eval_bitmap(5).iter_ones().collect();
+            let oracle: Vec<usize> = (0..5).filter(|&r| bound.matches(r)).collect();
+            assert_eq!(rows, oracle, "{p}");
+            rows
+        };
+        assert_eq!(kept(Predicate::cmp("v", CmpOp::Eq, 0.0)), [1]);
+        let in_zero = Predicate::InList { expr: v(), values: vec![Value::Float64(0.0)] };
+        assert_eq!(kept(in_zero), [1]);
+        assert_eq!(kept(Predicate::between(v(), 0.0, 5.0)), [1, 3]);
+        assert_eq!(kept(Predicate::cmp("v", CmpOp::Gt, 0.0)), [2, 3, 4]);
+        let ge_and_le =
+            Predicate::cmp("v", CmpOp::Ge, 0.0).and(Predicate::cmp("v", CmpOp::Le, 5.0));
+        assert_eq!(kept(ge_and_le), [1, 3]);
+    }
+
+    /// A random predicate over [`edge_table`]: numeric comparisons,
+    /// `BETWEEN` and `IN` over random expressions, string comparisons and
+    /// `IN` lists (literals present in the dictionary and absent), under
+    /// `AND`, `OR` and `NOT`.
+    fn random_predicate(state: &mut u64, depth: u32) -> Predicate {
+        let forms = if depth == 0 { 5 } else { 8 };
+        let text = |state: &mut u64| {
+            Value::str(["VN", "IN", "US", "BR", "ZA", "AA", "ZZ"][next(state) % 7])
+        };
+        match next(state) % forms {
+            0 => {
+                Predicate::cmp_expr(random_expr(state, 2), random_op(state), random_literal(state))
+            }
+            1 => Predicate::between(
+                random_expr(state, 1),
+                random_literal(state),
+                random_literal(state),
+            ),
+            2 => {
+                let expr = random_expr(state, 1);
+                let values =
+                    (0..1 + next(state) % 3).map(|_| Value::Float64(random_literal(state)));
+                Predicate::InList { expr, values: values.collect() }
+            }
+            3 => Predicate::cmp("s", random_op(state), text(state)),
+            4 => {
+                let values = (0..1 + next(state) % 3).map(|_| text(state)).collect();
+                Predicate::InList { expr: ScalarExpr::col("s"), values }
+            }
+            5 => random_predicate(state, depth - 1).and(random_predicate(state, depth - 1)),
+            6 => random_predicate(state, depth - 1).or(random_predicate(state, depth - 1)),
+            _ => random_predicate(state, depth - 1).not(),
+        }
+    }
+
+    /// The word kernel over `run` of `bound`, as a list of the rows it keeps.
+    fn kernel_rows(bound: &BoundPredicate<'_>, run: RowRange) -> Vec<usize> {
+        let mut scratch = Scratch::of(&bound.node);
+        let mut words = vec![0u64; run.len().div_ceil(64)];
+        BoundPredicate::eval_words(&bound.node, &mut scratch, run, &mut words);
+        let bitmap = Bitmap::from_words(words.clone(), run.len()).unwrap();
+        assert_eq!(bitmap.words(), &words[..], "no bit past the run");
+        bitmap.iter_ones().map(|i| run.start + i).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// For random predicates, the word bitmap equals `matches` row by
+        /// row: over the whole table, and at random run offsets and tail
+        /// lengths.
+        #[test]
+        fn words_match_rows_on_random_predicates(seed in any::<u64>()) {
+            let t = edge_table(2 * exec::RUN_ROWS + 333);
+            let mut state = seed | 1;
+            let predicate = random_predicate(&mut state, 3);
+            let bound = predicate.bind(&t).unwrap();
+            let n = t.num_rows();
+            let oracle: Vec<usize> = (0..n).filter(|&r| bound.matches(r)).collect();
+            let got: Vec<usize> = bound.eval_bitmap(n).iter_ones().collect();
+            prop_assert_eq!(&got, &oracle, "{predicate}");
+            for _ in 0..8 {
+                let start = next(&mut state) % n;
+                let len = next(&mut state) % exec::RUN_ROWS.min(n - start) + 1;
+                let run = RowRange { start, end: start + len };
+                let want: Vec<usize> = run.rows().filter(|&r| bound.matches(r)).collect();
+                prop_assert_eq!(kernel_rows(&bound, run), want, "{predicate}, {run:?}");
+            }
+        }
+    }
+
+    /// The chunk split of the word kernel: a table of two partitions and a
+    /// tail gives the same bitmap at every worker count, the default one
+    /// (`CVOPT_THREADS`, when set) included.
+    #[test]
+    fn word_kernel_is_the_same_at_any_thread_count() {
+        let t = edge_table(2 * CHUNK_ROWS + 777);
+        let mut state = 0x5eed_u64;
+        for _ in 0..4 {
+            let predicate = random_predicate(&mut state, 2);
+            let bound = predicate.bind(&t).unwrap();
+            let sequential = bound.eval_bitmap(t.num_rows());
+            for options in [ExecOptions::new(2), ExecOptions::new(8), ExecOptions::default()] {
+                let parallel = bound.eval_bitmap_with(t.num_rows(), &options);
+                assert_eq!(parallel, sequential, "{predicate}, {options:?}");
+            }
+        }
     }
 }

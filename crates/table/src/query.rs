@@ -27,7 +27,7 @@ use crate::agg::{Accumulator, AggExpr, AggKind, AggState};
 use crate::bitmap::Bitmap;
 use crate::cube::grouping_sets;
 use crate::exec::{self, ExecOptions, RowRange};
-use crate::expr::{BoundExpr, ScalarExpr};
+use crate::expr::{Block, BlockScratch, BoundExpr, ScalarExpr};
 use crate::groupby::{GroupProjection, KeyAtom, LocalKeys, OrderedMerge, RowKeys};
 use crate::predicate::Predicate;
 use crate::reader::{Fold, RowSpace};
@@ -263,7 +263,8 @@ impl GroupByQuery {
 /// One partition of the aggregation pass: walk `range` of `rows` under
 /// `keys`, and fold every row the optional per-shard `filters` keep into its
 /// slot's accumulators, `states[slot * width + aggregate]`. `bound` holds
-/// the aggregates' inputs bound per shard, and `weight` maps a global row
+/// the aggregates' inputs bound per shard, each evaluated a run at a time
+/// into buffers allocated once per partition, and `weight` maps a global row
 /// id to its weight. Returns the partition's keys with the states. Both
 /// sides of a statement over shards behind readers run it: a shard for the
 /// partitions it holds whole, the coordinator for in-process rows and for a
@@ -282,25 +283,33 @@ pub(crate) fn fold_partition<A: Accumulator>(
     // for every slot the walk can hand out: a partial is never copied to
     // grow, and room the walk does not fill is never written.
     let mut states: Vec<A> = Vec::with_capacity(keys.max_slots(range) * width);
+    // Each input's block buffers, allocated at its first run.
+    let mut scratch: Vec<Option<BlockScratch>> = aggregates.iter().map(|_| None).collect();
     let local = keys.walk(rows, range, |run, slots, seen| {
         states.resize(seen * width, A::default());
-        // Global row id of shard-local row `r` is `r + delta`.
-        let delta = run.global_start - run.local.start;
-        let weight = |r: usize| weight(r + delta);
+        let (start, end) = (run.local.start, run.local.end);
+        let kept = filters.map(|bms| &bms[run.shard]);
+        if kept.is_some_and(|kept| kept.iter_ones_in(start, end).next().is_none()) {
+            return;
+        }
+        // The run's row `i` is global row `run.global_start + i`.
+        let weight = |i: usize| weight(run.global_start + i);
         // One aggregate at a time over the run: each (slot, aggregate) cell
         // still takes its rows in row order.
         for (a, (agg, expr)) in aggregates.iter().zip(&bound[run.shard]).enumerate() {
+            let block = expr.as_ref().map(|e| {
+                let scratch = scratch[a].get_or_insert_with(|| e.scratch());
+                e.block(run.local, scratch)
+            });
             let cells = &mut states[a..];
-            let (start, end) = (run.local.start, run.local.end);
-            match filters {
-                Some(bms) => {
-                    let kept = bms[run.shard].iter_ones_in(start, end);
-                    let rows = kept.map(|r| (r, slots[r - start]));
-                    fold_column(cells, width, rows, agg, expr.as_ref(), weight);
+            match kept {
+                Some(kept) => {
+                    let rows = kept.iter_ones_in(start, end).map(|r| (r - start, slots[r - start]));
+                    fold_column(cells, width, rows, agg, block, weight);
                 }
                 None => {
-                    let rows = (start..end).zip(slots.iter().copied());
-                    fold_column(cells, width, rows, agg, expr.as_ref(), weight);
+                    let rows = slots.iter().copied().enumerate();
+                    fold_column(cells, width, rows, agg, block, weight);
                 }
             }
         }
@@ -308,38 +317,38 @@ pub(crate) fn fold_partition<A: Accumulator>(
     (local, states)
 }
 
-/// Fold aggregate `agg` over `rows` — each a shard-local row id with its
-/// slot — into `cells`, where slot `s`'s cell is `cells[s * width]`. A row
-/// feeds the value its input `expr` (bound against the row's shard) has
-/// there, and none when the input has no value (a null). The match on the
-/// aggregate and on the input's shape happens once per run, not per row: a
-/// plain `Float64` input is read straight from its slice, which holds the
-/// values `f64_at` returns.
+/// Fold aggregate `agg` over `rows` — each a row's index in the run with
+/// its slot — into `cells`, where slot `s`'s cell is `cells[s * width]`.
+/// The run's `block` of the input is the one value source: a row feeds the
+/// value it has there, and none when it has no value (a null). `COUNT(*)`
+/// reads no input, and `COUNT_IF` feeds every row a 0/1 hit, comparing a
+/// row without a value as NaN. The match on the aggregate and on whether
+/// every row of the block has a value happens once per run, not per row.
 #[inline]
 fn fold_column<A: Accumulator>(
     cells: &mut [A],
     width: usize,
     rows: impl Iterator<Item = (usize, u32)>,
     agg: &AggExpr,
-    expr: Option<&BoundExpr<'_>>,
+    block: Option<Block<'_>>,
     weight: impl Fn(usize) -> f64,
 ) {
-    match (agg.kind, expr) {
+    match (agg.kind, block) {
         (AggKind::Count, _) => fold_rows(cells, width, rows, |_| Some(1.0), weight),
-        (AggKind::CountIf, Some(e)) => {
+        (AggKind::CountIf, Some(b)) => {
             let (op, threshold) = agg.condition.expect("COUNT_IF has a condition");
             let hit = move |v: f64| Some(if op.evaluate_f64(v, threshold) { 1.0 } else { 0.0 });
-            match e.f64_slice() {
-                Some(values) => fold_rows(cells, width, rows, |r| hit(values[r]), weight),
-                None => {
-                    let value = |r| hit(e.f64_at(r).unwrap_or(f64::NAN));
+            match b.valid {
+                None => fold_rows(cells, width, rows, |i| hit(b.values[i]), weight),
+                Some(_) => {
+                    let value = |i| hit(b.get(i).unwrap_or(f64::NAN));
                     fold_rows(cells, width, rows, value, weight)
                 }
             }
         }
-        (_, Some(e)) => match e.f64_slice() {
-            Some(values) => fold_rows(cells, width, rows, |r| Some(values[r]), weight),
-            None => fold_rows(cells, width, rows, |r| e.f64_at(r), weight),
+        (_, Some(b)) => match b.valid {
+            None => fold_rows(cells, width, rows, |i| Some(b.values[i]), weight),
+            Some(_) => fold_rows(cells, width, rows, |i| b.get(i), weight),
         },
         (_, None) => {}
     }
