@@ -22,6 +22,7 @@ use cvopt_datagen::{generate_openaq, OpenAqConfig};
 use cvopt_net::{Peer, RemoteShard, Shardd};
 use cvopt_table::exec::partition_rows;
 use cvopt_table::groupby::{total_group_id_bytes, total_keys_projected};
+use cvopt_table::join::max_join_bytes_gathered;
 
 /// Rows for the serving-workload fixture: large enough that the default
 /// auto threshold routes to the approximate path, small enough for CI.
@@ -296,6 +297,9 @@ fn main() {
         "a 3-shard registration must answer byte-identically"
     );
     let joined = join_engine.query(join_stmt, QueryMode::Exact).expect("join workload");
+    // Read now: the reference below projects the whole join, and the
+    // process-wide max would record that too.
+    let join_bytes_gathered_max = max_join_bytes_gathered();
     let sharded_join = join_sharded.query(join_stmt, QueryMode::Exact).expect("sharded join");
     let exact_group_ids = total_group_id_bytes() - group_ids_before;
     assert_eq!(
@@ -306,20 +310,30 @@ fn main() {
     counters
         .push(("join_rows/join_workload".into(), joined.results[0].group_rows.iter().sum::<u64>()));
     counters.push(("join_groups/join_workload".into(), joined.results[0].num_groups() as u64));
-    // What a join copies: the joined columns its statement reads (`region`
-    // and `value` here), never the full-width joined table. The same three
-    // calls the engine makes, checked against the engine's own answer.
+    // What a join holds at once: one joined partition of the columns its
+    // statement reads (`region` and `value` here) — never the whole join,
+    // never the full-width joined table. The reference is the whole joined
+    // range of those columns answered as a table, which the engine's
+    // partition-at-a-time answer must equal.
     let query = cvopt_table::sql::parse(join_stmt).and_then(|s| s.into_query()).expect("compile");
     let sequential = ExecOptions::sequential();
     let matched =
         cvopt_table::hash_join(&fact, &dim, "country", "country", &sequential).expect("join");
-    let read = matched.project(&query.columns()).expect("project");
+    let read = matched.project(&query.columns(), 0..matched.num_rows()).expect("project");
     assert_eq!(
         format!("{:?}", query.execute_with(&read, &sequential).expect("execute")),
         format!("{:?}", joined.results),
-        "the projected join must answer like the engine"
+        "the engine's join must answer like the whole projected join"
     );
-    counters.push(("join_bytes_gathered/join_workload".into(), read.approx_bytes()));
+    let partition_bytes = partition_rows(matched.num_rows()).into_iter().map(|range| {
+        matched.project(&query.columns(), range.rows()).expect("project").approx_bytes()
+    });
+    assert_eq!(
+        Some(join_bytes_gathered_max),
+        partition_bytes.max(),
+        "the engine holds one joined partition of the read columns at a time"
+    );
+    counters.push(("join_bytes_gathered_max/join_workload".into(), join_bytes_gathered_max));
     counters.push(("group_id_bytes/exact_workload".into(), exact_group_ids));
     remote_workload(&mut counters);
 

@@ -236,10 +236,12 @@ impl Engine {
     /// per-group confidence intervals for `AVG` aggregates.
     /// `EXPLAIN SELECT …` statements plan but never execute: the answer
     /// carries the report with empty results. `JOIN` statements resolve the
-    /// join to its match list (fact side probed per partition, shard lists
-    /// concatenated in shard order), copy the joined columns the statement
-    /// reads — [`GroupByQuery::columns`], nothing else — and answer exactly
-    /// over that table.
+    /// join to its build side and per-partition match counts (fact side
+    /// probed per partition, in shard order), then answer exactly one joined
+    /// partition at a time: each is produced, gathered onto the joined
+    /// columns the statement reads — [`GroupByQuery::columns`], nothing
+    /// else — and folded ([`GroupByQuery::execute_join`]), so no joined
+    /// table or match list is ever whole.
     pub fn query(&self, statement: &str, mode: QueryMode) -> Result<QueryAnswer> {
         let (planned, is_explain) = self.plan_statement(statement, mode)?;
         let PlannedStatement { from, query, mut report, sample, join, reuse } = planned;
@@ -255,8 +257,7 @@ impl Engine {
             let dim = dim.table.set.rows().to_table()?;
             let joined =
                 hash_join(&from.table.set, &dim, &join.fact_key, &join.dim_key, &self.exec)?;
-            let read = joined.project(&query.columns())?;
-            let results = query.execute_with(&read, &self.exec)?;
+            let results = query.execute_join(&joined, &self.exec)?;
             return Ok(QueryAnswer { results, report, confidence: Vec::new() });
         }
         let Some((problem, fingerprint)) = sample else {
@@ -535,7 +536,7 @@ mod tests {
             )
             .unwrap();
         let joined = hash_join(&t, &dim, "g", "k", &ExecOptions::sequential()).unwrap();
-        let joined = joined.project(&joined.schema().names()).unwrap();
+        let joined = joined.project(&joined.schema().names(), 0..joined.num_rows()).unwrap();
         let direct =
             sql::run(&joined, "SELECT tier, AVG(x), COUNT(*) FROM j GROUP BY tier").unwrap();
         assert_eq!(ans.results[0].keys, direct[0].keys);

@@ -48,8 +48,8 @@ pub enum TableError {
         /// Error message.
         message: String,
     },
-    /// A row count that row ids — `u32` in match lists, group indexes and
-    /// strata runs — cannot address.
+    /// A row count that row ids — `u32` in a join's joined rows, group
+    /// indexes and strata runs — cannot address.
     RowIdOverflow {
         /// What has too many rows.
         what: &'static str,
@@ -101,7 +101,7 @@ impl fmt::Display for TableError {
 
 impl std::error::Error for TableError {}
 
-/// Row ids are `u32` — in a join's match list, in a strata pass's runs — so
+/// Row ids are `u32` — in a join's joined rows, in a strata pass's runs — so
 /// `rows`, the count of what they address, has to fit one.
 pub(crate) fn check_row_ids(what: &'static str, rows: usize) -> crate::Result<()> {
     if u32::try_from(rows).is_err() {

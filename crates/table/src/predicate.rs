@@ -293,14 +293,17 @@ fn as_f64(v: &Value) -> Result<f64> {
 enum Rhs {
     /// Numeric comparison value.
     Number(f64),
-    /// A string literal present in the column dictionary: its code, which
-    /// `=` and `<>` compare with, and whether the comparison holds at each
-    /// code of the dictionary, which the word kernel's ordered comparisons
-    /// read.
-    Code { code: u32, holds: Vec<bool> },
-    /// String literal absent from the dictionary: `=` never matches, `<>`
-    /// always matches.
+    /// `=` or `<>` against a string literal present in the column
+    /// dictionary: its code.
+    Code(u32),
+    /// `=` or `<>` against a string literal absent from the dictionary: `=`
+    /// never matches, `<>` always matches.
     MissingString,
+    /// An ordered comparison (`<`, `<=`, `>`, `>=`) against a string
+    /// literal: whether it holds at each code of the dictionary, decided by
+    /// comparing texts, so a literal absent from the dictionary still sorts
+    /// among the strings that are present.
+    Holds(Vec<bool>),
 }
 
 impl Rhs {
@@ -312,12 +315,10 @@ impl Rhs {
                 ))
             })?;
             let dict = expr.column().dictionary().expect("plain str column");
-            Ok(match dict.code_of(s) {
-                Some(code) => {
-                    let holds = dict.iter().map(|(_, text)| op.evaluate(text.cmp(s))).collect();
-                    Rhs::Code { code, holds }
-                }
-                None => Rhs::MissingString,
+            Ok(match (op, dict.code_of(s)) {
+                (CmpOp::Eq | CmpOp::Ne, Some(code)) => Rhs::Code(code),
+                (CmpOp::Eq | CmpOp::Ne, None) => Rhs::MissingString,
+                _ => Rhs::Holds(dict.iter().map(|(_, text)| op.evaluate(text.cmp(s))).collect()),
             })
         } else {
             Ok(Rhs::Number(as_f64(value)?))
@@ -388,13 +389,16 @@ impl BoundPredicate<'_> {
                 op.evaluate_words(out, len, |i| block.values[i], |_| *n);
                 and_valid(out, block.valid);
             }
-            Node::Cmp { expr, op, rhs: Rhs::Code { code, holds } } => {
+            Node::Cmp { expr, op, rhs: Rhs::Code(code) } => {
                 let codes = &str_codes(expr)[run.rows()];
                 match op {
                     CmpOp::Eq => pack_words(out, len, |i| codes[i] == *code),
-                    CmpOp::Ne => pack_words(out, len, |i| codes[i] != *code),
-                    _ => pack_words(out, len, |i| holds[codes[i] as usize]),
+                    _ => pack_words(out, len, |i| codes[i] != *code),
                 }
+            }
+            Node::Cmp { expr, rhs: Rhs::Holds(holds), .. } => {
+                let codes = &str_codes(expr)[run.rows()];
+                pack_words(out, len, |i| holds[codes[i] as usize]);
             }
             Node::Cmp { op, rhs: Rhs::MissingString, .. } => match op {
                 CmpOp::Ne => fill_ones(out, len),
@@ -452,19 +456,14 @@ impl BoundPredicate<'_> {
                     Some(v) => op.evaluate_f64(v, *n),
                     None => false,
                 },
-                Rhs::Code { code, .. } => {
+                Rhs::Code(code) => {
                     let actual = expr.str_code_at(row).expect("bound to str column");
-                    match op {
-                        CmpOp::Eq => actual == *code,
-                        CmpOp::Ne => actual != *code,
-                        // Ordered comparison on strings compares the text.
-                        _ => {
-                            let dict = expr.column().dictionary().expect("str column");
-                            op.evaluate(dict.get(actual).cmp(dict.get(*code)))
-                        }
-                    }
+                    (actual == *code) == matches!(op, CmpOp::Eq)
                 }
                 Rhs::MissingString => matches!(op, CmpOp::Ne),
+                Rhs::Holds(holds) => {
+                    holds[expr.str_code_at(row).expect("bound to str column") as usize]
+                }
             },
             Node::Between { expr, low, high } => match expr.f64_at(row) {
                 Some(v) => CmpOp::Ge.evaluate_f64(v, *low) && CmpOp::Le.evaluate_f64(v, *high),
@@ -566,6 +565,8 @@ mod tests {
             Predicate::cmp("country", CmpOp::Eq, "US"),
             Predicate::cmp("value", CmpOp::Gt, 0.5),
             Predicate::cmp("country", CmpOp::Ne, "ZZ"),
+            Predicate::cmp("country", CmpOp::Lt, "US"),
+            Predicate::cmp("country", CmpOp::Ge, "UZ"),
         ] {
             let global = pred.bind(&t).unwrap().eval_bitmap(t.num_rows());
             let per_shard = st
@@ -597,6 +598,20 @@ mod tests {
         assert_eq!(eq.eval_bitmap(4).count_ones(), 0);
         let ne = Predicate::cmp("country", CmpOp::Ne, "ZZ").bind(&t).unwrap();
         assert_eq!(ne.eval_bitmap(4).count_ones(), 4);
+        // An ordered comparison sorts the absent literal among the texts:
+        // "IN" < "UZ" < "VN" and "US" < "UZ".
+        let ordered = |op, s: &str| {
+            let bound = Predicate::cmp("country", op, s).bind(&t).unwrap();
+            let rows: Vec<usize> = bound.eval_bitmap(4).iter_ones().collect();
+            assert_eq!(rows, (0..4).filter(|&r| bound.matches(r)).collect::<Vec<_>>());
+            rows
+        };
+        assert_eq!(ordered(CmpOp::Lt, "UZ"), [0, 3]);
+        assert_eq!(ordered(CmpOp::Le, "UZ"), [0, 3]);
+        assert_eq!(ordered(CmpOp::Gt, "UZ"), [1, 2]);
+        assert_eq!(ordered(CmpOp::Ge, "UZ"), [1, 2]);
+        assert_eq!(ordered(CmpOp::Lt, "ZZ"), [0, 1, 2, 3]);
+        assert_eq!(ordered(CmpOp::Gt, "ZZ"), Vec::<usize>::new());
     }
 
     #[test]

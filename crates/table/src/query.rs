@@ -17,11 +17,15 @@
 //! packed dimension codes and computes exact answers (the experiments'
 //! ground truth). Over shards behind readers each shard runs the same
 //! per-partition function over the partitions it holds, and its partials
-//! merge here in partition order. Sample-based estimators run the same pass
-//! ([`GroupByQuery::aggregate`]) over the sample's packed keys with a
-//! weighted accumulator. No answer builds a group index.
+//! merge here in partition order. A JOIN statement
+//! ([`GroupByQuery::execute_join`]) runs the same per-partition function
+//! over each joined partition as the join produces it, and merges the
+//! partials by key atoms in partition order. Sample-based estimators run the
+//! same pass ([`GroupByQuery::aggregate`]) over the sample's packed keys
+//! with a weighted accumulator. No answer builds a group index.
 
 use std::borrow::Cow;
+use std::hash::Hash;
 
 use crate::agg::{Accumulator, AggExpr, AggKind, AggState};
 use crate::bitmap::Bitmap;
@@ -29,9 +33,14 @@ use crate::cube::grouping_sets;
 use crate::exec::{self, ExecOptions, RowRange};
 use crate::expr::{Block, BlockScratch, BoundExpr, ScalarExpr};
 use crate::groupby::{GroupProjection, KeyAtom, LocalKeys, OrderedMerge, RowKeys};
+use crate::join::Join;
 use crate::predicate::Predicate;
 use crate::reader::{Fold, RowSpace};
 use crate::Result;
+
+/// One joined partition's partial: its keys decoded to key atoms, with
+/// their row counts, in slot order, and `states[slot * width + aggregate]`.
+type JoinedPartial = (Vec<(Vec<KeyAtom>, u64)>, Vec<AggState>);
 
 /// A group-by query specification.
 #[derive(Debug, Clone)]
@@ -149,6 +158,67 @@ impl GroupByQuery {
         Ok(self.assemble(dim_names, &group_keys, &fine))
     }
 
+    /// Execute exactly over the joined rows of `join`, one joined partition
+    /// at a time: each [`exec::CHUNK_ROWS`]-row partition is projected onto
+    /// [`GroupByQuery::columns`] ([`Join::project`]), keyed, filtered and
+    /// folded on its own, sequentially — the partition is the unit of
+    /// parallelism — and its partial, keyed by decoded key atoms, merges in
+    /// partition order exactly as [`GroupByQuery::aggregate`] merges its
+    /// own. Every (partition, group) accumulation chain sees the same rows
+    /// in the same order through the same kernel as over the whole joined
+    /// table, so the answer is **bit-identical to executing on it**, for
+    /// any thread count and fact-side shard layout; no buffer the size of
+    /// the join is allocated.
+    pub fn execute_join(&self, join: &Join<'_>, options: &ExecOptions) -> Result<Vec<QueryResult>> {
+        let names = self.columns();
+        let inputs: Vec<Option<ScalarExpr>> =
+            self.aggregates.iter().map(|a| a.input.clone()).collect();
+        let sequential = ExecOptions::sequential();
+        let width = self.aggregates.len();
+        let merged = exec::fold_partitioned(
+            join.num_rows(),
+            options,
+            Ok((OrderedMerge::<Vec<KeyAtom>>::default(), Vec::<AggState>::new())),
+            |_, range| -> Result<JoinedPartial> {
+                let table = join.project(&names, range.rows())?;
+                let (rows, tables) = (RowSpace::from(&table), [&table]);
+                let keys = RowKeys::encode(&rows, &tables, &self.group_by, &sequential)?;
+                let filter = match &self.predicate {
+                    Some(p) => Some(rows.predicate_bitmaps(p, &sequential)?),
+                    None => None,
+                };
+                let bound = rows.bind(&inputs)?;
+                let all = RowRange { start: 0, end: table.num_rows() };
+                let (local, states) = fold_partition(
+                    &rows,
+                    &keys,
+                    all,
+                    &self.aggregates,
+                    &bound,
+                    filter.as_deref(),
+                    |_| 1.0,
+                );
+                let partial =
+                    local.partial().map(|(key, size)| (keys.decode(key).into_owned(), size));
+                Ok((partial.collect(), states))
+            },
+            |acc: &mut Result<_>, partial| {
+                // The first failing partition's error, in partition order,
+                // is the answer.
+                let Ok((merge, fine)) = acc else { return };
+                match partial {
+                    Ok((keys, states)) => merge_partial(merge, fine, keys, &states, width),
+                    Err(e) => *acc = Err(e),
+                }
+            },
+        );
+        let (merge, fine) = merged?;
+        let dim_names: Vec<String> = self.group_by.iter().map(ScalarExpr::display_name).collect();
+        let group_keys: Vec<Cow<[KeyAtom]>> =
+            merge.keys().iter().map(|key| Cow::Borrowed(key.as_slice())).collect();
+        Ok(self.assemble(&dim_names, &group_keys, &fine))
+    }
+
     /// The aggregation pass over `keys`, this query's grouping
     /// ([`RowKeys::encode`]) over the in-process `rows`: walk `rows` under
     /// the optional per-shard `filters` (this query's
@@ -187,21 +257,8 @@ impl GroupByQuery {
             options,
             (OrderedMerge::<u64>::default(), Vec::<A>::new()),
             |_, range| fold_partition(rows, keys, range, aggregates, &bound, filters, &weight),
-            |(merge, fine): &mut (OrderedMerge<u64>, Vec<A>),
-             (local, states): (LocalKeys, Vec<A>)| {
-                let known = merge.len();
-                let translation = merge.push(local.partial());
-                for (slot, &group) in translation.iter().enumerate() {
-                    let cells = &states[slot * width..(slot + 1) * width];
-                    if group as usize >= known {
-                        // A group's first partial, in id order: merging into
-                        // a default accumulator would copy it, so take it.
-                        fine.extend_from_slice(cells);
-                    } else {
-                        let acc = &mut fine[group as usize * width..][..width];
-                        acc.iter_mut().zip(cells).for_each(|(a, c)| a.merge(c));
-                    }
-                }
+            |(merge, fine), (local, states): (LocalKeys, Vec<A>)| {
+                merge_partial(merge, fine, local.partial(), &states, width);
             },
         );
         let dim_names: Vec<String> = self.group_by.iter().map(ScalarExpr::display_name).collect();
@@ -257,6 +314,34 @@ impl GroupByQuery {
             QueryResult::from_parts(proj.dim_names().to_vec(), agg_names.clone(), groups)
         });
         results.collect()
+    }
+}
+
+/// Merge one partition's partial into the merged groups, in partition
+/// order: `partial` lists the partition's keys with their row counts in
+/// slot order, and `states[slot * width + aggregate]` their accumulators.
+/// A group met for the first time takes its partial's states as they are;
+/// a known group merges them into its own, `fine[group * width +
+/// aggregate]`.
+fn merge_partial<K: Clone + Eq + Hash, A: Accumulator>(
+    merge: &mut OrderedMerge<K>,
+    fine: &mut Vec<A>,
+    partial: impl IntoIterator<Item = (K, u64)>,
+    states: &[A],
+    width: usize,
+) {
+    let known = merge.len();
+    let translation = merge.push(partial);
+    for (slot, &group) in translation.iter().enumerate() {
+        let cells = &states[slot * width..(slot + 1) * width];
+        if group as usize >= known {
+            // A group's first partial, in id order: merging into a default
+            // accumulator would copy it, so take it.
+            fine.extend_from_slice(cells);
+        } else {
+            let acc = &mut fine[group as usize * width..][..width];
+            acc.iter_mut().zip(cells).for_each(|(a, c)| a.merge(c));
+        }
     }
 }
 

@@ -230,21 +230,37 @@ fn joins_past_one_partition_match_prejoined_reference_across_matrix() {
              GROUP BY category",
         ),
     ];
+    assert_matrix_matches_reference(&fact, &dim, joined, &queries);
+}
+
+/// Answer `queries` — `(join statement, the same statement over the
+/// pre-joined table)` pairs — over `fact JOIN dim` at every swept thread and
+/// shard count, bit for bit against the nested-loop reference answered on a
+/// sequential unsharded engine. `fact` registers as `sales`, `dim` as
+/// `items`.
+fn assert_matrix_matches_reference<Q: AsRef<str>>(
+    fact: &Table,
+    dim: &Table,
+    joined: Table,
+    queries: &[(Q, Q)],
+) {
     let mut reference = Engine::new().with_seed(1).with_exec(ExecOptions::sequential());
     reference.register("joined", joined);
-    let want: Vec<_> =
-        queries.iter().map(|(_, sql)| reference.query(sql, QueryMode::Exact).unwrap()).collect();
-
+    let want: Vec<_> = queries
+        .iter()
+        .map(|(_, sql)| reference.query(sql.as_ref(), QueryMode::Exact).unwrap())
+        .collect();
     for threads in thread_counts() {
         for shards in shard_counts() {
             let mut engine = Engine::new().with_seed(1).with_exec(ExecOptions::new(threads));
             if shards > 1 {
-                engine.register("sales", ShardedTable::split(&fact, shards).unwrap());
+                engine.register("sales", ShardedTable::split(fact, shards).unwrap());
             } else {
                 engine.register("sales", fact.clone());
             }
             engine.register("items", dim.clone());
             for ((join_sql, _), want) in queries.iter().zip(&want) {
+                let join_sql = join_sql.as_ref();
                 let got = engine.query(join_sql, QueryMode::Exact).unwrap();
                 assert_bit_identical(
                     &got.results,
@@ -254,6 +270,165 @@ fn joins_past_one_partition_match_prejoined_reference_across_matrix() {
             }
         }
     }
+}
+
+/// Joined partitions are cut on joined rows, wherever fact rows and shards
+/// fall. The fact side, in order:
+///
+/// 1. `CHUNK_ROWS - 1` rows matching once each;
+/// 2. one row matching three dimension rows, joined rows `CHUNK_ROWS - 1`
+///    to `CHUNK_ROWS + 1`: its fan-out straddles the first joined
+///    partition boundary;
+/// 3. `CHUNK_ROWS + 100` rows matching nothing — longer than a fact
+///    partition, and covering a whole middle shard at 3 and 5 shards;
+/// 4. `CHUNK_ROWS - 2` rows matching once each, so the join has exactly
+///    `2 * CHUNK_ROWS` joined rows: two full partitions.
+///
+/// The statements include `WITH CUBE` under a `WHERE` on a dimension column,
+/// and ordered string comparisons on a dimension column whose literal is
+/// missing from a joined partition (`'fan'` is only the straddling row's
+/// first match, in the first partition) or from the whole join (`'g'`).
+#[test]
+fn joined_partition_boundaries_match_prejoined_reference_across_matrix() {
+    use cvopt_table::exec::CHUNK_ROWS;
+    let mut b = TableBuilder::new(&[
+        ("store", DataType::Str),
+        ("item", DataType::Str),
+        ("qty", DataType::Float64),
+        ("row", DataType::Int64),
+    ]);
+    let (head, fan, unmatched, tail) = (CHUNK_ROWS - 1, 1, CHUNK_ROWS + 100, CHUNK_ROWS - 2);
+    for i in 0..head + fan + unmatched + tail {
+        let item = match i {
+            i if i < head => ["a", "b", "c", "d"][i % 4],
+            i if i < head + fan => "f",
+            i if i < head + fan + unmatched => ["x", ""][i % 2],
+            i => ["d", "c", "b", "a"][i % 4],
+        };
+        let qty = 1.0 / (1.0 + (i % 1_009) as f64) + (i % 7) as f64;
+        let row = [Value::str(format!("s{}", i % 5)), Value::str(item), Value::Float64(qty)];
+        b.push_row(&[&row[..], &[Value::Int64(i as i64)]].concat()).unwrap();
+    }
+    let fact = b.finish();
+    let mut b = TableBuilder::new(&[
+        ("item", DataType::Str),
+        ("category", DataType::Str),
+        ("weight", DataType::Float64),
+    ]);
+    let dim_rows = [
+        ("a", "food", 1.0),
+        ("f", "fan", 0.5),
+        ("b", "tools", 2.5),
+        ("f", "toys", 3.0),
+        ("c", "toys", 1.75),
+        ("d", "food", 0.25),
+        ("f", "food", 2.0),
+    ];
+    for (item, category, weight) in dim_rows {
+        b.push_row(&[Value::str(item), Value::str(category), Value::Float64(weight)]).unwrap();
+    }
+    let dim = b.finish();
+
+    let joined = nested_loop_join(&fact, &dim, "item", "item");
+    assert_eq!(joined.num_rows(), 2 * CHUNK_ROWS, "exactly two joined partitions");
+    let fact_row = |joined_row| joined.column_by_name("row").unwrap().i64_at(joined_row);
+    assert_eq!(fact_row(CHUNK_ROWS - 1), fact_row(CHUNK_ROWS + 1), "the fan-out straddles");
+    assert_eq!(fact_row(CHUNK_ROWS), Some(head as i64));
+    let category = |joined_row| joined.column_by_name("category").unwrap().value(joined_row);
+    assert_eq!(category(CHUNK_ROWS - 1), Value::str("fan"));
+    let fan_rows = (0..joined.num_rows()).filter(|&r| category(r) == Value::str("fan")).count();
+    assert_eq!(fan_rows, 1, "'fan' is absent from the second joined partition");
+    for shards in [3, 5] {
+        let split = ShardedTable::split(&fact, shards).unwrap();
+        let rows: Vec<usize> = split.shards().iter().map(Table::num_rows).collect();
+        let starts: Vec<usize> =
+            rows.iter().scan(0, |at, &n| Some(std::mem::replace(at, *at + n))).collect();
+        let dry = (0..shards)
+            .any(|s| starts[s] >= head + fan && starts[s] + rows[s] <= head + fan + unmatched);
+        assert!(dry, "{shards} shards: a shard has no matching row");
+    }
+
+    const ON: &str = "FROM sales JOIN items ON sales.item = items.item";
+    let statements = [
+        (
+            "SELECT store, category, SUM(qty), AVG(qty * weight), COUNT(*)",
+            "GROUP BY store, category",
+        ),
+        ("SELECT COUNT(*), SUM(qty), MAX(row)", ""),
+        (
+            "SELECT store, category, SUM(qty), AVG(weight), COUNT(*)",
+            "WHERE weight > 0.75 GROUP BY store, category WITH CUBE",
+        ),
+        (
+            "SELECT store, category, SUM(qty), COUNT(*)",
+            "WHERE category > 'fan' GROUP BY store, category",
+        ),
+        (
+            "SELECT category, COUNT(*)",
+            "WHERE category <= 'fan' OR category >= 'g' GROUP BY category",
+        ),
+    ];
+    let queries: Vec<(String, String)> = statements
+        .iter()
+        .map(|(select, rest)| {
+            (format!("{select} {ON} {rest}"), format!("{select} FROM joined {rest}"))
+        })
+        .collect();
+    assert_matrix_matches_reference(&fact, &dim, joined, &queries);
+}
+
+/// `Int64` join keys past one joined partition: unmatched ids dropped, one
+/// id fanned out twice, the key itself a grouping column.
+#[test]
+fn int_keys_past_one_partition_match_prejoined_reference_across_matrix() {
+    use cvopt_table::exec::CHUNK_ROWS;
+    let mut b = TableBuilder::new(&[
+        ("store", DataType::Str),
+        ("item_id", DataType::Int64),
+        ("qty", DataType::Float64),
+    ]);
+    let mut state = 0x0dd_ba11_5eed_f00du64;
+    for i in 0..2 * CHUNK_ROWS + 321 {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        b.push_row(&[
+            Value::str(format!("s{}", i % 3)),
+            Value::Int64((state % 13) as i64),
+            Value::Float64(((state % 997) as f64) / 7.0),
+        ])
+        .unwrap();
+    }
+    let fact = b.finish();
+    // Ids 0..=9; 10..=12 are missing, and 4 appears twice.
+    let mut b = TableBuilder::new(&[
+        ("id", DataType::Int64),
+        ("tier", DataType::Str),
+        ("weight", DataType::Float64),
+    ]);
+    for id in (0..10).chain([4]) {
+        let tier = ["low", "mid", "high"][id as usize % 3];
+        b.push_row(&[Value::Int64(id), Value::str(tier), Value::Float64(1.0 + id as f64 / 4.0)])
+            .unwrap();
+    }
+    let dim = b.finish();
+    let joined = nested_loop_join(&fact, &dim, "item_id", "id");
+    assert!(joined.num_rows() > CHUNK_ROWS, "joined rows must span two partitions");
+
+    let queries = [
+        (
+            "SELECT tier, SUM(qty), AVG(qty * weight), COUNT(*) FROM sales \
+             JOIN items ON sales.item_id = items.id GROUP BY tier",
+            "SELECT tier, SUM(qty), AVG(qty * weight), COUNT(*) FROM joined GROUP BY tier",
+        ),
+        (
+            "SELECT item_id, store, SUM(weight), AVG(qty) FROM sales \
+             JOIN items ON items.id = sales.item_id WHERE qty > 20 GROUP BY item_id, store",
+            "SELECT item_id, store, SUM(weight), AVG(qty) FROM joined WHERE qty > 20 \
+             GROUP BY item_id, store",
+        ),
+    ];
+    assert_matrix_matches_reference(&fact, &dim, joined, &queries);
 }
 
 /// The engine copies only the joined columns a statement reads. The edges
