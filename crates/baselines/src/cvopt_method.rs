@@ -6,7 +6,7 @@ use cvopt_table::Table;
 use crate::SamplingMethod;
 
 /// CVOPT with the ℓ2 norm (the paper's headline method).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct CvOptL2 {
     /// Execution options for both passes (default: all cores).
     pub exec: ExecOptions,
@@ -24,13 +24,13 @@ impl SamplingMethod for CvOptL2 {
         seed: u64,
     ) -> Result<MaterializedSample> {
         let problem = problem.clone().with_norm(Norm::L2);
-        let sampler = CvOptSampler::new(problem).with_seed(seed).with_exec(self.exec);
+        let sampler = CvOptSampler::new(problem).with_seed(seed).with_exec(self.exec.clone());
         Ok(sampler.sample(table)?.sample)
     }
 }
 
 /// CVOPT-INF: the ℓ∞ (minimax) variant of paper §5.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct CvOptLInf {
     /// Execution options for both passes (default: all cores).
     pub exec: ExecOptions,
@@ -48,7 +48,7 @@ impl SamplingMethod for CvOptLInf {
         seed: u64,
     ) -> Result<MaterializedSample> {
         let problem = problem.clone().with_norm(Norm::LInf);
-        let sampler = CvOptSampler::new(problem).with_seed(seed).with_exec(self.exec);
+        let sampler = CvOptSampler::new(problem).with_seed(seed).with_exec(self.exec.clone());
         Ok(sampler.sample(table)?.sample)
     }
 }

@@ -135,7 +135,7 @@ impl Engine {
         let entry = self.catalog.get_mut(key).expect("resolved by the caller");
         entry.table = table;
         let rows = entry.table.set.rows();
-        let (seed, exec) = (self.seed, self.exec);
+        let (seed, exec) = (self.seed, self.exec.clone());
         let mut rebuilds = 0;
         let maintained =
             self.store.refresh_table(key, &entry.table, |problem, state| match batch {

@@ -363,7 +363,8 @@ impl Engine {
         problem: &SamplingProblem,
         durable: bool,
     ) -> Result<(CvOptOutcome, Option<Maintenance>)> {
-        let sampler = CvOptSampler::new(problem.clone()).with_seed(self.seed).with_exec(self.exec);
+        let sampler =
+            CvOptSampler::new(problem.clone()).with_seed(self.seed).with_exec(self.exec.clone());
         let keep = durable && from.window.is_some();
         let (outcome, pass) = sampler.sample_keeping(&from.table.set.rows(), keep)?;
         self.stats_passes.fetch_add(1, Ordering::Relaxed);
@@ -377,7 +378,13 @@ impl Engine {
         cache_hit: bool,
         outcome: Arc<CvOptOutcome>,
     ) -> SampleHandle {
-        SampleHandle { table: from.name.clone(), fingerprint, cache_hit, exec: self.exec, outcome }
+        SampleHandle {
+            table: from.name.clone(),
+            fingerprint,
+            cache_hit,
+            exec: self.exec.clone(),
+            outcome,
+        }
     }
 }
 

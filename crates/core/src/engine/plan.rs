@@ -255,8 +255,9 @@ impl Engine {
             // layout and any thread count. A dimension table spread over
             // several shards is first concatenated into one.
             let dim = dim.table.set.rows().to_table()?;
-            let joined =
-                hash_join(&from.table.set, &dim, &join.fact_key, &join.dim_key, &self.exec)?;
+            let joined = self.exec.span("join", || {
+                hash_join(&from.table.set, &dim, &join.fact_key, &join.dim_key, &self.exec)
+            })?;
             let results = query.execute_join(&joined, &self.exec)?;
             return Ok(QueryAnswer { results, report, confidence: Vec::new() });
         }

@@ -165,12 +165,14 @@ impl<'a> SampleScan<'a> {
         options: &ExecOptions,
     ) -> Result<Self> {
         let rows = RowSpace::from(&sample.table);
-        let keys = RowKeys::encode(&rows, &[&sample.table], &query.group_by, options)?;
+        let keys = options.span("encode", || {
+            RowKeys::encode(&rows, &[&sample.table], &query.group_by, options)
+        })?;
         let filter = match &query.predicate {
-            Some(p) => Some(rows.predicate_bitmaps(p, options)?),
+            Some(p) => Some(options.span("bitmap", || rows.predicate_bitmaps(p, options))?),
             None => None,
         };
-        Ok(SampleScan { sample, query, keys, filter, rows, options: *options })
+        Ok(SampleScan { sample, query, keys, filter, rows, options: options.clone() })
     }
 
     /// The Horvitz–Thompson estimate: one [`QueryResult`] per grouping set.

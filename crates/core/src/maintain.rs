@@ -95,7 +95,7 @@ impl Maintenance {
         seed: u64,
         exec: &ExecOptions,
     ) -> Result<(Maintenance, CvOptOutcome)> {
-        let sampler = CvOptSampler::new(problem.clone()).with_seed(seed).with_exec(*exec);
+        let sampler = CvOptSampler::new(problem.clone()).with_seed(seed).with_exec(exec.clone());
         let (outcome, pass) = sampler.sample_keeping(rows, true)?;
         Ok((Maintenance::new(problem, pass.expect("the pass is kept")), outcome))
     }
@@ -201,7 +201,7 @@ impl Maintenance {
         problem.budget = self.scaled_budget(new_rows);
         let (keys, sizes) = (self.strata.keys(), self.strata.sizes());
         let stats = StratumStatistics::from_partials(sizes, &columns, &self.partials);
-        let sampler = CvOptSampler::new(problem.clone()).with_seed(seed).with_exec(*exec);
+        let sampler = CvOptSampler::new(problem.clone()).with_seed(seed).with_exec(exec.clone());
         let names: Vec<String> = self.strata_exprs.iter().map(ScalarExpr::display_name).collect();
         let project = |dims: &[usize]| GroupProjection::of(&names, keys, dims);
         let plan = sampler.allocate(self.strata_exprs.clone(), keys.to_vec(), project, stats)?;
@@ -386,7 +386,7 @@ mod tests {
         fn fresh(&self) -> CvOptOutcome {
             CvOptSampler::new(self.problem.clone())
                 .with_seed(self.seed)
-                .with_exec(self.exec)
+                .with_exec(self.exec.clone())
                 .sample(&self.rows)
                 .unwrap()
         }

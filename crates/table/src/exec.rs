@@ -24,6 +24,9 @@
 //! whole words without synchronization.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use crate::spans::Spans;
 
 /// Rows per partition (2^16, a multiple of 64). Chosen so a partition's
 /// working set stays cache-friendly while keeping per-partition overhead
@@ -63,15 +66,33 @@ pub const RUN_ROWS: usize = 1024;
 ///     assert_eq!(parallel[0].values, sequential[0].values);
 /// }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// A [`Spans`] log attached with [`ExecOptions::with_spans`] receives the
+/// per-stage time of every pass run under these options; it never changes
+/// what a pass computes.
+#[derive(Debug, Clone)]
 pub struct ExecOptions {
     threads: usize,
+    spans: Option<Arc<Spans>>,
 }
+
+/// Two options are equal when they run as many workers into the same log.
+impl PartialEq for ExecOptions {
+    fn eq(&self, other: &Self) -> bool {
+        let same_log = match (&self.spans, &other.spans) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        self.threads == other.threads && same_log
+    }
+}
+
+impl Eq for ExecOptions {}
 
 impl ExecOptions {
     /// Exactly `threads` worker threads (clamped to at least 1).
     pub fn new(threads: usize) -> Self {
-        ExecOptions { threads: threads.max(1) }
+        ExecOptions { threads: threads.max(1), spans: None }
     }
 
     /// One worker per available core, unless the `CVOPT_THREADS`
@@ -96,17 +117,38 @@ impl ExecOptions {
             }
         }
         let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        ExecOptions { threads }
+        ExecOptions::new(threads)
     }
 
     /// Single-threaded execution (same results, no thread spawns).
     pub fn sequential() -> Self {
-        ExecOptions { threads: 1 }
+        ExecOptions::new(1)
     }
 
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Record the time of every stage run under these options in `spans`.
+    pub fn with_spans(mut self, spans: Arc<Spans>) -> Self {
+        self.spans = Some(spans);
+        self
+    }
+
+    /// The attached span log, if any.
+    pub fn spans(&self) -> Option<&Spans> {
+        self.spans.as_deref()
+    }
+
+    /// Run `f` as one span of stage `name`: timed into the attached log, or
+    /// just run when there is none.
+    #[inline]
+    pub fn span<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
+        match &self.spans {
+            None => f(),
+            Some(spans) => spans.time(name, f),
+        }
     }
 }
 

@@ -55,6 +55,7 @@ pub mod query;
 pub mod reader;
 pub mod schema;
 pub mod shard;
+pub mod spans;
 pub mod sql;
 pub mod table;
 pub mod time;
@@ -75,6 +76,7 @@ pub use query::{GroupByQuery, QueryResult};
 pub use reader::{ColumnValues, LocalShard, RowSpace, ShardReader, ShardSet};
 pub use schema::{Field, Schema};
 pub use shard::{ShardSegment, ShardedTable};
+pub use spans::Spans;
 pub use table::{Table, TableBuilder};
 pub use types::{DataType, Value};
 

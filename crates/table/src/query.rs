@@ -122,9 +122,10 @@ impl GroupByQuery {
         let Some(tables) = rows.local_tables() else {
             return self.execute_walked(&rows, &dim_names, options);
         };
-        let keys = RowKeys::encode(&rows, &tables, &self.group_by, options)?;
+        let keys =
+            options.span("encode", || RowKeys::encode(&rows, &tables, &self.group_by, options))?;
         let filters = match &self.predicate {
-            Some(p) => Some(rows.predicate_bitmaps(p, options)?),
+            Some(p) => Some(options.span("bitmap", || rows.predicate_bitmaps(p, options))?),
             None => None,
         };
         self.aggregate::<AggState>(&rows, &keys, filters.as_deref(), |_| 1.0, options)
@@ -143,19 +144,24 @@ impl GroupByQuery {
         let fold =
             Fold::Exact { predicate: self.predicate.clone(), aggregates: self.aggregates.clone() };
         rows.check_binds(&self.group_by, &fold)?;
-        let walked = rows.walk(&self.group_by, &fold, options)?;
+        let walked = options.span("walk", || rows.walk(&self.group_by, &fold, options))?;
         let width = self.aggregates.len();
-        let mut fine = vec![AggState::default(); walked.keys.len() * width];
-        for (groups, states) in &walked.partials {
-            for (slot, &group) in groups.iter().enumerate() {
-                let cells = &states[slot * width..(slot + 1) * width];
-                let acc = &mut fine[group as usize * width..][..width];
-                acc.iter_mut().zip(cells).for_each(|(a, c)| a.merge(c));
+        let fine = options.span("merge", || {
+            let mut fine = vec![AggState::default(); walked.keys.len() * width];
+            for (groups, states) in &walked.partials {
+                for (slot, &group) in groups.iter().enumerate() {
+                    let cells = &states[slot * width..(slot + 1) * width];
+                    let acc = &mut fine[group as usize * width..][..width];
+                    acc.iter_mut().zip(cells).for_each(|(a, c)| a.merge(c));
+                }
             }
-        }
-        let group_keys: Vec<Cow<[KeyAtom]>> =
-            walked.keys.iter().map(|key| Cow::Borrowed(key.as_slice())).collect();
-        Ok(self.assemble(dim_names, &group_keys, &fine))
+            fine
+        });
+        Ok(options.span("readout", || {
+            let group_keys: Vec<Cow<[KeyAtom]>> =
+                walked.keys.iter().map(|key| Cow::Borrowed(key.as_slice())).collect();
+            self.assemble(dim_names, &group_keys, &fine)
+        }))
     }
 
     /// Execute exactly over the joined rows of `join`, one joined partition
@@ -180,24 +186,30 @@ impl GroupByQuery {
             options,
             Ok((OrderedMerge::<Vec<KeyAtom>>::default(), Vec::<AggState>::new())),
             |_, range| -> Result<JoinedPartial> {
-                let table = join.project(&names, range.rows())?;
+                let table = options.span("project", || join.project(&names, range.rows()))?;
                 let (rows, tables) = (RowSpace::from(&table), [&table]);
-                let keys = RowKeys::encode(&rows, &tables, &self.group_by, &sequential)?;
+                let keys = options.span("encode", || {
+                    RowKeys::encode(&rows, &tables, &self.group_by, &sequential)
+                })?;
                 let filter = match &self.predicate {
-                    Some(p) => Some(rows.predicate_bitmaps(p, &sequential)?),
+                    Some(p) => {
+                        Some(options.span("bitmap", || rows.predicate_bitmaps(p, &sequential))?)
+                    }
                     None => None,
                 };
                 let bound = rows.bind(&inputs)?;
                 let all = RowRange { start: 0, end: table.num_rows() };
-                let (local, states) = fold_partition(
-                    &rows,
-                    &keys,
-                    all,
-                    &self.aggregates,
-                    &bound,
-                    filter.as_deref(),
-                    |_| 1.0,
-                );
+                let (local, states) = options.span("fold", || {
+                    fold_partition(
+                        &rows,
+                        &keys,
+                        all,
+                        &self.aggregates,
+                        &bound,
+                        filter.as_deref(),
+                        |_| 1.0,
+                    )
+                });
                 let partial =
                     local.partial().map(|(key, size)| (keys.decode(key).into_owned(), size));
                 Ok((partial.collect(), states))
@@ -207,16 +219,21 @@ impl GroupByQuery {
                 // is the answer.
                 let Ok((merge, fine)) = acc else { return };
                 match partial {
-                    Ok((keys, states)) => merge_partial(merge, fine, keys, &states, width),
+                    Ok((keys, states)) => {
+                        options.span("merge", || merge_partial(merge, fine, keys, &states, width))
+                    }
                     Err(e) => *acc = Err(e),
                 }
             },
         );
         let (merge, fine) = merged?;
-        let dim_names: Vec<String> = self.group_by.iter().map(ScalarExpr::display_name).collect();
-        let group_keys: Vec<Cow<[KeyAtom]>> =
-            merge.keys().iter().map(|key| Cow::Borrowed(key.as_slice())).collect();
-        Ok(self.assemble(&dim_names, &group_keys, &fine))
+        Ok(options.span("readout", || {
+            let dim_names: Vec<String> =
+                self.group_by.iter().map(ScalarExpr::display_name).collect();
+            let group_keys: Vec<Cow<[KeyAtom]>> =
+                merge.keys().iter().map(|key| Cow::Borrowed(key.as_slice())).collect();
+            self.assemble(&dim_names, &group_keys, &fine)
+        }))
     }
 
     /// The aggregation pass over `keys`, this query's grouping
@@ -256,15 +273,23 @@ impl GroupByQuery {
             rows.num_rows(),
             options,
             (OrderedMerge::<u64>::default(), Vec::<A>::new()),
-            |_, range| fold_partition(rows, keys, range, aggregates, &bound, filters, &weight),
+            |_, range| {
+                options.span("fold", || {
+                    fold_partition(rows, keys, range, aggregates, &bound, filters, &weight)
+                })
+            },
             |(merge, fine), (local, states): (LocalKeys, Vec<A>)| {
-                merge_partial(merge, fine, local.partial(), &states, width);
+                options
+                    .span("merge", || merge_partial(merge, fine, local.partial(), &states, width));
             },
         );
-        let dim_names: Vec<String> = self.group_by.iter().map(ScalarExpr::display_name).collect();
-        let group_keys: Vec<Cow<[KeyAtom]>> =
-            merge.keys().iter().map(|&k| keys.decode(k)).collect();
-        Ok(self.assemble(&dim_names, &group_keys, &fine))
+        Ok(options.span("readout", || {
+            let dim_names: Vec<String> =
+                self.group_by.iter().map(ScalarExpr::display_name).collect();
+            let group_keys: Vec<Cow<[KeyAtom]>> =
+                merge.keys().iter().map(|&k| keys.decode(k)).collect();
+            self.assemble(&dim_names, &group_keys, &fine)
+        }))
     }
 
     /// Project the finest-group states onto each grouping set and read

@@ -127,7 +127,7 @@ pub fn run_with<'a>(
     statement: &str,
     options: &ExecOptions,
 ) -> Result<Vec<QueryResult>> {
-    Session::with_exec(*options).run(rows, statement)
+    Session::with_exec(options.clone()).run(rows, statement)
 }
 
 /// Parse and execute `statement` against `rows` (one worker per core).

@@ -386,7 +386,8 @@ fn strata_pass_matches_the_reference_for_every_layout() {
         let index = GroupIndex::build_with(&table, &exprs, &seq).unwrap();
         let want = statistics(&table, &index, &columns);
         let sampler = CvOptSampler::new(problem).with_seed(7);
-        let allocation = sampler.clone().with_exec(seq).plan(&table).unwrap().allocation.sizes;
+        let allocation =
+            sampler.clone().with_exec(seq.clone()).plan(&table).unwrap().allocation.sizes;
         let drawn = StratifiedSample::draw(&index, &allocation, 7, &seq).rows_per_stratum;
         for (layout, set) in &layouts {
             for threads in [1usize, 4] {

@@ -196,7 +196,7 @@ fn sharded_estimates_and_exact_answers_identical_to_unsharded() {
         for (kind, set) in local_and_reader_backed(&sharded) {
             for threads in thread_counts() {
                 let exec = ExecOptions::new(threads);
-                let mut single = Engine::new().with_seed(42).with_exec(exec);
+                let mut single = Engine::new().with_seed(42).with_exec(exec.clone());
                 single.register("openaq", table.clone());
                 let mut shard_engine = Engine::new().with_seed(42).with_exec(exec);
                 shard_engine.register("openaq", set.clone());
