@@ -23,6 +23,7 @@ use cvopt_net::{Peer, RemoteShard, Shardd};
 use cvopt_table::exec::partition_rows;
 use cvopt_table::groupby::{total_group_id_bytes, total_keys_projected};
 use cvopt_table::join::max_join_bytes_gathered;
+use cvopt_table::query::total_fold_state_bytes;
 
 /// Rows for the serving-workload fixture: large enough that the default
 /// auto threshold routes to the approximate path, small enough for CI.
@@ -286,7 +287,11 @@ fn main() {
     // What exact statements cost in per-row group ids: the join, and one
     // statement over the plain and the 3-shard registration. Folding in the
     // walk writes none; an index built for them would write 4 bytes a row.
+    // And what their folds allocate in cells: each partition reserves, per
+    // slot its walk can hand out, the cell each aggregate's kind folds — 16
+    // bytes for `SUM`, 8 for `COUNT`.
     let group_ids_before = total_group_id_bytes();
+    let fold_bytes_before = total_fold_state_bytes();
     let exact_stmt = "SELECT country, parameter, unit, SUM(value), COUNT(*) FROM openaq \
                       GROUP BY country, parameter, unit";
     let plain_exact = join_engine.query(exact_stmt, QueryMode::Exact).expect("plain exact");
@@ -302,6 +307,7 @@ fn main() {
     let join_bytes_gathered_max = max_join_bytes_gathered();
     let sharded_join = join_sharded.query(join_stmt, QueryMode::Exact).expect("sharded join");
     let exact_group_ids = total_group_id_bytes() - group_ids_before;
+    let exact_fold_bytes = total_fold_state_bytes() - fold_bytes_before;
     assert_eq!(
         format!("{:?}", joined.results),
         format!("{:?}", sharded_join.results),
@@ -335,6 +341,7 @@ fn main() {
     );
     counters.push(("join_bytes_gathered_max/join_workload".into(), join_bytes_gathered_max));
     counters.push(("group_id_bytes/exact_workload".into(), exact_group_ids));
+    counters.push(("fold_state_bytes/exact_workload".into(), exact_fold_bytes));
     remote_workload(&mut counters);
 
     // Plan shapes: fixed by the row counts alone.

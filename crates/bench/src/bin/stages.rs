@@ -70,9 +70,8 @@ const STATEMENTS: [(&str, &str); 9] = [
 ];
 
 /// The columns, in print order; a statement that never opens a stage shows
-/// `-` there.
-const STAGES: [&str; 8] =
-    ["encode", "bitmap", "join", "project", "fold", "merge", "readout", "walk"];
+/// `-` there. No shard here is behind a reader, so none opens `walk`.
+const STAGES: [&str; 7] = ["encode", "bitmap", "join", "project", "fold", "merge", "readout"];
 
 /// The 38-row dimension: country `c` is in region `R{c % 6}`.
 fn regions() -> Table {

@@ -2,17 +2,27 @@
 //!
 //! There is no estimator loop here: the estimate is
 //! [`GroupByQuery::aggregate`] — the pass the exact executor runs, over the
-//! same packed keys — folding [`WeightedAggState`] under the sample's
-//! Horvitz–Thompson weights instead of `AggState` under unit weights:
+//! same packed keys — folding the [`WeightedCells`] family under the
+//! sample's Horvitz–Thompson weights instead of the exact cells under unit
+//! weights. Each aggregate kind folds only what it reads, plus the raw row
+//! count the result's `group_rows` report:
 //!
-//! * `COUNT`    → `Σ w`
-//! * `SUM`      → `Σ w·v`
-//! * `COUNT_IF` → `Σ w·1[cond]`
+//! * `COUNT`    → `Σ w` ([`WeightedCount`]: rows and `Σ w`)
+//! * `SUM`      → `Σ w·v`, read as the weighted mean times `Σ w`
+//!   ([`WeightedMean`]: rows, `Σ w` and the weighted mean)
+//! * `COUNT_IF` → `Σ w·1[cond]` ([`WeightedMean`] over 0/1 hits)
 //! * `AVG`      → `Σ w·v / Σ w` (weighted ratio estimator; equals the
 //!   paper's `y_a = Σ_c n_c·y_c / Σ_c n_c` when the sample is stratified
-//!   and no predicate is applied)
-//! * `VAR`/`STD` → weighted population variance
-//! * `MIN`/`MAX` → sample min/max (not unbiased; documented)
+//!   and no predicate is applied) ([`WeightedMean`])
+//! * `VAR`/`STD` → weighted population variance ([`WeightedAggState`], the
+//!   full moments)
+//! * `MIN`/`MAX` → sample min/max (not unbiased; documented) (the exact
+//!   pass's [`MinCell`] and [`MaxCell`], which skip a row of non-positive
+//!   weight as every weighted cell does)
+//!
+//! Each field of each cell sees the operations the same field of a
+//! [`WeightedAggState`] fed the same rows sees, in the same order, so every
+//! estimate is the full state's, bit for bit.
 //!
 //! Because sampled rows carry *all* attributes, the same sample answers
 //! queries with new predicates or new groupings supplied at query time
@@ -21,7 +31,7 @@
 //! `SampleScan`: the sample's packed grouping keys and predicate bitmap,
 //! built once. Neither writes a per-row group id.
 
-use cvopt_table::agg::{Accumulator, AggKind};
+use cvopt_table::agg::{Accumulator, AggKind, Cells, MaxCell, MinCell};
 use cvopt_table::exec::ExecOptions;
 use cvopt_table::groupby::RowKeys;
 use cvopt_table::{Bitmap, GroupByQuery, QueryResult, RowSpace};
@@ -29,8 +39,118 @@ use cvopt_table::{Bitmap, GroupByQuery, QueryResult, RowSpace};
 use crate::sample::MaterializedSample;
 use crate::Result;
 
-/// Weighted streaming accumulator (West's incremental algorithm for the
-/// weighted mean/variance so merges stay exact).
+/// The estimate's cells: the exact family's split, weighted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WeightedCells;
+
+impl Cells for WeightedCells {
+    type Count = WeightedCount;
+    type Sum = WeightedMean;
+    type Min = MinCell;
+    type Max = MaxCell;
+    type Avg = WeightedMean;
+    type Moments = WeightedAggState;
+}
+
+/// Weighted `COUNT`: the rows and their weight.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct WeightedCount {
+    /// Raw (unweighted) number of contributing sample rows.
+    pub rows: u64,
+    /// Σ w.
+    pub wsum: f64,
+}
+
+impl Accumulator for WeightedCount {
+    /// Count a row of weight `w`; rows of non-positive weight are ignored.
+    #[inline]
+    fn update(&mut self, _v: f64, w: f64) {
+        if w <= 0.0 {
+            return;
+        }
+        self.rows += 1;
+        self.wsum += w;
+    }
+
+    fn merge(&mut self, other: &WeightedCount) {
+        if other.rows == 0 {
+            return;
+        }
+        if self.rows == 0 {
+            *self = *other;
+            return;
+        }
+        self.wsum += other.wsum;
+        self.rows += other.rows;
+    }
+
+    fn rows(&self) -> u64 {
+        self.rows
+    }
+
+    fn value(&self, _kind: AggKind) -> f64 {
+        self.wsum
+    }
+}
+
+/// Weighted `SUM`, `COUNT_IF` and `AVG`: the rows, their weight and West's
+/// weighted running mean. `SUM` reads `mean · Σ w`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct WeightedMean {
+    /// Raw (unweighted) number of contributing sample rows.
+    pub rows: u64,
+    /// Σ w.
+    pub wsum: f64,
+    /// Weighted mean of values.
+    pub mean: f64,
+}
+
+impl Accumulator for WeightedMean {
+    /// Accumulate a value with weight `w`; rows of non-positive weight are
+    /// ignored.
+    #[inline]
+    fn update(&mut self, v: f64, w: f64) {
+        if w <= 0.0 {
+            return;
+        }
+        self.rows += 1;
+        self.wsum += w;
+        let delta = v - self.mean;
+        self.mean += delta * w / self.wsum;
+    }
+
+    fn merge(&mut self, other: &WeightedMean) {
+        if other.rows == 0 {
+            return;
+        }
+        if self.rows == 0 {
+            *self = *other;
+            return;
+        }
+        let w2 = other.wsum;
+        let total = self.wsum + w2;
+        let delta = other.mean - self.mean;
+        self.mean += delta * w2 / total;
+        self.wsum = total;
+        self.rows += other.rows;
+    }
+
+    fn rows(&self) -> u64 {
+        self.rows
+    }
+
+    fn value(&self, kind: AggKind) -> f64 {
+        match kind {
+            AggKind::Avg if self.wsum == 0.0 => f64::NAN,
+            AggKind::Avg => self.mean,
+            _ => self.mean * self.wsum,
+        }
+    }
+}
+
+/// Weighted streaming accumulator over every moment: the `VAR` and `STD`
+/// cell (West's incremental algorithm for the weighted mean/variance so
+/// merges stay exact).
 #[derive(Debug, Clone, Copy)]
 pub struct WeightedAggState {
     /// Σ w.
@@ -105,7 +225,7 @@ impl Accumulator for WeightedAggState {
         self.rows
     }
 
-    fn finalize(&self, kind: AggKind) -> f64 {
+    fn value(&self, kind: AggKind) -> f64 {
         match kind {
             AggKind::Count => self.wsum,
             // CountIf inputs are 0/1 indicators, so the weighted sum is the
@@ -178,7 +298,7 @@ impl<'a> SampleScan<'a> {
     /// The Horvitz–Thompson estimate: one [`QueryResult`] per grouping set.
     pub(crate) fn estimate(&self) -> Result<Vec<QueryResult>> {
         let weights = &self.sample.weights;
-        Ok(self.query.aggregate::<WeightedAggState>(
+        Ok(self.query.aggregate::<WeightedCells>(
             &self.rows,
             &self.keys,
             self.filter.as_deref(),
@@ -443,6 +563,57 @@ mod tests {
         assert!((left.mean - whole.mean).abs() < 1e-12);
         assert!((left.m2 - whole.m2).abs() < 1e-9);
         assert_eq!(left.rows, whole.rows);
+    }
+
+    /// `cell` and a full weighted state, each fed `rows[..split]` and
+    /// `rows[split..]` as two partials merged in order and then into an
+    /// empty state, read out every kind in `kinds` — and their rows — bit
+    /// for bit alike.
+    fn assert_reads_like_full_state<C: Accumulator>(
+        kinds: &[AggKind],
+        rows: &[(f64, f64)],
+        split: usize,
+    ) {
+        fn merged<A: Accumulator>(rows: &[(f64, f64)], split: usize) -> A {
+            let fold = |rows: &[(f64, f64)]| {
+                let mut state = A::default();
+                rows.iter().for_each(|&(v, w)| state.update(v, w));
+                state
+            };
+            let (mut left, right) = (fold(&rows[..split]), fold(&rows[split..]));
+            left.merge(&right);
+            let mut whole = A::default();
+            whole.merge(&left);
+            whole
+        }
+        let full = merged::<WeightedAggState>(rows, split);
+        let cell = merged::<C>(rows, split);
+        assert_eq!(full.rows(), cell.rows());
+        for &kind in kinds {
+            let (want, got) = (full.finalize(kind), cell.finalize(kind));
+            assert_eq!(want.to_bits(), got.to_bits(), "{kind:?}: {want} vs {got}");
+        }
+    }
+
+    /// Every narrow weighted cell reads out its kinds as the full weighted
+    /// state does, bit for bit — rows of zero and negative weight among
+    /// the rows, and values with NaN, ±0 and ±∞.
+    #[test]
+    fn narrow_weighted_cells_read_out_the_full_states_bits() {
+        let values = [3.5, -0.0, 0.0, f64::NAN, f64::INFINITY, -7.25, 1e6, -2.0, 0.125];
+        let weights = [1.0, 2.5, 0.0, -1.0, 0.37, 13.0, 1.0, 4.0];
+        for n in 0..=values.len() * 2 {
+            let rows: Vec<(f64, f64)> = (0..n)
+                .map(|i| (values[(i * 5) % values.len()], weights[(i * 3) % weights.len()]))
+                .collect();
+            for split in 0..=n {
+                use AggKind::*;
+                assert_reads_like_full_state::<WeightedCount>(&[Count], &rows, split);
+                assert_reads_like_full_state::<WeightedMean>(&[Sum, CountIf, Avg], &rows, split);
+                assert_reads_like_full_state::<MinCell>(&[Min], &rows, split);
+                assert_reads_like_full_state::<MaxCell>(&[Max], &rows, split);
+            }
+        }
     }
 
     #[test]

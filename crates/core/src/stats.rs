@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cvopt_table::agg::AggState;
 use cvopt_table::exec::{self, ExecOptions};
 use cvopt_table::groupby::{bind_columns, fold_runs, GroupProjection, Runs, Strata};
-use cvopt_table::{query, GroupIndex, RowSpace, ScalarExpr};
+use cvopt_table::{GroupIndex, RowSpace, ScalarExpr};
 
 use crate::spec::VarianceKind;
 use crate::Result;
@@ -254,7 +254,14 @@ impl StratumStatistics {
     /// statistics of the paper's groups `a ∈ A_i` derived from the finest
     /// strata).
     pub fn coarsen(&self, projection: &GroupProjection<'_>) -> Vec<AggState> {
-        query::coarsen(projection, self.states.iter().map(Vec::as_slice), self.num_columns())
+        let width = self.num_columns();
+        let mut merged = vec![AggState::default(); projection.num_groups() * width];
+        for (fine, states) in self.states.iter().enumerate() {
+            let coarse = projection.coarse_of(fine as u32) as usize;
+            let acc = &mut merged[coarse * width..][..width];
+            acc.iter_mut().zip(states).for_each(|(a, s)| a.merge(s));
+        }
+        merged
     }
 
     /// Coarse populations under a projection.

@@ -11,9 +11,11 @@
 
 use std::io::{self, Read, Write};
 
-/// Protocol version carried in every frame. Version 2 ships tables
-/// column-major; version 1 frames are refused at the head.
-pub const PROTOCOL_VERSION: u8 = 2;
+/// Protocol version carried in every frame. Version 3 ships an exact
+/// walk's partials as narrow per-kind cell columns; version 2 (tables
+/// column-major, every partial state a full `AggState`) and version 1
+/// frames are refused at the head.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Bytes of a frame's head: the length prefix and the version.
 pub const HEAD_LEN: u64 = 5;
@@ -120,6 +122,16 @@ mod tests {
         buf[4] = 1;
         let err = read_head(&mut Cursor::new(&buf)).unwrap_err();
         assert!(err.to_string().contains("unsupported protocol version 1"), "{err}");
+    }
+
+    #[test]
+    fn a_version_2_frame_is_refused_at_the_head() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"x").unwrap();
+        buf[4] = 2;
+        let err = read_head(&mut Cursor::new(&buf)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unsupported protocol version 2"), "{err}");
     }
 
     #[test]

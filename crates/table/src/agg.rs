@@ -1,4 +1,20 @@
-//! Aggregate functions and accumulators.
+//! Aggregate functions and the cells that fold them.
+//!
+//! The aggregation pass folds one cell per (group, aggregate), and each
+//! aggregate kind folds only what it reads ([`Cells`]): the exact pass's
+//! [`ExactCells`] are a count for `COUNT` ([`CountCell`]), a count and a
+//! sum for `SUM` and `COUNT_IF` ([`SumCell`]), a count and one bound for
+//! `MIN` and `MAX` ([`MinCell`], [`MaxCell`]), a count and the Welford
+//! mean for `AVG` ([`MeanCell`]), and the full moments only for `VAR` and
+//! `STD` ([`AggState`]). A pass stores them aggregate-major, one typed
+//! [`CellColumn`] per aggregate indexed by slot. Every cell keeps the raw
+//! row count the result's `group_rows` and the rule dropping empty groups
+//! read, and each field sees the operations and order the same field of an
+//! `AggState` sees, so a narrow cell answers the full state's bits.
+//!
+//! [`AggState`] is also the statistics pass's state: CVOPT's allocation
+//! reads each stratum's mean and variance, and its lane-merge slice kernel
+//! ([`AggState::update_slice`]) folds a stratum's values a run at a time.
 
 use crate::expr::ScalarExpr;
 use crate::predicate::CmpOp;
@@ -126,13 +142,12 @@ impl AggExpr {
     }
 }
 
-/// What the one aggregation pass ([`GroupByQuery::execute_with`](crate::GroupByQuery::execute_with),
-/// [`GroupByQuery::aggregate`](crate::GroupByQuery::aggregate)) folds per
-/// (group, aggregate). The pass is monomorphised over it:
-/// [`AggState`] fed unit weights is the exact executor, a Horvitz–Thompson
-/// accumulator fed sample weights is the estimator — same walk, same
-/// partition-order merge, same result assembly.
-pub trait Accumulator: Clone + Default + Send {
+/// One cell of the aggregation pass
+/// ([`GroupByQuery::execute_with`](crate::GroupByQuery::execute_with),
+/// [`GroupByQuery::aggregate`](crate::GroupByQuery::aggregate)): what one
+/// aggregate folds for one group. Each aggregate kind folds its own cell
+/// type, named by a [`Cells`] family.
+pub trait Accumulator: Copy + Default + Send + Sync + std::fmt::Debug {
     /// Accumulate one row's value; `weight` is how many table rows the row
     /// stands for (1 for a table row itself).
     fn update(&mut self, value: f64, weight: f64);
@@ -142,8 +157,373 @@ pub trait Accumulator: Clone + Default + Send {
     fn merge(&mut self, other: &Self);
     /// Rows accumulated so far (raw, not weighted).
     fn rows(&self) -> u64;
-    /// Read out the aggregate `kind`.
-    fn finalize(&self, kind: AggKind) -> f64;
+    /// The aggregate `kind` as this accumulator holds it.
+    fn value(&self, kind: AggKind) -> f64;
+    /// Read out the aggregate `kind`: its [`value`](Accumulator::value),
+    /// a NaN read as the one `f64::NAN`. Rust leaves the sign and payload
+    /// of a NaN that arithmetic produces to the compiler, so two builds of
+    /// one fold — or a narrow cell and the full state it mirrors — may hold
+    /// different NaNs; their answers do not.
+    fn finalize(&self, kind: AggKind) -> f64 {
+        let value = self.value(kind);
+        if value.is_nan() {
+            f64::NAN
+        } else {
+            value
+        }
+    }
+}
+
+/// The cell each aggregate kind folds, for one pass. The pass is
+/// monomorphised over the family: [`ExactCells`] fed unit weights is the
+/// exact executor, a Horvitz–Thompson family fed sample weights is the
+/// estimator — same walk, same partition-order merge, same result assembly.
+/// A cell holds only what its kind reads, plus the raw row count that
+/// [`QueryResult::group_rows`](crate::QueryResult::group_rows) and the rule
+/// dropping empty groups read.
+pub trait Cells: 'static {
+    /// `COUNT`.
+    type Count: Accumulator;
+    /// `SUM` and `COUNT_IF` (whose input is a 0/1 hit).
+    type Sum: Accumulator;
+    /// `MIN`.
+    type Min: Accumulator;
+    /// `MAX`.
+    type Max: Accumulator;
+    /// `AVG`.
+    type Avg: Accumulator;
+    /// `VAR` and `STD`: the full moments.
+    type Moments: Accumulator;
+}
+
+/// The exact pass's cells. Each field of each cell sees the operations the
+/// same field of an [`AggState`] fed the same rows sees, in the same order,
+/// so every answer is the one a full `AggState` would read out, bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ExactCells;
+
+impl Cells for ExactCells {
+    type Count = CountCell;
+    type Sum = SumCell;
+    type Min = MinCell;
+    type Max = MaxCell;
+    type Avg = MeanCell;
+    type Moments = AggState;
+}
+
+/// Exact `COUNT`: a count only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CountCell {
+    /// Rows counted.
+    pub count: u64,
+}
+
+impl Accumulator for CountCell {
+    #[inline]
+    fn update(&mut self, _value: f64, _unit: f64) {
+        self.count += 1;
+    }
+
+    fn merge(&mut self, other: &Self) {
+        self.count += other.count;
+    }
+
+    fn rows(&self) -> u64 {
+        self.count
+    }
+
+    fn value(&self, _kind: AggKind) -> f64 {
+        self.count as f64
+    }
+}
+
+/// Exact `SUM` and `COUNT_IF`: the count and the sum.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct SumCell {
+    /// Values accumulated.
+    pub count: u64,
+    /// Their sum.
+    pub sum: f64,
+}
+
+impl Accumulator for SumCell {
+    #[inline]
+    fn update(&mut self, value: f64, _unit: f64) {
+        self.count += 1;
+        self.sum += value;
+    }
+
+    fn merge(&mut self, other: &Self) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = *other;
+            return;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+    }
+
+    fn rows(&self) -> u64 {
+        self.count
+    }
+
+    fn value(&self, _kind: AggKind) -> f64 {
+        self.sum
+    }
+}
+
+/// `MIN`, exact and weighted: the rows and the least value. A row of
+/// non-positive weight is ignored, as every weighted cell ignores it; a
+/// table row weighs 1.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MinCell {
+    /// Rows accumulated.
+    pub count: u64,
+    /// The least of them.
+    pub min: f64,
+}
+
+impl Default for MinCell {
+    fn default() -> Self {
+        MinCell { count: 0, min: f64::INFINITY }
+    }
+}
+
+impl Accumulator for MinCell {
+    #[inline]
+    fn update(&mut self, value: f64, weight: f64) {
+        if weight <= 0.0 {
+            return;
+        }
+        self.count += 1;
+        if value < self.min {
+            self.min = value;
+        }
+    }
+
+    fn merge(&mut self, other: &Self) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = *other;
+            return;
+        }
+        self.count += other.count;
+        self.min = self.min.min(other.min);
+    }
+
+    fn rows(&self) -> u64 {
+        self.count
+    }
+
+    fn value(&self, _kind: AggKind) -> f64 {
+        self.min
+    }
+}
+
+/// `MAX`, exact and weighted: the rows and the greatest value, a row of
+/// non-positive weight ignored as in [`MinCell`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MaxCell {
+    /// Rows accumulated.
+    pub count: u64,
+    /// The greatest of them.
+    pub max: f64,
+}
+
+impl Default for MaxCell {
+    fn default() -> Self {
+        MaxCell { count: 0, max: f64::NEG_INFINITY }
+    }
+}
+
+impl Accumulator for MaxCell {
+    #[inline]
+    fn update(&mut self, value: f64, weight: f64) {
+        if weight <= 0.0 {
+            return;
+        }
+        self.count += 1;
+        if value > self.max {
+            self.max = value;
+        }
+    }
+
+    fn merge(&mut self, other: &Self) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = *other;
+            return;
+        }
+        self.count += other.count;
+        self.max = self.max.max(other.max);
+    }
+
+    fn rows(&self) -> u64 {
+        self.count
+    }
+
+    fn value(&self, _kind: AggKind) -> f64 {
+        self.max
+    }
+}
+
+/// Exact `AVG`: the count and the Welford running mean — the update and
+/// the Chan merge of [`AggState`]'s `mean`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct MeanCell {
+    /// Values accumulated.
+    pub count: u64,
+    /// Their running mean.
+    pub mean: f64,
+}
+
+impl Accumulator for MeanCell {
+    #[inline]
+    fn update(&mut self, value: f64, _unit: f64) {
+        self.count += 1;
+        let delta = value - self.mean;
+        self.mean += delta / self.count as f64;
+    }
+
+    fn merge(&mut self, other: &Self) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = *other;
+            return;
+        }
+        let n1 = self.count as f64;
+        let n2 = other.count as f64;
+        let delta = other.mean - self.mean;
+        let total = n1 + n2;
+        self.mean += delta * n2 / total;
+        self.count += other.count;
+    }
+
+    fn rows(&self) -> u64 {
+        self.count
+    }
+
+    fn value(&self, _kind: AggKind) -> f64 {
+        if self.count == 0 {
+            f64::NAN
+        } else {
+            self.mean
+        }
+    }
+}
+
+/// One aggregate's cells, one per slot or group: the typed column of the
+/// cell its kind folds under the family `F`.
+#[derive(Debug, Clone)]
+pub enum CellColumn<F: Cells> {
+    /// `COUNT` cells.
+    Count(Vec<F::Count>),
+    /// `SUM` and `COUNT_IF` cells.
+    Sum(Vec<F::Sum>),
+    /// `MIN` cells.
+    Min(Vec<F::Min>),
+    /// `MAX` cells.
+    Max(Vec<F::Max>),
+    /// `AVG` cells.
+    Avg(Vec<F::Avg>),
+    /// `VAR` and `STD` cells.
+    Moments(Vec<F::Moments>),
+}
+
+/// `$body` over the typed cell vector `$cells` of `$column`, whatever its
+/// variant.
+macro_rules! each_cells {
+    ($column:expr, $cells:ident => $body:expr) => {
+        match $column {
+            $crate::agg::CellColumn::Count($cells) => $body,
+            $crate::agg::CellColumn::Sum($cells) => $body,
+            $crate::agg::CellColumn::Min($cells) => $body,
+            $crate::agg::CellColumn::Max($cells) => $body,
+            $crate::agg::CellColumn::Avg($cells) => $body,
+            $crate::agg::CellColumn::Moments($cells) => $body,
+        }
+    };
+}
+pub(crate) use each_cells;
+
+impl<F: Cells> CellColumn<F> {
+    /// An empty column of the cells `kind` folds, with room for `capacity`.
+    pub(crate) fn with_capacity(kind: AggKind, capacity: usize) -> Self {
+        match kind {
+            AggKind::Count => CellColumn::Count(Vec::with_capacity(capacity)),
+            AggKind::Sum | AggKind::CountIf => CellColumn::Sum(Vec::with_capacity(capacity)),
+            AggKind::Min => CellColumn::Min(Vec::with_capacity(capacity)),
+            AggKind::Max => CellColumn::Max(Vec::with_capacity(capacity)),
+            AggKind::Avg => CellColumn::Avg(Vec::with_capacity(capacity)),
+            AggKind::Var | AggKind::Std => CellColumn::Moments(Vec::with_capacity(capacity)),
+        }
+    }
+
+    /// Whether this column holds the cells `kind` folds.
+    pub(crate) fn folds(&self, kind: AggKind) -> bool {
+        let want = CellColumn::<F>::with_capacity(kind, 0);
+        std::mem::discriminant(self) == std::mem::discriminant(&want)
+    }
+
+    /// Bytes of one cell.
+    pub(crate) fn cell_bytes(&self) -> usize {
+        each_cells!(self, cells => cell_size(cells))
+    }
+
+    /// Cells in the column.
+    pub(crate) fn len(&self) -> usize {
+        each_cells!(self, cells => cells.len())
+    }
+
+    /// Grow (or cut) the column to `len` cells, new ones empty.
+    pub(crate) fn resize(&mut self, len: usize) {
+        each_cells!(self, cells => cells.resize(len, Default::default()))
+    }
+
+    /// Rows cell `at` accumulated.
+    pub(crate) fn rows(&self, at: usize) -> u64 {
+        each_cells!(self, cells => cells[at].rows())
+    }
+
+    /// Cell `at` read out as the aggregate `kind`.
+    pub(crate) fn finalize(&self, at: usize, kind: AggKind) -> f64 {
+        each_cells!(self, cells => cells[at].finalize(kind))
+    }
+
+    /// Merge `other`'s cell `i` into this column's cell `into[i]`, for
+    /// every `i` in order.
+    ///
+    /// # Panics
+    /// If the columns hold different cells, or a target is out of range.
+    pub(crate) fn merge_at(&mut self, other: &Self, into: &[u32]) {
+        fn merge<C: Accumulator>(acc: &mut [C], cells: &[C], into: &[u32]) {
+            for (cell, &at) in cells.iter().zip(into) {
+                acc[at as usize].merge(cell);
+            }
+        }
+        match (self, other) {
+            (CellColumn::Count(a), CellColumn::Count(b)) => merge(a, b, into),
+            (CellColumn::Sum(a), CellColumn::Sum(b)) => merge(a, b, into),
+            (CellColumn::Min(a), CellColumn::Min(b)) => merge(a, b, into),
+            (CellColumn::Max(a), CellColumn::Max(b)) => merge(a, b, into),
+            (CellColumn::Avg(a), CellColumn::Avg(b)) => merge(a, b, into),
+            (CellColumn::Moments(a), CellColumn::Moments(b)) => merge(a, b, into),
+            _ => panic!("merging cells of another aggregate kind"),
+        }
+    }
+}
+
+/// Bytes of one of `cells`.
+fn cell_size<C>(_cells: &[C]) -> usize {
+    std::mem::size_of::<C>()
 }
 
 /// Independent accumulator chains used by the slice kernels
@@ -338,11 +718,11 @@ impl Accumulator for AggState {
         self.count
     }
 
-    /// Finalize for the given aggregate kind.
+    /// The given aggregate kind.
     ///
     /// `CountIf` inputs are accumulated as 0/1 indicators, so its result is
     /// the `sum`.
-    fn finalize(&self, kind: AggKind) -> f64 {
+    fn value(&self, kind: AggKind) -> f64 {
         match kind {
             AggKind::Count => self.count as f64,
             AggKind::Sum | AggKind::CountIf => self.sum,
@@ -421,7 +801,94 @@ mod tests {
         assert_eq!(d.mean, 1.0);
     }
 
+    /// `cell` and a full state, each fed `xs[..split]` and `xs[split..]` as
+    /// two partials merged in order and then into an empty state, read out
+    /// every kind in `kinds` — and their rows — bit for bit alike.
+    fn assert_reads_like_full_state<C: Accumulator>(kinds: &[AggKind], xs: &[f64], split: usize) {
+        fn fold<A: Accumulator>(values: &[f64]) -> A {
+            let mut state = A::default();
+            values.iter().for_each(|&v| state.update(v, 1.0));
+            state
+        }
+        fn merged<A: Accumulator>(xs: &[f64], split: usize) -> A {
+            let (mut left, right) = (fold::<A>(&xs[..split]), fold::<A>(&xs[split..]));
+            left.merge(&right);
+            let mut whole = A::default();
+            whole.merge(&left);
+            whole
+        }
+        let (full, cell) = (merged::<AggState>(xs, split), merged::<C>(xs, split));
+        assert_eq!(full.rows(), cell.rows());
+        for &kind in kinds {
+            let (want, got) = (full.finalize(kind), cell.finalize(kind));
+            assert_eq!(want.to_bits(), got.to_bits(), "{kind:?}: {want} vs {got}");
+        }
+    }
+
+    #[test]
+    fn a_nan_answer_reads_as_the_one_nan() {
+        let mut sum = SumCell::default();
+        for v in [f64::INFINITY, f64::NEG_INFINITY, -f64::NAN] {
+            sum.update(v, 1.0);
+        }
+        assert!(sum.sum.is_nan());
+        assert_eq!(sum.finalize(AggKind::Sum).to_bits(), f64::NAN.to_bits());
+    }
+
+    #[test]
+    fn cell_columns_hold_their_kinds_cells() {
+        use AggKind::*;
+        for (kind, bytes) in [
+            (Count, 8),
+            (Sum, 16),
+            (CountIf, 16),
+            (Min, 16),
+            (Max, 16),
+            (Avg, 16),
+            (Var, 48),
+            (Std, 48),
+        ] {
+            let column = CellColumn::<ExactCells>::with_capacity(kind, 4);
+            assert!(column.folds(kind) && column.len() == 0, "{kind:?}");
+            assert_eq!(column.cell_bytes(), bytes, "{kind:?}");
+        }
+        assert!(!CellColumn::<ExactCells>::with_capacity(Sum, 0).folds(Avg));
+        assert!(CellColumn::<ExactCells>::with_capacity(Var, 0).folds(Std));
+
+        // Cells 0 and 2 merge into group 1, cell 1 into group 0.
+        let mut fine = CellColumn::<ExactCells>::with_capacity(Sum, 3);
+        fine.resize(3);
+        let CellColumn::Sum(cells) = &mut fine else { unreachable!() };
+        for (cell, v) in cells.iter_mut().zip([1.0, 2.0, 4.0]) {
+            cell.update(v, 1.0);
+        }
+        let mut coarse = CellColumn::<ExactCells>::with_capacity(Sum, 2);
+        coarse.resize(2);
+        coarse.merge_at(&fine, &[1, 0, 1]);
+        assert_eq!((coarse.finalize(0, Sum), coarse.rows(0)), (2.0, 1));
+        assert_eq!((coarse.finalize(1, Sum), coarse.rows(1)), (5.0, 2));
+    }
+
     proptest! {
+        /// Every narrow exact cell reads out its kinds as the full state
+        /// does, bit for bit, over values with NaN, ±0 and ±∞ among them.
+        #[test]
+        fn narrow_cells_read_out_the_full_states_bits(
+            picks in proptest::collection::vec((0usize..10, -1e6f64..1e6), 0..60),
+            split in 0usize..60,
+        ) {
+            // Mostly plain values, with NaN, ±0 and ±∞ among them.
+            let special = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            let xs: Vec<f64> =
+                picks.iter().map(|&(pick, v)| special.get(pick).copied().unwrap_or(v)).collect();
+            let split = split.min(xs.len());
+            assert_reads_like_full_state::<CountCell>(&[AggKind::Count], &xs, split);
+            assert_reads_like_full_state::<SumCell>(&[AggKind::Sum, AggKind::CountIf], &xs, split);
+            assert_reads_like_full_state::<MinCell>(&[AggKind::Min], &xs, split);
+            assert_reads_like_full_state::<MaxCell>(&[AggKind::Max], &xs, split);
+            assert_reads_like_full_state::<MeanCell>(&[AggKind::Avg], &xs, split);
+        }
+
         #[test]
         fn merge_matches_sequential(xs in proptest::collection::vec(-1e6f64..1e6, 1..200),
                                     split in 0usize..200) {

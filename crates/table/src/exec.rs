@@ -25,6 +25,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::spans::Spans;
 
@@ -75,19 +76,6 @@ pub struct ExecOptions {
     threads: usize,
     spans: Option<Arc<Spans>>,
 }
-
-/// Two options are equal when they run as many workers into the same log.
-impl PartialEq for ExecOptions {
-    fn eq(&self, other: &Self) -> bool {
-        let same_log = match (&self.spans, &other.spans) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            (a, b) => a.is_none() && b.is_none(),
-        };
-        self.threads == other.threads && same_log
-    }
-}
-
-impl Eq for ExecOptions {}
 
 impl ExecOptions {
     /// Exactly `threads` worker threads (clamped to at least 1).
@@ -145,10 +133,11 @@ impl ExecOptions {
     /// just run when there is none.
     #[inline]
     pub fn span<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
-        match &self.spans {
-            None => f(),
-            Some(spans) => spans.time(name, f),
-        }
+        let Some(spans) = &self.spans else { return f() };
+        let start = Instant::now();
+        let out = f();
+        spans.record(name, start.elapsed());
+        out
     }
 }
 

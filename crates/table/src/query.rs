@@ -1,33 +1,43 @@
 //! Group-by query execution: one aggregation pass, generic over the
-//! [`Accumulator`] it folds.
+//! family of [`Cells`] it folds.
 //!
 //! The pass walks the rows one global partition at a time, in the grouping
 //! module's one walk: each row's key takes a partition-local slot and, when
-//! the predicate keeps the row, updates that slot's accumulators in the same
-//! step, so interning and folding read every row once. Each partition's
-//! state table is sized by the groups it saw; partitions merge keys and
-//! states together, in partition order, through the ordered merge; and the
-//! merged finest-group states are projected onto each grouping set, so a
-//! `WITH CUBE` over k attributes still scans the data once. The full set —
-//! a plain statement's only one — is the identity projection: it keeps the
-//! fine ids and borrows the fine keys, so its read-out hashes and clones no
-//! key, and clones only the key of a group that folded a row.
+//! the predicate keeps the row, updates that slot's cells in the same step,
+//! so interning and folding read every row once. A partition's states are
+//! aggregate-major: one typed [`CellColumn`] per aggregate, indexed by slot,
+//! holding only the cell its kind reads — a count for `COUNT`, a count and a
+//! sum for `SUM` and `COUNT_IF`, a count and one bound for `MIN` and `MAX`,
+//! a count and the Welford mean for `AVG`, the full moments only for `VAR`
+//! and `STD` — so a run of rows writes one contiguous array per aggregate.
+//! Each column is sized by the groups its partition saw; partitions merge
+//! keys and cells together, in partition order, through the ordered merge;
+//! and the merged finest-group cells are projected onto each grouping set,
+//! so a `WITH CUBE` over k attributes still scans the data once. The full
+//! set — a plain statement's only one — is the identity projection: it
+//! reads the fine cells in place and borrows the fine keys, so its read-out
+//! merges no cell, hashes and clones no key, and clones only the key of a
+//! group that folded a row.
 //!
-//! [`GroupByQuery::execute`] runs it with [`AggState`] and unit weights over
-//! packed dimension codes and computes exact answers (the experiments'
-//! ground truth). Over shards behind readers each shard runs the same
-//! per-partition function over the partitions it holds, and its partials
-//! merge here in partition order. A JOIN statement
-//! ([`GroupByQuery::execute_join`]) runs the same per-partition function
-//! over each joined partition as the join produces it, and merges the
-//! partials by key atoms in partition order. Sample-based estimators run the
-//! same pass ([`GroupByQuery::aggregate`]) over the sample's packed keys
-//! with a weighted accumulator. No answer builds a group index.
+//! [`GroupByQuery::execute`] runs it with [`ExactCells`] and unit weights
+//! over packed dimension codes and computes exact answers (the experiments'
+//! ground truth): each cell field sees the operations an
+//! [`AggState`](crate::agg::AggState) field would, in the same order, so
+//! the answers are the full state's, bit for bit. Over shards behind
+//! readers each shard runs the same per-partition function over the
+//! partitions it holds, and its partials merge here in partition order. A
+//! JOIN statement ([`GroupByQuery::execute_join`]) runs the same
+//! per-partition function over each joined partition as the join produces
+//! it, and merges the partials by key atoms in partition order.
+//! Sample-based estimators run the same pass ([`GroupByQuery::aggregate`])
+//! over the sample's packed keys with a weighted family. No answer builds a
+//! group index.
 
 use std::borrow::Cow;
 use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::agg::{Accumulator, AggExpr, AggKind, AggState};
+use crate::agg::{each_cells, Accumulator, AggExpr, AggKind, CellColumn, Cells, ExactCells};
 use crate::bitmap::Bitmap;
 use crate::cube::grouping_sets;
 use crate::exec::{self, ExecOptions, RowRange};
@@ -35,12 +45,23 @@ use crate::expr::{Block, BlockScratch, BoundExpr, ScalarExpr};
 use crate::groupby::{GroupProjection, KeyAtom, LocalKeys, OrderedMerge, RowKeys};
 use crate::join::Join;
 use crate::predicate::Predicate;
-use crate::reader::{Fold, RowSpace};
+use crate::reader::{Fold, RowSpace, SlotStates};
 use crate::Result;
 
 /// One joined partition's partial: its keys decoded to key atoms, with
-/// their row counts, in slot order, and `states[slot * width + aggregate]`.
-type JoinedPartial = (Vec<(Vec<KeyAtom>, u64)>, Vec<AggState>);
+/// their row counts, in slot order, and one cell column per aggregate.
+type JoinedPartial = (Vec<(Vec<KeyAtom>, u64)>, Vec<CellColumn<ExactCells>>);
+
+/// Process-wide bytes of cells [`fold_partition`] has allocated.
+static FOLD_STATE_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Bytes of cells the aggregation pass has allocated for its per-partition
+/// slot states, by this process so far: each partition reserves one cell
+/// per aggregate for every slot its walk can hand out. Monotonic; never
+/// reset.
+pub fn total_fold_state_bytes() -> u64 {
+    FOLD_STATE_BYTES.load(Ordering::Relaxed)
+}
 
 /// A group-by query specification.
 #[derive(Debug, Clone)]
@@ -118,9 +139,8 @@ impl GroupByQuery {
         options: &ExecOptions,
     ) -> Result<Vec<QueryResult>> {
         let rows = rows.into();
-        let dim_names: Vec<String> = self.group_by.iter().map(ScalarExpr::display_name).collect();
         let Some(tables) = rows.local_tables() else {
-            return self.execute_walked(&rows, &dim_names, options);
+            return self.execute_walked(&rows, options);
         };
         let keys =
             options.span("encode", || RowKeys::encode(&rows, &tables, &self.group_by, options))?;
@@ -128,7 +148,7 @@ impl GroupByQuery {
             Some(p) => Some(options.span("bitmap", || rows.predicate_bitmaps(p, options))?),
             None => None,
         };
-        self.aggregate::<AggState>(&rows, &keys, filters.as_deref(), |_| 1.0, options)
+        self.aggregate::<ExactCells>(&rows, &keys, filters.as_deref(), |_| 1.0, options)
     }
 
     /// [`GroupByQuery::execute_with`] over a row space with a shard behind a
@@ -138,29 +158,26 @@ impl GroupByQuery {
     fn execute_walked(
         &self,
         rows: &RowSpace<'_>,
-        dim_names: &[String],
         options: &ExecOptions,
     ) -> Result<Vec<QueryResult>> {
         let fold =
             Fold::Exact { predicate: self.predicate.clone(), aggregates: self.aggregates.clone() };
         rows.check_binds(&self.group_by, &fold)?;
         let walked = options.span("walk", || rows.walk(&self.group_by, &fold, options))?;
-        let width = self.aggregates.len();
         let fine = options.span("merge", || {
-            let mut fine = vec![AggState::default(); walked.keys.len() * width];
+            let mut fine = columns::<ExactCells>(&self.aggregates, walked.keys.len());
             for (groups, states) in &walked.partials {
-                for (slot, &group) in groups.iter().enumerate() {
-                    let cells = &states[slot * width..(slot + 1) * width];
-                    let acc = &mut fine[group as usize * width..][..width];
-                    acc.iter_mut().zip(cells).for_each(|(a, c)| a.merge(c));
-                }
+                let SlotStates::Exact(states) = states else {
+                    unreachable!("checked: an exact walk answers cell columns")
+                };
+                fine.iter_mut().zip(states).for_each(|(acc, cells)| acc.merge_at(cells, groups));
             }
             fine
         });
         Ok(options.span("readout", || {
             let group_keys: Vec<Cow<[KeyAtom]>> =
                 walked.keys.iter().map(|key| Cow::Borrowed(key.as_slice())).collect();
-            self.assemble(dim_names, &group_keys, &fine)
+            self.assemble(&group_keys, &fine)
         }))
     }
 
@@ -180,11 +197,10 @@ impl GroupByQuery {
         let inputs: Vec<Option<ScalarExpr>> =
             self.aggregates.iter().map(|a| a.input.clone()).collect();
         let sequential = ExecOptions::sequential();
-        let width = self.aggregates.len();
         let merged = exec::fold_partitioned(
             join.num_rows(),
             options,
-            Ok((OrderedMerge::<Vec<KeyAtom>>::default(), Vec::<AggState>::new())),
+            Ok((OrderedMerge::<Vec<KeyAtom>>::default(), columns(&self.aggregates, 0))),
             |_, range| -> Result<JoinedPartial> {
                 let table = options.span("project", || join.project(&names, range.rows()))?;
                 let (rows, tables) = (RowSpace::from(&table), [&table]);
@@ -220,7 +236,7 @@ impl GroupByQuery {
                 let Ok((merge, fine)) = acc else { return };
                 match partial {
                     Ok((keys, states)) => {
-                        options.span("merge", || merge_partial(merge, fine, keys, &states, width))
+                        options.span("merge", || merge_partial(merge, fine, keys, &states))
                     }
                     Err(e) => *acc = Err(e),
                 }
@@ -228,25 +244,23 @@ impl GroupByQuery {
         );
         let (merge, fine) = merged?;
         Ok(options.span("readout", || {
-            let dim_names: Vec<String> =
-                self.group_by.iter().map(ScalarExpr::display_name).collect();
             let group_keys: Vec<Cow<[KeyAtom]>> =
                 merge.keys().iter().map(|key| Cow::Borrowed(key.as_slice())).collect();
-            self.assemble(&dim_names, &group_keys, &fine)
+            self.assemble(&group_keys, &fine)
         }))
     }
 
     /// The aggregation pass over `keys`, this query's grouping
     /// ([`RowKeys::encode`]) over the in-process `rows`: walk `rows` under
     /// the optional per-shard `filters` (this query's
-    /// [`RowSpace::predicate_bitmaps`]), fold one accumulator per (group,
-    /// aggregate) per partition, merge the partials in partition order,
-    /// project the merged states onto each grouping set and assemble one
-    /// [`QueryResult`] per set. `weight` maps a global row id to the weight
-    /// its value is accumulated with. Every row takes a slot, so fine
-    /// groups follow first occurrence over *all* rows — the order
-    /// [`coarsen`] merges them in — but only rows the filters keep are
-    /// folded.
+    /// [`RowSpace::predicate_bitmaps`]), fold one cell of the family `F` per
+    /// (group, aggregate) per partition, merge the partials in partition
+    /// order, project the merged cells onto each grouping set and assemble
+    /// one [`QueryResult`] per set. `weight` maps a global row id to the
+    /// weight its value is accumulated with. Every row takes a slot, so fine
+    /// groups follow first occurrence over *all* rows — the order a
+    /// grouping set's projection merges them in — but only rows the filters
+    /// keep are folded.
     ///
     /// Partials are whole **global** partitions — each one walks the shard
     /// segments that cover it, reading values through that shard's bound
@@ -254,7 +268,7 @@ impl GroupByQuery {
     /// the same rows in the same order wherever shard boundaries fall, and
     /// the partition-order merge makes the result bit-identical to the
     /// single-table pass.
-    pub fn aggregate<A: Accumulator>(
+    pub fn aggregate<F: Cells>(
         &self,
         rows: &RowSpace<'_>,
         keys: &RowKeys<'_>,
@@ -263,49 +277,43 @@ impl GroupByQuery {
         options: &ExecOptions,
     ) -> Result<Vec<QueryResult>> {
         let aggregates = &self.aggregates;
-        let width = aggregates.len();
         let inputs: Vec<Option<ScalarExpr>> = aggregates.iter().map(|a| a.input.clone()).collect();
         let bound = rows.bind(&inputs)?;
 
-        // `fine[group * width + aggregate]`, groups in merged
+        // One column per aggregate, cell `group` for each group in merged
         // (first-occurrence) order.
         let (merge, fine) = exec::fold_partitioned(
             rows.num_rows(),
             options,
-            (OrderedMerge::<u64>::default(), Vec::<A>::new()),
+            (OrderedMerge::<u64>::default(), columns(aggregates, 0)),
             |_, range| {
                 options.span("fold", || {
                     fold_partition(rows, keys, range, aggregates, &bound, filters, &weight)
                 })
             },
-            |(merge, fine), (local, states): (LocalKeys, Vec<A>)| {
-                options
-                    .span("merge", || merge_partial(merge, fine, local.partial(), &states, width));
+            |(merge, fine), (local, states): (LocalKeys, Vec<CellColumn<F>>)| {
+                options.span("merge", || merge_partial(merge, fine, local.partial(), &states));
             },
         );
         Ok(options.span("readout", || {
-            let dim_names: Vec<String> =
-                self.group_by.iter().map(ScalarExpr::display_name).collect();
             let group_keys: Vec<Cow<[KeyAtom]>> =
                 merge.keys().iter().map(|&k| keys.decode(k)).collect();
-            self.assemble(&dim_names, &group_keys, &fine)
+            self.assemble(&group_keys, &fine)
         }))
     }
 
-    /// Project the finest-group states onto each grouping set and read
+    /// Project the finest-group cells onto each grouping set and read
     /// every set's groups out. A non-empty set keeps only groups with at
     /// least one accumulated row; the empty set answers exactly one row,
     /// as SQL does for an aggregate over no rows: `COUNT` and `COUNT_IF` 0,
     /// every other aggregate without a value (NaN).
-    fn assemble<A: Accumulator>(
+    fn assemble<F: Cells>(
         &self,
-        dim_names: &[String],
         group_keys: &[Cow<[KeyAtom]>],
-        fine: &[A],
+        fine: &[CellColumn<F>],
     ) -> Vec<QueryResult> {
         let aggregates = &self.aggregates;
-        let width = aggregates.len();
-        let fine_groups = || (0..group_keys.len()).map(|g| &fine[g * width..(g + 1) * width]);
+        let dim_names: Vec<String> = self.group_by.iter().map(ScalarExpr::display_name).collect();
         let sets: Vec<Vec<usize>> = if self.cube {
             grouping_sets(self.group_by.len())
         } else {
@@ -313,17 +321,24 @@ impl GroupByQuery {
         };
         let agg_names: Vec<String> = aggregates.iter().map(|a| a.alias.clone()).collect();
         let results = sets.iter().map(|dims| {
-            let proj = GroupProjection::of(dim_names, group_keys, dims);
-            let coarse = coarsen(&proj, fine_groups(), width);
+            let proj = GroupProjection::of(&dim_names, group_keys, dims);
+            let coarsened;
+            let coarse = match proj.is_identity() {
+                // Merging a cell into an empty one copies it.
+                true => fine,
+                false => {
+                    coarsened = coarsen(&proj, fine, aggregates);
+                    &coarsened
+                }
+            };
             let mut groups = Vec::new();
             for cid in 0..proj.num_groups() {
-                let states = &coarse[cid * width..(cid + 1) * width];
-                let group_rows = states.iter().map(A::rows).max().unwrap_or(0);
+                let group_rows = coarse.iter().map(|column| column.rows(cid)).max().unwrap_or(0);
                 if group_rows == 0 {
                     continue;
                 }
                 let values =
-                    states.iter().zip(aggregates).map(|(s, a)| s.finalize(a.kind)).collect();
+                    coarse.iter().zip(aggregates).map(|(c, a)| c.finalize(cid, a.kind)).collect();
                 groups.push((proj.key(cid as u32).to_vec(), values, group_rows));
             }
             if dims.is_empty() && groups.is_empty() {
@@ -342,44 +357,45 @@ impl GroupByQuery {
     }
 }
 
+/// One column of `len` empty cells per aggregate of `aggregates`.
+fn columns<F: Cells>(aggregates: &[AggExpr], len: usize) -> Vec<CellColumn<F>> {
+    let column = |agg: &AggExpr| {
+        let mut column = CellColumn::with_capacity(agg.kind, len);
+        column.resize(len);
+        column
+    };
+    aggregates.iter().map(column).collect()
+}
+
 /// Merge one partition's partial into the merged groups, in partition
 /// order: `partial` lists the partition's keys with their row counts in
-/// slot order, and `states[slot * width + aggregate]` their accumulators.
-/// A group met for the first time takes its partial's states as they are;
-/// a known group merges them into its own, `fine[group * width +
-/// aggregate]`.
-fn merge_partial<K: Clone + Eq + Hash, A: Accumulator>(
+/// slot order, and `states` holds their cells, one column per aggregate. A
+/// group met for the first time takes its partial's cells as they are (a
+/// merge into an empty cell copies it); a known group merges them into its
+/// own.
+fn merge_partial<K: Clone + Eq + Hash, F: Cells>(
     merge: &mut OrderedMerge<K>,
-    fine: &mut Vec<A>,
+    fine: &mut [CellColumn<F>],
     partial: impl IntoIterator<Item = (K, u64)>,
-    states: &[A],
-    width: usize,
+    states: &[CellColumn<F>],
 ) {
-    let known = merge.len();
     let translation = merge.push(partial);
-    for (slot, &group) in translation.iter().enumerate() {
-        let cells = &states[slot * width..(slot + 1) * width];
-        if group as usize >= known {
-            // A group's first partial, in id order: merging into a default
-            // accumulator would copy it, so take it.
-            fine.extend_from_slice(cells);
-        } else {
-            let acc = &mut fine[group as usize * width..][..width];
-            acc.iter_mut().zip(cells).for_each(|(a, c)| a.merge(c));
-        }
+    for (acc, cells) in fine.iter_mut().zip(states) {
+        acc.resize(merge.len());
+        acc.merge_at(cells, &translation);
     }
 }
 
 /// One partition of the aggregation pass: walk `range` of `rows` under
 /// `keys`, and fold every row the optional per-shard `filters` keep into its
-/// slot's accumulators, `states[slot * width + aggregate]`. `bound` holds
-/// the aggregates' inputs bound per shard, each evaluated a run at a time
-/// into buffers allocated once per partition, and `weight` maps a global row
-/// id to its weight. Returns the partition's keys with the states. Both
-/// sides of a statement over shards behind readers run it: a shard for the
+/// slot's cells, one column per aggregate. `bound` holds the aggregates'
+/// inputs bound per shard, each evaluated a run at a time into buffers
+/// allocated once per partition, and `weight` maps a global row id to its
+/// weight. Returns the partition's keys with the cell columns. Both sides
+/// of a statement over shards behind readers run it: a shard for the
 /// partitions it holds whole, the coordinator for in-process rows and for a
 /// partition that straddles a shard boundary.
-pub(crate) fn fold_partition<A: Accumulator>(
+pub(crate) fn fold_partition<F: Cells>(
     rows: &RowSpace<'_>,
     keys: &RowKeys<'_>,
     range: RowRange,
@@ -387,16 +403,19 @@ pub(crate) fn fold_partition<A: Accumulator>(
     bound: &[Vec<Option<BoundExpr<'_>>>],
     filters: Option<&[Bitmap]>,
     weight: impl Fn(usize) -> f64,
-) -> (LocalKeys, Vec<A>) {
-    let width = aggregates.len();
-    // `states[slot * width + aggregate]`, grown as slots appear inside room
-    // for every slot the walk can hand out: a partial is never copied to
-    // grow, and room the walk does not fill is never written.
-    let mut states: Vec<A> = Vec::with_capacity(keys.max_slots(range) * width);
+) -> (LocalKeys, Vec<CellColumn<F>>) {
+    // Each column grows as slots appear inside room for every slot the walk
+    // can hand out: a partial is never copied to grow, and room the walk
+    // does not fill is never written.
+    let room = keys.max_slots(range);
+    let mut states: Vec<CellColumn<F>> =
+        aggregates.iter().map(|agg| CellColumn::with_capacity(agg.kind, room)).collect();
+    let cell_bytes: usize = states.iter().map(CellColumn::cell_bytes).sum();
+    FOLD_STATE_BYTES.fetch_add((room * cell_bytes) as u64, Ordering::Relaxed);
     // Each input's block buffers, allocated at its first run.
     let mut scratch: Vec<Option<BlockScratch>> = aggregates.iter().map(|_| None).collect();
     let local = keys.walk(rows, range, |run, slots, seen| {
-        states.resize(seen * width, A::default());
+        states.iter_mut().for_each(|column| column.resize(seen));
         let (start, end) = (run.local.start, run.local.end);
         let kept = filters.map(|bms| &bms[run.shard]);
         if kept.is_some_and(|kept| kept.iter_ones_in(start, end).next().is_none()) {
@@ -406,20 +425,20 @@ pub(crate) fn fold_partition<A: Accumulator>(
         let weight = |i: usize| weight(run.global_start + i);
         // One aggregate at a time over the run: each (slot, aggregate) cell
         // still takes its rows in row order.
-        for (a, (agg, expr)) in aggregates.iter().zip(&bound[run.shard]).enumerate() {
+        let columns = aggregates.iter().zip(&bound[run.shard]).zip(&mut states);
+        for (a, ((agg, expr), column)) in columns.enumerate() {
             let block = expr.as_ref().map(|e| {
                 let scratch = scratch[a].get_or_insert_with(|| e.scratch());
                 e.block(run.local, scratch)
             });
-            let cells = &mut states[a..];
             match kept {
                 Some(kept) => {
                     let rows = kept.iter_ones_in(start, end).map(|r| (r - start, slots[r - start]));
-                    fold_column(cells, width, rows, agg, block, weight);
+                    fold_column(column, rows, agg, block, weight);
                 }
                 None => {
                     let rows = slots.iter().copied().enumerate();
-                    fold_column(cells, width, rows, agg, block, weight);
+                    fold_column(column, rows, agg, block, weight);
                 }
             }
         }
@@ -428,73 +447,80 @@ pub(crate) fn fold_partition<A: Accumulator>(
 }
 
 /// Fold aggregate `agg` over `rows` — each a row's index in the run with
-/// its slot — into `cells`, where slot `s`'s cell is `cells[s * width]`.
-/// The run's `block` of the input is the one value source: a row feeds the
-/// value it has there, and none when it has no value (a null). `COUNT(*)`
-/// reads no input, and `COUNT_IF` feeds every row a 0/1 hit, comparing a
-/// row without a value as NaN. The match on the aggregate and on whether
-/// every row of the block has a value happens once per run, not per row.
+/// its slot — into `column`, whose cell `s` is slot `s`'s. The match on the
+/// column's cell type happens once per run, not per row.
 #[inline]
-fn fold_column<A: Accumulator>(
-    cells: &mut [A],
-    width: usize,
+fn fold_column<F: Cells>(
+    column: &mut CellColumn<F>,
+    rows: impl Iterator<Item = (usize, u32)>,
+    agg: &AggExpr,
+    block: Option<Block<'_>>,
+    weight: impl Fn(usize) -> f64,
+) {
+    each_cells!(column, cells => fold_cells(cells, rows, agg, block, weight))
+}
+
+/// [`fold_column`] over one typed cell array. The run's `block` of the
+/// input is the one value source: a row feeds the value it has there, and
+/// none when it has no value (a null). `COUNT(*)` reads no input, and
+/// `COUNT_IF` feeds every row a 0/1 hit, comparing a row without a value as
+/// NaN. The match on the aggregate and on whether every row of the block
+/// has a value happens once per run, not per row.
+#[inline]
+fn fold_cells<C: Accumulator>(
+    cells: &mut [C],
     rows: impl Iterator<Item = (usize, u32)>,
     agg: &AggExpr,
     block: Option<Block<'_>>,
     weight: impl Fn(usize) -> f64,
 ) {
     match (agg.kind, block) {
-        (AggKind::Count, _) => fold_rows(cells, width, rows, |_| Some(1.0), weight),
+        (AggKind::Count, _) => fold_rows(cells, rows, |_| Some(1.0), weight),
         (AggKind::CountIf, Some(b)) => {
             let (op, threshold) = agg.condition.expect("COUNT_IF has a condition");
             let hit = move |v: f64| Some(if op.evaluate_f64(v, threshold) { 1.0 } else { 0.0 });
             match b.valid {
-                None => fold_rows(cells, width, rows, |i| hit(b.values[i]), weight),
-                Some(_) => {
-                    let value = |i| hit(b.get(i).unwrap_or(f64::NAN));
-                    fold_rows(cells, width, rows, value, weight)
-                }
+                None => fold_rows(cells, rows, |i| hit(b.values[i]), weight),
+                Some(_) => fold_rows(cells, rows, |i| hit(b.get(i).unwrap_or(f64::NAN)), weight),
             }
         }
         (_, Some(b)) => match b.valid {
-            None => fold_rows(cells, width, rows, |i| Some(b.values[i]), weight),
-            Some(_) => fold_rows(cells, width, rows, |i| b.get(i), weight),
+            None => fold_rows(cells, rows, |i| Some(b.values[i]), weight),
+            Some(_) => fold_rows(cells, rows, |i| b.get(i), weight),
         },
         (_, None) => {}
     }
 }
 
-/// The loop [`fold_column`] specialises, once per value source.
+/// The loop [`fold_cells`] specialises, once per value source.
 #[inline]
-fn fold_rows<A: Accumulator>(
-    cells: &mut [A],
-    width: usize,
+fn fold_rows<C: Accumulator>(
+    cells: &mut [C],
     rows: impl Iterator<Item = (usize, u32)>,
     value: impl Fn(usize) -> Option<f64>,
     weight: impl Fn(usize) -> f64,
 ) {
     for (row, slot) in rows {
         if let Some(v) = value(row) {
-            cells[slot as usize * width].update(v, weight(row));
+            cells[slot as usize].update(v, weight(row));
         }
     }
 }
 
-/// Merge finest-group accumulators (each fine group's `width` columns, in
-/// fine-id order) onto the coarser grouping `proj`, into one flat buffer:
-/// `[coarse group * width + column]`.
-pub fn coarsen<'f, A: Accumulator + 'f>(
+/// Merge finest-group cells — one column per aggregate of `aggregates`,
+/// cell `g` fine group `g`'s — onto the coarser grouping `proj`: one column
+/// per aggregate, cell `c` coarse group `c`'s, each merging its fine
+/// groups' cells in fine-id order.
+fn coarsen<F: Cells>(
     proj: &GroupProjection<'_>,
-    fine: impl IntoIterator<Item = &'f [A]>,
-    width: usize,
-) -> Vec<A> {
-    let mut merged = vec![A::default(); proj.num_groups() * width];
-    for (fine_gid, states) in fine.into_iter().enumerate() {
-        let cid = proj.coarse_of(fine_gid as u32) as usize;
-        let acc = &mut merged[cid * width..][..width];
-        acc.iter_mut().zip(states).for_each(|(a, s)| a.merge(s));
+    fine: &[CellColumn<F>],
+    aggregates: &[AggExpr],
+) -> Vec<CellColumn<F>> {
+    let mut coarse = columns(aggregates, proj.num_groups());
+    for (acc, cells) in coarse.iter_mut().zip(fine) {
+        acc.merge_at(cells, proj.fine_to_coarse());
     }
-    merged
+    coarse
 }
 
 /// The result of one grouping set: a small column-oriented result table.

@@ -51,7 +51,7 @@ use crate::Result;
 mod pushdown;
 
 pub(crate) use pushdown::ShardKeys;
-pub use pushdown::{Fold, Pick, Picked, Walked, WalkedPartition};
+pub use pushdown::{Fold, Pick, Picked, SlotStates, Walked, WalkedPartition};
 
 /// Per-row values of one expression over a whole shard. `Dense` is the
 /// contiguous-`f64`-column form (exactly when the expression exposes a
@@ -631,6 +631,7 @@ impl<'a> RowSpace<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::agg::{AggExpr, AggKind, CellColumn};
     use crate::column::Column;
     use crate::exec::CHUNK_ROWS;
     use crate::types::{DataType, Value};
@@ -873,6 +874,7 @@ pub(crate) mod tests {
         let walked = shard.walk(0, 100, &[ScalarExpr::col("g")], &Fold::Stats { columns }).unwrap();
         assert_eq!(walked.keys.len(), 7);
         let [partition] = walked.partitions.as_slice() else { panic!("one whole partition") };
+        let SlotStates::Stats(states) = &partition.states else { panic!("moments") };
         let bound =
             [ScalarExpr::col("x").bind(&t).unwrap(), ScalarExpr::col("i").bind(&t).unwrap()];
         for (slot, &key) in partition.slots.iter().enumerate() {
@@ -881,7 +883,7 @@ pub(crate) mod tests {
                 let values: Vec<f64> = rows.clone().filter_map(|row| expr.f64_at(row)).collect();
                 let mut want = AggState::default();
                 want.update_slice(&values);
-                let got = partition.states[slot * 2 + c];
+                let got = states[slot * 2 + c];
                 assert_eq!((got.count, got.m2.to_bits()), (want.count, want.m2.to_bits()));
                 assert_eq!(got.mean.to_bits(), want.mean.to_bits(), "key {key}, column {c}");
             }
@@ -1080,8 +1082,13 @@ pub(crate) mod tests {
             Outside,
             /// No partition is answered.
             Missing,
-            /// One state short of slots × width.
+            /// One state short of slots × width, or one cell short of the
+            /// slots in the first cell column.
             StateCount,
+            /// The first cell column holds another kind's cells.
+            CellKind,
+            /// Moments answer an exact fold.
+            OtherForm,
             /// The key sizes overcount the shard by one.
             Sizes,
             /// The key list names one key twice.
@@ -1129,7 +1136,21 @@ pub(crate) mod tests {
                     Fault::Repeated => partitions.push(partitions[0].clone()),
                     Fault::Outside => partitions[0].start = 1 << 16,
                     Fault::Missing => partitions.clear(),
-                    Fault::StateCount => drop(partitions[0].states.pop()),
+                    Fault::StateCount => match &mut partitions[0].states {
+                        SlotStates::Stats(states) => drop(states.pop()),
+                        SlotStates::Exact(columns) => {
+                            let cells = columns[0].len();
+                            columns[0].resize(cells - 1)
+                        }
+                    },
+                    Fault::CellKind => {
+                        if let SlotStates::Exact(columns) = &mut partitions[0].states {
+                            let mut other = CellColumn::with_capacity(AggKind::Max, 0);
+                            other.resize(columns[0].len());
+                            columns[0] = other;
+                        }
+                    }
+                    Fault::OtherForm => partitions[0].states = SlotStates::Stats(Vec::new()),
                     Fault::Sizes => walked.sizes[0] += 1,
                     Fault::KeyTwice => walked.keys[1] = walked.keys[0].clone(),
                     _ => {}
@@ -1175,7 +1196,16 @@ pub(crate) mod tests {
         let exec = ExecOptions::sequential();
         let strata = [ScalarExpr::col("g")];
         let fold = Fold::Stats { columns: vec![ScalarExpr::col("x")] };
-        let walk = |fault| set_of(fault).rows().walk(&strata, &fold, &exec).err();
+        let walk = |fault, fold: &Fold| set_of(fault).rows().walk(&strata, fold, &exec).err();
+        let exact = Fold::Exact { predicate: None, aggregates: vec![AggExpr::sum("x")] };
+        for (fault, what) in [
+            (Fault::StateCount, "6 SUM cells for 7 slots at row 0"),
+            (Fault::CellKind, "cells of another kind for SUM at row 0"),
+            (Fault::OtherForm, "moments for an exact fold at row 0"),
+        ] {
+            let err = walk(fault, &exact).unwrap_or_else(|| panic!("{fault:?} was merged"));
+            assert!(err.to_string().contains(what), "{fault:?}: {err}");
+        }
         for (fault, what) in [
             (Fault::Short, "key sizes [3, 3, 3, 3, 3, 3, 2] for 21 rows"),
             (Fault::Sizes, "key sizes [4, 3, 3, 3, 3, 3, 2] for 20 rows"),
@@ -1188,7 +1218,8 @@ pub(crate) mod tests {
             (Fault::StateCount, "6 states for 7 slots of 1 at row 0"),
             (Fault::KeyTwice, "a walk with key \"g0\" twice"),
         ] {
-            let err = walk(fault).unwrap_or_else(|| panic!("{fault:?} was merged")).to_string();
+            let err =
+                walk(fault, &fold).unwrap_or_else(|| panic!("{fault:?} was merged")).to_string();
             assert!(err.starts_with("shard 0 (bad) returned "), "{fault:?}: {err}");
             assert!(err.contains(what), "{fault:?}: {err}");
         }

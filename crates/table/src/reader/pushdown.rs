@@ -3,11 +3,12 @@
 //!
 //! **Walk.** A shard keys its rows and runs the table layer's own
 //! per-partition kernel — the statistics fold over a partition's strata
-//! runs ([`fold_runs`]), or the exact `AggState` fold of a group's kept rows
-//! — over every global [`CHUNK_ROWS`]-row partition it holds whole. It
-//! answers its keys in first-occurrence order with their sizes, counted over
-//! all its rows, and per whole partition the shard key of each slot and the
-//! slot states ([`Walked`]). The coordinator merges the key lists in shard
+//! runs ([`fold_runs`]), full `AggState` moments per column, or the exact
+//! fold of a group's kept rows, one narrow cell column per aggregate — over
+//! every global [`CHUNK_ROWS`]-row partition it holds whole. It answers its
+//! keys in first-occurrence order with their sizes, counted over all its
+//! rows, and per whole partition the shard key of each slot and the slot
+//! states ([`Walked`]). The coordinator merges the key lists in shard
 //! order through the [`OrderedMerge`] — global first-occurrence order — and
 //! the partials in global partition order, through the merges the
 //! in-process passes run. A partition that straddles a shard boundary is
@@ -30,7 +31,7 @@
 
 use std::borrow::Cow;
 
-use crate::agg::{AggExpr, AggState};
+use crate::agg::{AggExpr, AggState, CellColumn, ExactCells};
 use crate::bitmap::Bitmap;
 use crate::error::{check_row_ids, TableError};
 use crate::exec::{self, partition_rows, ExecOptions, RowRange, CHUNK_ROWS};
@@ -66,14 +67,14 @@ pub enum Fold {
     },
 }
 
-impl Fold {
-    /// States per slot.
-    pub fn width(&self) -> usize {
-        match self {
-            Fold::Stats { columns } => columns.len(),
-            Fold::Exact { aggregates, .. } => aggregates.len(),
-        }
-    }
+/// A folded partition's slot states, in the form its fold leaves them.
+#[derive(Debug, Clone)]
+pub enum SlotStates {
+    /// [`Fold::Stats`]: full moments, `states[slot * width + column]`.
+    Stats(Vec<AggState>),
+    /// [`Fold::Exact`]: one cell column per aggregate, cell `slot` each,
+    /// holding only what its aggregate's kind reads.
+    Exact(Vec<CellColumn<ExactCells>>),
 }
 
 /// One global partition a shard holds whole, folded.
@@ -83,8 +84,8 @@ pub struct WalkedPartition {
     pub start: u64,
     /// The shard key of each of the partition's slots.
     pub slots: Vec<u32>,
-    /// `states[slot * width + i]`, width [`Fold::width`].
-    pub states: Vec<AggState>,
+    /// The slots' states.
+    pub states: SlotStates,
 }
 
 /// A shard's answer to a walk: no per-row id or value, only keys and
@@ -153,14 +154,17 @@ impl<'a, 'f> Kernel<'a, 'f> {
         rows: &RowSpace<'_>,
         keys: &RowKeys<'_>,
         range: RowRange,
-    ) -> (LocalKeys, Vec<AggState>) {
+    ) -> (LocalKeys, SlotStates) {
         match self {
             Kernel::Stats(values) => {
                 let (local, runs) = partition(keys, &rows.segments(range), range);
-                (local, fold_runs(rows, values, &runs))
+                (local, SlotStates::Stats(fold_runs(rows, values, &runs)))
             }
             Kernel::Exact { aggregates, inputs, filters } => {
-                fold_partition(rows, keys, range, aggregates, inputs, filters.as_deref(), |_| 1.0)
+                let filters = filters.as_deref();
+                let (local, columns) =
+                    fold_partition(rows, keys, range, aggregates, inputs, filters, |_| 1.0);
+                (local, SlotStates::Exact(columns))
             }
         }
     }
@@ -318,20 +322,59 @@ pub(crate) struct Merged {
     pub shards: Vec<ShardKeys>,
     /// Per global partition, in order: the merged key of each slot, and the
     /// slot states.
-    pub partials: Vec<(Vec<u32>, Vec<AggState>)>,
+    pub partials: Vec<(Vec<u32>, SlotStates)>,
+}
+
+/// Whether `states` are `fold`'s, for `slots` slots: a moments state per
+/// slot and column, or a column per aggregate holding its kind's cells, a
+/// cell per slot. `Err` says what they are instead.
+fn check_states(states: &SlotStates, fold: &Fold, slots: usize) -> std::result::Result<(), String> {
+    match (states, fold) {
+        (SlotStates::Stats(states), Fold::Stats { columns }) => {
+            let width = columns.len();
+            match slots.checked_mul(width) == Some(states.len()) {
+                true => Ok(()),
+                false => Err(format!("{} states for {slots} slots of {width}", states.len())),
+            }
+        }
+        (SlotStates::Exact(cells), Fold::Exact { aggregates, .. }) => {
+            if cells.len() != aggregates.len() {
+                return Err(format!(
+                    "{} cell columns for {} aggregates",
+                    cells.len(),
+                    aggregates.len()
+                ));
+            }
+            for (column, agg) in cells.iter().zip(aggregates) {
+                if !column.folds(agg.kind) {
+                    return Err(format!("cells of another kind for {}", agg.kind.name()));
+                }
+                if column.len() != slots {
+                    return Err(format!(
+                        "{} {} cells for {slots} slots",
+                        column.len(),
+                        agg.kind.name()
+                    ));
+                }
+            }
+            Ok(())
+        }
+        (SlotStates::Stats(_), _) => Err("moments for an exact fold".to_string()),
+        (SlotStates::Exact(_), _) => Err("cell columns for a statistics fold".to_string()),
+    }
 }
 
 /// A walk's answer against the request: distinct keys as wide as the
 /// dimensions, with sizes summing to the shard's rows; one partial per
 /// whole partition the shard holds, in order, each naming listed keys once
-/// with a state per slot and column.
+/// with the states `fold` leaves for its slots.
 fn check_walked(
     walked: &Walked,
     first_row: usize,
     rows: usize,
     total_rows: usize,
     dims: usize,
-    width: usize,
+    fold: &Fold,
 ) -> std::result::Result<(), String> {
     let Walked { keys, sizes, partitions } = walked;
     if keys.len() != sizes.len() {
@@ -367,11 +410,8 @@ fn check_walked(
                 partition.start
             ));
         }
-        let slots = partition.slots.len();
-        if slots.checked_mul(width) != Some(partition.states.len()) {
-            let states = partition.states.len();
-            return Err(format!("{states} states for {slots} slots of {width} at row {start}"));
-        }
+        check_states(&partition.states, fold, partition.slots.len())
+            .map_err(|what| format!("{what} at row {start}"))?;
         for &key in &partition.slots {
             match in_partition.get_mut(key as usize) {
                 None => {
@@ -425,7 +465,7 @@ impl<'a> RowSpace<'a> {
                 Part::Local(table) => walk_table(table, first, total, exprs, fold, within),
                 Part::Remote(reader) => {
                     let walked = reader.walk(first, total, exprs, fold)?;
-                    check_walked(&walked, first, rows, total, exprs.len(), fold.width()).map_err(
+                    check_walked(&walked, first, rows, total, exprs.len(), fold).map_err(
                         |what| Self::bad_answer(s, reader, format!("a walk with {what}")),
                     )?;
                     Ok(walked)
@@ -471,7 +511,7 @@ impl<'a> RowSpace<'a> {
         fold: &Fold,
         merge: &OrderedMerge<Vec<KeyAtom>>,
         options: &ExecOptions,
-    ) -> Result<Vec<(Vec<u32>, Vec<AggState>)>> {
+    ) -> Result<Vec<(Vec<u32>, SlotStates)>> {
         let straddling: Vec<Vec<ShardSegment>> = partition_rows(self.num_rows())
             .into_iter()
             .map(|range| self.segments(range))

@@ -27,17 +27,15 @@
 //! thread.
 
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// One stage's totals.
+/// One stage's total.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stage {
     /// The stage's name.
     pub name: &'static str,
     /// Time spent in it, summed over every span.
     pub elapsed: Duration,
-    /// Spans recorded.
-    pub spans: u64,
 }
 
 /// A log of per-stage totals, shared by every worker of the statements it
@@ -54,23 +52,12 @@ impl Spans {
     }
 
     /// Add one span of `elapsed` to stage `name`.
-    pub fn record(&self, name: &'static str, elapsed: Duration) {
+    pub(crate) fn record(&self, name: &'static str, elapsed: Duration) {
         let mut stages = self.stages.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         match stages.iter_mut().find(|stage| stage.name == name) {
-            Some(stage) => {
-                stage.elapsed += elapsed;
-                stage.spans += 1;
-            }
-            None => stages.push(Stage { name, elapsed, spans: 1 }),
+            Some(stage) => stage.elapsed += elapsed,
+            None => stages.push(Stage { name, elapsed }),
         }
-    }
-
-    /// Time `f` as one span of stage `name`.
-    pub fn time<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.record(name, start.elapsed());
-        out
     }
 
     /// Every stage recorded so far, in the order each was first recorded.
@@ -101,9 +88,8 @@ mod tests {
         spans.record("fold", Duration::from_micros(3));
         spans.record("merge", Duration::from_micros(1));
         spans.record("fold", Duration::from_micros(4));
-        let stages = spans.stages();
         assert_eq!(stage_names(&spans), ["fold", "merge"]);
-        assert_eq!((stages[0].elapsed, stages[0].spans), (Duration::from_micros(7), 2));
+        assert_eq!(spans.stages()[0].elapsed, Duration::from_micros(7));
         spans.clear();
         assert!(spans.stages().is_empty());
     }

@@ -16,6 +16,12 @@
 //! weight, so the reference restates it with the accumulator and the weight
 //! as parameters.
 //!
+//! The reference folds one full `AggState` (exact) or `WeightedAggState`
+//! (sampled) per (group, aggregate), while the engine folds only the narrow
+//! cell each aggregate kind reads; the statements cover every kind, over
+//! inputs with and without values, so each narrow cell is held to the full
+//! state's bits.
+//!
 //! The reference reads every value one row at a time — aggregate inputs
 //! with `BoundExpr::f64_at`, the predicate with `BoundPredicate::matches` —
 //! while the engine evaluates both a block at a time, so computed inputs
@@ -105,10 +111,27 @@ fn assert_matches_reference(table: &Table, exprs: &[ScalarExpr], context: &str) 
 /// Rows of one grouping set's answer: key, value bits, contributing rows.
 type AnswerRows = Vec<(Vec<KeyAtom>, Vec<u64>, u64)>;
 
-/// `SUM(value), COUNT(*), AVG(value)` by `exprs`, kept to `value > cut`
-/// when a cut is given.
+/// `value` where it is positive; a row where it is not has no value.
+fn positive(value: &str) -> ScalarExpr {
+    let col = ScalarExpr::col(value);
+    let when = CaseWhen { lhs: col.clone(), op: CmpOp::Gt, rhs: ScalarExpr::lit(0.0), then: col };
+    ScalarExpr::Case { whens: vec![when], otherwise: None }
+}
+
+/// Every aggregate kind by `exprs` — `SUM`, `COUNT(*)`, `AVG`, `MIN` and
+/// `VAR` of `value`, and `MAX`, `STD` and `COUNT_IF` of its nullable
+/// [`positive`] part — kept to `value > cut` when a cut is given.
 fn statement(exprs: &[ScalarExpr], (value, cut, cube): (&str, Option<f64>, bool)) -> GroupByQuery {
-    let aggregates = vec![AggExpr::sum(value), AggExpr::count(), AggExpr::avg(value)];
+    let aggregates = vec![
+        AggExpr::sum(value),
+        AggExpr::count(),
+        AggExpr::avg(value),
+        AggExpr::min(value),
+        AggExpr::over(AggKind::Max, positive(value)),
+        AggExpr::var(value),
+        AggExpr::over(AggKind::Std, positive(value)),
+        AggExpr::count_if_over(positive(value), CmpOp::Lt, 1.0),
+    ];
     let mut query = GroupByQuery::new(exprs.to_vec(), aggregates);
     query.predicate = cut.map(|cut| Predicate::cmp(value, CmpOp::Gt, cut));
     query.cube = cube;
@@ -522,6 +545,46 @@ fn date_parts_match_reference_either_side_of_the_day_table() {
         &statement(&dims, ("v", None, false)),
         &[],
         "interned",
+    );
+}
+
+/// A group whose every input has no value folds no row into any cell of a
+/// statement over that input alone, so it is dropped — exactly and
+/// sampled, whole and in shards — while its neighbours answer the
+/// reference, every aggregate kind of them.
+#[test]
+fn a_group_without_a_value_is_dropped() {
+    let mut b = TableBuilder::new(&[("g", DataType::Str), ("v", DataType::Float64)]);
+    for i in 0..3000usize {
+        let g = ["a", "b", "c"][i % 3];
+        // Group `b` is never positive.
+        let v = ((i as f64) * 0.37).sin() * 10.0;
+        let v = if g == "b" { -v.abs() } else { v };
+        b.push_row(&[Value::str(g), Value::Float64(v)]).unwrap();
+    }
+    let table = b.finish();
+    let input = positive("v");
+    let aggregates =
+        [AggKind::Sum, AggKind::Avg, AggKind::Min, AggKind::Max, AggKind::Var, AggKind::Std];
+    let aggregates = aggregates.map(|kind| AggExpr::over(kind, input.clone())).to_vec();
+    let query = GroupByQuery::new(vec![ScalarExpr::col("g")], aggregates);
+    let keys = |rows: &[AnswerRows]| -> Vec<Vec<KeyAtom>> {
+        rows[0].iter().map(|(key, _, _)| key.clone()).collect()
+    };
+    let want = reference_answer::<AggState>(&table, &query, |_| 1.0);
+    assert_eq!(keys(&want), [[KeyAtom::from("a")], [KeyAtom::from("c")]]);
+    assert_answers_match_reference(&table, &query, &[], "no value in b");
+    let sample = weighted_sample(&table);
+    let weighted =
+        reference_answer::<WeightedAggState>(&sample.table, &query, |r| sample.weights[r]);
+    assert_eq!(keys(&weighted), keys(&want));
+    assert_estimates_match_reference(&sample, &query, "no value in b, sampled");
+    // Every kind over the same rows keeps `b`: `COUNT(*)` counts its rows.
+    assert_answers_match_reference(
+        &table,
+        &statement(&[ScalarExpr::col("g")], ("v", None, true)),
+        &[],
+        "every kind",
     );
 }
 

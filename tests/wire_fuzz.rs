@@ -16,10 +16,13 @@
 //! Every payload is the encoding of a real value: a table of string,
 //! integer, float, timestamp and bool columns, walks under both folds (a
 //! nested predicate and every aggregate shape), their answers with keys and
-//! partition states, picks and their picked rows, and dense and sparse value
-//! columns — one of every `Request` and `Response` variant, and the corpus's
-//! first bytes are exactly the tags each decoder accepts, so a variant added
-//! or retired without its payload fails the battery.
+//! partition states — a statistics fold's moments, and an exact fold's
+//! narrow cell columns of every kind — picks and their picked rows, and
+//! dense and sparse value columns — one of every `Request` and `Response`
+//! variant, and the corpus's first bytes are exactly the tags each decoder
+//! accepts, so a variant added or retired without its payload fails the
+//! battery; likewise its walked partitions carry every form of slot states
+//! and every kind of cell column.
 
 mod common;
 
@@ -29,8 +32,8 @@ use std::io::{self, Read};
 
 use cvopt_net::frame::{read_frame, write_frame, MAX_FRAME, PROTOCOL_VERSION};
 use cvopt_net::wire::{DecodeError, Request, Response};
-use cvopt_table::agg::AggState;
-use cvopt_table::reader::{Fold, Pick, Picked, Walked, WalkedPartition};
+use cvopt_table::agg::{AggState, CellColumn, CountCell, MaxCell, MeanCell, MinCell, SumCell};
+use cvopt_table::reader::{Fold, Pick, Picked, SlotStates, Walked, WalkedPartition};
 use cvopt_table::{
     AggExpr, AggKind, ArithOp, CaseWhen, CmpOp, Column, ColumnValues, DataType, Dictionary,
     KeyAtom, LocalShard, Predicate, ScalarExpr, Schema, ShardReader, Table, TableBuilder, Value,
@@ -97,6 +100,13 @@ fn requests() -> Vec<Request<'static>> {
                 ],
             },
         },
+        Request::Walk {
+            key: key(),
+            first_row: 0,
+            total_rows: 6,
+            exprs: vec![ScalarExpr::col("city")],
+            fold: every_kind(),
+        },
         Request::Pick {
             key: key(),
             exprs: vec![ScalarExpr::col("city"), ScalarExpr::month("ts")],
@@ -106,19 +116,67 @@ fn requests() -> Vec<Request<'static>> {
     ]
 }
 
+/// The exact fold of every aggregate kind, `COUNT_IF` over a nullable
+/// input.
+fn every_kind() -> Fold {
+    let col = ScalarExpr::col;
+    let nullable = ScalarExpr::Case {
+        whens: vec![CaseWhen {
+            lhs: col("n"),
+            op: CmpOp::Gt,
+            rhs: ScalarExpr::lit(0.0),
+            then: col("value"),
+        }],
+        otherwise: None,
+    };
+    let aggregates = vec![
+        AggExpr::count(),
+        AggExpr::sum("value"),
+        AggExpr::over(AggKind::Avg, col("n")),
+        AggExpr::min("value"),
+        AggExpr::max("n"),
+        AggExpr::var("value"),
+        AggExpr::std("n"),
+        AggExpr::count_if_over(nullable, CmpOp::Ge, -1.0),
+    ];
+    Fold::Exact { predicate: Some(Predicate::cmp("ok", CmpOp::Eq, true)), aggregates }
+}
+
 fn responses() -> Vec<Response> {
     let exprs = [ScalarExpr::col("city"), ScalarExpr::month("ts")];
     let shard = LocalShard::new(table());
     let fold = Fold::Stats { columns: vec![ScalarExpr::col("value"), ScalarExpr::col("n")] };
     let walked = shard.walk(0, 6, &exprs, &fold).unwrap();
     assert_eq!(walked.partitions.len(), 1, "the six rows are one whole partition");
-    let partition = WalkedPartition {
+    let exact = shard.walk(0, 6, &exprs, &every_kind()).unwrap();
+    let moments = WalkedPartition {
         start: 1 << 16,
         slots: vec![0],
-        states: vec![AggState { count: 3, sum: -0.0, mean: f64::NAN, ..AggState::default() }],
+        states: SlotStates::Stats(vec![AggState {
+            count: 3,
+            sum: -0.0,
+            mean: f64::NAN,
+            ..AggState::default()
+        }]),
     };
-    let forged =
-        Walked { keys: vec![vec![KeyAtom::Int(-1)]], sizes: vec![3], partitions: vec![partition] };
+    let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+    let cells = WalkedPartition {
+        start: 2 << 16,
+        slots: vec![0],
+        states: SlotStates::Exact(vec![
+            CellColumn::Count(vec![CountCell { count: u64::MAX }]),
+            CellColumn::Sum(vec![SumCell { count: 3, sum: -0.0 }]),
+            CellColumn::Min(vec![MinCell { count: 1, min: nan }]),
+            CellColumn::Max(vec![MaxCell::default()]),
+            CellColumn::Avg(vec![MeanCell { count: 2, mean: f64::NEG_INFINITY }]),
+            CellColumn::Moments(vec![AggState { m2: nan, ..AggState::default() }]),
+        ]),
+    };
+    let forged = Walked {
+        keys: vec![vec![KeyAtom::Int(-1)]],
+        sizes: vec![3],
+        partitions: vec![moments, cells],
+    };
     let picks = [Pick { key: 2, ordinals: vec![0] }, Pick { key: 0, ordinals: vec![0] }];
     vec![
         Response::Registered { rows: 6 },
@@ -133,6 +191,7 @@ fn responses() -> Vec<Response> {
         Response::Rows { table: table() },
         Response::Error { message: "no such shard".into() },
         Response::Walked { walked },
+        Response::Walked { walked: exact },
         Response::Walked { walked: forged },
         Response::Picked { picked: shard.pick(&exprs, &picks).unwrap() },
         Response::Picked { picked: Picked { table: table(), rows: vec![5, 0, 1, 2, 3, 4] } },
@@ -150,6 +209,42 @@ fn payloads() -> Vec<(bool, Vec<u8>)> {
 fn live_tags<T>(side: &str, decode: fn(&[u8]) -> Result<T, DecodeError>) -> BTreeSet<u8> {
     let invalid = |tag: u8| DecodeError(format!("invalid {side} tag {tag}"));
     (0..=u8::MAX).filter(|&tag| decode(&[tag]).err() != Some(invalid(tag))).collect()
+}
+
+/// The forms of slot states, and the kinds of cell columns, that the
+/// corpus's walked partitions carry.
+fn state_forms() -> BTreeSet<&'static str> {
+    let mut forms = BTreeSet::new();
+    for response in responses() {
+        let Response::Walked { walked } = response else { continue };
+        for partition in &walked.partitions {
+            match &partition.states {
+                SlotStates::Stats(_) => drop(forms.insert("moments")),
+                SlotStates::Exact(columns) => {
+                    for column in columns {
+                        forms.insert(match column {
+                            CellColumn::Count(_) => "count",
+                            CellColumn::Sum(_) => "sum",
+                            CellColumn::Min(_) => "min",
+                            CellColumn::Max(_) => "max",
+                            CellColumn::Avg(_) => "avg",
+                            CellColumn::Moments(_) => "cell moments",
+                        });
+                    }
+                }
+            }
+        }
+    }
+    forms
+}
+
+/// Every form a walked partition's states can take is in the corpus: the
+/// matches above are exhaustive, so a form added without a case here fails
+/// to compile, and one added to the match without a payload fails this.
+#[test]
+fn the_corpus_walks_every_form_of_state() {
+    let all = ["moments", "count", "sum", "min", "max", "avg", "cell moments"];
+    assert_eq!(state_forms(), all.into_iter().collect());
 }
 
 #[test]
