@@ -1,11 +1,12 @@
 //! Per-stage time of the exact statements, read from the engine's own
 //! spans ([`cvopt_table::spans`]).
 //!
-//! Registers a generated OpenAQ table (1,048,576 rows by default), the same
+//! Registers a generated OpenAQ table of [`ROWS`] rows, the same
 //! rows in three shards (`openaq3`) and a 38-row region dimension, attaches
 //! a [`Spans`] log to the engine's execution options, and answers nine
 //! exact statements — five OpenAQ shapes, an expression aggregate, a JOIN
-//! and two shapes over the shards — `--reps` times each. It prints, per
+//! and two shapes over the shards — [`REPS`] times each, at [`THREADS`]
+//! threads. It prints, per
 //! statement, the median wall-clock of `Engine::query` and the median of
 //! each stage the statement opened, in milliseconds; the last row sums
 //! every column over the statements.
@@ -14,7 +15,7 @@
 //! over workers, so at more than one thread it can exceed the wall-clock.
 //!
 //! ```text
-//! cargo run --release -p cvopt-bench --bin stages -- [--rows N] [--reps R] [--threads T]
+//! cargo run --release -p cvopt-bench --bin stages
 //! ```
 
 use std::sync::Arc;
@@ -24,6 +25,15 @@ use cvopt_core::{Engine, ExecOptions, QueryMode, ShardedTable};
 use cvopt_datagen::openaq::country_code;
 use cvopt_datagen::{generate_openaq, OpenAqConfig};
 use cvopt_table::{DataType, Spans, Table, TableBuilder, Value};
+
+/// Rows of the generated OpenAQ table.
+const ROWS: usize = 1 << 20;
+
+/// Runs of each statement; each column is their median.
+const REPS: usize = 21;
+
+/// Worker threads of the engine's execution options.
+const THREADS: usize = 2;
 
 /// The statements, by id.
 const STATEMENTS: [(&str, &str); 9] = [
@@ -88,22 +98,8 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-fn flag(args: &[String], name: &str, default: usize) -> usize {
-    match args.iter().position(|a| a == name) {
-        None => default,
-        Some(i) => args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("usage: stages [--rows N] [--reps R] [--threads T]");
-            std::process::exit(2)
-        }),
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let rows = flag(&args, "--rows", 1 << 20);
-    let reps = flag(&args, "--reps", 21).max(1);
-    let threads = flag(&args, "--threads", 2);
-
+    let (rows, reps, threads) = (ROWS, REPS, THREADS);
     let table = generate_openaq(&OpenAqConfig::with_rows(rows));
     let spans = Arc::new(Spans::new());
     let exec = ExecOptions::new(threads).with_spans(spans.clone());

@@ -5,16 +5,15 @@
 //! as `f64::to_bits`, so NaN payloads and signed zeros round-trip exactly,
 //! and an [`AggState`] travels as its count plus its five floats' bits.
 //!
-//! A walked partition's states travel in the form its fold left them. A
-//! statistics fold's walk is answered under tag 11, each partition's states
-//! a counted list of `AggState`s. An exact fold's is answered under tag 13,
-//! each partition's states led by a form byte — 0 and such a list, or 1
-//! and one column per aggregate: a kind tag (0 `COUNT`, 1 `SUM`/`COUNT_IF`,
+//! A walk's partitions travel in the one form its fold left them, named
+//! once by the response tag. A statistics fold's walk is answered under tag
+//! 11, each partition's states a counted list of `AggState`s. An exact
+//! fold's is answered under tag 13, each partition's states a counted list
+//! of columns, one per aggregate: a kind tag (0 `COUNT`, 1 `SUM`/`COUNT_IF`,
 //! 2 `MIN`, 3 `MAX`, 4 `AVG`, 5 `VAR`/`STD`) and a counted run of its
 //! narrow cells, each the cell's count followed by the bits of the one
 //! float its kind keeps (a `COUNT` cell is its count alone, a `VAR`/`STD`
-//! cell a whole `AggState`). A tag 13 answer holds at least one column of
-//! cells, so every walk has one encoding.
+//! cell a whole `AggState`).
 //!
 //! Tables travel column-major: the schema, the row count `n`, then one run
 //! per column — `n` `i64`s for `Int64` and `Timestamp`, `n` `f64` bit
@@ -71,7 +70,7 @@ use cvopt_table::agg::{
     AggState, CellColumn, CountCell, ExactCells, MaxCell, MeanCell, MinCell, SumCell,
 };
 use cvopt_table::dict::check_first_occurrence;
-use cvopt_table::reader::{Fold, Pick, Picked, SlotStates, Walked, WalkedPartition};
+use cvopt_table::reader::{Fold, Partitions, Pick, Picked, Walked, WalkedPartition};
 use cvopt_table::{
     AggExpr, AggKind, ArithOp, CaseWhen, CmpOp, Column, ColumnValues, DataType, Dictionary, Field,
     KeyAtom, Predicate, ScalarExpr, Schema, Table, Value,
@@ -983,77 +982,56 @@ fn get_cells(r: &mut Reader) -> Result<CellColumn<ExactCells>> {
     })
 }
 
-/// Whether any partition of `walked` holds cell columns: such a walk is
-/// answered under tag 13, each partition's states led by their form.
-fn holds_cells(walked: &Walked) -> bool {
-    walked.partitions.iter().any(|p| matches!(p.states, SlotStates::Exact(_)))
-}
-
-fn put_slot_states(w: &mut Writer, states: &SlotStates) {
-    match states {
-        SlotStates::Stats(states) => {
-            w.u8(0);
-            put_states(w, states);
-        }
-        SlotStates::Exact(columns) => {
-            w.u8(1);
-            w.len(columns.len());
-            for column in columns {
-                put_cells(w, column);
-            }
-        }
+fn put_cell_columns(w: &mut Writer, columns: &[CellColumn<ExactCells>]) {
+    w.len(columns.len());
+    for column in columns {
+        put_cells(w, column);
     }
 }
 
-fn get_slot_states(r: &mut Reader) -> Result<SlotStates> {
-    match r.u8()? {
-        0 => Ok(SlotStates::Stats(get_states(r)?)),
-        1 => {
-            let n = r.len()?;
-            Ok(SlotStates::Exact(get_vec(r, n, get_cells)?))
-        }
-        t => Err(DecodeError::new(format!("invalid slot states tag {t}"))),
-    }
+fn get_cell_columns(r: &mut Reader) -> Result<Vec<CellColumn<ExactCells>>> {
+    let n = r.len()?;
+    get_vec(r, n, get_cells)
 }
 
-/// The body of a `Walked` answer, after its tag: each partition's states
-/// led by their form under tag 13 (`cells`), bare moments under tag 11.
-fn put_walked(w: &mut Writer, walked: &Walked, cells: bool) {
+/// The body of a `Walked` answer, after its tag: the keys and their sizes,
+/// then each partition's start, slots and states, written by `put`.
+fn put_walked<S>(
+    w: &mut Writer,
+    walked: &Walked,
+    partitions: &[WalkedPartition<S>],
+    put: fn(&mut Writer, &S),
+) {
     w.len(walked.keys.len());
     for (key, &size) in walked.keys.iter().zip(&walked.sizes) {
         put_key(w, key);
         w.u64(size);
     }
-    w.len(walked.partitions.len());
-    for partition in &walked.partitions {
+    w.len(partitions.len());
+    for partition in partitions {
         w.u64(partition.start);
         put_rows(w, &partition.slots);
-        match (&partition.states, cells) {
-            (states, true) => put_slot_states(w, states),
-            (SlotStates::Stats(states), false) => put_states(w, states),
-            (SlotStates::Exact(_), false) => unreachable!("a walk holding cells is sent as one"),
-        }
+        put(w, &partition.states);
     }
 }
 
-/// A walk's answer as sent; whether it fits the request is the
-/// coordinator's to check. Under tag 13 (`cells`) it must hold cells, so
-/// each answer has one encoding.
-fn get_walked(r: &mut Reader, cells: bool) -> Result<Walked> {
+/// A walk's answer as sent, each partition's states read by `get` and the
+/// partitions put in their form by `form`; whether it fits the request is
+/// the coordinator's to check.
+fn get_walked<S>(
+    r: &mut Reader,
+    get: fn(&mut Reader) -> Result<S>,
+    form: fn(Vec<WalkedPartition<S>>) -> Partitions,
+) -> Result<Walked> {
     let n = r.len()?;
     let (keys, sizes) = get_vec(r, n, |r| Ok((get_key(r)?, r.u64()?)))?.into_iter().unzip();
     let n = r.len()?;
     let partitions = get_vec(r, n, |r| {
         let start = r.u64()?;
         let slots = get_rows(r)?;
-        let states = if cells { get_slot_states(r)? } else { SlotStates::Stats(get_states(r)?) };
-        Ok(WalkedPartition { start, slots, states })
+        Ok(WalkedPartition { start, slots, states: get(r)? })
     })?;
-    let walked = Walked { keys, sizes, partitions };
-    if cells && !holds_cells(&walked) {
-        return Err(DecodeError::new("a walk answered with cells holds none"));
-    }
-    Ok(walked)
+    Ok(Walked { keys, sizes, partitions: form(partitions) })
 }
 
 fn put_picks(w: &mut Writer, picks: &[Pick]) {
@@ -1326,11 +1304,16 @@ impl Response {
                 w.u8(8);
                 w.str(message);
             }
-            Response::Walked { walked } => {
-                let cells = holds_cells(walked);
-                w.u8(if cells { 13 } else { 11 });
-                put_walked(&mut w, walked, cells);
-            }
+            Response::Walked { walked } => match &walked.partitions {
+                Partitions::Stats(partitions) => {
+                    w.u8(11);
+                    put_walked(&mut w, walked, partitions, |w, states| put_states(w, states));
+                }
+                Partitions::Exact(partitions) => {
+                    w.u8(13);
+                    put_walked(&mut w, walked, partitions, |w, cells| put_cell_columns(w, cells));
+                }
+            },
             Response::Picked { picked } => {
                 w.u8(12);
                 put_table(&mut w, &picked.table);
@@ -1367,8 +1350,8 @@ fn get_response(r: &mut Reader) -> Result<Response> {
         }
         7 => Response::Rows { table: get_table(r)? },
         8 => Response::Error { message: r.str()? },
-        11 => Response::Walked { walked: get_walked(r, false)? },
-        13 => Response::Walked { walked: get_walked(r, true)? },
+        11 => Response::Walked { walked: get_walked(r, get_states, Partitions::Stats)? },
+        13 => Response::Walked { walked: get_walked(r, get_cell_columns, Partitions::Exact)? },
         12 => {
             let table = get_table(r)?;
             let rows = get_rows(r)?;

@@ -789,7 +789,6 @@ pub struct GroupProjection<'k> {
     dim_names: Vec<String>,
     fine_to_coarse: Vec<u32>,
     coarse_keys: Vec<Cow<'k, [KeyAtom]>>,
-    identity: bool,
 }
 
 impl<'k> GroupProjection<'k> {
@@ -815,7 +814,6 @@ impl<'k> GroupProjection<'k> {
                 dim_names: coarse_names,
                 fine_to_coarse: (0..keys.len() as u32).collect(),
                 coarse_keys: keys.iter().map(|key| Cow::Borrowed(key.as_ref())).collect(),
-                identity: true,
             };
         }
         KEYS_PROJECTED.fetch_add(keys.len() as u64, Ordering::Relaxed);
@@ -828,13 +826,7 @@ impl<'k> GroupProjection<'k> {
             dim_names: coarse_names,
             fine_to_coarse: merge.push(projected),
             coarse_keys: merge.keys,
-            identity: false,
         }
-    }
-
-    /// Whether this is the identity: coarse group `g` is fine group `g`.
-    pub(crate) fn is_identity(&self) -> bool {
-        self.identity
     }
 
     /// Names of the coarse dimensions.
@@ -1002,7 +994,6 @@ mod tests {
         let gi =
             GroupIndex::build(&t, &[ScalarExpr::col("major"), ScalarExpr::col("year")]).unwrap();
         let proj = gi.project(&[0, 1]);
-        assert!(proj.is_identity() && !gi.project(&[1, 0]).is_identity());
         assert_eq!(proj.dim_names(), gi.dim_names());
         assert_eq!(proj.num_groups(), gi.num_groups());
         for g in 0..gi.num_groups() as u32 {

@@ -26,7 +26,7 @@ use crate::agg::AggState;
 use crate::error::check_row_ids;
 use crate::exec::{self, ExecOptions, RowRange};
 use crate::expr::{BoundExpr, ScalarExpr};
-use crate::reader::{Fold, RowSpace, ShardKeys, SlotStates};
+use crate::reader::{Fold, RowSpace, ShardKeys};
 use crate::shard::ShardSegment;
 use crate::table::Table;
 use crate::Result;
@@ -285,9 +285,6 @@ impl Strata {
             bound();
             let walked = rows.walk(exprs, &fold, options)?;
             for (strata, states) in walked.partials {
-                let SlotStates::Stats(states) = states else {
-                    unreachable!("checked: a statistics walk answers moments")
-                };
                 merge(&strata, states);
             }
             let (keys, sizes) = with_empty_key(exprs, walked.keys, walked.sizes);

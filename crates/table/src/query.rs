@@ -15,9 +15,8 @@
 //! and the merged finest-group cells are projected onto each grouping set,
 //! so a `WITH CUBE` over k attributes still scans the data once. The full
 //! set — a plain statement's only one — is the identity projection: it
-//! reads the fine cells in place and borrows the fine keys, so its read-out
-//! merges no cell, hashes and clones no key, and clones only the key of a
-//! group that folded a row.
+//! keeps the fine ids and borrows the fine keys, so its read-out hashes and
+//! clones no key, and clones only the key of a group that folded a row.
 //!
 //! [`GroupByQuery::execute`] runs it with [`ExactCells`] and unit weights
 //! over packed dimension codes and computes exact answers (the experiments'
@@ -45,7 +44,7 @@ use crate::expr::{Block, BlockScratch, BoundExpr, ScalarExpr};
 use crate::groupby::{GroupProjection, KeyAtom, LocalKeys, OrderedMerge, RowKeys};
 use crate::join::Join;
 use crate::predicate::Predicate;
-use crate::reader::{Fold, RowSpace, SlotStates};
+use crate::reader::{Fold, RowSpace};
 use crate::Result;
 
 /// One joined partition's partial: its keys decoded to key atoms, with
@@ -163,13 +162,11 @@ impl GroupByQuery {
         let fold =
             Fold::Exact { predicate: self.predicate.clone(), aggregates: self.aggregates.clone() };
         rows.check_binds(&self.group_by, &fold)?;
-        let walked = options.span("walk", || rows.walk(&self.group_by, &fold, options))?;
+        let walk = || rows.walk::<Vec<CellColumn<ExactCells>>>(&self.group_by, &fold, options);
+        let walked = options.span("walk", walk)?;
         let fine = options.span("merge", || {
             let mut fine = columns::<ExactCells>(&self.aggregates, walked.keys.len());
             for (groups, states) in &walked.partials {
-                let SlotStates::Exact(states) = states else {
-                    unreachable!("checked: an exact walk answers cell columns")
-                };
                 fine.iter_mut().zip(states).for_each(|(acc, cells)| acc.merge_at(cells, groups));
             }
             fine
@@ -322,15 +319,7 @@ impl GroupByQuery {
         let agg_names: Vec<String> = aggregates.iter().map(|a| a.alias.clone()).collect();
         let results = sets.iter().map(|dims| {
             let proj = GroupProjection::of(&dim_names, group_keys, dims);
-            let coarsened;
-            let coarse = match proj.is_identity() {
-                // Merging a cell into an empty one copies it.
-                true => fine,
-                false => {
-                    coarsened = coarsen(&proj, fine, aggregates);
-                    &coarsened
-                }
-            };
+            let coarse = coarsen(&proj, fine, aggregates);
             let mut groups = Vec::new();
             for cid in 0..proj.num_groups() {
                 let group_rows = coarse.iter().map(|column| column.rows(cid)).max().unwrap_or(0);

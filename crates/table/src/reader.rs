@@ -51,7 +51,7 @@ use crate::Result;
 mod pushdown;
 
 pub(crate) use pushdown::ShardKeys;
-pub use pushdown::{Fold, Pick, Picked, SlotStates, Walked, WalkedPartition};
+pub use pushdown::{Fold, Partitions, Pick, Picked, Walked, WalkedPartition};
 
 /// Per-row values of one expression over a whole shard. `Dense` is the
 /// contiguous-`f64`-column form (exactly when the expression exposes a
@@ -631,7 +631,7 @@ impl<'a> RowSpace<'a> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::agg::{AggExpr, AggKind, CellColumn};
+    use crate::agg::{AggExpr, AggKind, AggState, CellColumn, ExactCells};
     use crate::column::Column;
     use crate::exec::CHUNK_ROWS;
     use crate::types::{DataType, Value};
@@ -867,14 +867,14 @@ pub(crate) mod tests {
     /// plain `Float64` column and a computed integer one alike.
     #[test]
     fn walked_statistics_agree_with_bound_expressions() {
-        use crate::agg::AggState;
         let t = table(100);
         let shard = LocalShard::new(t.clone());
         let columns = vec![ScalarExpr::col("x"), ScalarExpr::col("i")];
         let walked = shard.walk(0, 100, &[ScalarExpr::col("g")], &Fold::Stats { columns }).unwrap();
         assert_eq!(walked.keys.len(), 7);
-        let [partition] = walked.partitions.as_slice() else { panic!("one whole partition") };
-        let SlotStates::Stats(states) = &partition.states else { panic!("moments") };
+        let Partitions::Stats(partitions) = &walked.partitions else { panic!("moments") };
+        let [partition] = partitions.as_slice() else { panic!("one whole partition") };
+        let states = &partition.states;
         let bound =
             [ScalarExpr::col("x").bind(&t).unwrap(), ScalarExpr::col("i").bind(&t).unwrap()];
         for (slot, &key) in partition.slots.iter().enumerate() {
@@ -1102,6 +1102,18 @@ pub(crate) mod tests {
             /// Rows of other strata, in order, in place of the picked ones.
             OtherKeys,
         }
+        /// `fault`'s change to where the partitions of a walk over `keys`
+        /// keys sit, in either form.
+        fn misplace<S: Clone>(fault: Fault, keys: u32, partitions: &mut Vec<WalkedPartition<S>>) {
+            match fault {
+                Fault::SlotPastKeys => partitions[0].slots[0] = keys,
+                Fault::Misaligned => partitions[0].start += 1,
+                Fault::Repeated => partitions.push(partitions[0].clone()),
+                Fault::Outside => partitions[0].start = 1 << 16,
+                Fault::Missing => partitions.clear(),
+                _ => {}
+            }
+        }
         #[derive(Debug)]
         struct Bad {
             shard: LocalShard,
@@ -1129,28 +1141,32 @@ pub(crate) mod tests {
                 let exprs = if self.fault == Fault::OtherDims { &wide } else { exprs };
                 let mut walked = self.shard.walk(first_row, total, exprs, fold)?;
                 let keys = walked.keys.len() as u32;
-                let partitions = &mut walked.partitions;
-                match self.fault {
-                    Fault::SlotPastKeys => partitions[0].slots[0] = keys,
-                    Fault::Misaligned => partitions[0].start += 1,
-                    Fault::Repeated => partitions.push(partitions[0].clone()),
-                    Fault::Outside => partitions[0].start = 1 << 16,
-                    Fault::Missing => partitions.clear(),
-                    Fault::StateCount => match &mut partitions[0].states {
-                        SlotStates::Stats(states) => drop(states.pop()),
-                        SlotStates::Exact(columns) => {
-                            let cells = columns[0].len();
-                            columns[0].resize(cells - 1)
-                        }
-                    },
-                    Fault::CellKind => {
-                        if let SlotStates::Exact(columns) = &mut partitions[0].states {
-                            let mut other = CellColumn::with_capacity(AggKind::Max, 0);
-                            other.resize(columns[0].len());
-                            columns[0] = other;
+                match &mut walked.partitions {
+                    Partitions::Stats(partitions) => {
+                        misplace(self.fault, keys, partitions);
+                        if self.fault == Fault::StateCount {
+                            partitions[0].states.pop();
                         }
                     }
-                    Fault::OtherForm => partitions[0].states = SlotStates::Stats(Vec::new()),
+                    Partitions::Exact(partitions) => {
+                        misplace(self.fault, keys, partitions);
+                        let columns = &mut partitions[0].states;
+                        match self.fault {
+                            Fault::StateCount => {
+                                let cells = columns[0].len();
+                                columns[0].resize(cells - 1)
+                            }
+                            Fault::CellKind => {
+                                let mut other = CellColumn::with_capacity(AggKind::Max, 0);
+                                other.resize(columns[0].len());
+                                columns[0] = other;
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+                match self.fault {
+                    Fault::OtherForm => walked.partitions = Partitions::Stats(Vec::new()),
                     Fault::Sizes => walked.sizes[0] += 1,
                     Fault::KeyTwice => walked.keys[1] = walked.keys[0].clone(),
                     _ => {}
@@ -1196,14 +1212,16 @@ pub(crate) mod tests {
         let exec = ExecOptions::sequential();
         let strata = [ScalarExpr::col("g")];
         let fold = Fold::Stats { columns: vec![ScalarExpr::col("x")] };
-        let walk = |fault, fold: &Fold| set_of(fault).rows().walk(&strata, fold, &exec).err();
+        let walk = |fault| set_of(fault).rows().walk::<Vec<AggState>>(&strata, &fold, &exec).err();
         let exact = Fold::Exact { predicate: None, aggregates: vec![AggExpr::sum("x")] };
         for (fault, what) in [
             (Fault::StateCount, "6 SUM cells for 7 slots at row 0"),
             (Fault::CellKind, "cells of another kind for SUM at row 0"),
-            (Fault::OtherForm, "moments for an exact fold at row 0"),
+            (Fault::OtherForm, "a walk with moments for an exact fold"),
         ] {
-            let err = walk(fault, &exact).unwrap_or_else(|| panic!("{fault:?} was merged"));
+            let set = set_of(fault);
+            let err = set.rows().walk::<Vec<CellColumn<ExactCells>>>(&strata, &exact, &exec).err();
+            let err = err.unwrap_or_else(|| panic!("{fault:?} was merged"));
             assert!(err.to_string().contains(what), "{fault:?}: {err}");
         }
         for (fault, what) in [
@@ -1218,8 +1236,7 @@ pub(crate) mod tests {
             (Fault::StateCount, "6 states for 7 slots of 1 at row 0"),
             (Fault::KeyTwice, "a walk with key \"g0\" twice"),
         ] {
-            let err =
-                walk(fault, &fold).unwrap_or_else(|| panic!("{fault:?} was merged")).to_string();
+            let err = walk(fault).unwrap_or_else(|| panic!("{fault:?} was merged")).to_string();
             assert!(err.starts_with("shard 0 (bad) returned "), "{fault:?}: {err}");
             assert!(err.contains(what), "{fault:?}: {err}");
         }
@@ -1255,7 +1272,8 @@ pub(crate) mod tests {
         assert!(err.to_string().contains("(bad) returned a mismatched gather batch"), "{err}");
         let bad = Bad { shard: LocalShard::new(table(5)), fault: Fault::WrongTypes };
         let straddling = ShardSet::new(vec![Arc::new(bad), Arc::new(LocalShard::new(table(15)))]);
-        let err = straddling.unwrap().rows().walk(&strata, &fold, &exec).err().unwrap();
+        let straddling = straddling.unwrap();
+        let err = straddling.rows().walk::<Vec<AggState>>(&strata, &fold, &exec).err().unwrap();
         assert!(err.to_string().contains("(bad) returned a mismatched gather batch"), "{err}");
         let lie = Bad { shard: LocalShard::new(table(5)), fault: Fault::WrongTypes };
         let (honest, lie) = (table(5), lie.take_rows(&[0]).unwrap());

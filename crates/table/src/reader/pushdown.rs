@@ -67,30 +67,31 @@ pub enum Fold {
     },
 }
 
-/// A folded partition's slot states, in the form its fold leaves them.
-#[derive(Debug, Clone)]
-pub enum SlotStates {
-    /// [`Fold::Stats`]: full moments, `states[slot * width + column]`.
-    Stats(Vec<AggState>),
-    /// [`Fold::Exact`]: one cell column per aggregate, cell `slot` each,
-    /// holding only what its aggregate's kind reads.
-    Exact(Vec<CellColumn<ExactCells>>),
-}
-
 /// One global partition a shard holds whole, folded.
 #[derive(Debug, Clone)]
-pub struct WalkedPartition {
+pub struct WalkedPartition<S> {
     /// Global row id of the partition's first row.
     pub start: u64,
     /// The shard key of each of the partition's slots.
     pub slots: Vec<u32>,
     /// The slots' states.
-    pub states: SlotStates,
+    pub states: S,
+}
+
+/// Every global partition a shard holds whole, in order, each in the one
+/// form the walk's fold leaves its slot states.
+#[derive(Debug, Clone)]
+pub enum Partitions {
+    /// [`Fold::Stats`]: full moments, `states[slot * width + column]`.
+    Stats(Vec<WalkedPartition<Vec<AggState>>>),
+    /// [`Fold::Exact`]: one cell column per aggregate, cell `slot` each,
+    /// holding only what its aggregate's kind reads.
+    Exact(Vec<WalkedPartition<Vec<CellColumn<ExactCells>>>>),
 }
 
 /// A shard's answer to a walk: no per-row id or value, only keys and
 /// partials.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Walked {
     /// The shard's keys in first-occurrence order over all its rows — the
     /// shard key ids.
@@ -98,7 +99,31 @@ pub struct Walked {
     /// Each key's rows in the shard.
     pub sizes: Vec<u64>,
     /// Every global partition the shard holds whole, in order.
-    pub partitions: Vec<WalkedPartition>,
+    pub partitions: Partitions,
+}
+
+/// The slot states of one form of walk.
+pub(crate) trait Form: Sized + Send {
+    /// The partitions of a walk in this form; `None` for the other form's.
+    fn take(partitions: Partitions) -> Option<Vec<WalkedPartition<Self>>>;
+}
+
+impl Form for Vec<AggState> {
+    fn take(partitions: Partitions) -> Option<Vec<WalkedPartition<Self>>> {
+        match partitions {
+            Partitions::Stats(partitions) => Some(partitions),
+            Partitions::Exact(_) => None,
+        }
+    }
+}
+
+impl Form for Vec<CellColumn<ExactCells>> {
+    fn take(partitions: Partitions) -> Option<Vec<WalkedPartition<Self>>> {
+        match partitions {
+            Partitions::Exact(partitions) => Some(partitions),
+            Partitions::Stats(_) => None,
+        }
+    }
 }
 
 /// The rows of one shard key a draw picked.
@@ -147,27 +172,60 @@ impl<'a, 'f> Kernel<'a, 'f> {
         })
     }
 
-    /// The partition `range` of `rows`, keyed by `keys`: its keys in slot
-    /// order and the slot states.
-    fn run(
+    /// [`walk_pieces`] with this kernel's fold, its partitions in its form.
+    fn walk(
         &self,
         rows: &RowSpace<'_>,
         keys: &RowKeys<'_>,
-        range: RowRange,
-    ) -> (LocalKeys, SlotStates) {
+        pieces: &[(RowRange, Option<usize>)],
+        options: &ExecOptions,
+    ) -> (OrderedMerge<u64>, Partitions) {
         match self {
             Kernel::Stats(values) => {
-                let (local, runs) = partition(keys, &rows.segments(range), range);
-                (local, SlotStates::Stats(fold_runs(rows, values, &runs)))
+                let (merged, partitions) = walk_pieces(rows, keys, pieces, options, |range| {
+                    let (local, runs) = partition(keys, &rows.segments(range), range);
+                    (local, fold_runs(rows, values, &runs))
+                });
+                (merged, Partitions::Stats(partitions))
             }
             Kernel::Exact { aggregates, inputs, filters } => {
                 let filters = filters.as_deref();
-                let (local, columns) =
-                    fold_partition(rows, keys, range, aggregates, inputs, filters, |_| 1.0);
-                (local, SlotStates::Exact(columns))
+                let (merged, partitions) = walk_pieces(rows, keys, pieces, options, |range| {
+                    fold_partition(rows, keys, range, aggregates, inputs, filters, |_| 1.0)
+                });
+                (merged, Partitions::Exact(partitions))
             }
         }
     }
+}
+
+/// Walk the `pieces` of `rows` keyed by `keys`, each on its own, `fold`ing
+/// those with a global start, and merge their keys in row order: the merge,
+/// and per folded piece, in order, the merged key of each slot and the slot
+/// states.
+fn walk_pieces<S: Send>(
+    rows: &RowSpace<'_>,
+    keys: &RowKeys<'_>,
+    pieces: &[(RowRange, Option<usize>)],
+    options: &ExecOptions,
+    fold: impl Fn(RowRange) -> (LocalKeys, S) + Sync,
+) -> (OrderedMerge<u64>, Vec<WalkedPartition<S>>) {
+    let walked = exec::run_indexed(pieces.len(), options, |i| match pieces[i] {
+        (range, Some(_)) => {
+            let (local, states) = fold(range);
+            (local, Some(states))
+        }
+        (range, None) => (keys.walk(rows, range, |_, _, _| {}), None),
+    });
+    let mut merged = OrderedMerge::default();
+    let mut partitions = Vec::new();
+    for ((local, states), &(_, whole)) in walked.into_iter().zip(pieces) {
+        let slots = merged.push(local.partial());
+        if let (Some(start), Some(states)) = (whole, states) {
+            partitions.push(WalkedPartition { start: start as u64, slots, states });
+        }
+    }
+    (merged, partitions)
 }
 
 /// The global partitions of a `total_rows`-row space that meet the shard
@@ -212,22 +270,8 @@ pub(crate) fn walk_table(
     let rows = RowSpace::from(table);
     let keys = RowKeys::encode(&rows, &[table], exprs, options)?;
     let kernel = Kernel::bind(&rows, fold, options)?;
-    let pieces = pieces(first_row, n, total_rows);
-    let walked = exec::run_indexed(pieces.len(), options, |i| match pieces[i] {
-        (range, Some(_)) => {
-            let (local, states) = kernel.run(&rows, &keys, range);
-            (local, Some(states))
-        }
-        (range, None) => (keys.walk(&rows, range, |_, _, _| {}), None),
-    });
-    let mut merged = OrderedMerge::default();
-    let mut partitions = Vec::new();
-    for ((local, states), (_, whole)) in walked.into_iter().zip(pieces) {
-        let slots = merged.push(local.partial());
-        if let (Some(start), Some(states)) = (whole, states) {
-            partitions.push(WalkedPartition { start: start as u64, slots, states });
-        }
-    }
+    let (merged, partitions) =
+        kernel.walk(&rows, &keys, &pieces(first_row, n, total_rows), options);
     let (packed, sizes) = merged.into_parts();
     let keys = packed.iter().map(|&key| keys.decode(key).into_owned()).collect();
     Ok(Walked { keys, sizes, partitions })
@@ -312,8 +356,8 @@ pub(crate) struct ShardKeys {
     pub sizes: Vec<u64>,
 }
 
-/// A walk's answers merged over a row space.
-pub(crate) struct Merged {
+/// A walk's answers merged over a row space, its slot states in form `S`.
+pub(crate) struct Merged<S> {
     /// Keys over every row, in first-occurrence order.
     pub keys: Vec<Vec<KeyAtom>>,
     /// Rows per key.
@@ -322,52 +366,35 @@ pub(crate) struct Merged {
     pub shards: Vec<ShardKeys>,
     /// Per global partition, in order: the merged key of each slot, and the
     /// slot states.
-    pub partials: Vec<(Vec<u32>, SlotStates)>,
+    pub partials: Vec<(Vec<u32>, S)>,
 }
 
-/// Whether `states` are `fold`'s, for `slots` slots: a moments state per
-/// slot and column, or a column per aggregate holding its kind's cells, a
-/// cell per slot. `Err` says what they are instead.
-fn check_states(states: &SlotStates, fold: &Fold, slots: usize) -> std::result::Result<(), String> {
-    match (states, fold) {
-        (SlotStates::Stats(states), Fold::Stats { columns }) => {
-            let width = columns.len();
-            match slots.checked_mul(width) == Some(states.len()) {
-                true => Ok(()),
-                false => Err(format!("{} states for {slots} slots of {width}", states.len())),
-            }
-        }
-        (SlotStates::Exact(cells), Fold::Exact { aggregates, .. }) => {
-            if cells.len() != aggregates.len() {
-                return Err(format!(
-                    "{} cell columns for {} aggregates",
-                    cells.len(),
-                    aggregates.len()
-                ));
-            }
-            for (column, agg) in cells.iter().zip(aggregates) {
-                if !column.folds(agg.kind) {
-                    return Err(format!("cells of another kind for {}", agg.kind.name()));
-                }
-                if column.len() != slots {
-                    return Err(format!(
-                        "{} {} cells for {slots} slots",
-                        column.len(),
-                        agg.kind.name()
-                    ));
-                }
-            }
-            Ok(())
-        }
-        (SlotStates::Stats(_), _) => Err("moments for an exact fold".to_string()),
-        (SlotStates::Exact(_), _) => Err("cell columns for a statistics fold".to_string()),
+/// Whether `cells` are the exact fold of `aggregates` for `slots` slots: a
+/// column per aggregate holding its kind's cells, a cell per slot. `Err`
+/// says what they are instead.
+fn check_cells(
+    cells: &[CellColumn<ExactCells>],
+    aggregates: &[AggExpr],
+    slots: usize,
+) -> std::result::Result<(), String> {
+    if cells.len() != aggregates.len() {
+        return Err(format!("{} cell columns for {} aggregates", cells.len(), aggregates.len()));
     }
+    for (column, agg) in cells.iter().zip(aggregates) {
+        if !column.folds(agg.kind) {
+            return Err(format!("cells of another kind for {}", agg.kind.name()));
+        }
+        if column.len() != slots {
+            return Err(format!("{} {} cells for {slots} slots", column.len(), agg.kind.name()));
+        }
+    }
+    Ok(())
 }
 
 /// A walk's answer against the request: distinct keys as wide as the
-/// dimensions, with sizes summing to the shard's rows; one partial per
-/// whole partition the shard holds, in order, each naming listed keys once
-/// with the states `fold` leaves for its slots.
+/// dimensions, with sizes summing to the shard's rows; partitions in the
+/// form `fold` leaves, one per whole partition the shard holds, in order,
+/// each naming listed keys once with `fold`'s states for its slots.
 fn check_walked(
     walked: &Walked,
     first_row: usize,
@@ -394,6 +421,35 @@ fn check_walked(
     }
     let whole: Vec<usize> =
         pieces(first_row, rows, total_rows).into_iter().filter_map(|(_, whole)| whole).collect();
+    match (partitions, fold) {
+        (Partitions::Stats(partitions), Fold::Stats { columns }) => {
+            let width = columns.len();
+            check_partitions(partitions, &whole, keys.len(), |states, slots| {
+                match slots.checked_mul(width) == Some(states.len()) {
+                    true => Ok(()),
+                    false => Err(format!("{} states for {slots} slots of {width}", states.len())),
+                }
+            })
+        }
+        (Partitions::Exact(partitions), Fold::Exact { aggregates, .. }) => {
+            check_partitions(partitions, &whole, keys.len(), |cells, slots| {
+                check_cells(cells, aggregates, slots)
+            })
+        }
+        (Partitions::Stats(_), _) => Err("moments for an exact fold".to_string()),
+        (Partitions::Exact(_), _) => Err("cell columns for a statistics fold".to_string()),
+    }
+}
+
+/// [`check_walked`]'s partitions: one per global start in `whole`, each
+/// naming keys below `keys` once, with the states `check` accepts for its
+/// slots.
+fn check_partitions<S>(
+    partitions: &[WalkedPartition<S>],
+    whole: &[usize],
+    keys: usize,
+    check: impl Fn(&S, usize) -> std::result::Result<(), String>,
+) -> std::result::Result<(), String> {
     if partitions.len() != whole.len() {
         return Err(format!(
             "{} partitions where it holds {} whole",
@@ -402,21 +458,19 @@ fn check_walked(
         ));
     }
     // `in_partition[key]`: the last partition a slot named the key in.
-    let mut in_partition = vec![usize::MAX; keys.len()];
-    for (p, (partition, &start)) in partitions.iter().zip(&whole).enumerate() {
+    let mut in_partition = vec![usize::MAX; keys];
+    for (p, (partition, &start)) in partitions.iter().zip(whole).enumerate() {
         if partition.start != start as u64 {
             return Err(format!(
                 "a partition at row {} where row {start} starts one",
                 partition.start
             ));
         }
-        check_states(&partition.states, fold, partition.slots.len())
+        check(&partition.states, partition.slots.len())
             .map_err(|what| format!("{what} at row {start}"))?;
         for &key in &partition.slots {
             match in_partition.get_mut(key as usize) {
-                None => {
-                    return Err(format!("a slot of key {key} of {} at row {start}", keys.len()))
-                }
+                None => return Err(format!("a slot of key {key} of {keys} at row {start}")),
                 Some(at) if *at == p => return Err(format!("key {key} twice at row {start}")),
                 Some(at) => *at = p,
             }
@@ -451,31 +505,33 @@ impl<'a> RowSpace<'a> {
     /// partition order, a partition that straddles a shard boundary folded
     /// here. An in-process shard answers in place; an empty one is not
     /// asked.
-    pub(crate) fn walk(
+    pub(crate) fn walk<S: Form>(
         &self,
         exprs: &[ScalarExpr],
         fold: &Fold,
         options: &ExecOptions,
-    ) -> Result<Merged> {
+    ) -> Result<Merged<S>> {
         let total = self.num_rows();
         let answers = self.scatter(options, |s, part, within| {
             let (first, rows) = (self.offsets[s], self.offsets[s + 1] - self.offsets[s]);
-            match part {
-                _ if rows == 0 => Ok(Walked::default()),
-                Part::Local(table) => walk_table(table, first, total, exprs, fold, within),
+            let Walked { keys, sizes, partitions } = match part {
+                _ if rows == 0 => return Ok((Vec::new(), Vec::new(), Vec::new())),
+                Part::Local(table) => walk_table(table, first, total, exprs, fold, within)?,
                 Part::Remote(reader) => {
                     let walked = reader.walk(first, total, exprs, fold)?;
                     check_walked(&walked, first, rows, total, exprs.len(), fold).map_err(
                         |what| Self::bad_answer(s, reader, format!("a walk with {what}")),
                     )?;
-                    Ok(walked)
+                    walked
                 }
-            }
+            };
+            let partitions = S::take(partitions).expect("checked: a walk in its fold's form");
+            Ok((keys, sizes, partitions))
         })?;
         let mut merge = OrderedMerge::<Vec<KeyAtom>>::default();
         let mut shards = Vec::with_capacity(answers.len());
         let mut held = Vec::with_capacity(answers.len());
-        for Walked { keys, sizes, partitions } in answers {
+        for (keys, sizes, partitions) in answers {
             let strata = merge.push(keys.into_iter().zip(sizes.iter().copied()));
             shards.push(ShardKeys { strata, sizes });
             held.push(partitions.into_iter());
@@ -505,13 +561,13 @@ impl<'a> RowSpace<'a> {
     /// in-process shard's are copied), and the walk's kernel runs over them
     /// as one partition, its keys translated through `merge`. A fragment
     /// row whose key no shard listed is refused.
-    fn fold_straddling(
+    fn fold_straddling<S: Form>(
         &self,
         exprs: &[ScalarExpr],
         fold: &Fold,
         merge: &OrderedMerge<Vec<KeyAtom>>,
         options: &ExecOptions,
-    ) -> Result<Vec<(Vec<u32>, SlotStates)>> {
+    ) -> Result<Vec<(Vec<u32>, S)>> {
         let straddling: Vec<Vec<ShardSegment>> = partition_rows(self.num_rows())
             .into_iter()
             .map(|range| self.segments(range))
@@ -535,8 +591,12 @@ impl<'a> RowSpace<'a> {
             let parts: Vec<&Table> = tables.by_ref().take(segments.len()).collect();
             let rows = RowSpace::of_tables(&parts);
             let keys = RowKeys::encode(&rows, &parts, exprs, &sequential)?;
-            let range = RowRange { start: 0, end: rows.num_rows() };
-            let (local, states) = Kernel::bind(&rows, fold, &sequential)?.run(&rows, &keys, range);
+            // One piece, folded whole; its start is not read.
+            let whole = [(RowRange { start: 0, end: rows.num_rows() }, Some(0))];
+            let kernel = Kernel::bind(&rows, fold, &sequential)?;
+            let (local, partitions) = kernel.walk(&rows, &keys, &whole, &sequential);
+            let partition = S::take(partitions).and_then(|mut partitions| partitions.pop());
+            let partition = partition.expect("a fold of the whole range in the fold's form");
             let strata = local.keys().iter().map(|&packed| {
                 let key = keys.decode(packed);
                 merge.id_of(key.as_ref()).ok_or_else(|| {
@@ -548,7 +608,9 @@ impl<'a> RowSpace<'a> {
                     ))
                 })
             });
-            Ok((strata.collect::<Result<_>>()?, states))
+            let strata: Vec<u32> = strata.collect::<Result<_>>()?;
+            let slots = partition.slots.iter().map(|&slot| strata[slot as usize]).collect();
+            Ok((slots, partition.states))
         };
         straddling.iter().map(fold_one).collect()
     }

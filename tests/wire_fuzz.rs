@@ -33,7 +33,7 @@ use std::io::{self, Read};
 use cvopt_net::frame::{read_frame, write_frame, MAX_FRAME, PROTOCOL_VERSION};
 use cvopt_net::wire::{DecodeError, Request, Response};
 use cvopt_table::agg::{AggState, CellColumn, CountCell, MaxCell, MeanCell, MinCell, SumCell};
-use cvopt_table::reader::{Fold, Pick, Picked, SlotStates, Walked, WalkedPartition};
+use cvopt_table::reader::{Fold, Partitions, Pick, Picked, Walked, WalkedPartition};
 use cvopt_table::{
     AggExpr, AggKind, ArithOp, CaseWhen, CmpOp, Column, ColumnValues, DataType, Dictionary,
     KeyAtom, LocalShard, Predicate, ScalarExpr, Schema, ShardReader, Table, TableBuilder, Value,
@@ -147,36 +147,29 @@ fn responses() -> Vec<Response> {
     let shard = LocalShard::new(table());
     let fold = Fold::Stats { columns: vec![ScalarExpr::col("value"), ScalarExpr::col("n")] };
     let walked = shard.walk(0, 6, &exprs, &fold).unwrap();
-    assert_eq!(walked.partitions.len(), 1, "the six rows are one whole partition");
+    let Partitions::Stats(whole) = &walked.partitions else { panic!("a moments walk") };
+    assert_eq!(whole.len(), 1, "the six rows are one whole partition");
     let exact = shard.walk(0, 6, &exprs, &every_kind()).unwrap();
     let moments = WalkedPartition {
         start: 1 << 16,
         slots: vec![0],
-        states: SlotStates::Stats(vec![AggState {
-            count: 3,
-            sum: -0.0,
-            mean: f64::NAN,
-            ..AggState::default()
-        }]),
+        states: vec![AggState { count: 3, sum: -0.0, mean: f64::NAN, ..AggState::default() }],
     };
     let nan = f64::from_bits(0x7ff8_0000_dead_beef);
     let cells = WalkedPartition {
         start: 2 << 16,
         slots: vec![0],
-        states: SlotStates::Exact(vec![
+        states: vec![
             CellColumn::Count(vec![CountCell { count: u64::MAX }]),
             CellColumn::Sum(vec![SumCell { count: 3, sum: -0.0 }]),
             CellColumn::Min(vec![MinCell { count: 1, min: nan }]),
             CellColumn::Max(vec![MaxCell::default()]),
             CellColumn::Avg(vec![MeanCell { count: 2, mean: f64::NEG_INFINITY }]),
             CellColumn::Moments(vec![AggState { m2: nan, ..AggState::default() }]),
-        ]),
+        ],
     };
-    let forged = Walked {
-        keys: vec![vec![KeyAtom::Int(-1)]],
-        sizes: vec![3],
-        partitions: vec![moments, cells],
-    };
+    let forged =
+        |partitions| Walked { keys: vec![vec![KeyAtom::Int(-1)]], sizes: vec![3], partitions };
     let picks = [Pick { key: 2, ordinals: vec![0] }, Pick { key: 0, ordinals: vec![0] }];
     vec![
         Response::Registered { rows: 6 },
@@ -192,7 +185,8 @@ fn responses() -> Vec<Response> {
         Response::Error { message: "no such shard".into() },
         Response::Walked { walked },
         Response::Walked { walked: exact },
-        Response::Walked { walked: forged },
+        Response::Walked { walked: forged(Partitions::Stats(vec![moments])) },
+        Response::Walked { walked: forged(Partitions::Exact(vec![cells])) },
         Response::Picked { picked: shard.pick(&exprs, &picks).unwrap() },
         Response::Picked { picked: Picked { table: table(), rows: vec![5, 0, 1, 2, 3, 4] } },
     ]
@@ -217,20 +211,22 @@ fn state_forms() -> BTreeSet<&'static str> {
     let mut forms = BTreeSet::new();
     for response in responses() {
         let Response::Walked { walked } = response else { continue };
-        for partition in &walked.partitions {
-            match &partition.states {
-                SlotStates::Stats(_) => drop(forms.insert("moments")),
-                SlotStates::Exact(columns) => {
-                    for column in columns {
-                        forms.insert(match column {
-                            CellColumn::Count(_) => "count",
-                            CellColumn::Sum(_) => "sum",
-                            CellColumn::Min(_) => "min",
-                            CellColumn::Max(_) => "max",
-                            CellColumn::Avg(_) => "avg",
-                            CellColumn::Moments(_) => "cell moments",
-                        });
-                    }
+        match &walked.partitions {
+            Partitions::Stats(partitions) => {
+                if !partitions.is_empty() {
+                    forms.insert("moments");
+                }
+            }
+            Partitions::Exact(partitions) => {
+                for column in partitions.iter().flat_map(|partition| &partition.states) {
+                    forms.insert(match column {
+                        CellColumn::Count(_) => "count",
+                        CellColumn::Sum(_) => "sum",
+                        CellColumn::Min(_) => "min",
+                        CellColumn::Max(_) => "max",
+                        CellColumn::Avg(_) => "avg",
+                        CellColumn::Moments(_) => "cell moments",
+                    });
                 }
             }
         }
