@@ -287,9 +287,9 @@ fn main() {
     // What exact statements cost in per-row group ids: the join, and one
     // statement over the plain and the 3-shard registration. Folding in the
     // walk writes none; an index built for them would write 4 bytes a row.
-    // And what their folds allocate in cells: each partition reserves, per
-    // slot its walk can hand out, the cell each aggregate's kind folds — 16
-    // bytes for `SUM`, 8 for `COUNT`.
+    // And what their folds hold in cells: each partition keeps, per slot its
+    // walk hands out, the cell each aggregate's kind folds — 16 bytes for
+    // `SUM`, 8 for `COUNT`.
     let group_ids_before = total_group_id_bytes();
     let fold_bytes_before = total_fold_state_bytes();
     let exact_stmt = "SELECT country, parameter, unit, SUM(value), COUNT(*) FROM openaq \

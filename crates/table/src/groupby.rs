@@ -584,11 +584,6 @@ impl<'k> RowKeys<'k> {
         }
     }
 
-    /// The most slots a walk over `range` can hand out.
-    pub(crate) fn max_slots(&self, range: RowRange) -> usize {
-        self.bound.min(range.len() as u64) as usize
-    }
-
     fn source(&self) -> KeySource<'_, 'k> {
         KeySource::Packed { columns: &self.columns, bound: self.bound }
     }

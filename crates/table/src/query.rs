@@ -51,13 +51,13 @@ use crate::Result;
 /// their row counts, in slot order, and one cell column per aggregate.
 type JoinedPartial = (Vec<(Vec<KeyAtom>, u64)>, Vec<CellColumn<ExactCells>>);
 
-/// Process-wide bytes of cells [`fold_partition`] has allocated.
+/// Process-wide bytes of cells [`fold_partition`] has folded into.
 static FOLD_STATE_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// Bytes of cells the aggregation pass has allocated for its per-partition
-/// slot states, by this process so far: each partition reserves one cell
-/// per aggregate for every slot its walk can hand out. Monotonic; never
-/// reset.
+/// Bytes of cells the aggregation pass has folded into for its
+/// per-partition slot states, by this process so far: each partition holds
+/// one cell per aggregate for every slot its walk hands out. Monotonic;
+/// never reset.
 pub fn total_fold_state_bytes() -> u64 {
     FOLD_STATE_BYTES.load(Ordering::Relaxed)
 }
@@ -393,14 +393,12 @@ pub(crate) fn fold_partition<F: Cells>(
     filters: Option<&[Bitmap]>,
     weight: impl Fn(usize) -> f64,
 ) -> (LocalKeys, Vec<CellColumn<F>>) {
-    // Each column grows as slots appear inside room for every slot the walk
-    // can hand out: a partial is never copied to grow, and room the walk
-    // does not fill is never written.
-    let room = keys.max_slots(range);
-    let mut states: Vec<CellColumn<F>> =
-        aggregates.iter().map(|agg| CellColumn::with_capacity(agg.kind, room)).collect();
-    let cell_bytes: usize = states.iter().map(CellColumn::cell_bytes).sum();
-    FOLD_STATE_BYTES.fetch_add((room * cell_bytes) as u64, Ordering::Relaxed);
+    // Each column grows as slots appear rather than reserving every slot the
+    // walk could hand out (up to the partition's row count): that reserve is
+    // one large chunk per aggregate whatever the grouping's cardinality, and
+    // where the heap reuses such chunks makes resident memory vary from run
+    // to run.
+    let mut states: Vec<CellColumn<F>> = columns(aggregates, 0);
     // Each input's block buffers, allocated at its first run.
     let mut scratch: Vec<Option<BlockScratch>> = aggregates.iter().map(|_| None).collect();
     let local = keys.walk(rows, range, |run, slots, seen| {
@@ -432,6 +430,8 @@ pub(crate) fn fold_partition<F: Cells>(
             }
         }
     });
+    let held: usize = states.iter().map(|column| column.len() * column.cell_bytes()).sum();
+    FOLD_STATE_BYTES.fetch_add(held as u64, Ordering::Relaxed);
     (local, states)
 }
 
