@@ -1,15 +1,23 @@
-//! Per-stage time of the exact statements, read from the engine's own
-//! spans ([`cvopt_table::spans`]).
+//! Per-stage time of the exact statements and of the answers a cached
+//! sample serves, read from the engine's own spans
+//! ([`cvopt_table::spans`]).
 //!
-//! Registers a generated OpenAQ table of [`ROWS`] rows, the same
-//! rows in three shards (`openaq3`) and a 38-row region dimension, attaches
-//! a [`Spans`] log to the engine's execution options, and answers nine
-//! exact statements — five OpenAQ shapes, an expression aggregate, a JOIN
-//! and two shapes over the shards — [`REPS`] times each, at [`THREADS`]
-//! threads. It prints, per
-//! statement, the median wall-clock of `Engine::query` and the median of
-//! each stage the statement opened, in milliseconds; the last row sums
-//! every column over the statements.
+//! Two tables. The first registers a generated OpenAQ table of [`ROWS`]
+//! rows, the same rows in three shards (`openaq3`) and a 38-row region
+//! dimension, and answers nine exact statements — five OpenAQ shapes, an
+//! expression aggregate, a JOIN and two shapes over the shards — at
+//! [`THREADS`] threads. The second prepares one durable sample of the same
+//! rows, stratified by [`DURABLE_GROUP_BY`] with the value columns
+//! [`DURABLE_AGGREGATES`] at rate [`DURABLE_RATE`], and answers five
+//! approximate statements from it — one whose derived problem is the
+//! sample's own, four the reuse planner derives from it — at
+//! [`SERVING_THREADS`] thread, the budget a server gives one request.
+//!
+//! Each statement runs [`REPS`] times. Each table prints, per statement,
+//! the median wall-clock of `Engine::query` and the median of each stage
+//! the statement opened, in milliseconds; its last row sums every column
+//! over the statements. A statement that opens a stage its table has no
+//! column for panics, so the tables follow the engine's spans.
 //!
 //! A stage workers run (`fold`, and a JOIN partition's stages) is summed
 //! over workers, so at more than one thread it can exceed the wall-clock.
@@ -21,7 +29,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use cvopt_core::{Engine, ExecOptions, QueryMode, ShardedTable};
+use cvopt_core::{
+    budget_for_rows, Engine, ExecOptions, QueryMode, QuerySpec, SamplingProblem, ShardedTable,
+};
 use cvopt_datagen::openaq::country_code;
 use cvopt_datagen::{generate_openaq, OpenAqConfig};
 use cvopt_table::{DataType, Spans, Table, TableBuilder, Value};
@@ -79,9 +89,44 @@ const STATEMENTS: [(&str, &str); 9] = [
     ),
 ];
 
-/// The columns, in print order; a statement that never opens a stage shows
-/// `-` there. No shard here is behind a reader, so none opens `walk`.
+/// The exact table's columns, in print order; a statement that never opens
+/// a stage shows `-` there. No shard here is behind a reader, so none opens
+/// `walk`.
 const STAGES: [&str; 7] = ["encode", "bitmap", "join", "project", "fold", "merge", "readout"];
+
+/// The durable sample's stratification and value columns.
+const DURABLE_GROUP_BY: [&str; 4] = ["country", "parameter", "unit", "location"];
+const DURABLE_AGGREGATES: [&str; 2] = ["value", "latitude"];
+
+/// The durable sample's rate, and the engine's default rate, so the first
+/// serving statement's derived problem is the sample's own.
+const DURABLE_RATE: f64 = 0.125;
+
+/// Worker threads of the serving engine's execution options.
+const SERVING_THREADS: usize = 1;
+
+/// The statements answered from the durable sample, by id.
+const SERVING: [(&str, &str); 5] = [
+    (
+        "exact_hit",
+        "SELECT country, parameter, unit, location, SUM(value), SUM(latitude) FROM openaq \
+         WHERE country = 'C02' GROUP BY country, parameter, unit, location",
+    ),
+    ("by_country", "SELECT country, AVG(value) FROM openaq GROUP BY country"),
+    (
+        "by_country_parameter",
+        "SELECT country, parameter, SUM(value), COUNT(*) FROM openaq GROUP BY country, parameter",
+    ),
+    (
+        "predicate",
+        "SELECT parameter, unit, AVG(value) FROM openaq WHERE country = 'C02' \
+         GROUP BY parameter, unit",
+    ),
+    ("two_aggregates", "SELECT location, AVG(value), AVG(latitude) FROM openaq GROUP BY location"),
+];
+
+/// The serving table's columns, in print order.
+const SERVING_STAGES: [&str; 6] = ["encode", "bitmap", "fold", "merge", "readout", "confidence"];
 
 /// The 38-row dimension: country `c` is in region `R{c % 6}`.
 fn regions() -> Table {
@@ -99,40 +144,66 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 fn main() {
-    let (rows, reps, threads) = (ROWS, REPS, THREADS);
-    let table = generate_openaq(&OpenAqConfig::with_rows(rows));
+    let table = generate_openaq(&OpenAqConfig::with_rows(ROWS));
     let spans = Arc::new(Spans::new());
-    let exec = ExecOptions::new(threads).with_spans(spans.clone());
+
+    let exec = ExecOptions::new(THREADS).with_spans(spans.clone());
     let mut engine = Engine::new().with_seed(7).with_exec(exec);
     engine.register("openaq3", ShardedTable::split(&table, 3).expect("split into shards"));
-    engine.register("openaq", table);
+    engine.register("openaq", table.clone());
     engine.register("regions", regions());
+    println!("exact: {ROWS} rows, {THREADS} threads, median of {REPS} runs, ms");
+    print_table(&engine, &spans, &STATEMENTS, &STAGES, QueryMode::Exact);
 
-    println!("{rows} rows, {threads} threads, median of {reps} runs, ms");
-    let header: Vec<String> =
-        ["statement", "total"].iter().chain(&STAGES).map(|s| format!("{s:>12}")).collect();
-    println!("{}", header.join(""));
-    let mut sums = vec![0.0; STAGES.len() + 1];
-    for (id, sql) in STATEMENTS {
-        let mut total = Vec::with_capacity(reps);
-        let mut per_stage = vec![Vec::with_capacity(reps); STAGES.len()];
-        let mut opened = [false; STAGES.len()];
-        for _ in 0..reps {
+    let exec = ExecOptions::new(SERVING_THREADS).with_spans(spans.clone());
+    let mut engine = Engine::new().with_seed(7).with_exec(exec).with_default_rate(DURABLE_RATE);
+    engine.register("openaq", table);
+    let spec = DURABLE_AGGREGATES
+        .iter()
+        .fold(QuerySpec::group_by(&DURABLE_GROUP_BY), |spec, &column| spec.aggregate(column));
+    let budget = budget_for_rows(ROWS, DURABLE_RATE).expect("valid rate");
+    engine.prepare("openaq", SamplingProblem::single(spec, budget)).expect("durable sample");
+    println!();
+    println!(
+        "served from a durable sample (rate {DURABLE_RATE}): {ROWS} rows, \
+         {SERVING_THREADS} thread, median of {REPS} runs, ms"
+    );
+    print_table(&engine, &spans, &SERVING, &SERVING_STAGES, QueryMode::Approximate);
+}
+
+/// Answer each of `statements` [`REPS`] times under `mode` and print one row
+/// per statement — its median wall-clock and the median of each of `stages`
+/// — and a last row summing every column.
+fn print_table(
+    engine: &Engine,
+    spans: &Spans,
+    statements: &[(&str, &str)],
+    stages: &[&str],
+    mode: QueryMode,
+) {
+    let header: Vec<String> = ["total"].iter().chain(stages).map(|s| format!("{s:>12}")).collect();
+    println!("{:>22}{}", "statement", header.join(""));
+    let mut sums = vec![0.0; stages.len() + 1];
+    for &(id, sql) in statements {
+        let mut total = Vec::with_capacity(REPS);
+        let mut per_stage = vec![Vec::with_capacity(REPS); stages.len()];
+        let mut opened = vec![false; stages.len()];
+        for _ in 0..REPS {
             spans.clear();
             let start = Instant::now();
-            engine.query(sql, QueryMode::Exact).unwrap_or_else(|e| panic!("{id}: {e}"));
+            engine.query(sql, mode).unwrap_or_else(|e| panic!("{id}: {e}"));
             total.push(start.elapsed().as_secs_f64() * 1e3);
-            let stages = spans.stages();
-            for (s, name) in STAGES.iter().enumerate() {
-                let stage = stages.iter().find(|stage| stage.name == *name);
+            let recorded = spans.stages();
+            for (s, name) in stages.iter().enumerate() {
+                let stage = recorded.iter().find(|stage| stage.name == *name);
                 opened[s] |= stage.is_some();
                 per_stage[s].push(stage.map_or(0.0, |stage| stage.elapsed.as_secs_f64() * 1e3));
             }
-            if let Some(stage) = stages.iter().find(|stage| !STAGES.contains(&stage.name)) {
+            if let Some(stage) = recorded.iter().find(|stage| !stages.contains(&stage.name)) {
                 panic!("{id} opened stage {:?}, which has no column", stage.name);
             }
         }
-        let mut line = format!("{id:>12}");
+        let mut line = format!("{id:>22}");
         let total = median(total);
         sums[0] += total;
         line += &format!("{total:>12.2}");
@@ -144,5 +215,5 @@ fn main() {
         println!("{line}");
     }
     let sums: Vec<String> = sums.iter().map(|ms| format!("{ms:>12.2}")).collect();
-    println!("{:>12}{}", "all", sums.join(""));
+    println!("{:>22}{}", "all", sums.join(""));
 }

@@ -456,6 +456,32 @@ mod tests {
     use crate::spec::QuerySpec;
     use cvopt_table::{sql, KeyAtom, ShardedTable};
 
+    /// An answer from a sample opens the estimate's stages and then the
+    /// confidence pass's, and answers the same bits with and without a log.
+    #[test]
+    fn an_answer_from_a_sample_opens_its_stages() {
+        let stmt = "SELECT g, AVG(x) FROM t WHERE x > 0 GROUP BY g";
+        let spans = std::sync::Arc::new(cvopt_table::Spans::new());
+        let engine = |exec: ExecOptions| {
+            let mut e = Engine::new().with_seed(3).with_exec(exec);
+            e.register("t", table(2000));
+            e
+        };
+        let (traced, plain) = (
+            engine(ExecOptions::sequential().with_spans(spans.clone())),
+            engine(ExecOptions::sequential()),
+        );
+        traced.query(stmt, QueryMode::Approximate).unwrap();
+        spans.clear();
+        let got = traced.query(stmt, QueryMode::Approximate).unwrap();
+        let names: Vec<&str> = spans.stages().iter().map(|stage| stage.name).collect();
+        assert_eq!(names, ["encode", "bitmap", "fold", "merge", "readout", "confidence"]);
+        let want = plain.query(stmt, QueryMode::Approximate).unwrap();
+        assert_same_bits(&got.results, &want.results);
+        assert_eq!(format!("{:?}", got.confidence), format!("{:?}", want.confidence));
+        assert!(!got.confidence.is_empty());
+    }
+
     #[test]
     fn prepare_caches_by_fingerprint() {
         let mut e = Engine::new().with_seed(3);

@@ -74,7 +74,8 @@ impl SampleHandle {
     /// §6.3).
     pub fn answer(&self, query: &GroupByQuery) -> Result<(Vec<QueryResult>, Vec<AggConfidence>)> {
         let scan = SampleScan::new(&self.outcome.sample, query, &self.exec)?;
-        Ok((scan.estimate()?, scan.confidence()?))
+        let estimates = scan.estimate()?;
+        Ok((estimates, self.exec.span("confidence", || scan.confidence())?))
     }
 
     /// The estimates of [`SampleHandle::answer`] alone.

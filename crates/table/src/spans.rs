@@ -10,16 +10,17 @@
 //! The stages the aggregation pass opens, in the order a statement meets
 //! them:
 //!
-//! | stage     | what it times                                                    |
-//! |-----------|------------------------------------------------------------------|
-//! | `encode`  | `RowKeys::encode`: the statement's packed grouping keys          |
-//! | `bitmap`  | the predicate bitmap                                             |
-//! | `join`    | a JOIN's hash join (opened by the engine)                        |
-//! | `project` | a JOIN's projection of one joined partition                      |
-//! | `walk`    | the walks of shards behind readers, their answers merged         |
-//! | `fold`    | one partition's fold into its slot states                        |
-//! | `merge`   | the partition-order merge of one partial into the groups         |
-//! | `readout` | the projection onto each grouping set and the result assembly    |
+//! | stage        | what it times                                                      |
+//! |--------------|--------------------------------------------------------------------|
+//! | `encode`     | `RowKeys::encode`: the statement's packed grouping keys            |
+//! | `bitmap`     | the predicate bitmap                                               |
+//! | `join`       | a JOIN's hash join (opened by the engine)                          |
+//! | `project`    | a JOIN's projection of one joined partition                        |
+//! | `walk`       | the walks of shards behind readers, their answers merged           |
+//! | `fold`       | one partition's fold into its slot states                          |
+//! | `merge`      | the partition-order merge of one partial into the groups           |
+//! | `readout`    | the projection onto each grouping set and the result assembly      |
+//! | `confidence` | an answer's confidence pass over its sample (opened by the engine) |
 //!
 //! A stage that workers run — `fold`, and a JOIN partition's `encode`,
 //! `bitmap` and `project` — records each partition's time, so its total is
