@@ -23,7 +23,7 @@ use cvopt_net::{Peer, RemoteShard, Shardd};
 use cvopt_table::exec::partition_rows;
 use cvopt_table::groupby::{total_group_id_bytes, total_keys_projected};
 use cvopt_table::join::max_join_bytes_gathered;
-use cvopt_table::query::total_fold_state_bytes;
+use cvopt_table::query::{total_fold_state_bytes, total_keys_decoded};
 
 /// Rows for the serving-workload fixture: large enough that the default
 /// auto threshold routes to the approximate path, small enough for CI.
@@ -58,6 +58,7 @@ fn main() {
     engine.register("openaq", table.clone());
     let mut per_statement: Vec<(u64, u64)> = Vec::new();
     let (group_ids_before, projected_before) = (total_group_id_bytes(), total_keys_projected());
+    let decoded_before = total_keys_decoded();
     for stmt in &STATEMENTS {
         let answer = engine.query(stmt, QueryMode::Approximate).expect("workload statement");
         per_statement.push((
@@ -74,6 +75,9 @@ fn main() {
     // read-out — and each allocation's projection onto the statement's
     // stratification — is the identity and hashes no fine key.
     let serving_projected = total_keys_projected() - projected_before;
+    // Each read-out decodes the key of every fine group that folded a row,
+    // and no other: the predicate statement's dead groups cost nothing.
+    let serving_decoded = total_keys_decoded() - decoded_before;
     counters.push(("stats_passes/serving_workload".into(), engine.stats_passes()));
     // The cache economy itself: statements 1 and 2 share a derived
     // problem, so the workload must cost exactly one hit and two misses.
@@ -82,6 +86,7 @@ fn main() {
     counters.push(("cached_samples/serving_workload".into(), engine.cached_samples() as u64));
     counters.push(("group_id_bytes/serving_workload".into(), serving_group_ids));
     counters.push(("keys_projected/serving_workload".into(), serving_projected));
+    counters.push(("keys_decoded/serving_workload".into(), serving_decoded));
     let (sample_rows, strata) = *per_statement.last().expect("statements ran");
     counters.push(("sample_rows/last_statement".into(), sample_rows));
     counters.push(("strata/last_statement".into(), strata));
@@ -105,7 +110,7 @@ fn main() {
     // from the reuse planner — zero additional draws.
     let mut reuse = Engine::new().with_seed(7).with_exec(ExecOptions::sequential());
     reuse.register("openaq", table);
-    let projected_before = total_keys_projected();
+    let (projected_before, decoded_before) = (total_keys_projected(), total_keys_decoded());
     reuse
         .prepare(
             "openaq",
@@ -130,10 +135,12 @@ fn main() {
     }
     assert_eq!(reuse.stats_passes(), 1, "the prepared sample must answer everything");
     let reuse_projected = total_keys_projected() - projected_before;
+    let reuse_decoded = total_keys_decoded() - decoded_before;
     counters.push(("reuse_hits/reuse_workload".into(), reuse.reuse_hits()));
     counters.push(("draws_avoided/reuse_workload".into(), reuse.draws_avoided()));
     counters.push(("stats_passes/reuse_workload".into(), reuse.stats_passes()));
     counters.push(("keys_projected/reuse_workload".into(), reuse_projected));
+    counters.push(("keys_decoded/reuse_workload".into(), reuse_decoded));
 
     // The serving mix: seed the query log with the hot and cold shapes,
     // consolidate it, then replay the whole schedule — the derived pool is

@@ -10,7 +10,9 @@
 //! [`CellColumn`] per aggregate indexed by slot. Every cell keeps the raw
 //! row count the result's `group_rows` and the rule dropping empty groups
 //! read, and each field sees the operations and order the same field of an
-//! `AggState` sees, so a narrow cell answers the full state's bits.
+//! `AggState` sees, so a narrow cell answers the full state's bits. The
+//! estimator's [`WeightedCells`] split the same way under Horvitz–Thompson
+//! weights, mirroring [`WeightedAggState`].
 //!
 //! [`AggState`] is also the statistics pass's state: CVOPT's allocation
 //! reads each stratum's mean and variance, and its lane-merge slice kernel
@@ -18,6 +20,9 @@
 
 use crate::expr::ScalarExpr;
 use crate::predicate::CmpOp;
+
+mod weighted;
+pub use weighted::{WeightedAggState, WeightedCells, WeightedCount, WeightedMean};
 
 /// The supported aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,9 +156,13 @@ pub trait Accumulator: Copy + Default + Send + Sync + std::fmt::Debug {
     /// Accumulate one row's value; `weight` is how many table rows the row
     /// stands for (1 for a table row itself).
     fn update(&mut self, value: f64, weight: f64);
-    /// Merge another accumulator into this one, exactly. Merging into
-    /// `Self::default()` must yield `other` bit for bit (the pass takes a
-    /// group's first partial as is), and merging a default is a no-op.
+    /// Merge another accumulator into this one, exactly. Two cases are
+    /// contract, bit for bit, in every cell type of both families:
+    /// - merging a cell that accumulated no row (`other.rows() == 0`)
+    ///   leaves `self` unchanged, so a read-out may skip every group that
+    ///   folded no row;
+    /// - merging into a cell that accumulated no row copies `other`, so the
+    ///   pass takes a group's first partial as is.
     fn merge(&mut self, other: &Self);
     /// Rows accumulated so far (raw, not weighted).
     fn rows(&self) -> u64;
@@ -498,24 +507,50 @@ impl<F: Cells> CellColumn<F> {
         each_cells!(self, cells => cells[at].finalize(kind))
     }
 
+    /// Set `live[at]` for every cell `at` that accumulated a row.
+    pub(crate) fn mark_live(&self, live: &mut [bool]) {
+        each_cells!(self, cells => {
+            cells.iter().zip(live).for_each(|(cell, live)| *live |= cell.rows() > 0)
+        })
+    }
+
     /// Merge `other`'s cell `i` into this column's cell `into[i]`, for
     /// every `i` in order.
     ///
     /// # Panics
     /// If the columns hold different cells, or a target is out of range.
     pub(crate) fn merge_at(&mut self, other: &Self, into: &[u32]) {
-        fn merge<C: Accumulator>(acc: &mut [C], cells: &[C], into: &[u32]) {
-            for (cell, &at) in cells.iter().zip(into) {
-                acc[at as usize].merge(cell);
+        self.merge_pairs(other, (0..other.len()).zip(into.iter().copied()))
+    }
+
+    /// Merge `other`'s cell `from[i]` into this column's cell `into[i]`,
+    /// for every `i` in order.
+    ///
+    /// # Panics
+    /// As [`CellColumn::merge_at`], or if a source is out of range.
+    pub(crate) fn merge_from(&mut self, other: &Self, from: &[u32], into: &[u32]) {
+        self.merge_pairs(other, from.iter().map(|&g| g as usize).zip(into.iter().copied()))
+    }
+
+    /// Merge `other`'s cell `from` into this column's cell `at`, for every
+    /// `(from, at)` of `pairs` in order.
+    fn merge_pairs(&mut self, other: &Self, pairs: impl Iterator<Item = (usize, u32)>) {
+        fn merge<C: Accumulator>(
+            acc: &mut [C],
+            cells: &[C],
+            pairs: impl Iterator<Item = (usize, u32)>,
+        ) {
+            for (from, at) in pairs {
+                acc[at as usize].merge(&cells[from]);
             }
         }
         match (self, other) {
-            (CellColumn::Count(a), CellColumn::Count(b)) => merge(a, b, into),
-            (CellColumn::Sum(a), CellColumn::Sum(b)) => merge(a, b, into),
-            (CellColumn::Min(a), CellColumn::Min(b)) => merge(a, b, into),
-            (CellColumn::Max(a), CellColumn::Max(b)) => merge(a, b, into),
-            (CellColumn::Avg(a), CellColumn::Avg(b)) => merge(a, b, into),
-            (CellColumn::Moments(a), CellColumn::Moments(b)) => merge(a, b, into),
+            (CellColumn::Count(a), CellColumn::Count(b)) => merge(a, b, pairs),
+            (CellColumn::Sum(a), CellColumn::Sum(b)) => merge(a, b, pairs),
+            (CellColumn::Min(a), CellColumn::Min(b)) => merge(a, b, pairs),
+            (CellColumn::Max(a), CellColumn::Max(b)) => merge(a, b, pairs),
+            (CellColumn::Avg(a), CellColumn::Avg(b)) => merge(a, b, pairs),
+            (CellColumn::Moments(a), CellColumn::Moments(b)) => merge(a, b, pairs),
             _ => panic!("merging cells of another aggregate kind"),
         }
     }
@@ -823,6 +858,56 @@ mod tests {
             let (want, got) = (full.finalize(kind), cell.finalize(kind));
             assert_eq!(want.to_bits(), got.to_bits(), "{kind:?}: {want} vs {got}");
         }
+    }
+
+    /// [`Accumulator::merge`]'s contract, in every cell type of both
+    /// families, over values and weights at the edges: merging a cell that
+    /// accumulated no row leaves the target's bits as they were, and merging
+    /// into a cell that accumulated no row copies the source's bits.
+    #[test]
+    fn merging_a_cell_without_rows_changes_nothing_and_into_one_copies() {
+        fn check<C: Accumulator>(bits: impl Fn(&C) -> Vec<u64>) {
+            let values =
+                [0.0, -0.0, f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.5, -2.25];
+            // A row of non-positive weight folds into no weighted cell.
+            let weights = [1.0, 0.5, 3.0, 0.0, -1.0];
+            let mut cells = vec![C::default()];
+            for &v in &values {
+                for &w in &weights {
+                    let mut one = C::default();
+                    one.update(v, w);
+                    cells.push(one);
+                    for &u in &values {
+                        let mut two = one;
+                        two.update(u, 1.0);
+                        cells.push(two);
+                    }
+                }
+            }
+            let empty: Vec<C> = cells.iter().copied().filter(|c| c.rows() == 0).collect();
+            for cell in &cells {
+                for none in &empty {
+                    let mut unchanged = *cell;
+                    unchanged.merge(none);
+                    assert_eq!(bits(&unchanged), bits(cell), "{cell:?} merged {none:?}");
+                    let mut copy = *none;
+                    copy.merge(cell);
+                    assert_eq!(bits(&copy), bits(cell), "{none:?} merged {cell:?}");
+                }
+            }
+        }
+        let f = f64::to_bits;
+        check::<CountCell>(|c| vec![c.count]);
+        check::<SumCell>(|c| vec![c.count, f(c.sum)]);
+        check::<MinCell>(|c| vec![c.count, f(c.min)]);
+        check::<MaxCell>(|c| vec![c.count, f(c.max)]);
+        check::<MeanCell>(|c| vec![c.count, f(c.mean)]);
+        check::<AggState>(|c| vec![c.count, f(c.sum), f(c.mean), f(c.m2), f(c.min), f(c.max)]);
+        check::<WeightedCount>(|c| vec![c.rows, f(c.wsum)]);
+        check::<WeightedMean>(|c| vec![c.rows, f(c.wsum), f(c.mean)]);
+        check::<WeightedAggState>(|c| {
+            vec![c.rows, f(c.wsum), f(c.mean), f(c.m2), f(c.min), f(c.max)]
+        });
     }
 
     #[test]

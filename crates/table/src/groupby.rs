@@ -790,6 +790,10 @@ impl<'k> GroupProjection<'k> {
     /// Project fine groups — `keys` over the dimensions `dim_names`, in
     /// fine-id order — onto `dims`: an [`OrderedMerge`] of one partial, the
     /// fine keys' projections, so coarse ids follow first occurrence too.
+    /// Fine id `g` is `keys[g]`: the aggregation pass's read-out passes the
+    /// keys of its live fine groups only (those that folded a row), in
+    /// ascending fine-id order, so a coarse group is first met at its first
+    /// live member.
     ///
     /// The identity — `dims` is `0..dim_names.len()`, every dimension in
     /// its own place — maps fine id `g` to `g` and borrows each fine key,

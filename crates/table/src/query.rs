@@ -13,10 +13,19 @@
 //! Each column is sized by the groups its partition saw; partitions merge
 //! keys and cells together, in partition order, through the ordered merge;
 //! and the merged finest-group cells are projected onto each grouping set,
-//! so a `WITH CUBE` over k attributes still scans the data once. The full
-//! set — a plain statement's only one — is the identity projection: it
-//! keeps the fine ids and borrows the fine keys, so its read-out hashes and
-//! clones no key, and clones only the key of a group that folded a row.
+//! so a `WITH CUBE` over k attributes still scans the data once.
+//!
+//! The read-out touches only *live* fine groups — groups with a cell that
+//! accumulated a row. Under a predicate every row still takes a slot, so a
+//! statement like `WHERE country = 'C02'` over a sample's walk can merge
+//! tens of thousands of fine groups and keep a few thousand: the read-out
+//! lists the live ones, decodes only their keys (counted by
+//! [`total_keys_decoded`]), projects them and coarsens their cells, in
+//! fine-id order. A dead group's cells hold no row, and merging such a cell
+//! changes nothing ([`Accumulator::merge`]), so the answer is the one a
+//! read-out of every fine group gives, bit for bit. The full set — a plain
+//! statement's only one — is the identity projection over the live keys:
+//! it hashes and clones none of them.
 //!
 //! [`GroupByQuery::execute`] runs it with [`ExactCells`] and unit weights
 //! over packed dimension codes and computes exact answers (the experiments'
@@ -50,6 +59,17 @@ use crate::Result;
 /// One joined partition's partial: its keys decoded to key atoms, with
 /// their row counts, in slot order, and one cell column per aggregate.
 type JoinedPartial = (Vec<(Vec<KeyAtom>, u64)>, Vec<CellColumn<ExactCells>>);
+
+/// Process-wide fine keys the read-out has decoded.
+static KEYS_DECODED: AtomicU64 = AtomicU64::new(0);
+
+/// Fine group keys the aggregation pass's read-out has decoded so far: one
+/// per live fine group — a group with a cell that accumulated a row — of
+/// every answer (a walk's or a JOIN's keys arrive decoded, and count as
+/// read). Monotonic; never reset.
+pub fn total_keys_decoded() -> u64 {
+    KEYS_DECODED.load(Ordering::Relaxed)
+}
 
 /// Process-wide bytes of cells [`fold_partition`] has folded into.
 static FOLD_STATE_BYTES: AtomicU64 = AtomicU64::new(0);
@@ -171,11 +191,8 @@ impl GroupByQuery {
             }
             fine
         });
-        Ok(options.span("readout", || {
-            let group_keys: Vec<Cow<[KeyAtom]>> =
-                walked.keys.iter().map(|key| Cow::Borrowed(key.as_slice())).collect();
-            self.assemble(&group_keys, &fine)
-        }))
+        Ok(options
+            .span("readout", || self.assemble(|g| Cow::Borrowed(walked.keys[g].as_slice()), &fine)))
     }
 
     /// Execute exactly over the joined rows of `join`, one joined partition
@@ -241,9 +258,7 @@ impl GroupByQuery {
         );
         let (merge, fine) = merged?;
         Ok(options.span("readout", || {
-            let group_keys: Vec<Cow<[KeyAtom]>> =
-                merge.keys().iter().map(|key| Cow::Borrowed(key.as_slice())).collect();
-            self.assemble(&group_keys, &fine)
+            self.assemble(|g| Cow::Borrowed(merge.keys()[g].as_slice()), &fine)
         }))
     }
 
@@ -273,13 +288,25 @@ impl GroupByQuery {
         weight: impl Fn(usize) -> f64 + Sync,
         options: &ExecOptions,
     ) -> Result<Vec<QueryResult>> {
+        let (merge, fine) = self.fold_groups::<F>(rows, keys, filters, weight, options)?;
+        Ok(options.span("readout", || self.assemble(|g| keys.decode(merge.keys()[g]), &fine)))
+    }
+
+    /// [`GroupByQuery::aggregate`] up to its read-out: the merged finest
+    /// groups' packed keys, in merged (first-occurrence) order, and one
+    /// column per aggregate whose cell `g` is fine group `g`'s.
+    fn fold_groups<F: Cells>(
+        &self,
+        rows: &RowSpace<'_>,
+        keys: &RowKeys<'_>,
+        filters: Option<&[Bitmap]>,
+        weight: impl Fn(usize) -> f64 + Sync,
+        options: &ExecOptions,
+    ) -> Result<(OrderedMerge<u64>, Vec<CellColumn<F>>)> {
         let aggregates = &self.aggregates;
         let inputs: Vec<Option<ScalarExpr>> = aggregates.iter().map(|a| a.input.clone()).collect();
         let bound = rows.bind(&inputs)?;
-
-        // One column per aggregate, cell `group` for each group in merged
-        // (first-occurrence) order.
-        let (merge, fine) = exec::fold_partitioned(
+        Ok(exec::fold_partitioned(
             rows.num_rows(),
             options,
             (OrderedMerge::<u64>::default(), columns(aggregates, 0)),
@@ -291,25 +318,26 @@ impl GroupByQuery {
             |(merge, fine), (local, states): (LocalKeys, Vec<CellColumn<F>>)| {
                 options.span("merge", || merge_partial(merge, fine, local.partial(), &states));
             },
-        );
-        Ok(options.span("readout", || {
-            let group_keys: Vec<Cow<[KeyAtom]>> =
-                merge.keys().iter().map(|&k| keys.decode(k)).collect();
-            self.assemble(&group_keys, &fine)
-        }))
+        ))
     }
 
-    /// Project the finest-group cells onto each grouping set and read
-    /// every set's groups out. A non-empty set keeps only groups with at
-    /// least one accumulated row; the empty set answers exactly one row,
-    /// as SQL does for an aggregate over no rows: `COUNT` and `COUNT_IF` 0,
+    /// Read every grouping set out of the finest-group cells `fine` — one
+    /// column per aggregate, cell `g` fine group `g`'s, whose key is
+    /// `key(g)`. Only live fine groups are read: their keys alone are
+    /// decoded and projected onto each set, and their cells alone coarsened
+    /// ([`coarsen`]), so every coarse group holds a row. A non-empty set
+    /// answers its coarse groups; the empty set answers exactly one row, as
+    /// SQL does for an aggregate over no rows: `COUNT` and `COUNT_IF` 0,
     /// every other aggregate without a value (NaN).
-    fn assemble<F: Cells>(
+    fn assemble<'k, F: Cells>(
         &self,
-        group_keys: &[Cow<[KeyAtom]>],
+        key: impl Fn(usize) -> Cow<'k, [KeyAtom]>,
         fine: &[CellColumn<F>],
     ) -> Vec<QueryResult> {
         let aggregates = &self.aggregates;
+        let live = live_groups(fine);
+        let live_keys: Vec<Cow<[KeyAtom]>> = live.iter().map(|&g| key(g as usize)).collect();
+        KEYS_DECODED.fetch_add(live_keys.len() as u64, Ordering::Relaxed);
         let dim_names: Vec<String> = self.group_by.iter().map(ScalarExpr::display_name).collect();
         let sets: Vec<Vec<usize>> = if self.cube {
             grouping_sets(self.group_by.len())
@@ -318,18 +346,16 @@ impl GroupByQuery {
         };
         let agg_names: Vec<String> = aggregates.iter().map(|a| a.alias.clone()).collect();
         let results = sets.iter().map(|dims| {
-            let proj = GroupProjection::of(&dim_names, group_keys, dims);
-            let coarse = coarsen(&proj, fine, aggregates);
-            let mut groups = Vec::new();
-            for cid in 0..proj.num_groups() {
-                let group_rows = coarse.iter().map(|column| column.rows(cid)).max().unwrap_or(0);
-                if group_rows == 0 {
-                    continue;
-                }
-                let values =
-                    coarse.iter().zip(aggregates).map(|(c, a)| c.finalize(cid, a.kind)).collect();
-                groups.push((proj.key(cid as u32).to_vec(), values, group_rows));
-            }
+            let proj = GroupProjection::of(&dim_names, &live_keys, dims);
+            let coarse = coarsen(&proj, fine, &live, aggregates);
+            let mut groups: Vec<_> = (0..proj.num_groups())
+                .map(|cid| {
+                    let group_rows = coarse.iter().map(|column| column.rows(cid)).max();
+                    let values = coarse.iter().zip(aggregates);
+                    let values = values.map(|(c, a)| c.finalize(cid, a.kind)).collect();
+                    (proj.key(cid as u32).to_vec(), values, group_rows.unwrap_or(0))
+                })
+                .collect();
             if dims.is_empty() && groups.is_empty() {
                 let values = aggregates
                     .iter()
@@ -496,18 +522,30 @@ fn fold_rows<C: Accumulator>(
     }
 }
 
-/// Merge finest-group cells — one column per aggregate of `aggregates`,
-/// cell `g` fine group `g`'s — onto the coarser grouping `proj`: one column
-/// per aggregate, cell `c` coarse group `c`'s, each merging its fine
-/// groups' cells in fine-id order.
+/// The live fine groups of `fine`, ascending: those with a cell, in any
+/// aggregate's column, that accumulated a row.
+fn live_groups<F: Cells>(fine: &[CellColumn<F>]) -> Vec<u32> {
+    let mut live = vec![false; fine.first().map_or(0, CellColumn::len)];
+    fine.iter().for_each(|column| column.mark_live(&mut live));
+    (0..live.len() as u32).filter(|&g| live[g as usize]).collect()
+}
+
+/// Merge the live finest-group cells onto the coarser grouping `proj`.
+/// `fine` holds one column per aggregate of `aggregates`, cell `g` fine
+/// group `g`'s; `live` lists the live fine groups, ascending, and `proj`
+/// projects their keys in that order. Returns one column per aggregate,
+/// cell `c` coarse group `c`'s, each merging its live fine groups' cells
+/// in fine-id order — the cells a merge of every fine group would change
+/// it with, in the same order.
 fn coarsen<F: Cells>(
     proj: &GroupProjection<'_>,
     fine: &[CellColumn<F>],
+    live: &[u32],
     aggregates: &[AggExpr],
 ) -> Vec<CellColumn<F>> {
     let mut coarse = columns(aggregates, proj.num_groups());
     for (acc, cells) in coarse.iter_mut().zip(fine) {
-        acc.merge_at(cells, proj.fine_to_coarse());
+        acc.merge_from(cells, live, proj.fine_to_coarse());
     }
     coarse
 }
@@ -894,6 +932,130 @@ mod tests {
         let r = &q.execute(&t).unwrap()[0];
         let sci = r.group_position(&[KeyAtom::from("Science")]).unwrap();
         assert_eq!(r.group_rows[sci], 2);
+    }
+
+    /// The read-out before it skipped dead groups: decode every fine key,
+    /// project every fine group onto each set, coarsen every fine cell in
+    /// fine-id order, and drop the coarse groups that hold no row.
+    fn assemble_every<F: Cells>(
+        q: &GroupByQuery,
+        group_keys: &[Cow<[KeyAtom]>],
+        fine: &[CellColumn<F>],
+    ) -> Vec<QueryResult> {
+        let dim_names: Vec<String> = q.group_by.iter().map(ScalarExpr::display_name).collect();
+        let agg_names: Vec<String> = q.aggregates.iter().map(|a| a.alias.clone()).collect();
+        let sets = grouping_sets(q.group_by.len());
+        let results = sets.iter().map(|dims| {
+            let proj = GroupProjection::of(&dim_names, group_keys, dims);
+            let mut coarse = columns(&q.aggregates, proj.num_groups());
+            for (acc, cells) in coarse.iter_mut().zip(fine) {
+                acc.merge_at(cells, proj.fine_to_coarse());
+            }
+            let mut groups = Vec::new();
+            for cid in 0..proj.num_groups() {
+                let group_rows = coarse.iter().map(|column| column.rows(cid)).max().unwrap_or(0);
+                if group_rows == 0 {
+                    continue;
+                }
+                let values = coarse.iter().zip(&q.aggregates);
+                let values = values.map(|(c, a)| c.finalize(cid, a.kind)).collect();
+                groups.push((proj.key(cid as u32).to_vec(), values, group_rows));
+            }
+            QueryResult::from_parts(proj.dim_names().to_vec(), agg_names.clone(), groups)
+        });
+        results.collect()
+    }
+
+    /// A `WITH CUBE` statement whose predicate leaves fine groups dead reads
+    /// out, in either family, what a read-out of every fine group does: the
+    /// same keys, value bits and group rows. Fine group `(a, p)` is dead and
+    /// met first, before the live `(a, q)` and `(a, r)` of the same coarse
+    /// group `a`, so a read-out that merged `a`'s cells in another order, or
+    /// took its first cell from a dead group, would show here; `p` holds
+    /// dead groups only, so it must not be answered.
+    #[test]
+    fn the_live_readout_answers_as_a_readout_of_every_group() {
+        let mut b = TableBuilder::new(&[
+            ("g", DataType::Str),
+            ("h", DataType::Str),
+            ("keep", DataType::Int64),
+            ("x", DataType::Float64),
+        ]);
+        let edges = [
+            ("a", "p", 0, 5.0),
+            ("a", "q", 1, 0.1),
+            ("a", "r", 1, -0.0),
+            ("b", "p", 0, 1.0),
+            ("b", "q", 1, f64::NAN),
+            ("a", "q", 1, 0.7),
+            ("c", "s", 1, f64::INFINITY),
+            ("a", "r", 1, 1e300),
+            ("c", "s", 1, f64::NEG_INFINITY),
+            ("d", "t", 1, 0.0),
+        ];
+        let body = (0..300).map(|i: usize| {
+            let (g, h) = (["a", "b", "c", "d"][i * 7 % 4], ["q", "r", "s", "t"][i * 5 % 4]);
+            (g, h, !i.is_multiple_of(3) as i64, (i as f64 * 0.37).sin() * 1e3)
+        });
+        for (g, h, keep, x) in edges.into_iter().chain(body) {
+            let row = [Value::str(g), Value::str(h), Value::Int64(keep), Value::Float64(x)];
+            b.push_row(&row).unwrap();
+        }
+        let t = b.finish();
+        let q = GroupByQuery::new(
+            vec![ScalarExpr::col("g"), ScalarExpr::col("h")],
+            vec![
+                AggExpr::count(),
+                AggExpr::sum("x"),
+                AggExpr::avg("x"),
+                AggExpr::min("x"),
+                AggExpr::max("x"),
+                AggExpr::var("x"),
+                AggExpr::std("x"),
+                AggExpr::count_if("x", CmpOp::Gt, 0.5),
+            ],
+        )
+        .with_predicate(Predicate::cmp("keep", CmpOp::Eq, 1.0))
+        .with_cube();
+        check_live_readout::<ExactCells>(&q, &t, |_| 1.0);
+        // A row of weight 0 folds into no weighted cell.
+        check_live_readout::<crate::agg::WeightedCells>(&q, &t, |row| (row % 4) as f64 * 0.75);
+    }
+
+    fn check_live_readout<F: Cells>(
+        q: &GroupByQuery,
+        t: &Table,
+        weight: impl Fn(usize) -> f64 + Sync,
+    ) {
+        let options = ExecOptions::default();
+        let rows = RowSpace::from(t);
+        let keys = RowKeys::encode(&rows, &[t], &q.group_by, &options).unwrap();
+        let predicate = q.predicate.as_ref().unwrap();
+        let filters = rows.predicate_bitmaps(predicate, &options).unwrap();
+        let (merge, fine) =
+            q.fold_groups::<F>(&rows, &keys, Some(&filters), weight, &options).unwrap();
+        let every: Vec<Cow<[KeyAtom]>> = merge.keys().iter().map(|&k| keys.decode(k)).collect();
+        let key = |atoms: &[&str]| atoms.iter().map(|&a| KeyAtom::from(a)).collect::<Vec<_>>();
+        assert_eq!(every[..3], [key(&["a", "p"]), key(&["a", "q"]), key(&["a", "r"])]);
+        let live = live_groups(&fine);
+        assert_eq!(live[..2], [1, 2], "(a, p) is dead, (a, q) and (a, r) live");
+        assert!(live.len() < every.len());
+
+        let got = q.assemble(|g| keys.decode(merge.keys()[g]), &fine);
+        let want = assemble_every(q, &every, &fine);
+        assert_eq!(got.len(), want.len());
+        for (got, want) in got.iter().zip(&want) {
+            let at = format!("{:?}", want.grouping);
+            assert_eq!(got.grouping, want.grouping);
+            assert_eq!(got.keys, want.keys, "{at}");
+            assert_eq!(got.group_rows, want.group_rows, "{at}");
+            let bits = |r: &QueryResult| -> Vec<Vec<u64>> {
+                r.values.iter().map(|v| v.iter().map(|x| x.to_bits()).collect()).collect()
+            };
+            assert_eq!(bits(got), bits(want), "{at}");
+        }
+        assert_eq!(want[2].grouping, ["h"]);
+        assert_eq!(want[2].group_position(&key(&["p"])), None, "p holds dead groups only");
     }
 
     /// One name per `ScalarExpr` and `Predicate` variant — each reachable
