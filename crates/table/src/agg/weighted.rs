@@ -3,7 +3,9 @@
 //! weighted: every cell keeps the raw row count, ignores a row of
 //! non-positive weight, and each of its fields sees the operations the same
 //! field of a [`WeightedAggState`] fed the same rows sees, in the same
-//! order.
+//! order. The estimator's crate monomorphises the pass over this family,
+//! so the methods the pass calls per cell are `#[inline]`: without it they
+//! could not be inlined across the crate boundary.
 
 use super::{Accumulator, AggKind, Cells, MaxCell, MinCell};
 
@@ -40,6 +42,7 @@ impl Accumulator for WeightedCount {
         self.wsum += w;
     }
 
+    #[inline]
     fn merge(&mut self, other: &WeightedCount) {
         if other.rows == 0 {
             return;
@@ -52,6 +55,7 @@ impl Accumulator for WeightedCount {
         self.rows += other.rows;
     }
 
+    #[inline]
     fn rows(&self) -> u64 {
         self.rows
     }
@@ -87,6 +91,7 @@ impl Accumulator for WeightedMean {
         self.mean += delta * w / self.wsum;
     }
 
+    #[inline]
     fn merge(&mut self, other: &WeightedMean) {
         if other.rows == 0 {
             return;
@@ -103,6 +108,7 @@ impl Accumulator for WeightedMean {
         self.rows += other.rows;
     }
 
+    #[inline]
     fn rows(&self) -> u64 {
         self.rows
     }
@@ -169,6 +175,7 @@ impl Accumulator for WeightedAggState {
         }
     }
 
+    #[inline]
     fn merge(&mut self, other: &WeightedAggState) {
         if other.rows == 0 {
             return;
@@ -189,6 +196,7 @@ impl Accumulator for WeightedAggState {
         self.max = self.max.max(other.max);
     }
 
+    #[inline]
     fn rows(&self) -> u64 {
         self.rows
     }
