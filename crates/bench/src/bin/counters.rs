@@ -50,6 +50,11 @@ const STATEMENTS: [&str; 3] = [
     "SELECT parameter, AVG(value), SUM(value) FROM openaq GROUP BY parameter",
 ];
 
+/// AQ4: country × month × year under `parameter = 'co'`, a selective
+/// predicate on a column the grouping does not read.
+const AQ4: &str = "SELECT country, MONTH(local_time), YEAR(local_time), AVG(value) FROM openaq \
+                   WHERE parameter = 'co' GROUP BY country, MONTH(local_time), YEAR(local_time)";
+
 fn main() {
     let table = generate_openaq(&OpenAqConfig::with_rows(WORKLOAD_ROWS));
     let mut counters: Vec<(String, u64)> = Vec::new();
@@ -349,6 +354,14 @@ fn main() {
     counters.push(("join_bytes_gathered_max/join_workload".into(), join_bytes_gathered_max));
     counters.push(("group_id_bytes/exact_workload".into(), exact_group_ids));
     counters.push(("fold_state_bytes/exact_workload".into(), exact_fold_bytes));
+    // And what a selective statement's folds hold: AQ4 keeps the rows of
+    // one parameter, and its walk slots only those, so each partition holds
+    // cells for the groups a kept row reaches: 16 bytes per group, the
+    // count and Welford mean of its `AVG` cell.
+    let fold_bytes_before = total_fold_state_bytes();
+    join_engine.query(AQ4, QueryMode::Exact).expect("predicate workload");
+    let predicate_fold_bytes = total_fold_state_bytes() - fold_bytes_before;
+    counters.push(("fold_state_bytes/predicate_workload".into(), predicate_fold_bytes));
     remote_workload(&mut counters);
 
     // Plan shapes: fixed by the row counts alone.

@@ -27,6 +27,12 @@
 //! first-occurrence id — and the pass accumulates every `AVG` aggregate of
 //! the statement side by side over the rows the already-built predicate
 //! bitmap keeps.
+//!
+//! Unlike the weighted pass, whose walk keys and slots only the kept rows,
+//! this walk slots every row on purpose. Its cells live in a map keyed by
+//! `(stratum, group)` with the group's slot id, and the variance sums run
+//! in the map's iteration order, which depends on those ids. Slotting only
+//! the kept rows would renumber the groups and move `ci95` bits.
 
 use cvopt_table::exec::ExecOptions;
 use cvopt_table::expr::{BlockScratch, BoundExpr};
@@ -211,7 +217,7 @@ impl SampleScan<'_> {
         // cell in row order as a row-major walk does.
         let all = RowRange { start: 0, end: sample.len() };
         let mut scratch: Vec<BlockScratch> = avgs.iter().map(|acc| acc.value.scratch()).collect();
-        let groups = self.keys.walk(&self.rows, all, |run, slots, seen| {
+        let groups = self.keys.walk(&self.rows, all, None, |run, slots, seen| {
             let start = run.local.start;
             for (acc, scratch) in avgs.iter_mut().zip(&mut scratch) {
                 let AvgAcc { value, cells, totals, .. } = acc;

@@ -16,10 +16,12 @@
 //! bound, known before the scan.
 //!
 //! One walk does the per-row work (`RowKeys::walk`): over a row range, in
-//! row order, it maps each row's key to a partition-local *slot* — through a
-//! flat `u32` table indexed by the key when the bound is at most the rows
-//! walked, through a hash map otherwise; a property of the data, not an
-//! option — and hands each run of rows and their slots to its caller.
+//! row order, it maps each row's key — or, given a predicate's kept set,
+//! only each kept row's, its key codes gathered at the kept offsets — to a
+//! partition-local *slot*, through a flat `u32` table indexed by the key
+//! when the bound is at most the rows walked and through a hash map
+//! otherwise (a property of the data, not an option), and hands each run
+//! of rows and their slots to its caller.
 //! [`GroupIndex::build_with`] writes the slots as per-row ids; the
 //! aggregation pass folds each slot's accumulators in place, for an exact
 //! statement and for an answer from a sample alike; an answer's confidence
@@ -42,6 +44,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::bitmap::Bitmap;
 use crate::dict::Dictionary;
 use crate::exec::{self, ExecOptions, RowRange, CHUNK_ROWS, RUN_ROWS};
 use crate::expr::{BoundExpr, ScalarExpr};
@@ -120,7 +123,8 @@ pub fn total_keys_projected() -> u64 {
 }
 
 /// What one walk found: its distinct keys in first-occurrence order — slot
-/// order — and each key's row count.
+/// order — and each key's row count: the rows it walked, which under a kept
+/// set are the kept rows alone.
 #[derive(Debug, Default)]
 pub struct LocalKeys {
     keys: Vec<u64>,
@@ -203,34 +207,52 @@ impl CodeColumn<'_> {
         self.labels.len() as u64
     }
 
-    /// `key = key · radix + code` for the rows of `run`, one per key.
-    fn pack(&self, run: &ShardSegment, keys: &mut [u64]) {
+    /// `key = key · radix + code` for the rows of `run`, one per key: every
+    /// row of the run, or only the run offsets `kept` lists.
+    fn pack(&self, run: &ShardSegment, kept: Option<&[u32]>, keys: &mut [u64]) {
         let radix = self.radix();
-        let (codes, translation) = match &self.codes {
-            Codes::Shards(shards) => {
-                let (codes, translation) = &shards[run.shard];
-                (&codes[run.local.start..run.local.end], translation.as_deref())
+        let local = run.local.start..run.local.end;
+        match &self.codes {
+            Codes::Shards(shards) => match &shards[run.shard] {
+                (codes, None) => gather(keys, radix, kept, &codes[local], u64::from),
+                (codes, Some(translation)) => {
+                    let code = |code: u32| u64::from(translation[code as usize]);
+                    gather(keys, radix, kept, &codes[local], code)
+                }
+            },
+            Codes::Rows(codes) => {
+                let codes = &codes[run.global_start..run.global_start + run.len()];
+                gather(keys, radix, kept, codes, u64::from)
             }
-            Codes::Rows(codes) => (&codes[run.global_start..run.global_start + keys.len()], None),
             Codes::Days { shards, first_day, codes } => {
-                let seconds = &shards[run.shard][run.local.start..run.local.end];
-                for (key, &s) in keys.iter_mut().zip(seconds) {
-                    let code = codes[(s.div_euclid(SECS_PER_DAY) - first_day) as usize];
-                    *key = *key * radix + u64::from(code);
-                }
-                return;
+                let code =
+                    |s: i64| u64::from(codes[(s.div_euclid(SECS_PER_DAY) - first_day) as usize]);
+                gather(keys, radix, kept, &shards[run.shard][local], code)
             }
-        };
-        match translation {
-            None => {
-                for (key, &code) in keys.iter_mut().zip(codes) {
-                    *key = *key * radix + u64::from(code);
-                }
+        }
+    }
+}
+
+/// The one gather loop of [`CodeColumn::pack`]: `key = key · radix +
+/// code(values[i])` for each row `i` of a run — every row, or only the
+/// offsets `kept` lists, key `j` then being row `kept[j]`'s.
+#[inline]
+fn gather<T: Copy>(
+    keys: &mut [u64],
+    radix: u64,
+    kept: Option<&[u32]>,
+    values: &[T],
+    code: impl Fn(T) -> u64,
+) {
+    match kept {
+        None => {
+            for (key, &value) in keys.iter_mut().zip(values) {
+                *key = *key * radix + code(value);
             }
-            Some(translation) => {
-                for (key, &code) in keys.iter_mut().zip(codes) {
-                    *key = *key * radix + u64::from(translation[code as usize]);
-                }
+        }
+        Some(kept) => {
+            for (key, &at) in keys.iter_mut().zip(kept) {
+                *key = *key * radix + code(values[at as usize]);
             }
         }
     }
@@ -264,19 +286,22 @@ impl KeySource<'_, '_> {
         }
     }
 
-    /// The keys of the rows of `run`, one per entry of `keys`.
-    fn fill(&self, run: &ShardSegment, keys: &mut [u64]) -> Result<()> {
+    /// The keys of the rows of `run`, one per entry of `keys`: every row of
+    /// the run, or only the run offsets `kept` lists.
+    fn fill(&self, run: &ShardSegment, kept: Option<&[u32]>, keys: &mut [u64]) -> Result<()> {
         match self {
             KeySource::Packed { columns, .. } => {
                 keys.fill(0);
                 for column in *columns {
-                    column.pack(run, keys);
+                    column.pack(run, kept, keys);
                 }
             }
             KeySource::Values { expr, values } => {
                 let values = &values[run.shard];
-                for (key, row) in keys.iter_mut().zip(run.local.rows()) {
-                    *key = values.i64_at(row).ok_or_else(|| dim_type_error(expr))? as u64;
+                let start = run.local.start;
+                let row = |i: usize| start + kept.map_or(i, |kept| kept[i] as usize);
+                for (i, key) in keys.iter_mut().enumerate() {
+                    *key = values.i64_at(row(i)).ok_or_else(|| dim_type_error(expr))? as u64;
                 }
             }
         }
@@ -292,6 +317,12 @@ impl KeySource<'_, '_> {
 /// slots exist so far. Returns the walk's keys in slot order with their row
 /// counts.
 ///
+/// With a kept set — one bitmap per shard, over its local rows — the walk
+/// lists each run's kept offsets and keys and slots only those rows: a
+/// key's slot is then its first occurrence over the *kept* rows, a size
+/// counts kept rows, a run without a kept row is skipped, and `visit`'s
+/// slot at a row the set drops is unspecified.
+///
 /// The slot lookup is a flat table indexed by the key when the source's
 /// bound is at most the rows walked — the table is then no larger than the
 /// ids a walk writes — and a hash map otherwise. Slots are the same either
@@ -299,14 +330,15 @@ impl KeySource<'_, '_> {
 fn walk(
     source: &KeySource,
     segments: &[ShardSegment],
+    kept: Option<&[Bitmap]>,
     visit: impl FnMut(&ShardSegment, &[u32], usize),
 ) -> Result<LocalKeys> {
     let rows: usize = segments.iter().map(ShardSegment::len).sum();
     match source.bound() {
         Some(bound) if bound <= rows as u64 => {
-            walk_with(FlatSlots(vec![0; bound as usize]), source, segments, visit)
+            walk_with(FlatSlots(vec![0; bound as usize]), source, segments, kept, visit)
         }
-        _ => walk_with(HashSlots::default(), source, segments, visit),
+        _ => walk_with(HashSlots::default(), source, segments, kept, visit),
     }
 }
 
@@ -314,23 +346,54 @@ fn walk_with(
     mut table: impl SlotTable,
     source: &KeySource,
     segments: &[ShardSegment],
+    kept: Option<&[Bitmap]>,
     mut visit: impl FnMut(&ShardSegment, &[u32], usize),
 ) -> Result<LocalKeys> {
     let mut seen = LocalKeys::default();
     let mut keys = [0u64; RUN_ROWS];
     let mut slots = [0u32; RUN_ROWS];
+    let mut kept_at = [0u32; RUN_ROWS];
     for segment in segments {
+        let bitmap = kept.map(|bitmaps| &bitmaps[segment.shard]);
         for local in segment.local.runs() {
             let run = ShardSegment {
                 shard: segment.shard,
                 local,
                 global_start: segment.global_start + (local.start - segment.local.start),
             };
-            let (keys, slots) = (&mut keys[..local.len()], &mut slots[..local.len()]);
-            source.fill(&run, keys)?;
-            for (slot, &key) in slots.iter_mut().zip(keys.iter()) {
-                *slot = table.slot(key, &mut seen);
-                seen.sizes[*slot as usize] += 1;
+            // The run's kept offsets; `None` without a kept set, and for a
+            // run that keeps every row.
+            let at = match bitmap {
+                None => None,
+                Some(bitmap) => {
+                    let mut n = 0;
+                    for row in bitmap.iter_ones_in(local.start, local.end) {
+                        kept_at[n] = (row - local.start) as u32;
+                        n += 1;
+                    }
+                    if n == 0 {
+                        continue;
+                    }
+                    (n < local.len()).then_some(&kept_at[..n])
+                }
+            };
+            let keys = &mut keys[..at.map_or(local.len(), <[u32]>::len)];
+            source.fill(&run, at, keys)?;
+            let slots = &mut slots[..local.len()];
+            match at {
+                None => {
+                    for (slot, &key) in slots.iter_mut().zip(keys.iter()) {
+                        *slot = table.slot(key, &mut seen);
+                        seen.sizes[*slot as usize] += 1;
+                    }
+                }
+                Some(at) => {
+                    for (&at, &key) in at.iter().zip(keys.iter()) {
+                        let slot = table.slot(key, &mut seen);
+                        slots[at as usize] = slot;
+                        seen.sizes[slot as usize] += 1;
+                    }
+                }
             }
             visit(&run, slots, seen.keys.len());
         }
@@ -430,7 +493,7 @@ fn intern_rows(rows: &RowSpace, source: &KeySource, options: &ExecOptions) -> Re
         exec::for_each_chunk_mut(&mut ids, block, options, |i, ids| {
             let start = i * block;
             let range = RowRange { start, end: start + ids.len() };
-            walk(source, &rows.segments(range), |run, slots, _| {
+            walk(source, &rows.segments(range), None, |run, slots, _| {
                 let at = run.global_start - start;
                 ids[at..at + slots.len()].copy_from_slice(slots);
             })
@@ -459,10 +522,13 @@ fn dim_type_error(expr: &ScalarExpr) -> crate::error::TableError {
 
 /// One grouping dimension over in-process `tables` (the shards of `rows`,
 /// in order), as a column of codes in one space for the whole row space.
-fn encode_dimension<'k>(
+/// `spans` holds the day spans of the timestamp columns earlier dimensions
+/// of the same encoding read.
+fn encode_dimension<'k, 'e>(
     rows: &RowSpace,
     tables: &[&'k Table],
-    expr: &ScalarExpr,
+    expr: &'e ScalarExpr,
+    spans: &mut DaySpans<'e>,
     options: &ExecOptions,
 ) -> Result<CodeColumn<'k>> {
     let bound: Vec<BoundExpr<'k>> = tables.iter().map(|t| expr.bind(t)).collect::<Result<_>>()?;
@@ -490,7 +556,7 @@ fn encode_dimension<'k>(
         let labels = labels.collect();
         return Ok(CodeColumn { codes: Codes::Shards(shards), labels });
     }
-    if let Some(column) = day_column(expr, &bound, rows.num_rows()) {
+    if let Some(column) = day_column(expr, &bound, rows.num_rows(), spans) {
         return Ok(column);
     }
     // Any other integer-like dimension: intern values to dense codes in
@@ -510,23 +576,20 @@ const SECS_PER_DAY: i64 = 86_400;
 /// ids follow the packed keys' first occurrence over the rows, as interning
 /// gives them. `None` — intern values instead — for any other dimension or a
 /// wider span.
-fn day_column<'k>(
-    expr: &ScalarExpr,
+fn day_column<'k, 'e>(
+    expr: &'e ScalarExpr,
     bound: &[BoundExpr<'k>],
     rows: usize,
+    spans: &mut DaySpans<'e>,
 ) -> Option<CodeColumn<'k>> {
-    let part: fn(i64) -> i64 = match expr {
-        ScalarExpr::Year(_) => |day| i64::from(crate::time::civil_from_days(day).0),
-        ScalarExpr::Month(_) => |day| i64::from(crate::time::civil_from_days(day).1),
+    let (part, timestamp): (fn(i64) -> i64, _) = match expr {
+        ScalarExpr::Year(of) => (|day| i64::from(crate::time::civil_from_days(day).0), of),
+        ScalarExpr::Month(of) => (|day| i64::from(crate::time::civil_from_days(day).1), of),
         _ => return None,
     };
     let shards: Vec<&'k [i64]> =
         bound.iter().map(|b| b.column().i64_slice()).collect::<Option<_>>()?;
-    let (mut low, mut high) = (i64::MAX, i64::MIN);
-    for &seconds in shards.iter().copied().flatten() {
-        low = low.min(seconds);
-        high = high.max(seconds);
-    }
+    let (low, high) = spans.of(timestamp, &shards);
     let (first_day, last_day) = (low.div_euclid(SECS_PER_DAY), high.div_euclid(SECS_PER_DAY));
     last_day.checked_sub(first_day).filter(|&width| (width as u64) < rows as u64)?;
     let mut labels: Vec<Vec<KeyAtom>> = Vec::new();
@@ -541,6 +604,29 @@ fn day_column<'k>(
         .collect();
     let codes = Codes::Days { shards, first_day, codes };
     Some(CodeColumn { codes, labels })
+}
+
+/// The span of each timestamp column a `YEAR` or `MONTH` dimension reads —
+/// its lowest and highest epoch seconds over every shard — keyed by the
+/// expression the part is taken of, so that one encoding scans a column
+/// once however many of its dimensions read it (`MONTH(t), YEAR(t)`).
+#[derive(Default)]
+struct DaySpans<'e>(Vec<(&'e ScalarExpr, (i64, i64))>);
+
+impl<'e> DaySpans<'e> {
+    /// The span of `timestamp`, whose values are `shards`.
+    fn of(&mut self, timestamp: &'e ScalarExpr, shards: &[&[i64]]) -> (i64, i64) {
+        if let Some(&(_, span)) = self.0.iter().find(|(seen, _)| *seen == timestamp) {
+            return span;
+        }
+        let (mut low, mut high) = (i64::MAX, i64::MIN);
+        for &seconds in shards.iter().copied().flatten() {
+            low = low.min(seconds);
+            high = high.max(seconds);
+        }
+        self.0.push((timestamp, (low, high)));
+        (low, high)
+    }
 }
 
 /// Every row's grouping key over one row space, packed into one `u64` code
@@ -561,9 +647,10 @@ impl<'k> RowKeys<'k> {
         exprs: &[ScalarExpr],
         options: &ExecOptions,
     ) -> Result<RowKeys<'k>> {
+        let mut spans = DaySpans::default();
         let mut columns: Vec<CodeColumn<'k>> = exprs
             .iter()
-            .map(|expr| encode_dimension(rows, tables, expr, options))
+            .map(|expr| encode_dimension(rows, tables, expr, &mut spans, options))
             .collect::<Result<_>>()?;
         loop {
             let mut fit = 0;
@@ -590,24 +677,32 @@ impl<'k> RowKeys<'k> {
 
     /// Walk the rows `range` of `rows` — the row space these keys were
     /// encoded over — in row order, handing each run, its rows' slots and
-    /// the slot count so far to `visit`: the module's one walk. Over every
-    /// row, a row's slot is its key's first-occurrence id.
+    /// the slot count so far to `visit`: the module's one walk. Without a
+    /// kept set every row takes a slot, and a row's slot is its key's
+    /// first-occurrence id over every row. With one — `kept[s]` over shard
+    /// `s`'s local rows, as [`RowSpace::predicate_bitmaps`] builds them —
+    /// only the kept rows are keyed and slotted: a slot is then its key's
+    /// first occurrence over the kept rows, the returned sizes count kept
+    /// rows, and `visit` meets only runs that keep a row and reads slots only
+    /// at kept offsets.
     pub fn walk(
         &self,
         rows: &RowSpace,
         range: RowRange,
+        kept: Option<&[Bitmap]>,
         visit: impl FnMut(&ShardSegment, &[u32], usize),
     ) -> LocalKeys {
-        self.walk_segments(&rows.segments(range), visit)
+        self.walk_segments(&rows.segments(range), kept, visit)
     }
 
     /// [`walk`] the rows of `segments`.
     fn walk_segments(
         &self,
         segments: &[ShardSegment],
+        kept: Option<&[Bitmap]>,
         visit: impl FnMut(&ShardSegment, &[u32], usize),
     ) -> LocalKeys {
-        walk(&self.source(), segments, visit).expect("code columns hold a key for every row")
+        walk(&self.source(), segments, kept, visit).expect("code columns hold a key for every row")
     }
 
     /// The key atoms of packed key `key`, borrowed from the labels when one
@@ -858,6 +953,9 @@ impl<'k> GroupProjection<'k> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predicate::{CmpOp, Predicate};
+    use crate::reader::ShardSet;
+    use crate::shard::ShardedTable;
     use crate::table::TableBuilder;
     use crate::time::epoch_seconds;
     use crate::types::{DataType, Value};
@@ -1092,8 +1190,9 @@ mod tests {
         assert!(gi.row_groups().iter().all(|&g| g == 0));
     }
 
-    /// Over the same rows — several runs, one key space — the flat table and
-    /// the hash map hand out the same slots, keys and sizes.
+    /// Over the same rows — several runs, one key space, every row or a kept
+    /// set — the flat table and the hash map hand out the same slots, keys
+    /// and sizes.
     #[test]
     fn flat_and_hashed_slots_agree() {
         let mut b = TableBuilder::new(&[("s", DataType::Str), ("i", DataType::Int64)]);
@@ -1108,16 +1207,111 @@ mod tests {
         let keys = RowKeys::encode(&rows, &tables, &exprs, &ExecOptions::sequential()).unwrap();
         assert_eq!(keys.bound, 23 * 5);
         let range = RowRange { start: 0, end: t.num_rows() };
-        let (mut flat, mut hashed) = (Vec::new(), Vec::new());
-        let table = FlatSlots(vec![0; keys.bound as usize]);
         let segments = rows.segments(range);
-        let a = walk_with(table, &keys.source(), &segments, |_, s, _| flat.extend_from_slice(s));
-        let b = walk_with(HashSlots::default(), &keys.source(), &segments, |_, s, _| {
-            hashed.extend_from_slice(s)
-        });
-        let (a, b) = (a.unwrap(), b.unwrap());
-        assert_eq!((flat, &a.keys, &a.sizes), (hashed, &b.keys, &b.sizes));
-        assert_eq!(a.keys.len(), 23 * 5);
+        let third = [Bitmap::from_fn(t.num_rows(), |r| r % 3 == 1)];
+        for kept in [None, Some(&third[..])] {
+            // A kept walk's slot at a dropped row is unspecified: read the
+            // kept rows' alone.
+            let read = |slots: &mut Vec<u32>, run: &ShardSegment, s: &[u32]| match kept {
+                None => slots.extend_from_slice(s),
+                Some(kept) => slots.extend(
+                    kept[0]
+                        .iter_ones_in(run.local.start, run.local.end)
+                        .map(|r| s[r - run.local.start]),
+                ),
+            };
+            let (mut flat, mut hashed) = (Vec::new(), Vec::new());
+            let table = FlatSlots(vec![0; keys.bound as usize]);
+            let a = walk_with(table, &keys.source(), &segments, kept, |run, s, _| {
+                read(&mut flat, run, s)
+            });
+            let b =
+                walk_with(HashSlots::default(), &keys.source(), &segments, kept, |run, s, _| {
+                    read(&mut hashed, run, s)
+                });
+            let (a, b) = (a.unwrap(), b.unwrap());
+            assert_eq!((flat, &a.keys, &a.sizes), (hashed, &b.keys, &b.sizes));
+            assert_eq!(a.keys.len(), 23 * 5);
+            let walked = kept.map_or(t.num_rows(), |kept| kept[0].count_ones());
+            assert_eq!(a.sizes.iter().sum::<u64>(), walked as u64);
+        }
+    }
+
+    /// A kept walk keys and slots the kept rows as a walk over those rows
+    /// alone does, whatever a column reads its codes from: dictionary codes
+    /// as they are and translated across shards, interned per-row codes, and
+    /// codes over days. Keys follow first occurrence over the kept rows,
+    /// sizes count kept rows, and a kept set without a row walks nothing.
+    #[test]
+    fn a_kept_walk_slots_the_kept_rows_as_a_walk_over_them_alone() {
+        let mut b = TableBuilder::new(&[
+            ("s", DataType::Str),
+            ("i", DataType::Int64),
+            ("t", DataType::Timestamp),
+        ]);
+        let n = 2 * RUN_ROWS + 300;
+        let mut state = 0x2545_f491u64;
+        for _ in 0..n {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            b.push_row(&[
+                Value::str(format!("s{}", state % 13)),
+                Value::Int64((state % 1_000) as i64),
+                Value::Timestamp(1_500_000_000 + (state % 900) as i64 * SECS_PER_DAY),
+            ])
+            .unwrap();
+        }
+        let t = b.finish();
+        let set = ShardSet::from(ShardedTable::split(&t, 3).unwrap());
+        let rows = set.rows();
+        let tables = rows.local_tables().unwrap();
+        let timestamp = || Box::new(ScalarExpr::col("t"));
+        let exprs = [
+            ScalarExpr::col("s"),
+            ScalarExpr::col("i"),
+            ScalarExpr::Year(timestamp()),
+            ScalarExpr::Month(timestamp()),
+        ];
+        let options = ExecOptions::sequential();
+        let keys = RowKeys::encode(&rows, &tables, &exprs, &options).unwrap();
+        let codes = |column: &CodeColumn| match &column.codes {
+            Codes::Shards(shards) if shards.iter().any(|(_, t)| t.is_some()) => "translated",
+            Codes::Shards(_) => "shards",
+            Codes::Rows(_) => "rows",
+            Codes::Days { .. } => "days",
+        };
+        let read: Vec<&str> = keys.columns.iter().map(codes).collect();
+        assert_eq!(read, ["translated", "rows", "days", "days"]);
+        let all = RowRange { start: 0, end: n };
+        for (threshold, walked) in [(1_000, 0), (500, 1_184), (-1, n)] {
+            let predicate = Predicate::cmp("i", CmpOp::Gt, threshold);
+            let kept = rows.predicate_bitmaps(&predicate, &options).unwrap();
+            let mut slots = Vec::new();
+            let got = keys.walk(&rows, all, Some(&kept), |run, run_slots, _| {
+                let (start, end) = (run.local.start, run.local.end);
+                assert!(kept[run.shard].iter_ones_in(start, end).next().is_some());
+                let at = kept[run.shard].iter_ones_in(start, end);
+                slots.extend(at.map(|r| run_slots[r - start]));
+            });
+            // The kept rows alone, as one table, walked whole.
+            let whole = RowSpace::from(&t).predicate_bitmaps(&predicate, &options).unwrap();
+            let alone = t.take(&whole[0].iter_ones().collect::<Vec<_>>());
+            assert_eq!(alone.num_rows(), walked);
+            let alone_rows = RowSpace::from(&alone);
+            let reference = RowKeys::encode(&alone_rows, &[&alone], &exprs, &options).unwrap();
+            let mut want = Vec::new();
+            let local =
+                reference.walk(&alone_rows, RowRange { start: 0, end: walked }, None, |_, s, _| {
+                    want.extend_from_slice(s)
+                });
+            assert_eq!(slots, want, "threshold {threshold}");
+            let decoded = |keys: &RowKeys, local: &LocalKeys| -> Vec<Vec<KeyAtom>> {
+                local.keys().iter().map(|&key| keys.decode(key).into_owned()).collect()
+            };
+            assert_eq!(decoded(&keys, &got), decoded(&reference, &local));
+            assert_eq!(got.sizes, local.sizes);
+        }
     }
 
     /// `YEAR` and `MONTH` read a table over the column's days exactly when

@@ -93,7 +93,7 @@ pub(crate) fn partition(
     range: RowRange,
 ) -> (LocalKeys, Runs) {
     let mut slots = Vec::with_capacity(range.len());
-    let local = keys.walk_segments(segments, |_, run, _| slots.extend_from_slice(run));
+    let local = keys.walk_segments(segments, None, |_, run, _| slots.extend_from_slice(run));
     let mut offsets = Vec::with_capacity(local.sizes.len() + 1);
     let mut end = 0u32;
     offsets.push(end);

@@ -2,30 +2,33 @@
 //! family of [`Cells`] it folds.
 //!
 //! The pass walks the rows one global partition at a time, in the grouping
-//! module's one walk: each row's key takes a partition-local slot and, when
-//! the predicate keeps the row, updates that slot's cells in the same step,
-//! so interning and folding read every row once. A partition's states are
-//! aggregate-major: one typed [`CellColumn`] per aggregate, indexed by slot,
-//! holding only the cell its kind reads — a count for `COUNT`, a count and a
-//! sum for `SUM` and `COUNT_IF`, a count and one bound for `MIN` and `MAX`,
-//! a count and the Welford mean for `AVG`, the full moments only for `VAR`
-//! and `STD` — so a run of rows writes one contiguous array per aggregate.
-//! Each column is sized by the groups its partition saw; partitions merge
-//! keys and cells together, in partition order, through the ordered merge;
-//! and the merged finest-group cells are projected onto each grouping set,
-//! so a `WITH CUBE` over k attributes still scans the data once.
+//! module's one walk. The predicate's bitmap is built first, and the walk
+//! keys and slots only the rows it keeps: each kept row's key takes a
+//! partition-local slot and updates that slot's cells in the same step, so
+//! interning and folding read every kept row once and a selective
+//! statement's cost follows what it keeps, not the table. A partition's
+//! states are aggregate-major: one typed [`CellColumn`] per aggregate,
+//! indexed by slot, holding only the cell its kind reads — a count for
+//! `COUNT`, a count and a sum for `SUM` and `COUNT_IF`, a count and one
+//! bound for `MIN` and `MAX`, a count and the Welford mean for `AVG`, the
+//! full moments only for `VAR` and `STD` — so a run of rows writes one
+//! contiguous array per aggregate. Each column is sized by the groups its
+//! partition saw; partitions merge keys and cells together, in partition
+//! order, through the ordered merge; and the merged finest-group cells are
+//! projected onto each grouping set, so a `WITH CUBE` over k attributes
+//! still scans the data once.
 //!
 //! The read-out touches only *live* fine groups — groups with a cell that
-//! accumulated a row. Under a predicate every row still takes a slot, so a
-//! statement like `WHERE country = 'C02'` over a sample's walk can merge
-//! tens of thousands of fine groups and keep a few thousand: the read-out
-//! lists the live ones, decodes only their keys (counted by
-//! [`total_keys_decoded`]), projects them and coarsens their cells, in
-//! fine-id order. A dead group's cells hold no row, and merging such a cell
-//! changes nothing ([`Accumulator::merge`]), so the answer is the one a
-//! read-out of every fine group gives, bit for bit. The full set — a plain
-//! statement's only one — is the identity projection over the live keys:
-//! it hashes and clones none of them.
+//! accumulated a row. A `WITH CUBE` statement slots every row even under a
+//! predicate (its coarse cells merge fine cells in fine-id order, the first
+//! occurrence over all rows), so it can merge fine groups no kept row
+//! reached: the read-out lists the live ones, decodes only their keys
+//! (counted by [`total_keys_decoded`]), projects them and coarsens their
+//! cells, in fine-id order. A dead group's cells hold no row, and merging
+//! such a cell changes nothing ([`Accumulator::merge`]), so the answer is
+//! the one a read-out of every fine group gives, bit for bit. The full set
+//! — a plain statement's only one — is the identity projection over the
+//! live keys: it hashes and clones none of them.
 //!
 //! [`GroupByQuery::execute`] runs it with [`ExactCells`] and unit weights
 //! over packed dimension codes and computes exact answers (the experiments'
@@ -221,7 +224,7 @@ impl GroupByQuery {
                 let keys = options.span("encode", || {
                     RowKeys::encode(&rows, &tables, &self.group_by, &sequential)
                 })?;
-                let filter = match &self.predicate {
+                let bitmaps = match &self.predicate {
                     Some(p) => {
                         Some(options.span("bitmap", || rows.predicate_bitmaps(p, &sequential))?)
                     }
@@ -236,7 +239,7 @@ impl GroupByQuery {
                         all,
                         &self.aggregates,
                         &bound,
-                        filter.as_deref(),
+                        self.filter(bitmaps.as_deref()),
                         |_| 1.0,
                     )
                 });
@@ -269,10 +272,11 @@ impl GroupByQuery {
     /// (group, aggregate) per partition, merge the partials in partition
     /// order, project the merged cells onto each grouping set and assemble
     /// one [`QueryResult`] per set. `weight` maps a global row id to the
-    /// weight its value is accumulated with. Every row takes a slot, so fine
-    /// groups follow first occurrence over *all* rows — the order a
-    /// grouping set's projection merges them in — but only rows the filters
-    /// keep are folded.
+    /// weight its value is accumulated with. Only rows the filters keep are
+    /// folded; without `WITH CUBE` only they are keyed and take a slot, so
+    /// a selective predicate walks what it keeps, not the table. A cube
+    /// statement slots every row: its fine groups follow first occurrence
+    /// over *all* rows, the order a grouping set's projection merges them in.
     ///
     /// Partials are whole **global** partitions — each one walks the shard
     /// segments that cover it, reading values through that shard's bound
@@ -288,18 +292,20 @@ impl GroupByQuery {
         weight: impl Fn(usize) -> f64 + Sync,
         options: &ExecOptions,
     ) -> Result<Vec<QueryResult>> {
-        let (merge, fine) = self.fold_groups::<F>(rows, keys, filters, weight, options)?;
+        let filter = self.filter(filters);
+        let (merge, fine) = self.fold_groups::<F>(rows, keys, filter, weight, options)?;
         Ok(options.span("readout", || self.assemble(|g| keys.decode(merge.keys()[g]), &fine)))
     }
 
-    /// [`GroupByQuery::aggregate`] up to its read-out: the merged finest
-    /// groups' packed keys, in merged (first-occurrence) order, and one
-    /// column per aggregate whose cell `g` is fine group `g`'s.
+    /// [`GroupByQuery::aggregate`] up to its read-out, under `filter`: the
+    /// merged finest groups' packed keys, in merged (first-occurrence)
+    /// order, and one column per aggregate whose cell `g` is fine group
+    /// `g`'s.
     fn fold_groups<F: Cells>(
         &self,
         rows: &RowSpace<'_>,
         keys: &RowKeys<'_>,
-        filters: Option<&[Bitmap]>,
+        filter: Filter<'_>,
         weight: impl Fn(usize) -> f64 + Sync,
         options: &ExecOptions,
     ) -> Result<(OrderedMerge<u64>, Vec<CellColumn<F>>)> {
@@ -312,13 +318,31 @@ impl GroupByQuery {
             (OrderedMerge::<u64>::default(), columns(aggregates, 0)),
             |_, range| {
                 options.span("fold", || {
-                    fold_partition(rows, keys, range, aggregates, &bound, filters, &weight)
+                    fold_partition(rows, keys, range, aggregates, &bound, filter, &weight)
                 })
             },
             |(merge, fine), (local, states): (LocalKeys, Vec<CellColumn<F>>)| {
                 options.span("merge", || merge_partial(merge, fine, local.partial(), &states));
             },
         ))
+    }
+
+    /// How this statement's pass walks under the per-shard `filters`.
+    /// Without `WITH CUBE` the walk keys and slots only the kept rows, and
+    /// every bit of the answer is the one an all-rows walk gives: the
+    /// read-out is the identity projection, each fine group's cells still
+    /// merge its partitions' partials in partition order (a partition
+    /// without a kept row of the group contributed an empty cell, whose
+    /// merge changes nothing), and the answer is sorted by key. A cube
+    /// statement's coarse cell merges fine cells in fine-id order, which
+    /// first occurrence over the kept rows could reorder, so it slots every
+    /// row.
+    fn filter<'b>(&self, filters: Option<&'b [Bitmap]>) -> Filter<'b> {
+        match filters {
+            None => Filter::Every,
+            Some(bitmaps) if self.cube => Filter::SlotEvery(bitmaps),
+            Some(bitmaps) => Filter::SlotKept(bitmaps),
+        }
     }
 
     /// Read every grouping set out of the finest-group cells `fine` — one
@@ -401,13 +425,30 @@ fn merge_partial<K: Clone + Eq + Hash, F: Cells>(
     }
 }
 
+/// Which rows a partition of the aggregation pass folds, and which of them
+/// its walk keys and slots.
+#[derive(Clone, Copy)]
+pub(crate) enum Filter<'b> {
+    /// No predicate: every row is slotted and folded.
+    Every,
+    /// Key, slot and fold only the rows the per-shard bitmaps keep: fine
+    /// groups follow first occurrence over the kept rows.
+    SlotKept(&'b [Bitmap]),
+    /// Slot every row and fold the rows the per-shard bitmaps keep: fine
+    /// groups follow first occurrence over all rows.
+    SlotEvery(&'b [Bitmap]),
+}
+
 /// One partition of the aggregation pass: walk `range` of `rows` under
-/// `keys`, and fold every row the optional per-shard `filters` keep into its
-/// slot's cells, one column per aggregate. `bound` holds the aggregates'
-/// inputs bound per shard, each evaluated a run at a time into buffers
-/// allocated once per partition, and `weight` maps a global row id to its
-/// weight. Returns the partition's keys with the cell columns. Both sides
-/// of a statement over shards behind readers run it: a shard for the
+/// `keys`, and fold every row `filter` keeps into its slot's cells, one
+/// column per aggregate. Under [`Filter::SlotKept`] the walk keys and slots
+/// only the kept rows, so the partition's keys, their sizes and its cells
+/// cover only groups a kept row reached; under [`Filter::SlotEvery`] every
+/// row takes a slot. `bound` holds the aggregates' inputs bound per shard,
+/// each evaluated a run at a time into buffers allocated once per
+/// partition, and `weight` maps a global row id to its weight. Returns the
+/// partition's keys with the cell columns. Both sides of a statement over
+/// shards behind readers run it, slotting every row: a shard for the
 /// partitions it holds whole, the coordinator for in-process rows and for a
 /// partition that straddles a shard boundary.
 pub(crate) fn fold_partition<F: Cells>(
@@ -416,9 +457,14 @@ pub(crate) fn fold_partition<F: Cells>(
     range: RowRange,
     aggregates: &[AggExpr],
     bound: &[Vec<Option<BoundExpr<'_>>>],
-    filters: Option<&[Bitmap]>,
+    filter: Filter<'_>,
     weight: impl Fn(usize) -> f64,
 ) -> (LocalKeys, Vec<CellColumn<F>>) {
+    let (walked, filters) = match filter {
+        Filter::Every => (None, None),
+        Filter::SlotKept(bitmaps) => (Some(bitmaps), Some(bitmaps)),
+        Filter::SlotEvery(bitmaps) => (None, Some(bitmaps)),
+    };
     // Each column grows as slots appear rather than reserving every slot the
     // walk could hand out (up to the partition's row count): that reserve is
     // one large chunk per aggregate whatever the grouping's cardinality, and
@@ -427,7 +473,7 @@ pub(crate) fn fold_partition<F: Cells>(
     let mut states: Vec<CellColumn<F>> = columns(aggregates, 0);
     // Each input's block buffers, allocated at its first run.
     let mut scratch: Vec<Option<BlockScratch>> = aggregates.iter().map(|_| None).collect();
-    let local = keys.walk(rows, range, |run, slots, seen| {
+    let local = keys.walk(rows, range, walked, |run, slots, seen| {
         states.iter_mut().for_each(|column| column.resize(seen));
         let (start, end) = (run.local.start, run.local.end);
         let kept = filters.map(|bms| &bms[run.shard]);
@@ -1032,8 +1078,8 @@ mod tests {
         let keys = RowKeys::encode(&rows, &[t], &q.group_by, &options).unwrap();
         let predicate = q.predicate.as_ref().unwrap();
         let filters = rows.predicate_bitmaps(predicate, &options).unwrap();
-        let (merge, fine) =
-            q.fold_groups::<F>(&rows, &keys, Some(&filters), weight, &options).unwrap();
+        let filter = q.filter(Some(&filters));
+        let (merge, fine) = q.fold_groups::<F>(&rows, &keys, filter, weight, &options).unwrap();
         let every: Vec<Cow<[KeyAtom]>> = merge.keys().iter().map(|&k| keys.decode(k)).collect();
         let key = |atoms: &[&str]| atoms.iter().map(|&a| KeyAtom::from(a)).collect::<Vec<_>>();
         assert_eq!(every[..3], [key(&["a", "p"]), key(&["a", "q"]), key(&["a", "r"])]);
@@ -1056,6 +1102,82 @@ mod tests {
         }
         assert_eq!(want[2].grouping, ["h"]);
         assert_eq!(want[2].group_position(&key(&["p"])), None, "p holds dead groups only");
+    }
+
+    /// Each grouping set's keys, group rows and value bits.
+    type SetBits = (Vec<String>, Vec<Vec<KeyAtom>>, Vec<u64>, Vec<Vec<u64>>);
+
+    fn set_bits(results: &[QueryResult]) -> Vec<SetBits> {
+        let bits = |values: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            values.iter().map(|v| v.iter().map(|x| x.to_bits()).collect()).collect()
+        };
+        let set = |r: &QueryResult| {
+            (r.grouping.clone(), r.keys.clone(), r.group_rows.clone(), bits(&r.values))
+        };
+        results.iter().map(set).collect()
+    }
+
+    /// A `WITH CUBE` statement under a predicate answers as when every row
+    /// takes a slot, in either family. Fine group `(a, p)` is dead and met
+    /// first; `(a, q)` is met next, but its first kept row comes after those
+    /// of `(a, r)` and `(a, u)`. Over every row the coarse group `a` merges
+    /// `q`, `r`, `u` — 1e16, −1e16 and a small value, which survives —
+    /// while slotting only the kept rows would merge `r`, `u`, `q` and round
+    /// the small value away.
+    #[test]
+    fn a_cube_under_a_predicate_slots_every_row() {
+        let mut b = TableBuilder::new(&[
+            ("g", DataType::Str),
+            ("h", DataType::Str),
+            ("keep", DataType::Int64),
+            ("x", DataType::Float64),
+        ]);
+        let rows = [
+            ("a", "p", 0, 5.0),
+            ("a", "q", 0, 1.0),
+            ("a", "r", 1, -1e16),
+            ("a", "u", 1, 0.25),
+            ("a", "q", 1, 1e16),
+            ("b", "q", 1, 3.0),
+        ];
+        for (g, h, keep, x) in rows {
+            let row = [Value::str(g), Value::str(h), Value::Int64(keep), Value::Float64(x)];
+            b.push_row(&row).unwrap();
+        }
+        let t = b.finish();
+        let q = GroupByQuery::new(
+            vec![ScalarExpr::col("g"), ScalarExpr::col("h")],
+            vec![AggExpr::sum("x"), AggExpr::avg("x"), AggExpr::count()],
+        )
+        .with_predicate(Predicate::cmp("keep", CmpOp::Eq, 1.0))
+        .with_cube();
+        check_cube_slots_every::<ExactCells>(&q, &t, |_| 1.0, 0.25);
+        // Row 3's 0.25 at weight 2.
+        check_cube_slots_every::<crate::agg::WeightedCells>(&q, &t, |row| [1.0, 2.0][row % 2], 0.5);
+    }
+
+    fn check_cube_slots_every<F: Cells>(
+        q: &GroupByQuery,
+        t: &Table,
+        weight: impl Fn(usize) -> f64 + Sync + Copy,
+        sum_of_a: f64,
+    ) {
+        let options = ExecOptions::default();
+        let rows = RowSpace::from(t);
+        let keys = RowKeys::encode(&rows, &[t], &q.group_by, &options).unwrap();
+        let filters = rows.predicate_bitmaps(q.predicate.as_ref().unwrap(), &options).unwrap();
+        let under = |filter| {
+            let (merge, fine) = q.fold_groups::<F>(&rows, &keys, filter, weight, &options).unwrap();
+            set_bits(&q.assemble(|g| keys.decode(merge.keys()[g]), &fine))
+        };
+        let got = q.aggregate::<F>(&rows, &keys, Some(&filters), weight, &options).unwrap();
+        assert_eq!(got[1].grouping, ["g"]);
+        assert_eq!(got[1].value(&[KeyAtom::from("a")], 0), Some(sum_of_a));
+        let got = set_bits(&got);
+        assert_eq!(got, under(Filter::SlotEvery(&filters)));
+        let kept = under(Filter::SlotKept(&filters));
+        assert_eq!(got[0], kept[0], "the full set is the identity projection");
+        assert_ne!(got[1], kept[1], "merging (a, r), (a, u), (a, q) rounds the sum");
     }
 
     /// One name per `ScalarExpr` and `Predicate` variant — each reachable

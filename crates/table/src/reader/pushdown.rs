@@ -41,7 +41,7 @@ use crate::groupby::{
     bind_columns, fold_runs, key_display, partition, KeyAtom, LocalKeys, OrderedMerge, RowKeys,
 };
 use crate::predicate::Predicate;
-use crate::query::fold_partition;
+use crate::query::{fold_partition, Filter};
 use crate::shard::ShardSegment;
 use crate::table::{Table, TableBuilder};
 use crate::Result;
@@ -189,9 +189,11 @@ impl<'a, 'f> Kernel<'a, 'f> {
                 (merged, Partitions::Stats(partitions))
             }
             Kernel::Exact { aggregates, inputs, filters } => {
-                let filters = filters.as_deref();
+                // The wire's fold carries no cube flag, so a shard slots every
+                // row, as a cube statement's pass does.
+                let filter = filters.as_deref().map_or(Filter::Every, Filter::SlotEvery);
                 let (merged, partitions) = walk_pieces(rows, keys, pieces, options, |range| {
-                    fold_partition(rows, keys, range, aggregates, inputs, filters, |_| 1.0)
+                    fold_partition(rows, keys, range, aggregates, inputs, filter, |_| 1.0)
                 });
                 (merged, Partitions::Exact(partitions))
             }
@@ -215,7 +217,7 @@ fn walk_pieces<S: Send>(
             let (local, states) = fold(range);
             (local, Some(states))
         }
-        (range, None) => (keys.walk(rows, range, |_, _, _| {}), None),
+        (range, None) => (keys.walk(rows, range, None, |_, _, _| {}), None),
     });
     let mut merged = OrderedMerge::default();
     let mut partitions = Vec::new();
@@ -318,7 +320,7 @@ pub(crate) fn pick_table(
     let keys = RowKeys::encode(&rows, &[table], exprs, options)?;
     let mut picked: Vec<Vec<u32>> =
         picks.iter().map(|p| Vec::with_capacity(p.ordinals.len())).collect();
-    keys.walk(&rows, RowRange { start: 0, end: n }, |run, slots, _| {
+    keys.walk(&rows, RowRange { start: 0, end: n }, None, |run, slots, _| {
         for (row, &slot) in run.local.rows().zip(slots) {
             let Some(left) = gap.get_mut(slot as usize) else { continue };
             match *left {
@@ -728,7 +730,7 @@ impl<'a> RowSpace<'a> {
         let encoded = RowKeys::encode(&space, &[table], exprs, &sequential)
             .map_err(|e| format!("rows whose keys do not evaluate: {e}"))?;
         let mut slots = Vec::with_capacity(wanted);
-        let local = encoded.walk(&space, RowRange { start: 0, end: wanted }, |_, run, _| {
+        let local = encoded.walk(&space, RowRange { start: 0, end: wanted }, None, |_, run, _| {
             slots.extend_from_slice(run);
         });
         let found: Vec<Cow<[KeyAtom]>> = local.keys().iter().map(|&k| encoded.decode(k)).collect();

@@ -22,6 +22,12 @@
 //! inputs with and without values, so each narrow cell is held to the full
 //! state's bits.
 //!
+//! A statement without `WITH CUBE` keys and slots only the rows its
+//! predicate keeps, so its fine groups follow first occurrence over the
+//! kept rows; its answer is held, bit for bit, to two passes that slot
+//! every row: the same statement `WITH CUBE`, whose first set is the full
+//! grouping, and the exact fold of a shard behind a reader.
+//!
 //! The reference reads every value one row at a time — aggregate inputs
 //! with `BoundExpr::f64_at`, the predicate with `BoundPredicate::matches` —
 //! while the engine evaluates both a block at a time, so computed inputs
@@ -32,6 +38,7 @@
 //! both values pinned; the pinned counts are folded into every sweep.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -43,8 +50,8 @@ use cvopt_table::exec::CHUNK_ROWS;
 use cvopt_table::expr::BoundExpr;
 use cvopt_table::{
     grouping_sets, AggExpr, AggKind, ArithOp, CaseWhen, CmpOp, DataType, GroupByQuery, GroupIndex,
-    KeyAtom, Predicate, QueryResult, ScalarExpr, ShardSet, ShardedTable, Table, TableBuilder,
-    Value,
+    KeyAtom, LocalShard, Predicate, QueryResult, RowSpace, ScalarExpr, ShardReader, ShardSet,
+    ShardedTable, Table, TableBuilder, Value,
 };
 
 /// A standard sweep plus the CI matrix's pinned value of `var`.
@@ -271,6 +278,112 @@ fn assert_estimates_match_reference(
     for threads in swept(&[1, 2, 8], "CVOPT_THREADS") {
         let got = estimate_with(sample, query, &ExecOptions::new(threads)).unwrap();
         assert!(answer_rows(&got) == want, "{context}: estimated, {threads} threads");
+    }
+}
+
+/// `query` — a statement without `WITH CUBE`, under a predicate, whose
+/// pass keys and slots only the rows the predicate keeps — answers bit for
+/// bit as when every row takes a slot: exactly at every swept thread count
+/// and shard split, against the exact fold of a shard behind a reader and
+/// the first set of the same statement `WITH CUBE`; and estimated from a
+/// weighted sample, against that cube's. Returns the rows kept.
+fn assert_kept_walk_answers_as_every_row_walk(
+    table: &Table,
+    query: &GroupByQuery,
+    context: &str,
+) -> usize {
+    let predicate = query.predicate.as_ref().expect("a statement under a predicate");
+    assert!(!query.cube, "{context}: a statement without WITH CUBE");
+    let mut cube = query.clone();
+    cube.cube = true;
+    let full_set = |results: Vec<QueryResult>| answer_rows(&results[..1]).remove(0);
+    let sequential = ExecOptions::sequential();
+    let reader: Vec<Arc<dyn ShardReader>> = vec![Arc::new(LocalShard::new(table.clone()))];
+    let behind_reader = ShardSet::new(reader).unwrap();
+    let want = full_set(query.execute_with(&behind_reader, &sequential).unwrap());
+    let whole = ShardSet::from(table.clone());
+    let cube_answer = full_set(cube.execute_with(&whole, &sequential).unwrap());
+    assert!(cube_answer == want, "{context}: WITH CUBE's full set");
+    for threads in swept(&[1, 4], "CVOPT_THREADS") {
+        let options = ExecOptions::new(threads);
+        for shards in swept(&[1, 3], "CVOPT_SHARDS") {
+            let set = match shards {
+                1 => whole.clone(),
+                _ => ShardSet::from(ShardedTable::split(table, shards).unwrap()),
+            };
+            let got = full_set(query.execute_with(&set, &options).unwrap());
+            assert!(got == want, "{context}: {shards} shards, {threads} threads");
+        }
+    }
+    let sample = weighted_sample(table);
+    let want = full_set(estimate_with(&sample, &cube, &sequential).unwrap());
+    for threads in swept(&[1, 4], "CVOPT_THREADS") {
+        let got = full_set(estimate_with(&sample, query, &ExecOptions::new(threads)).unwrap());
+        assert!(got == want, "{context}: estimated, {threads} threads");
+    }
+    RowSpace::from(table).predicate_bitmaps(predicate, &sequential).unwrap()[0].count_ones()
+}
+
+/// The corpus's statements without `WITH CUBE`, under predicates that keep
+/// no row, some rows and every row, answer as when every row takes a slot
+/// ([`assert_kept_walk_answers_as_every_row_walk`]): both cell families,
+/// every aggregate kind, one to five dimensions, the durable key space that
+/// takes the hash map, AQ4's calendar parts, dense keys, and computed
+/// inputs under compound predicates over NaN, ±0.0 and ±∞.
+#[test]
+fn the_kept_walk_answers_as_the_every_row_walk() {
+    let openaq = generate_openaq(&OpenAqConfig::with_rows(20_000));
+    let n = openaq.num_rows();
+    let durable: Vec<ScalarExpr> =
+        ["country", "parameter", "unit", "location"].map(ScalarExpr::col).to_vec();
+    let five = [
+        ScalarExpr::col("country"),
+        ScalarExpr::col("parameter"),
+        ScalarExpr::col("unit"),
+        ScalarExpr::month("local_time"),
+        ScalarExpr::hour("local_time"),
+    ];
+    let values = ScalarExpr::col("value").bind(&openaq).unwrap();
+    let mut sorted: Vec<f64> = (0..n).map(|r| values.f64_at(r).unwrap()).collect();
+    sorted.sort_by(f64::total_cmp);
+    for cut in [f64::INFINITY, sorted[n / 2], f64::NEG_INFINITY] {
+        for exprs in [&durable[..], &five[..1], &five[..3], &five[..]] {
+            let context = format!("{} dims, value > {cut}", exprs.len());
+            let statement = statement(exprs, ("value", Some(cut), false));
+            let kept = assert_kept_walk_answers_as_every_row_walk(&openaq, &statement, &context);
+            let expected = match cut {
+                f64::INFINITY => kept == 0,
+                f64::NEG_INFINITY => kept == n,
+                _ => 0 < kept && kept < n,
+            };
+            assert!(expected, "{context}: {kept} of {n} rows kept");
+        }
+    }
+    let aq4 = "SELECT country, MONTH(local_time), YEAR(local_time), AVG(value) FROM openaq \
+               WHERE parameter = 'co' GROUP BY country, MONTH(local_time), YEAR(local_time)";
+    let aq4 = cvopt_table::sql::parse(aq4).and_then(|s| s.into_query()).unwrap();
+    assert_kept_walk_answers_as_every_row_walk(&openaq, &aq4, "AQ4");
+
+    let (dense, k) = (dense_table(), [ScalarExpr::col("k")]);
+    for cut in [f64::INFINITY, 5.0, f64::NEG_INFINITY] {
+        let statement = statement(&k, ("v", Some(cut), false));
+        assert_kept_walk_answers_as_every_row_walk(&dense, &statement, &format!("dense, {cut}"));
+    }
+
+    let edge = edge_table();
+    let predicates = [
+        Predicate::cmp("g", CmpOp::Lt, "c"),
+        Predicate::between(ScalarExpr::col("v"), -10.0, 25.0),
+        Predicate::cmp("g", CmpOp::Eq, "b").or(Predicate::cmp("v", CmpOp::Gt, 10.0)).not(),
+    ];
+    for predicate in predicates {
+        let context = format!("edge, {predicate:?}");
+        let mut query = GroupByQuery::new(
+            vec![ScalarExpr::col("g"), ScalarExpr::col("k")],
+            computed_aggregates(),
+        );
+        query.predicate = Some(predicate);
+        assert_kept_walk_answers_as_every_row_walk(&edge, &query, &context);
     }
 }
 
