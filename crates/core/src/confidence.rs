@@ -23,16 +23,18 @@
 //!
 //! The pass (`SampleScan::confidence`) is the second read-out of a
 //! statement's `SampleScan`: one sequential walk of the already-encoded
-//! packed keys over every sample row gives each row its group — its key's
-//! first-occurrence id — and the pass accumulates every `AVG` aggregate of
-//! the statement side by side over the rows the already-built predicate
-//! bitmap keeps.
+//! packed keys over the rows the already-built predicate bitmap keeps, as
+//! the weighted pass walks them, gives each kept row its group — its key's
+//! first-occurrence id over the kept rows — and the pass accumulates every
+//! `AVG` aggregate of the statement side by side.
 //!
-//! Unlike the weighted pass, whose walk keys and slots only the kept rows,
-//! this walk slots every row on purpose. Its cells live in a map keyed by
-//! `(stratum, group)` with the group's slot id, and the variance sums run
-//! in the map's iteration order, which depends on those ids. Slotting only
-//! the kept rows would renumber the groups and move `ci95` bits.
+//! Each aggregate keeps its `(stratum, group)` cells in a vector, in the
+//! order its contributing rows first touch them, and sums every group's
+//! variance in that order. The stratum id is dense and known in advance, so
+//! a row finds its cell through its stratum's first cell; only a stratum
+//! that meets a second group, which a grouping coarsening the
+//! stratification never makes, falls back to a map. No float sum depends on
+//! a hash layout or on slot ids: only on the sample's row order.
 
 use cvopt_table::exec::ExecOptions;
 use cvopt_table::expr::{BlockScratch, BoundExpr};
@@ -80,6 +82,10 @@ impl AvgEstimate {
 /// [`QueryResult`](cvopt_table::QueryResult) values analytically but may
 /// differ in the last float bits. Treat `estimates[i].estimate` as the
 /// interval center and the `QueryResult` as the canonical point answer.
+/// A group's variance adds its per-stratum terms in the order the group's
+/// contributing rows first touch the strata, so every interval is a
+/// function of the sample's row order alone: the same bits for any thread
+/// count.
 #[derive(Debug, Clone)]
 pub struct AggConfidence {
     /// Index into the query's aggregate list (and into
@@ -120,14 +126,58 @@ struct CellAcc {
     sum2: f64,
 }
 
+/// A stratum's entry in [`Cells::first`] before any row touches it.
+const UNTOUCHED: u32 = u32::MAX;
+
+/// One `AVG` aggregate's `(stratum, group)` cells.
+struct Cells {
+    /// The cells in first-touch order — the order of the aggregate's
+    /// contributing rows — each beside its `(stratum, group)`. The variance
+    /// is summed in this order, so its float sums depend on the sample's
+    /// row order alone.
+    order: Vec<((u32, u32), CellAcc)>,
+    /// Per stratum, the index of the first cell it opened ([`UNTOUCHED`]
+    /// before that): the whole lookup while a stratum meets one group, as
+    /// every stratum does when the grouping coarsens the stratification.
+    first: Vec<u32>,
+    /// `(stratum, group) → index` for every other cell, reached only when a
+    /// stratum meets a second group. Looked up, never iterated.
+    more: FxHashMap<(u32, u32), u32>,
+}
+
+impl Cells {
+    fn new(strata: usize) -> Self {
+        Cells { order: Vec::new(), first: vec![UNTOUCHED; strata], more: FxHashMap::default() }
+    }
+
+    /// The cell of stratum `c` and group `g`, opened at the end of the
+    /// order on its first touch.
+    fn get(&mut self, c: u32, g: u32) -> &mut CellAcc {
+        let Cells { order, first, more } = self;
+        let open = |order: &mut Vec<_>| {
+            order.push(((c, g), CellAcc::default()));
+            (order.len() - 1) as u32
+        };
+        let first = &mut first[c as usize];
+        let i = if *first == UNTOUCHED {
+            *first = open(order);
+            *first
+        } else if order[*first as usize].0 .1 == g {
+            *first
+        } else {
+            *more.entry((c, g)).or_insert_with(|| open(order))
+        };
+        &mut order[i as usize].1
+    }
+}
+
 /// What the confidence pass accumulates for one `AVG` aggregate.
 struct AvgAcc<'a> {
     agg_index: usize,
     value: BoundExpr<'a>,
-    /// Iterated when the variance is summed, so the float sums depend on
-    /// its insertion sequence: always the aggregate's contributing rows in
-    /// row order.
-    cells: FxHashMap<(u32, u32), CellAcc>,
+    /// Folded in row order; [`AvgAcc::finish`] sums them in first-touch
+    /// order.
+    cells: Cells,
     /// Per group, for the point estimate: Σw, Σw·y and the rows.
     totals: Vec<(f64, f64, u64)>,
 }
@@ -144,9 +194,10 @@ impl AvgAcc<'_> {
         let estimates: Vec<f64> =
             self.totals.iter().map(|&(w, wy, _)| if w > 0.0 { wy / w } else { f64::NAN }).collect();
 
-        // Variance: Σ_c n_c(n_c−s_c)/s_c · S²_{z,c} / N̂_d².
+        // Variance: Σ_c n_c(n_c−s_c)/s_c · S²_{z,c} / N̂_d², each cell's
+        // term added to its group's sum in cell order.
         let mut variance = vec![0.0f64; num_groups];
-        for (&(c, g), acc) in &self.cells {
+        for &((c, g), acc) in &self.cells.order {
             let stratum = &sample.strata[c as usize];
             let n_c = stratum.population as f64;
             let s_c = stratum.sampled as f64;
@@ -185,13 +236,14 @@ impl AvgAcc<'_> {
 impl SampleScan<'_> {
     /// The confidence pass: per-group standard errors for every `AVG`
     /// aggregate of the scanned query, in **one** sequential walk of the
-    /// packed keys over every sample row, in row order, folding the rows the
-    /// predicate keeps. A row's group is its walk slot — its key's
-    /// first-occurrence id over *all* rows, kept or not — which fixes the
-    /// cells' insertion order and with it every float sum over them. Cube
-    /// queries and non-stratified samples get none (the stratified domain
-    /// estimator does not cover them); a failure on an eligible aggregate
-    /// propagates rather than silently dropping the intervals.
+    /// packed keys over the rows the predicate keeps, in row order — the
+    /// kept walk the weighted pass takes. A row's group is its walk slot,
+    /// its key's first-occurrence id over the kept rows; the cells open in
+    /// the order the aggregate's contributing rows first touch them, which
+    /// fixes every float sum over them. Cube queries and non-stratified
+    /// samples get none (the stratified domain estimator does not cover
+    /// them); a failure on an eligible aggregate propagates rather than
+    /// silently dropping the intervals.
     pub(crate) fn confidence(&self) -> Result<Vec<AggConfidence>> {
         let sample = self.sample;
         if self.query.cube || !sample.is_stratified() {
@@ -203,7 +255,7 @@ impl SampleScan<'_> {
                 avgs.push(AvgAcc {
                     agg_index,
                     value: input.bind(&sample.table)?,
-                    cells: FxHashMap::default(),
+                    cells: Cells::new(sample.strata.len()),
                     totals: Vec::new(),
                 });
             }
@@ -217,7 +269,7 @@ impl SampleScan<'_> {
         // cell in row order as a row-major walk does.
         let all = RowRange { start: 0, end: sample.len() };
         let mut scratch: Vec<BlockScratch> = avgs.iter().map(|acc| acc.value.scratch()).collect();
-        let groups = self.keys.walk(&self.rows, all, None, |run, slots, seen| {
+        let groups = self.keys.walk(&self.rows, all, self.filter.as_deref(), |run, slots, seen| {
             let start = run.local.start;
             for (acc, scratch) in avgs.iter_mut().zip(&mut scratch) {
                 let AvgAcc { value, cells, totals, .. } = acc;
@@ -231,7 +283,7 @@ impl SampleScan<'_> {
                     totals.0 += w;
                     totals.1 += w * y;
                     totals.2 += 1;
-                    let cell = cells.entry((c, g)).or_default();
+                    let cell = cells.get(c, g);
                     cell.m += 1;
                     cell.sum += y;
                     cell.sum2 += y * y;
@@ -396,6 +448,225 @@ mod tests {
                 e.std_error
             );
         }
+    }
+
+    /// Five groups `g` × eight values of `h`, stratified by `(g, h)` below;
+    /// `k` takes three values independently of both, and `z` is uniform on
+    /// [0, 1). The strata's means and spreads differ, so a group's
+    /// per-stratum terms differ in size and the order they are added in
+    /// shows in the last bits.
+    fn layered_table() -> Table {
+        let mut b = TableBuilder::new(&[
+            ("g", DataType::Str),
+            ("h", DataType::Str),
+            ("k", DataType::Str),
+            ("x", DataType::Float64),
+            ("z", DataType::Float64),
+        ]);
+        let mut k = 11u64;
+        let mut next = || {
+            k = k.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            k >> 33
+        };
+        for _ in 0..6000 {
+            let (gi, hi, ki) = (next() % 5, next() % 8, next() % 3);
+            let u = next() as f64 / (1u64 << 31) as f64;
+            let x = 10.0 + 7.0 * gi as f64 + 13.0 * hi as f64 + u * 3.0 * (1 + hi) as f64;
+            let z = next() as f64 / (1u64 << 31) as f64;
+            let (g, h, k) = (format!("g{gi}"), format!("h{hi}"), format!("k{ki}"));
+            let row = [Value::str(&g), Value::str(&h), Value::str(&k), x.into(), z.into()];
+            b.push_row(&row).unwrap();
+        }
+        b.finish()
+    }
+
+    /// One group of [`naive_intervals`]: its rows, estimate and standard
+    /// error with the per-stratum terms added in first-touch order and in
+    /// ascending stratum order, and the strata in first-touch order.
+    struct NaiveGroup {
+        key: Vec<KeyAtom>,
+        rows: u64,
+        estimate: f64,
+        first_touch: f64,
+        ascending: f64,
+        strata: Vec<u32>,
+    }
+
+    /// Cochran's domain estimator of `AVG(value)` per group of `group`, one
+    /// group at a time over the kept rows in row order, sorted by key.
+    fn naive_intervals(
+        s: &MaterializedSample,
+        group: &ScalarExpr,
+        value: &ScalarExpr,
+        predicate: Option<&Predicate>,
+    ) -> Vec<NaiveGroup> {
+        let group = group.bind(&s.table).unwrap();
+        let value = value.bind(&s.table).unwrap();
+        let kept = predicate.map(|p| p.bind(&s.table).unwrap());
+        let key_of = |r: usize| match group.value_at(r) {
+            Value::Str(s) => vec![KeyAtom::Str(s)],
+            other => panic!("{other:?}"),
+        };
+        let mut keys: Vec<Vec<KeyAtom>> = Vec::new();
+        for key in (0..s.len()).map(key_of) {
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+        }
+        keys.sort();
+        let mut out = Vec::new();
+        for key in keys {
+            let (mut w, mut wy, mut rows) = (0.0f64, 0.0f64, 0u64);
+            // (stratum, m, Σy, Σy²) in first-touch order.
+            let mut cells: Vec<(u32, u64, f64, f64)> = Vec::new();
+            for r in 0..s.len() {
+                if key_of(r) != key || !kept.as_ref().is_none_or(|p| p.matches(r)) {
+                    continue;
+                }
+                let Some(y) = value.f64_at(r) else { continue };
+                w += s.weights[r];
+                wy += s.weights[r] * y;
+                rows += 1;
+                let c = s.row_stratum[r];
+                let at = match cells.iter().position(|cell| cell.0 == c) {
+                    Some(at) => at,
+                    None => {
+                        cells.push((c, 0, 0.0, 0.0));
+                        cells.len() - 1
+                    }
+                };
+                cells[at].1 += 1;
+                cells[at].2 += y;
+                cells[at].3 += y * y;
+            }
+            if rows == 0 {
+                continue;
+            }
+            let estimate = wy / w;
+            let term = |&(c, m, sum, sum2): &(u32, u64, f64, f64)| {
+                let stratum = &s.strata[c as usize];
+                let (n_c, s_c) = (stratum.population as f64, stratum.sampled as f64);
+                if s_c < 2.0 || s_c >= n_c {
+                    return None;
+                }
+                let zsum = sum - m as f64 * estimate;
+                let z2sum = sum2 - 2.0 * estimate * sum + m as f64 * estimate * estimate;
+                let mean_z = zsum / s_c;
+                let s2_z = (z2sum - s_c * mean_z * mean_z).max(0.0) / (s_c - 1.0);
+                Some(n_c * (n_c - s_c) / s_c * s2_z)
+            };
+            let std_error = |cells: &[(u32, u64, f64, f64)]| {
+                let variance = cells.iter().filter_map(term).fold(0.0, |acc, t| acc + t);
+                if w > 0.0 {
+                    (variance / (w * w)).sqrt()
+                } else {
+                    0.0
+                }
+            };
+            let first_touch = std_error(&cells);
+            let strata = cells.iter().map(|cell| cell.0).collect();
+            cells.sort_by_key(|cell| cell.0);
+            let ascending = std_error(&cells);
+            out.push(NaiveGroup { key, rows, estimate, first_touch, ascending, strata });
+        }
+        out
+    }
+
+    /// The intervals of a group spanning several strata (grouped by `g`), of
+    /// strata meeting several groups (grouped by `k`, outside the
+    /// stratification) and of an `AVG` whose input has no value on some
+    /// kept rows, under predicates keeping none, some and all rows, at 1 and
+    /// 4 threads: every standard error is the naive reference's with the
+    /// per-stratum terms added in first-touch order, bit for bit, and within
+    /// 1e-12 of the sum in ascending stratum order.
+    #[test]
+    fn standard_errors_sum_the_strata_in_first_touch_order() {
+        use cvopt_table::expr::CaseWhen;
+        let t = layered_table();
+        let spec = QuerySpec::group_by(&["g", "h"]).aggregate("x");
+        let s = CvOptSampler::new(SamplingProblem::single(spec, 600))
+            .with_seed(9)
+            .sample(&t)
+            .unwrap()
+            .sample;
+        let x = ScalarExpr::col("x");
+        // `x` where `z > 0.3`, no value elsewhere.
+        let sparse = ScalarExpr::Case {
+            whens: vec![CaseWhen {
+                lhs: ScalarExpr::col("z"),
+                op: CmpOp::Gt,
+                rhs: ScalarExpr::lit(0.3),
+                then: x.clone(),
+            }],
+            otherwise: None,
+        };
+        let predicates = [
+            None,
+            Some(Predicate::cmp("x", CmpOp::Lt, 0.0)),
+            Some(Predicate::cmp("x", CmpOp::Gt, 60.0)),
+            Some(Predicate::cmp("x", CmpOp::Gt, -1.0)),
+        ];
+        let (mut spanning, mut shared, mut reordered) = (false, false, false);
+        for group in [ScalarExpr::col("g"), ScalarExpr::col("k")] {
+            for predicate in &predicates {
+                let mut query = GroupByQuery::new(
+                    vec![group.clone()],
+                    vec![
+                        AggExpr::over(AggKind::Avg, x.clone()),
+                        AggExpr::over(AggKind::Avg, sparse.clone()),
+                    ],
+                );
+                query.predicate = predicate.clone();
+                let naive: Vec<Vec<NaiveGroup>> = [&x, &sparse]
+                    .map(|value| naive_intervals(&s, &group, value, predicate.as_ref()))
+                    .into();
+                let touched = |i: usize| naive[i].iter().map(|n| &n.strata).collect::<Vec<_>>();
+                reordered |= touched(0) != touched(1);
+                let mut strata_groups = vec![0usize; s.strata.len()];
+                for n in &naive[0] {
+                    spanning |= n.strata.len() > 1;
+                    n.strata.iter().for_each(|&c| strata_groups[c as usize] += 1);
+                }
+                shared |= strata_groups.iter().any(|&groups| groups > 1);
+                for threads in [1, 4] {
+                    let options = ExecOptions::new(threads);
+                    let got = SampleScan::new(&s, &query, &options).unwrap().confidence().unwrap();
+                    assert_eq!(got.len(), 2);
+                    for (agg, naive) in got.iter().zip(&naive) {
+                        let at = format!(
+                            "{group} {predicate:?} agg {} threads {threads}",
+                            agg.agg_index
+                        );
+                        assert_eq!(agg.estimates.len(), naive.len(), "{at}");
+                        for (e, n) in agg.estimates.iter().zip(naive) {
+                            assert_eq!((&e.key, e.sampled_rows), (&n.key, n.rows), "{at}");
+                            assert_eq!(
+                                e.estimate.to_bits(),
+                                n.estimate.to_bits(),
+                                "{at} {:?}",
+                                e.key
+                            );
+                            assert_eq!(
+                                e.std_error.to_bits(),
+                                n.first_touch.to_bits(),
+                                "{at} {:?}: {} vs {}",
+                                e.key,
+                                e.std_error,
+                                n.first_touch
+                            );
+                            assert!(
+                                (e.std_error - n.ascending).abs() <= 1e-12 * n.ascending,
+                                "{at} {:?}",
+                                e.key
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(spanning, "some group spans several strata");
+        assert!(shared, "some stratum meets several groups");
+        assert!(reordered, "the two aggregates touch strata in different orders");
     }
 
     #[test]
